@@ -11,7 +11,8 @@ use fbc_bench::{banner, paper_workload, results_dir};
 use fbc_core::policy::CachePolicy;
 use fbc_core::types::GIB;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
-use fbc_grid::multi::{run_multi_grid, Dispatch, MultiGridConfig};
+use fbc_grid::engine::{run_grid_nodes, GridConfig, RunOptions};
+use fbc_grid::multi::Dispatch;
 use fbc_grid::srm::SrmConfig;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::{Popularity, Workload};
@@ -31,16 +32,13 @@ fn main() {
         },
     );
     // Each node gets a quarter of the single-node cache budget.
-    let config = |dispatch: Dispatch| MultiGridConfig {
+    let config = GridConfig {
         srm: SrmConfig {
             cache_size: (10 * GIB) / NODES as u64,
             max_concurrent_jobs: 2,
             ..SrmConfig::default()
         },
-        nodes: NODES,
-        mss: Default::default(),
-        link: Default::default(),
-        dispatch,
+        ..GridConfig::default()
     };
 
     let mut table = Table::new([
@@ -59,12 +57,15 @@ fn main() {
         let mut policies: Vec<Box<dyn CachePolicy>> = (0..NODES)
             .map(|_| fbc_baselines::PolicyKind::OptFileBundle.build())
             .collect();
-        let stats = run_multi_grid(
-            &mut policies,
-            &workload.catalog,
-            &arrivals,
-            &config(dispatch),
-        );
+        let mut refs: Vec<&mut dyn CachePolicy> = policies
+            .iter_mut()
+            .map(|p| p.as_mut() as &mut dyn CachePolicy)
+            .collect();
+        let opts = RunOptions {
+            dispatch,
+            ..RunOptions::default()
+        };
+        let stats = run_grid_nodes(&mut refs, &workload.catalog, &arrivals, &config, opts);
         table.add_row([
             dispatch.label().to_string(),
             f4(stats.overall.cache.byte_miss_ratio()),

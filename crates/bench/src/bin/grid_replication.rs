@@ -12,7 +12,8 @@ use fbc_bench::{banner, paper_workload, results_dir};
 use fbc_core::optfilebundle::OptFileBundle;
 use fbc_core::types::GIB;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
-use fbc_grid::replica::{run_grid_replicated, Placement, ReplicaGridConfig};
+use fbc_grid::engine::{run_grid_nodes, GridConfig, RunOptions};
+use fbc_grid::replica::Placement;
 use fbc_grid::srm::SrmConfig;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::{Popularity, Workload};
@@ -32,15 +33,13 @@ fn main() {
             seed: 71,
         },
     );
-    let config = |placement: Placement| ReplicaGridConfig {
+    let config = GridConfig {
         srm: SrmConfig {
             cache_size: 2 * GIB,
             max_concurrent_jobs: 4,
             ..SrmConfig::default()
         },
-        mss: Default::default(),
-        link: Default::default(),
-        placement,
+        ..GridConfig::default()
     };
 
     let mut table = Table::new([
@@ -57,12 +56,18 @@ fn main() {
             Placement::random(files, SITES, copies, 0x4E9)
         };
         let mut policy = OptFileBundle::new();
-        let stats = run_grid_replicated(
-            &mut policy,
+        let opts = RunOptions {
+            placement: Some(&placement),
+            ..RunOptions::default()
+        };
+        let stats = run_grid_nodes(
+            &mut [&mut policy],
             &workload.catalog,
             &arrivals,
-            &config(placement),
-        );
+            &config,
+            opts,
+        )
+        .overall;
         table.add_row([
             copies.to_string(),
             f4(stats.cache.byte_miss_ratio()),

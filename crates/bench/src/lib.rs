@@ -1,7 +1,7 @@
 //! # fbc-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index) plus Criterion micro-benchmarks. Every binary prints the rows /
+//! index), plus the `perf_*` gates. Every binary prints the rows /
 //! series the paper reports and writes a CSV under `results/`.
 //!
 //! Common parameters follow §5.1/§5.2: a 10 GiB cache, a file population

@@ -5,7 +5,8 @@ use crate::args::{ArgError, Args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
 use fbc_core::policy::CachePolicy;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
-use fbc_grid::multi::{run_multi_grid, Dispatch, MultiGridConfig};
+use fbc_grid::engine::{run_grid_nodes, GridConfig, RunOptions};
+use fbc_grid::multi::Dispatch;
 use fbc_grid::srm::SrmConfig;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::Trace;
@@ -66,20 +67,25 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         Dispatch::LeastLoaded,
         Dispatch::BundleAffinity,
     ] {
-        let config = MultiGridConfig {
+        let config = GridConfig {
             srm: SrmConfig {
                 cache_size: cache,
                 ..SrmConfig::default()
             },
-            nodes,
-            mss: Default::default(),
-            link: Default::default(),
-            dispatch,
+            ..GridConfig::default()
         };
         let mut policies: Vec<Box<dyn CachePolicy>> = (0..nodes)
             .map(|_| policy_by_name(policy_name).expect("validated above"))
             .collect();
-        let stats = run_multi_grid(&mut policies, &trace.catalog, &arrivals, &config);
+        let mut refs: Vec<&mut dyn CachePolicy> = policies
+            .iter_mut()
+            .map(|p| p.as_mut() as &mut dyn CachePolicy)
+            .collect();
+        let opts = RunOptions {
+            dispatch,
+            ..RunOptions::default()
+        };
+        let stats = run_grid_nodes(&mut refs, &trace.catalog, &arrivals, &config, opts);
         table.add_row([
             dispatch.label().to_string(),
             f4(stats.overall.cache.byte_miss_ratio()),

@@ -2,11 +2,11 @@
 //!
 //! One SRM absorbing millions of queued jobs cannot decide them one at a
 //! time. This module splits the request stream over `N` independent
-//! shards — each owning its own [`CacheState`] (an equal slice of the
-//! configured capacity), its own policy instance (built per shard from a
-//! [`PolicyFactory`]) and its own private [`Obs`] sink — and runs the
-//! unmodified engine core ([`run_grid_on_cache`]) on every shard, on a
-//! pool of `M` scoped worker threads.
+//! shards — each owning its own [`fbc_core::cache::CacheState`] (an equal
+//! slice of the configured capacity), its own policy instance (built per
+//! shard from a [`PolicyFactory`]) and its own private [`Obs`] sink — and
+//! runs the unmodified engine ([`run_grid_observed`], one SRM node) on
+//! every shard, on a pool of `M` scoped worker threads.
 //!
 //! # Pipeline
 //!
@@ -42,11 +42,10 @@
 //! shard-count-invariant).
 
 use crate::client::JobArrival;
-use crate::engine::{run_grid_on_cache, GridConfig};
+use crate::engine::{run_grid_observed, GridConfig};
 use crate::faults::FaultPlan;
 use crate::shard::{ShardBy, ShardMap};
 use crate::stats::GridStats;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::PolicyFactory;
 use fbc_obs::Obs;
@@ -98,15 +97,51 @@ impl ConcurrentConfig {
     }
 }
 
-/// Results of one sharded run.
+/// Results of a sharded run, or of a cluster run
+/// ([`crate::engine::run_grid_nodes`]) whose nodes play the shards.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConcurrentStats {
     /// Shard results merged in shard-id order ([`GridStats::merge_shard`]).
     pub overall: GridStats,
-    /// Per-shard results, indexed by shard id.
+    /// Per-shard (per-node) results, indexed by shard id.
     pub per_shard: Vec<GridStats>,
-    /// Jobs routed to each shard by the admission front-end.
+    /// Jobs routed to each shard.
     pub routed: Vec<u64>,
+}
+
+impl ConcurrentStats {
+    /// Merges `per_shard` in shard-id order into `overall`.
+    pub(crate) fn merge(
+        per_shard: Vec<GridStats>,
+        routed: Vec<u64>,
+        full_response_log: bool,
+    ) -> Self {
+        let mut overall = GridStats::default();
+        if full_response_log {
+            overall.responses.enable_full_log();
+        }
+        for stats in &per_shard {
+            overall.merge_shard(stats);
+        }
+        Self {
+            overall,
+            per_shard,
+            routed,
+        }
+    }
+
+    /// Max/mean routing imbalance: 1.0 is perfectly balanced.
+    pub fn routing_imbalance(&self) -> f64 {
+        let Some(&max) = self.routed.iter().max() else {
+            return 1.0;
+        };
+        let mean = self.routed.iter().sum::<u64>() as f64 / self.routed.len() as f64;
+        if mean <= 0.0 {
+            1.0
+        } else {
+            max as f64 / mean
+        }
+    }
 }
 
 /// The sharded decision service front-end.
@@ -225,16 +260,13 @@ impl ConcurrentSrm {
                         }
                         let mut policy = factory.build_policy();
                         let child = obs.child();
-                        let mut cache =
-                            CacheState::with_catalog(shard_grid.srm.cache_size, catalog);
-                        let stats = run_grid_on_cache(
+                        let stats = run_grid_observed(
                             policy.as_mut(),
                             catalog,
                             &routed_jobs[s],
                             shard_grid,
                             plan,
                             &child,
-                            &mut cache,
                         );
                         if tx.send((s, stats, child)).is_err() {
                             break; // receiver gone: run aborted
@@ -257,22 +289,10 @@ impl ConcurrentSrm {
             .collect();
 
         // Deterministic merge, in shard-id order.
-        let mut overall = GridStats::default();
-        if self.config.grid.full_response_log {
-            overall.responses.enable_full_log();
-        }
-        for stats in &per_shard {
-            overall.merge_shard(stats);
-        }
         for child in children.into_iter().flatten() {
             obs.merge_from(&child);
         }
-
-        ConcurrentStats {
-            overall,
-            per_shard,
-            routed,
-        }
+        ConcurrentStats::merge(per_shard, routed, self.config.grid.full_response_log)
     }
 }
 

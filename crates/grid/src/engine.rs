@@ -13,6 +13,11 @@
 //! `failed` and its service slot is released, so the simulation always
 //! terminates.
 //!
+//! One event loop serves every grid shape. [`run_grid_nodes`] runs it on a
+//! table of SRM nodes (each with its own policy, cache and service queue,
+//! fed by a [`Dispatch`]) and over either one MSS or replicated storage
+//! sites ([`Placement`]); [`run_grid`] is the one-node, one-MSS case.
+//!
 //! Two modelling simplifications (documented in DESIGN.md): the cache
 //! state is updated at *decision* time while the transfer occupies virtual
 //! time — i.e. space is reserved for in-flight files, and the job's files
@@ -22,16 +27,22 @@
 //! simplification on the success path.
 
 use crate::client::JobArrival;
+use crate::concurrent::ConcurrentStats;
 use crate::event::EventQueue;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::mss::{MassStorage, MssConfig};
+use crate::multi::Dispatch;
 use crate::network::{Link, LinkConfig};
+use crate::replica::Placement;
+use crate::shard::{ShardBy, ShardMap};
 use crate::srm::{pin_bundle, unpin_bundle, RetryPolicy, SrmConfig};
 use crate::stats::GridStats;
 use crate::time::SimTime;
+use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::{CachePolicy, RequestOutcome};
+use fbc_core::types::FileId;
 use fbc_obs::{Field, Obs};
 use std::collections::VecDeque;
 
@@ -53,6 +64,22 @@ pub struct GridConfig {
     pub full_response_log: bool,
 }
 
+/// Everything a [`run_grid_nodes`] run takes besides its policies and
+/// [`GridConfig`]. The default is one MSS, no faults and no tracing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// How arriving jobs are routed to the nodes (unused with one node).
+    pub dispatch: Dispatch,
+    /// Replicated storage: one `config.mss` per site, files placed as
+    /// given. `None` reads every miss from a single MSS.
+    pub placement: Option<&'a Placement>,
+    /// Fault plan; a zero-fault plan ([`FaultPlan::is_zero_fault`]) gives
+    /// the same run as `None`.
+    pub plan: Option<&'a FaultPlan>,
+    /// Observability sink; `None` is [`Obs::disabled`].
+    pub obs: Option<&'a Obs>,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Arrival(usize),
@@ -65,6 +92,7 @@ enum Event {
     ProcessDone(usize),
 }
 
+/// Per-job engine state, one per arrival: kept at 32 bytes.
 #[derive(Debug, Clone)]
 struct JobState {
     arrival: SimTime,
@@ -72,88 +100,497 @@ struct JobState {
     requested_bytes: u64,
     /// Fetch attempts issued so far (including the one in flight).
     attempts: u32,
+    /// The SRM node the job was routed to.
+    node: u16,
+    /// Serviced by streaming past the cache (admission bypass): the job
+    /// holds no pins, so it must release none.
+    streamed: bool,
 }
 
-/// Issues one fetch attempt for job `i` at `now`, scheduling either
-/// `FetchDone` or `FetchFailed`.
-#[allow(clippy::too_many_arguments)]
-fn issue_fetch(
-    i: usize,
-    now: SimTime,
-    config: &GridConfig,
-    mss: &mut MassStorage,
-    link: &mut Link,
-    faults: &mut Option<FaultInjector>,
-    events: &mut EventQueue<Event>,
-    stats: &mut GridStats,
-    jobs: &mut [JobState],
-    obs: &Obs,
-) {
-    let bytes = jobs[i].fetched_bytes;
-    if bytes == 0 {
-        // Pure cache hit: nothing to fetch, nothing that can fail.
-        events.schedule(now, Event::FetchDone(i));
-        return;
+/// One SRM node: a policy, its disk cache, a FIFO service queue, and the
+/// statistics of the jobs routed to it.
+struct Node<'p> {
+    policy: &'p mut dyn CachePolicy,
+    cache: CacheState,
+    queue: VecDeque<usize>,
+    in_service: usize,
+    stats: GridStats,
+}
+
+/// Where missed files are read from. Both cases ship over one shared link.
+enum Storage<'a> {
+    /// One MSS: a job's misses are aggregated into one drive request.
+    Mss(MassStorage),
+    /// Replica sites: each fetched file is read from the site that
+    /// finishes it earliest. A retry re-reads the whole file set, so
+    /// `files[job]` keeps it.
+    Replicated {
+        sites: Vec<MassStorage>,
+        placement: &'a Placement,
+        files: Vec<Vec<FileId>>,
+    },
+}
+
+impl Storage<'_> {
+    /// Keeps job `i`'s fetched file list if the fetch path needs it.
+    fn keep_files(&mut self, i: usize, fetched: &mut Vec<FileId>) {
+        if let Storage::Replicated { files, .. } = self {
+            files[i] = std::mem::take(fetched);
+        }
     }
-    stats.fetch_attempts += 1;
-    jobs[i].attempts += 1;
-    if obs.is_enabled() {
-        obs.incr("grid.fetch_attempts");
-        obs.event(
-            "fetch",
-            &[
-                ("job", Field::u(i as u64)),
-                ("bytes", Field::u(bytes)),
-                ("attempt", Field::u(jobs[i].attempts as u64)),
-            ],
+
+    /// Reads job `i`'s `bytes` of misses starting at `now` and ships them
+    /// over `link`. Returns when the last byte arrives, or `None` when an
+    /// outage strands the read for good.
+    fn fetch(
+        &mut self,
+        i: usize,
+        bytes: u64,
+        now: SimTime,
+        link: &mut Link,
+        catalog: &FileCatalog,
+        faults: Option<&FaultInjector>,
+    ) -> Option<SimTime> {
+        match self {
+            Storage::Mss(mss) => {
+                let read_done = mss.schedule_fetch_with(now, bytes, faults)?;
+                link.schedule_transfer_with(read_done, bytes, faults)
+            }
+            Storage::Replicated {
+                sites,
+                placement,
+                files,
+            } => {
+                // Schedule every fetched file on its best replica; the
+                // bundle is complete when the slowest file crosses the link.
+                let mut done = SimTime::ZERO;
+                for &f in &files[i] {
+                    let size = catalog.size(f);
+                    let replicas = placement.replicas_of(f);
+                    assert!(!replicas.is_empty(), "file {f} has no replica");
+                    // Greedy replica selection: probe each candidate site
+                    // (a cheap clone — drive state is a small Vec) for the
+                    // completion time it would give this read, commit to
+                    // the earliest. A site that can never finish sorts last.
+                    let best = replicas
+                        .iter()
+                        .copied()
+                        .min_by_key(|&s| {
+                            sites[s as usize]
+                                .clone()
+                                .schedule_fetch_with(now, size, faults)
+                                .unwrap_or(SimTime(u64::MAX))
+                        })
+                        .expect("non-empty replicas");
+                    let read_done = sites[best as usize].schedule_fetch_with(now, size, faults)?;
+                    let arrive = link.schedule_transfer_with(read_done, size, faults)?;
+                    done = done.max(arrive);
+                }
+                Some(done)
+            }
+        }
+    }
+}
+
+/// The state all nodes share: the clock, the fetch path and the jobs.
+struct Grid<'a> {
+    config: &'a GridConfig,
+    catalog: &'a FileCatalog,
+    arrivals: &'a [JobArrival],
+    obs: &'a Obs,
+    events: EventQueue<Event>,
+    storage: Storage<'a>,
+    link: Link,
+    faults: Option<FaultInjector>,
+    jobs: Vec<JobState>,
+    // Scratch for the batched-hit fast path: reused across drains so a
+    // busy steady state allocates nothing per event.
+    hit_batch: Vec<&'a Bundle>,
+    hit_out: Vec<RequestOutcome>,
+}
+
+impl<'a> Grid<'a> {
+    /// Issues one fetch attempt for job `i` at `now`, scheduling either
+    /// `FetchDone` or `FetchFailed`.
+    fn issue_fetch(&mut self, i: usize, now: SimTime, stats: &mut GridStats) {
+        let bytes = self.jobs[i].fetched_bytes;
+        if bytes == 0 {
+            // Pure cache hit: nothing to fetch, nothing that can fail.
+            self.events.schedule(now, Event::FetchDone(i));
+            return;
+        }
+        stats.fetch_attempts += 1;
+        self.jobs[i].attempts += 1;
+        let obs = self.obs;
+        if obs.is_enabled() {
+            obs.incr("grid.fetch_attempts");
+            obs.event(
+                "fetch",
+                &[
+                    ("job", Field::u(i as u64)),
+                    ("bytes", Field::u(bytes)),
+                    ("attempt", Field::u(self.jobs[i].attempts as u64)),
+                ],
+            );
+        }
+        let arrive = self.storage.fetch(
+            i,
+            bytes,
+            now,
+            &mut self.link,
+            self.catalog,
+            self.faults.as_ref(),
         );
-    }
-    let read_done = mss.schedule_fetch_with(now, bytes, faults.as_ref());
-    let arrive = read_done.and_then(|t| link.schedule_transfer_with(t, bytes, faults.as_ref()));
-    let deadline = config.retry.fetch_timeout.map(|t| now + t);
-    match arrive {
-        Some(done) => {
-            if let Some(deadline) = deadline {
-                if done > deadline {
-                    // The attempt would finish, but not before the SRM gives
-                    // up on it. The drive/link stay occupied (no cancellation
-                    // in the MSS protocol); the SRM just stops waiting.
-                    stats.fetch_timeouts += 1;
-                    if obs.is_enabled() {
-                        obs.incr("grid.fetch_timeouts");
-                        obs.event("fetch_timeout", &[("job", Field::u(i as u64))]);
+        let deadline = self.config.retry.fetch_timeout.map(|t| now + t);
+        match arrive {
+            Some(done) => {
+                if let Some(deadline) = deadline {
+                    if done > deadline {
+                        // The attempt would finish, but not before the SRM gives
+                        // up on it. The drive/link stay occupied (no cancellation
+                        // in the MSS protocol); the SRM just stops waiting.
+                        stats.fetch_timeouts += 1;
+                        if obs.is_enabled() {
+                            obs.incr("grid.fetch_timeouts");
+                            obs.event("fetch_timeout", &[("job", Field::u(i as u64))]);
+                        }
+                        self.events.schedule(deadline, Event::FetchFailed(i));
+                        return;
                     }
-                    events.schedule(deadline, Event::FetchFailed(i));
-                    return;
+                }
+                let transient = self
+                    .faults
+                    .as_mut()
+                    .is_some_and(|inj| inj.draw_transient_failure());
+                if transient {
+                    stats.transient_fetch_errors += 1;
+                    if obs.is_enabled() {
+                        obs.incr("grid.transient_errors");
+                        obs.event("transient_fault", &[("job", Field::u(i as u64))]);
+                    }
+                    self.events.schedule(done, Event::FetchFailed(i));
+                } else {
+                    self.events.schedule(done, Event::FetchDone(i));
                 }
             }
-            let transient = faults
-                .as_mut()
-                .is_some_and(|inj| inj.draw_transient_failure());
-            if transient {
-                stats.transient_fetch_errors += 1;
+            None => {
+                // A permanent outage strands the attempt: it can never complete.
+                // With a timeout the SRM notices at the deadline; without one it
+                // would wait forever, so fail the attempt immediately — the
+                // simulation must terminate either way.
+                stats.fetch_timeouts += 1;
                 if obs.is_enabled() {
-                    obs.incr("grid.transient_errors");
-                    obs.event("transient_fault", &[("job", Field::u(i as u64))]);
+                    obs.incr("grid.fetch_timeouts");
+                    obs.event("fetch_stranded", &[("job", Field::u(i as u64))]);
                 }
-                events.schedule(done, Event::FetchFailed(i));
-            } else {
-                events.schedule(done, Event::FetchDone(i));
+                self.events
+                    .schedule(deadline.unwrap_or(now), Event::FetchFailed(i));
             }
-        }
-        None => {
-            // A permanent outage strands the attempt: it can never complete.
-            // With a timeout the SRM notices at the deadline; without one it
-            // would wait forever, so fail the attempt immediately — the
-            // simulation must terminate either way.
-            stats.fetch_timeouts += 1;
-            if obs.is_enabled() {
-                obs.incr("grid.fetch_timeouts");
-                obs.event("fetch_stranded", &[("job", Field::u(i as u64))]);
-            }
-            events.schedule(deadline.unwrap_or(now), Event::FetchFailed(i));
         }
     }
+
+    /// Puts serviced job `i` in service on `node`: pins its files (a job
+    /// streamed past the cache has none resident to pin) and fetches.
+    fn admit(&mut self, node: &mut Node, i: usize, outcome: &RequestOutcome, now: SimTime) {
+        if !outcome.streamed {
+            pin_bundle(&mut node.cache, &self.arrivals[i].bundle);
+        }
+        node.in_service += 1;
+        let job = &mut self.jobs[i];
+        job.fetched_bytes = outcome.fetched_bytes;
+        job.requested_bytes = outcome.requested_bytes;
+        job.streamed = outcome.streamed;
+        self.issue_fetch(i, now, &mut node.stats);
+    }
+
+    /// Starts as many of `node`'s queued jobs as concurrency and pins allow.
+    fn start_jobs(&mut self, node: &mut Node, now: SimTime) {
+        let arrivals = self.arrivals;
+        let max_concurrent = self.config.srm.max_concurrent_jobs;
+        while node.in_service < max_concurrent {
+            let Some(&i) = node.queue.front() else { break };
+            // Batched fast path: a maximal front run of fully-resident jobs
+            // is admitted through one `handle_batch` call. Hits mutate
+            // nothing but the request history — no eviction, no fetch — so
+            // the `supports` precheck cannot be invalidated mid-run, and
+            // deferring the pins to after the batch changes nothing (pins
+            // only gate evictions, which hits never attempt). Bit-identical
+            // to the per-job loop by the `handle_batch` contract.
+            let slots_free = max_concurrent - node.in_service;
+            let run_len = node
+                .queue
+                .iter()
+                .take(slots_free)
+                .take_while(|&&j| node.cache.contains_all(&arrivals[j].bundle))
+                .count();
+            if run_len >= 2 {
+                self.hit_batch.clear();
+                self.hit_batch.extend(
+                    node.queue
+                        .iter()
+                        .take(run_len)
+                        .map(|&j| &arrivals[j].bundle),
+                );
+                let mut hit_out = std::mem::take(&mut self.hit_out);
+                hit_out.clear();
+                node.policy.handle_batch(
+                    &self.hit_batch,
+                    &mut node.cache,
+                    self.catalog,
+                    &mut hit_out,
+                );
+                debug_assert!(node.cache.check_invariants());
+                for outcome in hit_out.iter().take(run_len) {
+                    let j = node.queue.pop_front().expect("run length bounded by queue");
+                    debug_assert!(outcome.hit && outcome.serviced);
+                    node.stats.cache.record(outcome);
+                    self.admit(node, j, outcome, now);
+                }
+                self.hit_out = hit_out;
+                continue;
+            }
+            let mut outcome =
+                node.policy
+                    .handle(&arrivals[i].bundle, &mut node.cache, self.catalog);
+            debug_assert!(node.cache.check_invariants());
+            node.stats.cache.record(&outcome);
+            if !outcome.serviced {
+                if outcome.requested_bytes > node.cache.capacity() {
+                    // Permanently infeasible: reject.
+                    node.queue.pop_front();
+                    node.stats.rejected += 1;
+                    if self.obs.is_enabled() {
+                        self.obs.incr("grid.jobs_rejected");
+                        self.obs.event("reject", &[("job", Field::u(i as u64))]);
+                    }
+                    continue;
+                }
+                // Pinned files of in-service jobs block the space; retry
+                // when a job completes. With nothing in service this would
+                // deadlock — treat it as a policy bug.
+                assert!(
+                    node.in_service > 0,
+                    "policy failed to service a feasible request on an unpinned cache"
+                );
+                break;
+            }
+            node.queue.pop_front();
+            self.storage.keep_files(i, &mut outcome.fetched_files);
+            self.admit(node, i, &outcome, now);
+        }
+    }
+}
+
+/// Ends `job`'s service on `node`: releases its pins and its slot.
+fn release(node: &mut Node, job: &JobState, bundle: &Bundle) {
+    if !job.streamed {
+        unpin_bundle(&mut node.cache, bundle);
+    }
+    node.in_service -= 1;
+}
+
+/// The node an arriving job is routed to.
+fn route(dispatch: Dispatch, nodes: &[Node], bundle: &Bundle, rr_next: &mut usize) -> usize {
+    if nodes.len() == 1 {
+        return 0;
+    }
+    match dispatch {
+        Dispatch::RoundRobin => {
+            let n = *rr_next;
+            *rr_next = (n + 1) % nodes.len();
+            n
+        }
+        Dispatch::LeastLoaded => nodes
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, node)| node.queue.len() + node.in_service)
+            .map(|(n, _)| n)
+            .expect("at least one node"),
+        Dispatch::BundleAffinity => ShardMap::new(nodes.len(), ShardBy::Bundle).shard_of(bundle),
+    }
+}
+
+/// The event loop. Returns per-node statistics (every node's makespan is
+/// the run's: the nodes share one clock) and the jobs routed to each.
+fn simulate(
+    policies: &mut [&mut dyn CachePolicy],
+    catalog: &FileCatalog,
+    arrivals: &[JobArrival],
+    config: &GridConfig,
+    opts: RunOptions,
+) -> (Vec<GridStats>, Vec<u64>) {
+    assert!(!policies.is_empty(), "need at least one SRM node");
+    assert!(
+        policies.len() <= usize::from(u16::MAX),
+        "at most {} SRM nodes",
+        u16::MAX
+    );
+    let disabled = Obs::disabled();
+    let obs = opts.obs.unwrap_or(&disabled);
+    let mut nodes: Vec<Node> = policies
+        .iter_mut()
+        .map(|policy| {
+            if obs.is_enabled() {
+                policy.attach_obs(obs.clone());
+            }
+            policy.prepare_from(&mut arrivals.iter().map(|a| &a.bundle));
+            let mut stats = GridStats::default();
+            if config.full_response_log {
+                stats.responses.enable_full_log();
+            }
+            Node {
+                policy: &mut **policy,
+                cache: CacheState::with_catalog(config.srm.cache_size, catalog),
+                queue: VecDeque::new(),
+                in_service: 0,
+                stats,
+            }
+        })
+        .collect();
+
+    let mut events: EventQueue<Event> = EventQueue::new();
+    for (i, a) in arrivals.iter().enumerate() {
+        events.schedule(a.at, Event::Arrival(i));
+    }
+    let storage = match opts.placement {
+        None => Storage::Mss(MassStorage::new(config.mss)),
+        Some(placement) => Storage::Replicated {
+            sites: (0..placement.sites())
+                .map(|_| MassStorage::new(config.mss))
+                .collect(),
+            placement,
+            files: vec![Vec::new(); arrivals.len()],
+        },
+    };
+    let mut grid = Grid {
+        config,
+        catalog,
+        arrivals,
+        obs,
+        events,
+        storage,
+        link: Link::new(config.link),
+        faults: opts.plan.map(|p| FaultInjector::new(p, config.mss.drives)),
+        jobs: arrivals
+            .iter()
+            .map(|a| JobState {
+                arrival: a.at,
+                fetched_bytes: 0,
+                requested_bytes: 0,
+                attempts: 0,
+                node: 0,
+                streamed: false,
+            })
+            .collect(),
+        hit_batch: Vec::new(),
+        hit_out: Vec::new(),
+    };
+    let mut routed = vec![0u64; nodes.len()];
+    let mut rr_next = 0usize;
+    let mut last_completion = SimTime::ZERO;
+
+    while let Some((now, event)) = grid.events.pop() {
+        obs.set_now(now.micros());
+        // The job whose node may start queued work after this event.
+        let i = match event {
+            Event::Arrival(i) => {
+                if obs.is_enabled() {
+                    obs.incr("grid.arrivals");
+                    obs.event("arrival", &[("job", Field::u(i as u64))]);
+                }
+                let n = route(opts.dispatch, &nodes, &arrivals[i].bundle, &mut rr_next);
+                routed[n] += 1;
+                grid.jobs[i].node = n as u16;
+                nodes[n].queue.push_back(i);
+                i
+            }
+            Event::FetchDone(i) => {
+                let processing = config.srm.processing_time(grid.jobs[i].requested_bytes);
+                grid.events
+                    .schedule(now + processing, Event::ProcessDone(i));
+                continue; // no new service slot freed
+            }
+            Event::FetchFailed(i) => {
+                let job = &grid.jobs[i];
+                let node = &mut nodes[job.node as usize];
+                if job.attempts <= config.retry.max_retries {
+                    node.stats.fetch_retries += 1;
+                    let jitter = grid
+                        .faults
+                        .as_mut()
+                        .map_or(1.0, |inj| inj.backoff_jitter(config.retry.jitter_frac));
+                    let delay = config.retry.backoff(job.attempts, jitter);
+                    if obs.is_enabled() {
+                        obs.incr("grid.fetch_retries");
+                        obs.event(
+                            "retry",
+                            &[
+                                ("job", Field::u(i as u64)),
+                                ("attempt", Field::u(job.attempts as u64)),
+                                ("backoff_us", Field::u(delay.micros())),
+                            ],
+                        );
+                    }
+                    grid.events.schedule(now + delay, Event::RetryFetch(i));
+                    continue; // slot stays held while backing off
+                }
+                // Retry budget exhausted: give the job up gracefully.
+                release(node, job, &arrivals[i].bundle);
+                node.stats.failed += 1;
+                if obs.is_enabled() {
+                    obs.incr("grid.jobs_failed");
+                    obs.event(
+                        "job_failed",
+                        &[
+                            ("job", Field::u(i as u64)),
+                            ("attempts", Field::u(job.attempts as u64)),
+                        ],
+                    );
+                }
+                i // a service slot is now free
+            }
+            Event::RetryFetch(i) => {
+                let n = grid.jobs[i].node as usize;
+                grid.issue_fetch(i, now, &mut nodes[n].stats);
+                continue;
+            }
+            Event::ProcessDone(i) => {
+                let job = &grid.jobs[i];
+                let node = &mut nodes[job.node as usize];
+                release(node, job, &arrivals[i].bundle);
+                let response = now.since(job.arrival);
+                node.stats.completed += 1;
+                node.stats.responses.record(response);
+                last_completion = last_completion.max(now);
+                if obs.is_enabled() {
+                    obs.incr("grid.jobs_completed");
+                    obs.observe("grid.response_us", response.micros());
+                    obs.event(
+                        "job_done",
+                        &[
+                            ("job", Field::u(i as u64)),
+                            ("response_us", Field::u(response.micros())),
+                        ],
+                    );
+                }
+                i
+            }
+        };
+        // Only the touched node can start work: polling another would call
+        // its policy again on a still-blocked request and change its history.
+        let n = grid.jobs[i].node as usize;
+        grid.start_jobs(&mut nodes[n], now);
+    }
+
+    let makespan = last_completion.since(SimTime::ZERO);
+    let per_node = nodes
+        .into_iter()
+        .map(|node| GridStats {
+            makespan,
+            ..node.stats
+        })
+        .collect();
+    (per_node, routed)
 }
 
 /// Runs the grid simulation to completion and returns its statistics.
@@ -166,34 +603,23 @@ pub fn run_grid(
     arrivals: &[JobArrival],
     config: &GridConfig,
 ) -> GridStats {
-    run_grid_with_faults(policy, catalog, arrivals, config, None)
+    run_grid_observed(policy, catalog, arrivals, config, None, &Obs::disabled())
 }
 
-/// Runs the grid simulation under an optional [`FaultPlan`].
+/// [`run_grid`] under an optional [`FaultPlan`] and with an observability
+/// sink.
 ///
-/// `run_grid` is this with `plan = None`. A `Some` plan compiles into a
-/// [`FaultInjector`]; a zero-fault plan ([`FaultPlan::is_zero_fault`])
-/// draws nothing from the plan's generator and produces byte-identical
-/// statistics to a `None` run — see the determinism contract in
-/// [`crate::faults`].
-pub fn run_grid_with_faults(
-    policy: &mut dyn CachePolicy,
-    catalog: &FileCatalog,
-    arrivals: &[JobArrival],
-    config: &GridConfig,
-    plan: Option<&FaultPlan>,
-) -> GridStats {
-    run_grid_observed(policy, catalog, arrivals, config, plan, &Obs::disabled())
-}
-
-/// [`run_grid_with_faults`] with an observability sink.
+/// A `Some` plan compiles into a [`FaultInjector`]; a zero-fault plan
+/// ([`FaultPlan::is_zero_fault`]) draws nothing from the plan's generator
+/// and produces byte-identical statistics to a `None` run — see the
+/// determinism contract in [`crate::faults`].
 ///
 /// With an enabled `obs` the engine attaches a clone to the policy,
 /// stamps the virtual clock with **simulated microseconds** at every
 /// event-loop step, and traces the whole fetch lifecycle — `fetch`,
 /// `fetch_timeout`, `transient_fault`, `fetch_stranded`, `retry` — plus
 /// job arrival/completion/failure/rejection, under `grid.*` counters.
-/// A disabled `obs` makes this identical to [`run_grid_with_faults`].
+/// A disabled `obs` never changes the result.
 pub fn run_grid_observed(
     policy: &mut dyn CachePolicy,
     catalog: &FileCatalog,
@@ -202,240 +628,33 @@ pub fn run_grid_observed(
     plan: Option<&FaultPlan>,
     obs: &Obs,
 ) -> GridStats {
-    let mut cache = CacheState::with_catalog(config.srm.cache_size, catalog);
-    run_grid_on_cache(policy, catalog, arrivals, config, plan, obs, &mut cache)
+    let opts = RunOptions {
+        plan,
+        obs: Some(obs),
+        ..RunOptions::default()
+    };
+    let (mut per_node, _) = simulate(&mut [policy], catalog, arrivals, config, opts);
+    per_node.pop().expect("one node")
 }
 
-/// [`run_grid_observed`] on a caller-owned [`CacheState`].
+/// Runs the grid on a cluster of SRM nodes: `policies[n]` drives node
+/// `n`, whose cache, service queue and concurrency limit are each a copy
+/// of `config.srm`. Every node shares the storage and the WAN link.
 ///
-/// This is the engine's reusable core: the sharded service
-/// ([`crate::concurrent`]) runs one instance per shard, each on its own
-/// cache (typically `capacity / shards`) — rejection compares against
-/// `cache.capacity()`, so a per-shard cache naturally rejects bundles
-/// infeasible for its share. With `cache = CacheState::new(srm.cache_size)`
-/// this is exactly [`run_grid_observed`].
-pub fn run_grid_on_cache(
-    policy: &mut dyn CachePolicy,
+/// `overall` merges the per-node statistics in node order. With one node
+/// and default options this is [`run_grid`].
+///
+/// # Panics
+/// Panics if `policies` is empty.
+pub fn run_grid_nodes(
+    policies: &mut [&mut dyn CachePolicy],
     catalog: &FileCatalog,
     arrivals: &[JobArrival],
     config: &GridConfig,
-    plan: Option<&FaultPlan>,
-    obs: &Obs,
-    cache: &mut CacheState,
-) -> GridStats {
-    if obs.is_enabled() {
-        policy.attach_obs(obs.clone());
-    }
-    policy.prepare_from(&mut arrivals.iter().map(|a| &a.bundle));
-
-    let mut events: EventQueue<Event> = EventQueue::new();
-    for (i, a) in arrivals.iter().enumerate() {
-        events.schedule(a.at, Event::Arrival(i));
-    }
-
-    let mut mss = MassStorage::new(config.mss);
-    let mut link = Link::new(config.link);
-    let mut faults = plan.map(|p| FaultInjector::new(p, config.mss.drives));
-    let mut stats = GridStats::default();
-    if config.full_response_log {
-        stats.responses.enable_full_log();
-    }
-
-    let mut jobs: Vec<JobState> = arrivals
-        .iter()
-        .map(|a| JobState {
-            arrival: a.at,
-            fetched_bytes: 0,
-            requested_bytes: 0,
-            attempts: 0,
-        })
-        .collect();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut in_service: usize = 0;
-    let mut last_completion = SimTime::ZERO;
-    let mut hit_out: Vec<RequestOutcome> = Vec::new();
-    // Scratch for the batched-hit fast path below: reused across drains so
-    // a busy steady state allocates nothing per event.
-    let mut hit_batch: Vec<&fbc_core::bundle::Bundle> = Vec::new();
-
-    while let Some((now, event)) = events.pop() {
-        obs.set_now(now.micros());
-        match event {
-            Event::Arrival(i) => {
-                if obs.is_enabled() {
-                    obs.incr("grid.arrivals");
-                    obs.event("arrival", &[("job", Field::u(i as u64))]);
-                }
-                queue.push_back(i);
-            }
-            Event::FetchDone(i) => {
-                let processing = config.srm.processing_time(jobs[i].requested_bytes);
-                events.schedule(now + processing, Event::ProcessDone(i));
-                continue; // no new service slot freed
-            }
-            Event::FetchFailed(i) => {
-                if jobs[i].attempts <= config.retry.max_retries {
-                    stats.fetch_retries += 1;
-                    let jitter = faults
-                        .as_mut()
-                        .map_or(1.0, |inj| inj.backoff_jitter(config.retry.jitter_frac));
-                    let delay = config.retry.backoff(jobs[i].attempts, jitter);
-                    if obs.is_enabled() {
-                        obs.incr("grid.fetch_retries");
-                        obs.event(
-                            "retry",
-                            &[
-                                ("job", Field::u(i as u64)),
-                                ("attempt", Field::u(jobs[i].attempts as u64)),
-                                ("backoff_us", Field::u(delay.micros())),
-                            ],
-                        );
-                    }
-                    events.schedule(now + delay, Event::RetryFetch(i));
-                    continue; // slot stays held while backing off
-                }
-                // Retry budget exhausted: give the job up gracefully.
-                unpin_bundle(cache, &arrivals[i].bundle);
-                in_service -= 1;
-                stats.failed += 1;
-                if obs.is_enabled() {
-                    obs.incr("grid.jobs_failed");
-                    obs.event(
-                        "job_failed",
-                        &[
-                            ("job", Field::u(i as u64)),
-                            ("attempts", Field::u(jobs[i].attempts as u64)),
-                        ],
-                    );
-                }
-                // Fall through: a service slot is now free.
-            }
-            Event::RetryFetch(i) => {
-                issue_fetch(
-                    i,
-                    now,
-                    config,
-                    &mut mss,
-                    &mut link,
-                    &mut faults,
-                    &mut events,
-                    &mut stats,
-                    &mut jobs,
-                    obs,
-                );
-                continue;
-            }
-            Event::ProcessDone(i) => {
-                unpin_bundle(cache, &arrivals[i].bundle);
-                in_service -= 1;
-                stats.completed += 1;
-                stats.responses.record(now.since(jobs[i].arrival));
-                last_completion = last_completion.max(now);
-                if obs.is_enabled() {
-                    obs.incr("grid.jobs_completed");
-                    obs.observe("grid.response_us", now.since(jobs[i].arrival).micros());
-                    obs.event(
-                        "job_done",
-                        &[
-                            ("job", Field::u(i as u64)),
-                            ("response_us", Field::u(now.since(jobs[i].arrival).micros())),
-                        ],
-                    );
-                }
-            }
-        }
-
-        // Start as many queued jobs as concurrency and pins allow.
-        while in_service < config.srm.max_concurrent_jobs {
-            let Some(&i) = queue.front() else { break };
-            // Batched fast path: a maximal front run of fully-resident jobs
-            // is admitted through one `handle_batch` call. Hits mutate
-            // nothing but the request history — no eviction, no fetch — so
-            // the `supports` precheck cannot be invalidated mid-run, and
-            // deferring the pins to after the batch changes nothing (pins
-            // only gate evictions, which hits never attempt). Bit-identical
-            // to the per-job loop by the `handle_batch` contract.
-            let slots_free = config.srm.max_concurrent_jobs - in_service;
-            let run_len = queue
-                .iter()
-                .take(slots_free)
-                .take_while(|&&j| cache.contains_all(&arrivals[j].bundle))
-                .count();
-            if run_len >= 2 {
-                hit_batch.clear();
-                hit_batch.extend(queue.iter().take(run_len).map(|&j| &arrivals[j].bundle));
-                hit_out.clear();
-                policy.handle_batch(&hit_batch, cache, catalog, &mut hit_out);
-                debug_assert!(cache.check_invariants());
-                for outcome in hit_out.iter().take(run_len) {
-                    let j = queue.pop_front().expect("run length bounded by queue");
-                    debug_assert!(outcome.hit && outcome.serviced);
-                    stats.cache.record(outcome);
-                    pin_bundle(cache, &arrivals[j].bundle);
-                    in_service += 1;
-                    jobs[j].fetched_bytes = outcome.fetched_bytes;
-                    jobs[j].requested_bytes = outcome.requested_bytes;
-                    issue_fetch(
-                        j,
-                        now,
-                        config,
-                        &mut mss,
-                        &mut link,
-                        &mut faults,
-                        &mut events,
-                        &mut stats,
-                        &mut jobs,
-                        obs,
-                    );
-                }
-                continue;
-            }
-            let bundle = &arrivals[i].bundle;
-            let outcome = policy.handle(bundle, cache, catalog);
-            debug_assert!(cache.check_invariants());
-            stats.cache.record(&outcome);
-            if !outcome.serviced {
-                if outcome.requested_bytes > cache.capacity() {
-                    // Permanently infeasible: reject.
-                    queue.pop_front();
-                    stats.rejected += 1;
-                    if obs.is_enabled() {
-                        obs.incr("grid.jobs_rejected");
-                        obs.event("reject", &[("job", Field::u(i as u64))]);
-                    }
-                    continue;
-                }
-                // Pinned files of in-service jobs block the space; retry
-                // when a job completes. With nothing in service this would
-                // deadlock — treat it as a policy bug.
-                assert!(
-                    in_service > 0,
-                    "policy failed to service a feasible request on an unpinned cache"
-                );
-                break;
-            }
-            queue.pop_front();
-            pin_bundle(cache, bundle);
-            in_service += 1;
-            jobs[i].fetched_bytes = outcome.fetched_bytes;
-            jobs[i].requested_bytes = outcome.requested_bytes;
-            issue_fetch(
-                i,
-                now,
-                config,
-                &mut mss,
-                &mut link,
-                &mut faults,
-                &mut events,
-                &mut stats,
-                &mut jobs,
-                obs,
-            );
-        }
-    }
-
-    stats.makespan = last_completion.since(SimTime::ZERO);
-    stats
+    opts: RunOptions,
+) -> ConcurrentStats {
+    let (per_node, routed) = simulate(policies, catalog, arrivals, config, opts);
+    ConcurrentStats::merge(per_node, routed, config.full_response_log)
 }
 
 #[cfg(test)]
@@ -443,7 +662,7 @@ mod tests {
     use super::*;
     use crate::client::{schedule_arrivals, ArrivalProcess};
     use crate::time::SimDuration;
-    use fbc_core::bundle::Bundle;
+    use fbc_baselines::{AdmissionGate, Lru};
     use fbc_core::optfilebundle::OptFileBundle;
 
     fn quick_config(cache_size: u64) -> GridConfig {
@@ -470,6 +689,28 @@ mod tests {
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())
+    }
+
+    fn run_faulted(
+        policy: &mut dyn CachePolicy,
+        catalog: &FileCatalog,
+        arrivals: &[JobArrival],
+        config: &GridConfig,
+        plan: &FaultPlan,
+    ) -> GridStats {
+        run_grid_observed(
+            policy,
+            catalog,
+            arrivals,
+            config,
+            Some(plan),
+            &Obs::disabled(),
+        )
+    }
+
+    #[test]
+    fn job_state_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<JobState>(), 32);
     }
 
     #[test]
@@ -517,6 +758,72 @@ mod tests {
         let stats = run_grid(&mut policy, &catalog, &arrivals, &quick_config(1_000_000));
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.completed, 1);
+    }
+
+    /// Refuses every request while claiming it fits: a policy bug.
+    struct Refuser;
+
+    impl CachePolicy for Refuser {
+        fn name(&self) -> &str {
+            "refuser"
+        }
+
+        fn handle(
+            &mut self,
+            bundle: &Bundle,
+            _cache: &mut CacheState,
+            catalog: &FileCatalog,
+        ) -> RequestOutcome {
+            RequestOutcome {
+                requested_bytes: bundle.total_size(catalog),
+                ..RequestOutcome::default()
+            }
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "policy failed to service a feasible request")]
+    fn refusing_a_feasible_request_on_an_idle_node_panics() {
+        let catalog = FileCatalog::from_sizes(vec![1_000_000]);
+        let arrivals = schedule_arrivals(&[b(&[0])], ArrivalProcess::Batch);
+        run_grid(&mut Refuser, &catalog, &arrivals, &quick_config(4_000_000));
+    }
+
+    /// Regression: a job the admission gate streams past the cache has no
+    /// resident files, so pinning them used to panic.
+    #[test]
+    fn streamed_jobs_complete_without_pins() {
+        let catalog = FileCatalog::from_sizes(vec![1_000_000; 4]);
+        let arrivals = schedule_arrivals(&[b(&[0, 1]), b(&[2, 3])], ArrivalProcess::Batch);
+        let cfg = quick_config(4_000_000);
+        let single = run_grid(
+            &mut AdmissionGate::second_hit(Lru::new()),
+            &catalog,
+            &arrivals,
+            &cfg,
+        );
+        assert_eq!(single.completed, 2);
+        assert_eq!(single.cache.hits, 0);
+        assert_eq!(single.cache.fetched_bytes, 4_000_000);
+        // The same loop serves clusters and replicated storage.
+        let placement = Placement::full(4, 2);
+        let mut a = AdmissionGate::second_hit(Lru::new());
+        let mut c = AdmissionGate::second_hit(Lru::new());
+        let cluster = run_grid_nodes(
+            &mut [&mut a, &mut c],
+            &catalog,
+            &arrivals,
+            &cfg,
+            RunOptions {
+                dispatch: Dispatch::RoundRobin,
+                placement: Some(&placement),
+                ..RunOptions::default()
+            },
+        );
+        assert_eq!(cluster.overall.completed, 2);
+        assert_eq!(cluster.routed, vec![1, 1]);
     }
 
     #[test]
@@ -570,8 +877,7 @@ mod tests {
         let mut p1 = OptFileBundle::new();
         let plain = run_grid(&mut p1, &catalog, &arrivals, &cfg);
         let mut p2 = OptFileBundle::new();
-        let zero =
-            run_grid_with_faults(&mut p2, &catalog, &arrivals, &cfg, Some(&FaultPlan::none()));
+        let zero = run_faulted(&mut p2, &catalog, &arrivals, &cfg, &FaultPlan::none());
         assert_eq!(plain, zero);
     }
 
@@ -592,7 +898,7 @@ mod tests {
         };
         let plan = FaultPlan::parse("drive=*,0,60").unwrap();
         let mut policy = OptFileBundle::new();
-        let stats = run_grid_with_faults(&mut policy, &catalog, &arrivals, &cfg, Some(&plan));
+        let stats = run_faulted(&mut policy, &catalog, &arrivals, &cfg, &plan);
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 0);
         assert!(
@@ -620,7 +926,7 @@ mod tests {
         cfg.retry.max_retries = 4;
         let plan = fbc_grid_faultplan();
         let mut p1 = OptFileBundle::new();
-        let plain = run_grid_with_faults(&mut p1, &catalog, &arrivals, &cfg, Some(&plan));
+        let plain = run_faulted(&mut p1, &catalog, &arrivals, &cfg, &plan);
 
         let obs = fbc_obs::Obs::enabled();
         let mut p2 = OptFileBundle::new();
@@ -654,7 +960,7 @@ mod tests {
         cfg.retry.max_retries = 2;
         let plan = FaultPlan::preset("blackout").unwrap();
         let mut policy = OptFileBundle::new();
-        let stats = run_grid_with_faults(&mut policy, &catalog, &arrivals, &cfg, Some(&plan));
+        let stats = run_faulted(&mut policy, &catalog, &arrivals, &cfg, &plan);
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.failed, 3);
         assert_eq!(stats.availability(), 0.0);

@@ -25,7 +25,7 @@
 //! resumes afterwards — the work is not lost. A window reaching
 //! [`FOREVER`] models a permanently dead component: fetches that
 //! cannot finish are reported to the SRM, which retries with backoff and
-//! eventually reports the job `failed` (see `engine::run_grid_with_faults`).
+//! eventually reports the job `failed` (see `engine::run_grid_observed`).
 
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;

@@ -8,6 +8,12 @@
 //! the byte-level metrics of `fbc-sim`, the grid reports what the paper's
 //! "optimal service" ultimately targets: job throughput and response times.
 //!
+//! One event loop ([`engine`]) runs every grid shape: a single SRM
+//! ([`run_grid`]), a cluster of SRM nodes routed by a [`Dispatch`], and
+//! storage replicated across sites by a [`Placement`] — alone or combined
+//! through [`run_grid_nodes`], always with the same fault, retry and
+//! tracing paths.
+//!
 //! ```
 //! use fbc_core::optfilebundle::OptFileBundle;
 //! use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
@@ -49,14 +55,12 @@ pub use concurrent::{
     run_concurrent_grid, run_concurrent_grid_observed, ConcurrentConfig, ConcurrentSrm,
     ConcurrentStats,
 };
-pub use engine::{
-    run_grid, run_grid_observed, run_grid_on_cache, run_grid_with_faults, GridConfig,
-};
+pub use engine::{run_grid, run_grid_nodes, run_grid_observed, GridConfig, RunOptions};
 pub use faults::{DriveSelector, FaultInjector, FaultPlan, RateWindow, FOREVER};
 pub use mss::{MassStorage, MssConfig};
-pub use multi::{run_multi_grid, Dispatch, MultiGridConfig, MultiGridStats};
+pub use multi::Dispatch;
 pub use network::{Link, LinkConfig};
-pub use replica::{run_grid_replicated, Placement, ReplicaGridConfig};
+pub use replica::Placement;
 pub use scenario::{run_scenario, run_scenario_with_faults, ScenarioConfig};
 pub use shard::{ShardBy, ShardMap};
 pub use srm::{RetryPolicy, SrmConfig};

@@ -1,28 +1,13 @@
 //! Multi-SRM grids: a cluster of SRM nodes (each with its own disk cache
-//! and replacement policy) sharing one mass storage system and WAN link —
+//! and replacement policy) sharing one storage fabric and WAN link —
 //! the paper's §2 notes that "an SRM's host that consists of a cluster of
 //! machines may have its disk cache distributed over independent disks of
-//! the cluster nodes".
+//! the cluster nodes". [`crate::engine::run_grid_nodes`] runs one.
 //!
 //! The interesting knob is the **dispatcher**: bundle-affinity routing
 //! (hashing the canonical bundle to a node) keeps each recurring bundle's
 //! files on one node and preserves the request-locality that bundle-aware
 //! caching exploits; load-oblivious round-robin destroys it.
-
-use crate::client::JobArrival;
-use crate::event::EventQueue;
-use crate::mss::{MassStorage, MssConfig};
-use crate::network::{Link, LinkConfig};
-use crate::srm::{pin_bundle, unpin_bundle, SrmConfig};
-use crate::stats::GridStats;
-use crate::time::SimTime;
-use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
-use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::CachePolicy;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 
 /// How arriving jobs are routed to SRM nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,221 +33,29 @@ impl Dispatch {
     }
 }
 
-/// Configuration of a multi-SRM grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiGridConfig {
-    /// Per-node SRM configuration (all nodes identical).
-    pub srm: SrmConfig,
-    /// Number of SRM nodes.
-    pub nodes: usize,
-    /// The shared mass storage system.
-    pub mss: MssConfig,
-    /// The shared WAN link.
-    pub link: LinkConfig,
-    /// Job routing.
-    pub dispatch: Dispatch,
-}
-
-/// Results of a multi-SRM run.
-#[derive(Debug, Clone, Default)]
-pub struct MultiGridStats {
-    /// Aggregated over all nodes.
-    pub overall: GridStats,
-    /// Per-node statistics, indexed by node id.
-    pub per_node: Vec<GridStats>,
-    /// Jobs routed to each node.
-    pub routed: Vec<u64>,
-}
-
-impl MultiGridStats {
-    /// Max/mean routing imbalance: 1.0 is perfectly balanced.
-    pub fn routing_imbalance(&self) -> f64 {
-        if self.routed.is_empty() {
-            return 1.0;
-        }
-        let max = *self.routed.iter().max().unwrap() as f64;
-        let mean = self.routed.iter().sum::<u64>() as f64 / self.routed.len() as f64;
-        if mean <= 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Arrival(usize),
-    FetchDone { node: usize, job: usize },
-    ProcessDone { node: usize, job: usize },
-}
-
-struct Node {
-    cache: CacheState,
-    queue: VecDeque<usize>,
-    in_service: usize,
-}
-
-fn hash_bundle(bundle: &Bundle, nodes: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    bundle.hash(&mut h);
-    (h.finish() % nodes as u64) as usize
-}
-
-/// Runs a multi-SRM grid: `policies[i]` drives node `i`'s cache.
-///
-/// # Panics
-/// Panics if `policies.len() != config.nodes` or `config.nodes == 0`.
-pub fn run_multi_grid(
-    policies: &mut [Box<dyn CachePolicy>],
-    catalog: &FileCatalog,
-    arrivals: &[JobArrival],
-    config: &MultiGridConfig,
-) -> MultiGridStats {
-    assert!(config.nodes > 0, "need at least one SRM node");
-    assert_eq!(policies.len(), config.nodes, "one policy per node required");
-    for p in policies.iter_mut() {
-        p.prepare_from(&mut arrivals.iter().map(|a| &a.bundle));
-    }
-
-    let mut events: EventQueue<Event> = EventQueue::new();
-    for (i, a) in arrivals.iter().enumerate() {
-        events.schedule(a.at, Event::Arrival(i));
-    }
-
-    let mut nodes: Vec<Node> = (0..config.nodes)
-        .map(|_| Node {
-            cache: CacheState::with_catalog(config.srm.cache_size, catalog),
-            queue: VecDeque::new(),
-            in_service: 0,
-        })
-        .collect();
-    let mut mss = MassStorage::new(config.mss);
-    let mut link = Link::new(config.link);
-    let mut stats = MultiGridStats {
-        per_node: vec![GridStats::default(); config.nodes],
-        routed: vec![0; config.nodes],
-        ..MultiGridStats::default()
-    };
-    let mut rr_next = 0usize;
-    let mut last_completion = SimTime::ZERO;
-
-    while let Some((now, event)) = events.pop() {
-        // Which node might have a freed slot / new work after this event.
-        let node_to_poll = match event {
-            Event::Arrival(i) => {
-                let n = match config.dispatch {
-                    Dispatch::RoundRobin => {
-                        let n = rr_next;
-                        rr_next = (rr_next + 1) % config.nodes;
-                        n
-                    }
-                    Dispatch::LeastLoaded => nodes
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, node)| node.queue.len() + node.in_service)
-                        .map(|(i, _)| i)
-                        .expect("at least one node"),
-                    Dispatch::BundleAffinity => hash_bundle(&arrivals[i].bundle, config.nodes),
-                };
-                stats.routed[n] += 1;
-                nodes[n].queue.push_back(i);
-                n
-            }
-            Event::FetchDone { node, job } => {
-                let processing = config
-                    .srm
-                    .processing_time(arrivals[job].bundle.total_size(catalog));
-                events.schedule(now + processing, Event::ProcessDone { node, job });
-                continue;
-            }
-            Event::ProcessDone { node, job } => {
-                unpin_bundle(&mut nodes[node].cache, &arrivals[job].bundle);
-                nodes[node].in_service -= 1;
-                let rt = now.since(arrivals[job].at);
-                stats.per_node[node].completed += 1;
-                stats.per_node[node].responses.record(rt);
-                stats.overall.completed += 1;
-                stats.overall.responses.record(rt);
-                last_completion = last_completion.max(now);
-                node
-            }
-        };
-
-        // Start queued jobs on the polled node.
-        let node = &mut nodes[node_to_poll];
-        let policy = &mut policies[node_to_poll];
-        while node.in_service < config.srm.max_concurrent_jobs {
-            let Some(&job) = node.queue.front() else {
-                break;
-            };
-            let bundle = &arrivals[job].bundle;
-            let outcome = policy.handle(bundle, &mut node.cache, catalog);
-            debug_assert!(node.cache.check_invariants());
-            stats.per_node[node_to_poll].cache.record(&outcome);
-            stats.overall.cache.record(&outcome);
-            if !outcome.serviced {
-                if outcome.requested_bytes > node.cache.capacity() {
-                    node.queue.pop_front();
-                    stats.per_node[node_to_poll].rejected += 1;
-                    stats.overall.rejected += 1;
-                    continue;
-                }
-                assert!(
-                    node.in_service > 0,
-                    "policy failed a feasible request on an unpinned cache"
-                );
-                break;
-            }
-            node.queue.pop_front();
-            pin_bundle(&mut node.cache, bundle);
-            node.in_service += 1;
-            if outcome.fetched_bytes > 0 {
-                let read_done = mss.schedule_fetch(now, outcome.fetched_bytes);
-                let arrive = link.schedule_transfer(read_done, outcome.fetched_bytes);
-                events.schedule(
-                    arrive,
-                    Event::FetchDone {
-                        node: node_to_poll,
-                        job,
-                    },
-                );
-            } else {
-                events.schedule(
-                    now,
-                    Event::FetchDone {
-                        node: node_to_poll,
-                        job,
-                    },
-                );
-            }
-        }
-    }
-
-    let makespan = last_completion.since(SimTime::ZERO);
-    stats.overall.makespan = makespan;
-    for s in &mut stats.per_node {
-        s.makespan = makespan;
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{schedule_arrivals, ArrivalProcess};
+    use crate::client::{schedule_arrivals, ArrivalProcess, JobArrival};
+    use crate::concurrent::ConcurrentStats;
+    use crate::engine::{run_grid, run_grid_nodes, GridConfig, RunOptions};
+    use crate::mss::MssConfig;
+    use crate::network::LinkConfig;
+    use crate::srm::SrmConfig;
     use crate::time::SimDuration;
+    use fbc_core::bundle::Bundle;
+    use fbc_core::catalog::FileCatalog;
     use fbc_core::optfilebundle::OptFileBundle;
+    use fbc_core::policy::CachePolicy;
 
-    fn config(nodes: usize, dispatch: Dispatch) -> MultiGridConfig {
-        MultiGridConfig {
+    fn config() -> GridConfig {
+        GridConfig {
             srm: SrmConfig {
                 cache_size: 4_000_000,
                 max_concurrent_jobs: 2,
                 processing_rate: 1e8,
                 processing_overhead: SimDuration::from_millis(10),
             },
-            nodes,
             mss: MssConfig {
                 drives: 2,
                 mount_latency: SimDuration::from_millis(200),
@@ -272,14 +65,8 @@ mod tests {
                 latency: SimDuration::from_millis(5),
                 bandwidth: 200e6,
             },
-            dispatch,
+            ..GridConfig::default()
         }
-    }
-
-    fn policies(n: usize) -> Vec<Box<dyn CachePolicy>> {
-        (0..n)
-            .map(|_| Box::new(OptFileBundle::new()) as Box<dyn CachePolicy>)
-            .collect()
     }
 
     fn workload() -> (FileCatalog, Vec<JobArrival>) {
@@ -297,59 +84,54 @@ mod tests {
         (catalog, arrivals)
     }
 
+    fn run(nodes: usize, dispatch: Dispatch) -> ConcurrentStats {
+        let (catalog, arrivals) = workload();
+        let mut policies: Vec<OptFileBundle> = (0..nodes).map(|_| OptFileBundle::new()).collect();
+        let mut refs: Vec<&mut dyn CachePolicy> = policies
+            .iter_mut()
+            .map(|p| p as &mut dyn CachePolicy)
+            .collect();
+        let opts = RunOptions {
+            dispatch,
+            ..RunOptions::default()
+        };
+        run_grid_nodes(&mut refs, &catalog, &arrivals, &config(), opts)
+    }
+
     #[test]
     fn all_jobs_complete_across_nodes() {
-        let (catalog, arrivals) = workload();
         for dispatch in [
             Dispatch::RoundRobin,
             Dispatch::LeastLoaded,
             Dispatch::BundleAffinity,
         ] {
-            let mut p = policies(3);
-            let stats = run_multi_grid(&mut p, &catalog, &arrivals, &config(3, dispatch));
+            let stats = run(3, dispatch);
             assert_eq!(stats.overall.completed, 120, "{dispatch:?}");
             assert_eq!(stats.routed.iter().sum::<u64>(), 120);
-            assert_eq!(stats.per_node.iter().map(|s| s.completed).sum::<u64>(), 120);
+            assert_eq!(
+                stats.per_shard.iter().map(|s| s.completed).sum::<u64>(),
+                120
+            );
         }
     }
 
     #[test]
     fn round_robin_is_perfectly_balanced() {
-        let (catalog, arrivals) = workload();
-        let mut p = policies(3);
-        let stats = run_multi_grid(
-            &mut p,
-            &catalog,
-            &arrivals,
-            &config(3, Dispatch::RoundRobin),
-        );
+        let stats = run(3, Dispatch::RoundRobin);
         assert_eq!(stats.routed, vec![40, 40, 40]);
         assert!((stats.routing_imbalance() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn affinity_routes_recurrences_to_one_node() {
-        let (catalog, arrivals) = workload();
-        let mut p = policies(3);
-        let stats = run_multi_grid(
-            &mut p,
-            &catalog,
-            &arrivals,
-            &config(3, Dispatch::BundleAffinity),
-        );
         // Every one of the 8 pool bundles recurs 15 times on a single node,
         // so affinity's hit count must beat round-robin's.
-        let mut p2 = policies(3);
-        let rr = run_multi_grid(
-            &mut p2,
-            &catalog,
-            &arrivals,
-            &config(3, Dispatch::RoundRobin),
-        );
+        let affinity = run(3, Dispatch::BundleAffinity);
+        let rr = run(3, Dispatch::RoundRobin);
         assert!(
-            stats.overall.cache.hits > rr.overall.cache.hits,
+            affinity.overall.cache.hits > rr.overall.cache.hits,
             "affinity {} <= rr {}",
-            stats.overall.cache.hits,
+            affinity.overall.cache.hits,
             rr.overall.cache.hits
         );
     }
@@ -357,36 +139,16 @@ mod tests {
     #[test]
     fn single_node_matches_engine() {
         let (catalog, arrivals) = workload();
-        let cfg = config(1, Dispatch::RoundRobin);
-        let mut p = policies(1);
-        let multi = run_multi_grid(&mut p, &catalog, &arrivals, &cfg);
-        let single_cfg = crate::engine::GridConfig {
-            srm: cfg.srm,
-            mss: cfg.mss,
-            link: cfg.link,
-            retry: crate::srm::RetryPolicy::default(),
-            full_response_log: false,
-        };
         let mut policy = OptFileBundle::new();
-        let single = crate::engine::run_grid(&mut policy, &catalog, &arrivals, &single_cfg);
-        assert_eq!(multi.overall.completed, single.completed);
-        assert_eq!(
-            multi.overall.cache.fetched_bytes,
-            single.cache.fetched_bytes
-        );
-        assert_eq!(multi.overall.makespan, single.makespan);
+        let single = run_grid(&mut policy, &catalog, &arrivals, &config());
+        let multi = run(1, Dispatch::RoundRobin);
+        assert_eq!(multi.overall, single);
+        assert_eq!(multi.per_shard, vec![single]);
     }
 
     #[test]
-    #[should_panic(expected = "one policy per node")]
-    fn policy_count_must_match_nodes() {
-        let (catalog, arrivals) = workload();
-        let mut p = policies(2);
-        let _ = run_multi_grid(
-            &mut p,
-            &catalog,
-            &arrivals,
-            &config(3, Dispatch::RoundRobin),
-        );
+    #[should_panic(expected = "at least one SRM node")]
+    fn a_cluster_needs_a_node() {
+        let _ = run(0, Dispatch::RoundRobin);
     }
 }

@@ -2,26 +2,17 @@
 //! chooses a replica — the paper's §1 lists "strategic data replication"
 //! among the techniques data-grids rely on, and this module quantifies it.
 //!
-//! Unlike the single-MSS engine (which aggregates a job's misses into one
-//! drive request), replicated fetches are *per file*: each missing file is
-//! scheduled on the site that will finish it earliest (drive queues
-//! considered), files stream in parallel across sites, and the job's fetch
-//! completes when its last file lands.
+//! A [`Placement`] passed in [`crate::engine::RunOptions::placement`]
+//! switches the engine's fetch path. Unlike the single MSS (which
+//! aggregates a job's misses into one drive request), replicated fetches
+//! are *per file*: each missing file is scheduled on the site that will
+//! finish it earliest (drive queues considered), files stream in parallel
+//! across sites, and the job's fetch completes when its last file lands.
 
-use crate::client::JobArrival;
-use crate::event::EventQueue;
-use crate::mss::{MassStorage, MssConfig};
-use crate::network::{Link, LinkConfig};
-use crate::srm::{pin_bundle, unpin_bundle, SrmConfig};
-use crate::stats::GridStats;
-use crate::time::SimTime;
-use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::CachePolicy;
 use fbc_core::types::FileId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 
 /// Placement of files onto storage sites.
 #[derive(Debug, Clone)]
@@ -77,136 +68,22 @@ impl Placement {
     }
 }
 
-/// Configuration of a replicated-storage grid.
-#[derive(Debug, Clone)]
-pub struct ReplicaGridConfig {
-    /// The SRM node.
-    pub srm: SrmConfig,
-    /// Per-site MSS model (all sites identical hardware).
-    pub mss: MssConfig,
-    /// Shared WAN link from the storage fabric to the SRM.
-    pub link: LinkConfig,
-    /// File placement.
-    pub placement: Placement,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    Arrival(usize),
-    FetchDone(usize),
-    ProcessDone(usize),
-}
-
-/// Runs the replicated-storage grid simulation.
-///
-/// Behaviourally identical to [`crate::engine::run_grid`] except for the
-/// fetch path: each missing file is scheduled on the replica site whose
-/// earliest-free drive completes it soonest; the job's data is complete
-/// when the last file has crossed the link.
-pub fn run_grid_replicated(
-    policy: &mut dyn CachePolicy,
-    catalog: &FileCatalog,
-    arrivals: &[JobArrival],
-    config: &ReplicaGridConfig,
-) -> GridStats {
-    policy.prepare_from(&mut arrivals.iter().map(|a| &a.bundle));
-
-    let mut events: EventQueue<Event> = EventQueue::new();
-    for (i, a) in arrivals.iter().enumerate() {
-        events.schedule(a.at, Event::Arrival(i));
-    }
-
-    let mut cache = fbc_core::cache::CacheState::with_catalog(config.srm.cache_size, catalog);
-    let mut sites: Vec<MassStorage> = (0..config.placement.sites())
-        .map(|_| MassStorage::new(config.mss))
-        .collect();
-    let mut link = Link::new(config.link);
-    let mut stats = GridStats::default();
-
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut in_service = 0usize;
-    let mut requested: Vec<u64> = vec![0; arrivals.len()];
-    let mut last_completion = SimTime::ZERO;
-
-    while let Some((now, event)) = events.pop() {
-        match event {
-            Event::Arrival(i) => queue.push_back(i),
-            Event::FetchDone(i) => {
-                let processing = config.srm.processing_time(requested[i]);
-                events.schedule(now + processing, Event::ProcessDone(i));
-                continue;
-            }
-            Event::ProcessDone(i) => {
-                unpin_bundle(&mut cache, &arrivals[i].bundle);
-                in_service -= 1;
-                stats.completed += 1;
-                stats.responses.record(now.since(arrivals[i].at));
-                last_completion = last_completion.max(now);
-            }
-        }
-
-        while in_service < config.srm.max_concurrent_jobs {
-            let Some(&i) = queue.front() else { break };
-            let bundle = &arrivals[i].bundle;
-            let outcome = policy.handle(bundle, &mut cache, catalog);
-            debug_assert!(cache.check_invariants());
-            stats.cache.record(&outcome);
-            if !outcome.serviced {
-                if outcome.requested_bytes > cache.capacity() {
-                    queue.pop_front();
-                    stats.rejected += 1;
-                    continue;
-                }
-                assert!(in_service > 0, "deadlock: unserviceable with idle cache");
-                break;
-            }
-            queue.pop_front();
-            pin_bundle(&mut cache, bundle);
-            in_service += 1;
-            requested[i] = outcome.requested_bytes;
-
-            if outcome.fetched_files.is_empty() {
-                events.schedule(now, Event::FetchDone(i));
-            } else {
-                // Schedule every fetched file on its best replica; the
-                // bundle is complete when the slowest file crosses the link.
-                let mut done = SimTime::ZERO;
-                for &f in &outcome.fetched_files {
-                    let size = catalog.size(f);
-                    let replicas = config.placement.replicas_of(f);
-                    assert!(!replicas.is_empty(), "file {f} has no replica");
-                    // Greedy replica selection: probe each candidate site
-                    // (a cheap clone — drive state is a small Vec) for the
-                    // completion time it would give this read, commit to
-                    // the earliest.
-                    let best = replicas
-                        .iter()
-                        .copied()
-                        .min_by_key(|&s| sites[s as usize].clone().schedule_fetch(now, size))
-                        .expect("non-empty replicas");
-                    let read_done = sites[best as usize].schedule_fetch(now, size);
-                    let arrive = link.schedule_transfer(read_done, size);
-                    done = done.max(arrive);
-                }
-                events.schedule(done, Event::FetchDone(i));
-            }
-        }
-    }
-
-    stats.makespan = last_completion.since(SimTime::ZERO);
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{schedule_arrivals, ArrivalProcess};
+    use crate::client::{schedule_arrivals, ArrivalProcess, JobArrival};
+    use crate::engine::{run_grid_nodes, GridConfig, RunOptions};
+    use crate::mss::MssConfig;
+    use crate::network::LinkConfig;
+    use crate::srm::SrmConfig;
+    use crate::stats::GridStats;
     use crate::time::SimDuration;
     use fbc_core::bundle::Bundle;
+    use fbc_core::catalog::FileCatalog;
     use fbc_core::optfilebundle::OptFileBundle;
 
-    fn config(placement: Placement) -> ReplicaGridConfig {
-        ReplicaGridConfig {
+    fn config() -> GridConfig {
+        GridConfig {
             srm: SrmConfig {
                 cache_size: 10_000_000,
                 max_concurrent_jobs: 2,
@@ -222,8 +99,18 @@ mod tests {
                 latency: SimDuration::from_millis(1),
                 bandwidth: 1e9,
             },
-            placement,
+            ..GridConfig::default()
         }
+    }
+
+    fn run(placement: &Placement) -> GridStats {
+        let (catalog, arrivals) = workload();
+        let mut policy = OptFileBundle::new();
+        let opts = RunOptions {
+            placement: Some(placement),
+            ..RunOptions::default()
+        };
+        run_grid_nodes(&mut [&mut policy], &catalog, &arrivals, &config(), opts).overall
     }
 
     fn workload() -> (FileCatalog, Vec<JobArrival>) {
@@ -251,28 +138,16 @@ mod tests {
 
     #[test]
     fn all_jobs_complete_with_replication() {
-        let (catalog, arrivals) = workload();
-        let mut policy = OptFileBundle::new();
-        let stats = run_grid_replicated(
-            &mut policy,
-            &catalog,
-            &arrivals,
-            &config(Placement::full(8, 3)),
-        );
+        let stats = run(&Placement::full(8, 3));
         assert_eq!(stats.completed, 12);
         assert_eq!(stats.rejected, 0);
     }
 
     #[test]
     fn more_replicas_do_not_hurt_makespan() {
-        let (catalog, arrivals) = workload();
-        let run = |placement: Placement| {
-            let mut policy = OptFileBundle::new();
-            run_grid_replicated(&mut policy, &catalog, &arrivals, &config(placement))
-        };
         // 1 copy on 1 site = fully serialised drives; 3 sites = parallelism.
-        let single = run(Placement::full(8, 1));
-        let triple = run(Placement::full(8, 3));
+        let single = run(&Placement::full(8, 1));
+        let triple = run(&Placement::full(8, 3));
         assert!(
             triple.makespan <= single.makespan,
             "3 sites {} > 1 site {}",
@@ -285,13 +160,8 @@ mod tests {
 
     #[test]
     fn partial_replication_sits_between() {
-        let (catalog, arrivals) = workload();
-        let run = |placement: Placement| {
-            let mut policy = OptFileBundle::new();
-            run_grid_replicated(&mut policy, &catalog, &arrivals, &config(placement)).makespan
-        };
-        let one = run(Placement::random(8, 3, 1, 42));
-        let full = run(Placement::full(8, 3));
+        let one = run(&Placement::random(8, 3, 1, 42)).makespan;
+        let full = run(&Placement::full(8, 3)).makespan;
         assert!(
             full <= one,
             "full replication {full} worse than 1-copy {one}"
@@ -300,17 +170,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let (catalog, arrivals) = workload();
-        let run = || {
-            let mut policy = OptFileBundle::new();
-            let s = run_grid_replicated(
-                &mut policy,
-                &catalog,
-                &arrivals,
-                &config(Placement::random(8, 3, 2, 9)),
-            );
-            (s.completed, s.makespan)
-        };
-        assert_eq!(run(), run());
+        let placement = Placement::random(8, 3, 2, 9);
+        assert_eq!(run(&placement), run(&placement));
     }
 }

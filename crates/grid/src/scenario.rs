@@ -2,10 +2,11 @@
 //! run the grid end-to-end with a chosen policy.
 
 use crate::client::{schedule_arrivals, ArrivalProcess};
-use crate::engine::{run_grid_with_faults, GridConfig};
+use crate::engine::{run_grid_observed, GridConfig};
 use crate::faults::FaultPlan;
 use crate::stats::GridStats;
 use fbc_core::policy::CachePolicy;
+use fbc_obs::Obs;
 use fbc_workload::{Workload, WorkloadConfig};
 
 /// A complete end-to-end experiment description.
@@ -35,7 +36,14 @@ pub fn run_scenario_with_faults(
     wl_cfg.cache_size = cfg.grid.srm.cache_size;
     let workload = Workload::generate(wl_cfg);
     let arrivals = schedule_arrivals(&workload.jobs, cfg.arrivals);
-    run_grid_with_faults(policy, &workload.catalog, &arrivals, &cfg.grid, plan)
+    run_grid_observed(
+        policy,
+        &workload.catalog,
+        &arrivals,
+        &cfg.grid,
+        plan,
+        &Obs::disabled(),
+    )
 }
 
 #[cfg(test)]

@@ -12,14 +12,19 @@
 use fbc_core::bundle::Bundle;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::optfilebundle::OptFileBundle;
+use fbc_core::policy::CachePolicy;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess, JobArrival};
-use fbc_grid::engine::{run_grid, run_grid_with_faults, GridConfig};
+use fbc_grid::concurrent::ConcurrentStats;
+use fbc_grid::engine::{run_grid, run_grid_nodes, run_grid_observed, GridConfig, RunOptions};
 use fbc_grid::faults::FaultPlan;
 use fbc_grid::mss::MssConfig;
+use fbc_grid::multi::Dispatch;
 use fbc_grid::network::LinkConfig;
+use fbc_grid::replica::Placement;
 use fbc_grid::srm::{RetryPolicy, SrmConfig};
 use fbc_grid::stats::GridStats;
 use fbc_grid::time::SimDuration;
+use fbc_obs::Obs;
 
 fn workload(jobs: usize, files: u32) -> (FileCatalog, Vec<JobArrival>) {
     let catalog = FileCatalog::from_sizes(vec![1_000_000; files as usize]);
@@ -61,7 +66,25 @@ fn config() -> GridConfig {
 fn run(cfg: &GridConfig, plan: Option<&FaultPlan>) -> GridStats {
     let (catalog, arrivals) = workload(40, 12);
     let mut policy = OptFileBundle::new();
-    run_grid_with_faults(&mut policy, &catalog, &arrivals, cfg, plan)
+    run_grid_observed(
+        &mut policy,
+        &catalog,
+        &arrivals,
+        cfg,
+        plan,
+        &Obs::disabled(),
+    )
+}
+
+/// A 3-node cluster over the [`workload`] under `opts`.
+fn run_cluster(cfg: &GridConfig, opts: RunOptions) -> ConcurrentStats {
+    let (catalog, arrivals) = workload(40, 12);
+    let mut policies: Vec<OptFileBundle> = (0..3).map(|_| OptFileBundle::new()).collect();
+    let mut refs: Vec<&mut dyn CachePolicy> = policies
+        .iter_mut()
+        .map(|p| p as &mut dyn CachePolicy)
+        .collect();
+    run_grid_nodes(&mut refs, &catalog, &arrivals, cfg, opts)
 }
 
 #[test]
@@ -128,7 +151,14 @@ fn permanently_dead_mss_fails_all_fetching_jobs() {
     let bundles: Vec<Bundle> = (0..8).map(|i| Bundle::from_raw([i])).collect();
     let arrivals = schedule_arrivals(&bundles, ArrivalProcess::Batch);
     let mut policy = OptFileBundle::new();
-    let stats = run_grid_with_faults(&mut policy, &catalog, &arrivals, &cfg, Some(&plan));
+    let stats = run_grid_observed(
+        &mut policy,
+        &catalog,
+        &arrivals,
+        &cfg,
+        Some(&plan),
+        &Obs::disabled(),
+    );
     assert_eq!(stats.completed, 0);
     assert_eq!(stats.failed, 8);
     assert_eq!(stats.availability(), 0.0);
@@ -175,5 +205,62 @@ fn presets_parse_and_run_to_termination() {
             40,
             "preset {name}: every job must be accounted for"
         );
+    }
+}
+
+#[test]
+fn zero_fault_plan_is_a_no_op_on_clusters_and_replicated_storage() {
+    let cfg = config();
+    let placement = Placement::random(12, 3, 2, 4);
+    for (dispatch, placement) in [
+        (Dispatch::LeastLoaded, None),
+        (Dispatch::BundleAffinity, Some(&placement)),
+    ] {
+        let opts = RunOptions {
+            dispatch,
+            placement,
+            ..RunOptions::default()
+        };
+        let plain = run_cluster(&cfg, opts);
+        let plan = FaultPlan::none();
+        let zero = run_cluster(
+            &cfg,
+            RunOptions {
+                plan: Some(&plan),
+                ..opts
+            },
+        );
+        assert_eq!(
+            plain,
+            zero,
+            "{dispatch:?}, replicated: {}",
+            placement.is_some()
+        );
+    }
+}
+
+#[test]
+fn flaky_wan_cluster_conserves_jobs() {
+    let mut cfg = config();
+    cfg.retry.max_retries = 2;
+    cfg.retry.fetch_timeout = Some(SimDuration::from_secs(120));
+    let plan = FaultPlan::preset("flaky-wan").unwrap();
+    let placement = Placement::full(12, 2);
+    for placement in [None, Some(&placement)] {
+        let stats = run_cluster(
+            &cfg,
+            RunOptions {
+                dispatch: Dispatch::RoundRobin,
+                placement,
+                plan: Some(&plan),
+                ..RunOptions::default()
+            },
+        );
+        let s = &stats.overall;
+        assert_eq!(s.completed + s.failed + s.rejected, 40);
+        assert!(s.fetch_attempts > 0);
+        for (node, routed) in stats.per_shard.iter().zip(&stats.routed) {
+            assert_eq!(node.completed + node.failed + node.rejected, *routed);
+        }
     }
 }

@@ -1,15 +1,15 @@
 //! Multi-SRM cluster example: jobs dispatched across four SRM nodes that
 //! share a replicated mass-storage fabric — the "cluster of machines" SRM
-//! deployment the paper's §2 sketches, with the two extensions combined:
-//! bundle-affinity dispatch (cache locality) and 2-way file replication
-//! (drive-contention relief).
+//! deployment the paper's §2 sketches, with the two extensions combined in
+//! one simulation: bundle-affinity dispatch (cache locality) and 2-way file
+//! replication (drive-contention relief).
 //!
 //! ```text
 //! cargo run --release --example multi_srm_cluster
 //! ```
 
-use fbc_grid::multi::{run_multi_grid, Dispatch, MultiGridConfig};
-use fbc_grid::replica::{run_grid_replicated, Placement, ReplicaGridConfig};
+use fbc_grid::multi::Dispatch;
+use fbc_grid::replica::Placement;
 use file_bundle_cache::prelude::*;
 
 fn main() {
@@ -34,13 +34,22 @@ fn main() {
         fbc_core::types::format_bytes(workload.catalog.total_bytes()),
     );
 
-    // Part 1: dispatch strategies across a 4-node SRM cluster.
-    println!("--- dispatch across 4 SRM nodes (1 GiB cache each) ---");
+    println!("--- 4 SRM nodes (1 GiB cache each): dispatch x storage ---");
+    let config = GridConfig {
+        srm: SrmConfig {
+            cache_size: GIB,
+            ..SrmConfig::default()
+        },
+        ..GridConfig::default()
+    };
+    let two_way = Placement::random(workload.catalog.len(), 4, 2, 99);
     let mut table = Table::new([
         "dispatch",
+        "storage",
         "byte miss ratio",
         "hit ratio",
         "mean resp (s)",
+        "p95 resp (s)",
         "imbalance",
     ]);
     for dispatch in [
@@ -48,55 +57,29 @@ fn main() {
         Dispatch::LeastLoaded,
         Dispatch::BundleAffinity,
     ] {
-        let config = MultiGridConfig {
-            srm: SrmConfig {
-                cache_size: GIB,
-                ..SrmConfig::default()
-            },
-            nodes: 4,
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
-            dispatch,
-        };
-        let mut policies: Vec<Box<dyn CachePolicy>> = (0..4)
-            .map(|_| Box::new(OptFileBundle::new()) as Box<dyn CachePolicy>)
-            .collect();
-        let stats = run_multi_grid(&mut policies, &workload.catalog, &arrivals, &config);
-        table.add_row([
-            dispatch.label().to_string(),
-            format!("{:.4}", stats.overall.cache.byte_miss_ratio()),
-            format!("{:.4}", stats.overall.cache.request_hit_ratio()),
-            format!("{:.1}", stats.overall.mean_response().as_secs_f64()),
-            format!("{:.2}", stats.routing_imbalance()),
-        ]);
-    }
-    println!("{}", table.to_ascii());
-
-    // Part 2: replica count on a single large SRM.
-    println!("--- replication across a 4-site storage fabric (one 4 GiB SRM) ---");
-    let mut table = Table::new(["replicas/file", "mean resp (s)", "p95 resp (s)"]);
-    for copies in [1usize, 2, 4] {
-        let placement = if copies == 4 {
-            Placement::full(workload.catalog.len(), 4)
-        } else {
-            Placement::random(workload.catalog.len(), 4, copies, 99)
-        };
-        let config = ReplicaGridConfig {
-            srm: SrmConfig {
-                cache_size: 4 * GIB,
-                ..SrmConfig::default()
-            },
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
-            placement,
-        };
-        let mut policy = OptFileBundle::new();
-        let stats = run_grid_replicated(&mut policy, &workload.catalog, &arrivals, &config);
-        table.add_row([
-            copies.to_string(),
-            format!("{:.1}", stats.mean_response().as_secs_f64()),
-            format!("{:.1}", stats.percentile_response(0.95).as_secs_f64()),
-        ]);
+        for (storage, placement) in [("1 MSS", None), ("2-way, 4 sites", Some(&two_way))] {
+            let mut policies: Vec<OptFileBundle> = (0..4).map(|_| OptFileBundle::new()).collect();
+            let mut nodes: Vec<&mut dyn CachePolicy> = policies
+                .iter_mut()
+                .map(|p| p as &mut dyn CachePolicy)
+                .collect();
+            let opts = RunOptions {
+                dispatch,
+                placement,
+                ..RunOptions::default()
+            };
+            let stats = run_grid_nodes(&mut nodes, &workload.catalog, &arrivals, &config, opts);
+            let overall = &stats.overall;
+            table.add_row([
+                dispatch.label().to_string(),
+                storage.to_string(),
+                format!("{:.4}", overall.cache.byte_miss_ratio()),
+                format!("{:.4}", overall.cache.request_hit_ratio()),
+                format!("{:.1}", overall.mean_response().as_secs_f64()),
+                format!("{:.1}", overall.percentile_response(0.95).as_secs_f64()),
+                format!("{:.2}", stats.routing_imbalance()),
+            ]);
+        }
     }
     println!("{}", table.to_ascii());
     println!(

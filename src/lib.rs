@@ -57,11 +57,11 @@ pub mod prelude {
     };
     pub use fbc_core::prelude::*;
     pub use fbc_grid::{
-        run_concurrent_grid, run_concurrent_grid_observed, run_grid, run_grid_observed,
-        run_grid_with_faults, run_scenario, run_scenario_with_faults, ArrivalProcess,
-        ConcurrentConfig, ConcurrentSrm, ConcurrentStats, FaultPlan, GridConfig, GridReport,
-        GridStats, LinkConfig, MssConfig, ResponseStats, RetryPolicy, ScenarioConfig, ShardBy,
-        ShardMap, SimDuration, SimTime, SrmConfig,
+        run_concurrent_grid, run_concurrent_grid_observed, run_grid, run_grid_nodes,
+        run_grid_observed, run_scenario, run_scenario_with_faults, ArrivalProcess,
+        ConcurrentConfig, ConcurrentSrm, ConcurrentStats, Dispatch, FaultPlan, GridConfig,
+        GridReport, GridStats, LinkConfig, MssConfig, Placement, ResponseStats, RetryPolicy,
+        RunOptions, ScenarioConfig, ShardBy, ShardMap, SimDuration, SimTime, SrmConfig,
     };
     pub use fbc_obs::{Field, Obs, ObsConfig};
     pub use fbc_sim::{

@@ -1,9 +1,9 @@
 //! Integration tests for the multi-SRM and replicated-storage extensions,
 //! driven through the public facade.
 
-use fbc_grid::multi::{run_multi_grid, Dispatch, MultiGridConfig};
-use fbc_grid::replica::{run_grid_replicated, Placement, ReplicaGridConfig};
-use file_bundle_cache::grid::client::schedule_arrivals;
+use fbc_grid::multi::Dispatch;
+use fbc_grid::replica::Placement;
+use file_bundle_cache::grid::client::{schedule_arrivals, JobArrival};
 use file_bundle_cache::prelude::*;
 
 fn workload(seed: u64) -> (FileCatalog, Vec<Bundle>) {
@@ -20,6 +20,31 @@ fn workload(seed: u64) -> (FileCatalog, Vec<Bundle>) {
     (w.catalog, w.jobs)
 }
 
+fn grid(srm: SrmConfig) -> GridConfig {
+    GridConfig {
+        srm,
+        ..GridConfig::default()
+    }
+}
+
+/// `nodes` OptFileBundle SRM nodes on one grid.
+fn run_cluster(
+    nodes: usize,
+    catalog: &FileCatalog,
+    arrivals: &[JobArrival],
+    config: &GridConfig,
+    opts: RunOptions,
+) -> ConcurrentStats {
+    let mut policies: Vec<Box<dyn CachePolicy>> = (0..nodes)
+        .map(|_| PolicyKind::OptFileBundle.build())
+        .collect();
+    let mut refs: Vec<&mut dyn CachePolicy> = policies
+        .iter_mut()
+        .map(|p| p.as_mut() as &mut dyn CachePolicy)
+        .collect();
+    run_grid_nodes(&mut refs, catalog, arrivals, config, opts)
+}
+
 #[test]
 fn multi_grid_conserves_jobs_across_dispatches() {
     let (catalog, jobs) = workload(1);
@@ -29,19 +54,15 @@ fn multi_grid_conserves_jobs_across_dispatches() {
         Dispatch::LeastLoaded,
         Dispatch::BundleAffinity,
     ] {
-        let config = MultiGridConfig {
-            srm: SrmConfig {
-                cache_size: GIB,
-                ..SrmConfig::default()
-            },
-            nodes: 3,
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
+        let config = grid(SrmConfig {
+            cache_size: GIB,
+            ..SrmConfig::default()
+        });
+        let opts = RunOptions {
             dispatch,
+            ..RunOptions::default()
         };
-        let mut policies: Vec<Box<dyn CachePolicy>> =
-            (0..3).map(|_| PolicyKind::OptFileBundle.build()).collect();
-        let stats = run_multi_grid(&mut policies, &catalog, &arrivals, &config);
+        let stats = run_cluster(3, &catalog, &arrivals, &config, opts);
         assert_eq!(
             stats.overall.completed + stats.overall.rejected,
             jobs.len() as u64,
@@ -50,12 +71,12 @@ fn multi_grid_conserves_jobs_across_dispatches() {
         assert_eq!(stats.routed.iter().sum::<u64>(), jobs.len() as u64);
         // Per-node stats sum to the overall.
         assert_eq!(
-            stats.per_node.iter().map(|s| s.completed).sum::<u64>(),
+            stats.per_shard.iter().map(|s| s.completed).sum::<u64>(),
             stats.overall.completed
         );
         assert_eq!(
             stats
-                .per_node
+                .per_shard
                 .iter()
                 .map(|s| s.cache.fetched_bytes)
                 .sum::<u64>(),
@@ -69,19 +90,15 @@ fn affinity_beats_round_robin_on_hits() {
     let (catalog, jobs) = workload(3);
     let arrivals = schedule_arrivals(&jobs, ArrivalProcess::Batch);
     let run = |dispatch: Dispatch| {
-        let config = MultiGridConfig {
-            srm: SrmConfig {
-                cache_size: GIB / 2,
-                ..SrmConfig::default()
-            },
-            nodes: 4,
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
+        let config = grid(SrmConfig {
+            cache_size: GIB / 2,
+            ..SrmConfig::default()
+        });
+        let opts = RunOptions {
             dispatch,
+            ..RunOptions::default()
         };
-        let mut policies: Vec<Box<dyn CachePolicy>> =
-            (0..4).map(|_| PolicyKind::OptFileBundle.build()).collect();
-        run_multi_grid(&mut policies, &catalog, &arrivals, &config)
+        run_cluster(4, &catalog, &arrivals, &config, opts)
     };
     let rr = run(Dispatch::RoundRobin);
     let aff = run(Dispatch::BundleAffinity);
@@ -98,18 +115,16 @@ fn replication_changes_timing_not_bytes() {
     let (catalog, jobs) = workload(5);
     let arrivals = schedule_arrivals(&jobs, ArrivalProcess::Batch);
     let run = |placement: Placement| {
-        let config = ReplicaGridConfig {
-            srm: SrmConfig {
-                cache_size: 2 * GIB,
-                max_concurrent_jobs: 1, // sequential: decisions independent of timing
-                ..SrmConfig::default()
-            },
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
-            placement,
+        let config = grid(SrmConfig {
+            cache_size: 2 * GIB,
+            max_concurrent_jobs: 1, // sequential: decisions independent of timing
+            ..SrmConfig::default()
+        });
+        let opts = RunOptions {
+            placement: Some(&placement),
+            ..RunOptions::default()
         };
-        let mut policy = OptFileBundle::new();
-        run_grid_replicated(&mut policy, &catalog, &arrivals, &config)
+        run_cluster(1, &catalog, &arrivals, &config, opts).overall
     };
     let files = catalog.len();
     let one = run(Placement::random(files, 4, 1, 11));
@@ -124,40 +139,18 @@ fn replication_changes_timing_not_bytes() {
 fn single_node_multi_grid_equals_engine() {
     let (catalog, jobs) = workload(7);
     let arrivals = schedule_arrivals(&jobs, ArrivalProcess::Poisson { rate: 2.0, seed: 8 });
-    let srm = SrmConfig {
+    let config = grid(SrmConfig {
         cache_size: GIB,
         ..SrmConfig::default()
+    });
+    let opts = RunOptions {
+        dispatch: Dispatch::LeastLoaded,
+        ..RunOptions::default()
     };
-    let mut policies: Vec<Box<dyn CachePolicy>> = vec![PolicyKind::OptFileBundle.build()];
-    let multi = run_multi_grid(
-        &mut policies,
-        &catalog,
-        &arrivals,
-        &MultiGridConfig {
-            srm,
-            nodes: 1,
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
-            dispatch: Dispatch::LeastLoaded,
-        },
-    );
+    let multi = run_cluster(1, &catalog, &arrivals, &config, opts);
     let mut policy = OptFileBundle::new();
-    let single = run_grid(
-        &mut policy,
-        &catalog,
-        &arrivals,
-        &GridConfig {
-            srm,
-            mss: MssConfig::default(),
-            link: LinkConfig::default(),
-            retry: RetryPolicy::default(),
-            full_response_log: false,
-        },
-    );
-    assert_eq!(multi.overall.completed, single.completed);
-    assert_eq!(
-        multi.overall.cache.fetched_bytes,
-        single.cache.fetched_bytes
-    );
-    assert_eq!(multi.overall.makespan, single.makespan);
+    let single = run_grid(&mut policy, &catalog, &arrivals, &config);
+    assert_eq!(multi.overall, single);
+    assert_eq!(multi.per_shard, vec![single]);
+    assert_eq!(multi.routed, vec![jobs.len() as u64]);
 }

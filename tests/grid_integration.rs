@@ -145,12 +145,13 @@ fn fault_injection_through_the_facade() {
     let plan = FaultPlan::parse("transient=0.2;seed=3").expect("valid spec");
     let run = || {
         let mut policy = OptFileBundle::new();
-        run_grid_with_faults(
+        run_grid_observed(
             &mut policy,
             &catalog,
             &arrivals,
             &config(2 * GIB),
             Some(&plan),
+            &Obs::disabled(),
         )
     };
     let a = run();

@@ -82,6 +82,55 @@ fn grid_trace_is_byte_identical_across_same_seed_runs_with_faults() {
     assert_eq!(stats1, stats2);
 }
 
+/// A 3-node cluster under the `flaky-wan` preset speaks the same `grid.*`
+/// vocabulary as the single-node engine: its counters equal its stats and
+/// its trace replays byte-identically under the same seed.
+#[test]
+fn cluster_trace_matches_stats_and_replays_byte_identically() {
+    let trace = workload(29);
+    let arrivals = schedule_arrivals(
+        &trace.requests,
+        ArrivalProcess::Poisson { rate: 3.0, seed: 3 },
+    );
+    let config = GridConfig {
+        srm: SrmConfig {
+            cache_size: 20 * MIB,
+            max_concurrent_jobs: 2,
+            ..SrmConfig::default()
+        },
+        retry: RetryPolicy {
+            max_retries: 2,
+            fetch_timeout: Some(SimDuration::from_secs(120)),
+            ..RetryPolicy::default()
+        },
+        ..GridConfig::default()
+    };
+    let plan = FaultPlan::preset("flaky-wan").unwrap();
+    let run = || {
+        let obs = Obs::enabled();
+        let mut policies: Vec<OptFileBundle> = (0..3).map(|_| OptFileBundle::new()).collect();
+        let mut refs: Vec<&mut dyn CachePolicy> = policies
+            .iter_mut()
+            .map(|p| p as &mut dyn CachePolicy)
+            .collect();
+        let opts = RunOptions {
+            plan: Some(&plan),
+            obs: Some(&obs),
+            ..RunOptions::default()
+        };
+        let stats = run_grid_nodes(&mut refs, &trace.catalog, &arrivals, &config, opts);
+        (obs, stats)
+    };
+    let (obs1, stats1) = run();
+    let (obs2, stats2) = run();
+    let s = &stats1.overall;
+    assert_eq!(s.completed + s.failed + s.rejected, arrivals.len() as u64);
+    assert_eq!(obs1.counter("grid.jobs_completed"), s.completed);
+    assert_eq!(obs1.counter("grid.fetch_attempts"), s.fetch_attempts);
+    assert_eq!(stats1, stats2);
+    assert_eq!(obs1.jsonl(), obs2.jsonl());
+}
+
 /// An attached-but-disabled sink leaves every policy's results identical
 /// to a never-attached run — across the whole policy roster.
 #[test]
