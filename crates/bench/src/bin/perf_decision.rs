@@ -9,66 +9,64 @@
 //!    near-every job forcing a replacement decision), comparing the
 //!    persistent incremental candidate maintenance (`with_config`) against
 //!    the per-decision rebuild reference (`with_config_reference`). Both
-//!    engines replay the identical trace and their outcomes are asserted
-//!    equal, so every benchmark run is also a differential test.
+//!    engines replay the identical trace in lockstep for the paired
+//!    speedup, and their outcomes are asserted equal, so every benchmark
+//!    run is also a differential test; each engine's throughput and
+//!    per-decision latency are then measured alone.
 //!
 //! ```text
 //! cargo run --release -p fbc-bench --bin perf_decision            # full run
 //! cargo run --release -p fbc-bench --bin perf_decision -- --smoke # CI gate
 //! ```
 //!
-//! The full run writes `results/perf_decision.csv` and a machine-readable
-//! summary `BENCH_core.json` in the current directory (repo root). The
-//! `--smoke` mode writes nothing; it runs a reduced measurement and fails
-//! (non-zero exit) when either
+//! Every gated ratio is an interleaved paired measurement
+//! (`fbc_bench::measure::paired_ratio`). The full run writes
+//! `results/perf_decision.csv` and the `"perf_decision"` section of
+//! `BENCH_core.json`. The `--smoke` mode writes nothing; it runs a reduced
+//! measurement and fails (non-zero exit) when either
 //!
 //! * the incremental decision path is not at least 2× the rebuild
-//!   reference's decisions/sec on the steady-state cache-supported
-//!   workload (machine-independent ratio), or
-//! * the incremental kernel is not at least 2× the reference loop's
-//!   decisions/sec at `n = 2000, d ≈ 8` (machine-independent ratio), or
+//!   reference on the history-scaling workload (n = 8000, fixed cache
+//!   size), or
+//! * the incremental kernel is not at least 2× the reference loop at
+//!   `n = 2000, d ≈ 8`, or
 //! * the full-history decision path is not at least 2× the rebuild
 //!   reference — the committed pre-residency baseline sat at 1.12×, so
-//!   this floor only passes with the Full/Window fast path live
-//!   (machine-independent ratio), or
+//!   this floor only passes with the Full/Window fast path live, or
 //! * `SharedCredit` falls below half of `PaperLiteral`'s decisions/sec at
 //!   `n = 2000, d ≈ 8` (the "within 2×" acceptance ratio), or
-//! * a committed `BENCH_core.json` exists and the measured headline
-//!   throughput regressed more than 2× against it, or
+//! * the headline decisions/sec is at or below half the committed value
+//!   measured at the same smoke size, or
 //! * the instrumented-but-disabled observability path (`fbc-obs` handle
 //!   attached, sink off) exceeds 1.05× the never-attached decision path.
 
-use fbc_bench::{
-    banner, cache_membership_kernel, extract_number, extract_section, quick_mode, results_dir,
-    upsert_section,
+use fbc_bench::measure::{
+    gate_baseline, paired_ratio, repeat, smoke_mode, xorshift, Cell, Plan, Rows, Section, Summary,
 };
+use fbc_bench::{banner, quick_mode};
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::instance::FbcInstance;
 use fbc_core::optfilebundle::{HistoryMode, OfbConfig, OptFileBundle};
-use fbc_core::policy::CachePolicy;
+use fbc_core::policy::{CachePolicy, RequestOutcome};
 use fbc_core::select::{
     best_single, greedy_shared_credit_reference, opt_cache_select_lazy_with_scratch,
     opt_cache_select_with_scratch, GreedyVariant, LazySelectScratch, SelectOptions, SelectScratch,
 };
 use fbc_obs::Obs;
-use fbc_sim::report::Table;
-use std::time::Instant;
+use std::hint::black_box;
 
-/// Deterministic xorshift64 generator (no external RNG needed here).
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
+/// Decision-path jobs per engine at smoke size.
+const SMOKE_JOBS: usize = 400;
+/// Decision-path jobs per timed batch of each engine.
+const PER_BATCH: usize = 50;
 
 /// Builds a synthetic selection instance with `n` requests of ~`b` files
 /// each over `m = n·b/d` files, so the expected file degree is `d` — the
 /// quantity the kernel's `O(b · d · log n)` per-iteration bound depends on.
-fn instance(n: usize, b: usize, d: usize, seed: u64) -> FbcInstance {
-    let mut state = seed;
+fn instance(n: usize, b: usize, d: usize) -> FbcInstance {
+    let mut state = ((0xBE0001 + n as u64) << 8) | d as u64;
     let m = ((n * b) / d).max(b + 1);
     let sizes: Vec<u64> = (0..m).map(|_| xorshift(&mut state) % 100 + 1).collect();
     let total: u64 = sizes.iter().sum();
@@ -86,103 +84,19 @@ fn instance(n: usize, b: usize, d: usize, seed: u64) -> FbcInstance {
     FbcInstance::new(total / 4, sizes, requests).expect("valid synthetic instance")
 }
 
-/// Median of per-batch throughput ratios between two kernels, measured in
-/// interleaved batches (A, B, A, B, ...). The gates compare *ratios*, and a
-/// ratio assembled from two phase-separated absolute measurements inherits
-/// the machine's frequency drift between the phases (easily ±15% here);
-/// interleaving puts both sides of each ratio sample under the same drift,
-/// and the median discards the batches an interrupt landed in. Returns
-/// `time_b / time_a` — the throughput of `a` relative to `b`.
-fn paired_throughput_ratio<A: FnMut(), B: FnMut()>(
-    mut a: A,
-    mut b: B,
-    batches: usize,
-    per_batch: usize,
-) -> f64 {
-    a();
-    b();
-    let mut ratios: Vec<f64> = (0..batches)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..per_batch {
-                a();
-            }
-            let ta = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            for _ in 0..per_batch {
-                b();
-            }
-            let tb = t.elapsed().as_secs_f64();
-            tb / ta
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
+/// The reference loop composed exactly as the public entry point composes
+/// the fast kernel (greedy + single-best fallback).
+fn reference_select(inst: &FbcInstance) {
+    let g = greedy_shared_credit_reference(black_box(inst), &[], inst.capacity());
+    let s = best_single(inst);
+    black_box(if s.value > g.value { s } else { g });
 }
 
-/// Times `f` for `iters` iterations (after `warmup` unrecorded ones) and
-/// returns per-iteration nanos.
-fn time_ns<F: FnMut()>(mut f: F, warmup: usize, iters: usize) -> Vec<u64> {
-    for _ in 0..warmup {
-        f();
+fn select(variant: GreedyVariant) -> SelectOptions {
+    SelectOptions {
+        variant,
+        max_single_fallback: true,
     }
-    (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-        })
-        .collect()
-}
-
-#[derive(Debug, Clone)]
-struct Measurement {
-    n: usize,
-    d: usize,
-    variant: &'static str,
-    iters: usize,
-    decisions_per_sec: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    mean_ns: f64,
-}
-
-/// Per-job nanos of `OptFileBundle::handle` over a fixed random-pair
-/// trace, best-of-`repeats` with one untimed warmup run per mode.
-///
-/// `obs = None` leaves the policy untouched (the pre-attach default);
-/// `Some(obs)` attaches the handle before the run. Attaching a
-/// *disabled* handle exercises the exact instrumented-but-off path the
-/// 1.05× overhead budget in the issue refers to. The cache holds the
-/// whole population, so each handle call is dominated by admit
-/// bookkeeping — the regime where a per-call branch is most visible.
-fn obs_handle_ns_per_job(
-    jobs: &[Bundle],
-    catalog: &FileCatalog,
-    capacity: u64,
-    obs: Option<&Obs>,
-    repeats: usize,
-) -> f64 {
-    let mut best = u64::MAX;
-    for rep in 0..=repeats {
-        if let Some(o) = obs {
-            o.clear();
-        }
-        let mut policy = OptFileBundle::new();
-        if let Some(o) = obs {
-            policy.attach_obs(o.clone());
-        }
-        let mut cache = CacheState::new(capacity);
-        let start = Instant::now();
-        for b in jobs {
-            std::hint::black_box(policy.handle(b, &mut cache, catalog));
-        }
-        let elapsed = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if rep > 0 {
-            best = best.min(elapsed);
-        }
-    }
-    best as f64 / jobs.len() as f64
 }
 
 /// Steady-state decision-path workload: a pool of `n` distinct bundles of
@@ -195,9 +109,8 @@ fn decision_workload(
     d: usize,
     cap_div: u64,
     jobs: usize,
-    seed: u64,
 ) -> (FileCatalog, Vec<Bundle>, Vec<Bundle>, u64) {
-    let mut state = seed;
+    let mut state = 0xD3C1DE;
     let m = ((n * b) / d).max(b + 1);
     let sizes: Vec<u64> = (0..m).map(|_| xorshift(&mut state) % 100 + 1).collect();
     let total: u64 = sizes.iter().sum();
@@ -219,82 +132,88 @@ fn decision_workload(
     (FileCatalog::from_sizes(sizes), pool, trace, total / cap_div)
 }
 
-struct PathMeasurement {
-    mode: &'static str,
+/// One engine on its own cache, warmed over the full pool (so the history
+/// holds all `n` entries and the cache is hot), stepping through a trace.
+struct Engine<'t> {
+    policy: OptFileBundle,
+    cache: CacheState,
+    catalog: &'t FileCatalog,
+    trace: &'t [Bundle],
+    outcomes: Vec<RequestOutcome>,
+}
+
+impl<'t> Engine<'t> {
+    fn new(
+        mut policy: OptFileBundle,
+        catalog: &'t FileCatalog,
+        pool: &[Bundle],
+        trace: &'t [Bundle],
+        capacity: u64,
+    ) -> Self {
+        let mut cache = CacheState::new(capacity);
+        for b in pool {
+            black_box(policy.handle(b, &mut cache, catalog));
+        }
+        Self {
+            policy,
+            cache,
+            catalog,
+            trace,
+            outcomes: Vec::with_capacity(trace.len()),
+        }
+    }
+
+    fn step(&mut self) {
+        let b = &self.trace[self.outcomes.len()];
+        let outcome = self.policy.handle(b, &mut self.cache, self.catalog);
+        self.outcomes.push(outcome);
+    }
+}
+
+fn path_config(mode: HistoryMode) -> OfbConfig {
+    OfbConfig {
+        variant: GreedyVariant::SharedCredit,
+        history_mode: mode,
+        ..OfbConfig::default()
+    }
+}
+
+/// The decision path in `mode` at history size `n`. The incremental
+/// engine (side A) and the rebuild reference (side B) first step through
+/// the trace in lockstep, interleaved batch by batch, with their outcomes
+/// asserted equal; that pair gives the speedup. Then each engine runs the
+/// trace alone, timed per job: interleaved, an engine loses cache
+/// locality to the other, which the ratio absorbs but a throughput must
+/// not. Returns the paired ratio and the per-job ns of each engine alone.
+fn decision_path(
+    mode: HistoryMode,
     n: usize,
-    engine: &'static str,
+    cap_div: u64,
     jobs: usize,
-    decisions_per_sec: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
-
-/// End-to-end `handle` throughput of `policy` at steady state: one untimed
-/// warm pass over the full pool (so the history holds all `n` entries and
-/// the cache is hot), then the timed trace with per-job latency capture
-/// (p50/p99 via the same nearest-rank rule the kernel table uses). Returns
-/// the per-request outcomes so the caller can differential-check engines
-/// against each other.
-#[allow(clippy::too_many_arguments)]
-fn decision_path_run(
-    mut policy: OptFileBundle,
-    catalog: &FileCatalog,
-    pool: &[Bundle],
-    trace: &[Bundle],
-    capacity: u64,
-    mode: &'static str,
-    n: usize,
-    engine: &'static str,
-) -> (PathMeasurement, Vec<fbc_core::policy::RequestOutcome>) {
-    let mut cache = CacheState::new(capacity);
-    for b in pool {
-        std::hint::black_box(policy.handle(b, &mut cache, catalog));
-    }
-    let mut outcomes = Vec::with_capacity(trace.len());
-    let mut samples: Vec<u64> = Vec::with_capacity(trace.len());
-    let start = Instant::now();
-    for b in trace {
-        let job_start = Instant::now();
-        outcomes.push(policy.handle(b, &mut cache, catalog));
-        samples.push(job_start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    samples.sort_unstable();
-    let jobs = samples.len();
-    let rank = |q: f64| samples[(((q * jobs as f64).ceil() as usize).clamp(1, jobs)) - 1];
-    (
-        PathMeasurement {
-            mode,
-            n,
-            engine,
-            jobs,
-            decisions_per_sec: trace.len() as f64 / elapsed,
-            p50_ns: rank(0.50),
-            p99_ns: rank(0.99),
-        },
-        outcomes,
-    )
-}
-
-fn summarize(n: usize, d: usize, variant: &'static str, mut samples: Vec<u64>) -> Measurement {
-    let iters = samples.len();
-    let mean_ns = samples.iter().sum::<u64>() as f64 / iters as f64;
-    samples.sort_unstable();
-    let rank = |q: f64| samples[(((q * iters as f64).ceil() as usize).clamp(1, iters)) - 1];
-    Measurement {
-        n,
-        d,
-        variant,
-        iters,
-        decisions_per_sec: 1e9 / mean_ns,
-        p50_ns: rank(0.50),
-        p99_ns: rank(0.99),
-        mean_ns,
-    }
+) -> (Summary, [Summary; 2]) {
+    let (catalog, pool, trace, capacity) = decision_workload(n, 4, 8, cap_div, jobs);
+    let config = path_config(mode);
+    let engine = |reference: bool| {
+        let policy = if reference {
+            OptFileBundle::with_config_reference(config)
+        } else {
+            OptFileBundle::with_config(config)
+        };
+        Engine::new(policy, &catalog, &pool, &trace, capacity)
+    };
+    let (mut inc, mut reb) = (engine(false), engine(true));
+    let plan = Plan::new(0, jobs / PER_BATCH, PER_BATCH);
+    let paired = paired_ratio(plan, || inc.step(), || reb.step());
+    assert_eq!(
+        inc.outcomes, reb.outcomes,
+        "decision-path engines diverged in {mode:?} mode at n={n}"
+    );
+    let alone = |mut e: Engine| repeat(0, jobs, || e.step()).0;
+    (paired.ratio, [alone(engine(false)), alone(engine(true))])
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_mode();
     banner(if smoke {
         "perf_decision — CI smoke (regression gate)"
     } else {
@@ -319,150 +238,110 @@ fn main() {
             (2000, 32),
         ]
     };
-    let variants = [
-        (GreedyVariant::PaperLiteral, "PaperLiteral"),
-        (GreedyVariant::SortedOnce, "SortedOnce"),
-        (GreedyVariant::SharedCredit, "SharedCredit"),
-    ];
 
-    let mut measurements: Vec<Measurement> = Vec::new();
     let mut scratch = SelectScratch::default();
     let mut lazy_scratch = LazySelectScratch::default();
-    for &(n, d) in sweep {
-        let inst = instance(n, bundle, d, ((0xBE0001 + n as u64) << 8) | d as u64);
-        for (variant, label) in variants {
-            let opts = SelectOptions {
-                variant,
-                max_single_fallback: true,
-            };
-            let samples = time_ns(
-                || {
-                    std::hint::black_box(opt_cache_select_with_scratch(
-                        std::hint::black_box(&inst),
-                        &opts,
-                        &mut scratch,
-                    ));
-                },
-                warmup,
-                iters,
-            );
-            measurements.push(summarize(n, d, label, samples));
-        }
-        // The previous-generation kernel (version-stamped lazy binary
-        // heap), retained verbatim behind `reference-kernels`, composed
-        // through its own dispatcher.
-        let lazy_opts = SelectOptions {
-            variant: GreedyVariant::SharedCredit,
-            max_single_fallback: true,
-        };
-        let samples = time_ns(
-            || {
-                std::hint::black_box(opt_cache_select_lazy_with_scratch(
-                    std::hint::black_box(&inst),
-                    &lazy_opts,
-                    &mut lazy_scratch,
-                ));
-            },
-            warmup,
-            iters,
-        );
-        measurements.push(summarize(n, d, "LazySharedCredit", samples));
-        // The reference loop composed exactly as the public entry point
-        // composes the fast kernel (greedy + single-best fallback).
-        let samples = time_ns(
-            || {
-                let g = greedy_shared_credit_reference(
-                    std::hint::black_box(&inst),
-                    &[],
-                    inst.capacity(),
-                );
-                let s = best_single(&inst);
-                std::hint::black_box(if s.value > g.value { s } else { g });
-            },
-            warmup.min(3),
-            ref_iters,
-        );
-        measurements.push(summarize(n, d, "ReferenceSharedCredit", samples));
-    }
-
-    let mut table = Table::new([
+    let mut table = Rows::new([
         "n",
         "d",
         "variant",
         "iters",
-        "decisions/s",
-        "p50(us)",
-        "p99(us)",
+        "decisions_per_sec",
+        "p50_us",
+        "p99_us",
+        "spread",
     ]);
-    for m in &measurements {
-        table.add_row([
-            m.n.to_string(),
-            m.d.to_string(),
-            m.variant.to_string(),
-            m.iters.to_string(),
-            format!("{:.1}", m.decisions_per_sec),
-            format!("{:.1}", m.p50_ns as f64 / 1e3),
-            format!("{:.1}", m.p99_ns as f64 / 1e3),
+    let mut kernel_dps = |variant: &str, n: usize, d: usize, s: Summary| {
+        table.push([
+            n.into(),
+            d.into(),
+            variant.into(),
+            s.n.into(),
+            Cell::num(1e9 / s.mean(), 1),
+            Cell::num(s.median / 1e3, 1),
+            Cell::num(s.p99 / 1e3, 1),
+            Cell::num(s.spread(), 3),
         ]);
-    }
-    print!("{}", table.to_ascii());
-
-    let dps = |variant: &str, n: usize, d: usize| {
-        measurements
-            .iter()
-            .find(|m| m.variant == variant && m.n == n && m.d == d)
-            .map(|m| m.decisions_per_sec)
-            .expect("measured configuration")
+        1e9 / s.mean()
     };
-    let kernel_headline = dps("SharedCredit", 2000, 8);
-    let kernel_reference = dps("ReferenceSharedCredit", 2000, 8);
-    let kernel_lazy = dps("LazySharedCredit", 2000, 8);
-    let kernel_speedup = kernel_headline / kernel_reference;
-    // The SC/PL acceptance ratio is measured paired (not from the table's
-    // phase-separated rows): both kernels interleave on the same instance,
-    // so the gate quantity is genuinely machine-independent.
-    let sc_vs_pl_ratio = {
-        let inst = instance(2000, bundle, 8, ((0xBE0001 + 2000u64) << 8) | 8);
-        let sc_opts = SelectOptions {
-            variant: GreedyVariant::SharedCredit,
-            max_single_fallback: true,
-        };
-        let pl_opts = SelectOptions {
-            variant: GreedyVariant::PaperLiteral,
-            max_single_fallback: true,
-        };
-        let (batches, per_batch) = if reduced { (9, 12) } else { (15, 30) };
-        let mut pl_scratch = SelectScratch::default();
-        paired_throughput_ratio(
-            || {
-                std::hint::black_box(opt_cache_select_with_scratch(
-                    std::hint::black_box(&inst),
-                    &sc_opts,
+    let (mut kernel_headline, mut kernel_lazy, mut kernel_reference) = (0.0, 0.0, 0.0);
+    for &(n, d) in sweep {
+        let inst = instance(n, bundle, d);
+        let mut sc = 0.0;
+        for (variant, label) in [
+            (GreedyVariant::PaperLiteral, "PaperLiteral"),
+            (GreedyVariant::SortedOnce, "SortedOnce"),
+            (GreedyVariant::SharedCredit, "SharedCredit"),
+        ] {
+            let opts = select(variant);
+            let (s, ()) = repeat(warmup, iters, || {
+                black_box(opt_cache_select_with_scratch(
+                    black_box(&inst),
+                    &opts,
                     &mut scratch,
                 ));
-            },
-            || {
-                std::hint::black_box(opt_cache_select_with_scratch(
-                    std::hint::black_box(&inst),
-                    &pl_opts,
-                    &mut pl_scratch,
-                ));
-            },
-            batches,
-            per_batch,
-        )
+            });
+            sc = kernel_dps(label, n, d, s);
+        }
+        // The previous-generation kernel (version-stamped lazy binary
+        // heap), retained verbatim behind `reference-kernels`, composed
+        // through its own dispatcher.
+        let opts = select(GreedyVariant::SharedCredit);
+        let (s, ()) = repeat(warmup, iters, || {
+            black_box(opt_cache_select_lazy_with_scratch(
+                black_box(&inst),
+                &opts,
+                &mut lazy_scratch,
+            ));
+        });
+        let lazy = kernel_dps("LazySharedCredit", n, d, s);
+        let (s, ()) = repeat(warmup.min(3), ref_iters, || reference_select(&inst));
+        let reference = kernel_dps("ReferenceSharedCredit", n, d, s);
+        if (n, d) == (2000, 8) {
+            (kernel_headline, kernel_lazy, kernel_reference) = (sc, lazy, reference);
+        }
+    }
+    table.print();
+
+    // The gated kernel ratios, paired on the headline instance: the
+    // incremental kernel against the reference loop, and SharedCredit
+    // against PaperLiteral.
+    let inst = instance(2000, bundle, 8);
+    let sc_opts = select(GreedyVariant::SharedCredit);
+    let pl_opts = select(GreedyVariant::PaperLiteral);
+    let mut pl_scratch = SelectScratch::default();
+    let mut sc = || {
+        black_box(opt_cache_select_with_scratch(
+            black_box(&inst),
+            &sc_opts,
+            &mut scratch,
+        ));
     };
+    let (batches, per_batch) = if reduced { (9, 12) } else { (15, 30) };
+    let sc_vs_pl = paired_ratio(Plan::new(1, batches, per_batch), &mut sc, || {
+        black_box(opt_cache_select_with_scratch(
+            black_box(&inst),
+            &pl_opts,
+            &mut pl_scratch,
+        ));
+    })
+    .ratio;
+    let kernel_speedup = paired_ratio(Plan::new(1, ref_iters, 1), &mut sc, || {
+        reference_select(&inst)
+    })
+    .ratio;
     println!(
         "\nkernel (n=2000, d=8): dense-heap {kernel_headline:.1}/s vs lazy-heap \
-         {kernel_lazy:.1}/s ({:.1}x) vs reference {kernel_reference:.1}/s \
-         ({kernel_speedup:.1}x) — SharedCredit/PaperLiteral ratio {sc_vs_pl_ratio:.2}",
-        kernel_headline / kernel_lazy
+         {kernel_lazy:.1}/s ({:.1}x) vs reference {kernel_reference:.1}/s; paired: \
+         {:.1}x the reference, SharedCredit/PaperLiteral {:.2}",
+        kernel_headline / kernel_lazy,
+        kernel_speedup.median,
+        sc_vs_pl.median
     );
 
     // Full decision path at steady state: the persistent resident state
     // (O(Δ) candidate maintenance) vs the per-decision rebuild reference,
-    // on the identical trace. Outcome equality is asserted, so this
-    // doubles as an end-to-end differential test. Four rows:
+    // on the identical trace. Four rows:
     //
     // * cache-supported, n=2000 — the headline configuration;
     // * cache-supported, n=8000 with the same absolute cache size — the
@@ -475,100 +354,60 @@ fn main() {
     //   and re-builds the instance per decision — the Full-mode gate;
     // * window(1000), n=2000 — same fast path under epoch-stamped window
     //   truncation.
-    //
-    // All rows run the same job counts; the Full/Window rows used to be
-    // capped at 250 jobs (the rebuild path made 4000 prohibitive) and so
-    // omitted latency columns — the resident fast path lifted the cap.
-    let mut path_measurements: Vec<PathMeasurement> = Vec::new();
-    let mut headline = f64::NAN;
-    let mut path_reference = f64::NAN;
-    let mut path_speedup = f64::NAN;
-    let mut scaling_speedup = f64::NAN;
-    let mut full_speedup = f64::NAN;
-    let mut window_speedup = f64::NAN;
-    for (mode, mode_label, n, cap_div) in [
+    let jobs = if reduced { SMOKE_JOBS } else { 4000 };
+    let mut path_table = Rows::new([
+        "mode",
+        "n",
+        "engine",
+        "jobs",
+        "decisions_per_sec",
+        "p50_us",
+        "p99_us",
+    ]);
+    let mut paths: Vec<(Summary, [Summary; 2])> = Vec::new();
+    for (mode, label, n, cap_div) in [
         (HistoryMode::CacheSupported, "CacheSupported", 2000, 60),
         (HistoryMode::CacheSupported, "CacheSupported", 8000, 240),
         (HistoryMode::Full, "Full", 2000, 60),
         (HistoryMode::Window(1000), "Window(1000)", 2000, 60),
     ] {
-        let jobs = if reduced { 400 } else { 4000 };
-        let (catalog, pool, trace, capacity) = decision_workload(n, 4, 8, cap_div, jobs, 0xD3C1DE);
-        let config = OfbConfig {
-            variant: GreedyVariant::SharedCredit,
-            history_mode: mode,
-            ..OfbConfig::default()
-        };
-        let (inc, inc_out) = decision_path_run(
-            OptFileBundle::with_config(config),
-            &catalog,
-            &pool,
-            &trace,
-            capacity,
-            mode_label,
-            n,
-            "incremental",
-        );
-        let (reb, reb_out) = decision_path_run(
-            OptFileBundle::with_config_reference(config),
-            &catalog,
-            &pool,
-            &trace,
-            capacity,
-            mode_label,
-            n,
-            "rebuild",
-        );
-        assert_eq!(
-            inc_out, reb_out,
-            "decision-path engines diverged in {mode_label} mode at n={n}"
-        );
-        let ratio = inc.decisions_per_sec / reb.decisions_per_sec;
-        match (mode, n) {
-            (HistoryMode::CacheSupported, 2000) => {
-                headline = inc.decisions_per_sec;
-                path_reference = reb.decisions_per_sec;
-                path_speedup = ratio;
-            }
-            (HistoryMode::CacheSupported, _) => scaling_speedup = ratio,
-            (HistoryMode::Full, _) => full_speedup = ratio,
-            (HistoryMode::Window(_), _) => window_speedup = ratio,
+        let (ratio, engines) = decision_path(mode, n, cap_div, jobs);
+        for (engine, s) in ["incremental", "rebuild"].into_iter().zip(engines) {
+            path_table.push([
+                label.into(),
+                n.into(),
+                engine.into(),
+                jobs.into(),
+                Cell::num(1e9 / s.mean(), 1),
+                Cell::num(s.median / 1e3, 1),
+                Cell::num(s.p99 / 1e3, 1),
+            ]);
         }
-        path_measurements.push(inc);
-        path_measurements.push(reb);
+        paths.push((ratio, engines));
     }
-    let mut path_table = Table::new([
-        "mode",
-        "n",
-        "engine",
-        "jobs",
-        "decisions/s",
-        "p50(us)",
-        "p99(us)",
-    ]);
-    for m in &path_measurements {
-        path_table.add_row([
-            m.mode.to_string(),
-            m.n.to_string(),
-            m.engine.to_string(),
-            m.jobs.to_string(),
-            format!("{:.1}", m.decisions_per_sec),
-            format!("{:.1}", m.p50_ns as f64 / 1e3),
-            format!("{:.1}", m.p99_ns as f64 / 1e3),
-        ]);
-    }
-    println!("\ndecision path (steady state, d=8, SharedCredit):");
-    print!("{}", path_table.to_ascii());
+    let [supported, scaling, full, window] = [0, 1, 2, 3].map(|i| paths[i].0);
+    // The headline: the incremental engine on the cache-supported n = 2000
+    // path, alone.
+    let [headline, rebuild] = paths[0].1;
+    let headline_dps = 1e9 / headline.mean();
+    println!("\ndecision path (steady state, d=8, SharedCredit; each engine alone):");
+    path_table.print();
     println!(
-        "headline (cache-supported decision path, n=2000): incremental {headline:.1}/s vs \
-         rebuild {path_reference:.1}/s — speedup {path_speedup:.1}x (history-scaling row \
-         n=8000: {scaling_speedup:.1}x; full-history mode: {full_speedup:.1}x; \
-         window(1000): {window_speedup:.1}x)"
+        "headline (cache-supported decision path, n=2000): incremental {headline_dps:.1}/s vs \
+         rebuild {:.1}/s — paired speedup {:.1}x (history-scaling row n=8000: {:.1}x; \
+         full-history mode: {:.1}x; window(1000): {:.1}x)",
+        1e9 / rebuild.mean(),
+        supported.median,
+        scaling.median,
+        full.median,
+        window.median
     );
 
     // Observability overhead on the instrumented decision path: the same
-    // handle-call trace plain (never attached), with a disabled sink
-    // attached, and with an enabled sink attached.
+    // handle-call trace plain (never attached) against a disabled sink
+    // attached, and against an enabled one. The cache holds the whole
+    // population, so each handle call is dominated by admit bookkeeping —
+    // the regime where a per-call branch is most visible.
     let obs_jobs = if reduced { 20_000 } else { 100_000 };
     let obs_files = 2_000usize;
     let mut state = 0xB5EEDu64;
@@ -581,172 +420,122 @@ fn main() {
             ])
         })
         .collect();
-    let capacity = obs_files as u64; // everything fits: cheap per-call work
-    let repeats = if reduced { 5 } else { 8 };
-    let plain_ns = obs_handle_ns_per_job(&trace, &catalog, capacity, None, repeats);
-    let off = Obs::disabled();
-    let off_ns = obs_handle_ns_per_job(&trace, &catalog, capacity, Some(&off), repeats);
-    let on = Obs::enabled();
-    let on_ns = obs_handle_ns_per_job(&trace, &catalog, capacity, Some(&on), repeats);
-    let off_overhead = off_ns / plain_ns;
-    let on_overhead = on_ns / plain_ns;
+    let run = |obs: Option<&Obs>| {
+        let mut policy = OptFileBundle::new();
+        if let Some(o) = obs {
+            o.clear();
+            policy.attach_obs(o.clone());
+        }
+        let mut cache = CacheState::new(obs_files as u64);
+        for b in &trace {
+            black_box(policy.handle(b, &mut cache, &catalog));
+        }
+    };
+    let obs_plan = Plan::new(1, 25, 1);
+    let (off, on) = (Obs::disabled(), Obs::enabled());
+    let off_p = paired_ratio(obs_plan, || run(None), || run(Some(&off)));
+    let on_p = paired_ratio(obs_plan, || run(None), || run(Some(&on)));
+    let per_job = |side: &Summary| side.median / obs_jobs as f64;
+    let (plain_ns, off_ns, on_ns) = (per_job(&off_p.a), per_job(&off_p.b), per_job(&on_p.b));
+    let (off_overhead, on_overhead) = (off_p.ratio, on_p.ratio);
     println!(
         "obs overhead: plain {plain_ns:.0} ns/job, attached-off {off_ns:.0} ns/job \
-         ({off_overhead:.3}x), enabled {on_ns:.0} ns/job ({on_overhead:.2}x)"
-    );
-
-    // Residency membership kernel: the dense slab/bitset `CacheState`
-    // against its retained HashMap/BTreeSet twin on the hit-check + churn
-    // loop every decision runs before any selection. The helper asserts
-    // both sides replay identically, so this row doubles as a
-    // differential test.
-    let cache_kernel = cache_membership_kernel(2_000, if reduced { 8 } else { 32 });
-    println!(
-        "cache membership kernel (n=2000): dense {:.1} ns/probe vs reference {:.1} ns/probe \
-         ({:.1}x)",
-        cache_kernel.dense_ns_per_op, cache_kernel.reference_ns_per_op, cache_kernel.speedup
+         ({:.3}x paired), enabled {on_ns:.0} ns/job ({:.2}x paired)",
+        off_overhead.median, on_overhead.median
     );
 
     if smoke {
-        // Gate 0: a disabled sink must cost at most one branch per call —
-        // the issue's 1.05× overhead budget for instrumented-but-off.
+        // A disabled sink must cost at most one branch per call.
         assert!(
-            off_overhead <= 1.05,
-            "REGRESSION: instrumented-but-disabled decision path is \
-             {off_overhead:.3}x the plain path (budget: 1.05x)"
+            off_overhead.median <= 1.05,
+            "REGRESSION: instrumented-but-disabled decision path is {:.3}x the plain \
+             path (budget: 1.05x)",
+            off_overhead.median
         );
-        // Gate 1: machine-independent kernel-vs-reference ratio.
         assert!(
-            kernel_speedup >= 2.0,
-            "REGRESSION: incremental kernel only {kernel_speedup:.2}x the reference loop \
-             at n=2000, d=8 (acceptance floor: 2x)"
+            kernel_speedup.median >= 2.0,
+            "REGRESSION: incremental kernel only {:.2}x the reference loop at n=2000, d=8 \
+             (acceptance floor: 2x)",
+            kernel_speedup.median
         );
-        // Gate 2: machine-independent decision-path ratio on the
-        // history-scaling row (n=8000, fixed cache size) — the regime the
-        // O(Δ) maintenance targets, where the rebuild's per-decision scan
-        // is material rather than drowned by the shared select kernel.
+        // The history-scaling row (n=8000, fixed cache size) is the regime
+        // the O(Δ) maintenance targets: the rebuild's per-decision scan is
+        // material rather than drowned by the shared select kernel.
         assert!(
-            scaling_speedup >= 2.0,
-            "REGRESSION: incremental decision path only {scaling_speedup:.2}x the rebuild \
-             reference on the history-scaling workload (acceptance floor: 2x)"
+            scaling.median >= 2.0,
+            "REGRESSION: incremental decision path only {:.2}x the rebuild reference on \
+             the history-scaling workload (acceptance floor: 2x)",
+            scaling.median
         );
-        // Gate 3: full-history decision path vs the rebuild reference. The
-        // committed pre-residency baseline sat at 1.12×, so a 2× floor
-        // only passes with the Full/Window resident fast path live.
         assert!(
-            full_speedup >= 2.0,
-            "REGRESSION: full-history decision path only {full_speedup:.2}x the rebuild \
-             reference (acceptance floor: 2x, committed baseline before the resident \
-             fast path: 1.12x)"
+            full.median >= 2.0,
+            "REGRESSION: full-history decision path only {:.2}x the rebuild reference \
+             (acceptance floor: 2x, committed baseline before the resident fast path: 1.12x)",
+            full.median
         );
-        // Gate 4: SharedCredit must stay within 2x of PaperLiteral at the
-        // headline kernel configuration (machine-independent ratio).
         assert!(
-            sc_vs_pl_ratio >= 0.5,
-            "REGRESSION: SharedCredit at only {sc_vs_pl_ratio:.2}x PaperLiteral's \
-             throughput at n=2000, d=8 (acceptance floor: within 2x, i.e. ratio >= 0.5)"
+            sc_vs_pl.median >= 0.5,
+            "REGRESSION: SharedCredit at only {:.2}x PaperLiteral's throughput at n=2000, \
+             d=8 (acceptance floor: within 2x, i.e. ratio >= 0.5)",
+            sc_vs_pl.median
         );
-        // Gate 5: >2x throughput regression against the committed baseline.
-        if let Ok(json) = std::fs::read_to_string("BENCH_core.json") {
-            if let Some(committed) = extract_number(&json, "\"headline_decisions_per_sec\":") {
-                assert!(
-                    headline >= committed / 2.0,
-                    "REGRESSION: measured {headline:.1} decisions/s is more than 2x below \
-                     the committed baseline {committed:.1}"
-                );
-                println!(
-                    "smoke: headline {headline:.1}/s vs committed {committed:.1}/s — within 2x"
-                );
-            }
-        }
+        gate_baseline("perf_decision", "headline_decisions_per_sec", headline_dps);
         println!(
-            "smoke: OK (decision path at n=8000 {scaling_speedup:.1}x >= 2x, full mode \
-             {full_speedup:.1}x >= 2x, kernel {kernel_speedup:.1}x >= 2x, \
-             SharedCredit/PaperLiteral {sc_vs_pl_ratio:.2} >= 0.5, \
-             obs-off {off_overhead:.3}x <= 1.05x)"
+            "smoke: OK (decision path at n=8000 {:.1}x >= 2x, full mode {:.1}x >= 2x, \
+             kernel {:.1}x >= 2x, SharedCredit/PaperLiteral {:.2} >= 0.5, obs-off {:.3}x \
+             <= 1.05x)",
+            scaling.median,
+            full.median,
+            kernel_speedup.median,
+            sc_vs_pl.median,
+            off_overhead.median
         );
         return;
     }
 
-    let out = results_dir().join("perf_decision.csv");
-    table.save_csv(&out).expect("write CSV");
-    println!("CSV written to {}", out.display());
-
-    // Hand-rolled JSON (the vendored serde shim has no serializer); the one
-    // key the smoke gate parses back is `headline_decisions_per_sec`.
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"perf_decision\",\n");
-    json.push_str(&format!(
-        "  \"headline_decisions_per_sec\": {headline:.1},\n  \
-         \"decision_path_rebuild_per_sec\": {path_reference:.1},\n  \
-         \"decision_path_speedup\": {path_speedup:.2},\n  \
-         \"decision_path_scaling_speedup\": {scaling_speedup:.2},\n  \
-         \"decision_path_full_mode_speedup\": {full_speedup:.2},\n  \
-         \"decision_path_window_speedup\": {window_speedup:.2},\n  \
-         \"kernel_decisions_per_sec\": {kernel_headline:.1},\n  \
-         \"kernel_lazy_decisions_per_sec\": {kernel_lazy:.1},\n  \
-         \"kernel_reference_decisions_per_sec\": {kernel_reference:.1},\n  \
-         \"kernel_speedup_vs_reference\": {kernel_speedup:.2},\n  \
-         \"kernel_sc_vs_paperliteral_ratio\": {sc_vs_pl_ratio:.2},\n  \
-         \"obs_plain_ns_per_job\": {plain_ns:.1},\n  \
-         \"obs_off_ns_per_job\": {off_ns:.1},\n  \
-         \"obs_on_ns_per_job\": {on_ns:.1},\n  \
-         \"obs_off_overhead\": {off_overhead:.3},\n  \
-         \"obs_on_overhead\": {on_overhead:.2},\n  \
-         \"cache_kernel_dense_ns_per_probe\": {:.1},\n  \
-         \"cache_kernel_reference_ns_per_probe\": {:.1},\n  \
-         \"cache_kernel_speedup\": {:.2},\n  \"decision_path\": [\n",
-        cache_kernel.dense_ns_per_op, cache_kernel.reference_ns_per_op, cache_kernel.speedup
-    ));
-    for (i, m) in path_measurements.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"n\": {}, \"engine\": \"{}\", \"jobs\": {}, \
-             \"decisions_per_sec\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-            m.mode,
-            m.n,
-            m.engine,
-            m.jobs,
-            m.decisions_per_sec,
-            m.p50_ns,
-            m.p99_ns,
-            if i + 1 == path_measurements.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
+    let smoke_headline = if reduced {
+        headline_dps
+    } else {
+        let (_, [alone, _]) = decision_path(HistoryMode::CacheSupported, 2000, 60, SMOKE_JOBS);
+        1e9 / alone.mean()
+    };
+    table.save_csv("perf_decision.csv");
+    let mut section = Section::new("perf_decision", headline.n);
+    section
+        .headline(
+            "headline_decisions_per_sec",
+            headline_dps,
+            headline.spread(),
+            smoke_headline,
+        )
+        .stat(
+            "decision_path_rebuild_per_sec",
+            1e9 / rebuild.mean(),
+            rebuild.spread(),
+        );
+    for (key, ratio) in [
+        ("decision_path_speedup", supported),
+        ("decision_path_scaling_speedup", scaling),
+        ("decision_path_full_mode_speedup", full),
+        ("decision_path_window_speedup", window),
+        ("kernel_speedup_vs_reference", kernel_speedup),
+        ("kernel_sc_vs_paperliteral_ratio", sc_vs_pl),
+        ("obs_off_overhead", off_overhead),
+        ("obs_on_overhead", on_overhead),
+    ] {
+        section.stat(key, ratio.median, ratio.spread());
     }
-    json.push_str("  ],\n  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"d\": {}, \"variant\": \"{}\", \"iters\": {}, \
-             \"decisions_per_sec\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {:.1}}}{}\n",
-            m.n,
-            m.d,
-            m.variant,
-            m.iters,
-            m.decisions_per_sec,
-            m.p50_ns,
-            m.p99_ns,
-            m.mean_ns,
-            if i + 1 == measurements.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    // Carry over the other perf binaries' sections, if a previous run
-    // recorded them — all perf binaries share the summary file.
-    if let Ok(old) = std::fs::read_to_string("BENCH_core.json") {
-        for name in [
-            "perf_eviction",
-            "perf_concurrent",
-            "perf_online",
-            "perf_grid",
-        ] {
-            if let Some(section) = extract_section(&old, name) {
-                json = upsert_section(&json, name, &section);
-            }
-        }
-    }
-    std::fs::write("BENCH_core.json", &json).expect("write BENCH_core.json");
-    println!("JSON summary written to BENCH_core.json");
+    section
+        .set("kernel_decisions_per_sec", Cell::num(kernel_headline, 1))
+        .set("kernel_lazy_decisions_per_sec", Cell::num(kernel_lazy, 1))
+        .set(
+            "kernel_reference_decisions_per_sec",
+            Cell::num(kernel_reference, 1),
+        )
+        .set("obs_plain_ns_per_job", Cell::num(plain_ns, 1))
+        .set("obs_off_ns_per_job", Cell::num(off_ns, 1))
+        .set("obs_on_ns_per_job", Cell::num(on_ns, 1))
+        .rows("decision_path", &path_table)
+        .rows("results", &table)
+        .write();
 }

@@ -12,105 +12,144 @@
 //! bytes. A warm phase fills the cache to exactly `n` resident files, then
 //! a churn phase requests random pairs from the whole population — about
 //! half of each pair misses, so nearly every request runs the victim
-//! selection path under a full cache. Reference twins get a time budget
-//! instead of a fixed churn length (the pre-index ARC is quadratic per
-//! eviction, so a full 10k churn would take hours); the reported rate is
-//! evictions over measured churn time either way.
+//! selection path under a full cache.
 //!
-//! The full run writes `results/perf_eviction.csv` and merges a
-//! `"perf_eviction"` section into `BENCH_core.json`. The `--smoke` mode
+//! The indexed policy and its twin run the churn in lockstep: chunk by
+//! chunk, interleaved (`fbc_bench::measure::paired_ratio`), so each
+//! per-chunk speedup sample compares the same requests under the same
+//! machine state, and the two sides' evicted files are asserted equal
+//! request by request. The pair gets a time budget instead of a fixed
+//! churn length (the pre-index ARC is quadratic per eviction, so a full
+//! 10k churn would take hours); rates are evictions over measured time
+//! either way. The indexed policy's own rate is measured alone, over the
+//! whole churn: next to the scan twin it loses its cache locality, which
+//! lowers the paired speedup (a conservative gate) but would misstate a
+//! throughput.
+//!
+//! The full run writes `results/perf_eviction.csv` and the
+//! `"perf_eviction"` section of `BENCH_core.json`. The `--smoke` mode
 //! writes nothing; it runs reduced sizes and fails (non-zero exit) when
 //! either
 //!
 //! * the geometric-mean indexed-vs-reference speedup at the largest smoke
 //!   size is below 2× (machine-independent ratio), or
-//! * a committed `BENCH_core.json` has a `headline_evictions_per_sec` and
-//!   the measured headline regressed more than 2× against it.
+//! * the headline evictions/sec is at or below half the committed value
+//!   measured at the same smoke size (`smoke_headline_evictions_per_sec`).
 
 use fbc_baselines::PolicyKind;
-use fbc_bench::{
-    banner, cache_membership_kernel, extract_number, quick_mode, results_dir, upsert_section,
+use fbc_bench::measure::{
+    gate_baseline, paired_ratio, repeat, smoke_mode, xorshift, Cell, Paired, Plan, Rows, Section,
 };
+use fbc_bench::{banner, quick_mode};
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::CachePolicy;
-use fbc_core::types::Bytes;
+use fbc_core::types::{Bytes, FileId};
 use fbc_obs::Obs;
-use fbc_sim::report::Table;
-use std::time::Instant;
 
-/// Deterministic xorshift64 generator (no external RNG needed here).
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
+/// Churn requests per timed call; the budget is checked between calls.
+const CHUNK: usize = 64;
+
+/// Smoke sizes and budget; the full run repeats them for the committed
+/// smoke-size headline.
+const SMOKE_SIZES: [usize; 2] = [250, 1_000];
+const SMOKE_BUDGET_NS: f64 = 1.5e9;
+
+/// The warm + churn workload at resident-set size `n`.
+struct Workload {
+    n: usize,
+    catalog: FileCatalog,
+    /// Bundles of 4 consecutive ids covering files `0..n` exactly, so
+    /// every policy ends the warm phase with the same `n` resident files.
+    warm: Vec<Bundle>,
+    /// `n` random pairs from the `2n`-file population.
+    churn: Vec<Bundle>,
 }
 
-/// Warm trace: bundles of 4 consecutive ids covering files `0..n` exactly,
-/// so every policy ends the phase with the same `n` resident files.
-fn warm_trace(n: usize) -> Vec<Bundle> {
-    (0..n / 4)
-        .map(|i| Bundle::from_raw((0..4u32).map(|j| (i * 4) as u32 + j)))
-        .collect()
-}
-
-/// Churn trace: `n` random pairs from the `2n`-file population.
-fn churn_trace(n: usize, seed: u64) -> Vec<Bundle> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            Bundle::from_raw([
-                (xorshift(&mut state) % (2 * n) as u64) as u32,
-                (xorshift(&mut state) % (2 * n) as u64) as u32,
-            ])
-        })
-        .collect()
-}
-
-struct RunResult {
-    evictions: u64,
-    elapsed_ns: u64,
-    /// Churn requests actually processed before the time budget ran out.
-    processed: usize,
-}
-
-/// Prepares the policy on the full trace, replays the warm phase untimed,
-/// then times the churn phase (checking the budget every 32 requests).
-fn run_churn(
-    policy: &mut Box<dyn CachePolicy>,
-    warm: &[Bundle],
-    churn: &[Bundle],
-    catalog: &FileCatalog,
-    capacity: Bytes,
-    budget_ns: u64,
-) -> RunResult {
-    let mut full: Vec<Bundle> = Vec::with_capacity(warm.len() + churn.len());
-    full.extend_from_slice(warm);
-    full.extend_from_slice(churn);
-    policy.prepare(&full);
-    let mut cache = CacheState::new(capacity);
-    for b in warm {
-        policy.handle(b, &mut cache, catalog);
-    }
-    let mut evictions = 0u64;
-    let mut processed = 0usize;
-    let start = Instant::now();
-    for chunk in churn.chunks(32) {
-        for b in chunk {
-            evictions += policy.handle(b, &mut cache, catalog).evicted_files.len() as u64;
-        }
-        processed += chunk.len();
-        if start.elapsed().as_nanos() as u64 > budget_ns {
-            break;
+impl Workload {
+    fn new(n: usize) -> Self {
+        let mut state = 0xE71C ^ ((n as u64) << 4);
+        let mut pick = || (xorshift(&mut state) % (2 * n) as u64) as u32;
+        Self {
+            n,
+            catalog: FileCatalog::from_sizes(vec![1; 2 * n]),
+            warm: (0..n / 4)
+                .map(|i| Bundle::from_raw((0..4u32).map(|j| (i * 4) as u32 + j)))
+                .collect(),
+            churn: (0..n).map(|_| Bundle::from_raw([pick(), pick()])).collect(),
         }
     }
-    RunResult {
-        evictions,
-        elapsed_ns: (start.elapsed().as_nanos() as u64).max(1),
-        processed,
+}
+
+/// One policy on its own warmed cache, stepping through the churn.
+struct Churner<'w> {
+    policy: Box<dyn CachePolicy>,
+    cache: CacheState,
+    w: &'w Workload,
+    /// Evicted files per processed churn request, in order.
+    evicted: Vec<Vec<FileId>>,
+}
+
+impl<'w> Churner<'w> {
+    /// Prepares the policy on the full trace and replays the warm phase.
+    fn new(mut policy: Box<dyn CachePolicy>, w: &'w Workload) -> Self {
+        let full: Vec<Bundle> = w.warm.iter().chain(&w.churn).cloned().collect();
+        policy.prepare(&full);
+        let mut cache = CacheState::new(w.n as Bytes);
+        for b in &w.warm {
+            policy.handle(b, &mut cache, &w.catalog);
+        }
+        Self {
+            policy,
+            cache,
+            w,
+            evicted: Vec::with_capacity(w.churn.len()),
+        }
     }
+
+    /// Handles the next chunk of the churn.
+    fn step(&mut self) {
+        let start = self.evicted.len();
+        for b in &self.w.churn[start..(start + CHUNK).min(self.w.churn.len())] {
+            let outcome = self.policy.handle(b, &mut self.cache, &self.w.catalog);
+            self.evicted.push(outcome.evicted_files);
+        }
+    }
+
+    fn evictions(&self) -> u64 {
+        self.evicted.iter().map(|e| e.len() as u64).sum()
+    }
+
+    /// Evictions per second over the churn handled so far in `ns`.
+    fn rate(&self, ns: f64) -> f64 {
+        self.evictions() as f64 * 1e9 / ns
+    }
+}
+
+/// Runs `a` and `b` through the churn in lockstep within `budget_ns`,
+/// asserts they evicted the same files request by request, and returns
+/// the measurement with side B's evictions/sec.
+fn lockstep(
+    a: Box<dyn CachePolicy>,
+    b: Box<dyn CachePolicy>,
+    w: &Workload,
+    budget_ns: f64,
+    what: &str,
+) -> (Paired, f64) {
+    let (mut a, mut b) = (Churner::new(a, w), Churner::new(b, w));
+    let plan = Plan {
+        budget_ns,
+        ..Plan::new(0, (w.churn.len() / CHUNK).max(1), 1)
+    };
+    let paired = paired_ratio(plan, || a.step(), || b.step());
+    assert_eq!(
+        a.evicted, b.evicted,
+        "{what} diverged at n={} (evicted files)",
+        w.n
+    );
+    let eps = b.rate(paired.b.total);
+    (paired, eps)
 }
 
 struct Row {
@@ -119,6 +158,43 @@ struct Row {
     indexed_eps: f64,
     reference_eps: f64,
     speedup: f64,
+    speedup_spread: f64,
+    eps_spread: f64,
+    batches: usize,
+}
+
+/// Every twin-carrying policy, indexed against its reference, at each size.
+fn sweep(sizes: &[usize], budget_ns: f64) -> Vec<Row> {
+    let mut kinds: Vec<PolicyKind> = PolicyKind::ONLINE.to_vec();
+    kinds.push(PolicyKind::BeladyMin);
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let w = Workload::new(n);
+        for &kind in &kinds {
+            // OptFileBundle has no twin here; perf_decision covers it.
+            let Some(reference) = kind.build_reference() else {
+                continue;
+            };
+            let name = kind.build().name().to_string();
+            let (p, reference_eps) = lockstep(kind.build(), reference, &w, budget_ns, &name);
+            // The indexed rate is measured alone: interleaved with the
+            // scan twin, the indexed side loses its cache locality, which
+            // the paired speedup absorbs but a throughput must not.
+            let mut alone = Churner::new(kind.build(), &w);
+            let (chunks, ()) = repeat(0, (w.churn.len() / CHUNK).max(1), || alone.step());
+            rows.push(Row {
+                n,
+                policy: name,
+                indexed_eps: alone.rate(chunks.total),
+                reference_eps,
+                speedup: p.ratio.median,
+                speedup_spread: p.ratio.spread(),
+                eps_spread: chunks.spread(),
+                batches: p.ratio.n,
+            });
+        }
+    }
+    rows
 }
 
 fn geomean(values: impl Iterator<Item = f64>) -> f64 {
@@ -129,8 +205,29 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     (sum / count as f64).exp()
 }
 
+/// The headline at the largest size: geomean indexed evictions/sec with
+/// the median per-policy spread, and geomean speedup likewise.
+fn headline(rows: &[Row]) -> ((f64, f64), (f64, f64)) {
+    let largest = rows.iter().map(|r| r.n).max().expect("rows measured");
+    let at: Vec<&Row> = rows.iter().filter(|r| r.n == largest).collect();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (
+        (
+            geomean(at.iter().map(|r| r.indexed_eps)),
+            median(at.iter().map(|r| r.eps_spread).collect()),
+        ),
+        (
+            geomean(at.iter().map(|r| r.speedup)),
+            median(at.iter().map(|r| r.speedup_spread).collect()),
+        ),
+    )
+}
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_mode();
     banner(if smoke {
         "perf_eviction — CI smoke (regression gate)"
     } else {
@@ -138,211 +235,91 @@ fn main() {
     });
 
     let reduced = smoke || quick_mode();
-    let sizes: &[usize] = if reduced {
-        &[250, 1_000]
+    let (sizes, budget_ns): (&[usize], f64) = if reduced {
+        (&SMOKE_SIZES, SMOKE_BUDGET_NS)
     } else {
-        &[1_000, 10_000]
+        (&[1_000, 10_000], 4e9)
     };
-    let iters = if reduced { 1 } else { 2 };
-    let budget_ns: u64 = if reduced {
-        1_500_000_000
-    } else {
-        4_000_000_000
-    };
+    let rows = sweep(sizes, budget_ns);
 
-    let mut kinds: Vec<PolicyKind> = PolicyKind::ONLINE.to_vec();
-    kinds.push(PolicyKind::BeladyMin);
-
-    let mut rows: Vec<Row> = Vec::new();
-    for &n in sizes {
-        let catalog = FileCatalog::from_sizes(vec![1; 2 * n]);
-        let warm = warm_trace(n);
-        let churn = churn_trace(n, 0xE71C ^ ((n as u64) << 4));
-        for &kind in &kinds {
-            let Some(_) = kind.build_reference() else {
-                continue; // OptFileBundle is covered by perf_decision
-            };
-            // Best-of-`iters` on both sides; fresh policy and cache per run.
-            let mut best_idx: Option<RunResult> = None;
-            let mut best_ref: Option<RunResult> = None;
-            for _ in 0..iters {
-                let mut p = kind.build();
-                let r = run_churn(&mut p, &warm, &churn, &catalog, n as Bytes, budget_ns);
-                if best_idx
-                    .as_ref()
-                    .is_none_or(|b| r.elapsed_ns < b.elapsed_ns)
-                {
-                    best_idx = Some(r);
-                }
-                let mut p = kind.build_reference().expect("twin exists");
-                let r = run_churn(&mut p, &warm, &churn, &catalog, n as Bytes, budget_ns);
-                if best_ref
-                    .as_ref()
-                    .is_none_or(|b| r.elapsed_ns < b.elapsed_ns)
-                {
-                    best_ref = Some(r);
-                }
-            }
-            let (idx, rf) = (best_idx.unwrap(), best_ref.unwrap());
-            // Free differential check whenever both sides finished the
-            // whole churn: identical policies make identical evictions.
-            if idx.processed == churn.len() && rf.processed == churn.len() {
-                assert_eq!(
-                    idx.evictions, rf.evictions,
-                    "{kind:?} diverged from its reference twin at n={n}"
-                );
-            }
-            let indexed_eps = idx.evictions as f64 * 1e9 / idx.elapsed_ns as f64;
-            let reference_eps = rf.evictions as f64 * 1e9 / rf.elapsed_ns as f64;
-            rows.push(Row {
-                n,
-                policy: kind.build().name().to_string(),
-                indexed_eps,
-                reference_eps,
-                speedup: indexed_eps / reference_eps,
-            });
-        }
-    }
-
-    let mut table = Table::new(["n", "policy", "indexed ev/s", "reference ev/s", "speedup"]);
+    let mut table = Rows::new([
+        "n",
+        "policy",
+        "indexed_eps",
+        "reference_eps",
+        "speedup",
+        "speedup_spread",
+        "batches",
+    ]);
     for r in &rows {
-        table.add_row([
-            r.n.to_string(),
-            r.policy.clone(),
-            format!("{:.0}", r.indexed_eps),
-            format!("{:.0}", r.reference_eps),
-            format!("{:.1}x", r.speedup),
+        table.push([
+            r.n.into(),
+            r.policy.clone().into(),
+            Cell::num(r.indexed_eps, 0),
+            Cell::num(r.reference_eps, 1),
+            Cell::num(r.speedup, 1),
+            Cell::num(r.speedup_spread, 3),
+            r.batches.into(),
         ]);
     }
-    print!("{}", table.to_ascii());
+    table.print();
 
     let largest = *sizes.last().expect("non-empty size sweep");
+    let ((eps, eps_spread), (speedup, speedup_spread)) = headline(&rows);
+    println!(
+        "\nheadline (n={largest}): geomean indexed {eps:.0} evictions/s (spread {eps_spread:.3}) \
+         — geomean speedup vs reference {speedup:.1}x"
+    );
 
     // Observability overhead on the eviction path, measured on LRU (the
     // cheapest per-request policy, so a per-call branch is most visible):
-    // the same churn plain, with a disabled sink attached, and enabled.
-    let obs_overheads = {
-        let catalog = FileCatalog::from_sizes(vec![1; 2 * largest]);
-        let warm = warm_trace(largest);
-        let churn = churn_trace(largest, 0xE71C ^ ((largest as u64) << 4));
-        let mode = |obs: Option<&Obs>| -> f64 {
-            let mut best = f64::MAX;
-            for rep in 0..=iters {
-                if let Some(o) = obs {
-                    o.clear();
-                }
-                let mut p = PolicyKind::Lru.build();
-                if let Some(o) = obs {
-                    p.attach_obs(o.clone());
-                }
-                let r = run_churn(&mut p, &warm, &churn, &catalog, largest as Bytes, budget_ns);
-                let ns_per_req = r.elapsed_ns as f64 / r.processed.max(1) as f64;
-                if rep > 0 {
-                    best = best.min(ns_per_req);
-                }
-            }
-            best
-        };
-        let plain_ns = mode(None);
-        let off = Obs::disabled();
-        let off_ns = mode(Some(&off));
-        let on = Obs::enabled();
-        let on_ns = mode(Some(&on));
-        println!(
-            "\nobs overhead (LRU, n={largest}): plain {plain_ns:.0} ns/req, attached-off \
-             {off_ns:.0} ns/req ({:.3}x), enabled {on_ns:.0} ns/req ({:.2}x)",
-            off_ns / plain_ns,
-            on_ns / plain_ns
-        );
-        (off_ns / plain_ns, on_ns / plain_ns)
+    // plain against a disabled sink attached, and against an enabled one.
+    // Observation must not perturb evictions, so these pairs are
+    // differential too.
+    let w = Workload::new(largest);
+    let overhead = |obs: Obs| {
+        let mut observed = PolicyKind::Lru.build();
+        observed.attach_obs(obs);
+        lockstep(
+            PolicyKind::Lru.build(),
+            observed,
+            &w,
+            f64::INFINITY,
+            "observed LRU",
+        )
+        .0
     };
-
-    // Residency membership kernel: the dense slab/bitset `CacheState`
-    // against its retained HashMap/BTreeSet twin on the batched hit-check
-    // + churn loop every eviction decision sits behind. The helper asserts
-    // both sides replay identically, so this row doubles as a differential
-    // test.
-    let cache_kernel = cache_membership_kernel(largest, if reduced { 8 } else { 32 });
+    let off = overhead(Obs::disabled());
+    let on = overhead(Obs::enabled());
     println!(
-        "\ncache membership kernel (n={largest}): dense {:.1} ns/probe vs reference \
-         {:.1} ns/probe ({:.1}x)",
-        cache_kernel.dense_ns_per_op, cache_kernel.reference_ns_per_op, cache_kernel.speedup
-    );
-
-    let headline_eps = geomean(
-        rows.iter()
-            .filter(|r| r.n == largest)
-            .map(|r| r.indexed_eps),
-    );
-    let headline_speedup = geomean(rows.iter().filter(|r| r.n == largest).map(|r| r.speedup));
-    println!(
-        "\nheadline (n={largest}): geomean indexed {headline_eps:.0} evictions/s \
-         — geomean speedup vs reference {headline_speedup:.1}x"
+        "obs overhead (LRU, n={largest}): attached-off {:.3}x, enabled {:.2}x the plain path",
+        off.ratio.median, on.ratio.median
     );
 
     if smoke {
-        // Gate 1: machine-independent indexed-vs-reference ratio.
         assert!(
-            headline_speedup >= 2.0,
-            "REGRESSION: indexed victim selection only {headline_speedup:.2}x the \
-             reference scan at n={largest} (acceptance floor: 2x)"
+            speedup >= 2.0,
+            "REGRESSION: indexed victim selection only {speedup:.2}x the reference scan at \
+             n={largest} (acceptance floor: 2x)"
         );
-        // Gate 2: >2x throughput regression against the committed baseline.
-        if let Ok(json) = std::fs::read_to_string("BENCH_core.json") {
-            if let Some(committed) = extract_number(&json, "\"headline_evictions_per_sec\":") {
-                assert!(
-                    headline_eps >= committed / 2.0,
-                    "REGRESSION: measured {headline_eps:.0} evictions/s is more than 2x \
-                     below the committed baseline {committed:.0}"
-                );
-                println!(
-                    "smoke: headline {headline_eps:.0} ev/s vs committed {committed:.0} ev/s \
-                     — within 2x"
-                );
-            }
-        }
-        println!("smoke: OK (geomean speedup {headline_speedup:.1}x >= 2x)");
+        gate_baseline("perf_eviction", "headline_evictions_per_sec", eps);
+        println!("smoke: OK (geomean speedup {speedup:.1}x >= 2x)");
         return;
     }
 
-    let out = results_dir().join("perf_eviction.csv");
-    table.save_csv(&out).expect("write CSV");
-    println!("CSV written to {}", out.display());
-
-    // Merge our section into the shared summary (hand-rolled JSON; the
-    // vendored serde shim has no serializer).
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str(&format!(
-        "    \"headline_evictions_per_sec\": {headline_eps:.1},\n    \
-         \"headline_eviction_speedup\": {headline_speedup:.2},\n    \
-         \"obs_off_overhead\": {:.3},\n    \
-         \"obs_on_overhead\": {:.2},\n    \
-         \"cache_kernel_dense_ns_per_probe\": {:.1},\n    \
-         \"cache_kernel_reference_ns_per_probe\": {:.1},\n    \
-         \"cache_kernel_speedup\": {:.2},\n    \
-         \"largest_n\": {largest},\n    \"results\": [\n",
-        obs_overheads.0,
-        obs_overheads.1,
-        cache_kernel.dense_ns_per_op,
-        cache_kernel.reference_ns_per_op,
-        cache_kernel.speedup
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "      {{\"n\": {}, \"policy\": \"{}\", \"indexed_eps\": {:.1}, \
-             \"reference_eps\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            r.n,
-            r.policy,
-            r.indexed_eps,
-            r.reference_eps,
-            r.speedup,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("    ]\n  }");
-    let old = std::fs::read_to_string("BENCH_core.json").unwrap_or_else(|_| "{\n}\n".to_string());
-    let merged = upsert_section(&old, "perf_eviction", &body);
-    std::fs::write("BENCH_core.json", &merged).expect("write BENCH_core.json");
-    println!("JSON summary merged into BENCH_core.json");
+    let smoke_eps = if reduced {
+        eps
+    } else {
+        println!("\nsmoke-size headline (the committed baseline --smoke gates against):");
+        headline(&sweep(&SMOKE_SIZES, SMOKE_BUDGET_NS)).0 .0
+    };
+    table.save_csv("perf_eviction.csv");
+    Section::new("perf_eviction", (w.churn.len() / CHUNK).max(1))
+        .headline("headline_evictions_per_sec", eps, eps_spread, smoke_eps)
+        .stat("headline_eviction_speedup", speedup, speedup_spread)
+        .stat("obs_off_overhead", off.ratio.median, off.ratio.spread())
+        .stat("obs_on_overhead", on.ratio.median, on.ratio.spread())
+        .set("largest_n", largest.into())
+        .rows("results", &table)
+        .write();
 }

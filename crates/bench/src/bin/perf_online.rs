@@ -29,19 +29,21 @@
 //!    *its own* routed sub-trace's offline optimum stays under the
 //!    per-shard bound `ρ(k/m, ℓ)`.
 //!
-//! The full run writes `results/perf_online.csv` and merges a
-//! `"perf_online"` section into `BENCH_core.json`. `--smoke` writes
-//! nothing and fails (non-zero exit) when
+//! The full run writes `results/perf_online.csv` and the `"perf_online"`
+//! section of `BENCH_core.json` (through `fbc_bench::measure`). `--smoke`
+//! runs the same workload, writes nothing, and fails (non-zero exit)
+//! when
 //!
 //! * any marking-policy ratio exceeds its bound (the competitive
 //!   guarantee, machine-independently deterministic), or
-//! * the committed `BENCH_core.json` has a `headline_ratio` and the
-//!   measured headline drifted from it (the workload is seeded, so any
-//!   drift is a behaviour change, not noise).
+//! * the committed section has a `headline_ratio` and the measured
+//!   headline drifted from it by more than 1e-3 (the workload is seeded,
+//!   so any drift is a behaviour change, not noise).
 
 use fbc_baselines::online_bundle::{distributed_marking_bound, marking_competitive_bound};
 use fbc_baselines::PolicyKind;
-use fbc_bench::{banner, extract_number, results_dir, upsert_section};
+use fbc_bench::banner;
+use fbc_bench::measure::{committed, smoke_mode, xorshift, Cell, Rows, Section};
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
@@ -52,15 +54,7 @@ use fbc_grid::concurrent::{run_concurrent_grid, ConcurrentConfig};
 use fbc_grid::engine::GridConfig;
 use fbc_grid::srm::SrmConfig;
 use fbc_grid::{ShardBy, ShardMap};
-use fbc_sim::report::Table;
 use fbc_workload::adversary::{round_robin_phases, sliding_window, unit_catalog};
-
-fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
-}
 
 /// Replays `trace` through a fresh instance of `kind` on a `capacity`-byte
 /// cache and returns the number of missed queries.
@@ -84,7 +78,7 @@ struct Row {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_mode();
     banner(if smoke {
         "perf_online — CI smoke (competitive-bound gate)"
     } else {
@@ -215,21 +209,21 @@ fn main() {
         }
     }
 
-    let mut table = Table::new([
+    let mut table = Rows::new([
         "section", "setting", "policy", "misses", "OPT", "ratio", "bound",
     ]);
     for r in &rows {
-        table.add_row([
-            r.section.to_string(),
-            r.setting.clone(),
-            r.policy.to_string(),
-            r.misses.to_string(),
-            r.opt.to_string(),
-            format!("{:.4}", r.ratio),
-            format!("{:.1}", r.bound),
+        table.push([
+            r.section.into(),
+            r.setting.clone().into(),
+            r.policy.into(),
+            r.misses.into(),
+            r.opt.into(),
+            Cell::num(r.ratio, 4),
+            Cell::num(r.bound, 1),
         ]);
     }
-    print!("{}", table.to_ascii());
+    table.print();
 
     // The competitive guarantee, enforced: every marking-policy row must
     // sit at or under its bound. (Comparators are context, not gated —
@@ -266,52 +260,27 @@ fn main() {
     if smoke {
         // The workload is fully seeded: any drift from the committed
         // headline is a behaviour change, not noise.
-        if let Ok(json) = std::fs::read_to_string("BENCH_core.json") {
-            if let Some(committed) = extract_number(&json, "\"headline_ratio\":") {
-                assert!(
-                    (headline.ratio - committed).abs() <= 1e-3,
-                    "REGRESSION: measured headline ratio {:.4} drifted from the committed \
-                     {committed:.4} on a deterministic workload",
-                    headline.ratio
-                );
-                println!(
-                    "smoke: headline ratio {:.2} matches committed {committed:.2}",
-                    headline.ratio
-                );
-            }
+        if let Some(committed) = committed("perf_online", "headline_ratio") {
+            assert!(
+                (headline.ratio - committed).abs() <= 1e-3,
+                "REGRESSION: measured headline ratio {:.4} drifted from the committed \
+                 {committed:.4} on a deterministic workload",
+                headline.ratio
+            );
+            println!(
+                "smoke: headline ratio {:.2} matches committed {committed:.2}",
+                headline.ratio
+            );
         }
         println!("smoke: OK (all marking ratios within their competitive bounds)");
         return;
     }
 
-    let out = results_dir().join("perf_online.csv");
-    table.save_csv(&out).expect("write CSV");
-    println!("CSV written to {}", out.display());
-
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str(&format!(
-        "    \"headline_ratio\": {:.4},\n    \"headline_bound\": {:.1},\n    \
-         \"results\": [\n",
-        headline.ratio, headline.bound
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "      {{\"section\": \"{}\", \"setting\": \"{}\", \"policy\": \"{}\", \
-             \"misses\": {}, \"opt\": {}, \"ratio\": {:.4}, \"bound\": {:.1}}}{}\n",
-            r.section,
-            r.setting,
-            r.policy,
-            r.misses,
-            r.opt,
-            r.ratio,
-            r.bound,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("    ]\n  }");
-    let old = std::fs::read_to_string("BENCH_core.json").unwrap_or_else(|_| "{\n}\n".to_string());
-    let merged = upsert_section(&old, "perf_online", &body);
-    std::fs::write("BENCH_core.json", &merged).expect("write BENCH_core.json");
-    println!("JSON summary merged into BENCH_core.json");
+    table.save_csv("perf_online.csv");
+    // Deterministic: one run, no timing.
+    Section::new("perf_online", 1)
+        .set("headline_ratio", Cell::num(headline.ratio, 4))
+        .set("headline_bound", Cell::num(headline.bound, 1))
+        .rows("results", &table)
+        .write();
 }

@@ -13,8 +13,16 @@
 //!
 //! Set `FBC_QUICK=1` to shrink job counts ~10× (CI / smoke runs), and
 //! `FBC_RESULTS=<dir>` to redirect CSV output.
+//!
+//! The four `perf_*` gates (`perf_decision`, `perf_eviction`, `perf_grid`,
+//! `perf_online`) measure only through [`measure`]: one clock with
+//! warmup, repeats and an interleaved paired ratio, one deterministic
+//! generator, one `BENCH_core.json` section per bin, and one
+//! committed-baseline check.
 
 #![warn(missing_docs)]
+
+pub mod measure;
 
 use fbc_core::policy::CachePolicy;
 use fbc_core::types::{Bytes, GIB};
@@ -191,175 +199,6 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===\n");
 }
 
-/// Result of [`cache_membership_kernel`]: the dense slab/bitset
-/// `CacheState` against its retained `HashMap`+`BTreeSet` twin on the
-/// residency hot loop.
-pub struct CacheKernelResult {
-    /// Nanoseconds per probe (batched hit check + churn amortised), dense.
-    pub dense_ns_per_op: f64,
-    /// Same figure for `CacheStateReference`.
-    pub reference_ns_per_op: f64,
-    /// `reference_ns_per_op / dense_ns_per_op`.
-    pub speedup: f64,
-    /// Hit-count checksum; asserted equal between the two sides, so every
-    /// benchmark run is also a differential test.
-    pub hits: u64,
-}
-
-/// Micro-benchmark of the residency membership kernel shared by every
-/// engine's hit/miss check: `passes` sweeps of `n` four-file bundle
-/// probes (`supports`) over a full cache of `n` unit files from a `2n`
-/// population, each miss churning one eviction plus one insertion. Both
-/// representations replay the identical deterministic op stream; their
-/// hit counts and final states must agree.
-pub fn cache_membership_kernel(n: usize, passes: usize) -> CacheKernelResult {
-    use fbc_core::bundle::Bundle;
-    use fbc_core::cache::{CacheState, CacheStateReference};
-    use fbc_core::catalog::FileCatalog;
-    use fbc_core::types::FileId;
-    use std::time::Instant;
-
-    let catalog = FileCatalog::from_sizes(vec![1; 2 * n]);
-    let mut state = 0xC0FFEE ^ ((n as u64) << 3);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let probes: Vec<Bundle> = (0..n)
-        .map(|_| Bundle::from_raw((0..4).map(|_| (next() % (2 * n) as u64) as u32)))
-        .collect();
-
-    // One measured side; the macro keeps the op stream textually identical
-    // for both cache types (no common trait to be generic over).
-    macro_rules! side {
-        ($cache:expr) => {{
-            let mut cache = $cache;
-            for f in 0..n as u32 {
-                cache.insert(FileId(f), &catalog).expect("warm fill fits");
-            }
-            let mut hits = 0u64;
-            let mut victim = 0u32; // rotates over the full id ring
-            let start = Instant::now();
-            for _ in 0..passes {
-                for b in &probes {
-                    if cache.supports(b) {
-                        hits += 1;
-                    } else {
-                        // Miss: make room (next resident victim on the
-                        // ring), then admit the first missing file.
-                        while cache.evict(FileId(victim)).is_err() {
-                            victim = (victim + 1) % (2 * n) as u32;
-                        }
-                        victim = (victim + 1) % (2 * n) as u32;
-                        let missing = b.iter().find(|&f| !cache.contains(f));
-                        if let Some(f) = missing {
-                            cache.insert(f, &catalog).expect("room was made");
-                        }
-                    }
-                }
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            (
-                elapsed * 1e9 / (passes * probes.len()) as f64,
-                hits,
-                cache.resident_files_sorted(),
-            )
-        }};
-    }
-
-    let (dense_ns, dense_hits, dense_state) = side!(CacheState::with_catalog(n as Bytes, &catalog));
-    let (reference_ns, reference_hits, reference_state) =
-        side!(CacheStateReference::new(n as Bytes));
-    assert_eq!(
-        dense_hits, reference_hits,
-        "dense CacheState diverged from its reference twin (hit counts)"
-    );
-    assert_eq!(
-        dense_state, reference_state,
-        "dense CacheState diverged from its reference twin (final resident set)"
-    );
-    CacheKernelResult {
-        dense_ns_per_op: dense_ns,
-        reference_ns_per_op: reference_ns,
-        speedup: reference_ns / dense_ns,
-        hits: dense_hits,
-    }
-}
-
-/// Pulls the first number following `key` out of `json` — a deliberately
-/// naive parser for the handful of scalars the perf smoke gates read back
-/// from the hand-rolled `BENCH_core.json` (the vendored serde shim has no
-/// deserializer).
-pub fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let start = json.find(key)? + key.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Byte span of the top-level `"name": { … }` section in a hand-rolled
-/// `BENCH_core.json`: from the opening quote of the key to the section's
-/// matching closing brace (inclusive). Brace matching ignores strings —
-/// fine for our generated summaries, which never put braces in values.
-fn section_span(json: &str, name: &str) -> Option<(usize, usize)> {
-    let marker = format!("\"{name}\":");
-    let mstart = json.find(&marker)?;
-    let after = mstart + marker.len();
-    let open = after + json[after..].find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((mstart, open + i + 1));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// The `{ … }` object body of a top-level `"name": { … }` section of the
-/// hand-rolled `BENCH_core.json`, if present.
-pub fn extract_section(json: &str, name: &str) -> Option<String> {
-    let (mstart, end) = section_span(json, name)?;
-    let open = mstart + json[mstart..end].find('{')?;
-    Some(json[open..end].to_string())
-}
-
-/// Inserts or replaces the top-level `"name": { … }` section in the
-/// hand-rolled `BENCH_core.json` text, keeping every other key intact —
-/// this is how `perf_decision` and `perf_eviction` share one summary file
-/// without clobbering each other's headline numbers.
-pub fn upsert_section(json: &str, name: &str, body: &str) -> String {
-    let mut text = json.trim_end().to_string();
-    if let Some((mstart, send)) = section_span(&text, name) {
-        // Cut the old section together with its leading comma.
-        let mut cut = mstart;
-        while cut > 0 && (text.as_bytes()[cut - 1] as char).is_whitespace() {
-            cut -= 1;
-        }
-        if cut > 0 && text.as_bytes()[cut - 1] == b',' {
-            cut -= 1;
-        }
-        text.replace_range(cut..send, "");
-    }
-    let close = text.rfind('}').expect("BENCH summary is a JSON object");
-    let mut head = text[..close].trim_end().to_string();
-    if !head.ends_with('{') {
-        head.push(',');
-    }
-    head.push_str(&format!("\n  \"{name}\": {body}\n}}\n"));
-    head
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,43 +214,6 @@ mod tests {
         assert_eq!(e.trace.requests.len(), 100);
         assert!(e.mean_request > 0.0);
         assert!(e.cache_for_requests(4.0) > e.cache_for_requests(2.0));
-    }
-
-    #[test]
-    fn bench_json_sections_round_trip() {
-        let base = "{\n  \"bench\": \"perf_decision\",\n  \"headline_decisions_per_sec\": 1307.5,\n  \"results\": [\n    {\"n\": 250}\n  ]\n}\n";
-        let body = "{\n    \"headline_evictions_per_sec\": 42.0,\n    \"results\": [\n      {\"policy\": \"LRU\"}\n    ]\n  }";
-        let merged = upsert_section(base, "perf_eviction", body);
-        assert_eq!(
-            extract_section(&merged, "perf_eviction").as_deref(),
-            Some(body)
-        );
-        assert_eq!(
-            extract_number(&merged, "\"headline_decisions_per_sec\":"),
-            Some(1307.5)
-        );
-        assert_eq!(
-            extract_number(&merged, "\"headline_evictions_per_sec\":"),
-            Some(42.0)
-        );
-        // Replacing is idempotent: no duplicate sections, other keys intact.
-        let body2 = "{\n    \"headline_evictions_per_sec\": 43.5\n  }";
-        let merged2 = upsert_section(&merged, "perf_eviction", body2);
-        assert_eq!(merged2.matches("perf_eviction").count(), 1);
-        assert_eq!(
-            extract_number(&merged2, "\"headline_evictions_per_sec\":"),
-            Some(43.5)
-        );
-        assert_eq!(
-            extract_number(&merged2, "\"headline_decisions_per_sec\":"),
-            Some(1307.5)
-        );
-        // Inserting into an empty object needs no comma.
-        let fresh = upsert_section("{\n}\n", "perf_eviction", body2);
-        assert_eq!(
-            extract_number(&fresh, "\"headline_evictions_per_sec\":"),
-            Some(43.5)
-        );
     }
 
     #[test]

@@ -71,11 +71,6 @@ pub struct OfbConfig {
     /// Optional cap on the number of candidate requests per decision (most
     /// recent kept); bounds worst-case decision latency.
     pub max_candidates: Option<usize>,
-    /// Maintain an inverted file→bundle index to find cache-supported
-    /// candidates without scanning the whole history (identical results,
-    /// lower per-decision cost; see `fbc_core::index`). Only meaningful
-    /// under [`HistoryMode::CacheSupported`].
-    pub use_index: bool,
 }
 
 impl Default for OfbConfig {
@@ -87,7 +82,6 @@ impl Default for OfbConfig {
             prefetch: false,
             value_fn: ValueFn::Count,
             max_candidates: None,
-            use_index: true,
         }
     }
 }
@@ -245,7 +239,7 @@ impl OptFileBundle {
 
     #[cfg(any(test, feature = "reference-kernels"))]
     fn indexing(&self) -> bool {
-        self.config.use_index && self.config.history_mode == HistoryMode::CacheSupported
+        self.config.history_mode == HistoryMode::CacheSupported
     }
 
     /// Records a request in the history and syncs the persistent decision
@@ -338,7 +332,7 @@ impl OptFileBundle {
     fn candidate_bundles(&mut self, cache: &CacheState, incoming: &Bundle) -> Vec<Bundle> {
         #[cfg(any(test, feature = "reference-kernels"))]
         if self.reference {
-            return candidates_of(&self.config, &self.history, &self.index, cache, incoming)
+            return candidates_of(&self.config, &self.history, &self.index, incoming)
                 .into_iter()
                 .map(|e| e.bundle.clone())
                 .collect();
@@ -518,7 +512,7 @@ impl OptFileBundle {
             obs,
             ..
         } = self;
-        let candidates = candidates_of(config, history, index, cache, incoming);
+        let candidates = candidates_of(config, history, index, incoming);
         obs.observe("ofb.candidates", candidates.len() as u64);
         if candidates.is_empty() {
             return (Vec::new(), Vec::new());
@@ -626,24 +620,15 @@ fn candidates_of<'h>(
     config: &OfbConfig,
     history: &'h RequestHistory,
     index: &'h SupportIndex,
-    cache: &CacheState,
     incoming: &Bundle,
 ) -> Vec<&'h crate::history::HistoryEntry> {
-    let indexing = config.use_index && config.history_mode == HistoryMode::CacheSupported;
     let mut cands: Vec<&crate::history::HistoryEntry> = match config.history_mode {
         HistoryMode::Full => history.entries().collect(),
         HistoryMode::Window(n) => history.most_recent(n),
-        HistoryMode::CacheSupported if indexing => index
+        HistoryMode::CacheSupported => index
             .supported_with(incoming)
             .into_iter()
             .filter_map(|id| history.get(index.bundle(id)))
-            .collect(),
-        HistoryMode::CacheSupported => history
-            .entries()
-            .filter(|e| {
-                e.bundle
-                    .is_subset_of(|f| cache.contains(f) || incoming.contains(f))
-            })
             .collect(),
     };
     // The history hash map iterates in arbitrary order; sort by recency
@@ -1061,42 +1046,6 @@ mod tests {
         assert_eq!(ofb.history().len(), 1);
         ofb.reset();
         assert_eq!(ofb.history().len(), 0);
-    }
-
-    #[test]
-    fn indexed_and_scanned_candidates_are_equivalent() {
-        // The inverted index must be a pure optimisation: identical
-        // decisions, byte for byte, on an arbitrary workload.
-        let catalog = FileCatalog::from_sizes((0..40).map(|i| (i % 9) + 1).collect::<Vec<u64>>());
-        let mut state = 0x1D09u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let jobs: Vec<Bundle> = (0..400)
-            .map(|_| {
-                let k = (next() % 4 + 1) as usize;
-                Bundle::from_raw((0..k).map(|_| (next() % 40) as u32))
-            })
-            .collect();
-        let run = |use_index: bool| {
-            let mut cache = CacheState::new(30);
-            let mut ofb = OptFileBundle::with_config(OfbConfig {
-                use_index,
-                ..OfbConfig::default()
-            });
-            let mut outcomes = Vec::new();
-            for bundle in &jobs {
-                outcomes.push(ofb.handle(bundle, &mut cache, &catalog));
-            }
-            (outcomes, cache.resident_files_sorted())
-        };
-        let (indexed, cache_a) = run(true);
-        let (scanned, cache_b) = run(false);
-        assert_eq!(indexed, scanned);
-        assert_eq!(cache_a, cache_b);
     }
 
     #[test]

@@ -37,18 +37,16 @@ fn configs() -> Vec<OfbConfig> {
         GreedyVariant::SortedOnce,
         GreedyVariant::SharedCredit,
     ] {
-        for (history_mode, prefetch, use_index) in [
-            (HistoryMode::Full, false, true),
-            (HistoryMode::Full, true, true),
-            (HistoryMode::Window(5), false, true),
-            (HistoryMode::CacheSupported, false, true),
-            (HistoryMode::CacheSupported, false, false),
+        for (history_mode, prefetch) in [
+            (HistoryMode::Full, false),
+            (HistoryMode::Full, true),
+            (HistoryMode::Window(5), false),
+            (HistoryMode::CacheSupported, false),
         ] {
             out.push(OfbConfig {
                 history_mode,
                 variant,
                 prefetch,
-                use_index,
                 ..OfbConfig::default()
             });
         }
