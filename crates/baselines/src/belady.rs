@@ -13,175 +13,68 @@
 //! every heap key exact.
 
 use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
-use fbc_core::types::FileId;
-use fbc_obs::Obs;
+use fbc_core::policy::RequestOutcome;
+use fbc_core::types::{Bytes, FileId};
+use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
-use std::collections::HashMap;
 
-use crate::util::LazyHeap;
+use crate::util::{Indexed, KeyedPolicy, LazyHeap};
 
-fn next_use_of(
-    uses: &HashMap<FileId, Vec<u64>>,
-    cursor: &HashMap<FileId, usize>,
-    now: u64,
-    file: FileId,
-) -> u64 {
-    match uses.get(&file) {
-        None => u64::MAX,
-        Some(positions) => {
-            let start = cursor.get(&file).copied().unwrap_or(0);
-            positions[start..]
-                .iter()
-                .copied()
-                .find(|&p| p > now)
-                .unwrap_or(u64::MAX)
-        }
-    }
-}
-
-/// Clairvoyant farthest-next-use replacement.
+/// Belady MIN's key and bookkeeping: every file's use positions in the
+/// prepared trace, and a cursor into them.
 #[derive(Debug, Clone, Default)]
-pub struct BeladyMin {
+pub struct BeladyKeys {
     /// For each file, the sorted positions (0-based request index) at which
     /// it is used in the prepared trace.
-    uses: HashMap<FileId, Vec<u64>>,
+    uses: FxHashMap<FileId, Vec<u64>>,
     /// Per-file cursor into `uses` (monotonic, advanced lazily).
-    cursor: HashMap<FileId, usize>,
+    cursor: FxHashMap<FileId, usize>,
     /// Index of the request currently being handled.
     now: u64,
     prepared: bool,
-    /// Resident files keyed by `Reverse(next use)`.
-    index: LazyHeap<Reverse<u64>>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
 }
 
-impl BeladyMin {
-    /// Creates an unprepared policy; call
-    /// [`prepare`](CachePolicy::prepare) with the trace before running.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl KeyedPolicy for BeladyKeys {
+    type Key = Reverse<u64>;
+    type Index = LazyHeap<Reverse<u64>>;
 
-    /// Position of the next use of `file` strictly after the current
-    /// request, or `u64::MAX` if never used again.
-    fn next_use(&self, file: FileId) -> u64 {
-        next_use_of(&self.uses, &self.cursor, self.now, file)
-    }
-
-    /// Advances cursors for the bundle's files past the current position.
-    fn advance(&mut self, bundle: &Bundle) {
-        for f in bundle.iter() {
-            if let Some(positions) = self.uses.get(&f) {
-                let cur = self.cursor.entry(f).or_insert(0);
-                while *cur < positions.len() && positions[*cur] <= self.now {
-                    *cur += 1;
-                }
-            }
-        }
-    }
-}
-
-impl CachePolicy for BeladyMin {
     fn name(&self) -> &str {
         "Belady-MIN"
     }
 
-    fn prepare_from(&mut self, trace: &mut dyn Iterator<Item = &Bundle>) {
-        self.uses.clear();
-        self.cursor.clear();
-        self.now = 0;
-        self.index.clear();
-        for (pos, bundle) in trace.enumerate() {
-            for f in bundle.iter() {
-                self.uses.entry(f).or_default().push(pos as u64);
+    /// `Reverse` of the position of the next use of `file` strictly after
+    /// the current request (`u64::MAX` if never used again), so the
+    /// farthest next use is the minimum key.
+    fn victim_key(&self, file: FileId, _size: Bytes) -> Reverse<u64> {
+        Reverse(match self.uses.get(&file) {
+            None => u64::MAX,
+            Some(positions) => {
+                let start = self.cursor.get(&file).copied().unwrap_or(0);
+                positions[start..]
+                    .iter()
+                    .copied()
+                    .find(|&p| p > self.now)
+                    .unwrap_or(u64::MAX)
             }
-        }
-        self.prepared = true;
+        })
     }
 
-    fn handle(
+    /// Advances the bundle's cursors past the current request. The
+    /// bundle's files are the only ones whose next use moved; they are
+    /// re-keyed before [`finish`](KeyedPolicy::finish) advances `now`, so
+    /// "strictly after the current request" still means after this one.
+    fn update(
         &mut self,
         bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
+        _outcome: &RequestOutcome,
+        _catalog: &FileCatalog,
+        touched: &mut Vec<FileId>,
+    ) {
         debug_assert!(
             self.prepared,
             "BeladyMin::prepare must be called with the trace before handling requests"
         );
-        let uses = &self.uses;
-        let cursor = &self.cursor;
-        let now = self.now;
-        let index = &mut self.index;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            if index.len() != cache.len() {
-                index.rebuild(
-                    cache
-                        .iter()
-                        .map(|(f, _)| (f, Reverse(next_use_of(uses, cursor, now, f)))),
-                );
-            }
-            index.choose(cache, bundle)
-        });
-        for &f in &outcome.evicted_files {
-            self.index.remove(f);
-        }
-        self.advance(bundle);
-        // Re-key the requested files: their next use just moved (the key is
-        // computed before `now` advances, so "strictly after the current
-        // request" still means after this one).
-        for f in bundle.iter() {
-            if cache.contains(f) {
-                self.index.update(f, Reverse(self.next_use(f)));
-            }
-        }
-        self.now += 1;
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn reset(&mut self) {
-        self.uses.clear();
-        self.cursor.clear();
-        self.now = 0;
-        self.prepared = false;
-        self.index.clear();
-    }
-}
-
-/// The pre-index full-scan Belady MIN, retained verbatim so the differential
-/// suite can pin [`BeladyMin`]'s indexed victim selection against it.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-pub struct BeladyMinReference {
-    uses: HashMap<FileId, Vec<u64>>,
-    cursor: HashMap<FileId, usize>,
-    now: u64,
-    prepared: bool,
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl BeladyMinReference {
-    /// Creates an unprepared reference policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn next_use(&self, file: FileId) -> u64 {
-        next_use_of(&self.uses, &self.cursor, self.now, file)
-    }
-
-    fn advance(&mut self, bundle: &Bundle) {
         for f in bundle.iter() {
             if let Some(positions) = self.uses.get(&f) {
                 let cur = self.cursor.entry(f).or_insert(0);
@@ -189,14 +82,12 @@ impl BeladyMinReference {
                     *cur += 1;
                 }
             }
+            touched.push(f);
         }
     }
-}
 
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for BeladyMinReference {
-    fn name(&self) -> &str {
-        "Belady-MIN"
+    fn finish(&mut self) {
+        self.now += 1;
     }
 
     fn prepare_from(&mut self, trace: &mut dyn Iterator<Item = &Bundle>) {
@@ -211,36 +102,31 @@ impl CachePolicy for BeladyMinReference {
         self.prepared = true;
     }
 
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        debug_assert!(self.prepared, "prepare must be called before handling");
-        let this: &BeladyMinReference = self;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            // Victim = farthest next use; `Reverse` turns max into min-by.
-            crate::util::choose_victim_min_by_reference(cache, bundle, |f, _| {
-                Reverse(this.next_use(f))
-            })
-        });
-        self.advance(bundle);
-        self.now += 1;
-        outcome
-    }
-
     fn reset(&mut self) {
         self.uses.clear();
         self.cursor.clear();
         self.now = 0;
         self.prepared = false;
+    }
+}
+
+/// Clairvoyant farthest-next-use replacement. Call
+/// [`prepare`](fbc_core::policy::CachePolicy::prepare) with the trace
+/// before running.
+pub type BeladyMin = Indexed<BeladyKeys>;
+
+impl BeladyMin {
+    /// Creates an unprepared policy.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbc_core::cache::CacheState;
+    use fbc_core::policy::CachePolicy;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())

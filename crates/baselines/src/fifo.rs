@@ -3,31 +3,65 @@
 //!
 //! Victim selection is indexed by an [`OrderedList`] in admission order:
 //! newly fetched files append at the back (in ascending-id order within a
-//! request, matching the reference scan's id tie-break) and hits never move
-//! anything, so the front is always the reference scan's choice.
+//! request, matching the id tie-break) and hits never move anything, so the
+//! front is always the minimum `(admission tick, FileId)`.
 
 use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
-use fbc_core::types::FileId;
-use fbc_obs::Obs;
-use std::collections::HashMap;
+use fbc_core::policy::RequestOutcome;
+use fbc_core::types::{Bytes, FileId};
+use rustc_hash::FxHashMap;
 
-use crate::util::OrderedList;
+use crate::util::{Indexed, KeyedPolicy, OrderedList};
+
+/// FIFO's key and bookkeeping: the admission tick per resident file.
+#[derive(Debug, Clone, Default)]
+pub struct FifoKeys {
+    clock: u64,
+    admitted_at: FxHashMap<FileId, u64>,
+}
+
+impl KeyedPolicy for FifoKeys {
+    type Key = u64;
+    /// Residents in admission order (front = oldest admission).
+    type Index = OrderedList<u64>;
+
+    fn name(&self) -> &str {
+        "FIFO"
+    }
+
+    fn victim_key(&self, file: FileId, _size: Bytes) -> u64 {
+        self.admitted_at.get(&file).copied().unwrap_or(0)
+    }
+
+    fn update(
+        &mut self,
+        _bundle: &Bundle,
+        outcome: &RequestOutcome,
+        _catalog: &FileCatalog,
+        touched: &mut Vec<FileId>,
+    ) {
+        self.clock += 1;
+        for f in &outcome.evicted_files {
+            self.admitted_at.remove(f);
+        }
+        // Only *newly fetched* files get an admission stamp; hits on
+        // resident files do not renew their lease (that's what makes it
+        // FIFO rather than LRU).
+        for &f in &outcome.fetched_files {
+            self.admitted_at.insert(f, self.clock);
+            touched.push(f);
+        }
+    }
+
+    fn reset(&mut self) {
+        self.clock = 0;
+        self.admitted_at.clear();
+    }
+}
 
 /// FIFO replacement policy.
-#[derive(Debug, Clone, Default)]
-pub struct Fifo {
-    clock: u64,
-    admitted_at: HashMap<FileId, u64>,
-    /// Residents in admission order (front = oldest admission).
-    order: OrderedList<()>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
-}
+pub type Fifo = Indexed<FifoKeys>;
 
 impl Fifo {
     /// Creates an empty FIFO policy.
@@ -36,115 +70,11 @@ impl Fifo {
     }
 }
 
-impl CachePolicy for Fifo {
-    fn name(&self) -> &str {
-        "FIFO"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        self.clock += 1;
-        let admitted_at = &self.admitted_at;
-        let order = &mut self.order;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            if order.len() != cache.len() {
-                // Policy state is out of step with the cache (e.g. reset
-                // against a warm cache): rebuild in (tick, id) order.
-                let mut residents: Vec<(u64, FileId)> = cache
-                    .iter()
-                    .map(|(f, _)| (admitted_at.get(&f).copied().unwrap_or(0), f))
-                    .collect();
-                residents.sort_unstable();
-                order.clear();
-                for (_, f) in residents {
-                    order.push_back(f, ());
-                }
-            }
-            order.choose(cache, bundle)
-        });
-        for f in &outcome.evicted_files {
-            self.admitted_at.remove(f);
-        }
-        // Only *newly fetched* files get an admission stamp; hits on
-        // resident files do not renew their lease (that's what makes it
-        // FIFO rather than LRU).
-        for f in &outcome.fetched_files {
-            self.admitted_at.insert(*f, self.clock);
-            self.order.push_back(*f, ());
-        }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn reset(&mut self) {
-        self.clock = 0;
-        self.admitted_at.clear();
-        self.order.clear();
-    }
-}
-
-/// The pre-index full-scan FIFO, retained verbatim so the differential suite
-/// can pin [`Fifo`]'s indexed victim selection against it.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-pub struct FifoReference {
-    clock: u64,
-    admitted_at: HashMap<FileId, u64>,
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl FifoReference {
-    /// Creates an empty reference FIFO policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for FifoReference {
-    fn name(&self) -> &str {
-        "FIFO"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        self.clock += 1;
-        let admitted_at = &self.admitted_at;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            crate::util::choose_victim_min_by_reference(cache, bundle, |f, _| {
-                admitted_at.get(&f).copied().unwrap_or(0)
-            })
-        });
-        for f in &outcome.evicted_files {
-            self.admitted_at.remove(f);
-        }
-        for f in &outcome.fetched_files {
-            self.admitted_at.insert(*f, self.clock);
-        }
-        outcome
-    }
-
-    fn reset(&mut self) {
-        self.clock = 0;
-        self.admitted_at.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbc_core::cache::CacheState;
+    use fbc_core::policy::CachePolicy;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())

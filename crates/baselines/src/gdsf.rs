@@ -12,19 +12,17 @@
 //! insertion time, exactly as the classic priority-queue formulation of the
 //! GreedyDual family prescribes). The one subtlety is a resync against a
 //! warm cache: residents with no stored H are keyed `L + freq` with the
-//! *current* L, so while any such file remains resident the index is
-//! re-keyed per eviction round (matching the reference scan bit-for-bit)
-//! until every resident has a stored H again.
+//! *current* L, so while any such file remains resident its key floats
+//! ([`KeyedPolicy::key_floats`]) and the index is re-keyed per eviction
+//! round until every resident has a stored H again.
 
 use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
-use fbc_core::types::FileId;
-use fbc_obs::Obs;
-use std::collections::HashMap;
+use fbc_core::policy::RequestOutcome;
+use fbc_core::types::{Bytes, FileId};
+use rustc_hash::FxHashMap;
 
-use crate::util::{LazyHeap, OrdF64};
+use crate::util::{Indexed, KeyedPolicy, LazyHeap, OrdF64};
 
 /// How GDSF computes per-file cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,59 +34,32 @@ pub enum GdsfCost {
     Uniform,
 }
 
-fn h_value_of(cost: GdsfCost, l: f64, freq: &HashMap<FileId, u64>, f: FileId, size: u64) -> f64 {
-    let freq = freq.get(&f).copied().unwrap_or(0) as f64;
-    match cost {
-        GdsfCost::SizeProportional => l + freq,
-        GdsfCost::Uniform => l + freq / size.max(1) as f64,
-    }
-}
-
-/// The GDSF policy.
+/// GDSF's key and bookkeeping: frequencies, stored H values and the
+/// inflation value `L`.
 #[derive(Debug, Clone, Default)]
-pub struct Gdsf {
+pub struct GdsfKeys {
     cost: GdsfCost,
-    freq: HashMap<FileId, u64>,
-    h: HashMap<FileId, f64>,
+    freq: FxHashMap<FileId, u64>,
+    h: FxHashMap<FileId, f64>,
     /// Inflation value L.
     l: f64,
-    /// Resident files keyed by H.
-    index: LazyHeap<OrdF64>,
-    /// Set while some resident lacks a stored H (post-resync): such files
-    /// are keyed with the current L, so the index must be re-keyed per
-    /// eviction round until they are all serviced or evicted.
-    force_resync: bool,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
 }
 
-impl Gdsf {
-    /// GDSF with size-proportional cost.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// GDSF with an explicit cost model.
-    pub fn with_cost(cost: GdsfCost) -> Self {
-        Self {
-            cost,
-            ..Self::default()
+impl GdsfKeys {
+    /// `L + freq · cost / size` with the current `L`.
+    fn h_value(&self, f: FileId, size: u64) -> f64 {
+        let freq = self.freq.get(&f).copied().unwrap_or(0) as f64;
+        match self.cost {
+            GdsfCost::SizeProportional => self.l + freq,
+            GdsfCost::Uniform => self.l + freq / size.max(1) as f64,
         }
     }
-
-    /// Current inflation value `L` (diagnostics).
-    pub fn inflation(&self) -> f64 {
-        self.l
-    }
-
-    fn h_value(&self, f: FileId, size: u64) -> f64 {
-        h_value_of(self.cost, self.l, &self.freq, f, size)
-    }
 }
 
-impl CachePolicy for Gdsf {
+impl KeyedPolicy for GdsfKeys {
+    type Key = OrdF64;
+    type Index = LazyHeap<OrdF64>;
+
     fn name(&self) -> &str {
         match self.cost {
             GdsfCost::SizeProportional => "GDSF",
@@ -96,167 +67,37 @@ impl CachePolicy for Gdsf {
         }
     }
 
-    fn handle(
+    /// The stored H, or — for a resident with none (after a reset against
+    /// a warm cache) — H computed with the current `L`.
+    fn victim_key(&self, file: FileId, size: Bytes) -> OrdF64 {
+        OrdF64(
+            self.h
+                .get(&file)
+                .copied()
+                .unwrap_or_else(|| self.h_value(file, size)),
+        )
+    }
+
+    /// A resident with no stored H is keyed with the current `L`, which
+    /// moves whenever a request evicts.
+    fn key_floats(&self, file: FileId) -> bool {
+        !self.h.contains_key(&file)
+    }
+
+    fn update(
         &mut self,
         bundle: &Bundle,
-        cache: &mut CacheState,
+        outcome: &RequestOutcome,
         catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        // Inflation L is read from the victims as they are chosen; H-values
-        // and frequencies of the bundle's files update after service.
-        let mut max_evicted_h: Option<f64> = None;
-        let mut force_resync = self.force_resync;
-        let outcome = {
-            let cost = self.cost;
-            let l = self.l;
-            let freq = &self.freq;
-            let h = &self.h;
-            let index = &mut self.index;
-            let max_evicted_h = &mut max_evicted_h;
-            let force_resync = &mut force_resync;
-            service_with_evictor(bundle, cache, catalog, move |cache| {
-                if *force_resync || index.len() != cache.len() {
-                    let mut missing = false;
-                    index.rebuild(cache.iter().map(|(f, size)| {
-                        let key = match h.get(&f) {
-                            Some(&v) => v,
-                            None => {
-                                missing = true;
-                                h_value_of(cost, l, freq, f, size)
-                            }
-                        };
-                        (f, OrdF64(key))
-                    }));
-                    *force_resync = missing;
-                }
-                let victim = index.choose(cache, bundle);
-                if let Some(f) = victim {
-                    let size = catalog.size(f);
-                    let hv = h
-                        .get(&f)
-                        .copied()
-                        .unwrap_or_else(|| h_value_of(cost, l, freq, f, size));
-                    *max_evicted_h = Some(max_evicted_h.map_or(hv, |a| a.max(hv)));
-                }
-                victim
-            })
-        };
-        self.force_resync = force_resync;
-
-        if let Some(max_h) = max_evicted_h {
-            // L rises to the largest H evicted in this round.
-            self.l = self.l.max(max_h);
-        }
-        for f in &outcome.evicted_files {
-            self.freq.remove(f);
-            self.h.remove(f);
-            self.index.remove(*f);
-        }
-        if outcome.serviced {
-            for f in bundle.iter() {
-                *self.freq.entry(f).or_insert(0) += 1;
-                let h = self.h_value(f, catalog.size(f));
-                self.h.insert(f, h);
-                if cache.contains(f) {
-                    self.index.update(f, OrdF64(h));
-                }
-            }
-        }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn reset(&mut self) {
-        self.freq.clear();
-        self.h.clear();
-        self.l = 0.0;
-        self.index.clear();
-        self.force_resync = false;
-    }
-}
-
-/// The pre-index full-scan GDSF, retained verbatim so the differential suite
-/// can pin [`Gdsf`]'s indexed victim selection against it.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-pub struct GdsfReference {
-    cost: GdsfCost,
-    freq: HashMap<FileId, u64>,
-    h: HashMap<FileId, f64>,
-    l: f64,
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl GdsfReference {
-    /// Reference GDSF with size-proportional cost.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reference GDSF with an explicit cost model.
-    pub fn with_cost(cost: GdsfCost) -> Self {
-        Self {
-            cost,
-            ..Self::default()
-        }
-    }
-
-    fn h_value(&self, f: FileId, size: u64) -> f64 {
-        h_value_of(self.cost, self.l, &self.freq, f, size)
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for GdsfReference {
-    fn name(&self) -> &str {
-        match self.cost {
-            GdsfCost::SizeProportional => "GDSF",
-            GdsfCost::Uniform => "GDSF(uniform-cost)",
-        }
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let mut evicted_h: Vec<f64> = Vec::new();
-        let outcome = {
-            let this: &GdsfReference = &*self;
-            let evicted_h = &mut evicted_h;
-            service_with_evictor(bundle, cache, catalog, move |cache| {
-                let victim =
-                    crate::util::choose_victim_min_by_reference(cache, bundle, |f, size| {
-                        this.h
-                            .get(&f)
-                            .copied()
-                            .unwrap_or_else(|| this.h_value(f, size))
-                    });
-                if let Some(f) = victim {
-                    let size = cache
-                        .iter()
-                        .find(|&(g, _)| g == f)
-                        .map(|(_, s)| s)
-                        .unwrap_or(1);
-                    evicted_h.push(
-                        this.h
-                            .get(&f)
-                            .copied()
-                            .unwrap_or_else(|| this.h_value(f, size)),
-                    );
-                }
-                victim
-            })
-        };
-
-        if let Some(max_h) = evicted_h
+        touched: &mut Vec<FileId>,
+    ) {
+        // L rises to the largest H evicted in this round. The victims' keys
+        // are read before any metadata moves, so they are the keys the
+        // victims were chosen by.
+        if let Some(max_h) = outcome
+            .evicted_files
             .iter()
-            .copied()
+            .map(|&f| self.victim_key(f, catalog.size(f)).0)
             .fold(None::<f64>, |acc, h| Some(acc.map_or(h, |a| a.max(h))))
         {
             self.l = self.l.max(max_h);
@@ -270,9 +111,9 @@ impl CachePolicy for GdsfReference {
                 *self.freq.entry(f).or_insert(0) += 1;
                 let h = self.h_value(f, catalog.size(f));
                 self.h.insert(f, h);
+                touched.push(f);
             }
         }
-        outcome
     }
 
     fn reset(&mut self) {
@@ -282,9 +123,35 @@ impl CachePolicy for GdsfReference {
     }
 }
 
+/// The GDSF policy.
+pub type Gdsf = Indexed<GdsfKeys>;
+
+impl Gdsf {
+    /// GDSF with size-proportional cost.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// GDSF with an explicit cost model.
+    pub fn with_cost(cost: GdsfCost) -> Self {
+        Indexed::with_policy(GdsfKeys {
+            cost,
+            ..GdsfKeys::default()
+        })
+    }
+
+    /// Current inflation value `L` (diagnostics).
+    pub fn inflation(&self) -> f64 {
+        self.policy().l
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::ScanOracle;
+    use fbc_core::cache::CacheState;
+    use fbc_core::policy::CachePolicy;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())
@@ -355,7 +222,7 @@ mod tests {
         let catalog = FileCatalog::from_sizes(vec![1; 8]);
         let trace: Vec<Bundle> = (0..20u32).map(|i| b(&[i % 5, (i * 3) % 5])).collect();
         let mut fast = Gdsf::new();
-        let mut slow = GdsfReference::new();
+        let mut slow = ScanOracle::new(Gdsf::new());
         let mut cache_fast = CacheState::new(3);
         let mut cache_slow = CacheState::new(3);
         for (i, r) in trace.iter().enumerate() {

@@ -7,30 +7,56 @@
 //!
 //! Victim selection is indexed by a [`LazyHeap`] keyed on the lifetime
 //! count, reprioritised whenever a serviced bundle bumps a resident file's
-//! count — `O(log n)` per eviction instead of the reference scan's
-//! `O(n log n)`.
+//! count — `O(log n)` per eviction instead of a full scan's `O(n log n)`.
 
 use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
-use fbc_core::types::FileId;
-use fbc_obs::Obs;
-use std::collections::HashMap;
+use fbc_core::policy::RequestOutcome;
+use fbc_core::types::{Bytes, FileId};
+use rustc_hash::FxHashMap;
 
-use crate::util::LazyHeap;
+use crate::util::{Indexed, KeyedPolicy, LazyHeap};
+
+/// LFU's key and bookkeeping: the lifetime reference count per file.
+#[derive(Debug, Clone, Default)]
+pub struct LfuKeys {
+    counts: FxHashMap<FileId, u64>,
+}
+
+impl KeyedPolicy for LfuKeys {
+    type Key = u64;
+    type Index = LazyHeap<u64>;
+
+    fn name(&self) -> &str {
+        "LFU"
+    }
+
+    fn victim_key(&self, file: FileId, _size: Bytes) -> u64 {
+        self.counts.get(&file).copied().unwrap_or(0)
+    }
+
+    fn update(
+        &mut self,
+        bundle: &Bundle,
+        outcome: &RequestOutcome,
+        _catalog: &FileCatalog,
+        touched: &mut Vec<FileId>,
+    ) {
+        if outcome.serviced {
+            for f in bundle.iter() {
+                *self.counts.entry(f).or_insert(0) += 1;
+                touched.push(f);
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.counts.clear();
+    }
+}
 
 /// LFU replacement policy.
-#[derive(Debug, Clone, Default)]
-pub struct Lfu {
-    counts: HashMap<FileId, u64>,
-    /// Resident files keyed by current lifetime count.
-    index: LazyHeap<u64>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
-}
+pub type Lfu = Indexed<LfuKeys>;
 
 impl Lfu {
     /// Creates an empty LFU policy.
@@ -40,112 +66,15 @@ impl Lfu {
 
     /// Reference count of a file (diagnostics).
     pub fn count(&self, file: FileId) -> u64 {
-        self.counts.get(&file).copied().unwrap_or(0)
-    }
-}
-
-impl CachePolicy for Lfu {
-    fn name(&self) -> &str {
-        "LFU"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let counts = &self.counts;
-        let index = &mut self.index;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            if index.len() != cache.len() {
-                // Policy state is out of step with the cache (e.g. reset
-                // against a warm cache): re-key every resident.
-                index.rebuild(
-                    cache
-                        .iter()
-                        .map(|(f, _)| (f, counts.get(&f).copied().unwrap_or(0))),
-                );
-            }
-            index.choose(cache, bundle)
-        });
-        if outcome.serviced {
-            for f in bundle.iter() {
-                let c = self.counts.entry(f).or_insert(0);
-                *c += 1;
-                let c = *c;
-                if cache.contains(f) {
-                    self.index.update(f, c);
-                }
-            }
-        }
-        for &f in &outcome.evicted_files {
-            self.index.remove(f);
-        }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn reset(&mut self) {
-        self.counts.clear();
-        self.index.clear();
-    }
-}
-
-/// The pre-index full-scan LFU, retained verbatim so the differential suite
-/// can pin [`Lfu`]'s indexed victim selection against it.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-pub struct LfuReference {
-    counts: HashMap<FileId, u64>,
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl LfuReference {
-    /// Creates an empty reference LFU policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for LfuReference {
-    fn name(&self) -> &str {
-        "LFU"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let counts = &self.counts;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            crate::util::choose_victim_min_by_reference(cache, bundle, |f, _| {
-                counts.get(&f).copied().unwrap_or(0)
-            })
-        });
-        if outcome.serviced {
-            for f in bundle.iter() {
-                *self.counts.entry(f).or_insert(0) += 1;
-            }
-        }
-        outcome
-    }
-
-    fn reset(&mut self) {
-        self.counts.clear();
+        self.policy().victim_key(file, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbc_core::cache::CacheState;
+    use fbc_core::policy::CachePolicy;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())

@@ -105,31 +105,13 @@ impl PolicyKind {
 
     /// Instantiates the policy.
     pub fn build(self) -> Box<dyn CachePolicy> {
-        match self {
-            PolicyKind::OptFileBundle => Box::new(fbc_core::optfilebundle::OptFileBundle::new()),
-            PolicyKind::Landlord => Box::new(Landlord::new()),
-            PolicyKind::LandlordSizeAware => {
-                Box::new(Landlord::with_cost_model(CostModel::SizeAware))
-            }
-            PolicyKind::Lru => Box::new(Lru::new()),
-            PolicyKind::Lru2 => Box::new(LruK::lru2()),
-            PolicyKind::Arc => Box::new(Arc::new()),
-            PolicyKind::Lfu => Box::new(Lfu::new()),
-            PolicyKind::Gdsf => Box::new(Gdsf::new()),
-            PolicyKind::Fifo => Box::new(Fifo::new()),
-            PolicyKind::Random => Box::new(RandomEvict::new(0xF1BC)),
-            PolicyKind::LargestFirst => Box::new(LargestFirst::new()),
-            PolicyKind::Slru => Box::new(Slru::new()),
-            PolicyKind::BundleMarking => Box::new(BundleMarking::new()),
-            PolicyKind::BundleMarkingRand => Box::new(BundleMarkingRandom::new(0xF1BC)),
-            PolicyKind::BeladyMin => Box::new(BeladyMin::new()),
-        }
+        self.build_send()
     }
 
     /// Instantiates the policy as a [`SendPolicy`] for cross-thread use
-    /// (sharded drivers build one instance per worker). Same constructors
-    /// and configuration as [`build`](Self::build) — every policy in the
-    /// workspace owns its state, so all of them are `Send`.
+    /// (sharded drivers build one instance per worker). Every policy in the
+    /// workspace owns its state, so all of them are `Send`;
+    /// [`build`](Self::build) is this same instance.
     pub fn build_send(self) -> SendPolicy {
         match self {
             PolicyKind::OptFileBundle => Box::new(fbc_core::optfilebundle::OptFileBundle::new()),
@@ -152,27 +134,29 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates the pre-index reference twin of the policy — the
-    /// per-eviction full-scan implementation retained verbatim for
-    /// differential testing and the `perf_eviction` speedup benchmark.
-    /// Returns `None` for [`PolicyKind::OptFileBundle`], whose reference
-    /// kernels live in `fbc-core` (see `tests/kernel_equivalence.rs`).
+    /// Instantiates the policy's full-scan reference for differential
+    /// testing and the `perf_eviction` speedup benchmark: the
+    /// [`ScanOracle`](util::ScanOracle) of a keyed policy, or the policy's
+    /// own reference twin. Returns `None` for [`PolicyKind::OptFileBundle`],
+    /// whose reference kernels live in `fbc-core` (see
+    /// `tests/kernel_equivalence.rs`).
     #[cfg(any(test, feature = "reference-kernels"))]
     pub fn build_reference(self) -> Option<Box<dyn CachePolicy>> {
+        use util::ScanOracle;
         match self {
             PolicyKind::OptFileBundle => None,
             PolicyKind::Landlord => Some(Box::new(landlord::LandlordReference::new())),
             PolicyKind::LandlordSizeAware => Some(Box::new(
                 landlord::LandlordReference::with_cost_model(CostModel::SizeAware),
             )),
-            PolicyKind::Lru => Some(Box::new(lru::LruReference::new())),
-            PolicyKind::Lru2 => Some(Box::new(lruk::LruKReference::lru2())),
+            PolicyKind::Lru => Some(Box::new(ScanOracle::new(Lru::new()))),
+            PolicyKind::Lru2 => Some(Box::new(ScanOracle::new(LruK::lru2()))),
             PolicyKind::Arc => Some(Box::new(arc::ArcReference::new())),
-            PolicyKind::Lfu => Some(Box::new(lfu::LfuReference::new())),
-            PolicyKind::Gdsf => Some(Box::new(gdsf::GdsfReference::new())),
-            PolicyKind::Fifo => Some(Box::new(fifo::FifoReference::new())),
+            PolicyKind::Lfu => Some(Box::new(ScanOracle::new(Lfu::new()))),
+            PolicyKind::Gdsf => Some(Box::new(ScanOracle::new(Gdsf::new()))),
+            PolicyKind::Fifo => Some(Box::new(ScanOracle::new(Fifo::new()))),
             PolicyKind::Random => Some(Box::new(random::RandomEvictReference::new(0xF1BC))),
-            PolicyKind::LargestFirst => Some(Box::new(size::LargestFirstReference::new())),
+            PolicyKind::LargestFirst => Some(Box::new(ScanOracle::new(LargestFirst::new()))),
             PolicyKind::Slru => Some(Box::new(slru::SlruReference::new())),
             PolicyKind::BundleMarking => {
                 Some(Box::new(online_bundle::BundleMarkingReference::new()))
@@ -180,7 +164,7 @@ impl PolicyKind {
             PolicyKind::BundleMarkingRand => Some(Box::new(
                 online_bundle::BundleMarkingRandomReference::new(0xF1BC),
             )),
-            PolicyKind::BeladyMin => Some(Box::new(belady::BeladyMinReference::new())),
+            PolicyKind::BeladyMin => Some(Box::new(ScanOracle::new(BeladyMin::new()))),
         }
     }
 }

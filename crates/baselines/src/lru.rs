@@ -7,33 +7,66 @@
 //!
 //! Victim selection is indexed by an [`OrderedList`]: serviced bundle files
 //! move to the back in ascending-id order, so the front-to-back order is
-//! exactly the reference scan's `(last-touch tick, FileId)` ranking and each
-//! eviction is O(skipped + 1) instead of O(n log n).
+//! exactly the `(last-touch tick, FileId)` ranking and each eviction is
+//! O(skipped + 1) instead of a full scan's O(n log n).
 
 use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
-use fbc_core::types::FileId;
-use fbc_obs::Obs;
-use std::collections::HashMap;
+use fbc_core::policy::RequestOutcome;
+use fbc_core::types::{Bytes, FileId};
+use rustc_hash::FxHashMap;
 
-use crate::util::OrderedList;
+use crate::util::{Indexed, KeyedPolicy, OrderedList};
 
-/// LRU replacement policy.
+/// LRU's key and bookkeeping: the last-touch tick per file.
 #[derive(Debug, Clone, Default)]
-pub struct Lru {
+pub struct LruKeys {
     /// Logical clock, incremented per request.
     clock: u64,
     /// Last-touch tick per file.
-    last_used: HashMap<FileId, u64>,
-    /// Residents in eviction order (front = least recently used).
-    order: OrderedList<()>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
+    last_used: FxHashMap<FileId, u64>,
 }
+
+impl KeyedPolicy for LruKeys {
+    type Key = u64;
+    /// Residents in eviction order (front = least recently used).
+    type Index = OrderedList<u64>;
+
+    fn name(&self) -> &str {
+        "LRU"
+    }
+
+    fn victim_key(&self, file: FileId, _size: Bytes) -> u64 {
+        self.last_used.get(&file).copied().unwrap_or(0)
+    }
+
+    fn update(
+        &mut self,
+        bundle: &Bundle,
+        outcome: &RequestOutcome,
+        _catalog: &FileCatalog,
+        touched: &mut Vec<FileId>,
+    ) {
+        self.clock += 1;
+        if outcome.serviced {
+            for f in bundle.iter() {
+                self.last_used.insert(f, self.clock);
+                touched.push(f);
+            }
+        }
+        for f in &outcome.evicted_files {
+            self.last_used.remove(f);
+        }
+    }
+
+    fn reset(&mut self) {
+        self.clock = 0;
+        self.last_used.clear();
+    }
+}
+
+/// LRU replacement policy.
+pub type Lru = Indexed<LruKeys>;
 
 impl Lru {
     /// Creates an empty LRU policy.
@@ -43,120 +76,15 @@ impl Lru {
 
     /// Last-touch tick of a file (diagnostics).
     pub fn last_used(&self, file: FileId) -> Option<u64> {
-        self.last_used.get(&file).copied()
-    }
-}
-
-impl CachePolicy for Lru {
-    fn name(&self) -> &str {
-        "LRU"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        self.clock += 1;
-        let last_used = &self.last_used;
-        let order = &mut self.order;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            if order.len() != cache.len() {
-                // Policy state is out of step with the cache (e.g. reset
-                // against a warm cache): rebuild in (tick, id) order.
-                let mut residents: Vec<(u64, FileId)> = cache
-                    .iter()
-                    .map(|(f, _)| (last_used.get(&f).copied().unwrap_or(0), f))
-                    .collect();
-                residents.sort_unstable();
-                order.clear();
-                for (_, f) in residents {
-                    order.push_back(f, ());
-                }
-            }
-            order.choose(cache, bundle)
-        });
-        if outcome.serviced {
-            for f in bundle.iter() {
-                self.last_used.insert(f, self.clock);
-                self.order.move_to_back(f, ());
-            }
-        }
-        for f in &outcome.evicted_files {
-            self.last_used.remove(f);
-        }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn reset(&mut self) {
-        self.clock = 0;
-        self.last_used.clear();
-        self.order.clear();
-    }
-}
-
-/// The pre-index full-scan LRU, retained verbatim so the differential suite
-/// can pin [`Lru`]'s indexed victim selection against it.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-pub struct LruReference {
-    clock: u64,
-    last_used: HashMap<FileId, u64>,
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl LruReference {
-    /// Creates an empty reference LRU policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for LruReference {
-    fn name(&self) -> &str {
-        "LRU"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        self.clock += 1;
-        let last_used = &self.last_used;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            crate::util::choose_victim_min_by_reference(cache, bundle, |f, _| {
-                last_used.get(&f).copied().unwrap_or(0)
-            })
-        });
-        if outcome.serviced {
-            for f in bundle.iter() {
-                self.last_used.insert(f, self.clock);
-            }
-        }
-        for f in &outcome.evicted_files {
-            self.last_used.remove(f);
-        }
-        outcome
-    }
-
-    fn reset(&mut self) {
-        self.clock = 0;
-        self.last_used.clear();
+        self.policy().last_used.get(&file).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbc_core::cache::CacheState;
+    use fbc_core::policy::CachePolicy;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())

@@ -11,96 +11,65 @@
 //! file's reference history.
 
 use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
-use fbc_core::types::FileId;
-use fbc_obs::Obs;
-use std::collections::{HashMap, VecDeque};
+use fbc_core::policy::RequestOutcome;
+use fbc_core::types::{Bytes, FileId};
+use rustc_hash::FxHashMap;
+use std::collections::VecDeque;
 
-use crate::util::LazyHeap;
+use crate::util::{Indexed, KeyedPolicy, LazyHeap};
 
-/// The LRU-K policy.
+/// LRU-K's key and bookkeeping: the last up-to-K reference ticks per file.
 #[derive(Debug, Clone)]
-pub struct LruK {
+pub struct LruKKeys {
     k: usize,
     clock: u64,
     /// The last up-to-K reference ticks per file, newest at the back.
     /// Retained across evictions (the algorithm's "reference history").
-    refs: HashMap<FileId, VecDeque<u64>>,
-    /// Resident files keyed by current backward K-distance.
-    index: LazyHeap<u64>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
+    refs: FxHashMap<FileId, VecDeque<u64>>,
 }
 
-impl LruK {
-    /// LRU-K with the given K (≥ 1). `K = 1` degenerates to LRU.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "K must be at least 1");
+/// LRU-2.
+impl Default for LruKKeys {
+    fn default() -> Self {
         Self {
-            k,
+            k: 2,
             clock: 0,
-            refs: HashMap::new(),
-            index: LazyHeap::new(),
-            obs: Obs::disabled(),
-            obs_slots: OutcomeObsSlots::default(),
+            refs: FxHashMap::default(),
         }
     }
+}
 
-    /// The classic LRU-2.
-    pub fn lru2() -> Self {
-        Self::new(2)
+impl KeyedPolicy for LruKKeys {
+    type Key = u64;
+    type Index = LazyHeap<u64>;
+
+    fn name(&self) -> &str {
+        match self.k {
+            1 => "LRU-1",
+            2 => "LRU-2",
+            _ => "LRU-K",
+        }
     }
 
     /// The backward K-distance key: the tick of the K-th most recent
     /// reference, or 0 when fewer than K references exist (making such
     /// files evict first, as the algorithm prescribes).
-    fn k_distance(&self, f: FileId) -> u64 {
-        k_distance_of(&self.refs, self.k, f)
-    }
-}
-
-fn k_distance_of(refs: &HashMap<FileId, VecDeque<u64>>, k: usize, f: FileId) -> u64 {
-    match refs.get(&f) {
-        Some(h) if h.len() >= k => h[h.len() - k],
-        _ => 0,
-    }
-}
-
-impl Default for LruK {
-    fn default() -> Self {
-        Self::lru2()
-    }
-}
-
-impl CachePolicy for LruK {
-    fn name(&self) -> &str {
-        match self.k {
-            1 => "LRU-1",
-            2 => "LRU-2",
-            _ => "LRU-K",
+    fn victim_key(&self, file: FileId, _size: Bytes) -> u64 {
+        match self.refs.get(&file) {
+            Some(h) if h.len() >= self.k => h[h.len() - self.k],
+            _ => 0,
         }
     }
 
-    fn handle(
+    fn update(
         &mut self,
         bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
+        outcome: &RequestOutcome,
+        _catalog: &FileCatalog,
+        touched: &mut Vec<FileId>,
+    ) {
         self.clock += 1;
-        let refs = &self.refs;
-        let k = self.k;
-        let index = &mut self.index;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            if index.len() != cache.len() {
-                index.rebuild(cache.iter().map(|(f, _)| (f, k_distance_of(refs, k, f))));
-            }
-            index.choose(cache, bundle)
-        });
         if outcome.serviced {
             for f in bundle.iter() {
                 let h = self.refs.entry(f).or_default();
@@ -108,105 +77,41 @@ impl CachePolicy for LruK {
                 while h.len() > self.k {
                     h.pop_front();
                 }
-            }
-            for f in bundle.iter() {
-                if cache.contains(f) {
-                    self.index.update(f, self.k_distance(f));
-                }
+                touched.push(f);
             }
         }
-        for &f in &outcome.evicted_files {
-            self.index.remove(f);
-        }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     fn reset(&mut self) {
         self.clock = 0;
         self.refs.clear();
-        self.index.clear();
     }
 }
 
-/// The pre-index full-scan LRU-K, retained verbatim so the differential
-/// suite can pin [`LruK`]'s indexed victim selection against it.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone)]
-pub struct LruKReference {
-    k: usize,
-    clock: u64,
-    refs: HashMap<FileId, VecDeque<u64>>,
-}
+/// The LRU-K policy.
+pub type LruK = Indexed<LruKKeys>;
 
-#[cfg(any(test, feature = "reference-kernels"))]
-impl LruKReference {
-    /// Reference LRU-K with the given K (≥ 1).
+impl LruK {
+    /// LRU-K with the given K (≥ 1). `K = 1` degenerates to LRU.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");
-        Self {
+        Indexed::with_policy(LruKKeys {
             k,
-            clock: 0,
-            refs: HashMap::new(),
-        }
+            ..LruKKeys::default()
+        })
     }
 
     /// The classic LRU-2.
     pub fn lru2() -> Self {
         Self::new(2)
-    }
-
-    fn k_distance(&self, f: FileId) -> u64 {
-        k_distance_of(&self.refs, self.k, f)
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for LruKReference {
-    fn name(&self) -> &str {
-        match self.k {
-            1 => "LRU-1",
-            2 => "LRU-2",
-            _ => "LRU-K",
-        }
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        self.clock += 1;
-        let this: &LruKReference = self;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            crate::util::choose_victim_min_by_reference(cache, bundle, |f, _| this.k_distance(f))
-        });
-        if outcome.serviced {
-            for f in bundle.iter() {
-                let h = self.refs.entry(f).or_default();
-                h.push_back(self.clock);
-                while h.len() > self.k {
-                    h.pop_front();
-                }
-            }
-        }
-        outcome
-    }
-
-    fn reset(&mut self) {
-        self.clock = 0;
-        self.refs.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbc_core::cache::CacheState;
+    use fbc_core::policy::CachePolicy;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())
@@ -247,10 +152,10 @@ mod tests {
         p.handle(&b(&[0]), &mut cache, &catalog);
         p.handle(&b(&[0]), &mut cache, &catalog);
         p.handle(&b(&[1]), &mut cache, &catalog); // evicts f0
-        assert_eq!(p.refs.get(&FileId(0)).map(|h| h.len()), Some(2));
+        assert_eq!(p.policy().refs.get(&FileId(0)).map(|h| h.len()), Some(2));
         // Re-admitted f0 immediately has a full history again.
         p.handle(&b(&[0]), &mut cache, &catalog);
-        assert!(p.k_distance(FileId(0)) > 0);
+        assert!(p.policy().victim_key(FileId(0), 1) > 0);
     }
 
     #[test]
@@ -261,7 +166,7 @@ mod tests {
         for _ in 0..10 {
             p.handle(&b(&[0]), &mut cache, &catalog);
         }
-        assert_eq!(p.refs.get(&FileId(0)).map(|h| h.len()), Some(3));
+        assert_eq!(p.policy().refs.get(&FileId(0)).map(|h| h.len()), Some(3));
     }
 
     #[test]

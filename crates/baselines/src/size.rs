@@ -7,25 +7,44 @@
 //! sizes never change, so the index only tracks admissions and evictions.
 
 use fbc_core::bundle::Bundle;
-use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
-use fbc_core::types::Bytes;
-use fbc_obs::Obs;
+use fbc_core::policy::RequestOutcome;
+use fbc_core::types::{Bytes, FileId};
 use std::cmp::Reverse;
 
-use crate::util::LazyHeap;
+use crate::util::{Indexed, KeyedPolicy, LazyHeap};
+
+/// SIZE's key: the file size, largest first. It keeps no metadata.
+#[derive(Debug, Clone, Default)]
+pub struct SizeKeys;
+
+impl KeyedPolicy for SizeKeys {
+    type Key = Reverse<Bytes>;
+    type Index = LazyHeap<Reverse<Bytes>>;
+
+    fn name(&self) -> &str {
+        "SIZE"
+    }
+
+    fn victim_key(&self, _file: FileId, size: Bytes) -> Reverse<Bytes> {
+        Reverse(size)
+    }
+
+    fn update(
+        &mut self,
+        _bundle: &Bundle,
+        outcome: &RequestOutcome,
+        _catalog: &FileCatalog,
+        touched: &mut Vec<FileId>,
+    ) {
+        touched.extend_from_slice(&outcome.fetched_files);
+    }
+
+    fn reset(&mut self) {}
+}
 
 /// Largest-first replacement policy.
-#[derive(Debug, Clone, Default)]
-pub struct LargestFirst {
-    /// Resident files keyed by descending size.
-    index: LazyHeap<Reverse<Bytes>>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
-}
+pub type LargestFirst = Indexed<SizeKeys>;
 
 impl LargestFirst {
     /// Creates the policy.
@@ -34,82 +53,11 @@ impl LargestFirst {
     }
 }
 
-impl CachePolicy for LargestFirst {
-    fn name(&self) -> &str {
-        "SIZE"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let index = &mut self.index;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            if index.len() != cache.len() {
-                index.rebuild(cache.iter().map(|(f, size)| (f, Reverse(size))));
-            }
-            index.choose(cache, bundle)
-        });
-        for &f in &outcome.fetched_files {
-            self.index.update(f, Reverse(catalog.size(f)));
-        }
-        for &f in &outcome.evicted_files {
-            self.index.remove(f);
-        }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn reset(&mut self) {
-        self.index.clear();
-    }
-}
-
-/// The pre-index full-scan SIZE policy, retained verbatim so the
-/// differential suite can pin [`LargestFirst`]'s indexed victim selection
-/// against it.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-pub struct LargestFirstReference;
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl LargestFirstReference {
-    /// Creates the reference policy.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for LargestFirstReference {
-    fn name(&self) -> &str {
-        "SIZE"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        service_with_evictor(bundle, cache, catalog, |cache| {
-            crate::util::choose_victim_min_by_reference(cache, bundle, |_, size| Reverse(size))
-        })
-    }
-
-    fn reset(&mut self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbc_core::types::FileId;
+    use fbc_core::cache::CacheState;
+    use fbc_core::policy::CachePolicy;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())

@@ -23,15 +23,23 @@
 //! (and restored afterwards), so one eviction costs
 //! `O((skipped + 1) · log n)` instead of `O(n log n)`.
 //!
-//! The old full-scan selector is retained verbatim as
-//! [`choose_victim_min_by_reference`] behind the `reference-kernels`
-//! feature; the reference twins in each policy module and the root-level
-//! `tests/evictor_equivalence.rs` differential suite pin the indices equal
-//! to it.
+//! **Keyed policies.** A policy whose victim is "the evictable resident
+//! minimising a key" (LRU, FIFO, LFU, SIZE, LRU-K, Belady-MIN, GDSF) states
+//! its key and bookkeeping once, as a [`KeyedPolicy`]. [`Indexed`] is its
+//! one `handle`: it picks victims from a [`VictimIndex`] and re-keys every
+//! file the bookkeeping names from [`KeyedPolicy::victim_key`], so the
+//! index cannot drift from the key. [`ScanOracle`] (behind the
+//! `reference-kernels` feature) runs the same bookkeeping but picks victims
+//! with the old full-scan selector, [`choose_victim_min_by_reference`],
+//! retained verbatim; the root-level `tests/evictor_equivalence.rs`
+//! differential suite pins the two equal.
 
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
-use fbc_core::types::FileId;
+use fbc_core::catalog::FileCatalog;
+use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
+use fbc_core::types::{Bytes, FileId};
+use fbc_obs::Obs;
 use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,9 +48,9 @@ use std::collections::BinaryHeap;
 /// the in-flight `bundle` and pinned files. Ties are broken by lower
 /// [`FileId`] so every policy is deterministic.
 ///
-/// This is the pre-index full-scan implementation, retained verbatim so the
-/// reference policy twins (and the differential suites pinning the indexed
-/// kernels to them) keep the original semantics bit-for-bit.
+/// This is the pre-index full-scan implementation, retained verbatim so
+/// [`ScanOracle`] (and the differential suites pinning the indexed kernels
+/// to it) keeps the original semantics bit-for-bit.
 #[cfg(any(test, feature = "reference-kernels"))]
 pub fn choose_victim_min_by_reference<K, F>(
     cache: &CacheState,
@@ -543,10 +551,301 @@ impl SortedArena {
     }
 }
 
+/// An incrementally maintained eviction index over resident files, keyed
+/// by `K` — what [`Indexed`] picks victims from.
+pub trait VictimIndex<K>: Default {
+    /// Number of tracked files.
+    fn len(&self) -> usize;
+
+    /// Whether no file is tracked.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Replaces the whole index with `entries`.
+    fn rebuild(&mut self, entries: impl Iterator<Item = (FileId, K)>);
+
+    /// Inserts `file` or moves it to `key`.
+    fn rekey(&mut self, file: FileId, key: K);
+
+    /// Removes and returns the evictable file of minimum `(key, FileId)`,
+    /// skipping pinned files and files of the in-flight `bundle`.
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle) -> Option<FileId>;
+
+    /// Drops all entries.
+    fn clear(&mut self);
+}
+
+impl<K: Ord + Copy> VictimIndex<K> for LazyHeap<K> {
+    fn len(&self) -> usize {
+        LazyHeap::len(self)
+    }
+
+    fn rebuild(&mut self, entries: impl Iterator<Item = (FileId, K)>) {
+        LazyHeap::rebuild(self, entries);
+    }
+
+    fn rekey(&mut self, file: FileId, key: K) {
+        self.update(file, key);
+    }
+
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle) -> Option<FileId> {
+        LazyHeap::choose(self, cache, bundle)
+    }
+
+    fn clear(&mut self) {
+        LazyHeap::clear(self);
+    }
+}
+
+/// The list is its own order: a re-key moves the file to the back, so keys
+/// must be handed out non-decreasing in `(key, FileId)` — a clock stamp,
+/// with the files of one request re-keyed in ascending id order.
+impl<K: Ord + Copy + Default> VictimIndex<K> for OrderedList<K> {
+    fn len(&self) -> usize {
+        OrderedList::len(self)
+    }
+
+    fn rebuild(&mut self, entries: impl Iterator<Item = (FileId, K)>) {
+        let mut sorted: Vec<(K, FileId)> = entries.map(|(f, k)| (k, f)).collect();
+        sorted.sort_unstable();
+        OrderedList::clear(self);
+        for (k, f) in sorted {
+            self.push_back(f, k);
+        }
+    }
+
+    fn rekey(&mut self, file: FileId, key: K) {
+        self.remove(file);
+        debug_assert!(
+            self.tail == NIL || {
+                let back = &self.nodes[self.tail as usize];
+                (back.value, back.file) < (key, file)
+            },
+            "out-of-order re-key of {file:?}"
+        );
+        self.push_back(file, key);
+    }
+
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle) -> Option<FileId> {
+        OrderedList::choose(self, cache, bundle)
+    }
+
+    fn clear(&mut self) {
+        OrderedList::clear(self);
+    }
+}
+
+/// A baseline whose victim is the evictable resident file of minimum
+/// [`victim_key`](KeyedPolicy::victim_key) (ties to the lower [`FileId`]),
+/// stated once: its key, its bookkeeping, and the index that serves it.
+/// [`Indexed`] turns it into a [`CachePolicy`]; [`ScanOracle`] drives the
+/// same bookkeeping with a full scan.
+pub trait KeyedPolicy {
+    /// The victim key; the minimum is evicted first.
+    type Key: Ord + Copy;
+    /// The index [`Indexed`] keeps over the key.
+    type Index: VictimIndex<Self::Key>;
+
+    /// Human-readable policy name for reports.
+    fn name(&self) -> &str;
+
+    /// The current key of resident `file` of `size` bytes, computed from
+    /// the policy's own metadata.
+    fn victim_key(&self, file: FileId, size: Bytes) -> Self::Key;
+
+    /// Whether `file`'s key can change without the file being named by
+    /// [`update`](KeyedPolicy::update). While any resident's key floats,
+    /// [`Indexed`] rebuilds its index before every eviction. Default: never.
+    fn key_floats(&self, _file: FileId) -> bool {
+        false
+    }
+
+    /// Updates the metadata after a request was handled and appends to
+    /// `touched` every file whose key changed (in ascending id order).
+    fn update(
+        &mut self,
+        bundle: &Bundle,
+        outcome: &RequestOutcome,
+        catalog: &FileCatalog,
+        touched: &mut Vec<FileId>,
+    );
+
+    /// The last step of a request, after the touched files were re-keyed.
+    /// Default: nothing.
+    fn finish(&mut self) {}
+
+    /// Offline hook (see [`CachePolicy::prepare_from`]). Default: nothing.
+    fn prepare_from(&mut self, _trace: &mut dyn Iterator<Item = &Bundle>) {}
+
+    /// Clears all metadata.
+    fn reset(&mut self);
+}
+
+/// A [`KeyedPolicy`] served from its [`VictimIndex`]: the production
+/// `handle` of every keyed baseline.
+///
+/// When the index is out of step with the cache (`len` differs, e.g. after
+/// a reset against a warm cache), or some resident's key floats, the index
+/// is rebuilt from the policy's metadata before the next eviction. After
+/// each request every touched resident is re-keyed from
+/// [`KeyedPolicy::victim_key`].
+#[derive(Debug, Clone)]
+pub struct Indexed<P: KeyedPolicy> {
+    policy: P,
+    index: P::Index,
+    /// Set while some resident's key floats (see
+    /// [`KeyedPolicy::key_floats`]).
+    rebuild_each_round: bool,
+    /// Reusable scratch for the files [`KeyedPolicy::update`] names.
+    touched: Vec<FileId>,
+    /// Observability sink (disabled unless a driver attaches one).
+    obs: Obs,
+    /// Memoized counter slots for the per-request obs flush.
+    obs_slots: OutcomeObsSlots,
+}
+
+impl<P: KeyedPolicy + Default> Default for Indexed<P> {
+    fn default() -> Self {
+        Self::with_policy(P::default())
+    }
+}
+
+impl<P: KeyedPolicy> Indexed<P> {
+    /// Serves `policy` from an empty index.
+    pub fn with_policy(policy: P) -> Self {
+        Self {
+            policy,
+            index: P::Index::default(),
+            rebuild_each_round: false,
+            touched: Vec::new(),
+            obs: Obs::disabled(),
+            obs_slots: OutcomeObsSlots::default(),
+        }
+    }
+
+    /// The keyed policy's metadata (diagnostics).
+    pub(crate) fn policy(&self) -> &P {
+        &self.policy
+    }
+}
+
+impl<P: KeyedPolicy> CachePolicy for Indexed<P> {
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn handle(
+        &mut self,
+        bundle: &Bundle,
+        cache: &mut CacheState,
+        catalog: &FileCatalog,
+    ) -> RequestOutcome {
+        let Self {
+            policy,
+            index,
+            rebuild_each_round,
+            touched,
+            obs,
+            obs_slots,
+        } = self;
+        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
+            if *rebuild_each_round || index.len() != cache.len() {
+                let mut floating = false;
+                index.rebuild(cache.iter().map(|(f, size)| {
+                    floating |= policy.key_floats(f);
+                    (f, policy.victim_key(f, size))
+                }));
+                *rebuild_each_round = floating;
+            }
+            index.choose(cache, bundle)
+        });
+        touched.clear();
+        policy.update(bundle, &outcome, catalog, touched);
+        for &f in touched.iter() {
+            if cache.contains(f) {
+                index.rekey(f, policy.victim_key(f, catalog.size(f)));
+            }
+        }
+        policy.finish();
+        outcome.record_obs(obs, obs_slots);
+        outcome
+    }
+
+    fn prepare_from(&mut self, trace: &mut dyn Iterator<Item = &Bundle>) {
+        self.policy.prepare_from(trace);
+        self.index.clear();
+    }
+
+    fn attach_obs(&mut self, obs: Obs) {
+        self.obs = obs;
+    }
+
+    fn reset(&mut self) {
+        self.policy.reset();
+        self.index.clear();
+        self.rebuild_each_round = false;
+    }
+}
+
+/// The differential oracle for a [`KeyedPolicy`]: the same bookkeeping as
+/// [`Indexed`], but every victim comes from a full scan over
+/// [`KeyedPolicy::victim_key`] ([`choose_victim_min_by_reference`]). It
+/// pins the contract "the index picks what a full scan over the same key
+/// picks" at every eviction.
+#[cfg(any(test, feature = "reference-kernels"))]
+#[derive(Debug, Clone)]
+pub struct ScanOracle<P> {
+    policy: P,
+    touched: Vec<FileId>,
+}
+
+#[cfg(any(test, feature = "reference-kernels"))]
+impl<P: KeyedPolicy> ScanOracle<P> {
+    /// The oracle of `indexed`'s policy, taking over its metadata.
+    pub fn new(indexed: Indexed<P>) -> Self {
+        Self {
+            policy: indexed.policy,
+            touched: Vec::new(),
+        }
+    }
+}
+
+#[cfg(any(test, feature = "reference-kernels"))]
+impl<P: KeyedPolicy> CachePolicy for ScanOracle<P> {
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn handle(
+        &mut self,
+        bundle: &Bundle,
+        cache: &mut CacheState,
+        catalog: &FileCatalog,
+    ) -> RequestOutcome {
+        let policy = &self.policy;
+        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
+            choose_victim_min_by_reference(cache, bundle, |f, size| policy.victim_key(f, size))
+        });
+        self.touched.clear();
+        self.policy
+            .update(bundle, &outcome, catalog, &mut self.touched);
+        self.policy.finish();
+        outcome
+    }
+
+    fn prepare_from(&mut self, trace: &mut dyn Iterator<Item = &Bundle>) {
+        self.policy.prepare_from(trace);
+    }
+
+    fn reset(&mut self) {
+        self.policy.reset();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbc_core::catalog::FileCatalog;
 
     #[test]
     fn reference_picks_minimum_and_skips_bundle_and_pinned() {
@@ -745,6 +1044,75 @@ mod tests {
         }
         assert_eq!(list.nodes.len(), slab_size, "freed slots were not reused");
         assert_eq!(list.len(), 8);
+    }
+
+    /// LFU that forgets to name its last touched file: the index keeps
+    /// that file's stale count while the scan reads the fresh one.
+    #[derive(Debug, Default)]
+    struct SkipsOneRekey(crate::lfu::LfuKeys);
+
+    impl KeyedPolicy for SkipsOneRekey {
+        type Key = u64;
+        type Index = LazyHeap<u64>;
+
+        fn name(&self) -> &str {
+            "LFU(skips one re-key)"
+        }
+
+        fn victim_key(&self, file: FileId, size: Bytes) -> u64 {
+            self.0.victim_key(file, size)
+        }
+
+        fn update(
+            &mut self,
+            bundle: &Bundle,
+            outcome: &RequestOutcome,
+            catalog: &FileCatalog,
+            touched: &mut Vec<FileId>,
+        ) {
+            self.0.update(bundle, outcome, catalog, touched);
+            touched.pop();
+        }
+
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+    }
+
+    /// The first request at which `P` served from its index and from a full
+    /// scan disagree, over a seeded 400-request trace.
+    fn first_divergence<P: KeyedPolicy + Default>() -> Option<usize> {
+        let mut state = 0xD21F7u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let catalog = FileCatalog::from_sizes((0..48).map(|i| 1 + i % 3).collect());
+        let mut indexed = Indexed::<P>::default();
+        let mut oracle = ScanOracle::new(Indexed::<P>::default());
+        let (mut cache_a, mut cache_b) = (CacheState::new(24), CacheState::new(24));
+        (0..400).find(|_| {
+            // Skewed ids, so repeat requests move counts apart.
+            let bundle = Bundle::from_raw((0..1 + next() % 3).map(|_| {
+                let r = (next() % 48) as u32;
+                r * r / 48
+            }));
+            let a = indexed.handle(&bundle, &mut cache_a, &catalog);
+            let b = oracle.handle(&bundle, &mut cache_b, &catalog);
+            a != b
+        })
+    }
+
+    /// The single oracle still catches the bug class the per-policy twins
+    /// existed for: a policy whose bookkeeping misses a re-key drifts from
+    /// the scan, while the faithful policy never does on the same trace.
+    #[test]
+    fn scan_oracle_catches_a_skipped_rekey() {
+        assert_eq!(first_divergence::<crate::lfu::LfuKeys>(), None);
+        let at = first_divergence::<SkipsOneRekey>();
+        assert!(at.is_some(), "a skipped re-key went unnoticed");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Eviction-path micro-benchmark: eviction throughput (evictions/sec) of
-//! every baseline policy's indexed victim selection against its retained
-//! pre-index full-scan twin (`reference-kernels` feature), across resident
-//! set sizes `n`.
+//! every baseline policy's indexed victim selection against its full-scan
+//! reference (`PolicyKind::build_reference`, `reference-kernels` feature:
+//! the generic `ScanOracle` of a keyed policy, or a retained twin), across
+//! resident set sizes `n`.
 //!
 //! ```text
 //! cargo run --release -p fbc-bench --bin perf_eviction            # full run
@@ -14,7 +15,7 @@
 //! half of each pair misses, so nearly every request runs the victim
 //! selection path under a full cache.
 //!
-//! The indexed policy and its twin run the churn in lockstep: chunk by
+//! The indexed policy and its reference run the churn in lockstep: chunk by
 //! chunk, interleaved (`fbc_bench::measure::paired_ratio`), so each
 //! per-chunk speedup sample compares the same requests under the same
 //! machine state, and the two sides' evicted files are asserted equal
@@ -163,7 +164,7 @@ struct Row {
     batches: usize,
 }
 
-/// Every twin-carrying policy, indexed against its reference, at each size.
+/// Every policy with a reference, indexed against its reference, at each size.
 fn sweep(sizes: &[usize], budget_ns: f64) -> Vec<Row> {
     let mut kinds: Vec<PolicyKind> = PolicyKind::ONLINE.to_vec();
     kinds.push(PolicyKind::BeladyMin);
@@ -171,7 +172,7 @@ fn sweep(sizes: &[usize], budget_ns: f64) -> Vec<Row> {
     for &n in sizes {
         let w = Workload::new(n);
         for &kind in &kinds {
-            // OptFileBundle has no twin here; perf_decision covers it.
+            // OptFileBundle has no reference here; perf_decision covers it.
             let Some(reference) = kind.build_reference() else {
                 continue;
             };

@@ -378,9 +378,12 @@ impl RequestHistory {
         let value_fn = if vf_line == "value_fn count" {
             ValueFn::Count
         } else if let Some(hl) = vf_line.strip_prefix("value_fn decay ") {
-            ValueFn::Decay {
-                half_life: hl.parse().map_err(|_| bad("bad half_life"))?,
+            let half_life: f64 = hl.parse().map_err(|_| bad("bad half_life"))?;
+            // A zero half-life decays by 0/0 = NaN on a same-tick record.
+            if !(half_life.is_finite() && half_life > 0.0) {
+                return Err(bad("half_life must be finite and positive"));
             }
+            ValueFn::Decay { half_life }
         } else {
             return Err(bad("expected 'value_fn ...'"));
         };
@@ -403,6 +406,9 @@ impl RequestHistory {
             let mut take = |name: &str| tok.next().ok_or_else(|| bad(&format!("missing {name}")));
             let count: u64 = take("count")?.parse().map_err(|_| bad("bad count"))?;
             let value_acc: f64 = take("value_acc")?.parse().map_err(|_| bad("bad value"))?;
+            if !(value_acc.is_finite() && value_acc >= 0.0) {
+                return Err(bad("value must be finite and non-negative"));
+            }
             let value_tick: u64 = take("value_tick")?
                 .parse()
                 .map_err(|_| bad("bad value_tick"))?;
@@ -413,6 +419,9 @@ impl RequestHistory {
                 .parse()
                 .map_err(|_| bad("bad first_seen"))?;
             let priority: f64 = take("priority")?.parse().map_err(|_| bad("bad priority"))?;
+            if !priority.is_finite() {
+                return Err(bad("priority must be finite"));
+            }
             let files: Vec<FileId> = tok
                 .map(|t| t.parse::<u32>().map(FileId).map_err(|_| bad("bad file id")))
                 .collect::<std::io::Result<_>>()?;
@@ -710,6 +719,37 @@ entries 1
                 RequestHistory::read_from(text.as_bytes()).is_err(),
                 "{text:?}"
             );
+        }
+    }
+
+    /// Warm-start values feed the selection keys, which must never be NaN.
+    fn assert_invalid(text: &str) {
+        let err = RequestHistory::read_from(text.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
+    }
+
+    #[test]
+    fn persistence_rejects_bad_half_life() {
+        for half_life in ["nan", "inf", "0", "-1"] {
+            assert_invalid(&format!("value_fn decay {half_life}\ntick 0\nentries 0\n"));
+        }
+    }
+
+    #[test]
+    fn persistence_rejects_bad_value_acc() {
+        for value_acc in ["nan", "inf", "-inf", "-1"] {
+            assert_invalid(&format!(
+                "value_fn count\ntick 1\nentries 1\n1 {value_acc} 1 1 1 1 3\n"
+            ));
+        }
+    }
+
+    #[test]
+    fn persistence_rejects_non_finite_priority() {
+        for priority in ["nan", "inf", "-inf"] {
+            assert_invalid(&format!(
+                "value_fn count\ntick 1\nentries 1\n1 1 1 1 1 {priority} 3\n"
+            ));
         }
     }
 

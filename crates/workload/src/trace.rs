@@ -22,6 +22,12 @@ use fbc_core::types::FileId;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+/// Cap on the capacity reserved from a header count. Header counts are
+/// untrusted input; a longer section still loads, growing as it is read.
+/// The cap sits above the largest benchmark trace (3 M requests), so those
+/// still reserve exactly once.
+const MAX_PREALLOC: usize = 1 << 22;
+
 /// A replayable request trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -101,7 +107,7 @@ impl Trace {
             .ok_or_else(|| bad("expected 'files <n>'"))?
             .parse()
             .map_err(|_| bad("bad file count"))?;
-        let mut catalog = FileCatalog::with_capacity(n_files);
+        let mut catalog = FileCatalog::with_capacity(n_files.min(MAX_PREALLOC));
         for _ in 0..n_files {
             let size: u64 = next_line()?.parse().map_err(|_| bad("bad file size"))?;
             catalog.add_file(size);
@@ -112,7 +118,7 @@ impl Trace {
             .ok_or_else(|| bad("expected 'requests <n>'"))?
             .parse()
             .map_err(|_| bad("bad request count"))?;
-        let mut requests = Vec::with_capacity(n_requests);
+        let mut requests = Vec::with_capacity(n_requests.min(MAX_PREALLOC));
         for _ in 0..n_requests {
             let line = next_line()?;
             let mut ids = Vec::new();
@@ -195,6 +201,23 @@ mod tests {
         {
             assert!(Trace::read_from(text.as_bytes()).is_err(), "{text:?}");
         }
+    }
+
+    /// A header count is untrusted input: a huge one must fail as
+    /// truncated data, not abort the process on a failed allocation.
+    fn assert_truncated(text: &str) {
+        let err = Trace::read_from(text.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{text:?}");
+    }
+
+    #[test]
+    fn huge_file_count_fails_cleanly() {
+        assert_truncated("files 99999999999999\n5\n");
+    }
+
+    #[test]
+    fn huge_request_count_fails_cleanly() {
+        assert_truncated("files 1\n5\nrequests 99999999999999\n0\n");
     }
 
     #[test]

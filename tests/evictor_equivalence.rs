@@ -59,6 +59,10 @@ fn every_baseline_matches_its_reference_twin() {
                     a, b,
                     "{kind:?} (seed {seed:#x}) diverged from reference at request {i}"
                 );
+                assert!(
+                    cache_a.check_invariants() && cache_b.check_invariants(),
+                    "{kind:?} (seed {seed:#x}) broke cache invariants at request {i}"
+                );
             }
             assert_eq!(
                 cache_a.resident_files_sorted(),
@@ -115,6 +119,10 @@ fn every_baseline_matches_its_reference_twin_under_pinning() {
                 a, b,
                 "{kind:?} diverged from reference at request {i} (pins: {pinned:?})"
             );
+            assert!(
+                cache_a.check_invariants() && cache_b.check_invariants(),
+                "{kind:?} broke cache invariants at request {i} (pins: {pinned:?})"
+            );
         }
         assert_eq!(
             cache_a.resident_files_sorted(),
@@ -148,6 +156,10 @@ fn warm_reset_does_not_desync_indexes() {
             let a = indexed.handle(bundle, &mut cache_a, &trace.catalog);
             let b = reference.handle(bundle, &mut cache_b, &trace.catalog);
             assert_eq!(a, b, "{kind:?} diverged after warm reset at request {i}");
+            assert!(
+                cache_a.check_invariants() && cache_b.check_invariants(),
+                "{kind:?} broke cache invariants after warm reset at request {i}"
+            );
         }
     }
 }
