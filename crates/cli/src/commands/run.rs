@@ -129,8 +129,11 @@ mod tests {
     use fbc_core::bundle::Bundle;
     use fbc_core::catalog::FileCatalog;
 
-    fn write_test_trace() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join("fbc_cli_run_test.trace");
+    /// Writes the shared three-job trace to a path of the test's own: the
+    /// tests run in parallel and each deletes its trace when done.
+    fn write_test_trace(test: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("fbc_cli_run_{test}_{}.trace", std::process::id()));
         let trace = Trace::new(
             FileCatalog::from_sizes(vec![10, 20, 30]),
             vec![
@@ -155,7 +158,7 @@ mod tests {
 
     #[test]
     fn run_command_end_to_end() {
-        let path = write_test_trace();
+        let path = write_test_trace("run_command_end_to_end");
         let args = Args::parse(
             [
                 "--trace",
@@ -175,7 +178,7 @@ mod tests {
 
     #[test]
     fn latency_flag_is_accepted() {
-        let path = write_test_trace();
+        let path = write_test_trace("latency_flag_is_accepted");
         let args = Args::parse(
             [
                 "--trace",
@@ -194,7 +197,7 @@ mod tests {
 
     #[test]
     fn obs_trace_flag_writes_deterministic_jsonl() {
-        let path = write_test_trace();
+        let path = write_test_trace("obs_trace_flag_writes_deterministic_jsonl");
         let out = std::env::temp_dir().join("fbc_cli_run_obs_test.jsonl");
         let out_s = out.to_str().unwrap().to_string();
         let argv = [
@@ -221,7 +224,7 @@ mod tests {
 
     #[test]
     fn missing_cache_is_an_error() {
-        let path = write_test_trace();
+        let path = write_test_trace("missing_cache_is_an_error");
         let args = Args::parse(
             ["--trace", path.to_str().unwrap()]
                 .iter()
@@ -234,7 +237,7 @@ mod tests {
 
     #[test]
     fn unknown_policy_is_an_error() {
-        let path = write_test_trace();
+        let path = write_test_trace("unknown_policy_is_an_error");
         let args = Args::parse(
             [
                 "--trace",

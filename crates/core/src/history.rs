@@ -156,7 +156,17 @@ impl RequestHistory {
     }
 
     /// Sets the priority multiplier of a known request.
+    ///
+    /// # Panics
+    ///
+    /// If `priority` is negative or not finite: values are
+    /// `base · priority`, and the selection kernels need them finite and
+    /// non-negative.
     pub fn set_priority(&mut self, bundle: &Bundle, priority: f64) -> bool {
+        assert!(
+            priority.is_finite() && priority >= 0.0,
+            "priority must be finite and non-negative, got {priority}"
+        );
         match self.entries.get_mut(bundle) {
             Some(e) => {
                 e.priority = priority;
@@ -349,8 +359,11 @@ impl RequestHistory {
         w.flush()
     }
 
-    /// Reads a history previously written by [`RequestHistory::write_to`].
-    pub fn read_from<R: std::io::Read>(r: R) -> std::io::Result<Self> {
+    /// Reads a history previously written by [`RequestHistory::write_to`],
+    /// for use with `catalog`. Every file the history names must be in the
+    /// catalog: a warm start over another catalog fails here, with
+    /// `InvalidData`, instead of panicking at its first decision.
+    pub fn read_from<R: std::io::Read>(r: R, catalog: &FileCatalog) -> std::io::Result<Self> {
         use std::io::BufRead as _;
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
         let mut lines = std::io::BufReader::new(r).lines();
@@ -419,12 +432,17 @@ impl RequestHistory {
                 .parse()
                 .map_err(|_| bad("bad first_seen"))?;
             let priority: f64 = take("priority")?.parse().map_err(|_| bad("bad priority"))?;
-            if !priority.is_finite() {
-                return Err(bad("priority must be finite"));
+            // Values are `base · priority`, and the selection kernels need
+            // them finite and non-negative.
+            if !(priority.is_finite() && priority >= 0.0) {
+                return Err(bad("priority must be finite and non-negative"));
             }
             let files: Vec<FileId> = tok
                 .map(|t| t.parse::<u32>().map(FileId).map_err(|_| bad("bad file id")))
                 .collect::<std::io::Result<_>>()?;
+            if let Some(f) = files.iter().find(|&&f| !catalog.contains(f)) {
+                return Err(bad(&format!("file {} is not in the catalog", f.0)));
+            }
             if files.is_empty() {
                 return Err(bad("entry without files"));
             }
@@ -552,6 +570,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "priority must be finite and non-negative")]
+    fn negative_priority_is_rejected() {
+        let mut h = RequestHistory::new();
+        h.record(&b(&[1]));
+        h.set_priority(&b(&[1]), -1.0);
+    }
+
+    #[test]
     fn most_recent_orders_by_last_seen() {
         let mut h = RequestHistory::new();
         h.record(&b(&[1]));
@@ -664,7 +690,8 @@ mod tests {
         h.set_priority(&b(&[4]), 2.5);
         let mut buf = Vec::new();
         h.write_to(&mut buf).unwrap();
-        let back = RequestHistory::read_from(&buf[..]).unwrap();
+        let catalog = FileCatalog::from_sizes(vec![0, 10, 10, 10, 10]);
+        let back = RequestHistory::read_from(&buf[..], &catalog).unwrap();
         assert_eq!(back.len(), h.len());
         assert_eq!(back.total_requests(), h.total_requests());
         assert_eq!(back.value_fn(), h.value_fn());
@@ -680,7 +707,6 @@ mod tests {
             );
         }
         // A restarted SRM keeps ranking identically.
-        let catalog = FileCatalog::from_sizes(vec![0, 10, 10, 10, 10]);
         assert!(
             (h.relative_value(&b(&[1, 2]), &catalog) - back.relative_value(&b(&[1, 2]), &catalog))
                 .abs()
@@ -716,15 +742,19 @@ entries 1
 ", // truncated
         ] {
             assert!(
-                RequestHistory::read_from(text.as_bytes()).is_err(),
+                RequestHistory::read_from(text.as_bytes(), &catalog_of(8)).is_err(),
                 "{text:?}"
             );
         }
     }
 
+    fn catalog_of(files: usize) -> FileCatalog {
+        FileCatalog::from_sizes(vec![1; files])
+    }
+
     /// Warm-start values feed the selection keys, which must never be NaN.
     fn assert_invalid(text: &str) {
-        let err = RequestHistory::read_from(text.as_bytes()).unwrap_err();
+        let err = RequestHistory::read_from(text.as_bytes(), &catalog_of(8)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
     }
 
@@ -751,6 +781,13 @@ entries 1
                 "value_fn count\ntick 1\nentries 1\n1 1 1 1 1 {priority} 3\n"
             ));
         }
+    }
+
+    /// A negative priority makes a negative value, which the selection
+    /// kernels do not accept (the instance builder panics on it mid-run).
+    #[test]
+    fn persistence_rejects_negative_priority() {
+        assert_invalid("value_fn count\ntick 1\nentries 1\n1 1 1 1 1 -1 3\n");
     }
 
     #[test]

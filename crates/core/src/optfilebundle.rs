@@ -18,6 +18,7 @@
 //! * **Prefetching** (Algorithm 2 Step 3, literally): load files of selected
 //!   historical requests that are not resident.
 
+use crate::bitset::ResidencySet;
 use crate::bundle::Bundle;
 use crate::cache::CacheState;
 use crate::catalog::FileCatalog;
@@ -27,9 +28,9 @@ use crate::index::SupportIndex;
 use crate::instance::FbcInstance;
 use crate::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
 use crate::resident::ResidentInstance;
+use crate::select::{opt_cache_select, GreedyVariant, SelectOptions};
 #[cfg(any(test, feature = "reference-kernels"))]
 use crate::select::{opt_cache_select_lazy_with_scratch, LazySelectScratch};
-use crate::select::{opt_cache_select_with_scratch, GreedyVariant, SelectOptions, SelectScratch};
 use crate::types::{Bytes, FileId};
 use fbc_obs::{Field, Obs};
 #[cfg(any(test, feature = "reference-kernels"))]
@@ -107,9 +108,10 @@ pub struct DecisionExplanation {
 /// Reusable buffers of the replacement-decision path, owned by the policy
 /// so that `decide_retained` performs no per-candidate allocation in steady
 /// state: the interning map, the local instance's size/degree/file buffers
-/// and the selection kernel's heap/bitset/adjacency scratch are all cleared
-/// — never freed — between decisions, and the instance's owned vectors are
-/// reclaimed through [`FbcInstance::into_parts`] after every selection.
+/// and the retained-file mask are cleared — never freed — between
+/// decisions, and the instance's owned vectors are reclaimed through
+/// [`FbcInstance::into_parts`] after every selection. Shared-credit
+/// decisions build no instance; their scratch lives in the resident state.
 #[derive(Debug, Clone, Default)]
 struct DecisionScratch {
     /// `FileId` → dense local index interning map of the *rebuild*
@@ -128,8 +130,10 @@ struct DecisionScratch {
     /// Recycled per-candidate file buffers, refilled from
     /// [`crate::instance::InstanceRequest::into_files`] after each decision.
     file_bufs: Vec<Vec<u32>>,
-    /// The incremental selection kernel's reusable state.
-    select: SelectScratch,
+    /// Membership bits of the decision's retained files, set for the
+    /// victim scan and cleared right after it: a bit test per resident
+    /// instead of a binary search over a sorted retained list.
+    retained: ResidencySet,
     /// The previous-generation (lazy version-stamped) kernel's scratch —
     /// the rebuild/reference path runs the whole pre-resident pipeline,
     /// select kernel included, so speedup measurements compare complete
@@ -309,10 +313,11 @@ impl OptFileBundle {
         let requested_bytes = incoming.total_size(catalog);
         let select_capacity = cache.capacity().saturating_sub(requested_bytes);
         let candidates: Vec<Bundle> = self.candidate_bundles(cache, incoming);
-        // `retained` comes back sorted, so resident-membership checks are
-        // binary searches rather than linear scans (O(r log r) overall,
-        // where the per-file `contains` scan was O(r²)).
-        let (retained, _) = self.decide_retained(cache, catalog, incoming, select_capacity);
+        // Sorted, so resident-membership checks are binary searches rather
+        // than linear scans (O(r log r) overall, where the per-file
+        // `contains` scan was O(r²)).
+        let (mut retained, _) = self.decide_retained(cache, catalog, incoming, select_capacity);
+        retained.sort_unstable();
         let mut victims: Vec<FileId> = cache
             .iter()
             .map(|(f, _)| f)
@@ -350,9 +355,9 @@ impl OptFileBundle {
             .collect()
     }
 
-    /// Runs the replacement decision: returns the *sorted* list of files
-    /// (global ids) to retain alongside `incoming`'s files, plus the
-    /// prefetch list. `&mut self` only for the reusable decision scratch
+    /// Runs the replacement decision: returns the files (global ids, in
+    /// no particular order) to retain alongside `incoming`'s files, plus
+    /// the prefetch list. `&mut self` only for the reusable decision scratch
     /// and the per-decision epoch stamps of the resident state.
     ///
     /// Unlike the pre-resident rebuild path (kept verbatim in
@@ -388,22 +393,20 @@ impl OptFileBundle {
             return (Vec::new(), Vec::new());
         }
 
-        // Full/Window + shared credit (the paper's default greedy) run the
-        // selection *in place* over the resident state: candidate lists in
-        // these modes are recency prefixes, so the incrementally maintained
-        // per-entry file orders reproduce the instance path's first-touch
-        // interning permutation exactly — no instance is built at all.
-        // `CacheSupported` (non-prefix candidates) and the other variants /
-        // partial enumeration keep the instance path below.
-        if config.enumeration_k.is_none()
-            && config.variant == GreedyVariant::SharedCredit
-            && matches!(
-                config.history_mode,
-                HistoryMode::Full | HistoryMode::Window(_)
-            )
-        {
+        // Shared credit (the paper's default greedy) runs the selection
+        // *in place* over the resident state in every history mode: the
+        // per-candidate file orders reproduce the instance path's
+        // first-touch interning permutation exactly, so no instance is
+        // built at all. The other variants and partial enumeration keep
+        // the instance path below.
+        if config.enumeration_k.is_none() && config.variant == GreedyVariant::SharedCredit {
             let build_span = obs.span("ofb.instance_build");
-            resident.prepare_decision(catalog, history.total_requests(), history.value_fn());
+            resident.prepare_decision(
+                catalog,
+                history.total_requests(),
+                history.value_fn(),
+                select_capacity,
+            );
             drop(build_span);
             let select_span = obs.span("ofb.greedy_select");
             let single = resident.select_fast(catalog, select_capacity);
@@ -421,7 +424,6 @@ impl OptFileBundle {
             sizes,
             degrees,
             file_bufs,
-            select,
             ..
         } = scratch;
         global_of.clear();
@@ -453,23 +455,21 @@ impl OptFileBundle {
         let select_span = obs.span("ofb.greedy_select");
         let selection = match config.enumeration_k {
             Some(k) => crate::enumerate::opt_cache_select_enumerated(&inst, k.min(2)),
-            None => opt_cache_select_with_scratch(
+            None => opt_cache_select(
                 &inst,
                 &SelectOptions {
                     variant: config.variant,
                     max_single_fallback: true,
                 },
-                select,
             ),
         };
         drop(select_span);
 
-        let mut retained: Vec<FileId> = selection
+        let retained: Vec<FileId> = selection
             .files
             .iter()
             .map(|&l| global_of[l as usize])
             .collect();
-        retained.sort_unstable();
         let prefetch: Vec<FileId> = if config.prefetch {
             selection
                 .files
@@ -704,14 +704,22 @@ impl OptFileBundle {
             // fastest), then id for determinism.
             let evict_span = self.obs.span("ofb.evict");
             let target = missing_bytes + prefetch_bytes;
-            let mut victims: Vec<(FileId, Bytes)> = cache
+            let mask = &mut self.scratch.retained;
+            for &f in &retained {
+                mask.insert(f);
+            }
+            // Keys are built once per victim (one degree lookup each); the
+            // id makes them unique, so the unstable sort is deterministic.
+            let mut victims: Vec<(u32, std::cmp::Reverse<Bytes>, FileId)> = cache
                 .iter()
-                .filter(|&(f, _)| !bundle.contains(f) && retained.binary_search(&f).is_err())
+                .filter(|&(f, _)| !bundle.contains(f) && !mask.contains(f))
+                .map(|(f, size)| (self.history.degree(f), std::cmp::Reverse(size), f))
                 .collect();
-            victims.sort_unstable_by_key(|&(f, size)| {
-                (self.history.degree(f), std::cmp::Reverse(size), f)
-            });
-            for (f, _) in victims {
+            for &f in &retained {
+                mask.remove(f);
+            }
+            victims.sort_unstable();
+            for (_, _, f) in victims {
                 if cache.free() >= target {
                     break;
                 }
@@ -726,13 +734,13 @@ impl OptFileBundle {
             // room; shed retained files (never the incoming bundle's) in
             // ascending degree order until the bundle fits.
             if cache.free() < missing_bytes {
-                let mut shed: Vec<FileId> = cache
+                let mut shed: Vec<(u32, FileId)> = cache
                     .iter()
-                    .map(|(f, _)| f)
-                    .filter(|&f| !bundle.contains(f))
+                    .filter(|&(f, _)| !bundle.contains(f))
+                    .map(|(f, _)| (self.history.degree(f), f))
                     .collect();
-                shed.sort_unstable_by_key(|&f| (self.history.degree(f), f));
-                for f in shed {
+                shed.sort_unstable();
+                for (_, f) in shed {
                     if cache.free() >= missing_bytes {
                         break;
                     }
@@ -1088,7 +1096,7 @@ mod tests {
         first.history().write_to(&mut buf).unwrap();
 
         // Restart: cold cache, warm history.
-        let restored = crate::history::RequestHistory::read_from(&buf[..]).unwrap();
+        let restored = RequestHistory::read_from(&buf[..], &catalog).unwrap();
         let mut second = OptFileBundle::with_history(OfbConfig::default(), restored);
         let mut cache = CacheState::new(3);
         // Refill the cache: {0,1} then {2}.
@@ -1100,6 +1108,37 @@ mod tests {
         assert_eq!(out.evicted_files, vec![FileId(2)]);
         assert!(cache.supports(&b(&[0, 1])));
         assert!(second.history().get(&b(&[0, 1])).unwrap().count >= 6);
+    }
+
+    /// Regression: a history saved over a larger catalog used to load, and
+    /// a Full-mode warm start then panicked in `catalog.size` at its first
+    /// replacement decision. The load now rejects it.
+    #[test]
+    fn full_mode_warm_start_over_a_smaller_catalog_fails_at_load() {
+        let full = OfbConfig {
+            history_mode: HistoryMode::Full,
+            ..OfbConfig::default()
+        };
+        let big = catalog_unit(12);
+        let mut first = OptFileBundle::with_config(full);
+        let mut cache = CacheState::new(3);
+        for ids in [&[0u32, 1][..], &[10, 11], &[2]] {
+            first.handle(&b(ids), &mut cache, &big);
+        }
+        let mut buf = Vec::new();
+        first.history().write_to(&mut buf).unwrap();
+
+        let err = RequestHistory::read_from(&buf[..], &catalog_unit(8)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("file 10"), "{err}");
+
+        // Over the catalog it was saved with, the same warm start decides.
+        let restored = RequestHistory::read_from(&buf[..], &big).unwrap();
+        let mut second = OptFileBundle::with_history(full, restored);
+        let mut cache = CacheState::new(3);
+        for ids in [&[0u32, 1][..], &[2], &[3]] {
+            assert!(second.handle(&b(ids), &mut cache, &big).serviced);
+        }
     }
 
     #[test]

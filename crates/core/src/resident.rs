@@ -27,14 +27,22 @@
 //! history hash map at all: `Full`/`Window` walk the recency list (already
 //! recency-sorted — the sort the rebuild path paid per decision is free
 //! here), and `CacheSupported` takes the maintained supported set plus the
-//! entries completed by the incoming bundle's files. Filling the dense
-//! instance replays the rebuild path's first-touch interning permutation
-//! with epoch-stamped arrays instead of a hash map, so the produced
-//! `sizes`/`degrees`/`requests` vectors — and therefore every downstream
-//! float operation of the selection kernel — are **bit-for-bit identical**
-//! to the rebuild path's. The rebuild path itself survives verbatim behind
-//! the `reference-kernels` feature and is pinned equal by differential
-//! proptests (`crates/core/tests/resident_equivalence.rs`) and end-to-end
+//! entries completed by the incoming bundle's files.
+//!
+//! The shared-credit greedy then runs *in place* over this state
+//! ([`prepare_decision`](ResidentInstance::prepare_decision) →
+//! [`select_fast`](ResidentInstance::select_fast) →
+//! [`decision_outputs`](ResidentInstance::decision_outputs)); no FBC
+//! instance is built. Every float sum is taken over each candidate's files
+//! in the rebuild path's first-touch interning order, so the selection is
+//! **bit-for-bit identical** to the instance path's. `Full`/`Window` read
+//! that order from a lazily cached owner key; `CacheSupported` stamps it
+//! per decision, and takes every candidate outright when their union fits.
+//! The other greedy variants and partial enumeration still build an
+//! instance, through [`fill_instance`](ResidentInstance::fill_instance).
+//! The rebuild path itself survives verbatim behind the `reference-kernels`
+//! feature and is pinned equal by differential proptests
+//! (`crates/core/tests/resident_equivalence.rs`) and end-to-end
 //! byte-equality sweeps (`tests/resident_equivalence.rs`).
 
 use crate::bundle::Bundle;
@@ -45,7 +53,9 @@ use crate::optfilebundle::HistoryMode;
 use crate::select::{ord_key, rv_of, ReqState};
 use crate::types::{Bytes, FileId};
 use rustc_hash::FxHashMap;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
+use std::collections::BinaryHeap;
 
 /// Sentinel for "no entry" in the intrusive recency list and position maps.
 const NONE: u32 = u32::MAX;
@@ -142,7 +152,10 @@ pub struct ResidentInstance {
     epoch: u32,
     /// pid → epoch at which `file_local` was assigned.
     file_stamp: Vec<u32>,
-    /// pid → local index in the decision's dense instance.
+    /// pid → local index in the decision's dense instance: the rank of the
+    /// file's first touch, walking the candidates most recent first and
+    /// each bundle in canonical order. Stamped by `fill_instance`, and by
+    /// `prepare_decision` when the candidates are not a recency prefix.
     file_local: Vec<u32>,
     /// pid → epoch mark "belongs to the incoming bundle" (the size-0
     /// overlay: incoming files are pre-reserved and cost nothing).
@@ -155,6 +168,14 @@ pub struct ResidentInstance {
     touched: Vec<u32>,
     /// The assembled candidate list (eids, most recent first).
     candidates: Vec<u32>,
+    /// Whether `candidates` is a prefix of the recency list (`Full` /
+    /// `Window`). Only then does the cached owner key give the decision's
+    /// file order; otherwise `prepare_decision` stamps `file_local`.
+    prefix: bool,
+    /// Set by `prepare_decision` when the union of all candidates fits the
+    /// capacity: the greedy would take every candidate, so `select_fast`
+    /// skips its loop and `union_pids` already holds the union.
+    take_all: bool,
     /// Interned pids of the incoming bundle (stamped by
     /// [`assemble_candidates`](Self::assemble_candidates)).
     incoming_pids: Vec<u32>,
@@ -164,12 +185,17 @@ pub struct ResidentInstance {
     /// indexed by candidate rank.
     kr_req: Vec<ReqState>,
     /// Dense total-order images (`ord_key`) of the candidate priorities —
-    /// 0 marks taken. Full/Window decisions are capacity-starved (most
-    /// candidates never fit), so instead of a heap that pops every
+    /// 0 marks taken. Prefix (Full/Window) decisions are capacity-starved
+    /// (most candidates never fit), so instead of a heap that pops every
     /// infeasible candidate individually, each greedy round runs one
     /// branchless feasibility-masked argmax scan over this array and
     /// `kr_mb`. Rounds ≈ selections (a couple dozen), not ≈ candidates.
     kr_key: Vec<u64>,
+    /// Lazy max-heap of `(key, Reverse(rank))` for CacheSupported
+    /// decisions, which take nearly every candidate (rounds ≈ candidates,
+    /// so a per-round scan would be quadratic). A refresh pushes a fresh
+    /// entry and leaves the superseded one in place.
+    kr_heap: BinaryHeap<(u64, Reverse<u32>)>,
     /// Dense mirror of `kr_req[r].mb` so the feasibility mask in the
     /// argmax scan reads a flat `u64` lane instead of striding `ReqState`.
     kr_mb: Vec<u64>,
@@ -177,10 +203,7 @@ pub struct ResidentInstance {
     kr_touched: Vec<u32>,
     /// Candidates already selected this decision (rank-indexed).
     kr_taken: Vec<bool>,
-    /// Selected ranks, in selection order.
-    kr_chosen: Vec<u32>,
-    /// Union of the selected candidates' pids, in load order (re-sorted to
-    /// ascending decision-local order by `decision_outputs`).
+    /// Union of the selected candidates' pids, in load order.
     union_pids: Vec<u32>,
     /// Pids loaded by the current selection step.
     newly_loaded: Vec<u32>,
@@ -227,13 +250,15 @@ impl Default for ResidentInstance {
             bonus: Vec::new(),
             touched: Vec::new(),
             candidates: Vec::new(),
+            prefix: true,
+            take_all: false,
             incoming_pids: Vec::new(),
             kr_req: Vec::new(),
             kr_key: Vec::new(),
+            kr_heap: BinaryHeap::new(),
             kr_mb: Vec::new(),
             kr_touched: Vec::new(),
             kr_taken: Vec::new(),
-            kr_chosen: Vec::new(),
             union_pids: Vec::new(),
             newly_loaded: Vec::new(),
         }
@@ -496,6 +521,7 @@ impl ResidentInstance {
                 self.incoming_pids.push(pid);
             }
         }
+        self.prefix = !matches!(mode, HistoryMode::CacheSupported);
         match mode {
             HistoryMode::Full | HistoryMode::Window(_) => {
                 let limit = match mode {
@@ -546,7 +572,7 @@ impl ResidentInstance {
                 // total order matching the rebuild path's sort.
                 let last_seen = &self.last_seen;
                 self.candidates
-                    .sort_unstable_by_key(|&e| std::cmp::Reverse(last_seen[e as usize]));
+                    .sort_unstable_by_key(|&e| Reverse(last_seen[e as usize]));
                 if let Some(cap) = max_candidates {
                     self.candidates.truncate(cap);
                 }
@@ -619,20 +645,57 @@ impl ResidentInstance {
         }
     }
 
-    /// Prepares the in-place Full/Window decision kernel after
+    /// Prepares the in-place shared-credit decision after
     /// [`assemble_candidates`](Self::assemble_candidates): stamps candidate
-    /// ranks, refreshes lazily invalidated per-entry orders and adjusted
-    /// sums, and fills the rank-indexed value/marginal/priority tables —
+    /// ranks, brings each candidate's file order and adjusted sums up to
+    /// date, and fills the rank-indexed value/marginal/priority tables —
     /// everything `fill_instance` + `FbcInstance` construction used to
     /// produce, without building the instance.
     ///
-    /// Only valid for `Full`/`Window` candidate lists: those are recency
-    /// *prefixes*, which is what guarantees every candidate file's owner is
-    /// itself a (stamped) candidate. `CacheSupported` keeps the instance
-    /// path.
-    pub fn prepare_decision(&mut self, catalog: &FileCatalog, now: u64, value_fn: ValueFn) {
+    /// The file order is the instance path's local-index order: the rank
+    /// of each file's first touch over the candidates. For a recency
+    /// prefix (`Full`/`Window`) every candidate file's owner is itself a
+    /// candidate, so the cached owner key is that order. `CacheSupported`
+    /// candidates are not a prefix, so this stamps the first touches
+    /// directly; the same pass sums the union's bytes (incoming files
+    /// count 0), and when the union fits `capacity` every marginal stays
+    /// within `remaining`, the greedy takes every candidate, and the
+    /// tables are skipped ([`select_fast`](Self::select_fast) then returns
+    /// at once).
+    pub fn prepare_decision(
+        &mut self,
+        catalog: &FileCatalog,
+        now: u64,
+        value_fn: ValueFn,
+        capacity: Bytes,
+    ) {
         let epoch = self.epoch;
         let ncand = self.candidates.len();
+        self.union_pids.clear();
+        self.take_all = false;
+        if !self.prefix {
+            let mut union_bytes: Bytes = 0;
+            for r in 0..ncand {
+                let e = self.candidates[r] as usize;
+                for k in self.entry_offsets[e] as usize..self.entry_offsets[e + 1] as usize {
+                    let pid = self.entry_files[k] as usize;
+                    if self.file_stamp[pid] == epoch {
+                        continue;
+                    }
+                    self.file_stamp[pid] = epoch;
+                    self.file_local[pid] = self.union_pids.len() as u32;
+                    self.union_pids.push(pid as u32);
+                    if self.incoming_stamp[pid] != epoch {
+                        union_bytes += catalog.size(self.file_ids[pid]);
+                    }
+                }
+            }
+            if union_bytes <= capacity {
+                self.take_all = true;
+                return;
+            }
+            self.union_pids.clear();
+        }
         for r in 0..ncand {
             let e = self.candidates[r] as usize;
             self.rank_stamp[e] = epoch;
@@ -661,14 +724,10 @@ impl ResidentInstance {
         self.kr_key.resize(ncand, 0);
         self.kr_mb.clear();
         self.kr_mb.resize(ncand, 0);
-        self.kr_chosen.clear();
-        self.union_pids.clear();
 
         for r in 0..ncand {
             let e = self.candidates[r] as usize;
-            if self.order_dirty[e] {
-                self.rebuild_entry_order(catalog, e);
-            }
+            self.refresh_entry_order(catalog, e);
             let (adjusted, bytes) = if self.eff_stamp[e] == epoch {
                 // Recompute with the incoming files' sizes overlaid to 0 —
                 // the 0-size terms contribute exactly the `+0.0` the
@@ -689,12 +748,18 @@ impl ResidentInstance {
         }
     }
 
-    /// Re-sorts a dirty entry's file slice into ascending decision-local
-    /// order (the owner key) and recomputes its cached full-size sums.
-    fn rebuild_entry_order(&mut self, catalog: &FileCatalog, e: usize) {
+    /// Puts a candidate's file slice into ascending decision-local order
+    /// and refreshes its cached full-size sums if the order or a degree
+    /// changed. A prefix decision re-sorts only entries `on_record` marked
+    /// dirty (the owner key); otherwise the slice is checked against this
+    /// decision's first-touch stamps — 2–6 files, usually already in order.
+    fn refresh_entry_order(&mut self, catalog: &FileCatalog, e: usize) {
         let start = self.entry_offsets[e] as usize;
         let end = self.entry_offsets[e + 1] as usize;
-        {
+        if self.prefix {
+            if !self.order_dirty[e] {
+                return;
+            }
             let owner = &self.owner;
             let owner_pos = &self.owner_pos;
             let rank_val = &self.rank_val;
@@ -709,6 +774,19 @@ impl ResidentInstance {
                 );
                 (rank_val[o], owner_pos[pid as usize])
             });
+        } else {
+            let local = &self.file_local;
+            let files = &mut self.entry_sorted[start..end];
+            if files
+                .windows(2)
+                .all(|w| local[w[0] as usize] < local[w[1] as usize])
+            {
+                if !self.order_dirty[e] {
+                    return;
+                }
+            } else {
+                files.sort_unstable_by_key(|&pid| local[pid as usize]);
+            }
         }
         let (adjusted, bytes) = self.entry_sums(catalog, e, false);
         self.entry_adjusted[e] = adjusted;
@@ -743,9 +821,14 @@ impl ResidentInstance {
     /// mirror of `opt_cache_select_with_scratch` on the instance the
     /// rebuild path would have built. Returns `Some(rank)` when the single
     /// fallback strictly beats the greedy set (the `max_of` tie-break),
-    /// `None` when the greedy selection (left in `kr_chosen`/`union_pids`)
-    /// wins.
+    /// `None` when the greedy selection (left in `union_pids`) wins.
     pub fn select_fast(&mut self, catalog: &FileCatalog, capacity: Bytes) -> Option<usize> {
+        if self.take_all {
+            // Every candidate fits at once, so the greedy takes them all, and
+            // a float sum of non-negative values is at least each of its
+            // terms, so the single fallback cannot strictly beat it.
+            return None;
+        }
         let epoch = self.epoch;
         let ncand = self.candidates.len();
 
@@ -774,6 +857,26 @@ impl ResidentInstance {
             }
         }
 
+        // A greedy round takes the feasible maximum of the reference pop
+        // order's key, `(rv desc, rank asc)`. Parking is unobservable: a
+        // parked candidate re-enters only through the adjacency refresh,
+        // which rewrites its priority and marginal wholesale, and an
+        // infeasible candidate never becomes feasible otherwise, because
+        // `remaining` only shrinks. Capacity-starved prefix decisions take
+        // a couple dozen of their candidates, so each round is one
+        // branchless feasibility-masked argmax scan. CacheSupported
+        // decisions take nearly every candidate, so a round pops a lazy
+        // max-heap instead; entries a refresh superseded are skipped.
+        let heap_rounds = !self.prefix;
+        if heap_rounds {
+            self.kr_heap.clear();
+            self.kr_heap.extend(
+                self.kr_key
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &k)| (k, Reverse(r as u32))),
+            );
+        }
         let mut remaining = capacity;
         let mut value_sum = 0.0_f64;
         let mut step: u32 = 0;
@@ -784,37 +887,36 @@ impl ResidentInstance {
             if free_candidates == 0 && remaining < min_positive_mb {
                 break;
             }
-            // One greedy round = the reference heap's pop-until-feasible
-            // run, fused into a feasibility-masked argmax. Parking is
-            // unobservable: a parked candidate re-enters only through the
-            // adjacency refresh, which rewrites its priority and marginal
-            // wholesale — identically whether or not it was removed from a
-            // heap first — and an unparked-but-infeasible candidate can
-            // never be taken later because `remaining` only shrinks. So
-            // the round's take is exactly the feasibility-masked maximum
-            // of the reference pop order's key, `(rv desc, rank asc)`.
-            let mut best = 0_u64;
-            for (&k, &m) in self.kr_key.iter().zip(self.kr_mb.iter()) {
-                let masked = if m <= remaining { k } else { 0 };
-                best = best.max(masked);
-            }
-            if best == 0 {
-                break; // no feasible candidate left — terminal drain
-            }
-            let mut r = usize::MAX;
-            for i in 0..ncand {
-                if self.kr_key[i] == best && self.kr_mb[i] <= remaining {
-                    r = i;
+            let r = if heap_rounds {
+                let Some((_, Reverse(r))) = self.kr_heap.pop() else {
                     break;
+                };
+                let r = r as usize;
+                // A superseded entry never carries a higher key than its
+                // refresh, so it pops after the candidate was taken or
+                // parked and fails one of these two tests as well.
+                if self.kr_taken[r] || self.kr_mb[r] > remaining {
+                    continue; // taken or parked
                 }
-            }
-            debug_assert!(r < ncand, "masked maximum must be attained");
+                r
+            } else {
+                let mut best = 0_u64;
+                for (&k, &m) in self.kr_key.iter().zip(self.kr_mb.iter()) {
+                    let masked = if m <= remaining { k } else { 0 };
+                    best = best.max(masked);
+                }
+                if best == 0 {
+                    break; // no feasible candidate left — terminal drain
+                }
+                let found =
+                    (0..ncand).find(|&i| self.kr_key[i] == best && self.kr_mb[i] <= remaining);
+                found.expect("masked maximum must be attained")
+            };
             if self.kr_req[r].mb == 0 {
                 free_candidates -= 1;
             }
             self.kr_key[r] = 0;
             self.kr_taken[r] = true;
-            self.kr_chosen.push(r as u32);
             value_sum += self.kr_req[r].value;
             let e = self.candidates[r] as usize;
             self.newly_loaded.clear();
@@ -870,14 +972,15 @@ impl ResidentInstance {
                         min_positive_mb = mb;
                     }
                     let rv = rv_of(self.kr_req[r2].value, ma);
-                    debug_assert!(
-                        ord_key(rv) >= self.kr_key[r2],
-                        "refresh only raises priorities"
-                    );
+                    let key = ord_key(rv);
+                    debug_assert!(key >= self.kr_key[r2], "refresh only raises priorities");
                     self.kr_req[r2].mb = mb;
                     self.kr_req[r2].rv = rv;
-                    self.kr_key[r2] = ord_key(rv);
+                    self.kr_key[r2] = key;
                     self.kr_mb[r2] = mb;
+                    if heap_rounds {
+                        self.kr_heap.push((key, Reverse(r2 as u32)));
+                    }
                 }
             }
         }
@@ -889,8 +992,9 @@ impl ResidentInstance {
     }
 
     /// Materialises the decision's `(retained, prefetch)` file lists from
-    /// the winning selection — byte-identical to the instance path's
-    /// `selection.files → global → sort` and ascending-local prefetch scan.
+    /// the winning selection: the same retained set as the instance path's
+    /// `selection.files` (in load order, not sorted), and the same
+    /// prefetch list, in ascending local order.
     pub fn decision_outputs(
         &mut self,
         cache: &CacheState,
@@ -907,36 +1011,35 @@ impl ResidentInstance {
             );
             self.union_pids
                 .extend_from_slice(&self.entry_sorted[start..end]);
-        } else {
-            // The greedy union accumulated in load order; the instance path
-            // reports `selection.files` in ascending local order, which the
-            // owner key reproduces.
-            let owner = &self.owner;
-            let owner_pos = &self.owner_pos;
-            let rank_val = &self.rank_val;
-            self.union_pids.sort_unstable_by_key(|&pid| {
-                (
-                    rank_val[owner[pid as usize] as usize],
-                    owner_pos[pid as usize],
-                )
-            });
         }
-        let mut retained: Vec<FileId> = self
+        let retained: Vec<FileId> = self
             .union_pids
             .iter()
             .map(|&p| self.file_ids[p as usize])
             .collect();
-        retained.sort_unstable();
-        let prefetch: Vec<FileId> = if prefetch_enabled {
-            self.union_pids
-                .iter()
-                .filter(|&&p| self.incoming_stamp[p as usize] != epoch)
-                .map(|&p| self.file_ids[p as usize])
-                .filter(|&f| !cache.contains(f))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // A CacheSupported candidate's files are all resident or incoming,
+        // so only prefix decisions can prefetch.
+        if !(prefetch_enabled && self.prefix) {
+            return (retained, Vec::new());
+        }
+        let mut prefetch: Vec<u32> = self
+            .union_pids
+            .iter()
+            .copied()
+            .filter(|&p| {
+                self.incoming_stamp[p as usize] != epoch
+                    && !cache.contains(self.file_ids[p as usize])
+            })
+            .collect();
+        // The instance path lists prefetches in ascending local order.
+        let (owner, owner_pos, rank_val) = (&self.owner, &self.owner_pos, &self.rank_val);
+        prefetch.sort_unstable_by_key(|&p| {
+            (rank_val[owner[p as usize] as usize], owner_pos[p as usize])
+        });
+        let prefetch = prefetch
+            .iter()
+            .map(|&p| self.file_ids[p as usize])
+            .collect();
         (retained, prefetch)
     }
 
@@ -1056,6 +1159,68 @@ mod tests {
             .map(|&e| mirror.bundle(e).clone())
             .collect();
         assert_eq!(got, vec![b(&[1]), b(&[3]), b(&[2])]);
+    }
+
+    /// CacheSupported candidates are not a recency prefix, so the in-place
+    /// path orders each candidate's files by this decision's first touches.
+    /// Its per-candidate marginal bytes and keys must be bit-identical to
+    /// those of the instance `fill_instance` builds for the same decision.
+    #[test]
+    fn cache_supported_keys_match_the_filled_instance() {
+        let sizes: Vec<u64> = (0..24u64).map(|i| (i * 7919) % 997 + 3).collect();
+        let catalog = FileCatalog::from_sizes(sizes);
+        let mut history = RequestHistory::new();
+        let mut mirror = ResidentInstance::new();
+        let mut state = 0xBADC0DEu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut checked = 0;
+        for _ in 0..400 {
+            let k = (next() % 5 + 1) as usize;
+            let files: Vec<u32> = (0..k).map(|_| (next() % 24) as u32).collect();
+            let bundle = Bundle::from_raw(files);
+            let f = FileId((next() % 24) as u32);
+            if next() % 3 == 0 {
+                mirror.on_evict(f);
+            } else {
+                mirror.on_insert(f);
+            }
+
+            mirror.assemble_candidates(HistoryMode::CacheSupported, None, &bundle);
+            let (mut global_of, mut sz, mut degrees, mut requests) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let now = history.total_requests();
+            mirror.fill_instance(
+                &catalog,
+                now,
+                ValueFn::Count,
+                &mut global_of,
+                &mut sz,
+                &mut degrees,
+                &mut Vec::new(),
+                &mut requests,
+            );
+            let inst =
+                crate::instance::FbcInstance::with_degrees(0, sz, requests, Some(degrees)).unwrap();
+            mirror.assemble_candidates(HistoryMode::CacheSupported, None, &bundle);
+            mirror.prepare_decision(&catalog, now, ValueFn::Count, 0);
+            if !mirror.take_all {
+                for r in 0..inst.num_requests() {
+                    let value = inst.requests()[r].value;
+                    let rv = rv_of(value, inst.request_adjusted_size(r));
+                    assert_eq!(mirror.kr_req[r].mb, inst.request_size(r));
+                    assert_eq!(mirror.kr_req[r].rv.to_bits(), rv.to_bits());
+                    checked += 1;
+                }
+            }
+            let entry = history.record(&bundle);
+            mirror.on_record(entry);
+        }
+        assert!(checked > 100, "only {checked} candidates compared");
     }
 
     #[test]

@@ -235,7 +235,7 @@ proptest! {
         history.write_to(&mut buf).unwrap();
         let config = OfbConfig { value_fn, ..OfbConfig::default() };
 
-        let restored = || RequestHistory::read_from(&buf[..]).unwrap();
+        let restored = || RequestHistory::read_from(&buf[..], &catalog).unwrap();
         let fast = run(
             OptFileBundle::with_history(config, restored()),
             &jobs,
@@ -277,5 +277,113 @@ proptest! {
             cache_f.resident_files_sorted(),
             cache_s.resident_files_sorted()
         );
+    }
+}
+
+/// Which branch of the in-place CacheSupported decision `incoming` would
+/// take: `Some(true)` when the union of the candidates' files (incoming
+/// files free) fits the selection capacity — the take-everything shortcut
+/// — `Some(false)` when the greedy loop runs, and `None` when the request
+/// makes no replacement decision over a non-empty candidate list.
+fn cache_supported_branch(
+    policy: &mut OptFileBundle,
+    cache: &CacheState,
+    catalog: &FileCatalog,
+    incoming: &Bundle,
+) -> Option<bool> {
+    if incoming.total_size(catalog) > cache.capacity() || cache.supports(incoming) {
+        return None;
+    }
+    let missing: u64 = cache
+        .missing_of(incoming)
+        .iter()
+        .map(|&f| catalog.size(f))
+        .sum();
+    if missing <= cache.free() {
+        return None;
+    }
+    let explanation = policy.explain(cache, catalog, incoming);
+    if explanation.candidates.is_empty() {
+        return None;
+    }
+    let union: std::collections::BTreeSet<FileId> = explanation
+        .candidates
+        .iter()
+        .flat_map(|b| b.iter())
+        .filter(|&f| !incoming.contains(f))
+        .collect();
+    let union_bytes: u64 = union.iter().map(|&f| catalog.size(f)).sum();
+    Some(union_bytes <= explanation.select_capacity)
+}
+
+/// The in-place CacheSupported decision through both of its branches —
+/// the take-everything shortcut and the greedy loop, each asserted to
+/// fire — pinned bit for bit to the rebuild reference on every outcome,
+/// every decision's explain report and the final cache, under counting
+/// and decayed values, with and without a candidate cap.
+#[test]
+fn cache_supported_shortcut_and_greedy_match_reference() {
+    const FILES: u32 = 40;
+    const POOL: u64 = 30;
+    let catalog = FileCatalog::from_sizes((0..FILES as u64).map(|i| (i * 7) % 9 + 1).collect());
+    let mut state = 0x5EED_CAFE_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let pool: Vec<Bundle> = (0..POOL)
+        .map(|_| {
+            let k = next() % 4 + 1;
+            Bundle::from_raw((0..k).map(|_| (next() % FILES as u64) as u32))
+        })
+        .collect();
+    // Skewed draws: popular bundles recur, so the cache supports many
+    // history entries at once and the union of candidates straddles the
+    // capacity.
+    let jobs: Vec<Bundle> = (0..600)
+        .map(|_| pool[((next() % POOL) * (next() % POOL) / POOL) as usize].clone())
+        .collect();
+
+    for value_fn in [ValueFn::Count, ValueFn::Decay { half_life: 5.0 }] {
+        for max_candidates in [None, Some(4)] {
+            let config = OfbConfig {
+                value_fn,
+                max_candidates,
+                ..OfbConfig::default()
+            };
+            assert_eq!(config.history_mode, HistoryMode::CacheSupported);
+            let mut fast = OptFileBundle::with_config(config);
+            let mut slow = OptFileBundle::with_config_reference(config);
+            let mut cache_f = CacheState::new(40);
+            let mut cache_s = CacheState::new(40);
+            let (mut shortcut, mut greedy) = (0, 0);
+            for (i, bundle) in jobs.iter().enumerate() {
+                match cache_supported_branch(&mut fast, &cache_f, &catalog, bundle) {
+                    Some(true) => shortcut += 1,
+                    Some(false) => greedy += 1,
+                    None => {}
+                }
+                assert_eq!(
+                    fast.explain(&cache_f, &catalog, bundle),
+                    slow.explain(&cache_s, &catalog, bundle),
+                    "job {i}: explain diverged under {config:?}"
+                );
+                assert_eq!(
+                    fast.handle(bundle, &mut cache_f, &catalog),
+                    slow.handle(bundle, &mut cache_s, &catalog),
+                    "job {i}: outcome diverged under {config:?}"
+                );
+            }
+            assert_eq!(
+                cache_f.resident_files_sorted(),
+                cache_s.resident_files_sorted()
+            );
+            assert!(
+                shortcut > 0 && greedy > 0,
+                "{config:?}: shortcut {shortcut}, greedy {greedy} — both branches must fire"
+            );
+        }
     }
 }

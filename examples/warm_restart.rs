@@ -52,6 +52,7 @@ fn main() {
 
     let restored = file_bundle_cache::core::history::RequestHistory::read_from(
         std::fs::File::open(&path).expect("open history"),
+        &second.catalog,
     )
     .expect("parse history");
     let mut warm = OptFileBundle::with_history(OfbConfig::default(), restored);

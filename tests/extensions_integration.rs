@@ -60,7 +60,7 @@ fn warm_start_never_loses_to_cold_start() {
     let _ = run_trace(&mut learner, &first, &RunConfig::new(cache));
     let mut buf = Vec::new();
     learner.history().write_to(&mut buf).unwrap();
-    let restored = RequestHistory::read_from(&buf[..]).unwrap();
+    let restored = RequestHistory::read_from(&buf[..], &trace.catalog).unwrap();
 
     let mut cold = OptFileBundle::new();
     let cold_m = run_trace(&mut cold, &second, &RunConfig::new(cache));

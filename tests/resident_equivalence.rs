@@ -107,7 +107,7 @@ fn warm_started_incremental_path_matches_reference() {
             history_mode,
             ..OfbConfig::default()
         };
-        let restored = || RequestHistory::read_from(&buf[..]).unwrap();
+        let restored = || RequestHistory::read_from(&buf[..], &trace.catalog).unwrap();
         let fast = drive(
             OptFileBundle::with_history(config, restored()),
             &trace,
