@@ -159,12 +159,13 @@ impl RequestHistory {
     ///
     /// # Panics
     ///
-    /// If `priority` is negative or not finite: values are
-    /// `base · priority`, and the selection kernels need them finite and
-    /// non-negative.
+    /// If `priority` is negative (`-0.0` included) or not finite: values
+    /// are `base · priority`, and the selection kernels need them finite
+    /// and non-negative, with zero as `+0.0` so every kernel orders it
+    /// alike.
     pub fn set_priority(&mut self, bundle: &Bundle, priority: f64) -> bool {
         assert!(
-            priority.is_finite() && priority >= 0.0,
+            is_non_negative(priority),
             "priority must be finite and non-negative, got {priority}"
         );
         match self.entries.get_mut(bundle) {
@@ -419,7 +420,7 @@ impl RequestHistory {
             let mut take = |name: &str| tok.next().ok_or_else(|| bad(&format!("missing {name}")));
             let count: u64 = take("count")?.parse().map_err(|_| bad("bad count"))?;
             let value_acc: f64 = take("value_acc")?.parse().map_err(|_| bad("bad value"))?;
-            if !(value_acc.is_finite() && value_acc >= 0.0) {
+            if !is_non_negative(value_acc) {
                 return Err(bad("value must be finite and non-negative"));
             }
             let value_tick: u64 = take("value_tick")?
@@ -434,7 +435,7 @@ impl RequestHistory {
             let priority: f64 = take("priority")?.parse().map_err(|_| bad("bad priority"))?;
             // Values are `base · priority`, and the selection kernels need
             // them finite and non-negative.
-            if !(priority.is_finite() && priority >= 0.0) {
+            if !is_non_negative(priority) {
                 return Err(bad("priority must be finite and non-negative"));
             }
             let files: Vec<FileId> = tok
@@ -468,6 +469,13 @@ impl RequestHistory {
         }
         Ok(history)
     }
+}
+
+/// Finite and `+0.0` or above. `-0.0 >= 0.0` holds, but `-0.0` and `0.0`
+/// tie under `partial_cmp` and not under `total_cmp`, so the kernels that
+/// rank by either would order a `-0.0` value differently.
+fn is_non_negative(x: f64) -> bool {
+    x.is_finite() && x.is_sign_positive()
 }
 
 #[cfg(test)]
@@ -575,6 +583,14 @@ mod tests {
         let mut h = RequestHistory::new();
         h.record(&b(&[1]));
         h.set_priority(&b(&[1]), -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "priority must be finite and non-negative")]
+    fn negative_zero_priority_is_rejected() {
+        let mut h = RequestHistory::new();
+        h.record(&b(&[1]));
+        h.set_priority(&b(&[1]), -0.0);
     }
 
     #[test]
@@ -788,6 +804,16 @@ entries 1
     #[test]
     fn persistence_rejects_negative_priority() {
         assert_invalid("value_fn count\ntick 1\nentries 1\n1 1 1 1 1 -1 3\n");
+    }
+
+    #[test]
+    fn persistence_rejects_negative_zero() {
+        // value_acc, then priority.
+        assert_invalid("value_fn count\ntick 1\nentries 1\n1 -0 1 1 1 1 3\n");
+        assert_invalid("value_fn count\ntick 1\nentries 1\n1 1 1 1 1 -0 3\n");
+        // Positive zero stays valid for both.
+        let ok = "value_fn count\ntick 1\nentries 1\n1 0 1 1 1 0 3\n";
+        assert!(RequestHistory::read_from(ok.as_bytes(), &catalog_of(8)).is_ok());
     }
 
     #[test]

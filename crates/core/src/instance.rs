@@ -5,11 +5,12 @@
 //! branch-and-bound, partial enumeration) from the *online machinery*
 //! (history, cache): given requests with values over files with sizes and a
 //! capacity, find a subset of requests of maximum total value whose union of
-//! files fits. The online `OptFileBundle` policy builds one instance per
-//! replacement decision; tests and benches build them directly.
+//! files fits. The online `OptFileBundle` policy decides in place over its
+//! resident state and builds none (its rebuild reference still builds one
+//! per decision); offline solvers, tests and benches build them directly.
 //!
 //! Files inside an instance are dense local indices (`u32`), not global
-//! [`FileId`](crate::types::FileId)s — the policy layer maintains the
+//! [`FileId`](crate::types::FileId)s — the caller maintains the
 //! mapping. A file may be given size 0 to mark it *pre-reserved* (e.g. the
 //! files of the arriving request, whose space is already accounted for), so
 //! selecting requests that reuse it costs nothing.

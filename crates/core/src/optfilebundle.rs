@@ -14,7 +14,6 @@
 //!   file degrees still taken from the global history.
 //! * **Greedy variant** (§3 Note): literal Algorithm 1 vs. marginal-size
 //!   charging vs. full recompute-and-resort.
-//! * **Partial enumeration** (§4): seed the greedy with every 1- or 2-subset.
 //! * **Prefetching** (Algorithm 2 Step 3, literally): load files of selected
 //!   historical requests that are not resident.
 
@@ -25,12 +24,13 @@ use crate::catalog::FileCatalog;
 use crate::history::{RequestHistory, ValueFn};
 #[cfg(any(test, feature = "reference-kernels"))]
 use crate::index::SupportIndex;
+#[cfg(any(test, feature = "reference-kernels"))]
 use crate::instance::FbcInstance;
 use crate::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
 use crate::resident::ResidentInstance;
-use crate::select::{opt_cache_select, GreedyVariant, SelectOptions};
+use crate::select::GreedyVariant;
 #[cfg(any(test, feature = "reference-kernels"))]
-use crate::select::{opt_cache_select_lazy_with_scratch, LazySelectScratch};
+use crate::select::{opt_cache_select_lazy_with_scratch, LazySelectScratch, SelectOptions};
 use crate::types::{Bytes, FileId};
 use fbc_obs::{Field, Obs};
 #[cfg(any(test, feature = "reference-kernels"))]
@@ -59,9 +59,6 @@ pub struct OfbConfig {
     pub history_mode: HistoryMode,
     /// Greedy flavour of the underlying `OptCacheSelect`.
     pub variant: GreedyVariant,
-    /// When `Some(k)`, use partial enumeration with seeds of size ≤ `k`
-    /// (k ≤ 2). Much slower; intended for offline analysis.
-    pub enumeration_k: Option<usize>,
     /// Whether to load files of selected historical requests that are not
     /// currently resident (Algorithm 2 Step 3 verbatim). Only meaningful
     /// under [`HistoryMode::Full`]/[`HistoryMode::Window`]; with
@@ -79,7 +76,6 @@ impl Default for OfbConfig {
         Self {
             history_mode: HistoryMode::default(),
             variant: GreedyVariant::SharedCredit,
-            enumeration_k: None,
             prefetch: false,
             value_fn: ValueFn::Count,
             max_candidates: None,
@@ -105,21 +101,20 @@ pub struct DecisionExplanation {
     pub victims: Vec<FileId>,
 }
 
-/// Reusable buffers of the replacement-decision path, owned by the policy
-/// so that `decide_retained` performs no per-candidate allocation in steady
-/// state: the interning map, the local instance's size/degree/file buffers
-/// and the retained-file mask are cleared — never freed — between
-/// decisions, and the instance's owned vectors are reclaimed through
-/// [`FbcInstance::into_parts`] after every selection. Shared-credit
-/// decisions build no instance; their scratch lives in the resident state.
+/// Reusable buffers of the *rebuild* (reference) decision path, so that it
+/// performs no per-candidate allocation in steady state: the interning map
+/// and the local instance's size/degree/file buffers are cleared — never
+/// freed — between decisions, and the instance's owned vectors are
+/// reclaimed through [`FbcInstance::into_parts`] after every selection.
+/// The resident path builds no instance; its scratch lives in the resident
+/// state.
+#[cfg(any(test, feature = "reference-kernels"))]
 #[derive(Debug, Clone, Default)]
 struct DecisionScratch {
-    /// `FileId` → dense local index interning map of the *rebuild*
-    /// (reference) path; the resident path interns through epoch-stamped
-    /// arrays instead. FxHash: small fixed-width keys on the hot path, and
-    /// iteration order is never observed (the local index assignment
-    /// follows candidate order).
-    #[cfg(any(test, feature = "reference-kernels"))]
+    /// `FileId` → dense local index interning map; the resident path
+    /// interns through epoch-stamped arrays instead. FxHash: small
+    /// fixed-width keys, and iteration order is never observed (the local
+    /// index assignment follows candidate order).
     local_of: FxHashMap<FileId, u32>,
     /// Inverse of `local_of`: local index → global id.
     global_of: Vec<FileId>,
@@ -130,15 +125,10 @@ struct DecisionScratch {
     /// Recycled per-candidate file buffers, refilled from
     /// [`crate::instance::InstanceRequest::into_files`] after each decision.
     file_bufs: Vec<Vec<u32>>,
-    /// Membership bits of the decision's retained files, set for the
-    /// victim scan and cleared right after it: a bit test per resident
-    /// instead of a binary search over a sorted retained list.
-    retained: ResidencySet,
     /// The previous-generation (lazy version-stamped) kernel's scratch —
     /// the rebuild/reference path runs the whole pre-resident pipeline,
     /// select kernel included, so speedup measurements compare complete
     /// generations rather than a mixed stack.
-    #[cfg(any(test, feature = "reference-kernels"))]
     select_lazy: LazySelectScratch,
 }
 
@@ -161,9 +151,14 @@ pub struct OptFileBundle {
     /// resident path.
     #[cfg(any(test, feature = "reference-kernels"))]
     reference: bool,
-    /// Reusable decision-path buffers (pure optimisation; carries no state
-    /// across decisions).
+    /// The rebuild path's reusable buffers (pure optimisation; carries no
+    /// state across decisions).
+    #[cfg(any(test, feature = "reference-kernels"))]
     scratch: DecisionScratch,
+    /// Membership bits of the decision's retained files, set for the
+    /// victim scan and cleared right after it: a bit test per resident
+    /// instead of a binary search over a sorted retained list.
+    retained: ResidencySet,
     /// Observability sink (disabled unless a driver attaches one); records
     /// per-phase spans, candidate/retained histograms and decision events.
     obs: Obs,
@@ -208,7 +203,9 @@ impl OptFileBundle {
             index: SupportIndex::new(),
             #[cfg(any(test, feature = "reference-kernels"))]
             reference: false,
+            #[cfg(any(test, feature = "reference-kernels"))]
             scratch: DecisionScratch::default(),
+            retained: ResidencySet::default(),
             obs: Obs::disabled(),
             obs_slots: OutcomeObsSlots::default(),
             name,
@@ -357,14 +354,14 @@ impl OptFileBundle {
 
     /// Runs the replacement decision: returns the files (global ids, in
     /// no particular order) to retain alongside `incoming`'s files, plus
-    /// the prefetch list. `&mut self` only for the reusable decision scratch
-    /// and the per-decision epoch stamps of the resident state.
+    /// the prefetch list. `&mut self` only for the per-decision epoch
+    /// stamps and scratch of the resident state.
     ///
     /// Unlike the pre-resident rebuild path (kept verbatim in
     /// [`Self::decide_retained_reference`]), this applies the pending delta
     /// (candidate assembly off the maintained supported set / recency
     /// list), overlays the incoming bundle's files at size 0 via epoch
-    /// stamps, and feeds the selection kernel — no per-decision
+    /// stamps, and runs the greedy in place — no per-decision instance, no
     /// re-interning, re-hashing or re-sorting of the whole candidate set.
     fn decide_retained(
         &mut self,
@@ -381,7 +378,6 @@ impl OptFileBundle {
             config,
             history,
             resident,
-            scratch,
             obs,
             ..
         } = self;
@@ -393,100 +389,23 @@ impl OptFileBundle {
             return (Vec::new(), Vec::new());
         }
 
-        // Shared credit (the paper's default greedy) runs the selection
-        // *in place* over the resident state in every history mode: the
-        // per-candidate file orders reproduce the instance path's
-        // first-touch interning permutation exactly, so no instance is
-        // built at all. The other variants and partial enumeration keep
-        // the instance path below.
-        if config.enumeration_k.is_none() && config.variant == GreedyVariant::SharedCredit {
-            let build_span = obs.span("ofb.instance_build");
-            resident.prepare_decision(
-                catalog,
-                history.total_requests(),
-                history.value_fn(),
-                select_capacity,
-            );
-            drop(build_span);
-            let select_span = obs.span("ofb.greedy_select");
-            let single = resident.select_fast(catalog, select_capacity);
-            drop(select_span);
-            let (retained, prefetch) = resident.decision_outputs(cache, config.prefetch, single);
-            obs.observe("ofb.retained_files", retained.len() as u64);
-            return (retained, prefetch);
-        }
-
-        // Fill the dense instance from the persistent state, recycling the
-        // previous decision's buffers.
         let build_span = obs.span("ofb.instance_build");
-        let DecisionScratch {
-            global_of,
-            sizes,
-            degrees,
-            file_bufs,
-            ..
-        } = scratch;
-        global_of.clear();
-        sizes.clear();
-        degrees.clear();
-        let mut requests: Vec<(Vec<u32>, f64)> = Vec::with_capacity(resident.candidates().len());
-        let now = history.total_requests();
-        let value_fn = history.value_fn();
-        resident.fill_instance(
+        resident.prepare_decision(
             catalog,
-            now,
-            value_fn,
-            global_of,
-            sizes,
-            degrees,
-            file_bufs,
-            &mut requests,
-        );
-
-        let inst = FbcInstance::with_degrees(
+            history.total_requests(),
+            history.value_fn(),
             select_capacity,
-            std::mem::take(sizes),
-            requests,
-            Some(std::mem::take(degrees)),
-        )
-        .expect("locally built instance is structurally valid");
+            config.variant,
+        );
         drop(build_span);
-
         let select_span = obs.span("ofb.greedy_select");
-        let selection = match config.enumeration_k {
-            Some(k) => crate::enumerate::opt_cache_select_enumerated(&inst, k.min(2)),
-            None => opt_cache_select(
-                &inst,
-                &SelectOptions {
-                    variant: config.variant,
-                    max_single_fallback: true,
-                },
-            ),
+        let single = match config.variant {
+            GreedyVariant::SharedCredit => resident.select_fast(catalog, select_capacity),
+            GreedyVariant::SortedOnce => resident.select_sorted(catalog, select_capacity, true),
+            GreedyVariant::PaperLiteral => resident.select_sorted(catalog, select_capacity, false),
         };
         drop(select_span);
-
-        let retained: Vec<FileId> = selection
-            .files
-            .iter()
-            .map(|&l| global_of[l as usize])
-            .collect();
-        let prefetch: Vec<FileId> = if config.prefetch {
-            selection
-                .files
-                .iter()
-                .map(|&l| global_of[l as usize])
-                .filter(|&f| !cache.contains(f) && !incoming.contains(f))
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Reclaim the instance's owned buffers for the next decision.
-        let (reclaimed_sizes, reclaimed_degrees, reclaimed_requests) = inst.into_parts();
-        *sizes = reclaimed_sizes;
-        *degrees = reclaimed_degrees;
-        file_bufs.extend(reclaimed_requests.into_iter().map(|r| r.into_files()));
-
+        let (retained, prefetch) = resident.decision_outputs(cache, config.prefetch, single);
         obs.observe("ofb.retained_files", retained.len() as u64);
         (retained, prefetch)
     }
@@ -570,17 +489,14 @@ impl OptFileBundle {
         drop(build_span);
 
         let select_span = obs.span("ofb.greedy_select");
-        let selection = match config.enumeration_k {
-            Some(k) => crate::enumerate::opt_cache_select_enumerated(&inst, k.min(2)),
-            None => opt_cache_select_lazy_with_scratch(
-                &inst,
-                &SelectOptions {
-                    variant: config.variant,
-                    max_single_fallback: true,
-                },
-                select_lazy,
-            ),
-        };
+        let selection = opt_cache_select_lazy_with_scratch(
+            &inst,
+            &SelectOptions {
+                variant: config.variant,
+                max_single_fallback: true,
+            },
+            select_lazy,
+        );
         drop(select_span);
 
         let mut retained: Vec<FileId> = selection
@@ -704,7 +620,7 @@ impl OptFileBundle {
             // fastest), then id for determinism.
             let evict_span = self.obs.span("ofb.evict");
             let target = missing_bytes + prefetch_bytes;
-            let mask = &mut self.scratch.retained;
+            let mask = &mut self.retained;
             for &f in &retained {
                 mask.insert(f);
             }

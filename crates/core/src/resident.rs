@@ -29,17 +29,18 @@
 //! here), and `CacheSupported` takes the maintained supported set plus the
 //! entries completed by the incoming bundle's files.
 //!
-//! The shared-credit greedy then runs *in place* over this state
-//! ([`prepare_decision`](ResidentInstance::prepare_decision) →
-//! [`select_fast`](ResidentInstance::select_fast) →
-//! [`decision_outputs`](ResidentInstance::decision_outputs)); no FBC
-//! instance is built. Every float sum is taken over each candidate's files
-//! in the rebuild path's first-touch interning order, so the selection is
-//! **bit-for-bit identical** to the instance path's. `Full`/`Window` read
-//! that order from a lazily cached owner key; `CacheSupported` stamps it
-//! per decision, and takes every candidate outright when their union fits.
-//! The other greedy variants and partial enumeration still build an
-//! instance, through [`fill_instance`](ResidentInstance::fill_instance).
+//! Every greedy variant then runs *in place* over this state
+//! ([`prepare_decision`](ResidentInstance::prepare_decision) → one of two
+//! lanes → [`decision_outputs`](ResidentInstance::decision_outputs)); no
+//! FBC instance is built. Shared credit re-ranks after every selection
+//! ([`select_fast`](ResidentInstance::select_fast)); PaperLiteral and
+//! SortedOnce sort once and make one admission pass
+//! ([`select_sorted`](ResidentInstance::select_sorted)). Every float sum is
+//! taken over each candidate's files in the rebuild path's first-touch
+//! interning order, so the selection is **bit-for-bit identical** to the
+//! instance path's. `Full`/`Window` read that order from a lazily cached
+//! owner key; `CacheSupported` stamps it per decision, and under marginal
+//! charging takes every candidate outright when their union fits.
 //! The rebuild path itself survives verbatim behind the `reference-kernels`
 //! feature and is pinned equal by differential proptests
 //! (`crates/core/tests/resident_equivalence.rs`) and end-to-end
@@ -50,7 +51,7 @@ use crate::cache::CacheState;
 use crate::catalog::FileCatalog;
 use crate::history::{HistoryEntry, RequestHistory, ValueFn};
 use crate::optfilebundle::HistoryMode;
-use crate::select::{ord_key, rv_of, ReqState};
+use crate::select::{ord_key, rv_of, GreedyVariant, ReqState};
 use crate::types::{Bytes, FileId};
 use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
@@ -154,8 +155,8 @@ pub struct ResidentInstance {
     file_stamp: Vec<u32>,
     /// pid → local index in the decision's dense instance: the rank of the
     /// file's first touch, walking the candidates most recent first and
-    /// each bundle in canonical order. Stamped by `fill_instance`, and by
-    /// `prepare_decision` when the candidates are not a recency prefix.
+    /// each bundle in canonical order. Stamped by `prepare_decision` when
+    /// the candidates are not a recency prefix.
     file_local: Vec<u32>,
     /// pid → epoch mark "belongs to the incoming bundle" (the size-0
     /// overlay: incoming files are pre-reserved and cost nothing).
@@ -173,8 +174,9 @@ pub struct ResidentInstance {
     /// file order; otherwise `prepare_decision` stamps `file_local`.
     prefix: bool,
     /// Set by `prepare_decision` when the union of all candidates fits the
-    /// capacity: the greedy would take every candidate, so `select_fast`
-    /// skips its loop and `union_pids` already holds the union.
+    /// capacity under marginal charging: the greedy would take every
+    /// candidate, so the lanes skip their loops and `union_pids` already
+    /// holds the union.
     take_all: bool,
     /// Interned pids of the incoming bundle (stamped by
     /// [`assemble_candidates`](Self::assemble_candidates)).
@@ -203,6 +205,8 @@ pub struct ResidentInstance {
     kr_touched: Vec<u32>,
     /// Candidates already selected this decision (rank-indexed).
     kr_taken: Vec<bool>,
+    /// The sorted lane's admission order: ranks by `(key desc, rank asc)`.
+    kr_order: Vec<u32>,
     /// Union of the selected candidates' pids, in load order.
     union_pids: Vec<u32>,
     /// Pids loaded by the current selection step.
@@ -259,6 +263,7 @@ impl Default for ResidentInstance {
             kr_mb: Vec::new(),
             kr_touched: Vec::new(),
             kr_taken: Vec::new(),
+            kr_order: Vec::new(),
             union_pids: Vec::new(),
             newly_loaded: Vec::new(),
         }
@@ -512,9 +517,8 @@ impl ResidentInstance {
         let epoch = self.epoch;
         self.candidates.clear();
         self.incoming_pids.clear();
-        // Stamp the incoming bundle's interned files: the size-0 overlay of
-        // `fill_instance` / the fast decision path and the bonus pass below
-        // all key off this.
+        // Stamp the incoming bundle's interned files: the decision's size-0
+        // overlay and the bonus pass below both key off this.
         for f in incoming.iter() {
             if let Some(&pid) = self.file_of.get(&f) {
                 self.incoming_stamp[pid as usize] = epoch;
@@ -594,63 +598,23 @@ impl ResidentInstance {
         base * self.priority[eid]
     }
 
-    /// Fills the decision's dense instance buffers from the assembled
-    /// candidates: local interning in first-touch order (candidates most
-    /// recent first, files in canonical bundle order — the exact
-    /// permutation the rebuild path produced, so every downstream float
-    /// operation sums in the same order), sizes with the incoming bundle's
-    /// files overlaid to 0, degrees from the dense mirror, and values
-    /// recomputed from the mirrored accumulators.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fill_instance(
-        &mut self,
-        catalog: &FileCatalog,
-        now: u64,
-        value_fn: ValueFn,
-        global_of: &mut Vec<FileId>,
-        sizes: &mut Vec<Bytes>,
-        degrees: &mut Vec<u32>,
-        file_bufs: &mut Vec<Vec<u32>>,
-        requests: &mut Vec<(Vec<u32>, f64)>,
-    ) {
-        let epoch = self.epoch;
-        for c in 0..self.candidates.len() {
-            let eid = self.candidates[c] as usize;
-            let mut files = file_bufs.pop().unwrap_or_default();
-            files.clear();
-            let (start, end) = (
-                self.entry_offsets[eid] as usize,
-                self.entry_offsets[eid + 1] as usize,
-            );
-            for k in start..end {
-                let pid = self.entry_files[k] as usize;
-                let local = if self.file_stamp[pid] == epoch {
-                    self.file_local[pid]
-                } else {
-                    let l = global_of.len() as u32;
-                    self.file_stamp[pid] = epoch;
-                    self.file_local[pid] = l;
-                    global_of.push(self.file_ids[pid]);
-                    sizes.push(if self.incoming_stamp[pid] == epoch {
-                        0
-                    } else {
-                        catalog.size(self.file_ids[pid])
-                    });
-                    degrees.push(self.degrees[pid]);
-                    l
-                };
-                files.push(local);
-            }
-            requests.push((files, self.value_of(eid, now, value_fn)));
+    /// The size `pid` is charged this decision: 0 for the incoming bundle's
+    /// files (their space is already reserved), its catalog size otherwise.
+    #[inline]
+    fn charged_size(&self, catalog: &FileCatalog, pid: usize) -> Bytes {
+        if self.incoming_stamp[pid] == self.epoch {
+            0
+        } else {
+            catalog.size(self.file_ids[pid])
         }
     }
 
-    /// Prepares the in-place shared-credit decision after
+    /// Prepares the in-place decision after
     /// [`assemble_candidates`](Self::assemble_candidates): stamps candidate
     /// ranks, brings each candidate's file order and adjusted sums up to
     /// date, and fills the rank-indexed value/marginal/priority tables —
-    /// everything `fill_instance` + `FbcInstance` construction used to
-    /// produce, without building the instance.
+    /// the sizes, values and keys an FBC instance of the candidates would
+    /// hold, without building the instance.
     ///
     /// The file order is the instance path's local-index order: the rank
     /// of each file's first touch over the candidates. For a recency
@@ -658,16 +622,18 @@ impl ResidentInstance {
     /// candidate, so the cached owner key is that order. `CacheSupported`
     /// candidates are not a prefix, so this stamps the first touches
     /// directly; the same pass sums the union's bytes (incoming files
-    /// count 0), and when the union fits `capacity` every marginal stays
-    /// within `remaining`, the greedy takes every candidate, and the
-    /// tables are skipped ([`select_fast`](Self::select_fast) then returns
-    /// at once).
+    /// count 0). When the union fits `capacity` and `variant` charges
+    /// marginal bytes, the cumulative charge never exceeds the union, the
+    /// greedy takes every candidate, and the tables are skipped (both lanes
+    /// then return at once). PaperLiteral charges full bundles, which can
+    /// overrun the capacity even when the union fits, so it never skips.
     pub fn prepare_decision(
         &mut self,
         catalog: &FileCatalog,
         now: u64,
         value_fn: ValueFn,
         capacity: Bytes,
+        variant: GreedyVariant,
     ) {
         let epoch = self.epoch;
         let ncand = self.candidates.len();
@@ -685,12 +651,10 @@ impl ResidentInstance {
                     self.file_stamp[pid] = epoch;
                     self.file_local[pid] = self.union_pids.len() as u32;
                     self.union_pids.push(pid as u32);
-                    if self.incoming_stamp[pid] != epoch {
-                        union_bytes += catalog.size(self.file_ids[pid]);
-                    }
+                    union_bytes += self.charged_size(catalog, pid);
                 }
             }
-            if union_bytes <= capacity {
+            if union_bytes <= capacity && variant != GreedyVariant::PaperLiteral {
                 self.take_all = true;
                 return;
             }
@@ -800,13 +764,12 @@ impl ResidentInstance {
     /// `overlay`, incoming files count as size 0.
     #[inline]
     fn entry_sums(&self, catalog: &FileCatalog, e: usize, overlay: bool) -> (f64, u64) {
-        let epoch = self.epoch;
         let mut adjusted = 0.0_f64;
         let mut bytes = 0_u64;
         for k in self.entry_offsets[e] as usize..self.entry_offsets[e + 1] as usize {
             let pid = self.entry_sorted[k] as usize;
-            let sz = if overlay && self.incoming_stamp[pid] == epoch {
-                0
+            let sz = if overlay {
+                self.charged_size(catalog, pid)
             } else {
                 catalog.size(self.file_ids[pid])
             };
@@ -814,6 +777,39 @@ impl ResidentInstance {
             adjusted += sz as f64 / self.degrees[pid].max(1) as f64;
         }
         (adjusted, bytes)
+    }
+
+    /// Algorithm 1's Step 3 fallback over the *initial* marginals (the
+    /// memoised request sizes of the instance path): the earliest maximum
+    /// value among the feasible candidates. The same pass returns the
+    /// select kernel's early-exit bound: `min_positive_mb`, a lower bound on
+    /// every positive marginal, and `free_candidates`, the exact count of
+    /// zero-marginal (always feasible, hence never parked) candidates.
+    fn fallback_scan(&self, capacity: Bytes) -> (Option<usize>, u64, usize) {
+        let mut single: Option<usize> = None;
+        let mut min_positive_mb: u64 = u64::MAX;
+        let mut free_candidates: usize = 0;
+        for r in 0..self.candidates.len() {
+            let mb = self.kr_req[r].mb;
+            if mb == 0 {
+                free_candidates += 1;
+            } else if mb < min_positive_mb {
+                min_positive_mb = mb;
+            }
+            if mb <= capacity {
+                match single {
+                    Some(b) if self.kr_req[b].value >= self.kr_req[r].value => {}
+                    _ => single = Some(r),
+                }
+            }
+        }
+        (single, min_positive_mb, free_candidates)
+    }
+
+    /// `Some(rank)` when the single fallback strictly beats a greedy set
+    /// worth `value_sum` (the `max_of` tie-break), `None` otherwise.
+    fn single_if_better(&self, single: Option<usize>, value_sum: f64) -> Option<usize> {
+        single.filter(|&s| self.kr_req[s].value > value_sum)
     }
 
     /// Runs the shared-credit greedy (plus Algorithm 1's single-request
@@ -831,31 +827,7 @@ impl ResidentInstance {
         }
         let epoch = self.epoch;
         let ncand = self.candidates.len();
-
-        // Step 3 fallback first, over the *initial* marginals (the memoised
-        // request sizes of the instance path): earliest maximum value among
-        // the feasible candidates.
-        // `min_positive_mb`/`free_candidates` mirror the select kernel's
-        // early-exit bound: a monotone lower bound on every positive
-        // marginal, and an exact count of zero-marginal (always feasible,
-        // hence never parked) candidates.
-        let mut single: Option<usize> = None;
-        let mut min_positive_mb: u64 = u64::MAX;
-        let mut free_candidates: usize = 0;
-        for r in 0..ncand {
-            let mb = self.kr_req[r].mb;
-            if mb == 0 {
-                free_candidates += 1;
-            } else if mb < min_positive_mb {
-                min_positive_mb = mb;
-            }
-            if mb <= capacity {
-                match single {
-                    Some(b) if self.kr_req[b].value >= self.kr_req[r].value => {}
-                    _ => single = Some(r),
-                }
-            }
-        }
+        let (single, mut min_positive_mb, mut free_candidates) = self.fallback_scan(capacity);
 
         // A greedy round takes the feasible maximum of the reference pop
         // order's key, `(rv desc, rank asc)`. Parking is unobservable: a
@@ -924,11 +896,7 @@ impl ResidentInstance {
                 let pid = self.entry_sorted[k] as usize;
                 if self.loaded_stamp[pid] != epoch {
                     self.loaded_stamp[pid] = epoch;
-                    remaining -= if self.incoming_stamp[pid] == epoch {
-                        0
-                    } else {
-                        catalog.size(self.file_ids[pid])
-                    };
+                    remaining -= self.charged_size(catalog, pid);
                     self.union_pids.push(pid as u32);
                     self.newly_loaded.push(pid as u32);
                 }
@@ -956,11 +924,7 @@ impl ResidentInstance {
                         if self.loaded_stamp[p] == epoch {
                             continue;
                         }
-                        let sz = if self.incoming_stamp[p] == epoch {
-                            0
-                        } else {
-                            catalog.size(self.file_ids[p])
-                        };
+                        let sz = self.charged_size(catalog, p);
                         mb += sz;
                         ma += sz as f64 / self.degrees[p].max(1) as f64;
                     }
@@ -985,10 +949,67 @@ impl ResidentInstance {
             }
         }
 
-        match single {
-            Some(s) if self.kr_req[s].value > value_sum => Some(s),
-            _ => None,
+        self.single_if_better(single, value_sum)
+    }
+
+    /// Runs a single-sort greedy (plus the single-request fallback) over the
+    /// prepared resident state — the in-place mirror of `greedy_sorted`:
+    /// candidates in `(key desc, rank asc)` order, one admission pass.
+    /// With `marginal` (SortedOnce) a candidate is charged only its files
+    /// not yet loaded; otherwise (PaperLiteral, Algorithm 1 as printed) its
+    /// full size, the incoming bundle's files counting 0. Keys are never
+    /// NaN or `-0`, so the `u64` key order is `greedy_sorted`'s
+    /// `partial_cmp` order. (A candidate of zero adjusted size and zero
+    /// value ranks `+∞` here and 0 in `FbcInstance::relative_value`; it is
+    /// charged 0 and adds 0 wherever it lands, so the selection is the
+    /// same.) Returns as [`select_fast`](Self::select_fast).
+    pub fn select_sorted(
+        &mut self,
+        catalog: &FileCatalog,
+        capacity: Bytes,
+        marginal: bool,
+    ) -> Option<usize> {
+        if self.take_all {
+            return None; // as in `select_fast`
         }
+        let epoch = self.epoch;
+        let (single, _, _) = self.fallback_scan(capacity);
+        let mut order = std::mem::take(&mut self.kr_order);
+        order.clear();
+        order.extend(0..self.candidates.len() as u32);
+        let key = &self.kr_key;
+        order.sort_unstable_by_key(|&r| (Reverse(key[r as usize]), r));
+        let mut remaining = capacity;
+        let mut value_sum = 0.0_f64;
+        for &r in &order {
+            let r = r as usize;
+            let e = self.candidates[r] as usize;
+            let files = self.entry_offsets[e] as usize..self.entry_offsets[e + 1] as usize;
+            let charge = if marginal {
+                files
+                    .clone()
+                    .map(|k| self.entry_sorted[k] as usize)
+                    .filter(|&p| self.loaded_stamp[p] != epoch)
+                    .map(|p| self.charged_size(catalog, p))
+                    .sum()
+            } else {
+                self.kr_req[r].mb
+            };
+            if charge > remaining {
+                continue;
+            }
+            remaining -= charge;
+            value_sum += self.kr_req[r].value;
+            for k in files {
+                let pid = self.entry_sorted[k] as usize;
+                if self.loaded_stamp[pid] != epoch {
+                    self.loaded_stamp[pid] = epoch;
+                    self.union_pids.push(pid as u32);
+                }
+            }
+        }
+        self.kr_order = order;
+        self.single_if_better(single, value_sum)
     }
 
     /// Materialises the decision's `(retained, prefetch)` file lists from
@@ -1083,6 +1104,39 @@ mod tests {
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())
+    }
+
+    impl ResidentInstance {
+        /// Builds the FBC instance of the assembled candidates the way the
+        /// instance path did: local interning in first-touch order
+        /// (candidates most recent first, files in canonical bundle order),
+        /// sizes with the incoming bundle's files overlaid to 0, degrees
+        /// from the dense mirror, values from the mirrored accumulators.
+        fn fill_instance(
+            &mut self,
+            catalog: &FileCatalog,
+            now: u64,
+            value_fn: ValueFn,
+        ) -> crate::instance::FbcInstance {
+            let epoch = self.epoch;
+            let (mut sizes, mut degrees, mut requests) = (Vec::new(), Vec::new(), Vec::new());
+            for c in 0..self.candidates.len() {
+                let eid = self.candidates[c] as usize;
+                let mut files = Vec::new();
+                for k in self.entry_offsets[eid] as usize..self.entry_offsets[eid + 1] as usize {
+                    let pid = self.entry_files[k] as usize;
+                    if self.file_stamp[pid] != epoch {
+                        self.file_stamp[pid] = epoch;
+                        self.file_local[pid] = sizes.len() as u32;
+                        sizes.push(self.charged_size(catalog, pid));
+                        degrees.push(self.degrees[pid]);
+                    }
+                    files.push(self.file_local[pid]);
+                }
+                requests.push((files, self.value_of(eid, now, value_fn)));
+            }
+            crate::instance::FbcInstance::with_degrees(0, sizes, requests, Some(degrees)).unwrap()
+        }
     }
 
     /// Drives a mirror + history pair through a random interleaving and
@@ -1191,23 +1245,16 @@ mod tests {
             }
 
             mirror.assemble_candidates(HistoryMode::CacheSupported, None, &bundle);
-            let (mut global_of, mut sz, mut degrees, mut requests) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
             let now = history.total_requests();
-            mirror.fill_instance(
+            let inst = mirror.fill_instance(&catalog, now, ValueFn::Count);
+            mirror.assemble_candidates(HistoryMode::CacheSupported, None, &bundle);
+            mirror.prepare_decision(
                 &catalog,
                 now,
                 ValueFn::Count,
-                &mut global_of,
-                &mut sz,
-                &mut degrees,
-                &mut Vec::new(),
-                &mut requests,
+                0,
+                GreedyVariant::SharedCredit,
             );
-            let inst =
-                crate::instance::FbcInstance::with_degrees(0, sz, requests, Some(degrees)).unwrap();
-            mirror.assemble_candidates(HistoryMode::CacheSupported, None, &bundle);
-            mirror.prepare_decision(&catalog, now, ValueFn::Count, 0);
             if !mirror.take_all {
                 for r in 0..inst.num_requests() {
                     let value = inst.requests()[r].value;

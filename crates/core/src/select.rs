@@ -105,9 +105,9 @@ pub fn opt_cache_select(inst: &FbcInstance, opts: &SelectOptions) -> Selection {
     opt_cache_select_with_scratch(inst, opts, &mut scratch)
 }
 
-/// [`opt_cache_select`] with caller-owned reusable buffers — the form the
-/// `OptFileBundle` decision path uses so that per-request replacement
-/// decisions stop allocating. Results are identical to the allocating form.
+/// [`opt_cache_select`] with caller-owned reusable buffers, for callers
+/// that select over many instances in a row. Results are identical to the
+/// allocating form.
 pub fn opt_cache_select_with_scratch(
     inst: &FbcInstance,
     opts: &SelectOptions,

@@ -281,16 +281,18 @@ proptest! {
 }
 
 /// Which branch of the in-place CacheSupported decision `incoming` would
-/// take: `Some(true)` when the union of the candidates' files (incoming
-/// files free) fits the selection capacity — the take-everything shortcut
-/// — `Some(false)` when the greedy loop runs, and `None` when the request
-/// makes no replacement decision over a non-empty candidate list.
+/// take: `Some((true, all))` when the union of the candidates' files
+/// (incoming files free) fits the selection capacity — the take-everything
+/// shortcut under marginal charging — `Some((false, all))` when the greedy
+/// loop runs, and `None` when the request makes no replacement decision
+/// over a non-empty candidate list. `all` says whether the decision retains
+/// every candidate file.
 fn cache_supported_branch(
     policy: &mut OptFileBundle,
     cache: &CacheState,
     catalog: &FileCatalog,
     incoming: &Bundle,
-) -> Option<bool> {
+) -> Option<(bool, bool)> {
     if incoming.total_size(catalog) > cache.capacity() || cache.supports(incoming) {
         return None;
     }
@@ -313,14 +315,20 @@ fn cache_supported_branch(
         .filter(|&f| !incoming.contains(f))
         .collect();
     let union_bytes: u64 = union.iter().map(|&f| catalog.size(f)).sum();
-    Some(union_bytes <= explanation.select_capacity)
+    let all = union
+        .iter()
+        .all(|f| explanation.retained.binary_search(f).is_ok());
+    Some((union_bytes <= explanation.select_capacity, all))
 }
 
 /// The in-place CacheSupported decision through both of its branches —
 /// the take-everything shortcut and the greedy loop, each asserted to
 /// fire — pinned bit for bit to the rebuild reference on every outcome,
-/// every decision's explain report and the final cache, under counting
-/// and decayed values, with and without a candidate cap.
+/// every decision's explain report and the final cache, for every greedy
+/// variant, under counting and decayed values, with and without a
+/// candidate cap. PaperLiteral charges full bundle sizes, so it must leave
+/// some candidate out of a decision whose union fits (the shortcut would
+/// have taken it); the marginal-charging variants never do.
 #[test]
 fn cache_supported_shortcut_and_greedy_match_reference() {
     const FILES: u32 = 40;
@@ -346,44 +354,60 @@ fn cache_supported_shortcut_and_greedy_match_reference() {
         .map(|_| pool[((next() % POOL) * (next() % POOL) / POOL) as usize].clone())
         .collect();
 
-    for value_fn in [ValueFn::Count, ValueFn::Decay { half_life: 5.0 }] {
-        for max_candidates in [None, Some(4)] {
-            let config = OfbConfig {
-                value_fn,
-                max_candidates,
-                ..OfbConfig::default()
-            };
-            assert_eq!(config.history_mode, HistoryMode::CacheSupported);
-            let mut fast = OptFileBundle::with_config(config);
-            let mut slow = OptFileBundle::with_config_reference(config);
-            let mut cache_f = CacheState::new(40);
-            let mut cache_s = CacheState::new(40);
-            let (mut shortcut, mut greedy) = (0, 0);
-            for (i, bundle) in jobs.iter().enumerate() {
-                match cache_supported_branch(&mut fast, &cache_f, &catalog, bundle) {
-                    Some(true) => shortcut += 1,
-                    Some(false) => greedy += 1,
-                    None => {}
+    let variants = [
+        GreedyVariant::PaperLiteral,
+        GreedyVariant::SortedOnce,
+        GreedyVariant::SharedCredit,
+    ];
+    for variant in variants {
+        for value_fn in [ValueFn::Count, ValueFn::Decay { half_life: 5.0 }] {
+            for max_candidates in [None, Some(4)] {
+                let config = OfbConfig {
+                    variant,
+                    value_fn,
+                    max_candidates,
+                    ..OfbConfig::default()
+                };
+                assert_eq!(config.history_mode, HistoryMode::CacheSupported);
+                let mut fast = OptFileBundle::with_config(config);
+                let mut slow = OptFileBundle::with_config_reference(config);
+                let mut cache_f = CacheState::new(40);
+                let mut cache_s = CacheState::new(40);
+                let (mut shortcut, mut greedy, mut left_out) = (0, 0, 0);
+                for (i, bundle) in jobs.iter().enumerate() {
+                    match cache_supported_branch(&mut fast, &cache_f, &catalog, bundle) {
+                        Some((true, all)) => {
+                            shortcut += 1;
+                            left_out += usize::from(!all);
+                        }
+                        Some((false, _)) => greedy += 1,
+                        None => {}
+                    }
+                    assert_eq!(
+                        fast.explain(&cache_f, &catalog, bundle),
+                        slow.explain(&cache_s, &catalog, bundle),
+                        "job {i}: explain diverged under {config:?}"
+                    );
+                    assert_eq!(
+                        fast.handle(bundle, &mut cache_f, &catalog),
+                        slow.handle(bundle, &mut cache_s, &catalog),
+                        "job {i}: outcome diverged under {config:?}"
+                    );
                 }
                 assert_eq!(
-                    fast.explain(&cache_f, &catalog, bundle),
-                    slow.explain(&cache_s, &catalog, bundle),
-                    "job {i}: explain diverged under {config:?}"
+                    cache_f.resident_files_sorted(),
+                    cache_s.resident_files_sorted()
+                );
+                assert!(
+                    shortcut > 0 && greedy > 0,
+                    "{config:?}: shortcut {shortcut}, greedy {greedy} — both branches must fire"
                 );
                 assert_eq!(
-                    fast.handle(bundle, &mut cache_f, &catalog),
-                    slow.handle(bundle, &mut cache_s, &catalog),
-                    "job {i}: outcome diverged under {config:?}"
+                    left_out > 0,
+                    variant == GreedyVariant::PaperLiteral,
+                    "{config:?}: {left_out} union-fits decisions left a candidate file out"
                 );
             }
-            assert_eq!(
-                cache_f.resident_files_sorted(),
-                cache_s.resident_files_sorted()
-            );
-            assert!(
-                shortcut > 0 && greedy > 0,
-                "{config:?}: shortcut {shortcut}, greedy {greedy} — both branches must fire"
-            );
         }
     }
 }

@@ -187,12 +187,12 @@ impl FaultPlan {
                                 .map_err(|_| format!("bad drive index '{sel}'"))?,
                         )
                     };
-                    let (from, until) = parse_window(rest)?;
+                    let (from, until) = parse_window(key, value, rest)?;
                     plan.drive_faults
                         .push((selector, RateWindow::outage(from, until)));
                 }
                 "link-down" => {
-                    let (from, until) = parse_window(value)?;
+                    let (from, until) = parse_window(key, value, value)?;
                     plan.link_faults.push(RateWindow::outage(from, until));
                 }
                 "link-slow" => {
@@ -202,7 +202,7 @@ impl FaultPlan {
                         parts.next().unwrap_or_default(),
                         parts.next().unwrap_or_default()
                     );
-                    let (from, until) = parse_window(&window)?;
+                    let (from, until) = parse_window(key, value, &window)?;
                     let rate: f64 = parts
                         .next()
                         .ok_or_else(|| format!("link-slow clause '{value}': missing RATE"))?
@@ -270,27 +270,29 @@ impl FaultPlan {
 /// Names accepted by [`FaultPlan::preset`], for error messages and help.
 pub const PRESET_NAMES: &str = "tape-outage, flaky-wan, blackout";
 
-fn parse_window(s: &str) -> Result<(SimTime, SimTime), String> {
-    let (from, until) = s
+/// Parses the `FROM,UNTIL` seconds `window` of clause `key=value`. FROM
+/// must be finite and non-negative, UNTIL non-negative or `inf`: the time
+/// conversion would clamp a negative or NaN bound to 0 and silently move
+/// the window to the start of the run.
+fn parse_window(key: &str, value: &str, window: &str) -> Result<(SimTime, SimTime), String> {
+    let err = |what: &str| format!("{key} clause '{value}': {what}");
+    let (from, until) = window
         .split_once(',')
-        .ok_or_else(|| format!("window '{s}': expected FROM,UNTIL seconds"))?;
-    let from_secs: f64 = from
-        .trim()
-        .parse()
-        .map_err(|_| format!("window '{s}': bad FROM"))?;
-    let until = until.trim();
-    let until_time = if until.eq_ignore_ascii_case("inf") {
+        .ok_or_else(|| err("expected FROM,UNTIL seconds"))?;
+    let from: f64 = from.trim().parse().map_err(|_| err("bad FROM"))?;
+    if !(from.is_finite() && from >= 0.0) {
+        return Err(err("FROM must be a finite, non-negative number of seconds"));
+    }
+    let until: f64 = until.trim().parse().map_err(|_| err("bad UNTIL"))?;
+    if until.is_nan() || until < 0.0 {
+        return Err(err("UNTIL must be a non-negative number of seconds or inf"));
+    }
+    let until = if until.is_infinite() {
         FOREVER
     } else {
-        let secs: f64 = until
-            .parse()
-            .map_err(|_| format!("window '{s}': bad UNTIL"))?;
-        SimTime::ZERO + SimDuration::from_secs_f64(secs)
+        SimTime::ZERO + SimDuration::from_secs_f64(until)
     };
-    Ok((
-        SimTime::ZERO + SimDuration::from_secs_f64(from_secs),
-        until_time,
-    ))
+    Ok((SimTime::ZERO + SimDuration::from_secs_f64(from), until))
 }
 
 /// Completion time of `work` full-rate microseconds starting at `start`,
@@ -530,6 +532,47 @@ mod tests {
         assert!(FaultPlan::parse("transient=2.0").is_err());
         assert!(FaultPlan::parse("drive=0,300,60").is_err()); // empty window
         assert!(FaultPlan::parse("preset:unheard-of").is_err());
+    }
+
+    /// A NaN or negative window bound used to clamp to 0 and parse as a
+    /// window opening at the start of the run; it must be rejected with an
+    /// error naming the clause.
+    fn assert_window_rejected(spec: &str, clause: &str) {
+        let err = FaultPlan::parse(spec).expect_err(spec);
+        assert!(
+            err.starts_with(&format!("{clause} clause")),
+            "{spec}: {err}"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_nan_from() {
+        assert_window_rejected("link-down=nan,5", "link-down");
+    }
+
+    #[test]
+    fn parse_rejects_negative_from() {
+        assert_window_rejected("link-down=-3,5", "link-down");
+    }
+
+    #[test]
+    fn parse_rejects_nan_drive_window() {
+        assert_window_rejected("drive=0,NaN,inf", "drive");
+    }
+
+    #[test]
+    fn parse_rejects_negative_slow_link_window() {
+        assert_window_rejected("link-slow=-1,10,0.5", "link-slow");
+    }
+
+    #[test]
+    fn parse_rejects_bad_until_and_infinite_from() {
+        assert_window_rejected("link-down=0,nan", "link-down");
+        assert_window_rejected("drive=*,0,-5", "drive");
+        assert_window_rejected("link-down=inf,inf", "link-down");
+        // `inf` (any case) stays a valid UNTIL.
+        let plan = FaultPlan::parse("link-down=0,INF").expect("valid spec");
+        assert_eq!(plan.link_faults[0].until, FOREVER);
     }
 
     #[test]
