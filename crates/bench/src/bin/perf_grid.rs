@@ -16,9 +16,8 @@
 //!   `CacheState` serves.
 //! * **decision** — random triples over a catalog modestly larger than
 //!   the cache. Most distinct bundles of the history stay cache-supported,
-//!   and with the default unbounded `max_candidates` every replacement
-//!   decision ranks a candidate set that keeps growing with the supported
-//!   history. Sharding splits capacity and stream `N` ways, so each shard
+//!   so every replacement decision ranks a candidate set that keeps
+//!   growing with the supported history. Sharding splits capacity and stream `N` ways, so each shard
 //!   decides over a supported history `~N×` smaller. That state
 //!   shrinkage is a speedup even on one hardware thread; worker threads
 //!   stack on top on multi-core hosts. It is not capacity-fair: each

@@ -11,13 +11,30 @@
 //! * adjusted relative value `v'(r) = v(r) / Σ_{f ∈ F(r)} s'(f)`.
 //!
 //! The paper's `L(R)` is "basically a hash-table with pointers to other
-//! structures"; this is that hash table.
+//! structures". Here the hash table maps each canonical bundle to a dense
+//! *entry id*, minted at the bundle's first record, and the structures it
+//! points to are append-only slabs indexed by ids:
+//!
+//! * the entries themselves, in first-record order;
+//! * each entry's files as dense *file ids*, in canonical bundle order;
+//! * `d(f)` per file id;
+//! * an intrusive recency list over entry ids, most recent first.
+//!
+//! Entries are never removed, so ids stay valid for the history's lifetime
+//! and other structures can index their own per-entry and per-file state
+//! by them — [`crate::resident`], the decision state of `OptFileBundle`,
+//! does.
 
 use crate::bundle::Bundle;
 use crate::catalog::FileCatalog;
 use crate::types::FileId;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
+use std::ops::Range;
+
+/// Sentinel for "no entry" in the recency list.
+const NONE: u32 = u32::MAX;
 
 /// How the value `v(r)` of a request evolves as the request recurs.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -58,14 +75,8 @@ pub struct HistoryEntry {
 }
 
 impl HistoryEntry {
-    /// The raw decayed-value accumulator state `(value_acc, value_tick)`,
-    /// for mirrors that must reproduce [`HistoryEntry::value_at`] bit for
-    /// bit from dense storage (see [`crate::resident`]).
-    pub(crate) fn value_state(&self) -> (f64, u64) {
-        (self.value_acc, self.value_tick)
-    }
-
     /// The request's value `v(r)` as of `now`, under `value_fn`.
+    #[inline]
     pub fn value_at(&self, now: u64, value_fn: ValueFn) -> f64 {
         let base = match value_fn {
             ValueFn::Count => self.count as f64,
@@ -79,17 +90,39 @@ impl HistoryEntry {
 }
 
 /// The request history `L(R)`.
-#[derive(Debug, Clone, Default)]
+///
+/// Every recency order relies on ticks being unique: each record takes the
+/// next tick, and a loaded history is rejected unless its ticks are.
+#[derive(Debug, Clone)]
 pub struct RequestHistory {
-    /// FxHash on both maps: `degree()` sits on the decision hot path, and
-    /// no iteration order ever escapes (consumers sort by the unique
-    /// `last_seen`/`first_seen` ticks, or take order-free integer sums).
-    entries: FxHashMap<Bundle, HistoryEntry>,
-    /// `d(f)`: number of distinct requests using each file.
-    degrees: FxHashMap<FileId, u32>,
+    /// Canonical bundle → entry id: the one hash probe of a record. FxHash;
+    /// no iteration order escapes (consumers walk the slab or the list).
+    ids: FxHashMap<Bundle, u32>,
+    /// Entry id → entry, in first-record order.
+    entries: Vec<HistoryEntry>,
+    /// Each entry's file ids, in canonical bundle order:
+    /// `entry_files[entry_offsets[id]..entry_offsets[id + 1]]`.
+    entry_files: Vec<u32>,
+    entry_offsets: Vec<u32>,
+    /// `(prev, next)` links of the recency list by entry id, most recent
+    /// first from `head`.
+    links: Vec<(u32, u32)>,
+    head: u32,
+    /// `FileId` → file id, minted at a file's first contact.
+    file_of: FxHashMap<FileId, u32>,
+    /// File id → `FileId`.
+    file_ids: Vec<FileId>,
+    /// `d(f)` by file id: number of distinct requests using each file.
+    degrees: Vec<u32>,
     /// Total requests recorded (including repeats).
     tick: u64,
     value_fn: ValueFn,
+}
+
+impl Default for RequestHistory {
+    fn default() -> Self {
+        Self::with_value_fn(ValueFn::Count)
+    }
 }
 
 impl RequestHistory {
@@ -101,8 +134,17 @@ impl RequestHistory {
     /// Creates an empty history with the given value function.
     pub fn with_value_fn(value_fn: ValueFn) -> Self {
         Self {
+            ids: FxHashMap::default(),
+            entries: Vec::new(),
+            entry_files: Vec::new(),
+            entry_offsets: vec![0],
+            links: Vec::new(),
+            head: NONE,
+            file_of: FxHashMap::default(),
+            file_ids: Vec::new(),
+            degrees: Vec::new(),
+            tick: 0,
             value_fn,
-            ..Self::default()
         }
     }
 
@@ -113,34 +155,33 @@ impl RequestHistory {
 
     /// Records one occurrence of `bundle` (the paper's Step 4: "update the
     /// data structure `L(R)` with all relevant information about `r_new`"),
-    /// returning the updated entry so mirrors can sync from it in O(1).
-    pub fn record(&mut self, bundle: &Bundle) -> &HistoryEntry {
+    /// returning its entry id. One hash probe of the bundle; a first
+    /// occurrence also mints its entry id and bumps `d(f)` of its files.
+    pub fn record(&mut self, bundle: &Bundle) -> u32 {
         self.tick += 1;
         let tick = self.tick;
-        let value_fn = self.value_fn;
-        if !self.entries.contains_key(bundle) {
-            for f in bundle.iter() {
-                *self.degrees.entry(f).or_insert(0) += 1;
-            }
+        let fresh = self.entries.len() as u32;
+        let id = match self.ids.entry(bundle.clone()) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => *v.insert(fresh),
+        };
+        if id == fresh {
             // A zeroed seed entry: the shared update below brings it to the
             // exact state a fresh entry had before (count 1, value_acc 1.0).
-            self.entries.insert(
-                bundle.clone(),
-                HistoryEntry {
-                    bundle: bundle.clone(),
-                    count: 0,
-                    value_acc: 0.0,
-                    value_tick: tick,
-                    last_seen: tick,
-                    first_seen: tick,
-                    priority: 1.0,
-                },
-            );
+            self.push_entry(HistoryEntry {
+                bundle: bundle.clone(),
+                count: 0,
+                value_acc: 0.0,
+                value_tick: tick,
+                last_seen: tick,
+                first_seen: tick,
+                priority: 1.0,
+            });
+        } else {
+            self.unlink(id);
         }
-        let e = self
-            .entries
-            .get_mut(bundle)
-            .expect("present or just inserted");
+        let value_fn = self.value_fn;
+        let e = &mut self.entries[id as usize];
         // Bring the decayed accumulator current before adding 1.
         e.value_acc = match value_fn {
             ValueFn::Count => (e.count + 1) as f64,
@@ -152,7 +193,54 @@ impl RequestHistory {
         e.value_tick = tick;
         e.count += 1;
         e.last_seen = tick;
-        e
+        self.push_front(id);
+        id
+    }
+
+    /// Appends `entry` under the next id (unlinked), interning its files
+    /// and bumping their degrees.
+    fn push_entry(&mut self, entry: HistoryEntry) {
+        for f in entry.bundle.iter() {
+            let fid = self.intern_file(f);
+            self.degrees[fid as usize] += 1;
+            self.entry_files.push(fid);
+        }
+        self.entry_offsets.push(self.entry_files.len() as u32);
+        self.links.push((NONE, NONE));
+        self.entries.push(entry);
+    }
+
+    /// The file id of `file`, minting one (degree 0) on first contact. The
+    /// decision state interns cache insertions here, so a file resident
+    /// before any recorded bundle names it keeps its id when one does.
+    pub(crate) fn intern_file(&mut self, file: FileId) -> u32 {
+        let fresh = self.file_ids.len() as u32;
+        let fid = *self.file_of.entry(file).or_insert(fresh);
+        if fid == fresh {
+            self.file_ids.push(file);
+            self.degrees.push(0);
+        }
+        fid
+    }
+
+    fn unlink(&mut self, id: u32) {
+        let (p, n) = self.links[id as usize];
+        if p != NONE {
+            self.links[p as usize].1 = n;
+        } else {
+            self.head = n;
+        }
+        if n != NONE {
+            self.links[n as usize].0 = p;
+        }
+    }
+
+    fn push_front(&mut self, id: u32) {
+        self.links[id as usize] = (NONE, self.head);
+        if self.head != NONE {
+            self.links[self.head as usize].0 = id;
+        }
+        self.head = id;
     }
 
     /// Sets the priority multiplier of a known request.
@@ -168,30 +256,12 @@ impl RequestHistory {
             is_non_negative(priority),
             "priority must be finite and non-negative, got {priority}"
         );
-        match self.entries.get_mut(bundle) {
-            Some(e) => {
-                e.priority = priority;
+        match self.ids.get(bundle) {
+            Some(&id) => {
+                self.entries[id as usize].priority = priority;
                 true
             }
             None => false,
-        }
-    }
-
-    /// Removes a request from the history (used by windowed truncation),
-    /// decrementing the degrees of its files.
-    pub fn forget(&mut self, bundle: &Bundle) -> bool {
-        if self.entries.remove(bundle).is_some() {
-            for f in bundle.iter() {
-                if let Some(d) = self.degrees.get_mut(&f) {
-                    *d -= 1;
-                    if *d == 0 {
-                        self.degrees.remove(&f);
-                    }
-                }
-            }
-            true
-        } else {
-            false
         }
     }
 
@@ -213,12 +283,13 @@ impl RequestHistory {
     /// Degree `d(f)`: distinct requests using `f`. Zero for unseen files.
     #[inline]
     pub fn degree(&self, file: FileId) -> u32 {
-        self.degrees.get(&file).copied().unwrap_or(0)
+        self.file_id(file)
+            .map_or(0, |fid| self.degrees[fid as usize])
     }
 
     /// Maximum degree `d` over all files — the `d` of Theorem 4.1.
     pub fn max_degree(&self) -> u32 {
-        self.degrees.values().copied().max().unwrap_or(0)
+        self.degrees.iter().copied().max().unwrap_or(0)
     }
 
     /// Adjusted size `s'(f) = s(f) / d(f)`. Files never seen get their full
@@ -230,8 +301,7 @@ impl RequestHistory {
 
     /// The value `v(r)` of a known request as of now.
     pub fn value_of(&self, bundle: &Bundle) -> Option<f64> {
-        self.entries
-            .get(bundle)
+        self.get(bundle)
             .map(|e| e.value_at(self.tick, self.value_fn))
     }
 
@@ -253,34 +323,67 @@ impl RequestHistory {
 
     /// Looks up the entry for `bundle`.
     pub fn get(&self, bundle: &Bundle) -> Option<&HistoryEntry> {
-        self.entries.get(bundle)
+        self.ids.get(bundle).map(|&id| &self.entries[id as usize])
     }
 
-    /// Iterates over all entries in unspecified order.
+    /// Iterates over all entries in first-record order.
     pub fn entries(&self) -> impl Iterator<Item = &HistoryEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 
     /// The `n` most recently seen distinct requests, most recent first
-    /// (windowed-history truncation, paper §5.2).
-    ///
-    /// Partial-selects the top `n` before sorting, so the cost is
-    /// `O(|R| + n log n)` instead of `O(|R| log |R|)` — under
-    /// `HistoryMode::Window(n)` this runs on every decision, and `n` is
-    /// typically far smaller than the full history. `last_seen` ticks are
-    /// unique per distinct request, so selection + sort reproduces the full
-    /// sort's order exactly.
+    /// (windowed-history truncation, paper §5.2): `n` steps along the
+    /// recency list.
     pub fn most_recent(&self, n: usize) -> Vec<&HistoryEntry> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut v: Vec<&HistoryEntry> = self.entries.values().collect();
-        if n < v.len() {
-            v.select_nth_unstable_by_key(n - 1, |e| std::cmp::Reverse(e.last_seen));
-            v.truncate(n);
-        }
-        v.sort_unstable_by_key(|e| std::cmp::Reverse(e.last_seen));
-        v
+        self.recency()
+            .take(n)
+            .map(|id| &self.entries[id as usize])
+            .collect()
+    }
+
+    /// Entry ids, most recently seen first.
+    pub(crate) fn recency(&self) -> impl Iterator<Item = u32> + '_ {
+        let first = (self.head != NONE).then_some(self.head);
+        std::iter::successors(first, |&id| {
+            let next = self.links[id as usize].1;
+            (next != NONE).then_some(next)
+        })
+    }
+
+    /// The entry with id `id`.
+    #[inline]
+    pub(crate) fn entry(&self, id: u32) -> &HistoryEntry {
+        &self.entries[id as usize]
+    }
+
+    /// The positions of entry `id`'s files in [`Self::entry_files`].
+    #[inline]
+    pub(crate) fn span(&self, id: usize) -> Range<usize> {
+        self.entry_offsets[id] as usize..self.entry_offsets[id + 1] as usize
+    }
+
+    /// Every entry's file ids, back to back (see [`Self::span`]).
+    #[inline]
+    pub(crate) fn entry_files(&self) -> &[u32] {
+        &self.entry_files
+    }
+
+    /// The file id of `file`, if it has one.
+    #[inline]
+    pub(crate) fn file_id(&self, file: FileId) -> Option<u32> {
+        self.file_of.get(&file).copied()
+    }
+
+    /// File id → `FileId`.
+    #[inline]
+    pub(crate) fn file_ids(&self) -> &[FileId] {
+        &self.file_ids
+    }
+
+    /// `d(f)` by file id.
+    #[inline]
+    pub(crate) fn degrees(&self) -> &[u32] {
+        &self.degrees
     }
 
     /// Probability that a random request (drawn from the empirical
@@ -292,7 +395,7 @@ impl RequestHistory {
         }
         let hits: u64 = self
             .entries
-            .values()
+            .iter()
             .filter(|e| e.bundle.contains(file))
             .map(|e| e.count)
             .sum();
@@ -308,7 +411,7 @@ impl RequestHistory {
         }
         let hits: u64 = self
             .entries
-            .values()
+            .iter()
             .filter(|e| e.bundle.is_subset_of(&contains))
             .map(|e| e.count)
             .sum();
@@ -330,9 +433,10 @@ impl RequestHistory {
     /// ```
     ///
     /// Entry fields: `count value_acc value_tick last_seen first_seen
-    /// priority file...` (floats printed exactly via their bit patterns
-    /// would be overkill; the accumulator round-trips through decimal with
-    /// enough digits for the ranking to be preserved).
+    /// priority file...`, entries in first-record order (floats printed
+    /// exactly via their bit patterns would be overkill; the accumulator
+    /// round-trips through decimal with enough digits for the ranking to be
+    /// preserved).
     pub fn write_to<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
         use std::io::Write as _;
         let mut w = std::io::BufWriter::new(w);
@@ -342,11 +446,8 @@ impl RequestHistory {
             ValueFn::Decay { half_life } => writeln!(w, "value_fn decay {half_life}")?,
         }
         writeln!(w, "tick {}", self.tick)?;
-        // Deterministic order: by first_seen.
-        let mut entries: Vec<&HistoryEntry> = self.entries.values().collect();
-        entries.sort_unstable_by_key(|e| e.first_seen);
-        writeln!(w, "entries {}", entries.len())?;
-        for e in entries {
+        writeln!(w, "entries {}", self.entries.len())?;
+        for e in &self.entries {
             write!(
                 w,
                 "{} {} {} {} {} {}",
@@ -363,7 +464,10 @@ impl RequestHistory {
     /// Reads a history previously written by [`RequestHistory::write_to`],
     /// for use with `catalog`. Every file the history names must be in the
     /// catalog: a warm start over another catalog fails here, with
-    /// `InvalidData`, instead of panicking at its first decision.
+    /// `InvalidData`, instead of panicking at its first decision. So does
+    /// a history whose ticks could not have been recorded: a tick above
+    /// the header's, a first occurrence after the last, or two entries
+    /// sharing a first or a last occurrence.
     pub fn read_from<R: std::io::Read>(r: R, catalog: &FileCatalog) -> std::io::Result<Self> {
         use std::io::BufRead as _;
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
@@ -412,8 +516,7 @@ impl RequestHistory {
             .parse()
             .map_err(|_| bad("bad entry count"))?;
 
-        let mut history = RequestHistory::with_value_fn(value_fn);
-        history.tick = tick;
+        let mut entries = Vec::new();
         for _ in 0..n {
             let line = next_line()?;
             let mut tok = line.split_whitespace();
@@ -432,6 +535,14 @@ impl RequestHistory {
             let first_seen: u64 = take("first_seen")?
                 .parse()
                 .map_err(|_| bad("bad first_seen"))?;
+            // A tick above the header's would be taken again by the next
+            // record.
+            if value_tick.max(last_seen).max(first_seen) > tick {
+                return Err(bad("entry tick above the history's tick"));
+            }
+            if first_seen > last_seen {
+                return Err(bad("first_seen after last_seen"));
+            }
             let priority: f64 = take("priority")?.parse().map_err(|_| bad("bad priority"))?;
             // Values are `base · priority`, and the selection kernels need
             // them finite and non-negative.
@@ -447,25 +558,43 @@ impl RequestHistory {
             if files.is_empty() {
                 return Err(bad("entry without files"));
             }
-            let bundle = Bundle::new(files);
-            if history.entries.contains_key(&bundle) {
+            entries.push(HistoryEntry {
+                bundle: Bundle::new(files),
+                count,
+                value_acc,
+                value_tick,
+                last_seen,
+                first_seen,
+                priority,
+            });
+        }
+
+        // Ids follow first-record order and the recency list last-record
+        // order; equal ticks would leave either order ambiguous.
+        let ticks = |tick: fn(&HistoryEntry) -> u64| {
+            let mut t: Vec<u64> = entries.iter().map(tick).collect();
+            t.sort_unstable();
+            t
+        };
+        if ticks(|e| e.first_seen).windows(2).any(|w| w[0] == w[1]) {
+            return Err(bad("two entries share a first_seen tick"));
+        }
+        if ticks(|e| e.last_seen).windows(2).any(|w| w[0] == w[1]) {
+            return Err(bad("two entries share a last_seen tick"));
+        }
+        entries.sort_unstable_by_key(|e| e.first_seen);
+        let mut history = RequestHistory::with_value_fn(value_fn);
+        history.tick = tick;
+        for (id, e) in entries.into_iter().enumerate() {
+            if history.ids.insert(e.bundle.clone(), id as u32).is_some() {
                 return Err(bad("duplicate bundle entry"));
             }
-            for f in bundle.iter() {
-                *history.degrees.entry(f).or_insert(0) += 1;
-            }
-            history.entries.insert(
-                bundle.clone(),
-                HistoryEntry {
-                    bundle,
-                    count,
-                    value_acc,
-                    value_tick,
-                    last_seen,
-                    first_seen,
-                    priority,
-                },
-            );
+            history.push_entry(e);
+        }
+        let mut by_recency: Vec<u32> = (0..history.len() as u32).collect();
+        by_recency.sort_unstable_by_key(|&id| history.entries[id as usize].last_seen);
+        for id in by_recency {
+            history.push_front(id);
         }
         Ok(history)
     }
@@ -500,17 +629,6 @@ mod tests {
         assert_eq!(h.degree(FileId(9)), 0);
         assert_eq!(h.max_degree(), 2);
         assert_eq!(h.value_of(&b(&[1, 2])), Some(2.0));
-    }
-
-    #[test]
-    fn forget_decrements_degrees() {
-        let mut h = RequestHistory::new();
-        h.record(&b(&[1, 2]));
-        h.record(&b(&[2, 3]));
-        assert!(h.forget(&b(&[1, 2])));
-        assert_eq!(h.degree(FileId(1)), 0);
-        assert_eq!(h.degree(FileId(2)), 1);
-        assert!(!h.forget(&b(&[1, 2])));
     }
 
     #[test]
@@ -814,6 +932,50 @@ entries 1
         // Positive zero stays valid for both.
         let ok = "value_fn count\ntick 1\nentries 1\n1 0 1 1 1 0 3\n";
         assert!(RequestHistory::read_from(ok.as_bytes(), &catalog_of(8)).is_ok());
+    }
+
+    /// Every recency order relies on unique ticks, and the next record
+    /// takes the header's tick + 1: a file breaking either fails at load.
+    #[test]
+    fn persistence_rejects_entry_ticks_above_the_header() {
+        // value_tick, then last_seen, then first_seen above tick 3.
+        for ticks in ["4 3 1", "3 4 1", "3 3 4"] {
+            assert_invalid(&format!(
+                "value_fn count\ntick 3\nentries 1\n1 1 {ticks} 1 3\n"
+            ));
+        }
+    }
+
+    #[test]
+    fn persistence_rejects_first_seen_after_last_seen() {
+        assert_invalid("value_fn count\ntick 5\nentries 1\n1 1 2 2 3 1 3\n");
+    }
+
+    #[test]
+    fn persistence_rejects_shared_last_seen() {
+        assert_invalid("value_fn count\ntick 5\nentries 2\n1 1 4 4 1 1 3\n1 1 4 4 2 1 4\n");
+    }
+
+    #[test]
+    fn persistence_rejects_shared_first_seen() {
+        assert_invalid("value_fn count\ntick 5\nentries 2\n1 1 4 4 1 1 3\n1 1 5 5 1 1 4\n");
+    }
+
+    /// The same entries with distinct ticks load, and the recency list is
+    /// rebuilt from `last_seen` whatever order the file lists them in.
+    #[test]
+    fn persistence_rebuilds_recency_from_ticks() {
+        let text =
+            "value_fn count\ntick 5\nentries 3\n1 1 5 5 2 1 4\n1 1 4 4 1 1 3\n1 1 3 3 3 1 5\n";
+        let h = RequestHistory::read_from(text.as_bytes(), &catalog_of(8)).unwrap();
+        let recent: Vec<Bundle> = h
+            .most_recent(3)
+            .into_iter()
+            .map(|e| e.bundle.clone())
+            .collect();
+        assert_eq!(recent, vec![b(&[4]), b(&[3]), b(&[5])]);
+        let firsts: Vec<u64> = h.entries().map(|e| e.first_seen).collect();
+        assert_eq!(firsts, vec![1, 2, 3]);
     }
 
     #[test]

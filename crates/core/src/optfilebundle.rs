@@ -30,7 +30,7 @@ use crate::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
 use crate::resident::ResidentInstance;
 use crate::select::GreedyVariant;
 #[cfg(any(test, feature = "reference-kernels"))]
-use crate::select::{opt_cache_select_lazy_with_scratch, LazySelectScratch, SelectOptions};
+use crate::select::{opt_cache_select_with_scratch, SelectOptions, SelectScratch};
 use crate::types::{Bytes, FileId};
 use fbc_obs::{Field, Obs};
 #[cfg(any(test, feature = "reference-kernels"))]
@@ -66,9 +66,6 @@ pub struct OfbConfig {
     pub prefetch: bool,
     /// Value function for request popularity.
     pub value_fn: ValueFn,
-    /// Optional cap on the number of candidate requests per decision (most
-    /// recent kept); bounds worst-case decision latency.
-    pub max_candidates: Option<usize>,
 }
 
 impl Default for OfbConfig {
@@ -78,7 +75,6 @@ impl Default for OfbConfig {
             variant: GreedyVariant::SharedCredit,
             prefetch: false,
             value_fn: ValueFn::Count,
-            max_candidates: None,
         }
     }
 }
@@ -125,11 +121,8 @@ struct DecisionScratch {
     /// Recycled per-candidate file buffers, refilled from
     /// [`crate::instance::InstanceRequest::into_files`] after each decision.
     file_bufs: Vec<Vec<u32>>,
-    /// The previous-generation (lazy version-stamped) kernel's scratch —
-    /// the rebuild/reference path runs the whole pre-resident pipeline,
-    /// select kernel included, so speedup measurements compare complete
-    /// generations rather than a mixed stack.
-    select_lazy: LazySelectScratch,
+    /// The instance select kernel's scratch.
+    select: SelectScratch,
 }
 
 /// The `OptFileBundle` replacement policy (paper Algorithm 2).
@@ -137,8 +130,8 @@ struct DecisionScratch {
 pub struct OptFileBundle {
     config: OfbConfig,
     history: RequestHistory,
-    /// The persistent decision state: dense mirrors of the history
-    /// (degrees, value accumulators, recency order) and of cache residency,
+    /// The persistent decision state over the history's ids: cache
+    /// residency, the supported set, cached file orders and kernel lanes,
     /// maintained by O(Δ) hooks so `decide_retained` never rebuilds,
     /// re-interns or re-sorts (see [`crate::resident`]).
     resident: ResidentInstance,
@@ -254,28 +247,28 @@ impl OptFileBundle {
             }
             return;
         }
-        let entry = self.history.record(bundle);
-        self.resident.on_record(entry);
+        let eid = self.history.record(bundle);
+        self.resident.on_record(&self.history, eid);
     }
 
-    /// Mirrors a cache insertion into the persistent decision state.
+    /// Applies a cache insertion to the persistent decision state.
     fn note_insert(&mut self, file: FileId) {
         #[cfg(any(test, feature = "reference-kernels"))]
         if self.reference {
             self.index.on_insert(file);
             return;
         }
-        self.resident.on_insert(file);
+        self.resident.on_insert(&mut self.history, file);
     }
 
-    /// Mirrors a cache eviction into the persistent decision state.
+    /// Applies a cache eviction to the persistent decision state.
     fn note_evict(&mut self, file: FileId) {
         #[cfg(any(test, feature = "reference-kernels"))]
         if self.reference {
             self.index.on_evict(file);
             return;
         }
-        self.resident.on_evict(file);
+        self.resident.on_evict(&self.history, file);
     }
 
     /// The policy's configuration.
@@ -340,15 +333,12 @@ impl OptFileBundle {
                 .collect();
         }
         let _ = cache;
-        self.resident.assemble_candidates(
-            self.config.history_mode,
-            self.config.max_candidates,
-            incoming,
-        );
+        self.resident
+            .assemble_candidates(&self.history, self.config.history_mode, incoming);
         self.resident
             .candidates()
             .iter()
-            .map(|&e| self.resident.bundle(e).clone())
+            .map(|&e| self.history.entry(e).bundle.clone())
             .collect()
     }
 
@@ -382,7 +372,7 @@ impl OptFileBundle {
             ..
         } = self;
         let delta_span = obs.span("ofb.delta_apply");
-        resident.assemble_candidates(config.history_mode, config.max_candidates, incoming);
+        resident.assemble_candidates(history, config.history_mode, incoming);
         drop(delta_span);
         obs.observe("ofb.candidates", resident.candidates().len() as u64);
         if resident.candidates().is_empty() {
@@ -390,22 +380,21 @@ impl OptFileBundle {
         }
 
         let build_span = obs.span("ofb.instance_build");
-        resident.prepare_decision(
-            catalog,
-            history.total_requests(),
-            history.value_fn(),
-            select_capacity,
-            config.variant,
-        );
+        resident.prepare_decision(history, catalog, select_capacity, config.variant);
         drop(build_span);
         let select_span = obs.span("ofb.greedy_select");
         let single = match config.variant {
-            GreedyVariant::SharedCredit => resident.select_fast(catalog, select_capacity),
-            GreedyVariant::SortedOnce => resident.select_sorted(catalog, select_capacity, true),
-            GreedyVariant::PaperLiteral => resident.select_sorted(catalog, select_capacity, false),
+            GreedyVariant::SharedCredit => resident.select_fast(history, catalog, select_capacity),
+            GreedyVariant::SortedOnce => {
+                resident.select_sorted(history, catalog, select_capacity, true)
+            }
+            GreedyVariant::PaperLiteral => {
+                resident.select_sorted(history, catalog, select_capacity, false)
+            }
         };
         drop(select_span);
-        let (retained, prefetch) = resident.decision_outputs(cache, config.prefetch, single);
+        let (retained, prefetch) =
+            resident.decision_outputs(history, cache, config.prefetch, single);
         obs.observe("ofb.retained_files", retained.len() as u64);
         (retained, prefetch)
     }
@@ -446,7 +435,7 @@ impl OptFileBundle {
             sizes,
             degrees,
             file_bufs,
-            select_lazy,
+            select,
             ..
         } = scratch;
         local_of.clear();
@@ -489,13 +478,13 @@ impl OptFileBundle {
         drop(build_span);
 
         let select_span = obs.span("ofb.greedy_select");
-        let selection = opt_cache_select_lazy_with_scratch(
+        let selection = opt_cache_select_with_scratch(
             &inst,
             &SelectOptions {
                 variant: config.variant,
                 max_single_fallback: true,
             },
-            select_lazy,
+            select,
         );
         drop(select_span);
 
@@ -547,13 +536,9 @@ fn candidates_of<'h>(
             .filter_map(|id| history.get(index.bundle(id)))
             .collect(),
     };
-    // The history hash map iterates in arbitrary order; sort by recency
-    // (last_seen is a unique tick) so greedy tie-breaking — and thus the
-    // whole simulation — is deterministic.
+    // Sort by recency (last_seen is a unique tick) so greedy tie-breaking
+    // — and thus the whole simulation — is deterministic.
     cands.sort_unstable_by_key(|e| std::cmp::Reverse(e.last_seen));
-    if let Some(cap) = config.max_candidates {
-        cands.truncate(cap);
-    }
     cands
 }
 

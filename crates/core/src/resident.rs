@@ -1,33 +1,29 @@
 //! Persistent, incrementally maintained decision state for
 //! [`OptFileBundle`](crate::optfilebundle::OptFileBundle).
 //!
-//! Before this module, every replacement decision rebuilt its FBC instance
-//! from scratch: re-hash every candidate bundle through the history map,
-//! re-intern every file into a per-decision `FxHashMap`, re-read every
-//! degree, recompute every value and re-sort the whole candidate set by
-//! recency — even though between consecutive decisions the world changes by
-//! a tiny delta (one recorded bundle, a few inserted/evicted files).
+//! A replacement decision needs more than the request history `L(R)`
+//! holds: which history entries the cache supports, each candidate's files
+//! in the decision's ranking order with their adjusted-size sums, and the
+//! kernel's working tables. [`ResidentInstance`] keeps that state alive
+//! across decisions, indexed by the dense entry and file ids of the
+//! [`RequestHistory`], and reads everything else — entries, values,
+//! degrees, recency — from the history itself. Three O(Δ) hooks keep it
+//! current:
 //!
-//! [`ResidentInstance`] keeps that state *alive across decisions* and
-//! updates it with O(Δ) hooks mirroring the
-//! [`SupportIndex`](crate::index::SupportIndex) lifecycle:
-//!
-//! * [`on_record`](ResidentInstance::on_record) — interns a newly recorded
-//!   bundle's files, appends its file list to an append-only CSR, bumps the
-//!   dense degree mirror, syncs the dense value accumulators from the
-//!   history entry, and moves the entry to the front of an intrusive
-//!   recency list;
+//! * [`on_record`](ResidentInstance::on_record) — after the history records
+//!   a bundle: a first occurrence appends the entry's residency counter and
+//!   adjacency; every occurrence makes the entry the *owner* of its files
+//!   and dirties the cached file orders of the entries sharing them;
 //! * [`on_insert`](ResidentInstance::on_insert) /
 //!   [`on_evict`](ResidentInstance::on_evict) — flip a file's residency flag
 //!   and walk its file→entry adjacency to maintain per-entry resident
 //!   counters, pushing/removing entries from the *fully supported* set as
 //!   their counter crosses the bundle size.
 //!
-//! A decision then *assembles* its candidate list without touching the
-//! history hash map at all: `Full`/`Window` walk the recency list (already
-//! recency-sorted — the sort the rebuild path paid per decision is free
-//! here), and `CacheSupported` takes the maintained supported set plus the
-//! entries completed by the incoming bundle's files.
+//! A decision then *assembles* its candidate list without a hash probe per
+//! candidate: `Full`/`Window` walk the history's recency list (already
+//! recency-sorted), and `CacheSupported` takes the maintained supported set
+//! plus the entries completed by the incoming bundle's files.
 //!
 //! Every greedy variant then runs *in place* over this state
 //! ([`prepare_decision`](ResidentInstance::prepare_decision) → one of two
@@ -49,39 +45,30 @@
 use crate::bundle::Bundle;
 use crate::cache::CacheState;
 use crate::catalog::FileCatalog;
-use crate::history::{HistoryEntry, RequestHistory, ValueFn};
+use crate::history::RequestHistory;
 use crate::optfilebundle::HistoryMode;
 use crate::select::{ord_key, rv_of, GreedyVariant, ReqState};
 use crate::types::{Bytes, FileId};
-use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
-/// Sentinel for "no entry" in the intrusive recency list and position maps.
+/// Sentinel for "no entry" in the owner and position maps.
 const NONE: u32 = u32::MAX;
 
-/// The persistent dense FBC instance living inside `OptFileBundle`.
+/// The persistent decision state living inside `OptFileBundle`.
 ///
-/// Files and history entries are interned once, on first contact, into
-/// dense ids (`pid` for files, `eid` for entries) that stay stable for the
-/// lifetime of the policy; all per-decision work is array reads over those
-/// ids. See the module docs for the maintenance protocol.
-#[derive(Debug, Clone)]
+/// Indexed by the history's file ids (`fid`) and entry ids (`eid`), which
+/// stay stable for the lifetime of the history; all per-decision work is
+/// array reads over those ids. See the module docs for the maintenance
+/// protocol.
+#[derive(Debug, Clone, Default)]
 pub struct ResidentInstance {
-    // ---- files (indexed by pid) ----
-    /// Global `FileId` → dense pid. The only hash lookup left on the
-    /// maintenance path; the decision path itself is hash-free.
-    file_of: FxHashMap<FileId, u32>,
-    /// pid → global id (inverse of `file_of`).
-    file_ids: Vec<FileId>,
-    /// Dense mirror of the history's `d(f)` degrees.
-    degrees: Vec<u32>,
+    // ---- files (indexed by fid) ----
     /// Whether the file is currently resident in the cache.
     resident: Vec<bool>,
-    /// File → entries using it (the transpose of the entry CSR).
+    /// File → entries using it (the transpose of the history's entry files).
     adj: Vec<Vec<u32>>,
-    /// pid → the most recently *recorded* entry containing it, or [`NONE`]
+    /// fid → the most recently *recorded* entry containing it, or [`NONE`]
     /// for files never part of a recorded bundle (interned by `on_insert`).
     /// Because Full/Window candidate lists are recency prefixes, the owner
     /// of any candidate's file is itself a candidate, and the rebuild
@@ -89,46 +76,23 @@ pub struct ResidentInstance {
     /// key `(recency rank of owner, position in owner's bundle)` — the sort
     /// key of the incrementally maintained per-entry file orders.
     owner: Vec<u32>,
-    /// pid → its index within the owner's canonical bundle order.
+    /// fid → its index within the owner's canonical bundle order.
     owner_pos: Vec<u32>,
-    /// pid → epoch mark "loaded by the current decision's greedy loop".
+    /// fid → epoch mark "loaded by the current decision's greedy loop".
     loaded_stamp: Vec<u32>,
 
     // ---- entries (indexed by eid) ----
-    /// Canonical bundle → eid (hit only by `on_record`).
-    ids: FxHashMap<Bundle, u32>,
-    /// eid → its bundle (for mapping candidates back to bundles).
-    bundles: Vec<Bundle>,
-    /// Append-only CSR of entry files (pids, in canonical bundle order —
-    /// the same order the rebuild path iterated `bundle.iter()` in).
-    entry_files: Vec<u32>,
-    /// CSR offsets; `entry_offsets[eid]..entry_offsets[eid + 1]` slices
-    /// `entry_files`.
-    entry_offsets: Vec<u32>,
     /// Number of the entry's files currently resident.
     resident_count: Vec<u32>,
-    /// Dense mirrors of the history entry's value state, synced by
-    /// `on_record` so values can be recomputed bit-identically without
-    /// touching the history map.
-    count: Vec<u64>,
-    value_acc: Vec<f64>,
-    value_tick: Vec<u64>,
-    last_seen: Vec<u64>,
-    priority: Vec<f64>,
-    /// Intrusive doubly-linked recency list (most recent first). Since
-    /// `last_seen` ticks are unique, walking it front-to-back reproduces
-    /// the rebuild path's `sort_by_key(Reverse(last_seen))` exactly.
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
     /// Entries whose files are all resident (`resident_count == len`), in
     /// arbitrary order, with a position map for O(1) removal.
     supported: Vec<u32>,
     supported_pos: Vec<u32>,
-    /// CSR payload parallel to `entry_files`: the entry's pids sorted in
-    /// ascending *decision-local* order (the owner key above). Maintained
-    /// lazily: `on_record` marks affected entries dirty, and the next
-    /// decision that uses a dirty candidate re-sorts its slice.
+    /// Payload parallel to the history's entry files (same spans): the
+    /// entry's fids sorted in ascending *decision-local* order (the owner
+    /// key above). Maintained lazily: `on_record` marks affected entries
+    /// dirty, and the next decision that uses a dirty candidate re-sorts
+    /// its slice.
     entry_sorted: Vec<u32>,
     /// Cached `Σ s'(f)` over `entry_sorted` order with true catalog sizes
     /// (no incoming overlay) — the candidate's full adjusted size. Valid
@@ -151,14 +115,14 @@ pub struct ResidentInstance {
     // ---- per-decision epoch-stamped scratch ----
     /// Decision epoch; a stamp equal to `epoch` means "set this decision".
     epoch: u32,
-    /// pid → epoch at which `file_local` was assigned.
+    /// fid → epoch at which `file_local` was assigned.
     file_stamp: Vec<u32>,
-    /// pid → local index in the decision's dense instance: the rank of the
+    /// fid → local index in the decision's dense instance: the rank of the
     /// file's first touch, walking the candidates most recent first and
     /// each bundle in canonical order. Stamped by `prepare_decision` when
     /// the candidates are not a recency prefix.
     file_local: Vec<u32>,
-    /// pid → epoch mark "belongs to the incoming bundle" (the size-0
+    /// fid → epoch mark "belongs to the incoming bundle" (the size-0
     /// overlay: incoming files are pre-reserved and cost nothing).
     incoming_stamp: Vec<u32>,
     /// eid → epoch at which `bonus` was reset.
@@ -175,12 +139,12 @@ pub struct ResidentInstance {
     prefix: bool,
     /// Set by `prepare_decision` when the union of all candidates fits the
     /// capacity under marginal charging: the greedy would take every
-    /// candidate, so the lanes skip their loops and `union_pids` already
+    /// candidate, so the lanes skip their loops and `union_fids` already
     /// holds the union.
     take_all: bool,
-    /// Interned pids of the incoming bundle (stamped by
+    /// Fids of the incoming bundle's known files (stamped by
     /// [`assemble_candidates`](Self::assemble_candidates)).
-    incoming_pids: Vec<u32>,
+    incoming_fids: Vec<u32>,
 
     // ---- in-place kernel scratch (indexed by candidate rank) ----
     /// Packed per-candidate kernel state — marginal, priority and value,
@@ -198,7 +162,7 @@ pub struct ResidentInstance {
     /// so a per-round scan would be quadratic). A refresh pushes a fresh
     /// entry and leaves the superseded one in place.
     kr_heap: BinaryHeap<(u64, Reverse<u32>)>,
-    /// Dense mirror of `kr_req[r].mb` so the feasibility mask in the
+    /// Dense copy of `kr_req[r].mb` so the feasibility mask in the
     /// argmax scan reads a flat `u64` lane instead of striding `ReqState`.
     kr_mb: Vec<u64>,
     /// Dense epoch stamps deduplicating refreshes within one greedy step.
@@ -207,89 +171,16 @@ pub struct ResidentInstance {
     kr_taken: Vec<bool>,
     /// The sorted lane's admission order: ranks by `(key desc, rank asc)`.
     kr_order: Vec<u32>,
-    /// Union of the selected candidates' pids, in load order.
-    union_pids: Vec<u32>,
-    /// Pids loaded by the current selection step.
+    /// Union of the selected candidates' fids, in load order.
+    union_fids: Vec<u32>,
+    /// Fids loaded by the current selection step.
     newly_loaded: Vec<u32>,
-}
-
-impl Default for ResidentInstance {
-    fn default() -> Self {
-        Self {
-            file_of: FxHashMap::default(),
-            file_ids: Vec::new(),
-            degrees: Vec::new(),
-            resident: Vec::new(),
-            adj: Vec::new(),
-            owner: Vec::new(),
-            owner_pos: Vec::new(),
-            loaded_stamp: Vec::new(),
-            ids: FxHashMap::default(),
-            bundles: Vec::new(),
-            entry_files: Vec::new(),
-            entry_offsets: vec![0],
-            resident_count: Vec::new(),
-            count: Vec::new(),
-            value_acc: Vec::new(),
-            value_tick: Vec::new(),
-            last_seen: Vec::new(),
-            priority: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
-            head: NONE,
-            supported: Vec::new(),
-            supported_pos: Vec::new(),
-            entry_sorted: Vec::new(),
-            entry_adjusted: Vec::new(),
-            entry_bytes: Vec::new(),
-            order_dirty: Vec::new(),
-            rank_stamp: Vec::new(),
-            rank_val: Vec::new(),
-            eff_stamp: Vec::new(),
-            epoch: 0,
-            file_stamp: Vec::new(),
-            file_local: Vec::new(),
-            incoming_stamp: Vec::new(),
-            bonus_stamp: Vec::new(),
-            bonus: Vec::new(),
-            touched: Vec::new(),
-            candidates: Vec::new(),
-            prefix: true,
-            take_all: false,
-            incoming_pids: Vec::new(),
-            kr_req: Vec::new(),
-            kr_key: Vec::new(),
-            kr_heap: BinaryHeap::new(),
-            kr_mb: Vec::new(),
-            kr_touched: Vec::new(),
-            kr_taken: Vec::new(),
-            kr_order: Vec::new(),
-            union_pids: Vec::new(),
-            newly_loaded: Vec::new(),
-        }
-    }
 }
 
 impl ResidentInstance {
     /// An empty instance.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of interned entries.
-    pub fn len(&self) -> usize {
-        self.bundles.len()
-    }
-
-    /// Whether no entry has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.bundles.is_empty()
-    }
-
-    /// The bundle of entry `eid`.
-    #[inline]
-    pub fn bundle(&self, eid: u32) -> &Bundle {
-        &self.bundles[eid as usize]
     }
 
     /// The candidate list assembled by the last
@@ -300,148 +191,93 @@ impl ResidentInstance {
         &self.candidates
     }
 
-    #[inline]
-    fn entry_len(&self, eid: usize) -> u32 {
-        self.entry_offsets[eid + 1] - self.entry_offsets[eid]
-    }
-
-    fn intern_file(&mut self, f: FileId) -> u32 {
-        match self.file_of.entry(f) {
-            Entry::Occupied(o) => *o.get(),
-            Entry::Vacant(v) => {
-                let pid = self.file_ids.len() as u32;
-                v.insert(pid);
-                self.file_ids.push(f);
-                self.degrees.push(0);
-                self.resident.push(false);
-                self.adj.push(Vec::new());
-                self.owner.push(NONE);
-                self.owner_pos.push(0);
-                self.loaded_stamp.push(0);
-                self.file_stamp.push(0);
-                self.file_local.push(0);
-                self.incoming_stamp.push(0);
-                pid
-            }
+    /// Grows the per-file arrays to cover `files` file ids.
+    fn grow_files(&mut self, files: usize) {
+        if files <= self.resident.len() {
+            return;
         }
+        self.resident.resize(files, false);
+        self.adj.resize_with(files, Vec::new);
+        self.owner.resize(files, NONE);
+        self.owner_pos.resize(files, 0);
+        self.loaded_stamp.resize(files, 0);
+        self.file_stamp.resize(files, 0);
+        self.file_local.resize(files, 0);
+        self.incoming_stamp.resize(files, 0);
     }
 
-    fn unlink(&mut self, eid: u32) {
-        let (p, n) = (self.prev[eid as usize], self.next[eid as usize]);
-        if p != NONE {
-            self.next[p as usize] = n;
+    /// Syncs one record: call with the id [`RequestHistory::record`]
+    /// returned. O(b) adjacency appends for a first occurrence, plus the
+    /// owner update of every occurrence.
+    pub fn on_record(&mut self, history: &RequestHistory, eid: u32) {
+        if eid as usize == self.resident_count.len() {
+            self.add_entry(history, eid);
+        }
+        self.take_ownership(history, eid);
+    }
+
+    /// Appends the per-entry state of the history's next entry.
+    fn add_entry(&mut self, history: &RequestHistory, eid: u32) {
+        self.grow_files(history.file_ids().len());
+        let files = &history.entry_files()[history.span(eid as usize)];
+        let mut rcount = 0u32;
+        for &fid in files {
+            self.adj[fid as usize].push(eid);
+            rcount += u32::from(self.resident[fid as usize]);
+        }
+        self.entry_sorted.extend_from_slice(files);
+        self.resident_count.push(rcount);
+        self.bonus_stamp.push(0);
+        self.bonus.push(0);
+        self.entry_adjusted.push(0.0);
+        self.entry_bytes.push(0);
+        self.order_dirty.push(true);
+        self.rank_stamp.push(0);
+        self.rank_val.push(0);
+        self.eff_stamp.push(0);
+        if rcount as usize == files.len() {
+            self.supported_pos.push(self.supported.len() as u32);
+            self.supported.push(eid);
         } else {
-            self.head = n;
-        }
-        if n != NONE {
-            self.prev[n as usize] = p;
+            self.supported_pos.push(NONE);
         }
     }
 
-    fn push_front(&mut self, eid: u32) {
-        self.prev[eid as usize] = NONE;
-        self.next[eid as usize] = self.head;
-        if self.head != NONE {
-            self.prev[self.head as usize] = eid;
-        }
-        self.head = eid;
-    }
-
-    /// Syncs one recorded bundle: O(b) for a first occurrence, O(1) for a
-    /// repeat (plus the recency-list relink). Call with the entry returned
-    /// by [`RequestHistory::record`].
-    pub fn on_record(&mut self, entry: &HistoryEntry) {
-        let bundle = &entry.bundle;
-        let eid = if let Some(&e) = self.ids.get(bundle) {
-            // Repeat occurrence: degrees and adjacency are unchanged.
-            self.unlink(e);
-            e
-        } else {
-            let e = self.bundles.len() as u32;
-            self.ids.insert(bundle.clone(), e);
-            self.bundles.push(bundle.clone());
-            let mut rcount = 0u32;
-            let mut blen = 0u32;
-            for f in bundle.iter() {
-                let pid = self.intern_file(f);
-                // A first occurrence increments d(f) of each of its files,
-                // exactly as the history does.
-                self.degrees[pid as usize] += 1;
-                self.adj[pid as usize].push(e);
-                self.entry_files.push(pid);
-                self.entry_sorted.push(pid);
-                if self.resident[pid as usize] {
-                    rcount += 1;
-                }
-                blen += 1;
-            }
-            self.entry_offsets.push(self.entry_files.len() as u32);
-            self.resident_count.push(rcount);
-            self.count.push(0);
-            self.value_acc.push(0.0);
-            self.value_tick.push(0);
-            self.last_seen.push(0);
-            self.priority.push(1.0);
-            self.prev.push(NONE);
-            self.next.push(NONE);
-            self.bonus_stamp.push(0);
-            self.bonus.push(0);
-            self.entry_adjusted.push(0.0);
-            self.entry_bytes.push(0);
-            self.order_dirty.push(true);
-            self.rank_stamp.push(0);
-            self.rank_val.push(0);
-            self.eff_stamp.push(0);
-            if rcount == blen {
-                self.supported_pos.push(self.supported.len() as u32);
-                self.supported.push(e);
-            } else {
-                self.supported_pos.push(NONE);
-            }
-            e
-        };
-        let i = eid as usize;
-        let (acc, tick) = entry.value_state();
-        self.count[i] = entry.count;
-        self.value_acc[i] = acc;
-        self.value_tick[i] = tick;
-        self.last_seen[i] = entry.last_seen;
-        self.priority[i] = entry.priority;
-        self.push_front(eid);
-        // Owner maintenance: this entry is now the most recently recorded
-        // holder of each of its files. Any entry sharing a file with it may
-        // see an owner change, an owner rank move, or (on a first record) a
-        // degree change — all three invalidate the cached per-entry order
-        // and adjusted sums, so dirty the whole file-sharing neighbourhood.
-        // Entries sharing no file are unaffected: their owners keep their
-        // relative recency order, which is all the cached key encodes.
-        let (start, end) = (
-            self.entry_offsets[i] as usize,
-            self.entry_offsets[i + 1] as usize,
-        );
-        for k in start..end {
-            let pid = self.entry_files[k] as usize;
-            self.owner[pid] = eid;
-            self.owner_pos[pid] = (k - start) as u32;
-            for ai in 0..self.adj[pid].len() {
-                self.order_dirty[self.adj[pid][ai] as usize] = true;
+    /// Makes `eid`, just recorded, the owner of each of its files. Any
+    /// entry sharing a file with it may see an owner change, an owner rank
+    /// move, or (on a first record) a degree change — all three invalidate
+    /// the cached per-entry order and adjusted sums, so this dirties the
+    /// whole file-sharing neighbourhood. Entries sharing no file are
+    /// unaffected: their owners keep their relative recency order, which
+    /// is all the cached key encodes.
+    fn take_ownership(&mut self, history: &RequestHistory, eid: u32) {
+        let span = history.span(eid as usize);
+        let start = span.start;
+        for k in span {
+            let fid = history.entry_files()[k] as usize;
+            self.owner[fid] = eid;
+            self.owner_pos[fid] = (k - start) as u32;
+            for &e in &self.adj[fid] {
+                self.order_dirty[e as usize] = true;
             }
         }
     }
 
     /// Marks `file` resident, updating the resident counters (and the
-    /// supported set) of the entries using it. O(d(f)).
-    pub fn on_insert(&mut self, file: FileId) {
-        let pid = self.intern_file(file) as usize;
-        if self.resident[pid] {
+    /// supported set) of the entries using it. O(d(f)). Interns `file` in
+    /// the history, so a later record of a bundle naming it counts it
+    /// resident.
+    pub fn on_insert(&mut self, history: &mut RequestHistory, file: FileId) {
+        let fid = history.intern_file(file) as usize;
+        self.grow_files(history.file_ids().len());
+        if self.resident[fid] {
             return;
         }
-        self.resident[pid] = true;
-        for i in 0..self.adj[pid].len() {
-            let eid = self.adj[pid][i];
+        self.resident[fid] = true;
+        for &eid in &self.adj[fid] {
             let e = eid as usize;
             self.resident_count[e] += 1;
-            if self.resident_count[e] == self.entry_offsets[e + 1] - self.entry_offsets[e] {
+            if self.resident_count[e] as usize == history.span(e).len() {
                 self.supported_pos[e] = self.supported.len() as u32;
                 self.supported.push(eid);
             }
@@ -449,19 +285,18 @@ impl ResidentInstance {
     }
 
     /// Marks `file` evicted, the inverse of [`on_insert`](Self::on_insert).
-    pub fn on_evict(&mut self, file: FileId) {
-        let Some(&pid) = self.file_of.get(&file) else {
+    pub fn on_evict(&mut self, history: &RequestHistory, file: FileId) {
+        let Some(fid) = history.file_id(file) else {
             return;
         };
-        let pid = pid as usize;
-        if !self.resident[pid] {
+        let fid = fid as usize;
+        if !self.resident[fid] {
             return;
         }
-        self.resident[pid] = false;
-        for i in 0..self.adj[pid].len() {
-            let eid = self.adj[pid][i];
+        self.resident[fid] = false;
+        for &eid in &self.adj[fid] {
             let e = eid as usize;
-            if self.resident_count[e] == self.entry_offsets[e + 1] - self.entry_offsets[e] {
+            if self.resident_count[e] as usize == history.span(e).len() {
                 let pos = self.supported_pos[e] as usize;
                 self.supported.swap_remove(pos);
                 if pos < self.supported.len() {
@@ -473,15 +308,20 @@ impl ResidentInstance {
         }
     }
 
-    /// Rebuilds the mirror from a warm-start history (entries are replayed
-    /// oldest-first so the recency list matches the history's `last_seen`
-    /// order). The cache is empty at warm start, so residency starts false.
+    /// Builds the state for a warm-start history. Owners are taken in
+    /// ascending `last_seen` order, as the records would have left them.
+    /// The cache is empty at warm start, so residency starts false.
     pub fn populate(&mut self, history: &RequestHistory) {
-        debug_assert!(self.is_empty(), "populate() expects a fresh mirror");
-        let mut entries: Vec<&HistoryEntry> = history.entries().collect();
-        entries.sort_unstable_by_key(|e| e.last_seen);
-        for e in entries {
-            self.on_record(e);
+        debug_assert!(
+            self.resident_count.is_empty(),
+            "populate() expects a fresh state"
+        );
+        for eid in 0..history.len() as u32 {
+            self.add_entry(history, eid);
+        }
+        let recency: Vec<u32> = history.recency().collect();
+        for &eid in recency.iter().rev() {
+            self.take_ownership(history, eid);
         }
     }
 
@@ -506,106 +346,73 @@ impl ResidentInstance {
     /// the "apply the pending delta" step of the decision path.
     ///
     /// Reproduces the rebuild path's candidate *set and order* exactly:
-    /// most recent first, capped by `max_candidates` (and the window size).
+    /// most recent first, capped by the window size.
     pub fn assemble_candidates(
         &mut self,
+        history: &RequestHistory,
         mode: HistoryMode,
-        max_candidates: Option<usize>,
         incoming: &Bundle,
     ) {
         self.begin_epoch();
         let epoch = self.epoch;
         self.candidates.clear();
-        self.incoming_pids.clear();
-        // Stamp the incoming bundle's interned files: the decision's size-0
+        self.incoming_fids.clear();
+        // Stamp the incoming bundle's known files: the decision's size-0
         // overlay and the bonus pass below both key off this.
         for f in incoming.iter() {
-            if let Some(&pid) = self.file_of.get(&f) {
-                self.incoming_stamp[pid as usize] = epoch;
-                self.incoming_pids.push(pid);
+            if let Some(fid) = history.file_id(f) {
+                self.incoming_stamp[fid as usize] = epoch;
+                self.incoming_fids.push(fid);
             }
         }
         self.prefix = !matches!(mode, HistoryMode::CacheSupported);
         match mode {
-            HistoryMode::Full | HistoryMode::Window(_) => {
-                let limit = match mode {
-                    HistoryMode::Window(n) => n.min(max_candidates.unwrap_or(usize::MAX)),
-                    _ => max_candidates.unwrap_or(usize::MAX),
-                };
-                let mut cur = self.head;
-                while cur != NONE && self.candidates.len() < limit {
-                    self.candidates.push(cur);
-                    cur = self.next[cur as usize];
-                }
-            }
+            HistoryMode::Full => self.candidates.extend(history.recency()),
+            HistoryMode::Window(n) => self.candidates.extend(history.recency().take(n)),
             HistoryMode::CacheSupported => {
                 // Entries fully supported by the resident set alone...
                 self.candidates.extend_from_slice(&self.supported);
                 // ...plus entries completed by the incoming bundle's
                 // non-resident files (whose space is reserved).
-                let mut touched = std::mem::take(&mut self.touched);
-                touched.clear();
-                for f in incoming.iter() {
-                    let Some(&pid) = self.file_of.get(&f) else {
-                        continue;
-                    };
-                    if self.resident[pid as usize] {
+                self.touched.clear();
+                for &fid in &self.incoming_fids {
+                    if self.resident[fid as usize] {
                         continue;
                     }
-                    for i in 0..self.adj[pid as usize].len() {
-                        let eid = self.adj[pid as usize][i];
+                    for &eid in &self.adj[fid as usize] {
                         let e = eid as usize;
                         if self.bonus_stamp[e] != epoch {
                             self.bonus_stamp[e] = epoch;
                             self.bonus[e] = 0;
-                            touched.push(eid);
+                            self.touched.push(eid);
                         }
                         self.bonus[e] += 1;
                     }
                 }
-                for &eid in &touched {
+                for &eid in &self.touched {
                     let e = eid as usize;
                     // `bonus > 0` implies `resident_count < len`, so these
                     // entries are disjoint from the supported set above.
-                    if self.resident_count[e] + self.bonus[e] == self.entry_len(e) {
+                    if (self.resident_count[e] + self.bonus[e]) as usize == history.span(e).len() {
                         self.candidates.push(eid);
                     }
                 }
-                self.touched = touched;
                 // Recency order; `last_seen` ticks are unique, so this is a
                 // total order matching the rebuild path's sort.
-                let last_seen = &self.last_seen;
                 self.candidates
-                    .sort_unstable_by_key(|&e| Reverse(last_seen[e as usize]));
-                if let Some(cap) = max_candidates {
-                    self.candidates.truncate(cap);
-                }
+                    .sort_unstable_by_key(|&e| Reverse(history.entry(e).last_seen));
             }
         }
     }
 
-    /// The entry's value `v(r)` as of `now` — bit-identical to
-    /// [`HistoryEntry::value_at`] on the mirrored state.
-    #[inline]
-    fn value_of(&self, eid: usize, now: u64, value_fn: ValueFn) -> f64 {
-        let base = match value_fn {
-            ValueFn::Count => self.count[eid] as f64,
-            ValueFn::Decay { half_life } => {
-                let dt = now.saturating_sub(self.value_tick[eid]) as f64;
-                self.value_acc[eid] * 0.5_f64.powf(dt / half_life)
-            }
-        };
-        base * self.priority[eid]
-    }
-
-    /// The size `pid` is charged this decision: 0 for the incoming bundle's
+    /// The size `fid` is charged this decision: 0 for the incoming bundle's
     /// files (their space is already reserved), its catalog size otherwise.
     #[inline]
-    fn charged_size(&self, catalog: &FileCatalog, pid: usize) -> Bytes {
-        if self.incoming_stamp[pid] == self.epoch {
+    fn charged_size(&self, history: &RequestHistory, catalog: &FileCatalog, fid: usize) -> Bytes {
+        if self.incoming_stamp[fid] == self.epoch {
             0
         } else {
-            catalog.size(self.file_ids[pid])
+            catalog.size(history.file_ids()[fid])
         }
     }
 
@@ -629,36 +436,35 @@ impl ResidentInstance {
     /// overrun the capacity even when the union fits, so it never skips.
     pub fn prepare_decision(
         &mut self,
+        history: &RequestHistory,
         catalog: &FileCatalog,
-        now: u64,
-        value_fn: ValueFn,
         capacity: Bytes,
         variant: GreedyVariant,
     ) {
         let epoch = self.epoch;
         let ncand = self.candidates.len();
-        self.union_pids.clear();
+        self.union_fids.clear();
         self.take_all = false;
         if !self.prefix {
             let mut union_bytes: Bytes = 0;
             for r in 0..ncand {
                 let e = self.candidates[r] as usize;
-                for k in self.entry_offsets[e] as usize..self.entry_offsets[e + 1] as usize {
-                    let pid = self.entry_files[k] as usize;
-                    if self.file_stamp[pid] == epoch {
+                for &fid in &history.entry_files()[history.span(e)] {
+                    let fid = fid as usize;
+                    if self.file_stamp[fid] == epoch {
                         continue;
                     }
-                    self.file_stamp[pid] = epoch;
-                    self.file_local[pid] = self.union_pids.len() as u32;
-                    self.union_pids.push(pid as u32);
-                    union_bytes += self.charged_size(catalog, pid);
+                    self.file_stamp[fid] = epoch;
+                    self.file_local[fid] = self.union_fids.len() as u32;
+                    self.union_fids.push(fid as u32);
+                    union_bytes += self.charged_size(history, catalog, fid);
                 }
             }
             if union_bytes <= capacity && variant != GreedyVariant::PaperLiteral {
                 self.take_all = true;
                 return;
             }
-            self.union_pids.clear();
+            self.union_fids.clear();
         }
         for r in 0..ncand {
             let e = self.candidates[r] as usize;
@@ -667,12 +473,10 @@ impl ResidentInstance {
         }
         // Candidates containing an incoming file get the size-0 overlay:
         // their cached full-size sums do not apply this decision.
-        for ii in 0..self.incoming_pids.len() {
-            let pid = self.incoming_pids[ii] as usize;
-            for ai in 0..self.adj[pid].len() {
-                let e = self.adj[pid][ai] as usize;
-                if self.rank_stamp[e] == epoch {
-                    self.eff_stamp[e] = epoch;
+        for &fid in &self.incoming_fids {
+            for &e in &self.adj[fid as usize] {
+                if self.rank_stamp[e as usize] == epoch {
+                    self.eff_stamp[e as usize] = epoch;
                 }
             }
         }
@@ -689,18 +493,19 @@ impl ResidentInstance {
         self.kr_mb.clear();
         self.kr_mb.resize(ncand, 0);
 
+        let (now, value_fn) = (history.total_requests(), history.value_fn());
         for r in 0..ncand {
             let e = self.candidates[r] as usize;
-            self.refresh_entry_order(catalog, e);
+            self.refresh_entry_order(history, catalog, e);
             let (adjusted, bytes) = if self.eff_stamp[e] == epoch {
                 // Recompute with the incoming files' sizes overlaid to 0 —
                 // the 0-size terms contribute exactly the `+0.0` the
                 // instance path's sum would, in the same order.
-                self.entry_sums(catalog, e, true)
+                self.entry_sums(history, catalog, e, true)
             } else {
                 (self.entry_adjusted[e], self.entry_bytes[e])
             };
-            let value = self.value_of(e, now, value_fn);
+            let value = history.entry(e as u32).value_at(now, value_fn);
             let rv = rv_of(value, adjusted);
             self.kr_req[r] = ReqState {
                 mb: bytes,
@@ -717,9 +522,8 @@ impl ResidentInstance {
     /// changed. A prefix decision re-sorts only entries `on_record` marked
     /// dirty (the owner key); otherwise the slice is checked against this
     /// decision's first-touch stamps — 2–6 files, usually already in order.
-    fn refresh_entry_order(&mut self, catalog: &FileCatalog, e: usize) {
-        let start = self.entry_offsets[e] as usize;
-        let end = self.entry_offsets[e + 1] as usize;
+    fn refresh_entry_order(&mut self, history: &RequestHistory, catalog: &FileCatalog, e: usize) {
+        let span = history.span(e);
         if self.prefix {
             if !self.order_dirty[e] {
                 return;
@@ -729,18 +533,18 @@ impl ResidentInstance {
             let rank_val = &self.rank_val;
             #[cfg(debug_assertions)]
             let (rank_stamp, epoch) = (&self.rank_stamp, self.epoch);
-            self.entry_sorted[start..end].sort_unstable_by_key(|&pid| {
-                let o = owner[pid as usize] as usize;
+            self.entry_sorted[span].sort_unstable_by_key(|&fid| {
+                let o = owner[fid as usize] as usize;
                 #[cfg(debug_assertions)]
                 debug_assert_eq!(
                     rank_stamp[o], epoch,
                     "owner of a candidate's file must itself be a candidate"
                 );
-                (rank_val[o], owner_pos[pid as usize])
+                (rank_val[o], owner_pos[fid as usize])
             });
         } else {
             let local = &self.file_local;
-            let files = &mut self.entry_sorted[start..end];
+            let files = &mut self.entry_sorted[span];
             if files
                 .windows(2)
                 .all(|w| local[w[0] as usize] < local[w[1] as usize])
@@ -749,10 +553,10 @@ impl ResidentInstance {
                     return;
                 }
             } else {
-                files.sort_unstable_by_key(|&pid| local[pid as usize]);
+                files.sort_unstable_by_key(|&fid| local[fid as usize]);
             }
         }
-        let (adjusted, bytes) = self.entry_sums(catalog, e, false);
+        let (adjusted, bytes) = self.entry_sums(history, catalog, e, false);
         self.entry_adjusted[e] = adjusted;
         self.entry_bytes[e] = bytes;
         self.order_dirty[e] = false;
@@ -763,18 +567,25 @@ impl ResidentInstance {
     /// instance path's `memoise_adjusted`/`request_sizes` computed. With
     /// `overlay`, incoming files count as size 0.
     #[inline]
-    fn entry_sums(&self, catalog: &FileCatalog, e: usize, overlay: bool) -> (f64, u64) {
+    fn entry_sums(
+        &self,
+        history: &RequestHistory,
+        catalog: &FileCatalog,
+        e: usize,
+        overlay: bool,
+    ) -> (f64, u64) {
+        let degrees = history.degrees();
         let mut adjusted = 0.0_f64;
         let mut bytes = 0_u64;
-        for k in self.entry_offsets[e] as usize..self.entry_offsets[e + 1] as usize {
-            let pid = self.entry_sorted[k] as usize;
+        for &fid in &self.entry_sorted[history.span(e)] {
+            let fid = fid as usize;
             let sz = if overlay {
-                self.charged_size(catalog, pid)
+                self.charged_size(history, catalog, fid)
             } else {
-                catalog.size(self.file_ids[pid])
+                catalog.size(history.file_ids()[fid])
             };
             bytes += sz;
-            adjusted += sz as f64 / self.degrees[pid].max(1) as f64;
+            adjusted += sz as f64 / degrees[fid].max(1) as f64;
         }
         (adjusted, bytes)
     }
@@ -817,8 +628,13 @@ impl ResidentInstance {
     /// mirror of `opt_cache_select_with_scratch` on the instance the
     /// rebuild path would have built. Returns `Some(rank)` when the single
     /// fallback strictly beats the greedy set (the `max_of` tie-break),
-    /// `None` when the greedy selection (left in `union_pids`) wins.
-    pub fn select_fast(&mut self, catalog: &FileCatalog, capacity: Bytes) -> Option<usize> {
+    /// `None` when the greedy selection (left in `union_fids`) wins.
+    pub fn select_fast(
+        &mut self,
+        history: &RequestHistory,
+        catalog: &FileCatalog,
+        capacity: Bytes,
+    ) -> Option<usize> {
         if self.take_all {
             // Every candidate fits at once, so the greedy takes them all, and
             // a float sum of non-negative values is at least each of its
@@ -827,6 +643,7 @@ impl ResidentInstance {
         }
         let epoch = self.epoch;
         let ncand = self.candidates.len();
+        let degrees = history.degrees();
         let (single, mut min_positive_mb, mut free_candidates) = self.fallback_scan(capacity);
 
         // A greedy round takes the feasible maximum of the reference pop
@@ -892,13 +709,13 @@ impl ResidentInstance {
             value_sum += self.kr_req[r].value;
             let e = self.candidates[r] as usize;
             self.newly_loaded.clear();
-            for k in self.entry_offsets[e] as usize..self.entry_offsets[e + 1] as usize {
-                let pid = self.entry_sorted[k] as usize;
-                if self.loaded_stamp[pid] != epoch {
-                    self.loaded_stamp[pid] = epoch;
-                    remaining -= self.charged_size(catalog, pid);
-                    self.union_pids.push(pid as u32);
-                    self.newly_loaded.push(pid as u32);
+            for k in history.span(e) {
+                let fid = self.entry_sorted[k] as usize;
+                if self.loaded_stamp[fid] != epoch {
+                    self.loaded_stamp[fid] = epoch;
+                    remaining -= self.charged_size(history, catalog, fid);
+                    self.union_fids.push(fid as u32);
+                    self.newly_loaded.push(fid as u32);
                 }
             }
 
@@ -906,9 +723,9 @@ impl ResidentInstance {
             // exactly as the select kernel does over its CSR.
             step += 1;
             for li in 0..self.newly_loaded.len() {
-                let pid = self.newly_loaded[li] as usize;
-                for ai in 0..self.adj[pid].len() {
-                    let e2 = self.adj[pid][ai] as usize;
+                let fid = self.newly_loaded[li] as usize;
+                for ai in 0..self.adj[fid].len() {
+                    let e2 = self.adj[fid][ai] as usize;
                     if self.rank_stamp[e2] != epoch {
                         continue; // not a candidate this decision
                     }
@@ -919,14 +736,14 @@ impl ResidentInstance {
                     self.kr_touched[r2] = step;
                     let mut mb = 0_u64;
                     let mut ma = 0.0_f64;
-                    for k in self.entry_offsets[e2] as usize..self.entry_offsets[e2 + 1] as usize {
+                    for k in history.span(e2) {
                         let p = self.entry_sorted[k] as usize;
                         if self.loaded_stamp[p] == epoch {
                             continue;
                         }
-                        let sz = self.charged_size(catalog, p);
+                        let sz = self.charged_size(history, catalog, p);
                         mb += sz;
-                        ma += sz as f64 / self.degrees[p].max(1) as f64;
+                        ma += sz as f64 / degrees[p].max(1) as f64;
                     }
                     if mb == 0 {
                         if self.kr_req[r2].mb != 0 {
@@ -965,6 +782,7 @@ impl ResidentInstance {
     /// same.) Returns as [`select_fast`](Self::select_fast).
     pub fn select_sorted(
         &mut self,
+        history: &RequestHistory,
         catalog: &FileCatalog,
         capacity: Bytes,
         marginal: bool,
@@ -984,13 +802,13 @@ impl ResidentInstance {
         for &r in &order {
             let r = r as usize;
             let e = self.candidates[r] as usize;
-            let files = self.entry_offsets[e] as usize..self.entry_offsets[e + 1] as usize;
+            let files = history.span(e);
             let charge = if marginal {
                 files
                     .clone()
                     .map(|k| self.entry_sorted[k] as usize)
                     .filter(|&p| self.loaded_stamp[p] != epoch)
-                    .map(|p| self.charged_size(catalog, p))
+                    .map(|p| self.charged_size(history, catalog, p))
                     .sum()
             } else {
                 self.kr_req[r].mb
@@ -1001,10 +819,10 @@ impl ResidentInstance {
             remaining -= charge;
             value_sum += self.kr_req[r].value;
             for k in files {
-                let pid = self.entry_sorted[k] as usize;
-                if self.loaded_stamp[pid] != epoch {
-                    self.loaded_stamp[pid] = epoch;
-                    self.union_pids.push(pid as u32);
+                let fid = self.entry_sorted[k] as usize;
+                if self.loaded_stamp[fid] != epoch {
+                    self.loaded_stamp[fid] = epoch;
+                    self.union_fids.push(fid as u32);
                 }
             }
         }
@@ -1018,6 +836,7 @@ impl ResidentInstance {
     /// prefetch list, in ascending local order.
     pub fn decision_outputs(
         &mut self,
+        history: &RequestHistory,
         cache: &CacheState,
         prefetch_enabled: bool,
         single: Option<usize>,
@@ -1025,18 +844,15 @@ impl ResidentInstance {
         let epoch = self.epoch;
         if let Some(r) = single {
             let e = self.candidates[r] as usize;
-            self.union_pids.clear();
-            let (start, end) = (
-                self.entry_offsets[e] as usize,
-                self.entry_offsets[e + 1] as usize,
-            );
-            self.union_pids
-                .extend_from_slice(&self.entry_sorted[start..end]);
+            self.union_fids.clear();
+            self.union_fids
+                .extend_from_slice(&self.entry_sorted[history.span(e)]);
         }
+        let file_ids = history.file_ids();
         let retained: Vec<FileId> = self
-            .union_pids
+            .union_fids
             .iter()
-            .map(|&p| self.file_ids[p as usize])
+            .map(|&p| file_ids[p as usize])
             .collect();
         // A CacheSupported candidate's files are all resident or incoming,
         // so only prefix decisions can prefetch.
@@ -1044,12 +860,11 @@ impl ResidentInstance {
             return (retained, Vec::new());
         }
         let mut prefetch: Vec<u32> = self
-            .union_pids
+            .union_fids
             .iter()
             .copied()
             .filter(|&p| {
-                self.incoming_stamp[p as usize] != epoch
-                    && !cache.contains(self.file_ids[p as usize])
+                self.incoming_stamp[p as usize] != epoch && !cache.contains(file_ids[p as usize])
             })
             .collect();
         // The instance path lists prefetches in ascending local order.
@@ -1057,53 +872,51 @@ impl ResidentInstance {
         prefetch.sort_unstable_by_key(|&p| {
             (rank_val[owner[p as usize] as usize], owner_pos[p as usize])
         });
-        let prefetch = prefetch
-            .iter()
-            .map(|&p| self.file_ids[p as usize])
-            .collect();
+        let prefetch = prefetch.iter().map(|&p| file_ids[p as usize]).collect();
         (retained, prefetch)
-    }
-
-    /// Exhaustive consistency check against the history and a residency
-    /// oracle (tests only — O(|R| · b)).
-    pub fn check_consistency<F: Fn(FileId) -> bool>(
-        &self,
-        history: &RequestHistory,
-        resident: F,
-    ) -> bool {
-        if self.len() != history.len() {
-            return false;
-        }
-        self.bundles.iter().enumerate().all(|(e, b)| {
-            let Some(entry) = history.get(b) else {
-                return false;
-            };
-            let rcount = b.iter().filter(|&f| resident(f)).count() as u32;
-            let supported_ok = if rcount == b.len() as u32 {
-                self.supported_pos[e] != NONE
-                    && self.supported[self.supported_pos[e] as usize] == e as u32
-            } else {
-                self.supported_pos[e] == NONE
-            };
-            self.resident_count[e] == rcount
-                && supported_ok
-                && self.count[e] == entry.count
-                && self.last_seen[e] == entry.last_seen
-                && b.iter().all(|f| {
-                    self.file_of
-                        .get(&f)
-                        .is_some_and(|&pid| self.degrees[pid as usize] == history.degree(f))
-                })
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::ValueFn;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())
+    }
+
+    /// A history and its decision state, driven together as the policy
+    /// drives them.
+    #[derive(Default)]
+    struct Pair {
+        history: RequestHistory,
+        state: ResidentInstance,
+    }
+
+    impl Pair {
+        fn record(&mut self, bundle: &Bundle) {
+            let eid = self.history.record(bundle);
+            self.state.on_record(&self.history, eid);
+        }
+
+        fn insert(&mut self, file: u32) {
+            self.state.on_insert(&mut self.history, FileId(file));
+        }
+
+        fn evict(&mut self, file: u32) {
+            self.state.on_evict(&self.history, FileId(file));
+        }
+
+        fn assemble(&mut self, mode: HistoryMode, incoming: &Bundle) -> Vec<Bundle> {
+            self.state
+                .assemble_candidates(&self.history, mode, incoming);
+            self.state
+                .candidates()
+                .iter()
+                .map(|&e| self.history.entry(e).bundle.clone())
+                .collect()
+        }
     }
 
     impl ResidentInstance {
@@ -1111,40 +924,59 @@ mod tests {
         /// instance path did: local interning in first-touch order
         /// (candidates most recent first, files in canonical bundle order),
         /// sizes with the incoming bundle's files overlaid to 0, degrees
-        /// from the dense mirror, values from the mirrored accumulators.
+        /// and values from the history.
         fn fill_instance(
             &mut self,
+            history: &RequestHistory,
             catalog: &FileCatalog,
-            now: u64,
-            value_fn: ValueFn,
         ) -> crate::instance::FbcInstance {
             let epoch = self.epoch;
+            let (now, value_fn) = (history.total_requests(), history.value_fn());
             let (mut sizes, mut degrees, mut requests) = (Vec::new(), Vec::new(), Vec::new());
             for c in 0..self.candidates.len() {
-                let eid = self.candidates[c] as usize;
+                let eid = self.candidates[c];
                 let mut files = Vec::new();
-                for k in self.entry_offsets[eid] as usize..self.entry_offsets[eid + 1] as usize {
-                    let pid = self.entry_files[k] as usize;
-                    if self.file_stamp[pid] != epoch {
-                        self.file_stamp[pid] = epoch;
-                        self.file_local[pid] = sizes.len() as u32;
-                        sizes.push(self.charged_size(catalog, pid));
-                        degrees.push(self.degrees[pid]);
+                for &fid in &history.entry_files()[history.span(eid as usize)] {
+                    let fid = fid as usize;
+                    if self.file_stamp[fid] != epoch {
+                        self.file_stamp[fid] = epoch;
+                        self.file_local[fid] = sizes.len() as u32;
+                        sizes.push(self.charged_size(history, catalog, fid));
+                        degrees.push(history.degrees()[fid]);
                     }
-                    files.push(self.file_local[pid]);
+                    files.push(self.file_local[fid]);
                 }
-                requests.push((files, self.value_of(eid, now, value_fn)));
+                requests.push((files, history.entry(eid).value_at(now, value_fn)));
             }
             crate::instance::FbcInstance::with_degrees(0, sizes, requests, Some(degrees)).unwrap()
         }
+
+        /// Exhaustive check of the residency counters and the supported
+        /// set against a residency oracle — O(|R| · b).
+        fn check_consistency<F: Fn(FileId) -> bool>(
+            &self,
+            history: &RequestHistory,
+            resident: F,
+        ) -> bool {
+            self.resident_count.len() == history.len()
+                && history.entries().enumerate().all(|(e, entry)| {
+                    let rcount = entry.bundle.iter().filter(|&f| resident(f)).count() as u32;
+                    let supported_ok = if rcount as usize == entry.bundle.len() {
+                        self.supported_pos[e] != NONE
+                            && self.supported[self.supported_pos[e] as usize] == e as u32
+                    } else {
+                        self.supported_pos[e] == NONE
+                    };
+                    self.resident_count[e] == rcount && supported_ok
+                })
+        }
     }
 
-    /// Drives a mirror + history pair through a random interleaving and
-    /// checks full consistency after every step.
+    /// Drives the state + history pair through a random interleaving and
+    /// checks the residency bookkeeping after every step.
     #[test]
-    fn mirror_stays_consistent_under_random_interleavings() {
-        let mut history = RequestHistory::new();
-        let mut mirror = ResidentInstance::new();
+    fn residency_stays_consistent_under_random_interleavings() {
+        let mut pair = Pair::default();
         let mut resident = std::collections::HashSet::new();
         let mut state = 0xC0FFEEu64;
         let mut next = move || {
@@ -1158,61 +990,73 @@ mod tests {
                 0 | 1 => {
                     let k = (next() % 3 + 1) as usize;
                     let files: Vec<u32> = (0..k).map(|_| (next() % 16) as u32).collect();
-                    let bundle = Bundle::from_raw(files);
-                    let entry = history.record(&bundle);
-                    mirror.on_record(entry);
+                    pair.record(&Bundle::from_raw(files));
                 }
                 2 => {
-                    let f = FileId((next() % 16) as u32);
-                    resident.insert(f);
-                    mirror.on_insert(f);
+                    let f = (next() % 16) as u32;
+                    resident.insert(FileId(f));
+                    pair.insert(f);
                 }
                 _ => {
-                    let f = FileId((next() % 16) as u32);
-                    resident.remove(&f);
-                    mirror.on_evict(f);
+                    let f = (next() % 16) as u32;
+                    resident.remove(&FileId(f));
+                    pair.evict(f);
                 }
             }
-            assert!(mirror.check_consistency(&history, |f| resident.contains(&f)));
+            assert!(pair
+                .state
+                .check_consistency(&pair.history, |f| resident.contains(&f)));
         }
+    }
+
+    /// A file inserted before any bundle naming it is recorded counts as
+    /// resident once one is.
+    #[test]
+    fn files_inserted_before_their_first_record_count_as_resident() {
+        let mut pair = Pair::default();
+        pair.insert(4);
+        pair.insert(5);
+        pair.record(&b(&[4, 5]));
+        assert_eq!(
+            pair.assemble(HistoryMode::CacheSupported, &b(&[9])),
+            vec![b(&[4, 5])]
+        );
+        assert!(pair
+            .state
+            .check_consistency(&pair.history, |f| f.0 == 4 || f.0 == 5));
     }
 
     #[test]
     fn recency_list_matches_last_seen_order() {
-        let mut history = RequestHistory::new();
-        let mut mirror = ResidentInstance::new();
+        let mut pair = Pair::default();
         for ids in [&[1u32, 2][..], &[3], &[4, 5], &[1, 2], &[3]] {
-            let entry = history.record(&b(ids));
-            mirror.on_record(entry);
+            pair.record(&b(ids));
         }
-        mirror.assemble_candidates(HistoryMode::Full, None, &b(&[]));
-        let got: Vec<Bundle> = mirror
-            .candidates()
-            .iter()
-            .map(|&e| mirror.bundle(e).clone())
-            .collect();
-        assert_eq!(got, vec![b(&[3]), b(&[1, 2]), b(&[4, 5])]);
+        assert_eq!(
+            pair.assemble(HistoryMode::Full, &b(&[])),
+            vec![b(&[3]), b(&[1, 2]), b(&[4, 5])]
+        );
         // Window truncation takes a prefix of the same order.
-        mirror.assemble_candidates(HistoryMode::Window(2), None, &b(&[]));
-        assert_eq!(mirror.candidates().len(), 2);
+        assert_eq!(pair.assemble(HistoryMode::Window(2), &b(&[])).len(), 2);
     }
 
+    /// A warm start assigns every file the owner (and position) the same
+    /// records would have left online, which a repeat can move to an
+    /// entry minted earlier.
     #[test]
-    fn populate_replays_history_in_recency_order() {
-        let mut history = RequestHistory::new();
-        for ids in [&[1u32][..], &[2], &[3], &[1]] {
-            history.record(&b(ids));
+    fn populate_matches_a_state_grown_online() {
+        let mut online = Pair::default();
+        for ids in [&[1u32, 2][..], &[2, 3], &[4], &[1, 2], &[3, 4], &[4]] {
+            online.record(&b(ids));
         }
-        let mut mirror = ResidentInstance::new();
-        mirror.populate(&history);
-        assert!(mirror.check_consistency(&history, |_| false));
-        mirror.assemble_candidates(HistoryMode::Full, None, &b(&[]));
-        let got: Vec<Bundle> = mirror
-            .candidates()
-            .iter()
-            .map(|&e| mirror.bundle(e).clone())
-            .collect();
-        assert_eq!(got, vec![b(&[1]), b(&[3]), b(&[2])]);
+        let mut warm = ResidentInstance::new();
+        warm.populate(&online.history);
+        assert!(warm.check_consistency(&online.history, |_| false));
+        assert_eq!(warm.owner, online.state.owner);
+        assert_eq!(warm.owner_pos, online.state.owner_pos);
+        // f2 was last recorded by the repeat of {1,2}, minted first.
+        let fid = online.history.file_id(FileId(2)).unwrap() as usize;
+        assert_eq!(warm.owner[fid], 0);
     }
 
     /// CacheSupported candidates are not a recency prefix, so the in-place
@@ -1223,8 +1067,10 @@ mod tests {
     fn cache_supported_keys_match_the_filled_instance() {
         let sizes: Vec<u64> = (0..24u64).map(|i| (i * 7919) % 997 + 3).collect();
         let catalog = FileCatalog::from_sizes(sizes);
-        let mut history = RequestHistory::new();
-        let mut mirror = ResidentInstance::new();
+        let mut pair = Pair {
+            history: RequestHistory::with_value_fn(ValueFn::Decay { half_life: 7.0 }),
+            state: ResidentInstance::new(),
+        };
         let mut state = 0xBADC0DEu64;
         let mut next = move || {
             state ^= state << 13;
@@ -1237,63 +1083,54 @@ mod tests {
             let k = (next() % 5 + 1) as usize;
             let files: Vec<u32> = (0..k).map(|_| (next() % 24) as u32).collect();
             let bundle = Bundle::from_raw(files);
-            let f = FileId((next() % 24) as u32);
+            let f = (next() % 24) as u32;
             if next() % 3 == 0 {
-                mirror.on_evict(f);
+                pair.evict(f);
             } else {
-                mirror.on_insert(f);
+                pair.insert(f);
             }
 
-            mirror.assemble_candidates(HistoryMode::CacheSupported, None, &bundle);
-            let now = history.total_requests();
-            let inst = mirror.fill_instance(&catalog, now, ValueFn::Count);
-            mirror.assemble_candidates(HistoryMode::CacheSupported, None, &bundle);
-            mirror.prepare_decision(
-                &catalog,
-                now,
-                ValueFn::Count,
-                0,
-                GreedyVariant::SharedCredit,
-            );
-            if !mirror.take_all {
+            let Pair { history, state } = &mut pair;
+            state.assemble_candidates(history, HistoryMode::CacheSupported, &bundle);
+            let inst = state.fill_instance(history, &catalog);
+            state.assemble_candidates(history, HistoryMode::CacheSupported, &bundle);
+            state.prepare_decision(history, &catalog, 0, GreedyVariant::SharedCredit);
+            if !state.take_all {
                 for r in 0..inst.num_requests() {
                     let value = inst.requests()[r].value;
                     let rv = rv_of(value, inst.request_adjusted_size(r));
-                    assert_eq!(mirror.kr_req[r].mb, inst.request_size(r));
-                    assert_eq!(mirror.kr_req[r].rv.to_bits(), rv.to_bits());
+                    assert_eq!(state.kr_req[r].mb, inst.request_size(r));
+                    assert_eq!(state.kr_req[r].rv.to_bits(), rv.to_bits());
                     checked += 1;
                 }
             }
-            let entry = history.record(&bundle);
-            mirror.on_record(entry);
+            pair.record(&bundle);
         }
         assert!(checked > 100, "only {checked} candidates compared");
     }
 
     #[test]
     fn cache_supported_uses_residency_plus_incoming_bonus() {
-        let mut history = RequestHistory::new();
-        let mut mirror = ResidentInstance::new();
+        let mut pair = Pair::default();
         for ids in [&[0u32, 1][..], &[1, 2], &[7]] {
-            let entry = history.record(&b(ids));
-            mirror.on_record(entry);
+            pair.record(&b(ids));
         }
-        mirror.on_insert(FileId(1));
+        pair.insert(1);
         // {1} alone supports nothing.
-        mirror.assemble_candidates(HistoryMode::CacheSupported, None, &b(&[9]));
-        assert!(mirror.candidates().is_empty());
+        assert!(pair
+            .assemble(HistoryMode::CacheSupported, &b(&[9]))
+            .is_empty());
         // Incoming {0} completes {0,1}.
-        mirror.assemble_candidates(HistoryMode::CacheSupported, None, &b(&[0]));
-        let got: Vec<Bundle> = mirror
-            .candidates()
-            .iter()
-            .map(|&e| mirror.bundle(e).clone())
-            .collect();
-        assert_eq!(got, vec![b(&[0, 1])]);
+        assert_eq!(
+            pair.assemble(HistoryMode::CacheSupported, &b(&[0])),
+            vec![b(&[0, 1])]
+        );
         // Fully resident entries appear without bonus help.
-        mirror.on_insert(FileId(0));
-        mirror.on_insert(FileId(2));
-        mirror.assemble_candidates(HistoryMode::CacheSupported, None, &b(&[9]));
-        assert_eq!(mirror.candidates().len(), 2);
+        pair.insert(0);
+        pair.insert(2);
+        assert_eq!(
+            pair.assemble(HistoryMode::CacheSupported, &b(&[9])).len(),
+            2
+        );
     }
 }

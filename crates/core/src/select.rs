@@ -41,17 +41,11 @@
 //! and the result is **bit-for-bit identical** to the reference loop: same
 //! selections, same order, same tie-breaking by lower index.
 //!
-//! Two slower twins are retained for differential pinning: the previous
-//! version-stamped `BinaryHeap` kernel, verbatim, as
-//! [`greedy_shared_credit_lazy`] (also what the rebuild decision path of
-//! `OptFileBundle` runs, so benchmarks measure a fully pre-PR pipeline),
-//! and the naive rescan loop as [`greedy_shared_credit_reference`] — the
-//! semantic anchor both kernels are pinned against by property tests.
+//! The naive rescan loop is retained as [`greedy_shared_credit_reference`]
+//! — the one oracle the kernel is pinned against by property tests.
 
 use crate::instance::{FbcInstance, Selection};
 use serde::{Deserialize, Serialize};
-#[cfg(any(test, feature = "reference-kernels"))]
-use std::collections::BinaryHeap;
 
 /// Which flavour of the greedy loop to run. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -635,233 +629,6 @@ pub fn greedy_shared_credit_with_scratch(
     Selection::from_chosen(inst, chosen)
 }
 
-/// One heap entry of the lazy twin kernel: the request's adjusted relative
-/// value at the time of the push, and the per-request version stamp
-/// identifying whether the entry is still current at pop time.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    rv: f64,
-    idx: u32,
-    version: u32,
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl Eq for HeapEntry {}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl Ord for HeapEntry {
-    /// Max-heap order: higher `rv` first, ties to the *lower* request index
-    /// — the reference loop's `rv > brv || (rv == brv && i < bi)` argmax.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rv
-            .total_cmp(&other.rv)
-            .then_with(|| other.idx.cmp(&self.idx))
-    }
-}
-
-/// Reusable buffers of [`greedy_shared_credit_lazy_with_scratch`] — the
-/// previous generation's scratch, kept verbatim alongside its kernel.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-pub struct LazySelectScratch {
-    loaded: BitSet,
-    taken: BitSet,
-    /// Per-request version stamp; heap entries with an older stamp are
-    /// stale and skipped at pop time.
-    version: Vec<u32>,
-    touched: Vec<u32>,
-    marginal_bytes: Vec<u64>,
-    adj_offsets: Vec<u32>,
-    adj_cursor: Vec<u32>,
-    adj_requests: Vec<u32>,
-    /// The lazy max-heap: may hold several (stale) entries per request.
-    heap: BinaryHeap<HeapEntry>,
-    newly_loaded: Vec<u32>,
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl LazySelectScratch {
-    fn reset(&mut self, n: usize, m: usize) {
-        self.loaded.reset(m);
-        self.taken.reset(n);
-        self.version.clear();
-        self.version.resize(n, 0);
-        self.touched.clear();
-        self.touched.resize(n, 0);
-        self.marginal_bytes.clear();
-        self.marginal_bytes.resize(n, 0);
-        self.adj_offsets.clear();
-        self.adj_offsets.resize(m + 1, 0);
-        self.adj_cursor.clear();
-        self.adj_cursor.resize(m, 0);
-        self.adj_requests.clear();
-        self.heap.clear();
-        self.newly_loaded.clear();
-    }
-}
-
-/// The previous incremental kernel — version-stamped `BinaryHeap` with lazy
-/// invalidation — retained verbatim as a differential twin and as the
-/// kernel of the rebuild/reference decision engine, so `perf_decision`'s
-/// Full-mode speedup measures the whole new path against the whole old one.
-#[cfg(any(test, feature = "reference-kernels"))]
-pub fn greedy_shared_credit_lazy(inst: &FbcInstance, seed: &[usize], capacity: u64) -> Selection {
-    let mut scratch = LazySelectScratch::default();
-    greedy_shared_credit_lazy_with_scratch(inst, seed, capacity, &mut scratch)
-}
-
-/// [`greedy_shared_credit_lazy`] with caller-owned reusable buffers.
-#[cfg(any(test, feature = "reference-kernels"))]
-pub fn greedy_shared_credit_lazy_with_scratch(
-    inst: &FbcInstance,
-    seed: &[usize],
-    capacity: u64,
-    scratch: &mut LazySelectScratch,
-) -> Selection {
-    let n = inst.num_requests();
-    let m = inst.num_files();
-    scratch.reset(n, m);
-
-    let mut chosen: Vec<usize> = seed.to_vec();
-    for &i in seed {
-        scratch.taken.set(i);
-        for &f in inst.requests()[i].files() {
-            scratch.loaded.set(f as usize);
-        }
-    }
-    let mut remaining = capacity;
-
-    // Inverted file→request adjacency, CSR layout, built in one counting
-    // pass and one fill pass over the requests.
-    for req in inst.requests() {
-        for &f in req.files() {
-            scratch.adj_offsets[f as usize + 1] += 1;
-        }
-    }
-    for f in 0..m {
-        scratch.adj_offsets[f + 1] += scratch.adj_offsets[f];
-        scratch.adj_cursor[f] = scratch.adj_offsets[f];
-    }
-    scratch
-        .adj_requests
-        .resize(scratch.adj_offsets[m] as usize, 0);
-    for (i, req) in inst.requests().iter().enumerate() {
-        for &f in req.files() {
-            let cur = &mut scratch.adj_cursor[f as usize];
-            scratch.adj_requests[*cur as usize] = i as u32;
-            *cur += 1;
-        }
-    }
-
-    // Initial priorities for every unselected request.
-    for i in 0..n {
-        if scratch.taken.get(i) {
-            continue;
-        }
-        let (mb, ma) = marginal_of(inst, i, &scratch.loaded);
-        scratch.marginal_bytes[i] = mb;
-        scratch.heap.push(HeapEntry {
-            rv: rv_of(inst.requests()[i].value, ma),
-            idx: i as u32,
-            version: 0,
-        });
-    }
-
-    // Lazy-greedy main loop. Invariant: every unselected request either has
-    // a current-version entry in the heap carrying its exact rv, or was
-    // popped while infeasible — and since `remaining` only shrinks and its
-    // marginal only changes when one of its files loads (which re-pushes
-    // it below), a parked request stays correctly excluded until then.
-    let mut epoch: u32 = 0;
-    while let Some(entry) = scratch.heap.pop() {
-        let i = entry.idx as usize;
-        if scratch.taken.get(i) || entry.version != scratch.version[i] {
-            continue; // stale: a fresher entry is (or was) in the heap
-        }
-        if scratch.marginal_bytes[i] > remaining {
-            continue; // parked: re-enters via adjacency refresh if ever viable
-        }
-
-        // Current and feasible at the top of the heap: the exact argmax.
-        scratch.taken.set(i);
-        chosen.push(i);
-        scratch.newly_loaded.clear();
-        for &f in inst.requests()[i].files() {
-            if !scratch.loaded.get(f as usize) {
-                remaining -= inst.file_size(f);
-                scratch.loaded.set(f as usize);
-                scratch.newly_loaded.push(f);
-            }
-        }
-
-        // Refresh exactly the requests whose marginal changed: those
-        // adjacent to a freshly loaded file. Priorities only increase, so
-        // re-pushing with a bumped version preserves heap correctness.
-        epoch += 1;
-        for li in 0..scratch.newly_loaded.len() {
-            let f = scratch.newly_loaded[li] as usize;
-            let (start, end) = (
-                scratch.adj_offsets[f] as usize,
-                scratch.adj_offsets[f + 1] as usize,
-            );
-            for ai in start..end {
-                let j = scratch.adj_requests[ai] as usize;
-                if scratch.taken.get(j) || scratch.touched[j] == epoch {
-                    continue;
-                }
-                scratch.touched[j] = epoch;
-                let (mb, ma) = marginal_of(inst, j, &scratch.loaded);
-                scratch.marginal_bytes[j] = mb;
-                scratch.version[j] += 1;
-                scratch.heap.push(HeapEntry {
-                    rv: rv_of(inst.requests()[j].value, ma),
-                    idx: j as u32,
-                    version: scratch.version[j],
-                });
-            }
-        }
-    }
-    Selection::from_chosen(inst, chosen)
-}
-
-/// [`opt_cache_select_with_scratch`] composed over the lazy twin kernel —
-/// the complete previous-generation selection path, used by the
-/// rebuild/reference decision engine of `OptFileBundle`.
-#[cfg(any(test, feature = "reference-kernels"))]
-pub fn opt_cache_select_lazy_with_scratch(
-    inst: &FbcInstance,
-    opts: &SelectOptions,
-    scratch: &mut LazySelectScratch,
-) -> Selection {
-    let greedy = match opts.variant {
-        GreedyVariant::PaperLiteral => greedy_sorted(inst, false),
-        GreedyVariant::SortedOnce => greedy_sorted(inst, true),
-        GreedyVariant::SharedCredit => {
-            greedy_shared_credit_lazy_with_scratch(inst, &[], inst.capacity(), scratch)
-        }
-    };
-    if opts.max_single_fallback {
-        max_of(greedy, best_single(inst))
-    } else {
-        greedy
-    }
-}
-
 /// The pre-incremental recompute-and-resort loop, kept verbatim as the
 /// behavioural reference for the kernel: a full `O(n · b)` rescan of every
 /// candidate per selection. Compiled for tests and, under the
@@ -1151,7 +918,6 @@ mod tests {
             state
         };
         let mut scratch = SelectScratch::default();
-        let mut lazy_scratch = LazySelectScratch::default();
         for round in 0..200 {
             let m = (next() % 12 + 1) as usize;
             let sizes: Vec<u64> = (0..m).map(|_| next() % 30).collect();
@@ -1178,8 +944,6 @@ mod tests {
             }
             let capacity = cap - seed_bytes;
             let fast = greedy_shared_credit_with_scratch(&inst, &seed, capacity, &mut scratch);
-            let lazy =
-                greedy_shared_credit_lazy_with_scratch(&inst, &seed, capacity, &mut lazy_scratch);
             let slow = greedy_shared_credit_reference(&inst, &seed, capacity);
             assert_eq!(fast.chosen, slow.chosen, "round {round}");
             assert_eq!(fast.files, slow.files, "round {round}");
@@ -1188,12 +952,6 @@ mod tests {
                 fast.value.to_bits(),
                 slow.value.to_bits(),
                 "round {round}: value not bit-identical"
-            );
-            assert_eq!(lazy, slow, "round {round}: lazy twin diverged");
-            assert_eq!(
-                lazy.value.to_bits(),
-                slow.value.to_bits(),
-                "round {round}: lazy value not bit-identical"
             );
         }
     }
@@ -1222,14 +980,11 @@ mod tests {
                 .collect();
             let inst = FbcInstance::new(cap, sizes, reqs).unwrap();
             let fast = greedy_shared_credit(&inst, &[], inst.capacity());
-            let lazy = greedy_shared_credit_lazy(&inst, &[], inst.capacity());
             let slow = greedy_shared_credit_reference(&inst, &[], inst.capacity());
             prop_assert_eq!(&fast.chosen, &slow.chosen);
             prop_assert_eq!(&fast.files, &slow.files);
             prop_assert_eq!(fast.bytes, slow.bytes);
             prop_assert_eq!(fast.value.to_bits(), slow.value.to_bits());
-            prop_assert_eq!(&lazy, &slow);
-            prop_assert_eq!(lazy.value.to_bits(), slow.value.to_bits());
         }
 
         /// All three variants through the public entry point agree with a
@@ -1272,9 +1027,6 @@ mod tests {
                         if o.max_single_fallback { max_of(g, best_single(&inst)) } else { g }
                     };
                     prop_assert_eq!(&first, &reference);
-                    let mut lazy_scratch = LazySelectScratch::default();
-                    let lazy = opt_cache_select_lazy_with_scratch(&inst, &o, &mut lazy_scratch);
-                    prop_assert_eq!(&lazy, &reference);
                 }
             }
         }

@@ -14,6 +14,58 @@ fn small_bundle() -> impl Strategy<Value = Bundle> {
     proptest::collection::vec(0u32..16, 1..=5).prop_map(Bundle::from_raw)
 }
 
+/// One request of the plain history model.
+struct ModelEntry {
+    count: u64,
+    acc: f64,
+    acc_tick: u64,
+    first: u64,
+    last: u64,
+}
+
+/// Checks `h` against the model after `tick` records.
+fn check_history_model(
+    h: &RequestHistory,
+    model: &HashMap<Bundle, ModelEntry>,
+    tick: u64,
+    value_fn: ValueFn,
+) {
+    prop_assert_eq!(h.len(), model.len());
+    prop_assert_eq!(h.total_requests(), tick);
+    let degree = |f: FileId| model.keys().filter(|b| b.contains(f)).count() as u32;
+    for f in (0..16).map(FileId) {
+        prop_assert_eq!(h.degree(f), degree(f), "d({:?})", f);
+    }
+    prop_assert_eq!(
+        h.max_degree(),
+        (0..16).map(|f| degree(FileId(f))).max().unwrap()
+    );
+    for (b, m) in model {
+        let value = match value_fn {
+            ValueFn::Count => m.count as f64,
+            ValueFn::Decay { half_life } => {
+                m.acc * 0.5_f64.powf((tick - m.acc_tick) as f64 / half_life)
+            }
+        };
+        prop_assert_eq!(h.value_of(b).map(f64::to_bits), Some(value.to_bits()));
+    }
+    // Entries iterate in first-record order; recency is last-record order.
+    let mut by_first: Vec<(&Bundle, &ModelEntry)> = model.iter().collect();
+    by_first.sort_by_key(|(_, m)| m.first);
+    let entries: Vec<&Bundle> = h.entries().map(|e| &e.bundle).collect();
+    prop_assert_eq!(
+        entries,
+        by_first.iter().map(|(b, _)| *b).collect::<Vec<_>>()
+    );
+    let mut by_last = by_first;
+    by_last.sort_by_key(|(_, m)| std::cmp::Reverse(m.last));
+    for n in [0, 1, 3, model.len(), model.len() + 2] {
+        let got: Vec<&Bundle> = h.most_recent(n).into_iter().map(|e| &e.bundle).collect();
+        let want: Vec<&Bundle> = by_last.iter().take(n).map(|(b, _)| *b).collect();
+        prop_assert_eq!(got, want, "most_recent({})", n);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -40,35 +92,47 @@ proptest! {
         prop_assert_eq!(a.intersects(&b), b.intersects(&a));
     }
 
-    /// History degrees always equal a from-scratch recount, under an
-    /// arbitrary record/forget interleaving.
+    /// `RequestHistory` against a plain `HashMap` model of `L(R)` under
+    /// random record sequences, counting and decayed: after every record,
+    /// sizes, degrees, values (bit for bit), recency prefixes and a
+    /// `write_to` → `read_from` round trip all agree with the model.
     #[test]
-    fn history_degrees_match_recount(ops in proptest::collection::vec(
-        (small_bundle(), proptest::bool::ANY), 1..60)) {
-        let mut h = RequestHistory::new();
-        let mut live: Vec<Bundle> = Vec::new();
-        for (bundle, forget) in ops {
-            if forget && !live.is_empty() {
-                let victim = live.swap_remove(0);
-                h.forget(&victim);
-            } else {
-                h.record(&bundle);
-                if !live.contains(&bundle) {
-                    live.push(bundle);
+    fn history_matches_a_plain_model(
+        records in proptest::collection::vec(small_bundle(), 1..60),
+        decay in proptest::bool::ANY,
+    ) {
+        let value_fn = if decay {
+            ValueFn::Decay { half_life: 3.0 }
+        } else {
+            ValueFn::Count
+        };
+        let catalog = FileCatalog::from_sizes(vec![1; 16]);
+        let mut h = RequestHistory::with_value_fn(value_fn);
+        let mut model: HashMap<Bundle, ModelEntry> = HashMap::new();
+        for (i, bundle) in records.iter().enumerate() {
+            let tick = i as u64 + 1;
+            h.record(bundle);
+            let m = model.entry(bundle.clone()).or_insert(ModelEntry {
+                count: 0,
+                acc: 0.0,
+                acc_tick: tick,
+                first: tick,
+                last: tick,
+            });
+            m.acc = match value_fn {
+                ValueFn::Count => (m.count + 1) as f64,
+                ValueFn::Decay { half_life } => {
+                    m.acc * 0.5_f64.powf((tick - m.acc_tick) as f64 / half_life) + 1.0
                 }
-            }
-            // Recount degrees from the live set.
-            let mut expect: HashMap<FileId, u32> = HashMap::new();
-            for b in &live {
-                for f in b.iter() {
-                    *expect.entry(f).or_insert(0) += 1;
-                }
-            }
-            for f in 0..16u32 {
-                prop_assert_eq!(
-                    h.degree(FileId(f)),
-                    expect.get(&FileId(f)).copied().unwrap_or(0)
-                );
+            };
+            (m.acc_tick, m.last) = (tick, tick);
+            m.count += 1;
+
+            let mut buf = Vec::new();
+            h.write_to(&mut buf).unwrap();
+            let back = RequestHistory::read_from(&buf[..], &catalog).unwrap();
+            for h in [&h, &back] {
+                check_history_model(h, &model, tick, value_fn);
             }
         }
     }

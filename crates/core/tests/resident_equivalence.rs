@@ -51,16 +51,6 @@ fn configs() -> Vec<OfbConfig> {
             });
         }
     }
-    // Bounded candidate lists must truncate identically.
-    out.push(OfbConfig {
-        max_candidates: Some(3),
-        ..OfbConfig::default()
-    });
-    out.push(OfbConfig {
-        history_mode: HistoryMode::Full,
-        max_candidates: Some(4),
-        ..OfbConfig::default()
-    });
     out
 }
 
@@ -170,12 +160,11 @@ proptest! {
         }
     }
 
-    /// `Window(n)` edge cases: degenerate windows (`0`, `1`), a window that
-    /// exactly covers the history, and one larger than the history will
-    /// ever grow — each crossed with candidate-list truncation, including
-    /// caps of `0`/`1` and caps above the window. The windowed fast path
-    /// must agree with the rebuild reference on every outcome, explain
-    /// report, and final cache for each combination.
+    /// `Window(n)` edge cases: degenerate windows (`0`, `1`), a small
+    /// window, one that exactly covers the history, and one larger than the
+    /// history will ever grow. The windowed fast path must agree with the
+    /// rebuild reference on every outcome, explain report, and final cache
+    /// for each.
     #[test]
     fn window_edge_cases_match_reference(
         jobs in proptest::collection::vec(small_bundle(), 1..48),
@@ -188,27 +177,22 @@ proptest! {
             ValueFn::Count
         };
         let history_len = jobs.len();
-        let windows = [0, 1, history_len, history_len + 7];
-        let caps = [None, Some(0), Some(1), Some(3), Some(history_len + 9)];
-        for window in windows {
-            for max_candidates in caps {
-                let config = OfbConfig {
-                    history_mode: HistoryMode::Window(window),
-                    max_candidates,
-                    value_fn,
-                    ..OfbConfig::default()
-                };
-                let fast = run(OptFileBundle::with_config(config), &jobs, &catalog, 18);
-                let slow = run(
-                    OptFileBundle::with_config_reference(config),
-                    &jobs,
-                    &catalog,
-                    18,
-                );
-                prop_assert_eq!(&fast.0, &slow.0, "outcomes diverged under {:?}", config);
-                prop_assert_eq!(&fast.1, &slow.1, "explains diverged under {:?}", config);
-                prop_assert_eq!(&fast.2, &slow.2, "caches diverged under {:?}", config);
-            }
+        for window in [0, 1, 3, history_len, history_len + 7] {
+            let config = OfbConfig {
+                history_mode: HistoryMode::Window(window),
+                value_fn,
+                ..OfbConfig::default()
+            };
+            let fast = run(OptFileBundle::with_config(config), &jobs, &catalog, 18);
+            let slow = run(
+                OptFileBundle::with_config_reference(config),
+                &jobs,
+                &catalog,
+                18,
+            );
+            prop_assert_eq!(&fast.0, &slow.0, "outcomes diverged under {:?}", config);
+            prop_assert_eq!(&fast.1, &slow.1, "explains diverged under {:?}", config);
+            prop_assert_eq!(&fast.2, &slow.2, "caches diverged under {:?}", config);
         }
     }
 
@@ -325,8 +309,7 @@ fn cache_supported_branch(
 /// the take-everything shortcut and the greedy loop, each asserted to
 /// fire — pinned bit for bit to the rebuild reference on every outcome,
 /// every decision's explain report and the final cache, for every greedy
-/// variant, under counting and decayed values, with and without a
-/// candidate cap. PaperLiteral charges full bundle sizes, so it must leave
+/// variant, under counting and decayed values. PaperLiteral charges full bundle sizes, so it must leave
 /// some candidate out of a decision whose union fits (the shortcut would
 /// have taken it); the marginal-charging variants never do.
 #[test]
@@ -361,53 +344,50 @@ fn cache_supported_shortcut_and_greedy_match_reference() {
     ];
     for variant in variants {
         for value_fn in [ValueFn::Count, ValueFn::Decay { half_life: 5.0 }] {
-            for max_candidates in [None, Some(4)] {
-                let config = OfbConfig {
-                    variant,
-                    value_fn,
-                    max_candidates,
-                    ..OfbConfig::default()
-                };
-                assert_eq!(config.history_mode, HistoryMode::CacheSupported);
-                let mut fast = OptFileBundle::with_config(config);
-                let mut slow = OptFileBundle::with_config_reference(config);
-                let mut cache_f = CacheState::new(40);
-                let mut cache_s = CacheState::new(40);
-                let (mut shortcut, mut greedy, mut left_out) = (0, 0, 0);
-                for (i, bundle) in jobs.iter().enumerate() {
-                    match cache_supported_branch(&mut fast, &cache_f, &catalog, bundle) {
-                        Some((true, all)) => {
-                            shortcut += 1;
-                            left_out += usize::from(!all);
-                        }
-                        Some((false, _)) => greedy += 1,
-                        None => {}
+            let config = OfbConfig {
+                variant,
+                value_fn,
+                ..OfbConfig::default()
+            };
+            assert_eq!(config.history_mode, HistoryMode::CacheSupported);
+            let mut fast = OptFileBundle::with_config(config);
+            let mut slow = OptFileBundle::with_config_reference(config);
+            let mut cache_f = CacheState::new(40);
+            let mut cache_s = CacheState::new(40);
+            let (mut shortcut, mut greedy, mut left_out) = (0, 0, 0);
+            for (i, bundle) in jobs.iter().enumerate() {
+                match cache_supported_branch(&mut fast, &cache_f, &catalog, bundle) {
+                    Some((true, all)) => {
+                        shortcut += 1;
+                        left_out += usize::from(!all);
                     }
-                    assert_eq!(
-                        fast.explain(&cache_f, &catalog, bundle),
-                        slow.explain(&cache_s, &catalog, bundle),
-                        "job {i}: explain diverged under {config:?}"
-                    );
-                    assert_eq!(
-                        fast.handle(bundle, &mut cache_f, &catalog),
-                        slow.handle(bundle, &mut cache_s, &catalog),
-                        "job {i}: outcome diverged under {config:?}"
-                    );
+                    Some((false, _)) => greedy += 1,
+                    None => {}
                 }
                 assert_eq!(
-                    cache_f.resident_files_sorted(),
-                    cache_s.resident_files_sorted()
-                );
-                assert!(
-                    shortcut > 0 && greedy > 0,
-                    "{config:?}: shortcut {shortcut}, greedy {greedy} — both branches must fire"
+                    fast.explain(&cache_f, &catalog, bundle),
+                    slow.explain(&cache_s, &catalog, bundle),
+                    "job {i}: explain diverged under {config:?}"
                 );
                 assert_eq!(
-                    left_out > 0,
-                    variant == GreedyVariant::PaperLiteral,
-                    "{config:?}: {left_out} union-fits decisions left a candidate file out"
+                    fast.handle(bundle, &mut cache_f, &catalog),
+                    slow.handle(bundle, &mut cache_s, &catalog),
+                    "job {i}: outcome diverged under {config:?}"
                 );
             }
+            assert_eq!(
+                cache_f.resident_files_sorted(),
+                cache_s.resident_files_sorted()
+            );
+            assert!(
+                shortcut > 0 && greedy > 0,
+                "{config:?}: shortcut {shortcut}, greedy {greedy} — both branches must fire"
+            );
+            assert_eq!(
+                left_out > 0,
+                variant == GreedyVariant::PaperLiteral,
+                "{config:?}: {left_out} union-fits decisions left a candidate file out"
+            );
         }
     }
 }
