@@ -67,6 +67,7 @@ fn main() {
             ps.as_mut(),
             &scan_z,
             &fbc_sim::runner::RunConfig::new(BASE_CACHE),
+            &fbc_obs::Obs::disabled(),
         );
         (mu, mz, ms)
     });

@@ -14,6 +14,7 @@
 use fbc_bench::{banner, paper_workload, results_dir, BASE_CACHE};
 use fbc_core::history::ValueFn;
 use fbc_core::optfilebundle::{OfbConfig, OptFileBundle};
+use fbc_obs::Obs;
 use fbc_sim::report::{f4, Table};
 use fbc_sim::runner::{run_trace, RunConfig};
 use fbc_sim::sweep::{default_threads, parallel_sweep};
@@ -62,6 +63,7 @@ fn main() {
             &mut policy,
             &trace,
             &RunConfig::with_warmup(BASE_CACHE, t1.len() as u64),
+            &Obs::disabled(),
         )
     });
 

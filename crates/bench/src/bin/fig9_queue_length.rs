@@ -13,9 +13,9 @@
 
 use fbc_bench::{banner, paper_workload, results_dir, Experiment};
 use fbc_core::optfilebundle::OptFileBundle;
-use fbc_sim::queue::{run_queued, QueueConfig};
+use fbc_obs::Obs;
 use fbc_sim::report::{f4, Table};
-use fbc_sim::runner::RunConfig;
+use fbc_sim::runner::{run_trace, QueueConfig, RunConfig};
 use fbc_sim::sweep::{default_threads, parallel_sweep};
 use fbc_workload::Popularity;
 
@@ -33,13 +33,11 @@ fn main() {
 
     let run = |exp: &Experiment, cache: u64, q: usize| {
         let mut policy = OptFileBundle::new();
-        run_queued(
-            &mut policy,
-            &exp.trace,
-            &RunConfig::new(cache),
-            &QueueConfig::hrv(q),
-        )
-        .byte_miss_ratio()
+        let cfg = RunConfig {
+            queue: QueueConfig::hrv(q),
+            ..RunConfig::new(cache)
+        };
+        run_trace(&mut policy, &exp.trace, &cfg, &Obs::disabled()).byte_miss_ratio()
     };
     let uniform = parallel_sweep(&QUEUE_LENGTHS, default_threads(), |&q| {
         run(&exp_u, cache_u, q)

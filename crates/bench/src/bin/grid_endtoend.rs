@@ -63,7 +63,7 @@ fn main() {
         ]);
         for (name, make) in &policies {
             let mut policy = make();
-            let stats = run_scenario(policy.as_mut(), &cfg);
+            let stats = run_scenario(policy.as_mut(), &cfg, None);
             let p95: SimDuration = stats.percentile_response(0.95);
             table.add_row([
                 name.to_string(),

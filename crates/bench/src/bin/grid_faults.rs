@@ -13,8 +13,8 @@ use fbc_bench::{banner, paper_workload, results_dir};
 use fbc_core::policy::CachePolicy;
 use fbc_core::types::GIB;
 use fbc_grid::{
-    run_scenario, run_scenario_with_faults, ArrivalProcess, FaultPlan, GridConfig, RetryPolicy,
-    ScenarioConfig, SimDuration, SrmConfig,
+    run_scenario, ArrivalProcess, FaultPlan, GridConfig, RetryPolicy, ScenarioConfig, SimDuration,
+    SrmConfig,
 };
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::Popularity;
@@ -83,10 +83,10 @@ fn main() {
     for (name, make) in &policies {
         for (plan_name, plan) in &plans {
             let mut policy = make();
-            let stats = run_scenario_with_faults(policy.as_mut(), &cfg, Some(plan));
+            let stats = run_scenario(policy.as_mut(), &cfg, Some(plan));
             if plan.is_zero_fault() {
                 let mut check = make();
-                let plain = run_scenario(check.as_mut(), &cfg);
+                let plain = run_scenario(check.as_mut(), &cfg, None);
                 assert_eq!(
                     plain, stats,
                     "zero-fault plan diverged from the fault-free run"

@@ -12,7 +12,6 @@ use fbc_core::optfilebundle::OptFileBundle;
 use fbc_core::policy::CachePolicy;
 use fbc_sim::hybrid::run_hybrid;
 use fbc_sim::report::{f2, f4, Table};
-use fbc_sim::runner::RunConfig;
 use fbc_sim::sweep::{default_threads, parallel_sweep};
 use fbc_workload::Popularity;
 
@@ -21,7 +20,6 @@ const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 fn main() {
     banner("Hybrid execution model — one-file-at-a-time job fraction sweep");
     let exp = Experiment::generate(paper_workload(Popularity::zipf(), 0.01, 14_001));
-    let cfg = RunConfig::new(BASE_CACHE);
 
     let cells: Vec<(usize, f64)> = (0..2)
         .flat_map(|p| FRACTIONS.iter().map(move |&f| (p, f)))
@@ -32,7 +30,7 @@ fn main() {
         } else {
             Box::new(Landlord::new())
         };
-        run_hybrid(policy.as_mut(), &exp.trace, &cfg, frac, 0xF8AC)
+        run_hybrid(policy.as_mut(), &exp.trace, BASE_CACHE, frac, 0xF8AC)
     });
 
     let mut table = Table::new([

@@ -9,6 +9,7 @@
 
 use fbc_baselines::PolicyKind;
 use fbc_bench::{banner, paper_workload, results_dir, Experiment, BASE_CACHE};
+use fbc_obs::Obs;
 use fbc_sim::report::{f4, sparkline, Table};
 use fbc_sim::runner::{run_trace, RunConfig};
 use fbc_sim::sweep::{default_threads, parallel_sweep};
@@ -36,6 +37,7 @@ fn main() {
                 series_window: Some(window),
                 ..RunConfig::new(BASE_CACHE)
             },
+            &Obs::disabled(),
         );
         (name, m)
     });

@@ -26,6 +26,7 @@ pub mod measure;
 
 use fbc_core::policy::CachePolicy;
 use fbc_core::types::{Bytes, GIB};
+use fbc_obs::Obs;
 use fbc_sim::metrics::Metrics;
 use fbc_sim::runner::{run_trace, RunConfig};
 use fbc_workload::{Popularity, Trace, Workload, WorkloadConfig};
@@ -111,7 +112,12 @@ impl Experiment {
     /// Runs a fresh policy built by `make` over the trace at the given
     /// cache size.
     pub fn run<P: CachePolicy>(&self, mut policy: P, cache_size: Bytes) -> Metrics {
-        run_trace(&mut policy, &self.trace, &RunConfig::new(cache_size))
+        run_trace(
+            &mut policy,
+            &self.trace,
+            &RunConfig::new(cache_size),
+            &Obs::disabled(),
+        )
     }
 }
 

@@ -2,10 +2,10 @@
 
 use crate::args::{ArgError, Args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
-use fbc_sim::queue::QueueConfig;
-use fbc_sim::report::{f4, Table};
-use fbc_sim::runner::{run_trace, RunConfig};
+use fbc_sim::compare_policies;
+use fbc_sim::runner::{QueueConfig, RunConfig};
 use fbc_workload::{transform, Trace};
+use std::num::NonZeroUsize;
 
 /// Usage text for `compare`.
 pub const USAGE: &str = "\
@@ -34,11 +34,21 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     if cache == 0 {
         return Err(ArgError("missing required flag --cache".into()));
     }
-    let list = args
+    let policies = args
         .get("policies")
-        .unwrap_or("optfilebundle,landlord,lru,arc,gdsf,belady");
-    let names: Vec<&str> = list.split(',').map(str::trim).collect();
-    let queue_len: usize = args.get_or("queue", 1usize)?;
+        .unwrap_or("optfilebundle,landlord,lru,arc,gdsf,belady")
+        .split(',')
+        .map(|name| {
+            let name = name.trim();
+            policy_by_name(name).ok_or_else(|| {
+                ArgError(format!(
+                    "unknown policy '{name}' (one of: {})",
+                    POLICY_NAMES.join(", ")
+                ))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let queue_len = args.get_or("queue", NonZeroUsize::MIN)?.get();
     let scans: f64 = args.get_or("scans", 0.0f64)?;
     if !(0.0..=1.0).contains(&scans) {
         return Err(ArgError(format!("--scans must be in [0, 1], got {scans}")));
@@ -53,41 +63,10 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     }
     let run_cfg = RunConfig {
         warmup_jobs: warmup,
+        queue: QueueConfig::hrv(queue_len),
         ..RunConfig::new(cache)
     };
-
-    let mut table = Table::new([
-        "policy",
-        "byte miss ratio",
-        "request-hit ratio",
-        "GiB fetched",
-        "GiB evicted",
-    ]);
-    for name in names {
-        let mut policy = policy_by_name(name).ok_or_else(|| {
-            ArgError(format!(
-                "unknown policy '{name}' (one of: {})",
-                POLICY_NAMES.join(", ")
-            ))
-        })?;
-        let m = if queue_len > 1 {
-            fbc_sim::queue::run_queued(
-                policy.as_mut(),
-                &trace,
-                &run_cfg,
-                &QueueConfig::hrv(queue_len),
-            )
-        } else {
-            run_trace(policy.as_mut(), &trace, &run_cfg)
-        };
-        table.add_row([
-            policy.name().to_string(),
-            f4(m.byte_miss_ratio()),
-            f4(m.request_hit_ratio()),
-            format!("{:.2}", m.fetched_bytes as f64 / (1u64 << 30) as f64),
-            format!("{:.2}", m.evicted_bytes as f64 / (1u64 << 30) as f64),
-        ]);
-    }
+    let table = compare_policies(&trace, &run_cfg, policies).table();
     print!("{}", table.to_ascii());
     if let Some(csv) = args.get("csv") {
         table
@@ -162,6 +141,33 @@ mod tests {
         )
         .unwrap();
         assert!(run(&args).is_err());
+        std::fs::remove_file(&trace_path).ok();
+    }
+
+    #[test]
+    fn empty_queue_is_an_error() {
+        let trace_path = std::env::temp_dir().join("fbc_cli_compare_empty_queue.trace");
+        Trace::new(
+            FileCatalog::from_sizes(vec![1]),
+            vec![Bundle::from_raw([0])],
+        )
+        .save(&trace_path)
+        .unwrap();
+        let args = Args::parse(
+            [
+                "--trace",
+                trace_path.to_str().unwrap(),
+                "--cache",
+                "1B",
+                "--queue",
+                "0",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
+        )
+        .unwrap();
+        let err = run(&args).unwrap_err();
+        assert!(err.0.contains("--queue"), "{}", err.0);
         std::fs::remove_file(&trace_path).ok();
     }
 }

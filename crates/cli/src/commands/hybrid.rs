@@ -5,7 +5,6 @@ use crate::args::{ArgError, Args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
 use fbc_sim::hybrid::run_hybrid;
 use fbc_sim::report::{f2, f4, Table};
-use fbc_sim::runner::RunConfig;
 use fbc_workload::Trace;
 
 /// Usage text for `hybrid`.
@@ -56,7 +55,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
                 POLICY_NAMES.join(", ")
             ))
         })?;
-        let m = run_hybrid(policy.as_mut(), &trace, &RunConfig::new(cache), frac, seed);
+        let m = run_hybrid(policy.as_mut(), &trace, cache, frac, seed);
         table.add_row([
             f2(frac),
             f4(m.overall.byte_miss_ratio()),

@@ -3,9 +3,9 @@
 use crate::args::{ArgError, Args};
 use crate::obs::{emit, obs_from_args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
-use fbc_sim::queue::{Discipline, QueueConfig};
-use fbc_sim::runner::RunConfig;
+use fbc_sim::runner::{run_trace, Discipline, QueueConfig, RunConfig};
 use fbc_workload::Trace;
+use std::num::NonZeroUsize;
 
 /// Usage text for `run`.
 pub const USAGE: &str = "\
@@ -61,30 +61,21 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             POLICY_NAMES.join(", ")
         ))
     })?;
-    let queue_len: usize = args.get_or("queue", 1usize)?;
+    let queue_len = args.get_or("queue", NonZeroUsize::MIN)?.get();
     let discipline = parse_discipline(args.get("discipline").unwrap_or("hrv"))?;
 
     let trace =
         Trace::load(trace_path).map_err(|e| ArgError(format!("cannot read {trace_path}: {e}")))?;
     let run_cfg = RunConfig {
         record_latency: args.has("latency"),
+        queue: QueueConfig {
+            queue_len,
+            discipline,
+        },
         ..RunConfig::new(cache)
     };
     let obs = obs_from_args(args);
-    let metrics = if queue_len > 1 {
-        fbc_sim::queue::run_queued_observed(
-            policy.as_mut(),
-            &trace,
-            &run_cfg,
-            &QueueConfig {
-                queue_len,
-                discipline,
-            },
-            &obs,
-        )
-    } else {
-        fbc_sim::runner::run_trace_observed(policy.as_mut(), &trace, &run_cfg, &obs)
-    };
+    let metrics = run_trace(policy.as_mut(), &trace, &run_cfg, &obs);
 
     println!("policy:              {}", policy.name());
     println!("jobs:                {}", metrics.jobs);
@@ -252,6 +243,27 @@ mod tests {
         )
         .unwrap();
         assert!(run(&args).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn empty_queue_is_an_error() {
+        let path = write_test_trace("empty_queue_is_an_error");
+        let args = Args::parse(
+            [
+                "--trace",
+                path.to_str().unwrap(),
+                "--cache",
+                "60B",
+                "--queue",
+                "0",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
+        )
+        .unwrap();
+        let err = run(&args).unwrap_err();
+        assert!(err.0.contains("--queue"), "{}", err.0);
         std::fs::remove_file(&path).ok();
     }
 }

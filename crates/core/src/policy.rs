@@ -150,9 +150,9 @@ pub trait CachePolicy {
     /// bundle — each arrival sees the cache state its predecessor left.
     /// The default does exactly that. Policies override it to amortise
     /// per-call overhead (dispatch, observability checks, scratch warm-up)
-    /// across the run, never to change outcomes; drivers with a backlog
-    /// (the sim queue drain, the grid arrival loop) call this instead of
-    /// looping `handle` themselves.
+    /// across the run, never to change outcomes; a driver with a backlog
+    /// (the grid arrival loop) calls this instead of looping `handle`
+    /// itself.
     fn handle_batch(
         &mut self,
         bundles: &[&Bundle],

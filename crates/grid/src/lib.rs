@@ -61,7 +61,7 @@ pub use mss::{MassStorage, MssConfig};
 pub use multi::Dispatch;
 pub use network::{Link, LinkConfig};
 pub use replica::Placement;
-pub use scenario::{run_scenario, run_scenario_with_faults, ScenarioConfig};
+pub use scenario::{run_scenario, ScenarioConfig};
 pub use shard::{ShardBy, ShardMap};
 pub use srm::{RetryPolicy, SrmConfig};
 pub use stats::{GridReport, GridStats, ResponseStats};

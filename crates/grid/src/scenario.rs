@@ -21,13 +21,9 @@ pub struct ScenarioConfig {
     pub arrivals: ArrivalProcess,
 }
 
-/// Generates the workload and runs the grid; returns the statistics.
-pub fn run_scenario(policy: &mut dyn CachePolicy, cfg: &ScenarioConfig) -> GridStats {
-    run_scenario_with_faults(policy, cfg, None)
-}
-
-/// [`run_scenario`] under an optional fault plan.
-pub fn run_scenario_with_faults(
+/// Generates the workload and runs the grid, under `plan` when given;
+/// returns the statistics.
+pub fn run_scenario(
     policy: &mut dyn CachePolicy,
     cfg: &ScenarioConfig,
     plan: Option<&FaultPlan>,
@@ -80,7 +76,7 @@ mod tests {
     #[test]
     fn scenario_runs_to_completion() {
         let mut policy = OptFileBundle::new();
-        let stats = run_scenario(&mut policy, &cfg());
+        let stats = run_scenario(&mut policy, &cfg(), None);
         assert_eq!(stats.completed + stats.rejected, 120);
         assert!(stats.completed > 0);
     }
@@ -89,9 +85,9 @@ mod tests {
     fn bundle_aware_policy_fetches_no_more_than_landlord() {
         let c = cfg();
         let mut ofb = OptFileBundle::new();
-        let ofb_stats = run_scenario(&mut ofb, &c);
+        let ofb_stats = run_scenario(&mut ofb, &c, None);
         let mut ll = Landlord::new();
-        let ll_stats = run_scenario(&mut ll, &c);
+        let ll_stats = run_scenario(&mut ll, &c, None);
         // The headline claim, end to end: equal-or-lower byte miss ratio.
         assert!(
             ofb_stats.cache.byte_miss_ratio() <= ll_stats.cache.byte_miss_ratio() + 1e-9,

@@ -5,6 +5,7 @@ use crate::metrics::Metrics;
 use crate::report::{f4, Table};
 use crate::runner::{run_trace, RunConfig};
 use fbc_core::policy::CachePolicy;
+use fbc_obs::Obs;
 use fbc_workload::trace::Trace;
 
 /// Results of comparing several policies on one trace.
@@ -23,7 +24,7 @@ pub fn compare_policies(
     let rows = policies
         .into_iter()
         .map(|mut policy| {
-            let metrics = run_trace(policy.as_mut(), trace, cfg);
+            let metrics = run_trace(policy.as_mut(), trace, cfg, &Obs::disabled());
             (policy.name().to_string(), metrics)
         })
         .collect();

@@ -12,11 +12,10 @@ use crate::metrics::Metrics;
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::policy::CachePolicy;
+use fbc_core::types::Bytes;
 use fbc_workload::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::runner::RunConfig;
 
 /// How a given job is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +37,8 @@ pub struct HybridMetrics {
     pub single_jobs: Metrics,
 }
 
-/// Runs `policy` over `trace` with each job independently assigned the
+/// Runs `policy` over `trace` in FCFS order against a cache of
+/// `cache_size` bytes, with each job independently assigned the
 /// one-file-at-a-time model with probability `single_fraction`
 /// (deterministically, from `seed`).
 ///
@@ -46,7 +46,6 @@ pub struct HybridMetrics {
 /// use fbc_baselines::Landlord;
 /// use fbc_core::{bundle::Bundle, catalog::FileCatalog};
 /// use fbc_sim::hybrid::run_hybrid;
-/// use fbc_sim::runner::RunConfig;
 /// use fbc_workload::Trace;
 ///
 /// // A 3-file job in a 2-unit cache: impossible bundle-at-a-time,
@@ -56,7 +55,7 @@ pub struct HybridMetrics {
 ///     vec![Bundle::from_raw([0, 1, 2])],
 /// );
 /// let mut policy = Landlord::new();
-/// let m = run_hybrid(&mut policy, &trace, &RunConfig::new(2), 1.0, 7);
+/// let m = run_hybrid(&mut policy, &trace, 2, 1.0, 7);
 /// assert_eq!(m.overall.serviced, 1);
 /// ```
 ///
@@ -67,7 +66,7 @@ pub struct HybridMetrics {
 pub fn run_hybrid(
     policy: &mut dyn CachePolicy,
     trace: &Trace,
-    run: &RunConfig,
+    cache_size: Bytes,
     single_fraction: f64,
     seed: u64,
 ) -> HybridMetrics {
@@ -77,7 +76,7 @@ pub fn run_hybrid(
     );
     policy.prepare(&trace.requests);
     let catalog = &trace.catalog;
-    let mut cache = CacheState::with_catalog(run.cache_size, catalog);
+    let mut cache = CacheState::with_catalog(cache_size, catalog);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = HybridMetrics::default();
 
@@ -122,9 +121,11 @@ pub fn run_hybrid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_trace, RunConfig};
     use fbc_baselines::Landlord;
     use fbc_core::catalog::FileCatalog;
     use fbc_core::optfilebundle::OptFileBundle;
+    use fbc_obs::Obs;
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())
@@ -145,11 +146,10 @@ mod tests {
     #[test]
     fn fraction_zero_equals_plain_run() {
         let t = trace();
-        let cfg = RunConfig::new(5);
         let mut p1 = OptFileBundle::new();
-        let plain = crate::runner::run_trace(&mut p1, &t, &cfg);
+        let plain = run_trace(&mut p1, &t, &RunConfig::new(5), &Obs::disabled());
         let mut p2 = OptFileBundle::new();
-        let hybrid = run_hybrid(&mut p2, &t, &cfg, 0.0, 1);
+        let hybrid = run_hybrid(&mut p2, &t, 5, 0.0, 1);
         assert_eq!(hybrid.overall, plain);
         assert_eq!(hybrid.single_jobs.jobs, 0);
     }
@@ -157,9 +157,9 @@ mod tests {
     #[test]
     fn fraction_one_serves_files_individually() {
         let t = trace();
-        let cfg = RunConfig::new(5);
+        let cache = 5;
         let mut p = Landlord::new();
-        let hybrid = run_hybrid(&mut p, &t, &cfg, 1.0, 1);
+        let hybrid = run_hybrid(&mut p, &t, cache, 1.0, 1);
         assert_eq!(hybrid.bundle_jobs.jobs, 0);
         assert_eq!(hybrid.single_jobs.jobs, 5);
         // Job-level totals preserved.
@@ -173,12 +173,12 @@ mod tests {
         // file-at-a-time it can.
         let catalog = FileCatalog::from_sizes(vec![1; 3]);
         let t = Trace::new(catalog, vec![b(&[0, 1, 2])]);
-        let cfg = RunConfig::new(2);
+        let cache = 2;
         let mut p = Landlord::new();
-        let bundle_mode = run_hybrid(&mut p, &t, &cfg, 0.0, 1);
+        let bundle_mode = run_hybrid(&mut p, &t, cache, 0.0, 1);
         assert_eq!(bundle_mode.overall.serviced, 0);
         let mut p = Landlord::new();
-        let single_mode = run_hybrid(&mut p, &t, &cfg, 1.0, 1);
+        let single_mode = run_hybrid(&mut p, &t, cache, 1.0, 1);
         assert_eq!(single_mode.overall.serviced, 1);
     }
 
@@ -186,9 +186,9 @@ mod tests {
     fn job_hit_requires_every_file_hit() {
         let catalog = FileCatalog::from_sizes(vec![1; 4]);
         let t = Trace::new(catalog, vec![b(&[0, 1]), b(&[1, 2]), b(&[0, 1])]);
-        let cfg = RunConfig::new(4);
+        let cache = 4;
         let mut p = Landlord::new();
-        let m = run_hybrid(&mut p, &t, &cfg, 1.0, 1);
+        let m = run_hybrid(&mut p, &t, cache, 1.0, 1);
         // Job 2 ({1,2}): file 1 hits, file 2 misses -> not a job hit.
         // Job 3 ({0,1}): both resident -> job hit.
         assert_eq!(m.overall.hits, 1);
@@ -197,10 +197,10 @@ mod tests {
     #[test]
     fn deterministic_per_seed_and_split_sums_to_overall() {
         let t = trace();
-        let cfg = RunConfig::new(4);
+        let cache = 4;
         let run = |seed: u64| {
             let mut p = OptFileBundle::new();
-            run_hybrid(&mut p, &t, &cfg, 0.5, seed)
+            run_hybrid(&mut p, &t, cache, 0.5, seed)
         };
         assert_eq!(run(9), run(9));
         let m = run(9);
@@ -216,6 +216,6 @@ mod tests {
     fn invalid_fraction_rejected() {
         let t = trace();
         let mut p = Landlord::new();
-        let _ = run_hybrid(&mut p, &t, &RunConfig::new(4), 1.5, 0);
+        let _ = run_hybrid(&mut p, &t, 4, 1.5, 0);
     }
 }

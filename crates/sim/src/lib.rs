@@ -4,9 +4,14 @@
 //! [`fbc_core::policy::CachePolicy`] over a [`fbc_workload::Trace`], with
 //! the §1.2 metrics, queued admission (§5.2) and parallel parameter sweeps.
 //!
+//! One driver, [`run_trace`], runs every configuration: FCFS is its default
+//! queue of one, and [`RunConfig::queue`] selects the §5.2 queue length and
+//! draining [`Discipline`].
+//!
 //! ```
 //! use fbc_core::optfilebundle::OptFileBundle;
-//! use fbc_sim::runner::{run_trace, RunConfig};
+//! use fbc_obs::Obs;
+//! use fbc_sim::runner::{run_trace, QueueConfig, RunConfig};
 //! use fbc_workload::{Workload, WorkloadConfig};
 //!
 //! let trace = Workload::generate(WorkloadConfig {
@@ -15,8 +20,15 @@
 //! })
 //! .into_trace();
 //! let mut policy = OptFileBundle::new();
-//! let metrics = run_trace(&mut policy, &trace, &RunConfig::new(10 * fbc_core::types::GIB));
+//! let fcfs = RunConfig::new(10 * fbc_core::types::GIB);
+//! let metrics = run_trace(&mut policy, &trace, &fcfs, &Obs::disabled());
 //! assert!(metrics.byte_miss_ratio() <= 1.0);
+//!
+//! // The paper's queued scheduler: batches of 10, highest `v'` first.
+//! let queued = RunConfig { queue: QueueConfig::hrv(10), ..fcfs };
+//! let mut policy = OptFileBundle::new();
+//! let metrics = run_trace(&mut policy, &trace, &queued, &Obs::disabled());
+//! assert_eq!(metrics.jobs, 500);
 //! ```
 
 #![warn(missing_docs)]
@@ -24,7 +36,6 @@
 pub mod compare;
 pub mod hybrid;
 pub mod metrics;
-pub mod queue;
 pub mod replicate;
 pub mod report;
 pub mod runner;
@@ -33,8 +44,7 @@ pub mod sweep;
 pub use compare::{compare_policies, PolicyComparison};
 pub use hybrid::{run_hybrid, HybridMetrics, ServiceModel};
 pub use metrics::{Metrics, SeriesPoint};
-pub use queue::{run_queued, run_queued_observed, Discipline, QueueConfig};
 pub use replicate::{replicate, Replicated};
 pub use report::Table;
-pub use runner::{run_jobs, run_jobs_observed, run_trace, run_trace_observed, RunConfig};
+pub use runner::{run_trace, Discipline, QueueConfig, RunConfig};
 pub use sweep::{default_threads, parallel_sweep};

@@ -142,7 +142,13 @@ mod tests {
             let cache = (w.mean_request_bytes() * 8.0) as u64;
             let trace = w.into_trace();
             let mut p = OptFileBundle::new();
-            run_trace(&mut p, &trace, &RunConfig::new(cache)).byte_miss_ratio()
+            run_trace(
+                &mut p,
+                &trace,
+                &RunConfig::new(cache),
+                &fbc_obs::Obs::disabled(),
+            )
+            .byte_miss_ratio()
         });
         assert!(r.mean > 0.0 && r.mean < 1.0);
         assert!(r.std_dev < 0.3, "seed variance suspiciously high: {r:?}");

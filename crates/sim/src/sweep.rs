@@ -132,7 +132,13 @@ mod tests {
         let trace = Workload::generate(base).into_trace();
         let run_one = |cache: &u64| {
             let mut p = OptFileBundle::new();
-            run_trace(&mut p, &trace, &RunConfig::new(*cache)).byte_miss_ratio()
+            run_trace(
+                &mut p,
+                &trace,
+                &RunConfig::new(*cache),
+                &fbc_obs::Obs::disabled(),
+            )
+            .byte_miss_ratio()
         };
         let par = parallel_sweep(&sizes, 3, run_one);
         let seq: Vec<f64> = sizes.iter().map(run_one).collect();

@@ -56,7 +56,12 @@ fn main() {
         PolicyKind::Lfu,
     ] {
         let mut policy = kind.build();
-        let m = run_trace(&mut policy, &reloaded, &RunConfig::new(cache_size));
+        let m = run_trace(
+            &mut policy,
+            &reloaded,
+            &RunConfig::new(cache_size),
+            &Obs::disabled(),
+        );
         table.add_row([
             policy.name().to_string(),
             format!("{:.4}", m.byte_miss_ratio()),

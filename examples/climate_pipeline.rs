@@ -46,12 +46,11 @@ fn main() {
     let mut table = Table::new(["queue length", "byte miss ratio", "request-hit ratio"]);
     for q in [1usize, 10, 50, 100] {
         let mut policy = OptFileBundle::new();
-        let m = run_queued(
-            &mut policy,
-            &trace,
-            &RunConfig::new(cache_size),
-            &QueueConfig::hrv(q),
-        );
+        let cfg = RunConfig {
+            queue: QueueConfig::hrv(q),
+            ..RunConfig::new(cache_size)
+        };
+        let m = run_trace(&mut policy, &trace, &cfg, &Obs::disabled());
         table.add_row([
             format!("q{q}"),
             format!("{:.4}", m.byte_miss_ratio()),

@@ -69,7 +69,7 @@ fn main() {
     ] {
         let mut policy = kind.build();
         let name = policy.name().to_string();
-        let stats = run_scenario(policy.as_mut(), &scenario);
+        let stats = run_scenario(policy.as_mut(), &scenario, None);
         table.add_row([
             name,
             format!("{:.4}", stats.cache.byte_miss_ratio()),

@@ -51,7 +51,12 @@ fn main() {
         PolicyKind::Lru,
     ] {
         let mut policy = kind.build();
-        let m = run_trace(&mut policy, &trace, &RunConfig::new(cache_size));
+        let m = run_trace(
+            &mut policy,
+            &trace,
+            &RunConfig::new(cache_size),
+            &Obs::disabled(),
+        );
         table.add_row([
             policy.name().to_string(),
             format!("{:.4}", m.byte_miss_ratio()),
@@ -62,7 +67,12 @@ fn main() {
 
     // Peek into what OptFileBundle learned: the hottest attribute bundles.
     let mut policy = OptFileBundle::new();
-    let _ = run_trace(&mut policy, &trace, &RunConfig::new(cache_size));
+    let _ = run_trace(
+        &mut policy,
+        &trace,
+        &RunConfig::new(cache_size),
+        &Obs::disabled(),
+    );
     let mut entries: Vec<_> = policy.history().entries().collect();
     entries.sort_by_key(|e| std::cmp::Reverse(e.count));
     println!("hottest analysis bundles (top 5 of {}):", entries.len());

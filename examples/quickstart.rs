@@ -37,7 +37,12 @@ fn main() {
     let mut table = Table::new(["policy", "byte miss ratio", "request hits", "GiB fetched"]);
     for kind in PolicyKind::ONLINE {
         let mut policy = kind.build();
-        let metrics = run_trace(&mut policy, &trace, &RunConfig::new(cache_size));
+        let metrics = run_trace(
+            &mut policy,
+            &trace,
+            &RunConfig::new(cache_size),
+            &Obs::disabled(),
+        );
         table.add_row([
             policy.name().to_string(),
             format!("{:.4}", metrics.byte_miss_ratio()),
@@ -47,7 +52,12 @@ fn main() {
     }
     // The clairvoyant reference, for context.
     let mut belady = BeladyMin::new();
-    let metrics = run_trace(&mut belady, &trace, &RunConfig::new(cache_size));
+    let metrics = run_trace(
+        &mut belady,
+        &trace,
+        &RunConfig::new(cache_size),
+        &Obs::disabled(),
+    );
     table.add_row([
         "Belady-MIN (offline)".to_string(),
         format!("{:.4}", metrics.byte_miss_ratio()),

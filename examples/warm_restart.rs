@@ -31,7 +31,12 @@ fn main() {
 
     // --- Life 1: run the first half and persist the history. ---
     let mut policy = OptFileBundle::new();
-    let m1 = run_trace(&mut policy, &first, &RunConfig::new(cache_size));
+    let m1 = run_trace(
+        &mut policy,
+        &first,
+        &RunConfig::new(cache_size),
+        &Obs::disabled(),
+    );
     println!(
         "life 1: {} jobs, byte miss ratio {:.4}, {} distinct requests learned",
         m1.jobs,
@@ -44,8 +49,14 @@ fn main() {
     println!("history persisted to {}", path.display());
 
     // --- Restart. The disk cache is gone either way; the history may not be.
-    let run_second =
-        |policy: &mut OptFileBundle| run_trace(policy, &second, &RunConfig::new(cache_size));
+    let run_second = |policy: &mut OptFileBundle| {
+        run_trace(
+            policy,
+            &second,
+            &RunConfig::new(cache_size),
+            &Obs::disabled(),
+        )
+    };
 
     let mut cold = OptFileBundle::new();
     let cold_m = run_second(&mut cold);

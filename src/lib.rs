@@ -14,7 +14,7 @@
 //! | [`core`] | `OptCacheSelect`, `OptFileBundle`, history `L(R)`, exact solver, bounds, DKS reduction |
 //! | [`baselines`] | Landlord (paper Alg. 3), LRU, LFU, GDSF, FIFO, SIZE, Random, Belady MIN |
 //! | [`workload`] | file/request pools, uniform & Zipf popularity, traces, HENP/climate/bitmap scenarios |
-//! | [`sim`] | trace-driven `cacheSim`, metrics, queued admission, parallel sweeps |
+//! | [`sim`] | trace-driven `cacheSim` (FCFS and queued admission on one driver), metrics, parallel sweeps |
 //! | [`grid`] | discrete-event SRM + MSS + WAN substrate with response-time stats |
 //! | [`obs`] | deterministic observability: counters, spans, JSONL event traces, nearest-rank quantiles |
 //!
@@ -33,10 +33,11 @@
 //! let trace = workload.into_trace();
 //!
 //! // ...and compare the paper's policy with its baseline.
+//! let cfg = RunConfig::new(cache_size / 4);
 //! let mut ofb = OptFileBundle::new();
-//! let ofb_metrics = run_trace(&mut ofb, &trace, &RunConfig::new(cache_size / 4));
+//! let ofb_metrics = run_trace(&mut ofb, &trace, &cfg, &Obs::disabled());
 //! let mut landlord = Landlord::new();
-//! let ll_metrics = run_trace(&mut landlord, &trace, &RunConfig::new(cache_size / 4));
+//! let ll_metrics = run_trace(&mut landlord, &trace, &cfg, &Obs::disabled());
 //!
 //! assert!(ofb_metrics.byte_miss_ratio() <= ll_metrics.byte_miss_ratio() + 1e-9);
 //! ```
@@ -58,15 +59,14 @@ pub mod prelude {
     pub use fbc_core::prelude::*;
     pub use fbc_grid::{
         run_concurrent_grid, run_concurrent_grid_observed, run_grid, run_grid_nodes,
-        run_grid_observed, run_scenario, run_scenario_with_faults, ArrivalProcess,
-        ConcurrentConfig, ConcurrentSrm, ConcurrentStats, Dispatch, FaultPlan, GridConfig,
-        GridReport, GridStats, LinkConfig, MssConfig, Placement, ResponseStats, RetryPolicy,
-        RunOptions, ScenarioConfig, ShardBy, ShardMap, SimDuration, SimTime, SrmConfig,
+        run_grid_observed, run_scenario, ArrivalProcess, ConcurrentConfig, ConcurrentSrm,
+        ConcurrentStats, Dispatch, FaultPlan, GridConfig, GridReport, GridStats, LinkConfig,
+        MssConfig, Placement, ResponseStats, RetryPolicy, RunOptions, ScenarioConfig, ShardBy,
+        ShardMap, SimDuration, SimTime, SrmConfig,
     };
     pub use fbc_obs::{Field, Obs, ObsConfig};
     pub use fbc_sim::{
-        parallel_sweep, run_jobs, run_jobs_observed, run_queued, run_queued_observed, run_trace,
-        run_trace_observed, Discipline, Metrics, QueueConfig, RunConfig, Table,
+        parallel_sweep, run_trace, Discipline, Metrics, QueueConfig, RunConfig, Table,
     };
     pub use fbc_workload::{Popularity, PopularitySampler, Trace, Workload, WorkloadConfig};
 }

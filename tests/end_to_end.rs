@@ -20,7 +20,7 @@ fn standard(popularity: Popularity, seed: u64) -> (Trace, Bytes) {
 }
 
 fn bmr(policy: &mut dyn CachePolicy, trace: &Trace, cache: Bytes) -> f64 {
-    run_trace(policy, trace, &RunConfig::new(cache)).byte_miss_ratio()
+    run_trace(policy, trace, &RunConfig::new(cache), &Obs::disabled()).byte_miss_ratio()
 }
 
 /// Main result #3 of the paper: OptFileBundle gives a lower average volume
@@ -75,8 +75,9 @@ fn larger_cache_fetches_no_more() {
 #[test]
 fn belady_reference_dominates_on_hits() {
     let (trace, cache) = standard(Popularity::zipf(), 51);
-    let run_hits =
-        |policy: &mut dyn CachePolicy| run_trace(policy, &trace, &RunConfig::new(cache)).hits;
+    let run_hits = |policy: &mut dyn CachePolicy| {
+        run_trace(policy, &trace, &RunConfig::new(cache), &Obs::disabled()).hits
+    };
     let belady = run_hits(&mut BeladyMin::new());
     for kind in [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Random] {
         let mut p = kind.build();
@@ -92,7 +93,12 @@ fn every_policy_services_the_full_standard_trace() {
     let (trace, cache) = standard(Popularity::Uniform, 61);
     for kind in PolicyKind::ONLINE {
         let mut policy = kind.build();
-        let m = run_trace(policy.as_mut(), &trace, &RunConfig::new(cache));
+        let m = run_trace(
+            policy.as_mut(),
+            &trace,
+            &RunConfig::new(cache),
+            &Obs::disabled(),
+        );
         assert_eq!(m.jobs, 3_000, "{kind:?}");
         assert_eq!(m.serviced, 3_000, "{kind:?} failed to service everything");
         assert!(m.byte_miss_ratio() <= 1.0);
@@ -113,6 +119,7 @@ fn series_recording_is_consistent() {
             series_window: Some(500),
             ..RunConfig::new(cache)
         },
+        &Obs::disabled(),
     );
     assert_eq!(m.series.len(), 6); // 3000 jobs / 500 per window
     let mut prev = 0;

@@ -28,9 +28,9 @@ fn standard(seed: u64, jobs: usize) -> (Trace, Bytes) {
 fn hybrid_fraction_zero_matches_plain_run_end_to_end() {
     let (trace, cache) = standard(1, 800);
     let mut a = OptFileBundle::new();
-    let plain = run_trace(&mut a, &trace, &RunConfig::new(cache));
+    let plain = run_trace(&mut a, &trace, &RunConfig::new(cache), &Obs::disabled());
     let mut b = OptFileBundle::new();
-    let hybrid = run_hybrid(&mut b, &trace, &RunConfig::new(cache), 0.0, 99);
+    let hybrid = run_hybrid(&mut b, &trace, cache, 0.0, 99);
     assert_eq!(plain, hybrid.overall);
 }
 
@@ -39,7 +39,7 @@ fn admission_gate_wins_on_scan_heavy_workloads() {
     let (trace, cache) = standard(2, 1_200);
     let scanned = transform::with_scans(&trace, 0.8, 7);
     let run = |policy: &mut dyn CachePolicy| {
-        run_trace(policy, &scanned, &RunConfig::new(cache)).byte_miss_ratio()
+        run_trace(policy, &scanned, &RunConfig::new(cache), &Obs::disabled()).byte_miss_ratio()
     };
     let plain = run(&mut Lru::new());
     let gated = run(&mut AdmissionGate::second_hit(Lru::new()));
@@ -57,15 +57,20 @@ fn warm_start_never_loses_to_cold_start() {
     let second = Trace::new(trace.catalog.clone(), b.to_vec());
 
     let mut learner = OptFileBundle::new();
-    let _ = run_trace(&mut learner, &first, &RunConfig::new(cache));
+    let _ = run_trace(
+        &mut learner,
+        &first,
+        &RunConfig::new(cache),
+        &Obs::disabled(),
+    );
     let mut buf = Vec::new();
     learner.history().write_to(&mut buf).unwrap();
     let restored = RequestHistory::read_from(&buf[..], &trace.catalog).unwrap();
 
     let mut cold = OptFileBundle::new();
-    let cold_m = run_trace(&mut cold, &second, &RunConfig::new(cache));
+    let cold_m = run_trace(&mut cold, &second, &RunConfig::new(cache), &Obs::disabled());
     let mut warm = OptFileBundle::with_history(OfbConfig::default(), restored);
-    let warm_m = run_trace(&mut warm, &second, &RunConfig::new(cache));
+    let warm_m = run_trace(&mut warm, &second, &RunConfig::new(cache), &Obs::disabled());
     assert!(
         warm_m.byte_miss_ratio() <= cold_m.byte_miss_ratio() + 0.02,
         "warm {} much worse than cold {}",
@@ -80,7 +85,7 @@ fn replicated_runs_have_low_seed_variance() {
     let r = replicate(&seeds, 3, |seed| {
         let (trace, cache) = standard(seed, 600);
         let mut p = OptFileBundle::new();
-        run_trace(&mut p, &trace, &RunConfig::new(cache)).byte_miss_ratio()
+        run_trace(&mut p, &trace, &RunConfig::new(cache), &Obs::disabled()).byte_miss_ratio()
     });
     assert_eq!(r.n, 6);
     assert!(r.mean > 0.0 && r.mean < 1.0);
@@ -96,12 +101,11 @@ fn scan_injection_composes_with_queueing() {
     let (trace, cache) = standard(4, 600);
     let scanned = transform::with_scans(&trace, 0.5, 3);
     let mut policy = OptFileBundle::new();
-    let m = run_queued(
-        &mut policy,
-        &scanned,
-        &RunConfig::new(cache),
-        &QueueConfig::hrv(20),
-    );
+    let cfg = RunConfig {
+        queue: QueueConfig::hrv(20),
+        ..RunConfig::new(cache)
+    };
+    let m = run_trace(&mut policy, &scanned, &cfg, &Obs::disabled());
     assert_eq!(m.jobs, scanned.len() as u64);
     assert_eq!(m.serviced, scanned.len() as u64);
 }

@@ -123,7 +123,7 @@ fn scenario_wrapper_matches_manual_pipeline() {
         },
     };
     let mut p1 = OptFileBundle::new();
-    let via_scenario = run_scenario(&mut p1, &scenario);
+    let via_scenario = run_scenario(&mut p1, &scenario, None);
 
     // Manual pipeline with the same inputs.
     let mut wl_cfg = scenario.workload;

@@ -106,7 +106,12 @@ fn simulator_metrics_unchanged_by_latency_sampling() {
     let (trace, cache_size) = thousand_job_trace(0xBEEF);
     let base = {
         let mut p = OptFileBundle::new();
-        run_trace(&mut p, &trace, &RunConfig::new(cache_size))
+        run_trace(
+            &mut p,
+            &trace,
+            &RunConfig::new(cache_size),
+            &Obs::disabled(),
+        )
     };
     let sampled = {
         let mut p = OptFileBundle::new();
@@ -114,7 +119,7 @@ fn simulator_metrics_unchanged_by_latency_sampling() {
             record_latency: true,
             ..RunConfig::new(cache_size)
         };
-        run_trace(&mut p, &trace, &cfg)
+        run_trace(&mut p, &trace, &cfg, &Obs::disabled())
     };
     assert_eq!(sampled.decision_latency.len(), trace.requests.len());
     assert_eq!(base.jobs, sampled.jobs);

@@ -28,7 +28,7 @@ fn sim_trace_is_byte_identical_across_same_seed_runs() {
     let run = || {
         let obs = Obs::enabled();
         let mut policy = OptFileBundle::new();
-        run_trace_observed(&mut policy, &trace, &cfg, &obs);
+        run_trace(&mut policy, &trace, &cfg, &obs);
         (obs.jsonl(), obs.render_table())
     };
     let (trace1, table1) = run();
@@ -139,10 +139,10 @@ fn disabled_observation_never_perturbs_any_policy() {
     let cfg = RunConfig::new(40 * MIB);
     for kind in PolicyKind::ONLINE {
         let mut plain_policy = kind.build();
-        let plain = run_trace(plain_policy.as_mut(), &trace, &cfg);
+        let plain = run_trace(plain_policy.as_mut(), &trace, &cfg, &Obs::disabled());
         let mut off_policy = kind.build();
         off_policy.attach_obs(Obs::disabled());
-        let off = run_trace(off_policy.as_mut(), &trace, &cfg);
+        let off = run_trace(off_policy.as_mut(), &trace, &cfg, &Obs::disabled());
         assert_eq!(plain, off, "{kind:?} perturbed by a disabled sink");
     }
 }
@@ -159,10 +159,10 @@ fn enabled_observation_never_perturbs_metrics() {
         PolicyKind::Arc,
     ] {
         let mut plain_policy = kind.build();
-        let plain = run_trace(plain_policy.as_mut(), &trace, &cfg);
+        let plain = run_trace(plain_policy.as_mut(), &trace, &cfg, &Obs::disabled());
         let obs = Obs::enabled();
         let mut obs_policy = kind.build();
-        let observed = run_trace_observed(obs_policy.as_mut(), &trace, &cfg, &obs);
+        let observed = run_trace(obs_policy.as_mut(), &trace, &cfg, &obs);
         assert_eq!(plain, observed, "{kind:?} perturbed by an enabled sink");
         // The sink's counters agree with the aggregate metrics.
         assert_eq!(obs.counter("policy.requests"), plain.jobs);
@@ -179,7 +179,7 @@ fn ofb_decision_phases_are_visible_in_the_trace() {
     let trace = workload(23);
     let obs = Obs::enabled();
     let mut policy = OptFileBundle::new();
-    run_trace_observed(&mut policy, &trace, &RunConfig::new(10 * MIB), &obs);
+    run_trace(&mut policy, &trace, &RunConfig::new(10 * MIB), &obs);
     assert!(
         obs.counter("ofb.replacements") > 0,
         "cache pressure expected"

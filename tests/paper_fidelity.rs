@@ -22,7 +22,7 @@ fn workload(popularity: Popularity, max_file_frac: f64, bundle: (usize, usize)) 
 }
 
 fn bmr(policy: &mut dyn CachePolicy, trace: &Trace) -> f64 {
-    run_trace(policy, trace, &RunConfig::new(10 * GIB)).byte_miss_ratio()
+    run_trace(policy, trace, &RunConfig::new(10 * GIB), &Obs::disabled()).byte_miss_ratio()
 }
 
 /// Table 2's headline: OptCacheSelect finds {f1,f3,f5} on the worked
@@ -104,7 +104,11 @@ fn fig9_shape_queueing_helps_zipf() {
     let cache = 10 * GIB / 4;
     let run_q = |q: usize| {
         let mut p = OptFileBundle::new();
-        run_queued(&mut p, &trace, &RunConfig::new(cache), &QueueConfig::hrv(q)).byte_miss_ratio()
+        let cfg = RunConfig {
+            queue: QueueConfig::hrv(q),
+            ..RunConfig::new(cache)
+        };
+        run_trace(&mut p, &trace, &cfg, &Obs::disabled()).byte_miss_ratio()
     };
     let q1 = run_q(1);
     let q100 = run_q(100);

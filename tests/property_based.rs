@@ -121,8 +121,8 @@ proptest! {
         for kind in [PolicyKind::OptFileBundle, PolicyKind::Landlord, PolicyKind::Random] {
             let mut a = kind.build();
             let mut b = kind.build();
-            let ma = run_trace(a.as_mut(), &trace, &RunConfig::new(cache));
-            let mb = run_trace(b.as_mut(), &trace, &RunConfig::new(cache));
+            let ma = run_trace(a.as_mut(), &trace, &RunConfig::new(cache), &Obs::disabled());
+            let mb = run_trace(b.as_mut(), &trace, &RunConfig::new(cache), &Obs::disabled());
             prop_assert_eq!(ma, mb, "{:?} nondeterministic", kind);
         }
     }
@@ -136,16 +136,28 @@ proptest! {
         prop_assert_eq!(trace, back);
     }
 
-    /// Queued admission with q=1 is exactly FCFS for any policy and trace.
+    /// A queue of one is exactly FCFS for every discipline: the whole
+    /// `Metrics`, series and warmup gate included.
     #[test]
-    fn queue_of_one_is_fcfs((trace, cache) in trace_and_cache()) {
+    fn queue_of_one_is_fcfs((trace, cache) in trace_and_cache(),
+                            warmup in 0u64..10, window in 1u64..8) {
+        let fcfs_cfg = RunConfig {
+            warmup_jobs: warmup,
+            series_window: Some(window),
+            ..RunConfig::new(cache)
+        };
         let mut a = OptFileBundle::new();
-        let fcfs = run_trace(&mut a, &trace, &RunConfig::new(cache));
-        let mut b = OptFileBundle::new();
-        let q1 = run_queued(&mut b, &trace, &RunConfig::new(cache), &QueueConfig::hrv(1));
-        prop_assert_eq!(fcfs.fetched_bytes, q1.fetched_bytes);
-        prop_assert_eq!(fcfs.hits, q1.hits);
-        prop_assert_eq!(fcfs.evicted_bytes, q1.evicted_bytes);
+        let fcfs = run_trace(&mut a, &trace, &fcfs_cfg, &Obs::disabled());
+        for discipline in [Discipline::Fcfs, Discipline::HighestRelativeValue,
+                           Discipline::ShortestJobFirst] {
+            let cfg = RunConfig {
+                queue: QueueConfig { queue_len: 1, discipline },
+                ..fcfs_cfg
+            };
+            let mut b = OptFileBundle::new();
+            let q1 = run_trace(&mut b, &trace, &cfg, &Obs::disabled());
+            prop_assert_eq!(&fcfs, &q1, "{:?}", discipline);
+        }
     }
 
     /// Queued admission services every job exactly once (no lockout, no
@@ -156,8 +168,11 @@ proptest! {
         for discipline in [Discipline::Fcfs, Discipline::HighestRelativeValue,
                            Discipline::ShortestJobFirst] {
             let mut p = OptFileBundle::new();
-            let m = run_queued(&mut p, &trace, &RunConfig::new(cache),
-                &QueueConfig { queue_len: q, discipline });
+            let cfg = RunConfig {
+                queue: QueueConfig { queue_len: q, discipline },
+                ..RunConfig::new(cache)
+            };
+            let m = run_trace(&mut p, &trace, &cfg, &Obs::disabled());
             prop_assert_eq!(m.jobs, trace.len() as u64);
         }
     }
