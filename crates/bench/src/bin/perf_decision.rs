@@ -1,19 +1,22 @@
-//! Decision-path benchmark, two layers:
+//! Decision-path benchmark: `OptFileBundle::handle` at steady state, the
+//! path every online decision takes.
 //!
-//! 1. **Kernel sweep** — throughput (decisions/sec) and p50/p99 latency of
-//!    `OptCacheSelect` across history sizes `n` and file-degree regimes
-//!    `d`, for all three greedy variants plus the retained reference
-//!    shared-credit loop (`reference-kernels` feature).
-//! 2. **Full decision path** — end-to-end `OptFileBundle::handle`
-//!    throughput at steady state (history of `n = 2000` requests, `d ≈ 8`,
-//!    near-every job forcing a replacement decision), comparing the
-//!    persistent incremental candidate maintenance (`with_config`) against
-//!    the per-decision rebuild reference (`with_config_reference`, which
-//!    builds an instance per decision and selects through the same
-//!    instance kernel as layer 1). Both engines replay the identical trace
-//!    in lockstep for the paired speedup, and their outcomes are asserted
-//!    equal, so every benchmark run is also a differential test; each
-//!    engine's throughput and per-decision latency are then measured alone.
+//! 1. **Decision path per history mode** — throughput (decisions/sec) and
+//!    p50/p99 latency with a history of `n` requests at `d ≈ 8`, where
+//!    nearly every job forces a replacement decision. The resident
+//!    incremental state (`with_config`) runs against the per-decision
+//!    rebuild reference (`with_config_reference`, which builds an FBC
+//!    instance per decision and selects with `opt_cache_select`). Both
+//!    engines replay the identical trace in lockstep for the paired
+//!    speedup, and their outcomes are asserted equal, so every benchmark
+//!    run is also a differential test; each engine's throughput and
+//!    per-decision latency are then measured alone.
+//! 2. **SharedCredit against PaperLiteral** on the resident cache-supported
+//!    path at `n = 2000`, paired.
+//! 3. **One instance row** — `opt_cache_select` (SharedCredit) on one FBC
+//!    instance at the size the offline solvers use (tens of requests).
+//!    Reported, not gated.
+//! 4. **Observability overhead** of an attached sink, off and on.
 //!
 //! ```text
 //! cargo run --release -p fbc-bench --bin perf_decision            # full run
@@ -29,21 +32,22 @@
 //! * the incremental decision path is not at least 2× the rebuild
 //!   reference on the history-scaling workload (n = 8000, fixed cache
 //!   size), or
-//! * the incremental kernel is not at least 2× the reference loop at
-//!   `n = 2000, d ≈ 8`, or
 //! * the full-history decision path is not at least 2× the rebuild
 //!   reference — the committed pre-residency baseline sat at 1.12×, so
 //!   this floor only passes with the Full/Window fast path live, or
-//! * `SharedCredit` falls below half of `PaperLiteral`'s decisions/sec at
-//!   `n = 2000, d ≈ 8` (the "within 2×" acceptance ratio), or
-//! * the headline decisions/sec is at or below half the committed value
-//!   measured at the same smoke size (the full run records the median of
-//!   five fresh smoke-size runs of the headline path), or
+//! * `SharedCredit` falls below half of `PaperLiteral`'s decisions/sec on
+//!   the cache-supported decision path at `n = 2000` (the "within 2×"
+//!   acceptance ratio), or
+//! * the incremental decisions/sec of any history mode (cache-supported,
+//!   full, window(1000); all at `n = 2000`) is at or below half the
+//!   committed value measured at the same smoke size (the full run records
+//!   the median of five fresh smoke-size runs per mode), or
 //! * the instrumented-but-disabled observability path (`fbc-obs` handle
 //!   attached, sink off) exceeds 1.05× the never-attached decision path.
 
 use fbc_bench::measure::{
-    gate_baseline, paired_ratio, repeat, smoke_mode, xorshift, Cell, Plan, Rows, Section, Summary,
+    gate_baseline, paired_ratio, repeat, smoke_baseline, smoke_mode, xorshift, Cell, Plan, Rows,
+    Section, Summary,
 };
 use fbc_bench::{banner, quick_mode};
 use fbc_core::bundle::Bundle;
@@ -52,10 +56,7 @@ use fbc_core::catalog::FileCatalog;
 use fbc_core::instance::FbcInstance;
 use fbc_core::optfilebundle::{HistoryMode, OfbConfig, OptFileBundle};
 use fbc_core::policy::{CachePolicy, RequestOutcome};
-use fbc_core::select::{
-    best_single, greedy_shared_credit_reference, opt_cache_select_with_scratch, GreedyVariant,
-    SelectOptions, SelectScratch,
-};
+use fbc_core::select::{opt_cache_select, GreedyVariant, SelectOptions};
 use fbc_obs::Obs;
 use std::hint::black_box;
 
@@ -63,10 +64,11 @@ use std::hint::black_box;
 const SMOKE_JOBS: usize = 400;
 /// Decision-path jobs per timed batch of each engine.
 const PER_BATCH: usize = 50;
+/// Requests of the instance row: the offline solvers' size.
+const INSTANCE_N: usize = 40;
 
 /// Builds a synthetic selection instance with `n` requests of ~`b` files
-/// each over `m = n·b/d` files, so the expected file degree is `d` — the
-/// quantity the kernel's `O(b · d · log n)` per-iteration bound depends on.
+/// each over `m = n·b/d` files, so the expected file degree is `d`.
 fn instance(n: usize, b: usize, d: usize) -> FbcInstance {
     let mut state = ((0xBE0001 + n as u64) << 8) | d as u64;
     let m = ((n * b) / d).max(b + 1);
@@ -86,132 +88,186 @@ fn instance(n: usize, b: usize, d: usize) -> FbcInstance {
     FbcInstance::new(total / 4, sizes, requests).expect("valid synthetic instance")
 }
 
-/// The reference loop composed exactly as the public entry point composes
-/// the fast kernel (greedy + single-best fallback).
-fn reference_select(inst: &FbcInstance) {
-    let g = greedy_shared_credit_reference(black_box(inst), &[], inst.capacity());
-    let s = best_single(inst);
-    black_box(if s.value > g.value { s } else { g });
-}
-
-fn select(variant: GreedyVariant) -> SelectOptions {
-    SelectOptions {
-        variant,
-        max_single_fallback: true,
-    }
-}
-
-/// Steady-state decision-path workload: a pool of `n` distinct bundles of
-/// ~`b` files over `m = n·b/d` files (expected degree `d`), a catalog, a
-/// job trace sampling the pool, and a cache capacity small enough that
-/// almost every miss forces a replacement decision.
-fn decision_workload(
-    n: usize,
-    b: usize,
-    d: usize,
-    cap_div: u64,
-    jobs: usize,
-) -> (FileCatalog, Vec<Bundle>, Vec<Bundle>, u64) {
-    let mut state = 0xD3C1DE;
-    let m = ((n * b) / d).max(b + 1);
-    let sizes: Vec<u64> = (0..m).map(|_| xorshift(&mut state) % 100 + 1).collect();
-    let total: u64 = sizes.iter().sum();
-    let pool: Vec<Bundle> = (0..n)
-        .map(|_| {
-            let k = b / 2 + (xorshift(&mut state) as usize) % b;
-            Bundle::from_raw((0..k.max(1)).map(|_| (xorshift(&mut state) % m as u64) as u32))
-        })
-        .collect();
-    let trace: Vec<Bundle> = (0..jobs)
-        .map(|_| pool[(xorshift(&mut state) % n as u64) as usize].clone())
-        .collect();
-    // The cache holds only a sliver of the population (the data-grid
-    // regime: long history, small working cache), so nearly every job
-    // forces a replacement decision whose select step is cheap relative
-    // to a full history scan. `cap_div` lets callers pin the *absolute*
-    // cache size while growing the history, keeping the per-decision
-    // select work constant as the scan the rebuild pays grows with `n`.
-    (FileCatalog::from_sizes(sizes), pool, trace, total / cap_div)
-}
-
-/// One engine on its own cache, warmed over the full pool (so the history
-/// holds all `n` entries and the cache is hot), stepping through a trace.
-struct Engine<'t> {
-    policy: OptFileBundle,
-    cache: CacheState,
-    catalog: &'t FileCatalog,
-    trace: &'t [Bundle],
-    outcomes: Vec<RequestOutcome>,
-}
-
-impl<'t> Engine<'t> {
-    fn new(
-        mut policy: OptFileBundle,
-        catalog: &'t FileCatalog,
-        pool: &[Bundle],
-        trace: &'t [Bundle],
-        capacity: u64,
-    ) -> Self {
-        let mut cache = CacheState::new(capacity);
-        for b in pool {
-            black_box(policy.handle(b, &mut cache, catalog));
-        }
-        Self {
-            policy,
-            cache,
-            catalog,
-            trace,
-            outcomes: Vec::with_capacity(trace.len()),
-        }
-    }
-
-    fn step(&mut self) {
-        let b = &self.trace[self.outcomes.len()];
-        let outcome = self.policy.handle(b, &mut self.cache, self.catalog);
-        self.outcomes.push(outcome);
-    }
-}
-
-fn path_config(mode: HistoryMode) -> OfbConfig {
-    OfbConfig {
-        variant: GreedyVariant::SharedCredit,
-        history_mode: mode,
-        ..OfbConfig::default()
-    }
-}
-
-/// The decision path in `mode` at history size `n`. The incremental
-/// engine (side A) and the rebuild reference (side B) first step through
-/// the trace in lockstep, interleaved batch by batch, with their outcomes
-/// asserted equal; that pair gives the speedup. Then each engine runs the
-/// trace alone, timed per job: interleaved, an engine loses cache
-/// locality to the other, which the ratio absorbs but a throughput must
-/// not. Returns the paired ratio and the per-job ns of each engine alone.
-fn decision_path(
+/// One decision-path configuration: a history mode at history size `n`,
+/// with the cache at `1/cap_div` of the file population.
+#[derive(Clone, Copy)]
+struct Path {
     mode: HistoryMode,
+    label: &'static str,
     n: usize,
     cap_div: u64,
-    jobs: usize,
-) -> (Summary, [Summary; 2]) {
-    let (catalog, pool, trace, capacity) = decision_workload(n, 4, 8, cap_div, jobs);
-    let config = path_config(mode);
-    let engine = |reference: bool| {
-        let policy = if reference {
+}
+
+/// The four measured paths:
+///
+/// * cache-supported, n=2000 — the paper's default, the headline;
+/// * cache-supported, n=8000 with the same absolute cache size — the
+///   history-scaling row the smoke ratio gate uses: the select work is
+///   unchanged, only the O(n) scan the rebuild pays per decision grows;
+/// * full-history, n=2000 — every decision selects over all n candidates;
+///   the incremental engine serves it from the resident state (cached
+///   owner-key ordering, in-place lanes) while the rebuild reference
+///   re-walks the recency list, re-sorts and re-builds the instance per
+///   decision — the Full-mode gate;
+/// * window(1000), n=2000 — the same fast path under window truncation.
+const PATHS: [Path; 4] = [
+    Path {
+        mode: HistoryMode::CacheSupported,
+        label: "CacheSupported",
+        n: 2000,
+        cap_div: 60,
+    },
+    Path {
+        mode: HistoryMode::CacheSupported,
+        label: "CacheSupported",
+        n: 8000,
+        cap_div: 240,
+    },
+    Path {
+        mode: HistoryMode::Full,
+        label: "Full",
+        n: 2000,
+        cap_div: 60,
+    },
+    Path {
+        mode: HistoryMode::Window(1000),
+        label: "Window(1000)",
+        n: 2000,
+        cap_div: 60,
+    },
+];
+
+/// The paths whose incremental throughput carries a smoke baseline, with
+/// its `BENCH_core.json` key: one per history mode, all at n = 2000.
+const BASELINES: [(usize, &str); 3] = [
+    (0, "headline_decisions_per_sec"),
+    (2, "full_mode_decisions_per_sec"),
+    (3, "window_decisions_per_sec"),
+];
+
+/// Steady-state decision-path workload: a catalog, a pool of `n` distinct
+/// bundles of ~4 files over `m = n·4/8` files (expected degree 8), a job
+/// trace sampling the pool, and a cache capacity small enough that almost
+/// every miss forces a replacement decision.
+struct Workload {
+    mode: HistoryMode,
+    catalog: FileCatalog,
+    pool: Vec<Bundle>,
+    trace: Vec<Bundle>,
+    capacity: u64,
+}
+
+impl Workload {
+    fn new(path: Path, jobs: usize) -> Self {
+        let (n, b, d) = (path.n, 4, 8);
+        let mut state = 0xD3C1DE;
+        let m = ((n * b) / d).max(b + 1);
+        let sizes: Vec<u64> = (0..m).map(|_| xorshift(&mut state) % 100 + 1).collect();
+        let total: u64 = sizes.iter().sum();
+        let pool: Vec<Bundle> = (0..n)
+            .map(|_| {
+                let k = b / 2 + (xorshift(&mut state) as usize) % b;
+                Bundle::from_raw((0..k.max(1)).map(|_| (xorshift(&mut state) % m as u64) as u32))
+            })
+            .collect();
+        let trace: Vec<Bundle> = (0..jobs)
+            .map(|_| pool[(xorshift(&mut state) % n as u64) as usize].clone())
+            .collect();
+        // The cache holds only a sliver of the population (the data-grid
+        // regime: long history, small working cache), so nearly every job
+        // forces a replacement decision whose select step is cheap relative
+        // to a full history scan. `cap_div` lets callers pin the *absolute*
+        // cache size while growing the history, keeping the per-decision
+        // select work constant as the scan the rebuild pays grows with `n`.
+        Self {
+            mode: path.mode,
+            catalog: FileCatalog::from_sizes(sizes),
+            pool,
+            trace,
+            capacity: total / path.cap_div,
+        }
+    }
+
+    /// A policy on its own cache, warmed over the full pool (so the history
+    /// holds all `n` entries and the cache is hot).
+    fn engine(&self, variant: GreedyVariant, reference: bool) -> Engine<'_> {
+        let config = OfbConfig {
+            variant,
+            history_mode: self.mode,
+            ..OfbConfig::default()
+        };
+        let mut policy = if reference {
             OptFileBundle::with_config_reference(config)
         } else {
             OptFileBundle::with_config(config)
         };
-        Engine::new(policy, &catalog, &pool, &trace, capacity)
-    };
-    let (mut inc, mut reb) = (engine(false), engine(true));
+        let mut cache = CacheState::new(self.capacity);
+        for b in &self.pool {
+            black_box(policy.handle(b, &mut cache, &self.catalog));
+        }
+        Engine {
+            policy,
+            cache,
+            workload: self,
+            outcomes: Vec::with_capacity(self.trace.len()),
+        }
+    }
+}
+
+/// One warmed engine stepping through its workload's trace.
+struct Engine<'w> {
+    policy: OptFileBundle,
+    cache: CacheState,
+    workload: &'w Workload,
+    outcomes: Vec<RequestOutcome>,
+}
+
+impl Engine<'_> {
+    fn step(&mut self) {
+        let w = self.workload;
+        let b = &w.trace[self.outcomes.len()];
+        let outcome = self.policy.handle(b, &mut self.cache, &w.catalog);
+        self.outcomes.push(outcome);
+    }
+
+    /// Runs the whole trace alone, timed per job: interleaved, an engine
+    /// loses cache locality to the other, which a paired ratio absorbs but
+    /// a throughput must not.
+    fn alone(mut self) -> Summary {
+        let jobs = self.workload.trace.len();
+        repeat(0, jobs, || self.step()).0
+    }
+}
+
+/// The incremental decision path (side A) against the rebuild reference
+/// (side B) on `path`: first in lockstep, interleaved batch by batch, with
+/// their outcomes asserted equal — that pair gives the speedup — then each
+/// engine alone. Returns the paired ratio and each engine's per-job ns.
+fn decision_path(path: Path, jobs: usize) -> (Summary, [Summary; 2]) {
+    let w = Workload::new(path, jobs);
+    let sc = GreedyVariant::SharedCredit;
+    let (mut inc, mut reb) = (w.engine(sc, false), w.engine(sc, true));
     let plan = Plan::new(0, jobs / PER_BATCH, PER_BATCH);
     let paired = paired_ratio(plan, || inc.step(), || reb.step());
     assert_eq!(
         inc.outcomes, reb.outcomes,
-        "decision-path engines diverged in {mode:?} mode at n={n}"
+        "decision-path engines diverged in {:?} mode at n={}",
+        path.mode, path.n
     );
-    let alone = |mut e: Engine| repeat(0, jobs, || e.step()).0;
-    (paired.ratio, [alone(engine(false)), alone(engine(true))])
+    let alone = |reference| w.engine(sc, reference).alone();
+    (paired.ratio, [alone(false), alone(true)])
+}
+
+/// SharedCredit (side A) against PaperLiteral (side B) on the resident
+/// path, paired; returns the ratio (PaperLiteral's time over SharedCredit's,
+/// so ≥ 0.5 means "within 2×") and PaperLiteral's per-job ns alone.
+fn variant_ratio(path: Path, jobs: usize) -> (Summary, Summary) {
+    let w = Workload::new(path, jobs);
+    let (sc, pl) = (GreedyVariant::SharedCredit, GreedyVariant::PaperLiteral);
+    let (mut a, mut b) = (w.engine(sc, false), w.engine(pl, false));
+    let plan = Plan::new(0, jobs / PER_BATCH, PER_BATCH);
+    let ratio = paired_ratio(plan, || a.step(), || b.step()).ratio;
+    (ratio, w.engine(pl, false).alone())
 }
 
 fn main() {
@@ -219,174 +275,81 @@ fn main() {
     banner(if smoke {
         "perf_decision — CI smoke (regression gate)"
     } else {
-        "perf_decision — OptCacheSelect decision-path throughput"
+        "perf_decision — OptFileBundle decision-path throughput"
     });
 
     let reduced = smoke || quick_mode();
-    let (warmup, iters, ref_iters) = if reduced { (3, 25, 8) } else { (10, 120, 30) };
-    let bundle = 4usize;
-    let sweep: &[(usize, usize)] = if reduced {
-        &[(250, 8), (2000, 8)]
-    } else {
-        &[
-            (250, 2),
-            (250, 8),
-            (250, 32),
-            (1000, 2),
-            (1000, 8),
-            (1000, 32),
-            (2000, 2),
-            (2000, 8),
-            (2000, 32),
-        ]
-    };
-
-    let mut scratch = SelectScratch::default();
+    let jobs = if reduced { SMOKE_JOBS } else { 4000 };
     let mut table = Rows::new([
+        "mode",
         "n",
-        "d",
         "variant",
-        "iters",
+        "engine",
+        "samples",
         "decisions_per_sec",
         "p50_us",
         "p99_us",
-        "spread",
     ]);
-    let mut kernel_dps = |variant: &str, n: usize, d: usize, s: Summary| {
+    let mut push = |mode: &str, n: usize, variant: &str, engine: &str, s: &Summary| {
         table.push([
+            mode.into(),
             n.into(),
-            d.into(),
             variant.into(),
+            engine.into(),
             s.n.into(),
             Cell::num(1e9 / s.mean(), 1),
             Cell::num(s.median / 1e3, 1),
             Cell::num(s.p99 / 1e3, 1),
-            Cell::num(s.spread(), 3),
         ]);
-        1e9 / s.mean()
     };
-    let (mut kernel_headline, mut kernel_reference) = (0.0, 0.0);
-    for &(n, d) in sweep {
-        let inst = instance(n, bundle, d);
-        let mut sc = 0.0;
-        for (variant, label) in [
-            (GreedyVariant::PaperLiteral, "PaperLiteral"),
-            (GreedyVariant::SortedOnce, "SortedOnce"),
-            (GreedyVariant::SharedCredit, "SharedCredit"),
-        ] {
-            let opts = select(variant);
-            let (s, ()) = repeat(warmup, iters, || {
-                black_box(opt_cache_select_with_scratch(
-                    black_box(&inst),
-                    &opts,
-                    &mut scratch,
-                ));
-            });
-            sc = kernel_dps(label, n, d, s);
-        }
-        let (s, ()) = repeat(warmup.min(3), ref_iters, || reference_select(&inst));
-        let reference = kernel_dps("ReferenceSharedCredit", n, d, s);
-        if (n, d) == (2000, 8) {
-            (kernel_headline, kernel_reference) = (sc, reference);
-        }
-    }
-    table.print();
 
-    // The gated kernel ratios, paired on the headline instance: the
-    // incremental kernel against the reference loop, and SharedCredit
-    // against PaperLiteral.
-    let inst = instance(2000, bundle, 8);
-    let sc_opts = select(GreedyVariant::SharedCredit);
-    let pl_opts = select(GreedyVariant::PaperLiteral);
-    let mut pl_scratch = SelectScratch::default();
-    let mut sc = || {
-        black_box(opt_cache_select_with_scratch(
-            black_box(&inst),
-            &sc_opts,
-            &mut scratch,
-        ));
-    };
-    let (batches, per_batch) = if reduced { (9, 12) } else { (15, 30) };
-    let sc_vs_pl = paired_ratio(Plan::new(1, batches, per_batch), &mut sc, || {
-        black_box(opt_cache_select_with_scratch(
-            black_box(&inst),
-            &pl_opts,
-            &mut pl_scratch,
-        ));
-    })
-    .ratio;
-    let kernel_speedup = paired_ratio(Plan::new(1, ref_iters, 1), &mut sc, || {
-        reference_select(&inst)
-    })
-    .ratio;
-    println!(
-        "\nkernel (n=2000, d=8): SharedCredit {kernel_headline:.1}/s vs reference \
-         {kernel_reference:.1}/s; paired: {:.1}x the reference, SharedCredit/PaperLiteral {:.2}",
-        kernel_speedup.median, sc_vs_pl.median
-    );
-
-    // Full decision path at steady state: the persistent resident state
-    // (O(Δ) candidate maintenance) vs the per-decision rebuild reference,
-    // on the identical trace. Four rows:
-    //
-    // * cache-supported, n=2000 — the headline configuration;
-    // * cache-supported, n=8000 with the same absolute cache size — the
-    //   history-scaling row the smoke ratio gate uses: the select work is
-    //   unchanged, only the O(n) scan the rebuild pays per decision grows;
-    // * full-history, n=2000 — every decision selects over all n
-    //   candidates; the incremental engine serves it from the resident
-    //   mirror (cached owner-key ordering + dense-heap kernel in place)
-    //   while the rebuild reference re-walks the recency list, re-sorts,
-    //   and re-builds the instance per decision — the Full-mode gate;
-    // * window(1000), n=2000 — same fast path under epoch-stamped window
-    //   truncation.
-    let jobs = if reduced { SMOKE_JOBS } else { 4000 };
-    let mut path_table = Rows::new([
-        "mode",
-        "n",
-        "engine",
-        "jobs",
-        "decisions_per_sec",
-        "p50_us",
-        "p99_us",
-    ]);
     let mut paths: Vec<(Summary, [Summary; 2])> = Vec::new();
-    for (mode, label, n, cap_div) in [
-        (HistoryMode::CacheSupported, "CacheSupported", 2000, 60),
-        (HistoryMode::CacheSupported, "CacheSupported", 8000, 240),
-        (HistoryMode::Full, "Full", 2000, 60),
-        (HistoryMode::Window(1000), "Window(1000)", 2000, 60),
-    ] {
-        let (ratio, engines) = decision_path(mode, n, cap_div, jobs);
-        for (engine, s) in ["incremental", "rebuild"].into_iter().zip(engines) {
-            path_table.push([
-                label.into(),
-                n.into(),
-                engine.into(),
-                jobs.into(),
-                Cell::num(1e9 / s.mean(), 1),
-                Cell::num(s.median / 1e3, 1),
-                Cell::num(s.p99 / 1e3, 1),
-            ]);
+    for path in PATHS {
+        let (ratio, engines) = decision_path(path, jobs);
+        for (engine, s) in ["incremental", "rebuild"].iter().zip(&engines) {
+            push(path.label, path.n, "SharedCredit", engine, s);
         }
         paths.push((ratio, engines));
     }
     let [supported, scaling, full, window] = [0, 1, 2, 3].map(|i| paths[i].0);
-    // The headline: the incremental engine on the cache-supported n = 2000
-    // path, alone.
+    let dps = |i: usize| 1e9 / paths[i].1[0].mean();
+    let (sc_vs_pl, paper_literal) = variant_ratio(PATHS[0], jobs);
+    push(
+        PATHS[0].label,
+        PATHS[0].n,
+        "PaperLiteral",
+        "incremental",
+        &paper_literal,
+    );
+
+    // The instance row: the offline solvers' entry point, alone.
+    let inst = instance(INSTANCE_N, 4, 4);
+    let opts = SelectOptions::default();
+    let (inst_s, ()) = repeat(20, if reduced { 200 } else { 2000 }, || {
+        black_box(opt_cache_select(black_box(&inst), &opts));
+    });
+    push(
+        "instance",
+        INSTANCE_N,
+        "SharedCredit",
+        "opt_cache_select",
+        &inst_s,
+    );
+
+    println!("\ndecision path (steady state, d=8; each engine alone):");
+    table.print();
     let [headline, rebuild] = paths[0].1;
-    let headline_dps = 1e9 / headline.mean();
-    println!("\ndecision path (steady state, d=8, SharedCredit; each engine alone):");
-    path_table.print();
     println!(
-        "headline (cache-supported decision path, n=2000): incremental {headline_dps:.1}/s vs \
+        "headline (cache-supported decision path, n=2000): incremental {:.1}/s vs \
          rebuild {:.1}/s — paired speedup {:.1}x (history-scaling row n=8000: {:.1}x; \
-         full-history mode: {:.1}x; window(1000): {:.1}x)",
+         full-history mode: {:.1}x; window(1000): {:.1}x); SharedCredit/PaperLiteral {:.2}",
+        dps(0),
         1e9 / rebuild.mean(),
         supported.median,
         scaling.median,
         full.median,
-        window.median
+        window.median,
+        sc_vs_pl.median
     );
 
     // Observability overhead on the instrumented decision path: the same
@@ -438,15 +401,9 @@ fn main() {
              path (budget: 1.05x)",
             off_overhead.median
         );
-        assert!(
-            kernel_speedup.median >= 2.0,
-            "REGRESSION: incremental kernel only {:.2}x the reference loop at n=2000, d=8 \
-             (acceptance floor: 2x)",
-            kernel_speedup.median
-        );
         // The history-scaling row (n=8000, fixed cache size) is the regime
         // the O(Δ) maintenance targets: the rebuild's per-decision scan is
-        // material rather than drowned by the shared select kernel.
+        // material rather than drowned by the select step.
         assert!(
             scaling.median >= 2.0,
             "REGRESSION: incremental decision path only {:.2}x the rebuild reference on \
@@ -461,76 +418,64 @@ fn main() {
         );
         assert!(
             sc_vs_pl.median >= 0.5,
-            "REGRESSION: SharedCredit at only {:.2}x PaperLiteral's throughput at n=2000, \
-             d=8 (acceptance floor: within 2x, i.e. ratio >= 0.5)",
+            "REGRESSION: SharedCredit at only {:.2}x PaperLiteral's throughput on the \
+             cache-supported decision path at n=2000 (acceptance floor: within 2x, i.e. \
+             ratio >= 0.5)",
             sc_vs_pl.median
         );
-        gate_baseline("perf_decision", "headline_decisions_per_sec", headline_dps);
+        for (i, key) in BASELINES {
+            gate_baseline("perf_decision", key, dps(i));
+        }
         println!(
             "smoke: OK (decision path at n=8000 {:.1}x >= 2x, full mode {:.1}x >= 2x, \
-             kernel {:.1}x >= 2x, SharedCredit/PaperLiteral {:.2} >= 0.5, obs-off {:.3}x \
-             <= 1.05x)",
-            scaling.median,
-            full.median,
-            kernel_speedup.median,
-            sc_vs_pl.median,
-            off_overhead.median
+             SharedCredit/PaperLiteral {:.2} >= 0.5, obs-off {:.3}x <= 1.05x)",
+            scaling.median, full.median, sc_vs_pl.median, off_overhead.median
         );
         return;
     }
 
-    // The smoke baseline is measured the way the gate measures it: a
-    // fresh smoke-size decision path, here the median of five, so one
-    // slow run cannot set a floor the gate then trips over.
-    let smoke_headline = if reduced {
-        headline_dps
+    // Each smoke baseline is measured the way the gate measures it: a
+    // fresh smoke-size run of the incremental engine alone, per mode.
+    let smoke_dps = if reduced {
+        BASELINES.map(|(i, _)| dps(i))
     } else {
-        let mut runs: Vec<f64> = (0..5)
-            .map(|_| {
-                let (_, [alone, _]) =
-                    decision_path(HistoryMode::CacheSupported, 2000, 60, SMOKE_JOBS);
-                1e9 / alone.mean()
+        smoke_baseline(|| {
+            BASELINES.map(|(i, _)| {
+                let w = Workload::new(PATHS[i], SMOKE_JOBS);
+                let sc = GreedyVariant::SharedCredit;
+                1e9 / w.engine(sc, false).alone().mean()
             })
-            .collect();
-        runs.sort_by(f64::total_cmp);
-        runs[2]
+        })
     };
     table.save_csv("perf_decision.csv");
     let mut section = Section::new("perf_decision", headline.n);
-    section
-        .headline(
-            "headline_decisions_per_sec",
-            headline_dps,
-            headline.spread(),
-            smoke_headline,
-        )
-        .stat(
-            "decision_path_rebuild_per_sec",
-            1e9 / rebuild.mean(),
-            rebuild.spread(),
-        );
+    for ((i, key), smoke) in BASELINES.into_iter().zip(smoke_dps) {
+        section.headline(key, dps(i), paths[i].1[0].spread(), smoke);
+    }
+    section.stat(
+        "decision_path_rebuild_per_sec",
+        1e9 / rebuild.mean(),
+        rebuild.spread(),
+    );
     for (key, ratio) in [
         ("decision_path_speedup", supported),
         ("decision_path_scaling_speedup", scaling),
         ("decision_path_full_mode_speedup", full),
         ("decision_path_window_speedup", window),
-        ("kernel_speedup_vs_reference", kernel_speedup),
-        ("kernel_sc_vs_paperliteral_ratio", sc_vs_pl),
+        ("decision_path_sc_vs_paperliteral_ratio", sc_vs_pl),
         ("obs_off_overhead", off_overhead),
         ("obs_on_overhead", on_overhead),
     ] {
         section.stat(key, ratio.median, ratio.spread());
     }
     section
-        .set("kernel_decisions_per_sec", Cell::num(kernel_headline, 1))
         .set(
-            "kernel_reference_decisions_per_sec",
-            Cell::num(kernel_reference, 1),
+            "instance_decisions_per_sec",
+            Cell::num(1e9 / inst_s.mean(), 1),
         )
         .set("obs_plain_ns_per_job", Cell::num(plain_ns, 1))
         .set("obs_off_ns_per_job", Cell::num(off_ns, 1))
         .set("obs_on_ns_per_job", Cell::num(on_ns, 1))
-        .rows("decision_path", &path_table)
         .rows("results", &table)
         .write();
 }

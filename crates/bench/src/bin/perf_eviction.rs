@@ -35,11 +35,13 @@
 //! * the geometric-mean indexed-vs-reference speedup at the largest smoke
 //!   size is below 2× (machine-independent ratio), or
 //! * the headline evictions/sec is at or below half the committed value
-//!   measured at the same smoke size (`smoke_headline_evictions_per_sec`).
+//!   measured at the same smoke size (`smoke_headline_evictions_per_sec`,
+//!   the median of five fresh smoke-size runs of the full run).
 
 use fbc_baselines::PolicyKind;
 use fbc_bench::measure::{
-    gate_baseline, paired_ratio, repeat, smoke_mode, xorshift, Cell, Paired, Plan, Rows, Section,
+    gate_baseline, paired_ratio, repeat, smoke_baseline, smoke_mode, xorshift, Cell, Paired, Plan,
+    Rows, Section,
 };
 use fbc_bench::{banner, quick_mode};
 use fbc_core::bundle::Bundle;
@@ -312,7 +314,8 @@ fn main() {
         eps
     } else {
         println!("\nsmoke-size headline (the committed baseline --smoke gates against):");
-        headline(&sweep(&SMOKE_SIZES, SMOKE_BUDGET_NS)).0 .0
+        let [smoke_eps] = smoke_baseline(|| [headline(&sweep(&SMOKE_SIZES, SMOKE_BUDGET_NS)).0 .0]);
+        smoke_eps
     };
     table.save_csv("perf_eviction.csv");
     Section::new("perf_eviction", (w.churn.len() / CHUNK).max(1))

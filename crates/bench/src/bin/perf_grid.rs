@@ -49,11 +49,12 @@
 //! * a divergence check fails (1-shard vs `run_grid`, dense vs reference
 //!   kernel), or
 //! * either headline (1-shard hit jobs/s, 4-shard decision jobs/s) is at
-//!   or below half the committed value measured at the same smoke size.
+//!   or below half the committed value measured at the same smoke size
+//!   (the full run records the median of five fresh smoke-size runs).
 
 use fbc_bench::measure::{
-    gate_baseline, hardware_threads, paired_ratio, repeat, smoke_mode, xorshift, Cell, Paired,
-    Plan, Rows, Section, Summary,
+    gate_baseline, hardware_threads, paired_ratio, repeat, smoke_baseline, smoke_mode, xorshift,
+    Cell, Paired, Plan, Rows, Section, Summary,
 };
 use fbc_bench::{banner, quick_mode};
 use fbc_core::bundle::Bundle;
@@ -416,12 +417,14 @@ fn main() {
     }
 
     let smoke = if reduced {
-        (hit.jobs_per_sec(), decision.jobs_per_sec())
+        [hit.jobs_per_sec(), decision.jobs_per_sec()]
     } else {
-        println!("\nsmoke-size headlines (the committed baseline --smoke gates against):");
-        let rows = regimes(true);
-        let (hit, decision) = headlines(&rows);
-        (hit.jobs_per_sec(), decision.jobs_per_sec())
+        println!("\nsmoke-size headlines (the committed baselines --smoke gates against):");
+        smoke_baseline(|| {
+            let rows = regimes(true);
+            let (hit, decision) = headlines(&rows);
+            [hit.jobs_per_sec(), decision.jobs_per_sec()]
+        })
     };
     table.save_csv("perf_grid.csv");
     Section::new("perf_grid", hit.runs.n)
@@ -429,13 +432,13 @@ fn main() {
             "headline_hit_jobs_per_sec",
             hit.jobs_per_sec(),
             hit.runs.spread(),
-            smoke.0,
+            smoke[0],
         )
         .headline(
             "headline_decision_jobs_per_sec",
             decision.jobs_per_sec(),
             decision.runs.spread(),
-            smoke.1,
+            smoke[1],
         )
         .stat(
             "decision_shard_speedup",

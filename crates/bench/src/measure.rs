@@ -17,7 +17,8 @@
 //! * **The committed-baseline gate.** [`check_baseline`] compares a
 //!   `--smoke` headline with the same headline measured at smoke size by
 //!   the last full run (`smoke_<key>`), so the gate compares like with
-//!   like.
+//!   like. A full run records each such value with [`smoke_baseline`]:
+//!   the median of [`SMOKE_RUNS`] fresh smoke-size runs.
 //!
 //! Result tables are [`Rows`]: one set of rows printed as the terminal
 //! table, saved as the `results/` CSV and embedded as the section's JSON
@@ -445,6 +446,18 @@ pub fn committed(section: &str, key: &str) -> Option<f64> {
     lookup(&std::fs::read_to_string(BENCH_JSON).ok()?, section, key)
 }
 
+/// Fresh smoke-size runs behind each committed `smoke_<key>` value.
+pub const SMOKE_RUNS: usize = 5;
+
+/// The committed smoke baselines of a full run. `measure` runs the
+/// headlines at smoke size exactly as `--smoke` does and returns them;
+/// this calls it [`SMOKE_RUNS`] times and returns each headline's median,
+/// so one slow run cannot set a floor the gate then trips over.
+pub fn smoke_baseline<const K: usize>(mut measure: impl FnMut() -> [f64; K]) -> [f64; K] {
+    let runs: Vec<[f64; K]> = (0..SMOKE_RUNS).map(|_| measure()).collect();
+    std::array::from_fn(|k| Summary::of(&runs.iter().map(|r| r[k]).collect::<Vec<_>>()).median)
+}
+
 /// Outcome of [`check_baseline`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Baseline {
@@ -522,6 +535,13 @@ mod tests {
         assert_eq!(paired_ratio(budgeted, || {}, || {}).ratio.n, 1);
         let (timed, last) = repeat(1, 3, || 42);
         assert_eq!((timed.n, last), (3, 42));
+    }
+
+    #[test]
+    fn smoke_baseline_takes_each_headline_median() {
+        let mut runs = [[5.0, 1.0], [1.0, 9.0], [4.0, 3.0], [2.0, 7.0], [3.0, 5.0]].into_iter();
+        assert_eq!(smoke_baseline(|| runs.next().unwrap()), [3.0, 5.0]);
+        assert_eq!(runs.next(), None);
     }
 
     #[test]

@@ -83,6 +83,41 @@ impl Args {
         }
     }
 
+    /// Count flag with a default that must be at least 1.
+    pub fn get_count_or(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        match self.get_or(key, default)? {
+            0 => Err(ArgError(format!("--{key} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    /// Float flag with a default that must be finite and positive (rates,
+    /// bandwidths): NaN, infinities, zero and negatives are rejected here
+    /// instead of reaching an engine assert.
+    pub fn get_positive_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
+        let v: f64 = self.get_or(key, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(ArgError(format!(
+                "--{key} must be a positive finite number, got {v}"
+            )))
+        }
+    }
+
+    /// Float flag with a default that must be finite and non-negative
+    /// (latencies).
+    pub fn get_non_negative_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
+        let v: f64 = self.get_or(key, default)?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(ArgError(format!(
+                "--{key} must be a non-negative finite number, got {v}"
+            )))
+        }
+    }
+
     /// Byte-size flag (`10GiB` etc.) with a default.
     pub fn get_bytes_or(&self, key: &str, default: Bytes) -> Result<Bytes, ArgError> {
         match self.get(key) {
@@ -198,6 +233,27 @@ mod tests {
         assert!(a.get_or::<usize>("jobs", 0).is_ok());
         let bad = parse(&["--jobs", "x"]);
         assert!(bad.get_or::<usize>("jobs", 0).is_err());
+        // Checked getters: counts from 1, finite positive and finite
+        // non-negative floats.
+        assert_eq!(parse(&[]).get_count_or("n", 4).unwrap(), 4);
+        assert!(parse(&["--n", "0"]).get_count_or("n", 4).is_err());
+        assert_eq!(
+            parse(&["--r", "2.5"]).get_positive_or("r", 1.0).unwrap(),
+            2.5
+        );
+        for v in ["0", "-1", "nan", "inf", "-inf"] {
+            assert!(parse(&["--r", v]).get_positive_or("r", 1.0).is_err(), "{v}");
+        }
+        assert_eq!(
+            parse(&["--l", "0"]).get_non_negative_or("l", 1.0).unwrap(),
+            0.0
+        );
+        for v in ["-1", "nan", "inf"] {
+            assert!(
+                parse(&["--l", v]).get_non_negative_or("l", 1.0).is_err(),
+                "{v}"
+            );
+        }
     }
 
     #[test]

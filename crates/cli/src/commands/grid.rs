@@ -86,34 +86,35 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         ))
     })?;
 
+    let fetch_timeout = match args.get("fetch-timeout-secs") {
+        Some(_) => Some(SimDuration::from_secs_f64(
+            args.get_positive_or("fetch-timeout-secs", 0.0)?,
+        )),
+        None => None,
+    };
     let config = GridConfig {
         srm: SrmConfig {
             cache_size: cache,
-            max_concurrent_jobs: args.get_or("concurrency", 4usize)?,
+            max_concurrent_jobs: args.get_count_or("concurrency", 4)?,
             ..SrmConfig::default()
         },
         mss: MssConfig {
-            drives: args.get_or("drives", 4usize)?,
-            mount_latency: SimDuration::from_secs_f64(args.get_or("mount-secs", 5.0f64)?),
-            drive_bandwidth: args.get_or("drive-mbps", 60.0f64)? * 1e6,
+            drives: args.get_count_or("drives", 4)?,
+            mount_latency: SimDuration::from_secs_f64(args.get_non_negative_or("mount-secs", 5.0)?),
+            drive_bandwidth: args.get_positive_or("drive-mbps", 60.0)? * 1e6,
         },
         link: LinkConfig {
-            latency: SimDuration::from_secs_f64(args.get_or("link-ms", 10.0f64)? / 1e3),
-            bandwidth: args.get_or("link-mbps", 125.0f64)? * 1e6,
+            latency: SimDuration::from_secs_f64(args.get_non_negative_or("link-ms", 10.0)? / 1e3),
+            bandwidth: args.get_positive_or("link-mbps", 125.0)? * 1e6,
         },
         retry: RetryPolicy {
             max_retries: args.get_or("max-retries", 5u32)?,
-            fetch_timeout: match args.get("fetch-timeout-secs") {
-                Some(s) => Some(SimDuration::from_secs_f64(s.parse().map_err(|_| {
-                    ArgError(format!("bad --fetch-timeout-secs value '{s}'"))
-                })?)),
-                None => None,
-            },
+            fetch_timeout,
             ..RetryPolicy::default()
         },
         full_response_log: false,
     };
-    let rate: f64 = args.get_or("rate", 2.0f64)?;
+    let rate = args.get_positive_or("rate", 2.0)?;
     let seed: u64 = args.get_or("arrival-seed", 1u64)?;
     let plan =
         match args.get("faults") {
@@ -127,10 +128,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             .map_err(|e| ArgError(format!("bad --faults spec: {e}")))?;
     }
 
-    let shards: usize = args.get_or("shards", 1usize)?;
-    if shards == 0 {
-        return Err(ArgError("--shards must be at least 1".into()));
-    }
+    let shards = args.get_count_or("shards", 1)?;
     let workers: usize = args.get_or("workers", shards)?;
     let shard_by = match args.get("shard-by") {
         Some(s) => ShardBy::parse(s).ok_or_else(|| {
@@ -309,6 +307,26 @@ mod tests {
         run(&with(&["--shards", "1"])).unwrap();
         assert!(run(&with(&["--shards", "0"])).is_err());
         assert!(run(&with(&["--shards", "2", "--shard-by", "nope"])).is_err());
+        // Values an engine would assert on, or silently misread, are
+        // rejected at the flag.
+        for bad in [
+            ["--drives", "0"],
+            ["--drive-mbps", "0"],
+            ["--drive-mbps", "nan"],
+            ["--link-mbps", "0"],
+            ["--link-mbps", "-1"],
+            ["--rate", "0"],
+            ["--rate", "-2"],
+            ["--rate", "nan"],
+            ["--concurrency", "0"],
+            ["--fetch-timeout-secs", "nan"],
+            ["--fetch-timeout-secs", "-1"],
+            ["--link-ms", "inf"],
+            ["--mount-secs", "inf"],
+        ] {
+            let err = run(&with(&bad)).unwrap_err();
+            assert!(err.0.contains(&bad[0][2..]), "{bad:?}: {}", err.0);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -36,10 +36,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     if cache == 0 {
         return Err(ArgError("missing required flag --cache".into()));
     }
-    let nodes: usize = args.get_or("nodes", 4usize)?;
-    if nodes == 0 {
-        return Err(ArgError("--nodes must be at least 1".into()));
-    }
+    let nodes = args.get_count_or("nodes", 4)?;
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     if policy_by_name(policy_name).is_none() {
         return Err(ArgError(format!(
@@ -47,7 +44,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             POLICY_NAMES.join(", ")
         )));
     }
-    let rate: f64 = args.get_or("rate", 4.0f64)?;
+    let rate = args.get_positive_or("rate", 4.0)?;
     let seed: u64 = args.get_or("arrival-seed", 1u64)?;
 
     let trace =
@@ -144,5 +141,16 @@ mod tests {
         )
         .unwrap();
         assert!(run(&args).is_err());
+        // A rate the arrival process would assert on is a flag error.
+        for rate in ["0", "nan"] {
+            let args = Args::parse(
+                ["--trace", "x", "--cache", "1MiB", "--rate", rate]
+                    .iter()
+                    .map(|s| s.to_string()),
+            )
+            .unwrap();
+            let err = run(&args).unwrap_err();
+            assert!(err.0.contains("--rate"), "{rate}: {}", err.0);
+        }
     }
 }

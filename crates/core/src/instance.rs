@@ -33,13 +33,6 @@ impl InstanceRequest {
     pub fn files(&self) -> &[u32] {
         &self.files
     }
-
-    /// Consumes the request, returning its file buffer (so callers that
-    /// build instances in a hot loop can recycle the allocation).
-    #[inline]
-    pub fn into_files(self) -> Vec<u32> {
-        self.files
-    }
 }
 
 /// An immutable, validated FBC problem instance.
@@ -60,37 +53,10 @@ pub struct FbcInstance {
     /// Memoised `Σ_{f ∈ F(r_i)} s'(f)` per request, summed in ascending
     /// local-index order — the exact order [`Self::request_adjusted_size`]
     /// used to sum on the fly, so the cached value is bit-identical. The
-    /// greedy variants read this denominator once per candidate per sort
-    /// (and the shared-credit kernel once per candidate at seed time);
+    /// sorted greedy variants read this denominator once per candidate;
     /// memoising it turns `O(b)` float loops into array reads. Depends on
     /// the degrees, so [`Self::recompute_degrees`] refreshes it.
     request_adjusted: Vec<f64>,
-    /// Lazily built file→request adjacency in CSR form (`offsets` of length
-    /// `m + 1`, request indices grouped by file). A pure function of the
-    /// immutable request structure — independent of degrees and capacity —
-    /// so it is computed at most once per instance, on first use by the
-    /// shared-credit kernel, instead of once per selection.
-    adjacency: std::sync::OnceLock<CsrAdjacency>,
-    /// Lazily flattened request→file lists in CSR form (`offsets` of length
-    /// `n + 1`, file indices concatenated in per-request ascending order).
-    /// The per-request `Vec`s behind [`Self::requests`] cost the kernel's
-    /// marginal recomputation a dependent pointer chase per visit; the flat
-    /// copy turns that into two contiguous slice reads.
-    flat_requests: std::sync::OnceLock<CsrAdjacency>,
-    /// Memoised `(s(f), s'(f))` per file, fused so the kernel's marginal
-    /// loop touches one table instead of gathering from `file_sizes` and
-    /// recomputing the adjusted size. The `f64` component is computed by
-    /// the exact expression [`Self::adjusted_size`] uses, so sums over it
-    /// are bit-identical. Depends on the degrees, so
-    /// [`Self::recompute_degrees`] refreshes it (via `memoise_adjusted`).
-    file_size_adjusted: Vec<(Bytes, f64)>,
-}
-
-/// Memoised file→request CSR adjacency of an instance.
-#[derive(Debug, Clone)]
-struct CsrAdjacency {
-    offsets: Vec<u32>,
-    requests: Vec<u32>,
 }
 
 impl FbcInstance {
@@ -154,9 +120,6 @@ impl FbcInstance {
             degrees,
             request_sizes,
             request_adjusted: Vec::new(),
-            adjacency: std::sync::OnceLock::new(),
-            flat_requests: std::sync::OnceLock::new(),
-            file_size_adjusted: Vec::new(),
         };
         inst.memoise_adjusted();
         Ok(inst)
@@ -189,14 +152,6 @@ impl FbcInstance {
                 })
                 .sum();
             self.request_adjusted.push(sum);
-        }
-        self.file_size_adjusted.clear();
-        self.file_size_adjusted.reserve(self.file_sizes.len());
-        for f in 0..self.file_sizes.len() {
-            self.file_size_adjusted.push((
-                self.file_sizes[f],
-                self.file_sizes[f] as f64 / self.degrees[f].max(1) as f64,
-            ));
         }
     }
 
@@ -249,78 +204,11 @@ impl FbcInstance {
         &self.requests
     }
 
-    /// The memoised file→request adjacency as `(offsets, requests)`: the
-    /// requests containing file `f` are `requests[offsets[f] as usize ..
-    /// offsets[f + 1] as usize]`, in ascending request order. Built once per
-    /// instance on first call (one counting pass and one fill pass over the
-    /// requests), then free.
-    pub fn file_request_adjacency(&self) -> (&[u32], &[u32]) {
-        let adj = self.adjacency.get_or_init(|| {
-            let m = self.file_sizes.len();
-            let mut offsets = vec![0u32; m + 1];
-            for r in &self.requests {
-                for &f in &r.files {
-                    offsets[f as usize + 1] += 1;
-                }
-            }
-            for f in 0..m {
-                offsets[f + 1] += offsets[f];
-            }
-            let mut cursor: Vec<u32> = offsets[..m].to_vec();
-            let mut requests = vec![0u32; offsets[m] as usize];
-            for (i, r) in self.requests.iter().enumerate() {
-                for &f in &r.files {
-                    let c = &mut cursor[f as usize];
-                    requests[*c as usize] = i as u32;
-                    *c += 1;
-                }
-            }
-            CsrAdjacency { offsets, requests }
-        });
-        (&adj.offsets, &adj.requests)
-    }
-
-    /// The memoised flat request→file lists as `(offsets, files)`: the
-    /// files of request `i` are `files[offsets[i] as usize .. offsets[i + 1]
-    /// as usize]`, in the same ascending order as
-    /// [`InstanceRequest::files`]. Built once per instance on first call.
-    pub fn request_file_csr(&self) -> (&[u32], &[u32]) {
-        let flat = self.flat_requests.get_or_init(|| {
-            let mut offsets = Vec::with_capacity(self.requests.len() + 1);
-            offsets.push(0u32);
-            let total: usize = self.requests.iter().map(|r| r.files.len()).sum();
-            let mut files = Vec::with_capacity(total);
-            for r in &self.requests {
-                files.extend_from_slice(&r.files);
-                offsets.push(files.len() as u32);
-            }
-            CsrAdjacency {
-                offsets,
-                requests: files,
-            }
-        });
-        (&flat.offsets, &flat.requests)
-    }
-
-    /// The memoised fused per-file `(s(f), s'(f))` table.
-    #[inline]
-    pub fn file_size_adjusted_table(&self) -> &[(Bytes, f64)] {
-        &self.file_size_adjusted
-    }
-
     /// Total (deduplicated) size of the files of request `i` (memoised at
     /// construction).
     #[inline]
     pub fn request_size(&self, i: usize) -> Bytes {
         self.request_sizes[i]
-    }
-
-    /// Decomposes the instance into its owned buffers
-    /// `(file_sizes, degrees, requests)` so hot-loop callers (one instance
-    /// per replacement decision) can recycle the allocations instead of
-    /// dropping them.
-    pub fn into_parts(self) -> (Vec<Bytes>, Vec<u32>, Vec<InstanceRequest>) {
-        (self.file_sizes, self.degrees, self.requests)
     }
 
     /// Sum of adjusted sizes `Σ s'(f)` over request `i`'s files (memoised

@@ -30,7 +30,7 @@ use crate::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
 use crate::resident::ResidentInstance;
 use crate::select::GreedyVariant;
 #[cfg(any(test, feature = "reference-kernels"))]
-use crate::select::{opt_cache_select_with_scratch, SelectOptions, SelectScratch};
+use crate::select::{opt_cache_select, SelectOptions};
 use crate::types::{Bytes, FileId};
 use fbc_obs::{Field, Obs};
 #[cfg(any(test, feature = "reference-kernels"))]
@@ -97,34 +97,6 @@ pub struct DecisionExplanation {
     pub victims: Vec<FileId>,
 }
 
-/// Reusable buffers of the *rebuild* (reference) decision path, so that it
-/// performs no per-candidate allocation in steady state: the interning map
-/// and the local instance's size/degree/file buffers are cleared — never
-/// freed — between decisions, and the instance's owned vectors are
-/// reclaimed through [`FbcInstance::into_parts`] after every selection.
-/// The resident path builds no instance; its scratch lives in the resident
-/// state.
-#[cfg(any(test, feature = "reference-kernels"))]
-#[derive(Debug, Clone, Default)]
-struct DecisionScratch {
-    /// `FileId` → dense local index interning map; the resident path
-    /// interns through epoch-stamped arrays instead. FxHash: small
-    /// fixed-width keys, and iteration order is never observed (the local
-    /// index assignment follows candidate order).
-    local_of: FxHashMap<FileId, u32>,
-    /// Inverse of `local_of`: local index → global id.
-    global_of: Vec<FileId>,
-    /// Local file sizes (0 for files of the incoming bundle).
-    sizes: Vec<Bytes>,
-    /// Local file degrees, from the global history.
-    degrees: Vec<u32>,
-    /// Recycled per-candidate file buffers, refilled from
-    /// [`crate::instance::InstanceRequest::into_files`] after each decision.
-    file_bufs: Vec<Vec<u32>>,
-    /// The instance select kernel's scratch.
-    select: SelectScratch,
-}
-
 /// The `OptFileBundle` replacement policy (paper Algorithm 2).
 #[derive(Debug, Clone)]
 pub struct OptFileBundle {
@@ -144,10 +116,6 @@ pub struct OptFileBundle {
     /// resident path.
     #[cfg(any(test, feature = "reference-kernels"))]
     reference: bool,
-    /// The rebuild path's reusable buffers (pure optimisation; carries no
-    /// state across decisions).
-    #[cfg(any(test, feature = "reference-kernels"))]
-    scratch: DecisionScratch,
     /// Membership bits of the decision's retained files, set for the
     /// victim scan and cleared right after it: a bit test per resident
     /// instead of a binary search over a sorted retained list.
@@ -196,8 +164,6 @@ impl OptFileBundle {
             index: SupportIndex::new(),
             #[cfg(any(test, feature = "reference-kernels"))]
             reference: false,
-            #[cfg(any(test, feature = "reference-kernels"))]
-            scratch: DecisionScratch::default(),
             retained: ResidencySet::default(),
             obs: Obs::disabled(),
             obs_slots: OutcomeObsSlots::default(),
@@ -410,13 +376,10 @@ impl OptFileBundle {
         incoming: &Bundle,
         select_capacity: Bytes,
     ) -> (Vec<FileId>, Vec<FileId>) {
-        // Split borrows: candidates hold references into the history while
-        // the scratch buffers are being filled.
         let Self {
             config,
             history,
             index,
-            scratch,
             obs,
             ..
         } = self;
@@ -426,28 +389,17 @@ impl OptFileBundle {
             return (Vec::new(), Vec::new());
         }
 
-        // Build a local FBC instance over the union of candidate files,
-        // recycling the previous decision's buffers.
+        // Build a local FBC instance over the union of candidate files.
         let build_span = obs.span("ofb.instance_build");
-        let DecisionScratch {
-            local_of,
-            global_of,
-            sizes,
-            degrees,
-            file_bufs,
-            select,
-            ..
-        } = scratch;
-        local_of.clear();
-        global_of.clear();
-        sizes.clear();
-        degrees.clear();
+        let mut local_of: FxHashMap<FileId, u32> = FxHashMap::default();
+        let mut global_of: Vec<FileId> = Vec::new();
+        let mut sizes: Vec<Bytes> = Vec::new();
+        let mut degrees: Vec<u32> = Vec::new();
         let mut requests: Vec<(Vec<u32>, f64)> = Vec::with_capacity(candidates.len());
         let now = history.total_requests();
         let value_fn = history.value_fn();
         for entry in &candidates {
-            let mut files = file_bufs.pop().unwrap_or_default();
-            files.clear();
+            let mut files = Vec::with_capacity(entry.bundle.len());
             for f in entry.bundle.iter() {
                 let local = *local_of.entry(f).or_insert_with(|| {
                     let idx = global_of.len() as u32;
@@ -468,23 +420,17 @@ impl OptFileBundle {
             requests.push((files, entry.value_at(now, value_fn)));
         }
 
-        let inst = FbcInstance::with_degrees(
-            select_capacity,
-            std::mem::take(sizes),
-            requests,
-            Some(std::mem::take(degrees)),
-        )
-        .expect("locally built instance is structurally valid");
+        let inst = FbcInstance::with_degrees(select_capacity, sizes, requests, Some(degrees))
+            .expect("locally built instance is structurally valid");
         drop(build_span);
 
         let select_span = obs.span("ofb.greedy_select");
-        let selection = opt_cache_select_with_scratch(
+        let selection = opt_cache_select(
             &inst,
             &SelectOptions {
                 variant: config.variant,
                 max_single_fallback: true,
             },
-            select,
         );
         drop(select_span);
 
@@ -505,12 +451,6 @@ impl OptFileBundle {
             Vec::new()
         };
 
-        // Reclaim the instance's owned buffers for the next decision.
-        let (reclaimed_sizes, reclaimed_degrees, reclaimed_requests) = inst.into_parts();
-        *sizes = reclaimed_sizes;
-        *degrees = reclaimed_degrees;
-        file_bufs.extend(reclaimed_requests.into_iter().map(|r| r.into_files()));
-
         obs.observe("ofb.retained_files", retained.len() as u64);
         (retained, prefetch)
     }
@@ -519,7 +459,7 @@ impl OptFileBundle {
 /// Candidate history entries for a replacement decision, per the configured
 /// truncation mode — the rebuild (reference) path's candidate gathering. A
 /// free function (rather than a method) so the decision path can borrow the
-/// history immutably while filling mutable scratch.
+/// history immutably while recording to the obs sink.
 #[cfg(any(test, feature = "reference-kernels"))]
 fn candidates_of<'h>(
     config: &OfbConfig,

@@ -47,13 +47,45 @@ use crate::cache::CacheState;
 use crate::catalog::FileCatalog;
 use crate::history::RequestHistory;
 use crate::optfilebundle::HistoryMode;
-use crate::select::{ord_key, rv_of, GreedyVariant, ReqState};
+use crate::select::{rv_of, GreedyVariant};
 use crate::types::{Bytes, FileId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Sentinel for "no entry" in the owner and position maps.
 const NONE: u32 = u32::MAX;
+
+/// Per-candidate hot state of the in-place kernels, packed into one
+/// 24-byte record so a refresh touches a single cache line per candidate
+/// (marginal, priority and value land together).
+#[derive(Debug, Clone, Copy, Default)]
+struct ReqState {
+    /// Current marginal size in bytes under the loaded set.
+    mb: u64,
+    /// Current adjusted relative value — the source of truth for the
+    /// argmax key.
+    rv: f64,
+    /// The candidate's value `v(r)` (cached here so the refresh does not
+    /// gather it from the history).
+    value: f64,
+}
+
+/// Converts an `f64` key into a `u64` whose *unsigned* order is exactly
+/// `f64::total_cmp`: negative values have all bits flipped, non-negative
+/// values have the sign bit set. `0` is reserved as the **absent**
+/// sentinel — it sorts below the image of every non-NaN value (only a
+/// negative NaN could map at or below `ord_key(-inf)`, and kernel keys are
+/// never NaN: values are finite and a non-positive denominator maps to
+/// `+inf`).
+#[inline]
+fn ord_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
+}
 
 /// The persistent decision state living inside `OptFileBundle`.
 ///
@@ -625,10 +657,11 @@ impl ResidentInstance {
 
     /// Runs the shared-credit greedy (plus Algorithm 1's single-request
     /// fallback) directly over the prepared resident state — the in-place
-    /// mirror of `opt_cache_select_with_scratch` on the instance the
-    /// rebuild path would have built. Returns `Some(rank)` when the single
-    /// fallback strictly beats the greedy set (the `max_of` tie-break),
-    /// `None` when the greedy selection (left in `union_fids`) wins.
+    /// mirror of [`opt_cache_select`](crate::select::opt_cache_select) on
+    /// the instance the rebuild path would have built. Returns
+    /// `Some(rank)` when the single fallback strictly beats the greedy set
+    /// (the `max_of` tie-break), `None` when the greedy selection (left in
+    /// `union_fids`) wins.
     pub fn select_fast(
         &mut self,
         history: &RequestHistory,

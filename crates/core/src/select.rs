@@ -21,28 +21,15 @@
 //!   effectively re-sorted. Never worse in solution quality on the
 //!   workloads of §5.
 //!
-//! ## The incremental shared-credit kernel
-//!
-//! The naive recompute-and-resort loop costs `O(n² · b)` for `n` requests
-//! of bundle size `b` — a full rescan of every candidate after every
-//! selection. [`greedy_shared_credit`] instead runs an *incremental greedy*:
-//! an inverted file→request adjacency built once per call (CSR layout), a
-//! dense indexed 4-ary max-heap of `(v'(r), request index)` keys, and
-//! localised marginal updates — when a selection loads file `f`, only the
-//! ≤ `d(f)` requests containing `f` can change rank, so only they are
-//! recomputed and repositioned. Because marginal adjusted sizes only shrink
-//! as files load, priorities only *increase*, so a refreshed request merely
-//! sifts up; feasibility (`marginal bytes ≤ remaining`) is checked at pop
-//! time, and an infeasible pop *parks* the request (removes it) until an
-//! adjacency refresh re-inserts it. The position map means the heap holds
-//! at most one entry per request — no stale entries, no version stamps, and
-//! the end-of-loop drain is `O(n)` pops instead of a churn of invalidated
-//! copies. Each selection costs `O(b · d · log n)` instead of `O(n · b)`,
-//! and the result is **bit-for-bit identical** to the reference loop: same
-//! selections, same order, same tie-breaking by lower index.
-//!
-//! The naive rescan loop is retained as [`greedy_shared_credit_reference`]
-//! — the one oracle the kernel is pinned against by property tests.
+//! Every variant is a plain loop over the instance: the sorted variants
+//! sort once and make one admission pass; shared credit rescans every
+//! unselected request after each selection (`O(n · b)` per selection for
+//! `n` requests of bundle size `b`). Instances are the offline solvers'
+//! (partial enumeration, the bound checks), which are small enough for
+//! [`solve_exact`](crate::exact::solve_exact). The online policy decides
+//! in place over its resident state instead ([`crate::resident`]), with
+//! the same keys and tie-breaking, so its selections equal these bit for
+//! bit.
 
 use crate::instance::{FbcInstance, Selection};
 use serde::{Deserialize, Serialize};
@@ -95,24 +82,10 @@ impl Default for SelectOptions {
 /// assert_eq!(sel.bytes, 30); // union {0,1,2}, file 0 counted once
 /// ```
 pub fn opt_cache_select(inst: &FbcInstance, opts: &SelectOptions) -> Selection {
-    let mut scratch = SelectScratch::default();
-    opt_cache_select_with_scratch(inst, opts, &mut scratch)
-}
-
-/// [`opt_cache_select`] with caller-owned reusable buffers, for callers
-/// that select over many instances in a row. Results are identical to the
-/// allocating form.
-pub fn opt_cache_select_with_scratch(
-    inst: &FbcInstance,
-    opts: &SelectOptions,
-    scratch: &mut SelectScratch,
-) -> Selection {
     let greedy = match opts.variant {
         GreedyVariant::PaperLiteral => greedy_sorted(inst, false),
         GreedyVariant::SortedOnce => greedy_sorted(inst, true),
-        GreedyVariant::SharedCredit => {
-            greedy_shared_credit_with_scratch(inst, &[], inst.capacity(), scratch)
-        }
+        GreedyVariant::SharedCredit => greedy_shared_credit(inst, &[], inst.capacity()),
     };
     if opts.max_single_fallback {
         max_of(greedy, best_single(inst))
@@ -197,243 +170,7 @@ fn greedy_sorted(inst: &FbcInstance, marginal: bool) -> Selection {
     Selection::from_chosen(inst, chosen)
 }
 
-/// A fixed-capacity bitset over dense indices (files or requests of one
-/// instance). `Vec<bool>` would work; one bit per entry keeps the whole
-/// loaded/taken state of a multi-thousand-request decision in a few cache
-/// lines.
-#[derive(Debug, Clone, Default)]
-struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// Clears and resizes to hold `n` bits, all zero.
-    fn reset(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        (self.words[i >> 6] >> (i & 63)) & 1 != 0
-    }
-}
-
-/// Per-request hot state of the shared-credit kernels, packed into one
-/// 24-byte record so a refresh touches a single cache line per request
-/// (marginal, priority and value land together). Residency does not live
-/// here: the [`BlockMax`] key itself encodes absence, selected requests
-/// are tracked in the callers' `taken` sets, and refresh deduplication
-/// stamps live in a dedicated dense epoch array — keeping the *filter*
-/// path of the refresh loop (which rejects most adjacency entries) off
-/// this comparatively large array.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReqState {
-    /// Current marginal size in bytes under the loaded set.
-    pub(crate) mb: u64,
-    /// Current adjusted relative value — the source of truth for the
-    /// argmax key.
-    pub(crate) rv: f64,
-    /// The request's value `v(r)` (cached here so the refresh does not
-    /// gather it from the request table).
-    pub(crate) value: f64,
-}
-
-/// Converts an `f64` key into a `u64` whose *unsigned* order is exactly
-/// `f64::total_cmp`: negative values have all bits flipped, non-negative
-/// values have the sign bit set. `0` is reserved as the **absent**
-/// sentinel — it sorts below the image of every non-NaN value (only a
-/// negative NaN could map at or below `ord_key(-inf)`, and kernel keys are
-/// never NaN: values are finite and a non-positive denominator maps to
-/// `+inf`).
-#[inline]
-pub(crate) fn ord_key(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Keys per block of the [`BlockMax`] index: one cache line of ordered
-/// `u64` images per block, and for the kernel's instance sizes
-/// (`n ~ 10^3..10^4`) a bound array of a few cache lines total.
-const BLOCK: usize = 64;
-
-/// A flat argmax index over the dense request indices `0..n`, replacing
-/// the d-ary heap the kernel used previously. One `u64` per request holds
-/// the [`ord_key`] image of its current `rv` — or `0` when the request is
-/// *absent* (never inserted, popped, parked or taken) — plus one maximum
-/// per [`BLOCK`]-sized block of requests.
-///
-/// The structure leans on the kernel's monotonicity invariant (asserted
-/// in the refresh loops): a resident request's key only ever increases,
-/// so an [`Self::update`] is two stores and a compare — write the key,
-/// raise the block maximum — with no sift, no position map and no
-/// per-request bookkeeping at all (insert, unpark and key-increase are
-/// the same operation; the callers' `taken` sets keep selected requests
-/// from re-entering). [`Self::pop`] removes a key and rescans just that
-/// key's block, so block maxima are *exact* at all times: a pop is one
-/// pass over the block maxima, one pass over the winning block and one
-/// repair pass — three short, branch-light scans over contiguous `u64`s
-/// (split into a pure-max pass and a find-index pass so they vectorise),
-/// never a traversal of scattered heap lines.
-///
-/// [`Self::pop`] returns the reference loop's exact argmax — maximum
-/// `total_cmp` key, ties to the lower index: the block scan takes the
-/// *first* block attaining the maximum, the key scan takes the first
-/// index attaining the block maximum, and the `u64` image order *is*
-/// `total_cmp`. Unlike a heap there is no internal arrangement, so
-/// determinism needs no argument about slot order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BlockMax {
-    /// `ord_key` image of each request's current `rv`; `0` = absent.
-    key: Vec<u64>,
-    /// Exact per-block maximum of `key`.
-    bound: Vec<u64>,
-}
-
-impl BlockMax {
-    /// Empties the index and sizes it for requests `0..n`, all absent.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.key.clear();
-        self.key.resize(n, 0);
-        self.bound.clear();
-        self.bound.resize(n.div_ceil(BLOCK), 0);
-    }
-
-    /// (Re-)activates `i` at key `rv`: insertion, unpark and key-increase
-    /// are all this one operation. The caller keeps taken requests out.
-    #[inline]
-    pub(crate) fn update(&mut self, i: u32, rv: f64) {
-        debug_assert!(!rv.is_nan(), "kernel keys are never NaN");
-        let i = i as usize;
-        let k = ord_key(rv);
-        debug_assert!(k >= self.key[i], "resident keys only increase");
-        self.key[i] = k;
-        let b = i / BLOCK;
-        if k > self.bound[b] {
-            self.bound[b] = k;
-        }
-    }
-
-    /// Removes and returns the argmax index — maximum key, ties to the
-    /// lower index — or `None` when every request is absent.
-    pub(crate) fn pop(&mut self) -> Option<u32> {
-        // Maximum over the (exact) block maxima; `0` means all absent.
-        let mut bk = 0u64;
-        for &v in &self.bound {
-            if v > bk {
-                bk = v;
-            }
-        }
-        if bk == 0 {
-            return None;
-        }
-        // First block attaining it — earlier blocks are strictly below.
-        let bb = self.bound.iter().position(|&v| v == bk).expect("present");
-        let start = bb * BLOCK;
-        let end = (start + BLOCK).min(self.key.len());
-        let block = &mut self.key[start..end];
-        // First in-block index attaining it: the global argmax.
-        let ti = block.iter().position(|&k| k == bk).expect("exact bound");
-        block[ti] = 0;
-        // Repair eagerly: keys only increase while resident, so this is
-        // the only place a block maximum can fall, and rescanning here
-        // keeps every bound exact (pops never need a retry loop).
-        let mut nb = 0u64;
-        for &k in block.iter() {
-            if k > nb {
-                nb = k;
-            }
-        }
-        self.bound[bb] = nb;
-        Some((start + ti) as u32)
-    }
-}
-
-/// Reusable buffers of the incremental shared-credit kernel. One instance
-/// per policy (or per thread) amortises every allocation of the decision
-/// path: bitsets, marginal tables and the heap are all `reset`
-/// (length-adjusted, not freed) between calls. The file→request adjacency
-/// lives on the instance ([`FbcInstance::file_request_adjacency`]), not
-/// here — it is selection-invariant.
-#[derive(Debug, Clone, Default)]
-pub struct SelectScratch {
-    /// Files already charged to the selection (local indices).
-    loaded: BitSet,
-    /// Requests already selected.
-    taken: BitSet,
-    /// Packed per-request hot state (marginal, priority, value). Entries
-    /// are *not* cleared between calls — the kernel's init pass overwrites
-    /// every record it will ever read (seeded requests in the seed loop,
-    /// the rest in the priority loop), so the length-only reset below
-    /// skips an O(n) memset per decision.
-    req: Vec<ReqState>,
-    /// Epoch stamps deduplicating refreshes within one selection step —
-    /// dense and small so the refresh filter stays in close cache.
-    touched: Vec<u32>,
-    /// The block-bounded argmax index over request indices.
-    heap: BlockMax,
-    /// Files newly loaded by the current selection step.
-    newly_loaded: Vec<u32>,
-}
-
-impl SelectScratch {
-    /// Prepares the buffers for an instance with `n` requests, `m` files.
-    fn reset(&mut self, n: usize, m: usize) {
-        self.loaded.reset(m);
-        self.taken.reset(n);
-        self.req.resize(n, ReqState::default());
-        self.touched.clear();
-        self.touched.resize(n, 0);
-        self.heap.reset(n);
-        self.newly_loaded.clear();
-    }
-}
-
-/// Marginal cost of request `i` under the current `loaded` set, computed
-/// exactly as the reference loop does (same file order, same summation
-/// order — float addition is not associative, and bit-for-bit equivalence
-/// requires recomputing rather than incrementally adjusting the sums).
-#[inline]
-fn marginal_of(inst: &FbcInstance, i: usize, loaded: &BitSet) -> (u64, f64) {
-    let mut marginal_bytes: u64 = 0;
-    let mut marginal_adjusted = 0.0;
-    for &f in inst.requests()[i].files() {
-        if !loaded.get(f as usize) {
-            marginal_bytes += inst.file_size(f);
-            marginal_adjusted += inst.adjusted_size(f);
-        }
-    }
-    (marginal_bytes, marginal_adjusted)
-}
-
-/// [`marginal_of`] over the instance's flat request CSR and fused
-/// `(s(f), s'(f))` table — the same terms summed in the same (ascending
-/// file) order, hence bit-identical, minus the dependent pointer chase
-/// through each request's own `Vec` and the second gather per file.
-#[inline]
-fn marginal_flat(files: &[u32], table: &[(u64, f64)], loaded: &BitSet) -> (u64, f64) {
-    let mut marginal_bytes: u64 = 0;
-    let mut marginal_adjusted = 0.0;
-    for &f in files {
-        if !loaded.get(f as usize) {
-            let (size, adjusted) = table[f as usize];
-            marginal_bytes += size;
-            marginal_adjusted += adjusted;
-        }
-    }
-    (marginal_bytes, marginal_adjusted)
-}
-
-/// The reference's ranking key: `v(r)` over the marginal adjusted size,
+/// The shared-credit ranking key: `v(r)` over the marginal adjusted size,
 /// `+∞` when every file is already loaded (or zero-sized) — free to take.
 /// Shared with the resident-state decision kernel (`resident.rs`), which
 /// must rank candidates with bit-identical keys.
@@ -453,194 +190,10 @@ pub(crate) fn rv_of(value: f64, marginal_adjusted: f64) -> f64 {
 ///
 /// At every step the request maximising
 /// `v(r) / Σ_{f ∈ F(r), f not loaded} s'(f)` among those whose marginal
-/// size fits is selected; requests whose files are all loaded are free and
-/// taken immediately. This is the incremental kernel described in the
-/// module docs — bit-for-bit equivalent to
-/// [`greedy_shared_credit_reference`] at `O(b · d · log n)` per selection
-/// instead of `O(n · b)`.
+/// size fits is selected, ties to the lower index; requests whose files
+/// are all loaded are free (`+∞`) and taken first. Each step rescans
+/// every unselected request: `O(n · b)` per selection.
 pub fn greedy_shared_credit(inst: &FbcInstance, seed: &[usize], capacity: u64) -> Selection {
-    let mut scratch = SelectScratch::default();
-    greedy_shared_credit_with_scratch(inst, seed, capacity, &mut scratch)
-}
-
-/// [`greedy_shared_credit`] with caller-owned reusable buffers.
-pub fn greedy_shared_credit_with_scratch(
-    inst: &FbcInstance,
-    seed: &[usize],
-    capacity: u64,
-    scratch: &mut SelectScratch,
-) -> Selection {
-    let n = inst.num_requests();
-    let m = inst.num_files();
-    scratch.reset(n, m);
-    let SelectScratch {
-        loaded,
-        taken,
-        req,
-        touched,
-        heap,
-        newly_loaded,
-    } = scratch;
-
-    let mut chosen: Vec<usize> = seed.to_vec();
-    for &i in seed {
-        taken.set(i);
-        req[i] = ReqState::default();
-        for &f in inst.requests()[i].files() {
-            loaded.set(f as usize);
-        }
-    }
-    let mut remaining = capacity;
-
-    // Inverted file→request adjacency, CSR layout — memoised on the
-    // instance (a pure function of the immutable request structure), so
-    // repeated selections over one instance skip the rebuild entirely.
-    // Ditto the flat request→file CSR and the fused per-file size table,
-    // which keep the hot refresh loop on contiguous memory.
-    let (adj_offsets, adj_requests) = inst.file_request_adjacency();
-    let (req_offsets, req_files) = inst.request_file_csr();
-    let size_table = inst.file_size_adjusted_table();
-
-    // Initial priorities for every unselected request. With no seed the
-    // loaded set is empty, so each request's marginal is its full bundle —
-    // both memoised by `FbcInstance` in the same ascending-local summation
-    // order `marginal_of` uses, hence bit-identical and free of the O(n·b)
-    // scan.
-    // `min_positive_mb` is a monotone lower bound on the marginal size of
-    // every unselected request whose marginal is positive: it is folded in
-    // whenever a positive marginal is (re)computed and never raised, so it
-    // can only under-estimate. `free_requests` exactly counts unselected
-    // requests with a zero marginal (always heap-resident: a zero marginal
-    // is always feasible, so they are never parked). Together they justify
-    // the early exit in the main loop.
-    let mut min_positive_mb: u64 = u64::MAX;
-    let mut free_requests: usize = 0;
-    if seed.is_empty() {
-        for (i, slot) in req.iter_mut().enumerate().take(n) {
-            let mb = inst.request_size(i);
-            if mb == 0 {
-                free_requests += 1;
-            } else if mb < min_positive_mb {
-                min_positive_mb = mb;
-            }
-            let value = inst.requests()[i].value;
-            let rv = rv_of(value, inst.request_adjusted_size(i));
-            *slot = ReqState { mb, rv, value };
-            heap.update(i as u32, rv);
-        }
-    } else {
-        for (i, slot) in req.iter_mut().enumerate().take(n) {
-            if taken.get(i) {
-                continue;
-            }
-            let (mb, ma) = marginal_of(inst, i, loaded);
-            if mb == 0 {
-                free_requests += 1;
-            } else if mb < min_positive_mb {
-                min_positive_mb = mb;
-            }
-            let value = inst.requests()[i].value;
-            let rv = rv_of(value, ma);
-            *slot = ReqState { mb, rv, value };
-            heap.update(i as u32, rv);
-        }
-    }
-
-    // Greedy main loop. Invariant: every unselected request is either in
-    // the argmax index at its exact current rv, or was popped while infeasible
-    // (parked) — and since `remaining` only shrinks and its marginal only
-    // changes when one of its files loads (which re-inserts it below), a
-    // parked request stays correctly excluded until then. A pop is
-    // therefore always the reference loop's argmax.
-    let mut epoch: u32 = 0;
-    loop {
-        // Early exit that skips the terminal drain: when no unselected
-        // request is free and even the smallest positive marginal ever seen
-        // exceeds `remaining`, nothing resident is feasible now — and since
-        // marginals only change when a take loads files, none ever becomes
-        // feasible. The reference loop would park every remaining entry one
-        // by one; the selection is already complete. In practice this fires
-        // just after the last take and cuts ~80% of all pops.
-        if free_requests == 0 && remaining < min_positive_mb {
-            break;
-        }
-        let Some(top) = heap.pop() else {
-            break;
-        };
-        let i = top as usize;
-        debug_assert!(!taken.get(i), "taken requests leave the index");
-        if req[i].mb > remaining {
-            continue; // parked: re-enters via adjacency refresh if ever viable
-        }
-
-        // Feasible at the top of the heap: the exact argmax.
-        if req[i].mb == 0 {
-            free_requests -= 1;
-        }
-        taken.set(i);
-        chosen.push(i);
-        newly_loaded.clear();
-        for &f in &req_files[req_offsets[i] as usize..req_offsets[i + 1] as usize] {
-            if !loaded.get(f as usize) {
-                remaining -= size_table[f as usize].0;
-                loaded.set(f as usize);
-                newly_loaded.push(f);
-            }
-        }
-
-        // Refresh exactly the requests whose marginal changed: those
-        // adjacent to a freshly loaded file. All fresh loads are already in
-        // `loaded`, so recomputed marginals are independent of refresh
-        // order. Priorities only increase (terms leave the adjusted sum),
-        // so a resident request sifts up in place; a parked one re-enters.
-        epoch += 1;
-        for &fl in newly_loaded.iter() {
-            let f = fl as usize;
-            let (start, end) = (adj_offsets[f] as usize, adj_offsets[f + 1] as usize);
-            for &jr in &adj_requests[start..end] {
-                let j = jr as usize;
-                // Filter on the dense stamp array and the taken bitset —
-                // both stay in close cache — so rejected entries (most of
-                // them) never touch the record array.
-                if touched[j] == epoch || taken.get(j) {
-                    continue;
-                }
-                touched[j] = epoch;
-                let files = &req_files[req_offsets[j] as usize..req_offsets[j + 1] as usize];
-                let (mb, ma) = marginal_flat(files, size_table, loaded);
-                if mb == 0 {
-                    if req[j].mb != 0 {
-                        free_requests += 1;
-                    }
-                } else if mb < min_positive_mb {
-                    min_positive_mb = mb;
-                }
-                req[j].mb = mb;
-                let rv = rv_of(req[j].value, ma);
-                debug_assert!(
-                    rv.total_cmp(&req[j].rv) != std::cmp::Ordering::Less,
-                    "rv must be monotone under file loads"
-                );
-                req[j].rv = rv;
-                heap.update(j as u32, rv);
-            }
-        }
-    }
-    Selection::from_chosen(inst, chosen)
-}
-
-/// The pre-incremental recompute-and-resort loop, kept verbatim as the
-/// behavioural reference for the kernel: a full `O(n · b)` rescan of every
-/// candidate per selection. Compiled for tests and, under the
-/// `reference-kernels` feature, for benchmarks (`perf_decision` measures
-/// the kernel's speedup against it). Differential property tests assert
-/// the two agree bit for bit on `chosen`, `files`, `bytes` and `value`.
-#[cfg(any(test, feature = "reference-kernels"))]
-pub fn greedy_shared_credit_reference(
-    inst: &FbcInstance,
-    seed: &[usize],
-    capacity: u64,
-) -> Selection {
     let n = inst.num_requests();
     let mut loaded = vec![false; inst.num_files()];
     let mut taken = vec![false; n];
@@ -670,12 +223,7 @@ pub fn greedy_shared_credit_reference(
             if marginal_bytes > remaining {
                 continue;
             }
-            let rv = if marginal_adjusted <= 0.0 {
-                // All files already loaded (or zero-sized): free to take.
-                f64::INFINITY
-            } else {
-                req.value / marginal_adjusted
-            };
+            let rv = rv_of(req.value, marginal_adjusted);
             let better = match best {
                 None => true,
                 Some((bi, brv)) => rv > brv || (rv == brv && i < bi),
@@ -704,7 +252,6 @@ pub fn greedy_shared_credit_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn opts(variant: GreedyVariant) -> SelectOptions {
         SelectOptions {
@@ -885,31 +432,31 @@ mod tests {
         assert_eq!(sel.chosen.len(), 2);
     }
 
-    /// Kernel ≡ reference on a hand-picked instance exercising parked
-    /// (infeasible-now, feasible-later) requests: r2 does not fit until r0
-    /// loads the shared file 0, shrinking r2's marginal below `remaining`.
+    /// A parked request (infeasible now, feasible later): r2 does not fit
+    /// until r0 loads the shared file 0, after which it is free.
     #[test]
-    fn kernel_unparks_requests_when_shared_files_load() {
+    fn shared_credit_takes_requests_freed_by_shared_files() {
         let inst = FbcInstance::new(
             10,
             vec![6, 4, 5],
             vec![
                 (vec![0, 1], 10.0), // loads {0,1}, remaining 0
-                (vec![0, 2], 9.0),  // infeasible until f0 loads — then still 5 > 0
+                (vec![0, 2], 9.0),  // marginal 5 > 0 even after f0 loads
                 (vec![0], 1.0),     // free once f0 is loaded
             ],
         )
         .unwrap();
-        let a = greedy_shared_credit(&inst, &[], inst.capacity());
-        let b = greedy_shared_credit_reference(&inst, &[], inst.capacity());
-        assert_eq!(a, b);
-        assert_eq!(a.chosen, vec![0, 2]); // r2 taken free after r0
+        let sel = greedy_shared_credit(&inst, &[], inst.capacity());
+        assert_eq!(sel.chosen, vec![0, 2]);
+        assert_eq!(sel.bytes, 10);
     }
 
-    /// Exhaustive differential sweep with a deterministic generator,
-    /// covering seeds (partial enumeration's entry point) as well.
+    /// Seeded runs (partial enumeration's entry point) on random instances:
+    /// the seed leads the selection, the union fits the seed's bytes plus
+    /// `capacity`, and the greedy is maximal — no unselected request's
+    /// marginal size fits what is left.
     #[test]
-    fn kernel_matches_reference_on_random_instances_with_seeds() {
+    fn seeded_shared_credit_is_feasible_and_maximal() {
         let mut state = 0xC0FFEE_u64;
         let mut next = move || {
             state ^= state << 13;
@@ -917,7 +464,6 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut scratch = SelectScratch::default();
         for round in 0..200 {
             let m = (next() % 12 + 1) as usize;
             let sizes: Vec<u64> = (0..m).map(|_| next() % 30).collect();
@@ -942,92 +488,13 @@ mod tests {
             if seed_bytes > cap {
                 continue;
             }
-            let capacity = cap - seed_bytes;
-            let fast = greedy_shared_credit_with_scratch(&inst, &seed, capacity, &mut scratch);
-            let slow = greedy_shared_credit_reference(&inst, &seed, capacity);
-            assert_eq!(fast.chosen, slow.chosen, "round {round}");
-            assert_eq!(fast.files, slow.files, "round {round}");
-            assert_eq!(fast.bytes, slow.bytes, "round {round}");
-            assert_eq!(
-                fast.value.to_bits(),
-                slow.value.to_bits(),
-                "round {round}: value not bit-identical"
-            );
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Differential property test: the incremental kernel is
-        /// bit-for-bit equivalent to the reference loop on arbitrary
-        /// instances — same chosen order, file union, bytes, and value.
-        #[test]
-        fn prop_shared_credit_kernel_equals_reference(
-            sizes in proptest::collection::vec(0u64..60, 1..14),
-            raw in proptest::collection::vec(
-                (proptest::collection::vec(0usize..64, 1..6), 0u64..50),
-                1..20,
-            ),
-            cap in 0u64..300,
-        ) {
-            let m = sizes.len();
-            let reqs: Vec<(Vec<u32>, f64)> = raw
-                .into_iter()
-                .map(|(files, v)| {
-                    (files.into_iter().map(|f| (f % m) as u32).collect(), v as f64)
-                })
-                .collect();
-            let inst = FbcInstance::new(cap, sizes, reqs).unwrap();
-            let fast = greedy_shared_credit(&inst, &[], inst.capacity());
-            let slow = greedy_shared_credit_reference(&inst, &[], inst.capacity());
-            prop_assert_eq!(&fast.chosen, &slow.chosen);
-            prop_assert_eq!(&fast.files, &slow.files);
-            prop_assert_eq!(fast.bytes, slow.bytes);
-            prop_assert_eq!(fast.value.to_bits(), slow.value.to_bits());
-        }
-
-        /// All three variants through the public entry point agree with a
-        /// reference-kernel composition of the same options, and scratch
-        /// reuse across calls never leaks state between decisions.
-        #[test]
-        fn prop_opt_cache_select_with_scratch_is_pure(
-            sizes in proptest::collection::vec(1u64..40, 1..10),
-            raw in proptest::collection::vec(
-                (proptest::collection::vec(0usize..32, 1..5), 0u64..30),
-                1..12,
-            ),
-            cap in 0u64..150,
-        ) {
-            let m = sizes.len();
-            let reqs: Vec<(Vec<u32>, f64)> = raw
-                .into_iter()
-                .map(|(files, v)| {
-                    (files.into_iter().map(|f| (f % m) as u32).collect(), v as f64)
-                })
-                .collect();
-            let inst = FbcInstance::new(cap, sizes, reqs).unwrap();
-            let mut scratch = SelectScratch::default();
-            for variant in [
-                GreedyVariant::PaperLiteral,
-                GreedyVariant::SortedOnce,
-                GreedyVariant::SharedCredit,
-            ] {
-                let o = opts(variant);
-                let fresh = opt_cache_select(&inst, &o);
-                // Run twice through the same scratch: both must equal the
-                // fresh-allocation result exactly.
-                let first = opt_cache_select_with_scratch(&inst, &o, &mut scratch);
-                let second = opt_cache_select_with_scratch(&inst, &o, &mut scratch);
-                prop_assert_eq!(&first, &fresh);
-                prop_assert_eq!(&second, &fresh);
-                if variant == GreedyVariant::SharedCredit {
-                    let reference = {
-                        let g = greedy_shared_credit_reference(&inst, &[], inst.capacity());
-                        if o.max_single_fallback { max_of(g, best_single(&inst)) } else { g }
-                    };
-                    prop_assert_eq!(&first, &reference);
-                }
+            let sel = greedy_shared_credit(&inst, &seed, cap - seed_bytes);
+            assert_eq!(sel.chosen[..seed.len()], seed[..], "round {round}");
+            assert!(inst.is_feasible(&sel.chosen), "round {round}");
+            for i in (0..n).filter(|i| !sel.chosen.contains(i)) {
+                let mut with = sel.chosen.clone();
+                with.push(i);
+                assert!(!inst.is_feasible(&with), "round {round}: r{i} still fits");
             }
         }
     }

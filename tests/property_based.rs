@@ -177,3 +177,136 @@ proptest! {
         }
     }
 }
+
+/// Bytes the text formats are made of, so edits often stay near-valid.
+const FORMAT_BYTES: &[u8] = b"0123456789-+.,;:=* \n#eEinfaNsdrvkltpo";
+
+/// One random byte edit: overwrite, insert before, or delete the byte at
+/// `pos % len`. Half the bytes come from [`FORMAT_BYTES`], half from the
+/// whole `u8` range.
+fn apply_edit(input: &mut Vec<u8>, (pos, kind, byte): (usize, u8, u8)) {
+    let byte = if byte & 1 == 0 {
+        FORMAT_BYTES[(byte >> 1) as usize % FORMAT_BYTES.len()]
+    } else {
+        byte
+    };
+    let at = pos % (input.len() + 1);
+    match kind % 3 {
+        0 if at < input.len() => input[at] = byte,
+        2 if at < input.len() => {
+            input.remove(at);
+        }
+        _ => input.insert(at, byte),
+    }
+}
+
+/// The hostile variants of a valid input: a prefix of it, the input with
+/// `edits` applied, and a prefix of the edited input.
+fn hostile_variants(valid: &[u8], edits: &[(usize, u8, u8)], cut: usize) -> [Vec<u8>; 3] {
+    let mut edited = valid.to_vec();
+    for &e in edits {
+        apply_edit(&mut edited, e);
+    }
+    let edited_prefix = edited[..cut % (edited.len() + 1)].to_vec();
+    [
+        valid[..cut % (valid.len() + 1)].to_vec(),
+        edited,
+        edited_prefix,
+    ]
+}
+
+/// Strategy: an index into a list of valid inputs, up to five byte edits
+/// and a cut point.
+fn hostile(valid: usize) -> impl Strategy<Value = (usize, Vec<(usize, u8, u8)>, usize)> {
+    (
+        0..valid,
+        proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u8>()), 0..=5),
+        any::<usize>(),
+    )
+}
+
+const FAULT_SPECS: &[&str] = &[
+    "preset:tape-outage",
+    "preset:flaky-wan",
+    "preset:blackout",
+    "drive=0,60,300;transient=0.01;seed=7",
+    "drive=*,0,inf;link-down=5,10;seed=3",
+    "link-slow=0,600,0.5;transient=0.02;seed=1",
+    "seed=99",
+];
+
+/// Valid history files: `Count` and `Decay` histories over a 12-file
+/// catalog, written with `write_to`.
+fn valid_histories() -> (FileCatalog, Vec<Vec<u8>>) {
+    let catalog = FileCatalog::from_sizes((1..=12).collect());
+    let histories = [ValueFn::Count, ValueFn::Decay { half_life: 40.0 }].map(|value_fn| {
+        let mut h = RequestHistory::with_value_fn(value_fn);
+        for i in 0..30u32 {
+            h.record(&Bundle::from_raw([i % 12, (i * 5 + 1) % 12, (i * 7) % 12]));
+        }
+        let mut buf = Vec::new();
+        h.write_to(&mut buf).unwrap();
+        buf
+    });
+    (catalog, histories.to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile fault specs: edits and prefixes of valid specs parse to a
+    /// plan or an error, never a panic, and every plan they parse to is
+    /// valid.
+    #[test]
+    fn fault_spec_mutations_never_panic((i, edits, cut) in hostile(FAULT_SPECS.len())) {
+        for input in hostile_variants(FAULT_SPECS[i].as_bytes(), &edits, cut) {
+            let spec = String::from_utf8_lossy(&input);
+            if let Ok(plan) = file_bundle_cache::grid::faults::FaultPlan::parse(&spec) {
+                prop_assert!(plan.validate().is_ok(), "{spec:?} parsed to an invalid plan");
+            }
+        }
+    }
+
+    /// Hostile shard routing labels: only the exact labels parse.
+    #[test]
+    fn shard_by_mutations_never_panic((i, edits, cut) in hostile(2)) {
+        use file_bundle_cache::grid::shard::ShardBy;
+        let labels = [ShardBy::File, ShardBy::Bundle];
+        for input in hostile_variants(labels[i].label().as_bytes(), &edits, cut) {
+            let label = String::from_utf8_lossy(&input);
+            if let Some(by) = ShardBy::parse(&label) {
+                prop_assert_eq!(by.label(), &*label);
+            }
+        }
+    }
+
+    /// Hostile history files: edits and prefixes of valid histories load
+    /// or fail with an error, never a panic, and a history that loads can
+    /// warm-start `OptFileBundle` and decide.
+    #[test]
+    fn history_mutations_never_panic((i, edits, cut) in hostile(2)) {
+        let (catalog, histories) = valid_histories();
+        for input in hostile_variants(&histories[i], &edits, cut) {
+            if let Ok(h) = RequestHistory::read_from(&input[..], &catalog) {
+                let mut policy = OptFileBundle::with_history(OfbConfig::default(), h);
+                let mut cache = CacheState::new(10);
+                for b in [[0, 1, 2], [3, 4, 5], [0, 6, 11]] {
+                    policy.handle(&Bundle::from_raw(b), &mut cache, &catalog);
+                }
+            }
+        }
+    }
+
+    /// Hostile trace files: edits and prefixes of a valid trace load or
+    /// fail with an error, never a panic.
+    #[test]
+    fn trace_mutations_never_panic((_, edits, cut) in hostile(1)) {
+        let catalog = FileCatalog::from_sizes(vec![5, 9, 2, 7]);
+        let requests = [[0, 1], [2, 3], [1, 3]].map(Bundle::from_raw).to_vec();
+        let mut valid = Vec::new();
+        Trace::new(catalog, requests).write_to(&mut valid).unwrap();
+        for input in hostile_variants(&valid, &edits, cut) {
+            let _ = Trace::read_from(&input[..]);
+        }
+    }
+}
