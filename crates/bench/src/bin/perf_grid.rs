@@ -12,8 +12,8 @@
 //! * **hit** — all jobs cycle through a small pool of distinct bundles
 //!   over a catalog that fits in cache whole, so after a brief cold phase
 //!   every request is a full-cache hit and the event loop spends its time
-//!   on the batched `contains_all` check the dense slab/bitset
-//!   `CacheState` serves.
+//!   on the `contains_all` check the dense slab/bitset `CacheState`
+//!   serves.
 //! * **decision** — random triples over a catalog modestly larger than
 //!   the cache. Most distinct bundles of the history stay cache-supported,
 //!   so every replacement decision ranks a candidate set that keeps

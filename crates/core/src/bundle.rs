@@ -6,11 +6,14 @@
 //! hash key of the request history. Bundles are canonicalised (sorted,
 //! deduplicated) at construction and stored in a shared `Arc<[FileId]>`, so
 //! cloning a bundle — which happens on every history update — is a refcount
-//! bump, not an allocation.
+//! bump, not an allocation. A [`BundleInterner`] extends the sharing to a
+//! whole trace: one allocation per distinct bundle, not per request.
 
 use crate::catalog::FileCatalog;
 use crate::types::{Bytes, FileId};
+use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -98,6 +101,55 @@ impl Bundle {
             }
         }
         false
+    }
+}
+
+/// A bundle hashes and compares as its canonical file list, so a set of
+/// bundles can be probed with a plain slice.
+impl Borrow<[FileId]> for Bundle {
+    fn borrow(&self) -> &[FileId] {
+        &self.files
+    }
+}
+
+/// Hands out one shared [`Bundle`] per distinct file set: equal requests
+/// share one allocation.
+#[derive(Debug, Default)]
+pub struct BundleInterner {
+    bundles: FxHashSet<Bundle>,
+}
+
+impl BundleInterner {
+    /// An empty interner.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The bundle of the files in `ids`. Canonicalises `ids` in place
+    /// (sort, dedup) and probes with it, so a repeated file set costs no
+    /// allocation, only a refcount bump.
+    ///
+    /// ```
+    /// use fbc_core::bundle::BundleInterner;
+    /// use fbc_core::types::FileId;
+    ///
+    /// let mut interner = BundleInterner::new();
+    /// let a = interner.intern(&mut vec![FileId(2), FileId(0), FileId(2)]);
+    /// let b = interner.intern(&mut vec![FileId(0), FileId(2)]);
+    /// assert_eq!(a, b);
+    /// assert!(std::ptr::eq(a.files().as_ptr(), b.files().as_ptr()));
+    /// ```
+    pub fn intern(&mut self, ids: &mut Vec<FileId>) -> Bundle {
+        ids.sort_unstable();
+        ids.dedup();
+        if let Some(bundle) = self.bundles.get(ids.as_slice()) {
+            return bundle.clone();
+        }
+        let bundle = Bundle {
+            files: ids.as_slice().into(),
+        };
+        self.bundles.insert(bundle.clone());
+        bundle
     }
 }
 

@@ -660,8 +660,6 @@ impl OptFileBundle {
     /// amortizes is the per-call overhead around the pipeline: one virtual
     /// dispatch and one obs-enabled check for the whole run instead of one
     /// per arrival, with the decision scratch staying hot across the run.
-    /// The caller (the grid arrival loop) additionally hoists its own
-    /// per-job bookkeeping out of the loop.
     pub fn decide_retained_batch(
         &mut self,
         bundles: &[&Bundle],

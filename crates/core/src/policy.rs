@@ -151,8 +151,7 @@ pub trait CachePolicy {
     /// The default does exactly that. Policies override it to amortise
     /// per-call overhead (dispatch, observability checks, scratch warm-up)
     /// across the run, never to change outcomes; a driver with a backlog
-    /// (the grid arrival loop) calls this instead of looping `handle`
-    /// itself.
+    /// may call this instead of looping `handle` itself.
     fn handle_batch(
         &mut self,
         bundles: &[&Bundle],

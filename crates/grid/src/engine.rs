@@ -92,10 +92,10 @@ enum Event {
     ProcessDone(usize),
 }
 
-/// Per-job engine state, one per arrival: kept at 32 bytes.
-#[derive(Debug, Clone)]
+/// Per-job engine state, one per arrival: kept at 24 bytes. The arrival
+/// time is read from the job's [`JobArrival`].
+#[derive(Debug, Clone, Default)]
 struct JobState {
-    arrival: SimTime,
     fetched_bytes: u64,
     requested_bytes: u64,
     /// Fetch attempts issued so far (including the one in flight).
@@ -203,10 +203,6 @@ struct Grid<'a> {
     link: Link,
     faults: Option<FaultInjector>,
     jobs: Vec<JobState>,
-    // Scratch for the batched-hit fast path: reused across drains so a
-    // busy steady state allocates nothing per event.
-    hit_batch: Vec<&'a Bundle>,
-    hit_out: Vec<RequestOutcome>,
 }
 
 impl<'a> Grid<'a> {
@@ -309,46 +305,6 @@ impl<'a> Grid<'a> {
         let max_concurrent = self.config.srm.max_concurrent_jobs;
         while node.in_service < max_concurrent {
             let Some(&i) = node.queue.front() else { break };
-            // Batched fast path: a maximal front run of fully-resident jobs
-            // is admitted through one `handle_batch` call. Hits mutate
-            // nothing but the request history — no eviction, no fetch — so
-            // the `supports` precheck cannot be invalidated mid-run, and
-            // deferring the pins to after the batch changes nothing (pins
-            // only gate evictions, which hits never attempt). Bit-identical
-            // to the per-job loop by the `handle_batch` contract.
-            let slots_free = max_concurrent - node.in_service;
-            let run_len = node
-                .queue
-                .iter()
-                .take(slots_free)
-                .take_while(|&&j| node.cache.contains_all(&arrivals[j].bundle))
-                .count();
-            if run_len >= 2 {
-                self.hit_batch.clear();
-                self.hit_batch.extend(
-                    node.queue
-                        .iter()
-                        .take(run_len)
-                        .map(|&j| &arrivals[j].bundle),
-                );
-                let mut hit_out = std::mem::take(&mut self.hit_out);
-                hit_out.clear();
-                node.policy.handle_batch(
-                    &self.hit_batch,
-                    &mut node.cache,
-                    self.catalog,
-                    &mut hit_out,
-                );
-                debug_assert!(node.cache.check_invariants());
-                for outcome in hit_out.iter().take(run_len) {
-                    let j = node.queue.pop_front().expect("run length bounded by queue");
-                    debug_assert!(outcome.hit && outcome.serviced);
-                    node.stats.cache.record(outcome);
-                    self.admit(node, j, outcome, now);
-                }
-                self.hit_out = hit_out;
-                continue;
-            }
             let mut outcome =
                 node.policy
                     .handle(&arrivals[i].bundle, &mut node.cache, self.catalog);
@@ -421,6 +377,10 @@ fn simulate(
 ) -> (Vec<GridStats>, Vec<u64>) {
     assert!(!policies.is_empty(), "need at least one SRM node");
     assert!(
+        arrivals.windows(2).all(|w| w[0].at <= w[1].at),
+        "arrivals must be sorted by arrival time"
+    );
+    assert!(
         policies.len() <= usize::from(u16::MAX),
         "at most {} SRM nodes",
         u16::MAX
@@ -448,10 +408,6 @@ fn simulate(
         })
         .collect();
 
-    let mut events: EventQueue<Event> = EventQueue::new();
-    for (i, a) in arrivals.iter().enumerate() {
-        events.schedule(a.at, Event::Arrival(i));
-    }
     let storage = match opts.placement {
         None => Storage::Mss(MassStorage::new(config.mss)),
         Some(placement) => Storage::Replicated {
@@ -467,29 +423,23 @@ fn simulate(
         catalog,
         arrivals,
         obs,
-        events,
+        events: EventQueue::new(),
         storage,
         link: Link::new(config.link),
         faults: opts.plan.map(|p| FaultInjector::new(p, config.mss.drives)),
-        jobs: arrivals
-            .iter()
-            .map(|a| JobState {
-                arrival: a.at,
-                fetched_bytes: 0,
-                requested_bytes: 0,
-                attempts: 0,
-                node: 0,
-                streamed: false,
-            })
-            .collect(),
-        hit_batch: Vec::new(),
-        hit_out: Vec::new(),
+        jobs: vec![JobState::default(); arrivals.len()],
     };
     let mut routed = vec![0u64; nodes.len()];
     let mut rr_next = 0usize;
     let mut last_completion = SimTime::ZERO;
+    // Arrivals stream past the heap, which holds only in-flight events.
+    let mut pending = arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (a.at, Event::Arrival(i)))
+        .peekable();
 
-    while let Some((now, event)) = grid.events.pop() {
+    while let Some((now, event)) = grid.events.pop_merged(&mut pending) {
         obs.set_now(now.micros());
         // The job whose node may start queued work after this event.
         let i = match event {
@@ -558,7 +508,7 @@ fn simulate(
                 let job = &grid.jobs[i];
                 let node = &mut nodes[job.node as usize];
                 release(node, job, &arrivals[i].bundle);
-                let response = now.since(job.arrival);
+                let response = now.since(arrivals[i].at);
                 node.stats.completed += 1;
                 node.stats.responses.record(response);
                 last_completion = last_completion.max(now);
@@ -597,6 +547,9 @@ fn simulate(
 ///
 /// `arrivals` must be sorted by arrival time (as produced by
 /// [`crate::client::schedule_arrivals`]).
+///
+/// # Panics
+/// Panics if `arrivals` is not sorted by arrival time.
 pub fn run_grid(
     policy: &mut dyn CachePolicy,
     catalog: &FileCatalog,
@@ -645,7 +598,8 @@ pub fn run_grid_observed(
 /// and default options this is [`run_grid`].
 ///
 /// # Panics
-/// Panics if `policies` is empty.
+/// Panics if `policies` is empty or `arrivals` is not sorted by arrival
+/// time.
 pub fn run_grid_nodes(
     policies: &mut [&mut dyn CachePolicy],
     catalog: &FileCatalog,
@@ -709,8 +663,19 @@ mod tests {
     }
 
     #[test]
-    fn job_state_stays_32_bytes() {
-        assert_eq!(std::mem::size_of::<JobState>(), 32);
+    fn job_state_stays_24_bytes() {
+        assert_eq!(std::mem::size_of::<JobState>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be sorted by arrival time")]
+    fn unsorted_arrivals_panic() {
+        let catalog = FileCatalog::from_sizes(vec![1_000_000; 2]);
+        let gap = SimDuration::from_secs(1);
+        let mut arrivals = schedule_arrivals(&[b(&[0]), b(&[1])], ArrivalProcess::Uniform { gap });
+        arrivals.reverse();
+        let mut policy = OptFileBundle::new();
+        run_grid(&mut policy, &catalog, &arrivals, &quick_config(4_000_000));
     }
 
     #[test]

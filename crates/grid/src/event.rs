@@ -1,10 +1,15 @@
 //! The discrete-event queue: a time-ordered heap of events with FIFO
 //! tie-breaking (events scheduled at the same instant fire in scheduling
 //! order, which keeps the simulation deterministic).
+//!
+//! A stream of events already sorted by time (a trace's arrivals) need not
+//! enter the heap at all: [`EventQueue::pop_merged`] merges it with the
+//! heap, so the heap holds only the events scheduled while draining.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::iter::Peekable;
 
 /// An event scheduled in virtual time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,14 +87,35 @@ impl<E: Eq> EventQueue<E> {
         })
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    /// Pops the earlier of the heap's next event and the head of
+    /// `external`, a stream sorted by time, advancing the clock to it.
+    ///
+    /// On a tie the external event fires first. This is the order the
+    /// heap itself gives when the whole stream is scheduled before any
+    /// other event: the stream then holds the lowest sequence numbers.
+    ///
+    /// # Panics
+    /// Panics if the stream's head lies in the past (the stream is not
+    /// sorted).
+    pub fn pop_merged<I>(&mut self, external: &mut Peekable<I>) -> Option<(SimTime, E)>
+    where
+        I: Iterator<Item = (SimTime, E)>,
+    {
+        let take_external = match (external.peek(), self.heap.peek()) {
+            (Some(&(at, _)), Some(next)) => at <= next.at,
+            (head, _) => head.is_some(),
+        };
+        if !take_external {
+            return self.pop();
+        }
+        let (at, event) = external.next()?;
+        assert!(
+            at >= self.now,
+            "external event in the past ({at:?} < {:?})",
+            self.now
+        );
+        self.now = at;
+        Some((at, event))
     }
 }
 
@@ -141,10 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn len_and_empty() {
+    #[should_panic(expected = "external event in the past")]
+    fn unsorted_stream_panics() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(SimTime(1), ());
-        assert_eq!(q.len(), 1);
+        let mut stream = [(SimTime(5), ()), (SimTime(3), ())].into_iter().peekable();
+        while q.pop_merged(&mut stream).is_some() {}
     }
 }

@@ -6,6 +6,32 @@ use fbc_grid::network::{Link, LinkConfig};
 use fbc_grid::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ev {
+    External(usize),
+    Internal(usize),
+}
+
+/// Drains `q`, taking each event from `next`. The `n`th pop schedules an
+/// internal event `delays[n % len]` later if that is below 6, up to 200 of
+/// them.
+fn drain(
+    q: &mut EventQueue<Ev>,
+    delays: &[u64],
+    mut next: impl FnMut(&mut EventQueue<Ev>) -> Option<(SimTime, Ev)>,
+) -> Vec<(SimTime, Ev)> {
+    let mut popped = Vec::new();
+    while let Some((at, ev)) = next(q) {
+        let n = popped.len();
+        let d = delays[n % delays.len()];
+        if d < 6 && n < 200 {
+            q.schedule(at + SimDuration(d), Ev::Internal(n));
+        }
+        popped.push((at, ev));
+    }
+    popped
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -29,6 +55,31 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1);
             }
         }
+    }
+
+    /// Merging a sorted external stream past the heap pops the same
+    /// sequence as scheduling the whole stream first, with internal events
+    /// scheduled during the drain (ties included). `batch` puts every
+    /// external event at time zero, as a batch arrival does.
+    #[test]
+    fn merged_stream_pops_like_one_heap(
+        mut times in proptest::collection::vec(0u64..20, 0..40),
+        batch: bool,
+        delays in proptest::collection::vec(0u64..9, 1..16),
+    ) {
+        if batch {
+            times.iter_mut().for_each(|t| *t = 0);
+        }
+        times.sort_unstable();
+        let externals = || times.iter().enumerate().map(|(i, &t)| (SimTime(t), Ev::External(i)));
+        let mut one_heap = EventQueue::new();
+        for (at, ev) in externals() {
+            one_heap.schedule(at, ev);
+        }
+        let expected = drain(&mut one_heap, &delays, |q| q.pop());
+        let mut stream = externals().peekable();
+        let merged = drain(&mut EventQueue::new(), &delays, |q| q.pop_merged(&mut stream));
+        prop_assert_eq!(merged, expected);
     }
 
     /// Link transfers never complete before `now + latency + bytes/bw` and

@@ -16,7 +16,7 @@
 //! 1
 //! ```
 
-use fbc_core::bundle::Bundle;
+use fbc_core::bundle::{Bundle, BundleInterner};
 use fbc_core::catalog::FileCatalog;
 use fbc_core::types::FileId;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -78,51 +78,36 @@ impl Trace {
     }
 
     /// Reads a trace in the v1 text format.
+    ///
+    /// Requests with the same file set share one [`Bundle`]: memory grows
+    /// with the distinct bundles, not with the trace length.
     pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
-        let mut lines = BufReader::new(r).lines();
-        let mut next_line = || -> io::Result<String> {
-            loop {
-                match lines.next() {
-                    None => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "truncated trace",
-                        ))
-                    }
-                    Some(line) => {
-                        let line = line?;
-                        let trimmed = line.trim();
-                        if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                            return Ok(trimmed.to_string());
-                        }
-                    }
-                }
-            }
-        };
+        let mut lines = DataLines::new(r);
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
 
-        let header = next_line()?;
-        let n_files: usize = header
+        let n_files: usize = lines
+            .next()?
             .strip_prefix("files ")
             .ok_or_else(|| bad("expected 'files <n>'"))?
             .parse()
             .map_err(|_| bad("bad file count"))?;
         let mut catalog = FileCatalog::with_capacity(n_files.min(MAX_PREALLOC));
         for _ in 0..n_files {
-            let size: u64 = next_line()?.parse().map_err(|_| bad("bad file size"))?;
+            let size: u64 = lines.next()?.parse().map_err(|_| bad("bad file size"))?;
             catalog.add_file(size);
         }
-        let header = next_line()?;
-        let n_requests: usize = header
+        let n_requests: usize = lines
+            .next()?
             .strip_prefix("requests ")
             .ok_or_else(|| bad("expected 'requests <n>'"))?
             .parse()
             .map_err(|_| bad("bad request count"))?;
         let mut requests = Vec::with_capacity(n_requests.min(MAX_PREALLOC));
+        let mut interner = BundleInterner::new();
+        let mut ids = Vec::new();
         for _ in 0..n_requests {
-            let line = next_line()?;
-            let mut ids = Vec::new();
-            for token in line.split_whitespace() {
+            ids.clear();
+            for token in lines.next()?.split_whitespace() {
                 let id: u32 = token.parse().map_err(|_| bad("bad file id"))?;
                 if id as usize >= catalog.len() {
                     return Err(bad("request references unknown file"));
@@ -132,7 +117,7 @@ impl Trace {
             if ids.is_empty() {
                 return Err(bad("empty request"));
             }
-            requests.push(Bundle::new(ids));
+            requests.push(interner.intern(&mut ids));
         }
         Ok(Self { catalog, requests })
     }
@@ -145,6 +130,39 @@ impl Trace {
     /// Loads a trace from a file.
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         Self::read_from(std::fs::File::open(path)?)
+    }
+}
+
+/// The data lines of a trace, read through one reused buffer: trimmed,
+/// with blank and `#` comment lines skipped.
+struct DataLines<R> {
+    reader: BufReader<R>,
+    buf: String,
+}
+
+impl<R: Read> DataLines<R> {
+    fn new(r: R) -> Self {
+        Self {
+            reader: BufReader::new(r),
+            buf: String::new(),
+        }
+    }
+
+    /// The next data line; running out of input is a truncated trace.
+    fn next(&mut self) -> io::Result<&str> {
+        loop {
+            self.buf.clear();
+            if self.reader.read_line(&mut self.buf)? == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "truncated trace",
+                ));
+            }
+            let line = self.buf.trim();
+            if !line.is_empty() && !line.starts_with('#') {
+                return Ok(self.buf.trim());
+            }
+        }
     }
 }
 
@@ -170,6 +188,28 @@ mod tests {
         t.write_to(&mut buf).unwrap();
         let back = Trace::read_from(&buf[..]).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn equal_file_sets_share_one_interned_bundle() {
+        let text = "files 3\n1\n2\n3\nrequests 3\n2 0 2\n0 2\n1\n";
+        let t = Trace::read_from(text.as_bytes()).unwrap();
+        assert_eq!(t.requests[0], Bundle::from_raw([0, 2]));
+        assert_eq!(t.requests[0], t.requests[1]);
+        let shared = |a: &Bundle, b: &Bundle| std::ptr::eq(a.files().as_ptr(), b.files().as_ptr());
+        assert!(shared(&t.requests[0], &t.requests[1]));
+        assert!(!shared(&t.requests[0], &t.requests[2]));
+    }
+
+    #[test]
+    fn repeated_bundles_roundtrip() {
+        let catalog = FileCatalog::from_sizes(vec![10, 20, 30]);
+        let pool = [Bundle::from_raw([0, 2]), Bundle::from_raw([1])];
+        let requests = [0, 1, 0, 0, 1].iter().map(|&k| pool[k].clone()).collect();
+        let t = Trace::new(catalog, requests);
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).unwrap();
+        assert_eq!(Trace::read_from(&buf[..]).unwrap(), t);
     }
 
     #[test]
