@@ -2,8 +2,8 @@
 //!
 //! GDSF ranks each resident file by `H(f) = L + freq(f) · cost(f) / size(f)`
 //! where `L` is an inflation value updated to the `H` of the last victim.
-//! With `cost(f) = size(f)` (cost proportional to bytes re-fetched, the
-//! natural model for a data-grid), `H(f) = L + freq(f)` — frequency with
+//! Here `cost(f) = size(f)` (cost proportional to bytes re-fetched, the
+//! natural model for a data-grid), so `H(f) = L + freq(f)` — frequency with
 //! aging. GDSF is the strongest of the classic web-caching heuristics and a
 //! natural additional comparator beyond the paper's Landlord.
 //!
@@ -24,21 +24,10 @@ use rustc_hash::FxHashMap;
 
 use crate::util::{Indexed, KeyedPolicy, LazyHeap, OrdF64};
 
-/// How GDSF computes per-file cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GdsfCost {
-    /// `cost(f) = size(f)` — H reduces to `L + freq` (byte-miss oriented).
-    #[default]
-    SizeProportional,
-    /// `cost(f) = 1` — H = `L + freq/size` (favours small files).
-    Uniform,
-}
-
 /// GDSF's key and bookkeeping: frequencies, stored H values and the
 /// inflation value `L`.
 #[derive(Debug, Clone, Default)]
 pub struct GdsfKeys {
-    cost: GdsfCost,
     freq: FxHashMap<FileId, u64>,
     h: FxHashMap<FileId, f64>,
     /// Inflation value L.
@@ -46,13 +35,9 @@ pub struct GdsfKeys {
 }
 
 impl GdsfKeys {
-    /// `L + freq · cost / size` with the current `L`.
-    fn h_value(&self, f: FileId, size: u64) -> f64 {
-        let freq = self.freq.get(&f).copied().unwrap_or(0) as f64;
-        match self.cost {
-            GdsfCost::SizeProportional => self.l + freq,
-            GdsfCost::Uniform => self.l + freq / size.max(1) as f64,
-        }
+    /// `L + freq` with the current `L`.
+    fn h_value(&self, f: FileId) -> f64 {
+        self.l + self.freq.get(&f).copied().unwrap_or(0) as f64
     }
 }
 
@@ -61,20 +46,17 @@ impl KeyedPolicy for GdsfKeys {
     type Index = LazyHeap<OrdF64>;
 
     fn name(&self) -> &str {
-        match self.cost {
-            GdsfCost::SizeProportional => "GDSF",
-            GdsfCost::Uniform => "GDSF(uniform-cost)",
-        }
+        "GDSF"
     }
 
     /// The stored H, or — for a resident with none (after a reset against
     /// a warm cache) — H computed with the current `L`.
-    fn victim_key(&self, file: FileId, size: Bytes) -> OrdF64 {
+    fn victim_key(&self, file: FileId, _size: Bytes) -> OrdF64 {
         OrdF64(
             self.h
                 .get(&file)
                 .copied()
-                .unwrap_or_else(|| self.h_value(file, size)),
+                .unwrap_or_else(|| self.h_value(file)),
         )
     }
 
@@ -109,7 +91,7 @@ impl KeyedPolicy for GdsfKeys {
         if outcome.serviced {
             for f in bundle.iter() {
                 *self.freq.entry(f).or_insert(0) += 1;
-                let h = self.h_value(f, catalog.size(f));
+                let h = self.h_value(f);
                 self.h.insert(f, h);
                 touched.push(f);
             }
@@ -130,14 +112,6 @@ impl Gdsf {
     /// GDSF with size-proportional cost.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// GDSF with an explicit cost model.
-    pub fn with_cost(cost: GdsfCost) -> Self {
-        Indexed::with_policy(GdsfKeys {
-            cost,
-            ..GdsfKeys::default()
-        })
     }
 
     /// Current inflation value `L` (diagnostics).
@@ -199,20 +173,6 @@ mod tests {
         }
         // f0 must eventually have been evicted despite its high frequency.
         assert!(!cache.contains(FileId(0)));
-    }
-
-    #[test]
-    fn uniform_cost_prefers_keeping_small_files() {
-        let catalog = FileCatalog::from_sizes(vec![10, 1, 10]);
-        let mut cache = CacheState::new(11);
-        let mut g = Gdsf::with_cost(GdsfCost::Uniform);
-        g.handle(&b(&[0]), &mut cache, &catalog); // H = 1/10
-        g.handle(&b(&[1]), &mut cache, &catalog); // H = 1/1
-                                                  // Request f2 (10 bytes): evicting f0 alone frees enough; f0 has the
-                                                  // lower H.
-        let out = g.handle(&b(&[2]), &mut cache, &catalog);
-        assert_eq!(out.evicted_files, vec![FileId(0)]);
-        assert!(cache.contains(FileId(1)));
     }
 
     /// A reset against a warm cache leaves residents with no stored H; the

@@ -1,13 +1,13 @@
 //! The Landlord cache-replacement algorithm (Young 1998; Cao & Irani 1997),
 //! adapted to file-bundle requests exactly as the paper's Algorithm 3.
 //!
-//! Landlord maintains a *credit* for every resident file. When space is
-//! needed, every file's credit is decreased by the minimum (per the chosen
-//! cost model) and zero-credit files are evicted; whenever a file is
-//! referenced its credit is refreshed. The paper instantiates Landlord with
-//! credits in `[0, 1]` and an unscaled decrement ([`CostModel::Uniform`]);
-//! the classic greedy-dual-size instantiation ([`CostModel::SizeAware`])
-//! charges rent proportionally to file size and is provided for comparison.
+//! Landlord maintains a *credit* in `[0, 1]` for every resident file. When
+//! space is needed, every evictable file's credit is decreased by the
+//! minimum credit and a zero-credit file is evicted; whenever a file is
+//! referenced its credit is reset to 1. Credits are not scaled by file
+//! size: greedy-dual-size with cost = size divides back out to this same
+//! recurrence and ranks files identically (GDSF is the size-aware
+//! comparator).
 //!
 //! A rent round inherently touches every tenant, so eviction stays `O(n)` —
 //! but the indexed version runs it as two passes straight over the credit
@@ -27,35 +27,6 @@ use fbc_core::types::FileId;
 use fbc_obs::Obs;
 use rustc_hash::FxHashMap;
 
-/// How credits are assigned and rent is charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// Paper Algorithm 3: every file has credit in `[0, 1]`; a decrement
-    /// round subtracts the minimum credit from every file regardless of
-    /// size. Retrieval cost is treated as uniform per file.
-    #[default]
-    Uniform,
-    /// Classic Landlord / greedy-dual-size: a file's credit starts at its
-    /// size (cost of re-fetching it) and a decrement round subtracts
-    /// `δ · size(f)` where `δ = min credit(f)/size(f)` — i.e. files are
-    /// ranked by credit per byte.
-    SizeAware,
-}
-
-fn initial_credit(cost_model: CostModel, size: u64) -> f64 {
-    match cost_model {
-        CostModel::Uniform => 1.0,
-        CostModel::SizeAware => size as f64,
-    }
-}
-
-fn rent_of(cost_model: CostModel, credit: f64, size: u64) -> f64 {
-    match cost_model {
-        CostModel::Uniform => credit,
-        CostModel::SizeAware => credit / size.max(1) as f64,
-    }
-}
-
 fn broke_insert(broke: &mut Vec<FileId>, f: FileId) {
     if let Err(i) = broke.binary_search(&f) {
         broke.insert(i, f);
@@ -71,14 +42,8 @@ fn broke_remove(broke: &mut Vec<FileId>, f: FileId) {
 /// The Landlord policy, bundle-adapted (paper Algorithm 3).
 #[derive(Debug, Clone)]
 pub struct Landlord {
-    cost_model: CostModel,
-    /// On a reference, a file's credit is raised to
-    /// `credit + refresh_fraction · (cost − credit)`. Young's analysis
-    /// allows any value in `[0, 1]`; 1.0 (reset to full cost) is the
-    /// classic choice and the paper's.
-    refresh_fraction: f64,
     credits: FxHashMap<FileId, f64>,
-    /// Sorted ids of credited files whose rent is ≤ ε — the "surrender
+    /// Sorted ids of credited files whose credit is ≤ ε — the "surrender
     /// without a rent round" fast path. Entries are dropped lazily when the
     /// file is refreshed, evicted, or no longer resident.
     broke: Vec<FileId>,
@@ -87,46 +52,16 @@ pub struct Landlord {
     obs: Obs,
     /// Memoized counter slots for the per-request obs flush.
     obs_slots: OutcomeObsSlots,
-    name: String,
 }
 
 impl Landlord {
-    /// Landlord with the paper's uniform cost model (full refresh).
+    /// Landlord as the paper's Algorithm 3.
     pub fn new() -> Self {
-        Self::with_cost_model(CostModel::Uniform)
-    }
-
-    /// Landlord with an explicit cost model (full refresh).
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
-        Self::with_refresh(cost_model, 1.0)
-    }
-
-    /// Landlord with an explicit cost model and refresh fraction in
-    /// `[0, 1]` (0 = never refresh ≈ FIFO flavour, 1 = classic reset to
-    /// full cost ≈ LRU flavour; Young's competitive analysis covers the
-    /// whole range).
-    pub fn with_refresh(cost_model: CostModel, refresh_fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&refresh_fraction),
-            "refresh fraction must be in [0, 1], got {refresh_fraction}"
-        );
-        let base = match cost_model {
-            CostModel::Uniform => "Landlord",
-            CostModel::SizeAware => "Landlord(size-aware)",
-        };
-        let name = if (refresh_fraction - 1.0).abs() < f64::EPSILON {
-            base.to_string()
-        } else {
-            format!("{base}(refresh={refresh_fraction:.2})")
-        };
         Self {
-            cost_model,
-            refresh_fraction,
             credits: FxHashMap::default(),
             broke: Vec::new(),
             obs: Obs::disabled(),
             obs_slots: OutcomeObsSlots::default(),
-            name,
         }
     }
 
@@ -144,7 +79,7 @@ impl Default for Landlord {
 
 impl CachePolicy for Landlord {
     fn name(&self) -> &str {
-        &self.name
+        "Landlord"
     }
 
     fn handle(
@@ -153,7 +88,6 @@ impl CachePolicy for Landlord {
         cache: &mut CacheState,
         catalog: &FileCatalog,
     ) -> RequestOutcome {
-        let cost_model = self.cost_model;
         let credits = &mut self.credits;
         let broke = &mut self.broke;
         let obs = self.obs.clone();
@@ -163,20 +97,16 @@ impl CachePolicy for Landlord {
         // charge that rent to everyone, and surrender a zero-credit file.
         let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
             // A resident file can lack a ledger entry (e.g. the policy was
-            // reset while the cache stayed warm). It must start at its full
-            // initial credit like any other tenant — treating it as credit 0
+            // reset while the cache stayed warm). It must start at full
+            // credit like any other tenant — treating it as credit 0
             // would hand it over as an "already-broke" victim without ever
             // charging it rent. When every resident is credited (the steady
             // state) the ledger length matches the cache and the scan is
             // skipped.
             if credits.len() != cache.len() {
-                for (f, size) in cache.iter() {
+                for (f, _) in cache.iter() {
                     if !bundle.contains(f) && !cache.is_pinned(f) && !credits.contains_key(&f) {
-                        let c = initial_credit(cost_model, size);
-                        credits.insert(f, c);
-                        if rent_of(cost_model, c, size) <= f64::EPSILON {
-                            broke_insert(broke, f);
-                        }
+                        credits.insert(f, 1.0);
                     }
                 }
             }
@@ -202,7 +132,7 @@ impl CachePolicy for Landlord {
             }
 
             // Rent round, two passes over the ledger. Pass 1: δ = minimum
-            // rent among candidates (a min fold is iteration-order
+            // credit among candidates (a min fold is iteration-order
             // independent: credits are never NaN and never −0.0).
             let mut delta = f64::INFINITY;
             let mut candidates = 0usize;
@@ -211,7 +141,7 @@ impl CachePolicy for Landlord {
                     continue;
                 }
                 candidates += 1;
-                delta = delta.min(rent_of(cost_model, c, catalog.size(f)));
+                delta = delta.min(c);
             }
             if candidates == 0 {
                 return None;
@@ -226,16 +156,11 @@ impl CachePolicy for Landlord {
                 if !cache.contains(f) || bundle.contains(f) || cache.is_pinned(f) {
                     continue;
                 }
-                let size = catalog.size(f);
-                let charge = match cost_model {
-                    CostModel::Uniform => delta,
-                    CostModel::SizeAware => delta * size.max(1) as f64,
-                };
-                *c = (*c - charge).max(0.0);
-                if *c <= f64::EPSILON && victim.is_none_or(|v| f < v) {
-                    victim = Some(f);
-                }
-                if rent_of(cost_model, *c, size) <= f64::EPSILON {
+                *c = (*c - delta).max(0.0);
+                if *c <= f64::EPSILON {
+                    if victim.is_none_or(|v| f < v) {
+                        victim = Some(f);
+                    }
                     broke_insert(broke, f);
                 }
             }
@@ -246,27 +171,15 @@ impl CachePolicy for Landlord {
             victim
         });
 
-        // Step 4: refresh the credit of every file of the serviced bundle
-        // (newly fetched and already-resident alike). Newly fetched files
-        // always start at full cost; already-resident files move toward it
-        // by the configured refresh fraction.
+        // Step 4: every file of the serviced bundle (newly fetched and
+        // already resident alike) gets full credit.
         if outcome.serviced {
             for f in bundle.iter() {
-                let size = catalog.size(f);
-                let full = initial_credit(self.cost_model, size);
-                let new_credit = if outcome.fetched_files.contains(&f) {
-                    full
-                } else {
+                if !outcome.fetched_files.contains(&f) {
                     self.obs.incr("landlord.credit_refreshes");
-                    let current = self.credits.get(&f).copied().unwrap_or(0.0);
-                    current + self.refresh_fraction * (full - current)
-                };
-                self.credits.insert(f, new_credit);
-                if rent_of(self.cost_model, new_credit, size) <= f64::EPSILON {
-                    broke_insert(&mut self.broke, f);
-                } else {
-                    broke_remove(&mut self.broke, f);
                 }
+                self.credits.insert(f, 1.0);
+                broke_remove(&mut self.broke, f);
             }
         }
         // Drop credit entries of files evicted by the run (already removed
@@ -295,44 +208,15 @@ impl CachePolicy for Landlord {
 #[cfg(any(test, feature = "reference-kernels"))]
 #[derive(Debug, Clone)]
 pub struct LandlordReference {
-    cost_model: CostModel,
-    refresh_fraction: f64,
     credits: std::collections::HashMap<FileId, f64>,
-    name: String,
 }
 
 #[cfg(any(test, feature = "reference-kernels"))]
 impl LandlordReference {
-    /// Reference Landlord with the paper's uniform cost model.
+    /// Reference Landlord as the paper's Algorithm 3.
     pub fn new() -> Self {
-        Self::with_cost_model(CostModel::Uniform)
-    }
-
-    /// Reference Landlord with an explicit cost model (full refresh).
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
-        Self::with_refresh(cost_model, 1.0)
-    }
-
-    /// Reference Landlord with an explicit cost model and refresh fraction.
-    pub fn with_refresh(cost_model: CostModel, refresh_fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&refresh_fraction),
-            "refresh fraction must be in [0, 1], got {refresh_fraction}"
-        );
-        let base = match cost_model {
-            CostModel::Uniform => "Landlord",
-            CostModel::SizeAware => "Landlord(size-aware)",
-        };
-        let name = if (refresh_fraction - 1.0).abs() < f64::EPSILON {
-            base.to_string()
-        } else {
-            format!("{base}(refresh={refresh_fraction:.2})")
-        };
         Self {
-            cost_model,
-            refresh_fraction,
             credits: std::collections::HashMap::new(),
-            name,
         }
     }
 
@@ -352,7 +236,7 @@ impl Default for LandlordReference {
 #[cfg(any(test, feature = "reference-kernels"))]
 impl CachePolicy for LandlordReference {
     fn name(&self) -> &str {
-        &self.name
+        "Landlord"
     }
 
     fn handle(
@@ -361,47 +245,36 @@ impl CachePolicy for LandlordReference {
         cache: &mut CacheState,
         catalog: &FileCatalog,
     ) -> RequestOutcome {
-        let cost_model = self.cost_model;
         let credits = &mut self.credits;
 
         let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            let mut candidates: Vec<(FileId, u64)> = cache
+            let mut candidates: Vec<FileId> = cache
                 .iter()
-                .filter(|&(f, _)| !bundle.contains(f) && !cache.is_pinned(f))
+                .map(|(f, _)| f)
+                .filter(|&f| !bundle.contains(f) && !cache.is_pinned(f))
                 .collect();
             if candidates.is_empty() {
                 return None;
             }
-            candidates.sort_unstable_by_key(|&(f, _)| f);
+            candidates.sort_unstable();
 
-            for &(f, size) in &candidates {
-                credits
-                    .entry(f)
-                    .or_insert_with(|| initial_credit(cost_model, size));
+            for &f in &candidates {
+                credits.entry(f).or_insert(1.0);
             }
 
-            let rent = |f: FileId, size: u64| rent_of(cost_model, credits[&f], size);
-
-            if let Some(&(f, _)) = candidates
-                .iter()
-                .find(|&&(f, s)| rent(f, s) <= f64::EPSILON)
-            {
+            if let Some(&f) = candidates.iter().find(|&f| credits[f] <= f64::EPSILON) {
                 credits.remove(&f);
                 return Some(f);
             }
 
             let delta = candidates
                 .iter()
-                .map(|&(f, s)| rent(f, s))
+                .map(|f| credits[f])
                 .fold(f64::INFINITY, f64::min);
             let mut victim = None;
-            for &(f, size) in &candidates {
-                let charge = match cost_model {
-                    CostModel::Uniform => delta,
-                    CostModel::SizeAware => delta * size.max(1) as f64,
-                };
+            for &f in &candidates {
                 let c = credits.get_mut(&f).expect("entry created above");
-                *c = (*c - charge).max(0.0);
+                *c = (*c - delta).max(0.0);
                 if *c <= f64::EPSILON && victim.is_none() {
                     victim = Some(f);
                 }
@@ -414,14 +287,7 @@ impl CachePolicy for LandlordReference {
 
         if outcome.serviced {
             for f in bundle.iter() {
-                let full = initial_credit(self.cost_model, catalog.size(f));
-                let new_credit = if outcome.fetched_files.contains(&f) {
-                    full
-                } else {
-                    let current = self.credits.get(&f).copied().unwrap_or(0.0);
-                    current + self.refresh_fraction * (full - current)
-                };
-                self.credits.insert(f, new_credit);
+                self.credits.insert(f, 1.0);
             }
         }
         for f in &outcome.evicted_files {
@@ -490,21 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn size_aware_model_prefers_evicting_large_cold_files() {
-        let catalog = FileCatalog::from_sizes(vec![8, 2, 2]);
-        let mut cache = CacheState::new(10);
-        let mut ll = Landlord::with_cost_model(CostModel::SizeAware);
-        ll.handle(&b(&[0]), &mut cache, &catalog); // credit 8 (rent 1/byte)
-        ll.handle(&b(&[1]), &mut cache, &catalog); // credit 2
-                                                   // Request {2}: needs 2 bytes. Rent per byte equal (1.0) for both;
-                                                   // both zero out after one round; lowest id (f0) goes.
-        let out = ll.handle(&b(&[2]), &mut cache, &catalog);
-        assert_eq!(out.evicted_files, vec![FileId(0)]);
-        assert!(cache.contains(FileId(1)));
-    }
-
-    #[test]
-    fn credits_stay_in_unit_interval_under_uniform_model() {
+    fn credits_stay_in_unit_interval() {
         let catalog = FileCatalog::from_sizes(vec![1; 20]);
         let mut cache = CacheState::new(5);
         let mut ll = Landlord::new();
@@ -543,43 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_refresh_moves_credit_toward_cost() {
-        let catalog = FileCatalog::from_sizes(vec![5, 5, 5]);
-        let mut cache = CacheState::new(10);
-        let mut ll = Landlord::with_refresh(CostModel::Uniform, 0.5);
-        assert_eq!(ll.name(), "Landlord(refresh=0.50)");
-        ll.handle(&b(&[0]), &mut cache, &catalog); // fetched: full credit 1.0
-        ll.handle(&b(&[1]), &mut cache, &catalog);
-        ll.handle(&b(&[2]), &mut cache, &catalog); // rent round zeroes both, evicts f0
-                                                   // f1 survived at credit 0; a hit refreshes halfway to cost.
-        ll.handle(&b(&[1]), &mut cache, &catalog);
-        assert!((ll.credit(FileId(1)).unwrap() - 0.5).abs() < 1e-12);
-        // A second hit: 0.5 + 0.5·(1−0.5) = 0.75.
-        ll.handle(&b(&[1]), &mut cache, &catalog);
-        assert!((ll.credit(FileId(1)).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_refresh_never_renews_resident_credit() {
-        let catalog = FileCatalog::from_sizes(vec![1; 4]);
-        let mut cache = CacheState::new(2);
-        let mut ll = Landlord::with_refresh(CostModel::Uniform, 0.0);
-        ll.handle(&b(&[0]), &mut cache, &catalog);
-        ll.handle(&b(&[1]), &mut cache, &catalog);
-        ll.handle(&b(&[0]), &mut cache, &catalog); // hit: no renewal
-                                                   // Rent round: both at 1.0, f0 (lowest id) evicted despite its hit —
-                                                   // zero refresh degenerates to FIFO-like behaviour.
-        let out = ll.handle(&b(&[2]), &mut cache, &catalog);
-        assert_eq!(out.evicted_files, vec![FileId(0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "refresh fraction")]
-    fn bad_refresh_fraction_rejected() {
-        let _ = Landlord::with_refresh(CostModel::Uniform, 1.5);
-    }
-
-    #[test]
     fn uncredited_resident_is_not_evicted_for_free() {
         // Regression: a resident file with no credit entry (here: the policy
         // was reset while the cache stayed warm) used to look "already
@@ -613,39 +428,33 @@ mod tests {
     }
 
     /// The two-pass rent round and broke list must replay the reference's
-    /// Algorithm 3 exactly, in both cost models and under partial refresh.
+    /// Algorithm 3 exactly, credits included.
     #[test]
-    fn tracks_reference_in_both_cost_models() {
+    fn tracks_reference() {
         let catalog = FileCatalog::from_sizes((0..15).map(|i| (i % 4) + 1).collect());
-        for (cost_model, refresh) in [
-            (CostModel::Uniform, 1.0),
-            (CostModel::Uniform, 0.5),
-            (CostModel::SizeAware, 1.0),
-        ] {
-            let mut state = 0x11AAu64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut fast = Landlord::with_refresh(cost_model, refresh);
-            let mut slow = LandlordReference::with_refresh(cost_model, refresh);
-            let mut cache_fast = CacheState::new(8);
-            let mut cache_slow = CacheState::new(8);
-            for i in 0..300 {
-                let k = (next() % 3 + 1) as usize;
-                let r = Bundle::from_raw((0..k).map(|_| (next() % 15) as u32));
-                let a = fast.handle(&r, &mut cache_fast, &catalog);
-                let b = slow.handle(&r, &mut cache_slow, &catalog);
-                assert_eq!(a, b, "{cost_model:?} diverged at request {i}");
-                for f in (0..15u32).map(FileId) {
-                    assert_eq!(
-                        fast.credit(f),
-                        slow.credit(f),
-                        "{cost_model:?} credit of {f:?} diverged at request {i}"
-                    );
-                }
+        let mut state = 0x11AAu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut fast = Landlord::new();
+        let mut slow = LandlordReference::new();
+        let mut cache_fast = CacheState::new(8);
+        let mut cache_slow = CacheState::new(8);
+        for i in 0..300 {
+            let k = (next() % 3 + 1) as usize;
+            let r = Bundle::from_raw((0..k).map(|_| (next() % 15) as u32));
+            let a = fast.handle(&r, &mut cache_fast, &catalog);
+            let b = slow.handle(&r, &mut cache_slow, &catalog);
+            assert_eq!(a, b, "diverged at request {i}");
+            for f in (0..15u32).map(FileId) {
+                assert_eq!(
+                    fast.credit(f),
+                    slow.credit(f),
+                    "credit of {f:?} diverged at request {i}"
+                );
             }
         }
     }

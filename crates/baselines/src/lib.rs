@@ -33,8 +33,8 @@ pub use admission::AdmissionGate;
 pub use arc::Arc;
 pub use belady::BeladyMin;
 pub use fifo::Fifo;
-pub use gdsf::{Gdsf, GdsfCost};
-pub use landlord::{CostModel, Landlord};
+pub use gdsf::Gdsf;
+pub use landlord::Landlord;
 pub use lfu::Lfu;
 pub use lru::Lru;
 pub use lruk::LruK;
@@ -53,10 +53,8 @@ use fbc_core::policy::{CachePolicy, SendPolicy};
 pub enum PolicyKind {
     /// `OptFileBundle` with its default (paper) configuration.
     OptFileBundle,
-    /// Landlord, paper Algorithm 3 cost model.
+    /// Landlord, paper Algorithm 3.
     Landlord,
-    /// Landlord with the classic size-aware (greedy-dual-size) cost model.
-    LandlordSizeAware,
     /// Least recently used.
     Lru,
     /// LRU-2 (O'Neil et al.).
@@ -86,10 +84,9 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// All online policies (excludes the clairvoyant Belady MIN).
-    pub const ONLINE: [PolicyKind; 14] = [
+    pub const ONLINE: [PolicyKind; 13] = [
         PolicyKind::OptFileBundle,
         PolicyKind::Landlord,
-        PolicyKind::LandlordSizeAware,
         PolicyKind::Lru,
         PolicyKind::Lru2,
         PolicyKind::Arc,
@@ -116,9 +113,6 @@ impl PolicyKind {
         match self {
             PolicyKind::OptFileBundle => Box::new(fbc_core::optfilebundle::OptFileBundle::new()),
             PolicyKind::Landlord => Box::new(Landlord::new()),
-            PolicyKind::LandlordSizeAware => {
-                Box::new(Landlord::with_cost_model(CostModel::SizeAware))
-            }
             PolicyKind::Lru => Box::new(Lru::new()),
             PolicyKind::Lru2 => Box::new(LruK::lru2()),
             PolicyKind::Arc => Box::new(Arc::new()),
@@ -136,19 +130,17 @@ impl PolicyKind {
 
     /// Instantiates the policy's full-scan reference for differential
     /// testing and the `perf_eviction` speedup benchmark: the
-    /// [`ScanOracle`](util::ScanOracle) of a keyed policy, or the policy's
-    /// own reference twin. Returns `None` for [`PolicyKind::OptFileBundle`],
-    /// whose reference kernels live in `fbc-core` (see
-    /// `tests/kernel_equivalence.rs`).
+    /// [`ScanOracle`](util::ScanOracle) of a keyed policy, the marking
+    /// guard over a scan order, or the policy's own reference twin.
+    /// Returns `None` for [`PolicyKind::OptFileBundle`], whose reference
+    /// kernels live in `fbc-core` (see `tests/kernel_equivalence.rs`).
     #[cfg(any(test, feature = "reference-kernels"))]
     pub fn build_reference(self) -> Option<Box<dyn CachePolicy>> {
+        use online_bundle::{Marking, ScanDraw, ScanLeastRecent};
         use util::ScanOracle;
         match self {
             PolicyKind::OptFileBundle => None,
             PolicyKind::Landlord => Some(Box::new(landlord::LandlordReference::new())),
-            PolicyKind::LandlordSizeAware => Some(Box::new(
-                landlord::LandlordReference::with_cost_model(CostModel::SizeAware),
-            )),
             PolicyKind::Lru => Some(Box::new(ScanOracle::new(Lru::new()))),
             PolicyKind::Lru2 => Some(Box::new(ScanOracle::new(LruK::lru2()))),
             PolicyKind::Arc => Some(Box::new(arc::ArcReference::new())),
@@ -158,12 +150,10 @@ impl PolicyKind {
             PolicyKind::Random => Some(Box::new(random::RandomEvictReference::new(0xF1BC))),
             PolicyKind::LargestFirst => Some(Box::new(ScanOracle::new(LargestFirst::new()))),
             PolicyKind::Slru => Some(Box::new(slru::SlruReference::new())),
-            PolicyKind::BundleMarking => {
-                Some(Box::new(online_bundle::BundleMarkingReference::new()))
+            PolicyKind::BundleMarking => Some(Box::new(Marking::with_order(ScanLeastRecent))),
+            PolicyKind::BundleMarkingRand => {
+                Some(Box::new(Marking::with_order(ScanDraw::new(0xF1BC))))
             }
-            PolicyKind::BundleMarkingRand => Some(Box::new(
-                online_bundle::BundleMarkingRandomReference::new(0xF1BC),
-            )),
             PolicyKind::BeladyMin => Some(Box::new(ScanOracle::new(BeladyMin::new()))),
         }
     }

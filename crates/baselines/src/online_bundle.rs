@@ -36,14 +36,19 @@
 //!   (marking or not) to miss every query while the prefetching offline
 //!   optimum misses once per `k − ℓ + 1` queries — so the ratio is tight.
 //!
-//! Two members of the family are provided: the deterministic
+//! Any unmarked-victim rule inherits the same per-phase guarantee, so the
+//! family is written once: a [`Marking`] guard owns the marks and the
+//! phase rule, over an [`UnmarkedOrder`] that picks each victim among the
+//! unmarked residents. Two members are provided: the deterministic
 //! [`BundleMarking`] (LRU flavour: the victim is the least recently
 //! requested unmarked file, ties to the lowest id) and the randomized
 //! [`BundleMarkingRandom`] (uniformly random unmarked victim, seeded and
-//! deterministic per seed). Any unmarked-victim rule inherits the same
-//! per-phase guarantee, so both satisfy the `k − ℓ + 1` bound; the
+//! deterministic per seed). Both satisfy the `k − ℓ + 1` bound; the
 //! randomized flavour additionally dodges deterministic worst cases in
-//! expectation, mirroring classic randomized marking.
+//! expectation, mirroring classic randomized marking. Under sequential
+//! service the deterministic flavour evicts exactly as LRU (every
+//! unmarked file is older than every marked one); they part only when
+//! pinned files of in-flight jobs block the least recent file.
 //!
 //! The **distributed generalization** needs no second algorithm: the
 //! sharded admission front-end (`fbc_grid::concurrent`, `replica`/`multi`
@@ -69,7 +74,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashMap;
 
-use crate::util::{LazyHeap, SortedArena};
+use crate::util::{OrderedList, SortedArena, VictimIndex};
 
 /// The provable competitive ratio of any bundle-marking algorithm on a
 /// cache of `cache_files` unit-size files and bundles of at least
@@ -91,12 +96,11 @@ pub fn distributed_marking_bound(cache_files: u64, shards: u64, bundle_files: u6
     marking_competitive_bound(cache_files / shards.max(1), bundle_files)
 }
 
-/// The shared marking state: which residents are marked (and their total
-/// bytes), each file's last-request tick, and the phase counter. The two
-/// policy flavours differ only in how they index the *unmarked* set for
-/// victim selection.
+/// The marks of the current phase: which residents are marked (and their
+/// total bytes), each file's last-request tick, and the phase counter. A
+/// [`Marking`] guard owns it; its [`UnmarkedOrder`] reads it.
 #[derive(Debug, Clone, Default)]
-struct MarkCore {
+pub struct Marks {
     /// Marked residents mapped to their sizes. Marked files are never
     /// victims; the map empties on every phase reset.
     marked: FxHashMap<FileId, Bytes>,
@@ -108,22 +112,31 @@ struct MarkCore {
     phases: u64,
 }
 
-impl MarkCore {
+impl Marks {
+    /// Whether `file` is marked in the current phase.
+    pub fn is_marked(&self, file: FileId) -> bool {
+        self.marked.contains_key(&file)
+    }
+
+    /// Tick of `file`'s most recent appearance in a serviced bundle; 0 if
+    /// it has none since the last reset.
+    pub fn last_use(&self, file: FileId) -> u64 {
+        self.last_use.get(&file).copied().unwrap_or(0)
+    }
+
     /// Bytes the marked set would grow to if `bundle` were marked:
     /// `bytes(marked ∪ bundle)`.
     fn marked_with(&self, bundle: &Bundle, catalog: &FileCatalog) -> Bytes {
         self.marked_bytes
             + bundle
                 .iter()
-                .filter(|f| !self.marked.contains_key(f))
+                .filter(|&f| !self.is_marked(f))
                 .map(|f| catalog.size(f))
                 .sum::<Bytes>()
     }
 
     /// Marks every file of a just-serviced bundle at a fresh tick.
-    /// Returns the tick; the caller removes the files from its unmarked
-    /// index.
-    fn mark_bundle(&mut self, bundle: &Bundle, catalog: &FileCatalog) -> u64 {
+    fn mark_bundle(&mut self, bundle: &Bundle, catalog: &FileCatalog) {
         self.tick += 1;
         for f in bundle.iter() {
             if self.marked.insert(f, catalog.size(f)).is_none() {
@@ -131,7 +144,6 @@ impl MarkCore {
             }
             self.last_use.insert(f, self.tick);
         }
-        self.tick
     }
 
     /// Forgets an evicted file entirely.
@@ -142,168 +154,74 @@ impl MarkCore {
         self.last_use.remove(&f);
     }
 
-    fn last_use_of(&self, f: FileId) -> u64 {
-        self.last_use.get(&f).copied().unwrap_or(0)
+    /// Unmarks every file (a phase reset), appending each as
+    /// `(last_use, id)` to `unmarked`.
+    fn unmark_all(&mut self, unmarked: &mut Vec<(u64, FileId)>) {
+        self.phases += 1;
+        unmarked.extend(self.marked.keys().map(|&f| (self.last_use(f), f)));
+        self.marked.clear();
+        self.marked_bytes = 0;
     }
 
     fn clear(&mut self) {
-        self.marked.clear();
-        self.marked_bytes = 0;
-        self.last_use.clear();
-        self.tick = 0;
-        self.phases = 0;
+        *self = Self::default();
     }
 }
 
-/// Deterministic bundle-marking (Qin–Etesami, LRU flavour).
-///
-/// Victims are unmarked residents in least-recently-requested order
-/// (ties to the lowest [`FileId`]), maintained incrementally in a
-/// [`LazyHeap`] keyed by last-use tick — `O(log n)` per eviction instead
-/// of the reference twin's full scan.
-#[derive(Debug, Clone, Default)]
-pub struct BundleMarking {
-    core: MarkCore,
-    /// Unmarked residents keyed by last-use tick (never-seen files key 0).
-    unmarked: LazyHeap<u64>,
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
-}
+/// The order in which a [`Marking`] guard takes victims from the unmarked
+/// residents. The guard's phase rule alone gives the `k − ℓ + 1` bound,
+/// whatever the order.
+pub trait UnmarkedOrder {
+    /// Policy name for reports.
+    fn name(&self) -> &'static str;
 
-impl BundleMarking {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    /// Number of files the order indexes, or `None` for an order that keeps
+    /// no index and reads the cache afresh at every eviction.
+    fn tracked(&self) -> Option<usize>;
 
-    /// Number of completed phase resets so far.
-    pub fn phases(&self) -> u64 {
-        self.core.phases
-    }
+    /// Indexes `file`, unmarked with tick `last_use`. The guard hands files
+    /// over in ascending `(last_use, id)` order, and each file a phase
+    /// reset unmarks is more recent than every file already indexed.
+    fn insert(&mut self, file: FileId, last_use: u64);
 
-    /// Number of currently marked files.
-    pub fn marked_files(&self) -> usize {
-        self.core.marked.len()
-    }
+    /// Drops `file`, just marked, from the index.
+    fn remove(&mut self, file: FileId);
 
-    /// Re-tracks residents the indices have lost sight of (policy reset
-    /// while the cache stayed warm, or a cache mutated externally), and
-    /// prunes marks of files no longer resident.
-    fn resync(&mut self, cache: &CacheState) {
-        if self.core.marked.len() + self.unmarked.len() == cache.len() {
-            return;
-        }
-        let core = &mut self.core;
-        let stale: Vec<FileId> = core
-            .marked
-            .keys()
-            .copied()
-            .filter(|&f| !cache.contains(f))
-            .collect();
-        for f in stale {
-            core.forget(f);
-        }
-        for (f, _) in cache.iter() {
-            if !core.marked.contains_key(&f) && !self.unmarked.contains(f) {
-                self.unmarked.update(f, core.last_use_of(f));
-            }
-        }
-    }
+    /// Removes and returns the next victim: an unmarked resident that is
+    /// neither pinned nor part of the in-flight `bundle`.
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle, marks: &Marks) -> Option<FileId>;
 
-    /// Clears every mark (phase reset), moving the previously marked
-    /// files into the unmarked victim index at their last-use ticks.
-    fn begin_phase(&mut self) {
-        self.core.phases += 1;
-        self.obs.incr("marking.phase_resets");
-        let entries: Vec<(FileId, u64)> = self
-            .core
-            .marked
-            .keys()
-            .map(|&f| (f, self.core.last_use_of(f)))
-            .collect();
-        for (f, tick) in entries {
-            self.unmarked.update(f, tick);
-        }
-        self.core.marked.clear();
-        self.core.marked_bytes = 0;
-    }
-}
+    /// Drops the whole index.
+    fn clear(&mut self);
 
-impl CachePolicy for BundleMarking {
-    fn name(&self) -> &str {
-        "BundleMarking"
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let oversized = bundle.total_size(catalog) > cache.capacity();
-        if !oversized {
-            self.resync(cache);
-            if self.core.marked_with(bundle, catalog) > cache.capacity() {
-                self.begin_phase();
-            }
-        }
-        let unmarked = &mut self.unmarked;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            unmarked.choose(cache, bundle)
-        });
-        for &f in &outcome.evicted_files {
-            self.unmarked.remove(f);
-            self.core.forget(f);
-        }
-        if outcome.serviced {
-            self.core.mark_bundle(bundle, catalog);
-            for f in bundle.iter() {
-                self.unmarked.remove(f);
-            }
-        }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
+    /// Drops the whole index and restarts any random stream.
     fn reset(&mut self) {
-        self.core.clear();
-        self.unmarked.clear();
+        self.clear();
     }
 }
 
-/// Randomized bundle-marking (Qin–Etesami family): the victim is drawn
-/// uniformly at random among the unmarked evictable residents.
-/// Deterministic per seed — the same RNG-stream discipline as
-/// [`crate::RandomEvict`].
+/// Bundle-marking (Qin–Etesami), written once: the mark set, the
+/// `bytes(marked ∪ bundle) > capacity` phase rule and the resync after a
+/// warm reset, over an [`UnmarkedOrder`] that picks each victim among the
+/// unmarked residents.
 #[derive(Debug, Clone)]
-pub struct BundleMarkingRandom {
-    core: MarkCore,
-    seed: u64,
-    rng: StdRng,
-    /// Sorted unmarked residents; one RNG draw selects an order statistic.
-    unmarked: SortedArena,
-    /// Reusable exclusion scratch (unmarked files of the in-flight bundle
-    /// plus unmarked pinned files), sorted ascending.
-    excl: Vec<FileId>,
+pub struct Marking<O> {
+    marks: Marks,
+    order: O,
+    /// Reusable `(last_use, id)` scratch for phase resets and resyncs.
+    unmarked: Vec<(u64, FileId)>,
     obs: Obs,
     /// Memoized counter slots for the per-request obs flush.
     obs_slots: OutcomeObsSlots,
 }
 
-impl BundleMarkingRandom {
-    /// Creates the policy with the given RNG seed.
-    pub fn new(seed: u64) -> Self {
+impl<O: UnmarkedOrder> Marking<O> {
+    /// The guard over `order`, with no marks.
+    pub fn with_order(order: O) -> Self {
         Self {
-            core: MarkCore::default(),
-            seed,
-            rng: StdRng::seed_from_u64(seed),
-            unmarked: SortedArena::new(),
-            excl: Vec::new(),
+            marks: Marks::default(),
+            order,
+            unmarked: Vec::new(),
             obs: Obs::disabled(),
             obs_slots: OutcomeObsSlots::default(),
         }
@@ -311,45 +229,58 @@ impl BundleMarkingRandom {
 
     /// Number of completed phase resets so far.
     pub fn phases(&self) -> u64 {
-        self.core.phases
+        self.marks.phases
     }
 
+    /// Number of currently marked files.
+    pub fn marked_files(&self) -> usize {
+        self.marks.marked.len()
+    }
+
+    /// Hands the `(last_use, id)` scratch to the order, oldest first.
+    fn index_unmarked(&mut self) {
+        self.unmarked.sort_unstable();
+        for &(tick, f) in &self.unmarked {
+            self.order.insert(f, tick);
+        }
+        self.unmarked.clear();
+    }
+
+    /// Re-indexes the unmarked residents when the order has lost sight of
+    /// some (policy reset while the cache stayed warm, or a cache mutated
+    /// externally), after pruning marks of files no longer resident.
     fn resync(&mut self, cache: &CacheState) {
-        if self.core.marked.len() + self.unmarked.len() == cache.len() {
+        let Some(tracked) = self.order.tracked() else {
+            return;
+        };
+        if self.marks.marked.len() + tracked == cache.len() {
             return;
         }
-        let core = &mut self.core;
-        let stale: Vec<FileId> = core
+        let stale: Vec<FileId> = self
+            .marks
             .marked
             .keys()
             .copied()
             .filter(|&f| !cache.contains(f))
             .collect();
         for f in stale {
-            core.forget(f);
+            self.marks.forget(f);
         }
-        self.unmarked.clear();
-        for (f, _) in cache.iter() {
-            if !core.marked.contains_key(&f) {
-                self.unmarked.insert(f);
-            }
-        }
-    }
-
-    fn begin_phase(&mut self) {
-        self.core.phases += 1;
-        self.obs.incr("marking.phase_resets");
-        for &f in self.core.marked.keys() {
-            self.unmarked.insert(f);
-        }
-        self.core.marked.clear();
-        self.core.marked_bytes = 0;
+        let marks = &self.marks;
+        self.unmarked.extend(
+            cache
+                .iter()
+                .filter(|&(f, _)| !marks.is_marked(f))
+                .map(|(f, _)| (marks.last_use(f), f)),
+        );
+        self.order.clear();
+        self.index_unmarked();
     }
 }
 
-impl CachePolicy for BundleMarkingRandom {
+impl<O: UnmarkedOrder> CachePolicy for Marking<O> {
     fn name(&self) -> &str {
-        "BundleMarking(rand)"
+        self.order.name()
     }
 
     fn handle(
@@ -358,59 +289,25 @@ impl CachePolicy for BundleMarkingRandom {
         cache: &mut CacheState,
         catalog: &FileCatalog,
     ) -> RequestOutcome {
-        let oversized = bundle.total_size(catalog) > cache.capacity();
-        if !oversized {
+        if bundle.total_size(catalog) <= cache.capacity() {
             self.resync(cache);
-            if self.core.marked_with(bundle, catalog) > cache.capacity() {
-                self.begin_phase();
+            if self.marks.marked_with(bundle, catalog) > cache.capacity() {
+                self.obs.incr("marking.phase_resets");
+                self.marks.unmark_all(&mut self.unmarked);
+                self.index_unmarked();
             }
         }
-        let core = &self.core;
-        let rng = &mut self.rng;
-        let arena = &mut self.unmarked;
-        let excl = &mut self.excl;
+        let (marks, order) = (&self.marks, &mut self.order);
         let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            // Exclusion list: unmarked files of the in-flight bundle plus
-            // unmarked pinned files — exactly the arena members that are
-            // not evictable. Merged ascending and deduplicated, matching
-            // `select_excluding`'s contract.
-            excl.clear();
-            let unmarked_of = |f: FileId| cache.contains(f) && !core.marked.contains_key(&f);
-            let mut pins = cache.pinned_files().filter(|&p| unmarked_of(p)).peekable();
-            for f in bundle.iter().filter(|&f| unmarked_of(f)) {
-                while let Some(&p) = pins.peek() {
-                    if p < f {
-                        excl.push(p);
-                        pins.next();
-                    } else if p == f {
-                        pins.next();
-                    } else {
-                        break;
-                    }
-                }
-                excl.push(f);
-            }
-            excl.extend(pins);
-
-            let count = arena.len() - excl.len();
-            if count == 0 {
-                // The reference returns before drawing; the RNG stream
-                // must not advance here either.
-                return None;
-            }
-            let idx = rng.gen_range(0..count);
-            let victim = arena.select_excluding(idx, excl);
-            arena.remove(victim);
-            Some(victim)
+            order.choose(cache, bundle, marks)
         });
         for &f in &outcome.evicted_files {
-            self.unmarked.remove(f);
-            self.core.forget(f);
+            self.marks.forget(f);
         }
         if outcome.serviced {
-            self.core.mark_bundle(bundle, catalog);
+            self.marks.mark_bundle(bundle, catalog);
             for f in bundle.iter() {
-                self.unmarked.remove(f);
+                self.order.remove(f);
             }
         }
         outcome.record_obs(&self.obs, &mut self.obs_slots);
@@ -422,106 +319,218 @@ impl CachePolicy for BundleMarkingRandom {
     }
 
     fn reset(&mut self) {
-        self.core.clear();
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.unmarked.clear();
-        self.excl.clear();
+        self.marks.clear();
+        self.order.reset();
     }
 }
 
-/// The full-scan deterministic bundle-marking, retained so the
-/// differential suite can pin [`BundleMarking`]'s lazy-heap victim order
-/// (least tick, ties to lowest id) against a scan over the cache.
-#[cfg(any(test, feature = "reference-kernels"))]
+/// Least recently requested first, ties to the lowest [`FileId`]: the
+/// deterministic flavour's order. A list suffices, not a heap: every
+/// unmarked resident was last requested before the current phase began,
+/// so the files a phase reset unmarks all go to the back.
 #[derive(Debug, Clone, Default)]
-pub struct BundleMarkingReference {
-    core: MarkCore,
-}
+pub struct LeastRecent(OrderedList<u64>);
 
-#[cfg(any(test, feature = "reference-kernels"))]
-impl BundleMarkingReference {
-    /// Creates the reference policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of completed phase resets so far.
-    pub fn phases(&self) -> u64 {
-        self.core.phases
-    }
-}
-
-#[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for BundleMarkingReference {
-    fn name(&self) -> &str {
+impl UnmarkedOrder for LeastRecent {
+    fn name(&self) -> &'static str {
         "BundleMarking"
     }
 
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let oversized = bundle.total_size(catalog) > cache.capacity();
-        if !oversized {
-            let core = &mut self.core;
-            let stale: Vec<FileId> = core
-                .marked
-                .keys()
-                .copied()
-                .filter(|&f| !cache.contains(f))
-                .collect();
-            for f in stale {
-                core.forget(f);
-            }
-            if core.marked_with(bundle, catalog) > cache.capacity() {
-                core.phases += 1;
-                core.marked.clear();
-                core.marked_bytes = 0;
-            }
-        }
-        let core = &mut self.core;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            cache
-                .iter()
-                .map(|(f, _)| f)
-                .filter(|&f| {
-                    !core.marked.contains_key(&f) && !bundle.contains(f) && !cache.is_pinned(f)
-                })
-                .min_by_key(|&f| (core.last_use_of(f), f))
-        });
-        for &f in &outcome.evicted_files {
-            self.core.forget(f);
-        }
-        if outcome.serviced {
-            self.core.mark_bundle(bundle, catalog);
-        }
-        outcome
+    fn tracked(&self) -> Option<usize> {
+        Some(self.0.len())
     }
 
-    fn reset(&mut self) {
-        self.core.clear();
+    fn insert(&mut self, file: FileId, last_use: u64) {
+        self.0.rekey(file, last_use);
+    }
+
+    fn remove(&mut self, file: FileId) {
+        self.0.remove(file);
+    }
+
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle, _marks: &Marks) -> Option<FileId> {
+        self.0.choose(cache, bundle)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
-/// The sort-per-eviction randomized bundle-marking, retained so the
-/// differential suite can pin [`BundleMarkingRandom`]'s order-statistic
-/// draw replay against it.
+/// A uniform draw among the evictable unmarked residents: the randomized
+/// flavour's order. The draw is one order statistic of a [`SortedArena`],
+/// so a seed replays the stream of a sort-and-draw over the candidates.
+#[derive(Debug, Clone)]
+pub struct UniformDraw {
+    seed: u64,
+    rng: StdRng,
+    /// Sorted unmarked residents.
+    arena: SortedArena,
+    /// Reusable exclusion scratch (unmarked files of the in-flight bundle
+    /// plus unmarked pinned files), sorted ascending.
+    excl: Vec<FileId>,
+}
+
+impl UniformDraw {
+    /// The order drawing from a generator seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            seed,
+            rng: StdRng::seed_from_u64(seed),
+            arena: SortedArena::new(),
+            excl: Vec::new(),
+        }
+    }
+}
+
+impl UnmarkedOrder for UniformDraw {
+    fn name(&self) -> &'static str {
+        "BundleMarking(rand)"
+    }
+
+    fn tracked(&self) -> Option<usize> {
+        Some(self.arena.len())
+    }
+
+    fn insert(&mut self, file: FileId, _last_use: u64) {
+        self.arena.insert(file);
+    }
+
+    fn remove(&mut self, file: FileId) {
+        self.arena.remove(file);
+    }
+
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle, marks: &Marks) -> Option<FileId> {
+        // Exclusion list: unmarked files of the in-flight bundle plus
+        // unmarked pinned files — exactly the arena members that are not
+        // evictable. Merged ascending and deduplicated, matching
+        // `select_excluding`'s contract.
+        let excl = &mut self.excl;
+        excl.clear();
+        let unmarked = |f: FileId| cache.contains(f) && !marks.is_marked(f);
+        let mut pins = cache.pinned_files().filter(|&p| unmarked(p)).peekable();
+        for f in bundle.iter().filter(|&f| unmarked(f)) {
+            while let Some(&p) = pins.peek() {
+                if p < f {
+                    excl.push(p);
+                    pins.next();
+                } else if p == f {
+                    pins.next();
+                } else {
+                    break;
+                }
+            }
+            excl.push(f);
+        }
+        excl.extend(pins);
+
+        let count = self.arena.len() - excl.len();
+        if count == 0 {
+            // The sort-and-draw returns before drawing; the RNG stream
+            // must not advance here either.
+            return None;
+        }
+        let idx = self.rng.gen_range(0..count);
+        let victim = self.arena.select_excluding(idx, excl);
+        self.arena.remove(victim);
+        Some(victim)
+    }
+
+    fn clear(&mut self) {
+        self.arena.clear();
+    }
+
+    fn reset(&mut self) {
+        self.arena.clear();
+        self.rng = StdRng::seed_from_u64(self.seed);
+    }
+}
+
+/// Deterministic bundle-marking (Qin–Etesami, LRU flavour): the victim is
+/// the least recently requested unmarked file, ties to the lowest
+/// [`FileId`].
+pub type BundleMarking = Marking<LeastRecent>;
+
+impl BundleMarking {
+    /// Creates the policy.
+    pub fn new() -> Self {
+        Self::with_order(LeastRecent::default())
+    }
+}
+
+impl Default for BundleMarking {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Randomized bundle-marking (Qin–Etesami family): the victim is drawn
+/// uniformly at random among the unmarked evictable residents.
+/// Deterministic per seed — the same RNG-stream discipline as
+/// [`crate::RandomEvict`].
+pub type BundleMarkingRandom = Marking<UniformDraw>;
+
+impl BundleMarkingRandom {
+    /// Creates the policy with the given RNG seed.
+    pub fn new(seed: u64) -> Self {
+        Self::with_order(UniformDraw::new(seed))
+    }
+}
+
+/// The evictable unmarked residents a scan order chooses among.
+#[cfg(any(test, feature = "reference-kernels"))]
+fn scan_candidates<'a>(
+    cache: &'a CacheState,
+    bundle: &'a Bundle,
+    marks: &'a Marks,
+) -> impl Iterator<Item = FileId> + 'a {
+    cache
+        .iter()
+        .map(|(f, _)| f)
+        .filter(|&f| !marks.is_marked(f) && !bundle.contains(f) && !cache.is_pinned(f))
+}
+
+/// The full-scan oracle of [`LeastRecent`]: the minimum
+/// `(last_use, id)` over the cache's evictable unmarked residents.
+#[cfg(any(test, feature = "reference-kernels"))]
+#[derive(Debug, Clone, Default)]
+pub struct ScanLeastRecent;
+
+#[cfg(any(test, feature = "reference-kernels"))]
+impl UnmarkedOrder for ScanLeastRecent {
+    fn name(&self) -> &'static str {
+        "BundleMarking"
+    }
+
+    fn tracked(&self) -> Option<usize> {
+        None
+    }
+
+    fn insert(&mut self, _file: FileId, _last_use: u64) {}
+
+    fn remove(&mut self, _file: FileId) {}
+
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle, marks: &Marks) -> Option<FileId> {
+        scan_candidates(cache, bundle, marks).min_by_key(|&f| (marks.last_use(f), f))
+    }
+
+    fn clear(&mut self) {}
+}
+
+/// The sort-and-draw oracle of [`UniformDraw`]: sorts the evictable
+/// unmarked residents and indexes them with one draw per eviction.
 #[cfg(any(test, feature = "reference-kernels"))]
 #[derive(Debug, Clone)]
-pub struct BundleMarkingRandomReference {
-    core: MarkCore,
+pub struct ScanDraw {
     seed: u64,
     rng: StdRng,
 }
 
 #[cfg(any(test, feature = "reference-kernels"))]
-impl BundleMarkingRandomReference {
-    /// Creates the reference policy with the given RNG seed.
+impl ScanDraw {
+    /// The order drawing from a generator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
-            core: MarkCore::default(),
             seed,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -529,62 +538,31 @@ impl BundleMarkingRandomReference {
 }
 
 #[cfg(any(test, feature = "reference-kernels"))]
-impl CachePolicy for BundleMarkingRandomReference {
-    fn name(&self) -> &str {
+impl UnmarkedOrder for ScanDraw {
+    fn name(&self) -> &'static str {
         "BundleMarking(rand)"
     }
 
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let oversized = bundle.total_size(catalog) > cache.capacity();
-        if !oversized {
-            let core = &mut self.core;
-            let stale: Vec<FileId> = core
-                .marked
-                .keys()
-                .copied()
-                .filter(|&f| !cache.contains(f))
-                .collect();
-            for f in stale {
-                core.forget(f);
-            }
-            if core.marked_with(bundle, catalog) > cache.capacity() {
-                core.phases += 1;
-                core.marked.clear();
-                core.marked_bytes = 0;
-            }
-        }
-        let core = &self.core;
-        let rng = &mut self.rng;
-        let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
-            let mut candidates: Vec<FileId> = cache
-                .iter()
-                .map(|(f, _)| f)
-                .filter(|&f| {
-                    !core.marked.contains_key(&f) && !bundle.contains(f) && !cache.is_pinned(f)
-                })
-                .collect();
-            if candidates.is_empty() {
-                return None;
-            }
-            candidates.sort_unstable();
-            Some(candidates[rng.gen_range(0..candidates.len())])
-        });
-        for &f in &outcome.evicted_files {
-            self.core.forget(f);
-        }
-        if outcome.serviced {
-            self.core.mark_bundle(bundle, catalog);
-        }
-        outcome
+    fn tracked(&self) -> Option<usize> {
+        None
     }
 
+    fn insert(&mut self, _file: FileId, _last_use: u64) {}
+
+    fn remove(&mut self, _file: FileId) {}
+
+    fn choose(&mut self, cache: &CacheState, bundle: &Bundle, marks: &Marks) -> Option<FileId> {
+        let mut candidates: Vec<FileId> = scan_candidates(cache, bundle, marks).collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        candidates.sort_unstable();
+        Some(candidates[self.rng.gen_range(0..candidates.len())])
+    }
+
+    fn clear(&mut self) {}
+
     fn reset(&mut self) {
-        self.core.clear();
         self.rng = StdRng::seed_from_u64(self.seed);
     }
 }
@@ -731,11 +709,11 @@ mod tests {
         assert!(a.phases() > 0, "the workload must exercise phase resets");
     }
 
-    /// The lazy-heap victim order must replay the reference scan exactly,
-    /// and the randomized arena draw must replay the reference's
-    /// sort-and-index stream, under pinning and policy resets.
+    /// The indexed orders must replay their scan orders exactly, under
+    /// pinning and policy resets: the list order against the full-scan
+    /// minimum, and the arena draw against the sort-and-draw stream.
     #[test]
-    fn tracks_reference_twins() {
+    fn tracks_scan_orders() {
         let catalog = FileCatalog::from_sizes((0..15).map(|i| (i % 4) + 1).collect());
         let mut state = 0x22BBu64;
         let mut next = move || {
@@ -744,30 +722,39 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut fast = BundleMarking::new();
-        let mut slow = BundleMarkingReference::new();
-        let mut rfast = BundleMarkingRandom::new(0xF1BC);
-        let mut rslow = BundleMarkingRandomReference::new(0xF1BC);
-        let mut caches: Vec<CacheState> = (0..4).map(|_| CacheState::new(9)).collect();
+        let mut policies: Vec<(Box<dyn CachePolicy>, Box<dyn CachePolicy>)> = vec![
+            (
+                Box::new(BundleMarking::new()),
+                Box::new(Marking::with_order(ScanLeastRecent)),
+            ),
+            (
+                Box::new(BundleMarkingRandom::new(0xF1BC)),
+                Box::new(Marking::with_order(ScanDraw::new(0xF1BC))),
+            ),
+        ];
+        let mut caches: Vec<(CacheState, CacheState)> = (0..policies.len())
+            .map(|_| (CacheState::new(9), CacheState::new(9)))
+            .collect();
         for i in 0..400 {
             let k = (next() % 3 + 1) as usize;
             let r = Bundle::from_raw((0..k).map(|_| (next() % 15) as u32));
-            let (c0, rest) = caches.split_first_mut().unwrap();
-            let (c1, rest) = rest.split_first_mut().unwrap();
-            let (c2, rest) = rest.split_first_mut().unwrap();
-            let c3 = &mut rest[0];
-            let a = fast.handle(&r, c0, &catalog);
-            let b2 = slow.handle(&r, c1, &catalog);
-            assert_eq!(a, b2, "deterministic flavour diverged at request {i}");
-            assert_eq!(fast.phases(), slow.phases());
-            let ra = rfast.handle(&r, c2, &catalog);
-            let rb = rslow.handle(&r, c3, &catalog);
-            assert_eq!(ra, rb, "randomized flavour diverged at request {i}");
-            if i == 199 {
-                fast.reset();
-                slow.reset();
-                rfast.reset();
-                rslow.reset();
+            let pin = (next() % 4 == 0).then(|| FileId((next() % 15) as u32));
+            for ((fast, slow), (ca, cb)) in policies.iter_mut().zip(&mut caches) {
+                let pinned = pin.filter(|&f| ca.contains(f) && ca.pin(f).is_ok());
+                if let Some(f) = pinned {
+                    cb.pin(f).unwrap();
+                }
+                let a = fast.handle(&r, ca, &catalog);
+                let b = slow.handle(&r, cb, &catalog);
+                assert_eq!(a, b, "{} diverged at request {i}", fast.name());
+                if let Some(f) = pinned {
+                    ca.unpin(f).unwrap();
+                    cb.unpin(f).unwrap();
+                }
+                if i == 199 {
+                    fast.reset();
+                    slow.reset();
+                }
             }
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Residents are split into a *probationary* and a *protected* segment. A
 //! file enters probation on first fetch; a hit while on probation promotes
-//! it to the protected segment (whose byte size is capped at a fraction of
-//! the cache); overflowing the protected segment demotes its LRU tail back
+//! it to the protected segment (whose byte size is capped at the
+//! conventional 80 % of the cache); overflowing the protected segment demotes its LRU tail back
 //! to probation. Victims always come from probation's LRU end, so one-shot
 //! files can never displace twice-referenced ones — scan resistance with
 //! plain-LRU bookkeeping.
@@ -23,6 +23,9 @@ use std::collections::HashMap;
 
 use crate::util::LazyHeap;
 
+/// Share of the cache the protected segment may hold.
+const PROTECTED_FRACTION: f64 = 0.8;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
     Probation,
@@ -32,8 +35,6 @@ enum Segment {
 /// The SLRU policy.
 #[derive(Debug, Clone)]
 pub struct Slru {
-    /// Maximum fraction of the cache the protected segment may hold.
-    protected_fraction: f64,
     clock: u64,
     /// Per-resident-file: segment, last-touch tick, and size (cached for
     /// the incremental protected-bytes accounting).
@@ -51,19 +52,9 @@ pub struct Slru {
 }
 
 impl Slru {
-    /// SLRU with the conventional 80 % protected share.
+    /// Creates an empty SLRU policy.
     pub fn new() -> Self {
-        Self::with_protected_fraction(0.8)
-    }
-
-    /// SLRU with an explicit protected-segment share in `(0, 1)`.
-    pub fn with_protected_fraction(protected_fraction: f64) -> Self {
-        assert!(
-            protected_fraction > 0.0 && protected_fraction < 1.0,
-            "protected fraction must be in (0, 1), got {protected_fraction}"
-        );
         Self {
-            protected_fraction,
             clock: 0,
             state: HashMap::new(),
             probation: LazyHeap::new(),
@@ -81,7 +72,7 @@ impl Slru {
 
     /// Demotes protected LRU tails until the protected segment fits its cap.
     fn rebalance(&mut self, cache: &CacheState) {
-        let cap = (cache.capacity() as f64 * self.protected_fraction) as Bytes;
+        let cap = (cache.capacity() as f64 * PROTECTED_FRACTION) as Bytes;
         while self.protected_bytes > cap {
             match self.protected.pop_min() {
                 Some((f, tick)) => {
@@ -187,7 +178,6 @@ impl CachePolicy for Slru {
 #[cfg(any(test, feature = "reference-kernels"))]
 #[derive(Debug, Clone)]
 pub struct SlruReference {
-    protected_fraction: f64,
     clock: u64,
     state: HashMap<FileId, (Segment, u64)>,
 }
@@ -201,19 +191,9 @@ impl Default for SlruReference {
 
 #[cfg(any(test, feature = "reference-kernels"))]
 impl SlruReference {
-    /// Reference SLRU with the conventional 80 % protected share.
+    /// Creates the reference policy.
     pub fn new() -> Self {
-        Self::with_protected_fraction(0.8)
-    }
-
-    /// Reference SLRU with an explicit protected-segment share in `(0, 1)`.
-    pub fn with_protected_fraction(protected_fraction: f64) -> Self {
-        assert!(
-            protected_fraction > 0.0 && protected_fraction < 1.0,
-            "protected fraction must be in (0, 1), got {protected_fraction}"
-        );
         Self {
-            protected_fraction,
             clock: 0,
             state: HashMap::new(),
         }
@@ -233,7 +213,7 @@ impl SlruReference {
     }
 
     fn rebalance(&mut self, cache: &CacheState) {
-        let cap = (cache.capacity() as f64 * self.protected_fraction) as Bytes;
+        let cap = (cache.capacity() as f64 * PROTECTED_FRACTION) as Bytes;
         while self.protected_bytes(cache) > cap {
             let victim = cache
                 .iter()
@@ -343,15 +323,16 @@ mod tests {
     #[test]
     fn protected_segment_is_capped() {
         let catalog = FileCatalog::from_sizes(vec![1; 10]);
-        let mut cache = CacheState::new(4);
-        // Cap protected at 50% = 2 bytes.
-        let mut p = Slru::with_protected_fraction(0.5);
-        for i in 0..4u32 {
+        // Everything fits; the protected cap is 80 % = 8 bytes.
+        let mut cache = CacheState::new(10);
+        let mut p = Slru::new();
+        for i in 0..10u32 {
             p.handle(&b(&[i]), &mut cache, &catalog);
             p.handle(&b(&[i]), &mut cache, &catalog); // promote each
         }
-        let protected = (0..4u32).filter(|&i| p.is_protected(FileId(i))).count();
-        assert!(protected <= 2, "protected segment over cap: {protected}");
+        let protected = (0..10u32).filter(|&i| p.is_protected(FileId(i))).count();
+        assert_eq!(protected, 8, "the two oldest promotions are demoted");
+        assert!(!p.is_protected(FileId(0)) && !p.is_protected(FileId(1)));
     }
 
     #[test]
@@ -365,12 +346,6 @@ mod tests {
         let out = p.handle(&b(&[2]), &mut cache, &catalog);
         assert!(out.serviced);
         assert_eq!(out.evicted_files.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "protected fraction")]
-    fn bad_fraction_rejected() {
-        let _ = Slru::with_protected_fraction(1.0);
     }
 
     /// The indexed segments and incremental byte accounting must replay the
@@ -391,14 +366,23 @@ mod tests {
                 Bundle::from_raw((0..k).map(|_| (next() % 12) as u32))
             })
             .collect();
-        let mut fast = Slru::with_protected_fraction(0.5);
-        let mut slow = SlruReference::with_protected_fraction(0.5);
+        let mut fast = Slru::new();
+        let mut slow = SlruReference::new();
         let mut cache_fast = CacheState::new(6);
         let mut cache_slow = CacheState::new(6);
+        let mut demotions = 0;
         for (i, r) in trace.iter().enumerate() {
+            let was_protected: Vec<FileId> = (0..12u32)
+                .map(FileId)
+                .filter(|&f| fast.is_protected(f))
+                .collect();
             let a = fast.handle(r, &mut cache_fast, &catalog);
             let b = slow.handle(r, &mut cache_slow, &catalog);
             assert_eq!(a, b, "diverged at request {i}");
+            demotions += was_protected
+                .iter()
+                .filter(|&&f| cache_fast.contains(f) && !fast.is_protected(f))
+                .count();
             for f in (0..12u32).map(FileId) {
                 assert_eq!(
                     fast.is_protected(f),
@@ -407,5 +391,6 @@ mod tests {
                 );
             }
         }
+        assert!(demotions > 0, "the trace must exercise demotions");
     }
 }

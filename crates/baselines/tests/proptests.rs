@@ -2,12 +2,15 @@
 //! reference models: the lazy-deletion heap must make exactly the choices
 //! of a filtered full scan (minimum key, ties to the lower id) under
 //! arbitrary interleavings of re-prioritisation, removal, stale entries,
-//! pins, and in-flight bundles.
+//! pins, and in-flight bundles. Also: the marking guard's least-recent
+//! flavour is LRU under sequential service.
 
 use fbc_baselines::util::{LazyHeap, OrderedList, SortedArena};
+use fbc_baselines::{BundleMarking, Lru};
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
+use fbc_core::policy::CachePolicy;
 use fbc_core::types::FileId;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -251,6 +254,35 @@ proptest! {
         if !survivors.is_empty() {
             let idx = idx_seed % survivors.len();
             prop_assert_eq!(arena.select_excluding(idx, &excl), survivors[idx]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The marking guard over the least-recent order is LRU under
+    /// sequential service: every unmarked resident was last requested
+    /// before the current phase began, so the least recent unmarked file
+    /// is the least recent evictable file, and both break ties to the
+    /// lowest id. Random sizes, capacities and traces, oversized bundles
+    /// included.
+    #[test]
+    fn guarded_least_recent_is_lru_under_sequential_service(
+        sizes in proptest::collection::vec(1u64..=6, 4..=UNIVERSE as usize),
+        capacity in 1u64..=40,
+        jobs in proptest::collection::vec(proptest::collection::vec(0..UNIVERSE, 1..=5), 1..=150),
+    ) {
+        let catalog = FileCatalog::from_sizes(sizes);
+        let files = catalog.len() as u32;
+        let mut marking = BundleMarking::new();
+        let mut lru = Lru::new();
+        let (mut cache_m, mut cache_l) = (CacheState::new(capacity), CacheState::new(capacity));
+        for (i, ids) in jobs.iter().enumerate() {
+            let bundle = Bundle::from_raw(ids.iter().map(|&f| f % files));
+            let m = marking.handle(&bundle, &mut cache_m, &catalog);
+            let l = lru.handle(&bundle, &mut cache_l, &catalog);
+            prop_assert_eq!(m, l, "diverged at request {}", i);
         }
     }
 }

@@ -246,6 +246,33 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `landlord-size` is not a policy (a size-scaled Landlord evicts
+    /// exactly as `landlord`): asking for it is an ordinary unknown-policy
+    /// error that lists the accepted names.
+    #[test]
+    fn deleted_landlord_size_lists_the_accepted_names() {
+        let path = write_test_trace("deleted_landlord_size_lists_the_accepted_names");
+        let args = Args::parse(
+            [
+                "--trace",
+                path.to_str().unwrap(),
+                "--cache",
+                "60B",
+                "--policy",
+                "landlord-size",
+            ]
+            .iter()
+            .map(|s| s.to_string()),
+        )
+        .unwrap();
+        let err = run(&args).unwrap_err().0;
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("unknown policy 'landlord-size'"), "{err}");
+        for name in POLICY_NAMES {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
+    }
+
     #[test]
     fn empty_queue_is_an_error() {
         let path = write_test_trace("empty_queue_is_an_error");

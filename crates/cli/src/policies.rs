@@ -4,10 +4,9 @@ use fbc_baselines::PolicyKind;
 use fbc_core::policy::CachePolicy;
 
 /// All accepted policy names (canonical spellings).
-pub const POLICY_NAMES: [&str; 15] = [
+pub const POLICY_NAMES: [&str; 14] = [
     "optfilebundle",
     "landlord",
-    "landlord-size",
     "lru",
     "lru2",
     "arc",
@@ -30,7 +29,6 @@ pub fn policy_kind_by_name(name: &str) -> Option<PolicyKind> {
     Some(match name.to_ascii_lowercase().as_str() {
         "optfilebundle" | "ofb" | "opt" => PolicyKind::OptFileBundle,
         "landlord" | "ll" => PolicyKind::Landlord,
-        "landlord-size" => PolicyKind::LandlordSizeAware,
         "lru" => PolicyKind::Lru,
         "lru2" | "lru-2" | "lruk" => PolicyKind::Lru2,
         "arc" => PolicyKind::Arc,

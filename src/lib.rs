@@ -54,7 +54,7 @@ pub use fbc_workload as workload;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use fbc_baselines::{
-        BeladyMin, CostModel, Fifo, Gdsf, Landlord, LargestFirst, Lfu, Lru, PolicyKind, RandomEvict,
+        BeladyMin, Fifo, Gdsf, Landlord, LargestFirst, Lfu, Lru, PolicyKind, RandomEvict,
     };
     pub use fbc_core::prelude::*;
     pub use fbc_grid::{
