@@ -19,6 +19,8 @@ use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
 use fbc_core::types::{Bytes, FileId};
 use fbc_obs::Obs;
+use rustc_hash::FxHashMap;
+#[cfg(any(test, feature = "reference-kernels"))]
 use std::collections::HashMap;
 
 use crate::util::LazyHeap;
@@ -38,7 +40,7 @@ pub struct Slru {
     clock: u64,
     /// Per-resident-file: segment, last-touch tick, and size (cached for
     /// the incremental protected-bytes accounting).
-    state: HashMap<FileId, (Segment, u64, Bytes)>,
+    state: FxHashMap<FileId, (Segment, u64, Bytes)>,
     /// Probationary residents keyed by last-touch tick.
     probation: LazyHeap<u64>,
     /// Protected residents keyed by last-touch tick.
@@ -56,7 +58,7 @@ impl Slru {
     pub fn new() -> Self {
         Self {
             clock: 0,
-            state: HashMap::new(),
+            state: FxHashMap::default(),
             probation: LazyHeap::new(),
             protected: LazyHeap::new(),
             protected_bytes: 0,

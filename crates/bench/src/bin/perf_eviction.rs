@@ -21,8 +21,10 @@
 //! machine state, and the two sides' evicted files are asserted equal
 //! request by request. The pair gets a time budget instead of a fixed
 //! churn length (the pre-index ARC is quadratic per eviction, so a full
-//! 10k churn would take hours); rates are evictions over measured time
-//! either way. The indexed policy's own rate is measured alone, over the
+//! 10k churn would take hours), but runs at least
+//! `fbc_bench::measure::MIN_BATCHES` chunks, so even ARC's speedup at
+//! n=10000 is a median of several samples; rates are evictions over
+//! measured time either way. The indexed policy's own rate is measured alone, over the
 //! whole churn: next to the scan twin it loses its cache locality, which
 //! lowers the paired speedup (a conservative gate) but would misstate a
 //! throughput.

@@ -139,9 +139,16 @@ pub struct Plan {
     /// Calls of each side per batch.
     pub per_batch: usize,
     /// Wall-clock budget: no batch starts once both sides together have
-    /// spent this many ns. The first batch always runs.
+    /// spent this many ns. The first [`MIN_BATCHES`] batches always run.
     pub budget_ns: f64,
 }
+
+/// Batches a [`paired_ratio`] runs before its budget may end it (fewer
+/// only when the plan asks for fewer). A ratio needs more than one
+/// sample before its median and spread say anything: one slow side
+/// could otherwise spend the whole budget in one batch and report a
+/// single sample with spread 0.
+pub const MIN_BATCHES: usize = 3;
 
 impl Plan {
     /// A plan without a time budget.
@@ -184,7 +191,7 @@ pub fn paired_ratio(plan: Plan, mut a: impl FnMut(), mut b: impl FnMut()) -> Pai
     let (mut a_ns, mut b_ns) = (Vec::new(), Vec::new());
     let mut spent = 0.0;
     for i in 0..plan.batches.max(1) {
-        if i > 0 && spent >= plan.budget_ns {
+        if i >= MIN_BATCHES && spent >= plan.budget_ns {
             break;
         }
         let (ta, ()) = time_ns(|| (0..calls).for_each(|_| a()));
@@ -527,14 +534,23 @@ mod tests {
         let p = paired_ratio(Plan::new(2, 3, 4), || a_calls += 1, || b_calls += 1);
         assert_eq!((a_calls, b_calls), (2 + 3 * 4, 2 + 3 * 4));
         assert_eq!((p.ratio.n, p.a.n, p.b.n), (3, 3, 3));
-        // A spent budget stops after the first batch.
-        let budgeted = Plan {
-            budget_ns: 0.0,
-            ..Plan::new(0, 5, 1)
-        };
-        assert_eq!(paired_ratio(budgeted, || {}, || {}).ratio.n, 1);
         let (timed, last) = repeat(1, 3, || 42);
         assert_eq!((timed.n, last), (3, 42));
+    }
+
+    #[test]
+    fn a_spent_budget_still_runs_min_batches() {
+        let budgeted = |batches| Plan {
+            budget_ns: 0.0,
+            ..Plan::new(0, batches, 1)
+        };
+        let (mut a_calls, mut b_calls) = (0, 0);
+        let p = paired_ratio(budgeted(5), || a_calls += 1, || b_calls += 1);
+        assert_eq!((p.ratio.n, a_calls, b_calls), (MIN_BATCHES, 3, 3));
+        // A plan of fewer batches than the minimum runs all of them.
+        assert_eq!(paired_ratio(budgeted(2), || {}, || {}).ratio.n, 2);
+        // An open budget runs the whole plan.
+        assert_eq!(paired_ratio(Plan::new(0, 5, 1), || {}, || {}).ratio.n, 5);
     }
 
     #[test]

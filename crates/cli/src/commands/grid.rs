@@ -112,7 +112,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             fetch_timeout,
             ..RetryPolicy::default()
         },
-        full_response_log: false,
     };
     let rate = args.get_positive_or("rate", 2.0)?;
     let seed: u64 = args.get_or("arrival-seed", 1u64)?;

@@ -111,15 +111,8 @@ pub struct ConcurrentStats {
 
 impl ConcurrentStats {
     /// Merges `per_shard` in shard-id order into `overall`.
-    pub(crate) fn merge(
-        per_shard: Vec<GridStats>,
-        routed: Vec<u64>,
-        full_response_log: bool,
-    ) -> Self {
+    pub(crate) fn merge(per_shard: Vec<GridStats>, routed: Vec<u64>) -> Self {
         let mut overall = GridStats::default();
-        if full_response_log {
-            overall.responses.enable_full_log();
-        }
         for stats in &per_shard {
             overall.merge_shard(stats);
         }
@@ -292,7 +285,7 @@ impl ConcurrentSrm {
         for child in children.into_iter().flatten() {
             obs.merge_from(&child);
         }
-        ConcurrentStats::merge(per_shard, routed, self.config.grid.full_response_log)
+        ConcurrentStats::merge(per_shard, routed)
     }
 }
 

@@ -57,11 +57,6 @@ pub struct GridConfig {
     pub link: LinkConfig,
     /// How failed or stalled fetches are retried before a job is failed.
     pub retry: RetryPolicy,
-    /// Keep the unbounded per-job response-time log (completion order) in
-    /// [`GridStats::responses`]. Off by default: mean/percentiles come
-    /// from the bounded accumulator either way, the log is only for
-    /// consumers that need every sample.
-    pub full_response_log: bool,
 }
 
 /// Everything a [`run_grid_nodes`] run takes besides its policies and
@@ -80,24 +75,29 @@ pub struct RunOptions<'a> {
     pub obs: Option<&'a Obs>,
 }
 
+/// An engine event. `Arrival` carries the job's index in the arrivals;
+/// every other event carries the service slot of a job in service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    Arrival(usize),
-    FetchDone(usize),
+    Arrival(u32),
+    FetchDone(u32),
     /// A fetch attempt failed (timeout, stranded by a permanent outage, or
     /// transient error); the SRM decides between retry and giving up.
-    FetchFailed(usize),
+    FetchFailed(u32),
     /// Backoff elapsed: issue the next fetch attempt.
-    RetryFetch(usize),
-    ProcessDone(usize),
+    RetryFetch(u32),
+    ProcessDone(u32),
 }
 
-/// Per-job engine state, one per arrival: kept at 24 bytes. The arrival
-/// time is read from the job's [`JobArrival`].
-#[derive(Debug, Clone, Default)]
+/// The engine state of one job in service, held in a service slot from
+/// admission until it completes or fails for good. Queued jobs have none.
+#[derive(Debug)]
 struct JobState {
     fetched_bytes: u64,
     requested_bytes: u64,
+    /// The job's index in the arrivals: its bundle, its arrival time and
+    /// the `job` field of every obs event.
+    job: u32,
     /// Fetch attempts issued so far (including the one in flight).
     attempts: u32,
     /// The SRM node the job was routed to.
@@ -112,7 +112,8 @@ struct JobState {
 struct Node<'p> {
     policy: &'p mut dyn CachePolicy,
     cache: CacheState,
-    queue: VecDeque<usize>,
+    /// Arrival indices of the jobs waiting for a service slot.
+    queue: VecDeque<u32>,
     in_service: usize,
     stats: GridStats,
 }
@@ -123,7 +124,7 @@ enum Storage<'a> {
     Mss(MassStorage),
     /// Replica sites: each fetched file is read from the site that
     /// finishes it earliest. A retry re-reads the whole file set, so
-    /// `files[job]` keeps it.
+    /// `files[slot]` keeps it.
     Replicated {
         sites: Vec<MassStorage>,
         placement: &'a Placement,
@@ -132,19 +133,23 @@ enum Storage<'a> {
 }
 
 impl Storage<'_> {
-    /// Keeps job `i`'s fetched file list if the fetch path needs it.
-    fn keep_files(&mut self, i: usize, fetched: &mut Vec<FileId>) {
+    /// Keeps the fetched file list of the job in `slot` if the fetch path
+    /// needs it.
+    fn keep_files(&mut self, slot: usize, fetched: &mut Vec<FileId>) {
         if let Storage::Replicated { files, .. } = self {
-            files[i] = std::mem::take(fetched);
+            if slot == files.len() {
+                files.push(Vec::new());
+            }
+            files[slot] = std::mem::take(fetched);
         }
     }
 
-    /// Reads job `i`'s `bytes` of misses starting at `now` and ships them
-    /// over `link`. Returns when the last byte arrives, or `None` when an
-    /// outage strands the read for good.
+    /// Reads the `bytes` of misses of the job in `slot` starting at `now`
+    /// and ships them over `link`. Returns when the last byte arrives, or
+    /// `None` when an outage strands the read for good.
     fn fetch(
         &mut self,
-        i: usize,
+        slot: usize,
         bytes: u64,
         now: SimTime,
         link: &mut Link,
@@ -164,7 +169,7 @@ impl Storage<'_> {
                 // Schedule every fetched file on its best replica; the
                 // bundle is complete when the slowest file crosses the link.
                 let mut done = SimTime::ZERO;
-                for &f in &files[i] {
+                for &f in &files[slot] {
                     let size = catalog.size(f);
                     let replicas = placement.replicas_of(f);
                     assert!(!replicas.is_empty(), "file {f} has no replica");
@@ -192,7 +197,8 @@ impl Storage<'_> {
     }
 }
 
-/// The state all nodes share: the clock, the fetch path and the jobs.
+/// The state all nodes share: the clock, the fetch path and the jobs in
+/// service.
 struct Grid<'a> {
     config: &'a GridConfig,
     catalog: &'a FileCatalog,
@@ -202,35 +208,41 @@ struct Grid<'a> {
     storage: Storage<'a>,
     link: Link,
     faults: Option<FaultInjector>,
+    /// Service slots: a slab of the jobs in service, grown on demand, so
+    /// it never holds more than the nodes' concurrency limits together.
     jobs: Vec<JobState>,
+    /// Free slots of `jobs`, reused last freed first.
+    free: Vec<u32>,
 }
 
 impl<'a> Grid<'a> {
-    /// Issues one fetch attempt for job `i` at `now`, scheduling either
-    /// `FetchDone` or `FetchFailed`.
-    fn issue_fetch(&mut self, i: usize, now: SimTime, stats: &mut GridStats) {
-        let bytes = self.jobs[i].fetched_bytes;
+    /// Issues one fetch attempt for the job in `slot` at `now`, scheduling
+    /// either `FetchDone` or `FetchFailed`.
+    fn issue_fetch(&mut self, slot: u32, now: SimTime, stats: &mut GridStats) {
+        let job = &mut self.jobs[slot as usize];
+        let bytes = job.fetched_bytes;
         if bytes == 0 {
             // Pure cache hit: nothing to fetch, nothing that can fail.
-            self.events.schedule(now, Event::FetchDone(i));
+            self.events.schedule(now, Event::FetchDone(slot));
             return;
         }
         stats.fetch_attempts += 1;
-        self.jobs[i].attempts += 1;
+        job.attempts += 1;
+        let (i, attempts) = (u64::from(job.job), job.attempts);
         let obs = self.obs;
         if obs.is_enabled() {
             obs.incr("grid.fetch_attempts");
             obs.event(
                 "fetch",
                 &[
-                    ("job", Field::u(i as u64)),
+                    ("job", Field::u(i)),
                     ("bytes", Field::u(bytes)),
-                    ("attempt", Field::u(self.jobs[i].attempts as u64)),
+                    ("attempt", Field::u(u64::from(attempts))),
                 ],
             );
         }
         let arrive = self.storage.fetch(
-            i,
+            slot as usize,
             bytes,
             now,
             &mut self.link,
@@ -248,9 +260,9 @@ impl<'a> Grid<'a> {
                         stats.fetch_timeouts += 1;
                         if obs.is_enabled() {
                             obs.incr("grid.fetch_timeouts");
-                            obs.event("fetch_timeout", &[("job", Field::u(i as u64))]);
+                            obs.event("fetch_timeout", &[("job", Field::u(i))]);
                         }
-                        self.events.schedule(deadline, Event::FetchFailed(i));
+                        self.events.schedule(deadline, Event::FetchFailed(slot));
                         return;
                     }
                 }
@@ -262,11 +274,11 @@ impl<'a> Grid<'a> {
                     stats.transient_fetch_errors += 1;
                     if obs.is_enabled() {
                         obs.incr("grid.transient_errors");
-                        obs.event("transient_fault", &[("job", Field::u(i as u64))]);
+                        obs.event("transient_fault", &[("job", Field::u(i))]);
                     }
-                    self.events.schedule(done, Event::FetchFailed(i));
+                    self.events.schedule(done, Event::FetchFailed(slot));
                 } else {
-                    self.events.schedule(done, Event::FetchDone(i));
+                    self.events.schedule(done, Event::FetchDone(slot));
                 }
             }
             None => {
@@ -277,37 +289,62 @@ impl<'a> Grid<'a> {
                 stats.fetch_timeouts += 1;
                 if obs.is_enabled() {
                     obs.incr("grid.fetch_timeouts");
-                    obs.event("fetch_stranded", &[("job", Field::u(i as u64))]);
+                    obs.event("fetch_stranded", &[("job", Field::u(i))]);
                 }
                 self.events
-                    .schedule(deadline.unwrap_or(now), Event::FetchFailed(i));
+                    .schedule(deadline.unwrap_or(now), Event::FetchFailed(slot));
             }
         }
     }
 
-    /// Puts serviced job `i` in service on `node`: pins its files (a job
-    /// streamed past the cache has none resident to pin) and fetches.
-    fn admit(&mut self, node: &mut Node, i: usize, outcome: &RequestOutcome, now: SimTime) {
+    /// Puts serviced job `i` in service on `node`: takes a service slot,
+    /// pins its files (a job streamed past the cache has none resident to
+    /// pin) and fetches.
+    fn admit(
+        &mut self,
+        node: &mut Node,
+        n: usize,
+        i: u32,
+        outcome: &mut RequestOutcome,
+        now: SimTime,
+    ) {
         if !outcome.streamed {
-            pin_bundle(&mut node.cache, &self.arrivals[i].bundle);
+            pin_bundle(&mut node.cache, &self.arrivals[i as usize].bundle);
         }
         node.in_service += 1;
-        let job = &mut self.jobs[i];
-        job.fetched_bytes = outcome.fetched_bytes;
-        job.requested_bytes = outcome.requested_bytes;
-        job.streamed = outcome.streamed;
-        self.issue_fetch(i, now, &mut node.stats);
+        let job = JobState {
+            fetched_bytes: outcome.fetched_bytes,
+            requested_bytes: outcome.requested_bytes,
+            job: i,
+            attempts: 0,
+            node: n as u16,
+            streamed: outcome.streamed,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.jobs[slot as usize] = job;
+                slot
+            }
+            None => {
+                self.jobs.push(job);
+                (self.jobs.len() - 1) as u32
+            }
+        };
+        self.storage
+            .keep_files(slot as usize, &mut outcome.fetched_files);
+        self.issue_fetch(slot, now, &mut node.stats);
     }
 
-    /// Starts as many of `node`'s queued jobs as concurrency and pins allow.
-    fn start_jobs(&mut self, node: &mut Node, now: SimTime) {
+    /// Starts as many of node `n`'s queued jobs as concurrency and pins
+    /// allow.
+    fn start_jobs(&mut self, node: &mut Node, n: usize, now: SimTime) {
         let arrivals = self.arrivals;
         let max_concurrent = self.config.srm.max_concurrent_jobs;
         while node.in_service < max_concurrent {
             let Some(&i) = node.queue.front() else { break };
             let mut outcome =
                 node.policy
-                    .handle(&arrivals[i].bundle, &mut node.cache, self.catalog);
+                    .handle(&arrivals[i as usize].bundle, &mut node.cache, self.catalog);
             debug_assert!(node.cache.check_invariants());
             node.stats.cache.record(&outcome);
             if !outcome.serviced {
@@ -317,7 +354,7 @@ impl<'a> Grid<'a> {
                     node.stats.rejected += 1;
                     if self.obs.is_enabled() {
                         self.obs.incr("grid.jobs_rejected");
-                        self.obs.event("reject", &[("job", Field::u(i as u64))]);
+                        self.obs.event("reject", &[("job", Field::u(u64::from(i)))]);
                     }
                     continue;
                 }
@@ -331,18 +368,22 @@ impl<'a> Grid<'a> {
                 break;
             }
             node.queue.pop_front();
-            self.storage.keep_files(i, &mut outcome.fetched_files);
-            self.admit(node, i, &outcome, now);
+            self.admit(node, n, i, &mut outcome, now);
         }
     }
-}
 
-/// Ends `job`'s service on `node`: releases its pins and its slot.
-fn release(node: &mut Node, job: &JobState, bundle: &Bundle) {
-    if !job.streamed {
-        unpin_bundle(&mut node.cache, bundle);
+    /// Ends the service of the job in `slot`: releases its pins and its
+    /// node's service slot, and frees `slot`. Returns the job's node.
+    fn release(&mut self, nodes: &mut [Node], slot: u32) -> usize {
+        let job = &self.jobs[slot as usize];
+        let node = &mut nodes[job.node as usize];
+        if !job.streamed {
+            unpin_bundle(&mut node.cache, &self.arrivals[job.job as usize].bundle);
+        }
+        node.in_service -= 1;
+        self.free.push(slot);
+        job.node as usize
     }
-    node.in_service -= 1;
 }
 
 /// The node an arriving job is routed to.
@@ -366,15 +407,24 @@ fn route(dispatch: Dispatch, nodes: &[Node], bundle: &Bundle, rr_next: &mut usiz
     }
 }
 
-/// The event loop. Returns per-node statistics (every node's makespan is
-/// the run's: the nodes share one clock) and the jobs routed to each.
+/// What a [`simulate`] run leaves: per-node statistics (every node's
+/// makespan is the run's: the nodes share one clock), the jobs routed to
+/// each node, and the number of service slots the run allocated.
+struct Simulated {
+    per_node: Vec<GridStats>,
+    routed: Vec<u64>,
+    #[cfg_attr(not(test), allow(dead_code))]
+    slots: usize,
+}
+
+/// The event loop.
 fn simulate(
     policies: &mut [&mut dyn CachePolicy],
     catalog: &FileCatalog,
     arrivals: &[JobArrival],
     config: &GridConfig,
     opts: RunOptions,
-) -> (Vec<GridStats>, Vec<u64>) {
+) -> Simulated {
     assert!(!policies.is_empty(), "need at least one SRM node");
     assert!(
         arrivals.windows(2).all(|w| w[0].at <= w[1].at),
@@ -385,6 +435,11 @@ fn simulate(
         "at most {} SRM nodes",
         u16::MAX
     );
+    assert!(
+        u32::try_from(arrivals.len()).is_ok(),
+        "at most {} arrivals",
+        u32::MAX
+    );
     let disabled = Obs::disabled();
     let obs = opts.obs.unwrap_or(&disabled);
     let mut nodes: Vec<Node> = policies
@@ -394,16 +449,12 @@ fn simulate(
                 policy.attach_obs(obs.clone());
             }
             policy.prepare_from(&mut arrivals.iter().map(|a| &a.bundle));
-            let mut stats = GridStats::default();
-            if config.full_response_log {
-                stats.responses.enable_full_log();
-            }
             Node {
                 policy: &mut **policy,
                 cache: CacheState::with_catalog(config.srm.cache_size, catalog),
                 queue: VecDeque::new(),
                 in_service: 0,
-                stats,
+                stats: GridStats::default(),
             }
         })
         .collect();
@@ -415,7 +466,7 @@ fn simulate(
                 .map(|_| MassStorage::new(config.mss))
                 .collect(),
             placement,
-            files: vec![Vec::new(); arrivals.len()],
+            files: Vec::new(),
         },
     };
     let mut grid = Grid {
@@ -427,90 +478,93 @@ fn simulate(
         storage,
         link: Link::new(config.link),
         faults: opts.plan.map(|p| FaultInjector::new(p, config.mss.drives)),
-        jobs: vec![JobState::default(); arrivals.len()],
+        jobs: Vec::new(),
+        free: Vec::new(),
     };
     let mut routed = vec![0u64; nodes.len()];
     let mut rr_next = 0usize;
     let mut last_completion = SimTime::ZERO;
     // Arrivals stream past the heap, which holds only in-flight events.
-    let mut pending = arrivals
-        .iter()
-        .enumerate()
+    let mut pending = (0u32..)
+        .zip(arrivals)
         .map(|(i, a)| (a.at, Event::Arrival(i)))
         .peekable();
 
     while let Some((now, event)) = grid.events.pop_merged(&mut pending) {
         obs.set_now(now.micros());
-        // The job whose node may start queued work after this event.
-        let i = match event {
+        // The node that may start queued work after this event.
+        let n = match event {
             Event::Arrival(i) => {
                 if obs.is_enabled() {
                     obs.incr("grid.arrivals");
-                    obs.event("arrival", &[("job", Field::u(i as u64))]);
+                    obs.event("arrival", &[("job", Field::u(u64::from(i)))]);
                 }
-                let n = route(opts.dispatch, &nodes, &arrivals[i].bundle, &mut rr_next);
+                let bundle = &arrivals[i as usize].bundle;
+                let n = route(opts.dispatch, &nodes, bundle, &mut rr_next);
                 routed[n] += 1;
-                grid.jobs[i].node = n as u16;
                 nodes[n].queue.push_back(i);
-                i
+                n
             }
-            Event::FetchDone(i) => {
-                let processing = config.srm.processing_time(grid.jobs[i].requested_bytes);
+            Event::FetchDone(slot) => {
+                let processing = config
+                    .srm
+                    .processing_time(grid.jobs[slot as usize].requested_bytes);
                 grid.events
-                    .schedule(now + processing, Event::ProcessDone(i));
+                    .schedule(now + processing, Event::ProcessDone(slot));
                 continue; // no new service slot freed
             }
-            Event::FetchFailed(i) => {
-                let job = &grid.jobs[i];
+            Event::FetchFailed(slot) => {
+                let job = &grid.jobs[slot as usize];
+                let (i, attempts) = (u64::from(job.job), job.attempts);
                 let node = &mut nodes[job.node as usize];
-                if job.attempts <= config.retry.max_retries {
+                if attempts <= config.retry.max_retries {
                     node.stats.fetch_retries += 1;
                     let jitter = grid
                         .faults
                         .as_mut()
                         .map_or(1.0, |inj| inj.backoff_jitter(config.retry.jitter_frac));
-                    let delay = config.retry.backoff(job.attempts, jitter);
+                    let delay = config.retry.backoff(attempts, jitter);
                     if obs.is_enabled() {
                         obs.incr("grid.fetch_retries");
                         obs.event(
                             "retry",
                             &[
-                                ("job", Field::u(i as u64)),
-                                ("attempt", Field::u(job.attempts as u64)),
+                                ("job", Field::u(i)),
+                                ("attempt", Field::u(u64::from(attempts))),
                                 ("backoff_us", Field::u(delay.micros())),
                             ],
                         );
                     }
-                    grid.events.schedule(now + delay, Event::RetryFetch(i));
+                    grid.events.schedule(now + delay, Event::RetryFetch(slot));
                     continue; // slot stays held while backing off
                 }
                 // Retry budget exhausted: give the job up gracefully.
-                release(node, job, &arrivals[i].bundle);
-                node.stats.failed += 1;
+                let n = grid.release(&mut nodes, slot);
+                nodes[n].stats.failed += 1;
                 if obs.is_enabled() {
                     obs.incr("grid.jobs_failed");
                     obs.event(
                         "job_failed",
                         &[
-                            ("job", Field::u(i as u64)),
-                            ("attempts", Field::u(job.attempts as u64)),
+                            ("job", Field::u(i)),
+                            ("attempts", Field::u(u64::from(attempts))),
                         ],
                     );
                 }
-                i // a service slot is now free
+                n // a service slot is now free
             }
-            Event::RetryFetch(i) => {
-                let n = grid.jobs[i].node as usize;
-                grid.issue_fetch(i, now, &mut nodes[n].stats);
+            Event::RetryFetch(slot) => {
+                let n = grid.jobs[slot as usize].node as usize;
+                grid.issue_fetch(slot, now, &mut nodes[n].stats);
                 continue;
             }
-            Event::ProcessDone(i) => {
-                let job = &grid.jobs[i];
-                let node = &mut nodes[job.node as usize];
-                release(node, job, &arrivals[i].bundle);
-                let response = now.since(arrivals[i].at);
-                node.stats.completed += 1;
-                node.stats.responses.record(response);
+            Event::ProcessDone(slot) => {
+                let i = grid.jobs[slot as usize].job;
+                let n = grid.release(&mut nodes, slot);
+                let response = now.since(arrivals[i as usize].at);
+                let stats = &mut nodes[n].stats;
+                stats.completed += 1;
+                stats.responses.record(response);
                 last_completion = last_completion.max(now);
                 if obs.is_enabled() {
                     obs.incr("grid.jobs_completed");
@@ -518,18 +572,17 @@ fn simulate(
                     obs.event(
                         "job_done",
                         &[
-                            ("job", Field::u(i as u64)),
+                            ("job", Field::u(u64::from(i))),
                             ("response_us", Field::u(response.micros())),
                         ],
                     );
                 }
-                i
+                n
             }
         };
         // Only the touched node can start work: polling another would call
         // its policy again on a still-blocked request and change its history.
-        let n = grid.jobs[i].node as usize;
-        grid.start_jobs(&mut nodes[n], now);
+        grid.start_jobs(&mut nodes[n], n, now);
     }
 
     let makespan = last_completion.since(SimTime::ZERO);
@@ -540,7 +593,11 @@ fn simulate(
             ..node.stats
         })
         .collect();
-    (per_node, routed)
+    Simulated {
+        per_node,
+        routed,
+        slots: grid.jobs.len(),
+    }
 }
 
 /// Runs the grid simulation to completion and returns its statistics.
@@ -586,8 +643,8 @@ pub fn run_grid_observed(
         obs: Some(obs),
         ..RunOptions::default()
     };
-    let (mut per_node, _) = simulate(&mut [policy], catalog, arrivals, config, opts);
-    per_node.pop().expect("one node")
+    let mut run = simulate(&mut [policy], catalog, arrivals, config, opts);
+    run.per_node.pop().expect("one node")
 }
 
 /// Runs the grid on a cluster of SRM nodes: `policies[n]` drives node
@@ -607,8 +664,8 @@ pub fn run_grid_nodes(
     config: &GridConfig,
     opts: RunOptions,
 ) -> ConcurrentStats {
-    let (per_node, routed) = simulate(policies, catalog, arrivals, config, opts);
-    ConcurrentStats::merge(per_node, routed, config.full_response_log)
+    let run = simulate(policies, catalog, arrivals, config, opts);
+    ConcurrentStats::merge(run.per_node, run.routed)
 }
 
 #[cfg(test)]
@@ -637,7 +694,6 @@ mod tests {
                 bandwidth: 100e6,
             },
             retry: RetryPolicy::default(),
-            full_response_log: true, // tests below inspect per-job times
         }
     }
 
@@ -662,9 +718,86 @@ mod tests {
         )
     }
 
+    /// The service-slot slab is bounded by the jobs in service, never by
+    /// the trace: at most `max_concurrent_jobs` slots per node.
     #[test]
-    fn job_state_stays_24_bytes() {
-        assert_eq!(std::mem::size_of::<JobState>(), 24);
+    fn service_slots_never_exceed_the_concurrency_limits() {
+        let catalog = FileCatalog::from_sizes(vec![1_000_000; 64]);
+        let jobs: Vec<Bundle> = (0..10_000u32)
+            .map(|i| b(&[i % 64, (i * 7 + 3) % 64]))
+            .collect();
+        let arrivals = schedule_arrivals(&jobs, ArrivalProcess::Batch);
+        let mut cfg = quick_config(16_000_000);
+        cfg.srm.max_concurrent_jobs = 4;
+        cfg.retry.max_retries = 3;
+        cfg.retry.fetch_timeout = Some(SimDuration::from_secs(30));
+
+        // One node under flaky-wan: failed fetches hold their slot
+        // through the backoff.
+        let plan = FaultPlan::preset("flaky-wan").unwrap();
+        let mut policy = Lru::new();
+        let opts = RunOptions {
+            plan: Some(&plan),
+            ..RunOptions::default()
+        };
+        let run = simulate(&mut [&mut policy], &catalog, &arrivals, &cfg, opts);
+        let stats = &run.per_node[0];
+        assert!(stats.fetch_retries > 0, "the plan must force retries");
+        assert_eq!(stats.completed + stats.failed + stats.rejected, 10_000);
+        assert!(
+            (1..=4).contains(&run.slots),
+            "{} slots for one node of 4",
+            run.slots
+        );
+
+        // Three nodes over replicated storage: the bound is the sum.
+        let placement = Placement::random(64, 3, 2, 5);
+        let (mut p0, mut p1, mut p2) = (Lru::new(), Lru::new(), Lru::new());
+        let opts = RunOptions {
+            dispatch: Dispatch::LeastLoaded,
+            placement: Some(&placement),
+            plan: Some(&plan),
+            ..RunOptions::default()
+        };
+        let run = simulate(
+            &mut [&mut p0, &mut p1, &mut p2],
+            &catalog,
+            &arrivals,
+            &cfg,
+            opts,
+        );
+        assert_eq!(run.routed.iter().sum::<u64>(), 10_000);
+        assert!(
+            (1..=12).contains(&run.slots),
+            "{} slots for three nodes of 4",
+            run.slots
+        );
+    }
+
+    /// Obs events name jobs by arrival index, not by service slot: with
+    /// one slot, jobs complete in arrival order, so `job_done` reads 0..n.
+    #[test]
+    fn job_done_events_name_jobs_by_arrival_index() {
+        let catalog = FileCatalog::from_sizes(vec![1_000_000; 8]);
+        let jobs: Vec<Bundle> = (0..40).map(|i| b(&[i % 8, (i + 3) % 8])).collect();
+        let arrivals = schedule_arrivals(&jobs, ArrivalProcess::Batch);
+        let mut cfg = quick_config(4_000_000);
+        cfg.srm.max_concurrent_jobs = 1;
+        let obs = Obs::enabled();
+        let mut policy = Lru::new();
+        let stats = run_grid_observed(&mut policy, &catalog, &arrivals, &cfg, None, &obs);
+        assert_eq!(stats.completed, 40);
+        let done: Vec<String> = obs
+            .jsonl()
+            .lines()
+            .filter(|l| l.contains("\"ev\":\"job_done\""))
+            .map(|l| {
+                let rest = &l[l.find("\"job\":").expect("job field") + 6..];
+                rest[..rest.find(',').expect("more fields")].to_string()
+            })
+            .collect();
+        let expected: Vec<String> = (0..40).map(|i: u32| i.to_string()).collect();
+        assert_eq!(done, expected);
     }
 
     #[test]
@@ -710,7 +843,7 @@ mod tests {
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.cache.hits, 1);
         // The hit skips MSS entirely.
-        let log = stats.responses.full_log().unwrap();
+        let log = stats.responses.samples();
         assert!(log[1] < log[0]);
     }
 
@@ -803,7 +936,7 @@ mod tests {
         let stats = run_grid(&mut policy, &catalog, &arrivals, &cfg);
         assert_eq!(stats.completed, 4);
         // Later jobs wait: response times strictly increase.
-        for w in stats.responses.full_log().unwrap().windows(2) {
+        for w in stats.responses.samples().windows(2) {
             assert!(w[0] < w[1]);
         }
     }

@@ -5,127 +5,83 @@
 use crate::time::SimDuration;
 use fbc_sim::metrics::Metrics;
 use fbc_sim::report::{f4, Table};
-use std::collections::BTreeMap;
 
-/// Exact bounded accumulator of job response times.
+/// Job response times: one raw sample per completed job, in completion
+/// order, plus a running sum for the mean.
 ///
-/// The engines used to push one `SimDuration` per completed job into an
-/// ever-growing vector just to answer mean/p95 — a million-job run
-/// carried an 8 MB+ log, and every percentile call cloned and re-sorted
-/// it (twice per rendered report). This accumulator keeps a running sum
-/// plus an ordered `micros → count` histogram, so memory is bounded by
-/// the number of *distinct* response times, quantiles are exact
-/// (nearest-rank over the ordered counts, no sort ever) and the report
-/// renders without cloning anything.
+/// A histogram of distinct values would not bound memory here: every one
+/// of the benchmark's `hit-flood` response times is distinct (3,000,000
+/// of 3,000,000), 230,611 of `paper-zipf`'s 300,000 are, and 44–50 % of
+/// each `sharded-churn` shard's are. An ordered-map entry costs about 32
+/// bytes and a B-tree insert per job; a raw sample costs 8 bytes and a
+/// push.
 ///
-/// The per-job log survives behind the [`GridStats`] driver's
-/// `full_response_log` opt-in ([`crate::engine::GridConfig`]): only runs
-/// that ask for completion-order response times pay for storing them.
+/// Quantiles are exact nearest-rank ([`fbc_obs::quantile`]), selected on
+/// a scratch copy when read, so the engine loop only ever pushes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResponseStats {
-    count: u64,
     sum_micros: u128,
-    hist: BTreeMap<u64, u64>,
-    full_log: Option<Vec<SimDuration>>,
+    samples: Vec<SimDuration>,
 }
 
 impl ResponseStats {
-    /// A fresh accumulator without the per-job log.
+    /// A fresh, empty accumulator.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A fresh accumulator that additionally keeps every response time in
-    /// completion order (unbounded — one entry per completed job).
-    pub fn with_full_log() -> Self {
-        Self {
-            full_log: Some(Vec::new()),
-            ..Self::default()
-        }
-    }
-
-    /// Turns on the per-job log (no-op if already on). Call before the
-    /// first [`record`](Self::record); samples recorded earlier are not
-    /// back-filled.
-    pub fn enable_full_log(&mut self) {
-        self.full_log.get_or_insert_with(Vec::new);
-    }
-
-    /// Folds one completed job's response time into the accumulator.
+    /// Records one completed job's response time.
     pub fn record(&mut self, rt: SimDuration) {
-        self.count += 1;
         self.sum_micros += u128::from(rt.micros());
-        *self.hist.entry(rt.micros()).or_insert(0) += 1;
-        if let Some(log) = &mut self.full_log {
-            log.push(rt);
-        }
+        self.samples.push(rt);
     }
 
     /// Number of recorded response times.
     pub fn len(&self) -> u64 {
-        self.count
+        self.samples.len() as u64
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.samples.is_empty()
     }
 
     /// Mean response time, or zero when nothing was recorded (integer
-    /// microsecond division, matching the previous vector-based mean).
+    /// microsecond division).
     pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
+        if self.samples.is_empty() {
             return SimDuration::ZERO;
         }
-        SimDuration((self.sum_micros / u128::from(self.count)) as u64)
+        SimDuration((self.sum_micros / self.samples.len() as u128) as u64)
     }
 
-    /// Exact nearest-rank `q`-quantile (`0.0 ..= 1.0`), zero when empty.
-    ///
-    /// A single cumulative walk over the ordered histogram — no clone, no
-    /// sort — with the same semantics as [`fbc_obs::quantile`].
+    /// Exact nearest-rank `q`-quantile (`0.0 ..= 1.0`), zero when empty,
+    /// with the semantics of [`fbc_obs::quantile`]. Selects on a copy of
+    /// the samples: O(n) per call.
     pub fn quantile(&self, q: f64) -> SimDuration {
-        let n = usize::try_from(self.count).unwrap_or(usize::MAX);
-        let Some(idx) = fbc_obs::quantile::nearest_rank_index(q, n) else {
+        let Some(idx) = fbc_obs::quantile::nearest_rank_index(q, self.samples.len()) else {
             return SimDuration::ZERO;
         };
-        let rank = idx as u64; // 0-based rank among the sorted samples
-        let mut seen = 0u64;
-        for (&micros, &c) in &self.hist {
-            seen += c;
-            if seen > rank {
-                return SimDuration(micros);
-            }
-        }
-        SimDuration::ZERO // unreachable for a consistent accumulator
+        let mut scratch = self.samples.clone();
+        *scratch.select_nth_unstable(idx).1
     }
 
     /// Largest recorded response time (zero when empty).
     pub fn max(&self) -> SimDuration {
-        self.hist
-            .keys()
-            .next_back()
-            .map_or(SimDuration::ZERO, |&m| SimDuration(m))
+        self.samples.iter().copied().max().unwrap_or_default()
     }
 
-    /// The completion-order per-job log, if the opt-in was active.
-    pub fn full_log(&self) -> Option<&[SimDuration]> {
-        self.full_log.as_deref()
+    /// Every recorded response time, in completion order.
+    pub fn samples(&self) -> &[SimDuration] {
+        &self.samples
     }
 
-    /// Folds another accumulator into this one. The per-job log is
-    /// concatenated only when both sides keep one (shard merges append in
-    /// shard order, so a merged log is per-shard completion order, not
-    /// global completion order).
+    /// Appends another accumulator's samples after this one's (shard
+    /// merges append in shard order, so a merged run lists per-shard
+    /// completion order, not global completion order).
     pub fn merge(&mut self, other: &ResponseStats) {
-        self.count += other.count;
         self.sum_micros += other.sum_micros;
-        for (&micros, &c) in &other.hist {
-            *self.hist.entry(micros).or_insert(0) += c;
-        }
-        if let (Some(log), Some(other_log)) = (&mut self.full_log, &other.full_log) {
-            log.extend_from_slice(other_log);
-        }
+        self.samples.extend_from_slice(&other.samples);
     }
 }
 
@@ -165,8 +121,8 @@ impl GridStats {
     /// The `p`-th percentile response time (`0.0 ..= 1.0`), nearest-rank.
     ///
     /// Uses the workspace-wide semantics of [`fbc_obs::quantile`] — the
-    /// same as `LatencyStats::quantile`. Exact and sort-free: the
-    /// accumulator keeps an ordered histogram (see [`ResponseStats`]).
+    /// same as `LatencyStats::quantile`. Exact: it selects among the raw
+    /// samples (see [`ResponseStats`]).
     pub fn percentile_response(&self, p: f64) -> SimDuration {
         self.responses.quantile(p)
     }
@@ -358,9 +314,8 @@ mod tests {
 
     #[test]
     fn accumulator_matches_sorted_vector_semantics() {
-        // The accumulator must reproduce exactly what clone+sort+
-        // nearest_rank produced on the old Vec<SimDuration> field,
-        // including ties and truncating integer mean.
+        // Quantiles, mean and max must equal sort + nearest-rank over the
+        // samples, including ties and the truncating integer mean.
         let samples: Vec<u64> = vec![7, 3, 3, 9, 1, 3, 9, 2, 8, 8];
         let mut acc = ResponseStats::new();
         for &s in &samples {
@@ -379,22 +334,22 @@ mod tests {
         assert_eq!(acc.mean(), SimDuration(total / samples.len() as u64));
         assert_eq!(acc.len(), samples.len() as u64);
         assert_eq!(acc.max(), SimDuration(9));
-        assert_eq!(acc.full_log(), None, "log is opt-in");
     }
 
     #[test]
-    fn full_log_preserves_completion_order() {
-        let mut acc = ResponseStats::with_full_log();
-        for s in [5u64, 2, 9] {
-            acc.record(SimDuration(s));
-        }
+    fn samples_keep_completion_order() {
+        let acc = responses([5, 2, 9]);
         assert_eq!(
-            acc.full_log().unwrap(),
-            &[SimDuration(5), SimDuration(2), SimDuration(9)]
+            acc.samples(),
+            &[
+                SimDuration::from_secs(5),
+                SimDuration::from_secs(2),
+                SimDuration::from_secs(9)
+            ]
         );
-        // enable_full_log on an active log is a no-op, not a reset.
-        acc.enable_full_log();
-        assert_eq!(acc.full_log().unwrap().len(), 3);
+        // Reading a quantile selects on a copy: the order survives.
+        assert_eq!(acc.quantile(0.5), SimDuration::from_secs(5));
+        assert_eq!(acc.samples()[0], SimDuration::from_secs(5));
     }
 
     #[test]

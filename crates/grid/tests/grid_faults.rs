@@ -59,7 +59,6 @@ fn config() -> GridConfig {
             bandwidth: 50e6,
         },
         retry: RetryPolicy::default(),
-        full_response_log: false,
     }
 }
 

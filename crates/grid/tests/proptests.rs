@@ -3,6 +3,7 @@
 use fbc_grid::event::EventQueue;
 use fbc_grid::mss::{MassStorage, MssConfig};
 use fbc_grid::network::{Link, LinkConfig};
+use fbc_grid::stats::ResponseStats;
 use fbc_grid::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -150,5 +151,41 @@ proptest! {
         for (i, a) in arr.iter().enumerate() {
             prop_assert_eq!(&a.bundle, &jobs[i]);
         }
+    }
+
+    /// `ResponseStats` answers like brute force over its samples: every
+    /// nearest-rank quantile equals sort-then-index, `max` and the
+    /// truncating `mean` match, and `merge` is concatenation. Values come
+    /// from a small range, so duplicates are common.
+    #[test]
+    fn response_stats_match_brute_force(
+        a in proptest::collection::vec(0u64..50, 0..80),
+        b in proptest::collection::vec(0u64..50, 0..80),
+        q in 0.0f64..=1.0,
+    ) {
+        let record = |xs: &[u64]| {
+            let mut r = ResponseStats::new();
+            for &x in xs {
+                r.record(SimDuration(x));
+            }
+            r
+        };
+        let mut merged = record(&a);
+        merged.merge(&record(&b));
+        let all: Vec<u64> = a.iter().chain(&b).copied().collect();
+        prop_assert_eq!(&merged, &record(&all));
+        let expected: Vec<SimDuration> = all.iter().map(|&x| SimDuration(x)).collect();
+        prop_assert_eq!(merged.samples(), expected.as_slice());
+        prop_assert_eq!(merged.len(), all.len() as u64);
+
+        let mut sorted = all.clone();
+        sorted.sort_unstable();
+        for q in [0.0, 1.0, q] {
+            let brute = fbc_obs::quantile::nearest_rank(&sorted, q).unwrap_or(0);
+            prop_assert_eq!(merged.quantile(q), SimDuration(brute), "q={}", q);
+        }
+        prop_assert_eq!(merged.max(), SimDuration(sorted.last().copied().unwrap_or(0)));
+        let mean = if all.is_empty() { 0 } else { all.iter().sum::<u64>() / all.len() as u64 };
+        prop_assert_eq!(merged.mean(), SimDuration(mean));
     }
 }

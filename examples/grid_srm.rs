@@ -37,7 +37,6 @@ fn main() {
                 bandwidth: 125.0e6,
             },
             retry: RetryPolicy::default(),
-            full_response_log: false,
         },
         arrivals: ArrivalProcess::Poisson {
             rate: 1.5,

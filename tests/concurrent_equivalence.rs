@@ -12,7 +12,7 @@ use file_bundle_cache::grid::client::schedule_arrivals;
 use file_bundle_cache::grid::JobArrival;
 use file_bundle_cache::prelude::*;
 
-fn grid_config(cache_size: Bytes, full_response_log: bool) -> GridConfig {
+fn grid_config(cache_size: Bytes) -> GridConfig {
     GridConfig {
         srm: SrmConfig {
             cache_size,
@@ -29,7 +29,6 @@ fn grid_config(cache_size: Bytes, full_response_log: bool) -> GridConfig {
             bandwidth: 125.0e6,
         },
         retry: RetryPolicy::default(),
-        full_response_log,
     }
 }
 
@@ -94,7 +93,7 @@ fn assert_single_shard_identity(
 #[test]
 fn single_shard_matches_engine_for_every_policy() {
     let (catalog, arrivals) = workload(11, 150);
-    let config = grid_config(GIB / 4, false);
+    let config = grid_config(GIB / 4);
     for kind in PolicyKind::ONLINE {
         assert_single_shard_identity(kind, &catalog, &arrivals, &config, None);
     }
@@ -103,7 +102,7 @@ fn single_shard_matches_engine_for_every_policy() {
 #[test]
 fn single_shard_matches_engine_under_faults() {
     let (catalog, arrivals) = workload(23, 120);
-    let config = grid_config(GIB / 4, false);
+    let config = grid_config(GIB / 4);
     let mut plans: Vec<FaultPlan> = ["tape-outage", "flaky-wan", "blackout"]
         .iter()
         .map(|p| FaultPlan::preset(p).expect("known preset"))
@@ -121,9 +120,9 @@ fn single_shard_matches_engine_under_faults() {
 }
 
 #[test]
-fn single_shard_preserves_the_full_response_log() {
+fn single_shard_preserves_completion_order_responses() {
     let (catalog, arrivals) = workload(31, 100);
-    let config = grid_config(GIB / 4, true);
+    let config = grid_config(GIB / 4);
     assert_single_shard_identity(
         PolicyKind::OptFileBundle,
         &catalog,
@@ -132,11 +131,22 @@ fn single_shard_preserves_the_full_response_log() {
         None,
     );
 
-    // And the log really is populated job-by-job in completion order.
+    // The samples are the response times of the `job_done` events, in
+    // the order the jobs completed.
     let mut policy = PolicyKind::OptFileBundle.build();
-    let seq = run_grid(&mut *policy, &catalog, &arrivals, &config);
-    let log = seq.responses.full_log().expect("opt-in log enabled");
-    assert_eq!(log.len() as u64, seq.responses.len());
+    let obs = Obs::enabled();
+    let seq = run_grid_observed(&mut *policy, &catalog, &arrivals, &config, None, &obs);
+    let traced: Vec<SimDuration> = obs
+        .jsonl()
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"job_done\""))
+        .map(|l| {
+            let us = &l[l.find("\"response_us\":").expect("response field") + 14..];
+            SimDuration(us.trim_end_matches('}').parse().expect("integer"))
+        })
+        .collect();
+    assert_eq!(traced.len() as u64, seq.completed);
+    assert_eq!(seq.responses.samples(), traced.as_slice());
 }
 
 #[test]
@@ -146,7 +156,7 @@ fn sharded_result_is_independent_of_worker_count() {
     let run_with = |workers: usize| {
         let cfg = ConcurrentConfig {
             workers,
-            ..ConcurrentConfig::sharded(grid_config(GIB / 2, false), 4)
+            ..ConcurrentConfig::sharded(grid_config(GIB / 2), 4)
         };
         let obs = Obs::enabled();
         let stats = run_concurrent_grid_observed(&factory, &catalog, &arrivals, &cfg, None, &obs);
@@ -171,7 +181,7 @@ fn full_admission_queue_cannot_lock_out_requests() {
     let cfg = ConcurrentConfig {
         queue_capacity: 1, // every send blocks until the router drains
         batch: 1,
-        ..ConcurrentConfig::sharded(grid_config(GIB / 2, false), 3)
+        ..ConcurrentConfig::sharded(grid_config(GIB / 2), 3)
     };
     let stats = run_concurrent_grid(&factory, &catalog, &arrivals, &cfg, None);
     assert_eq!(

@@ -22,7 +22,6 @@ fn config(cache_size: Bytes) -> GridConfig {
             bandwidth: 125.0e6,
         },
         retry: RetryPolicy::default(),
-        full_response_log: false,
     }
 }
 
