@@ -107,9 +107,10 @@ impl Stream {
     /// The decision-dominated stream: `jobs` random triples over a
     /// `files`-file catalog with room for `resident` files. Random triples
     /// over a large population are almost all distinct, which keeps the
-    /// history growing and the candidate selection busy. One repeat:
-    /// decision-state growth makes reruns near-identical, and one 1-shard
-    /// run takes seconds.
+    /// history growing and the candidate selection busy. Three timed
+    /// batches per shard count, so the headline is a median with a
+    /// spread: single runs of the 4-shard row have differed by nearly 2×
+    /// back to back on a shared 2-thread host.
     fn decision(reduced: bool) -> Self {
         let (files, jobs, resident) = if reduced {
             (6_000, 6_000, 4_000)
@@ -125,7 +126,7 @@ impl Stream {
             files,
             resident,
             &bundles,
-            Plan::new(0, 1, 1),
+            Plan::new(0, 3, 1),
             2_000,
         )
     }

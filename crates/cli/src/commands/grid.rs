@@ -154,7 +154,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             shards,
             workers,
             shard_by,
-            ..ConcurrentConfig::default()
         };
         let cstats = run_concurrent_grid_observed(
             &factory,

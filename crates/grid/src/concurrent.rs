@@ -5,21 +5,19 @@
 //! shards — each owning its own [`fbc_core::cache::CacheState`] (an equal
 //! slice of the configured capacity), its own policy instance (built per
 //! shard from a [`PolicyFactory`]) and its own private [`Obs`] sink — and
-//! runs the unmodified engine ([`run_grid_observed`], one SRM node) on
-//! every shard, on a pool of `M` scoped worker threads.
+//! runs the unmodified engine ([`crate::engine::run_grid_observed`], one
+//! SRM node) on every shard, on a pool of `M` scoped worker threads.
 //!
 //! # Pipeline
 //!
-//! 1. **Admission.** A producer thread submits every [`JobArrival`] into
-//!    a *bounded* MPSC queue ([`std::sync::mpsc::sync_channel`] of
-//!    [`ConcurrentConfig::queue_capacity`]); the front-end drains it in
-//!    batches of [`ConcurrentConfig::batch`] and routes each job by its
-//!    [`ShardMap`]. Backpressure instead of loss: a full queue blocks the
-//!    producer, and every admitted job is routed — request lockout is
-//!    impossible by construction.
+//! 1. **Admission.** One routing pass over the caller's arrivals computes
+//!    each job's shard by its [`ShardMap`] and counting-sorts the arrival
+//!    indices into one flat `Vec<u32>`, grouped by shard and in arrival
+//!    order within each. Every job is routed exactly once, and no arrival
+//!    is copied: each shard reads its jobs through its index range.
 //! 2. **Decision.** Workers claim shards from an atomic counter (the
-//!    `parallel_sweep` idiom) and simulate each shard's sub-trace with
-//!    the real engine — same decision, fault, retry and pinning paths as
+//!    `parallel_sweep` idiom) and simulate each shard's jobs with the
+//!    real engine — same decision, fault, retry and pinning paths as
 //!    the sequential service.
 //! 3. **Merge.** Per-shard [`GridStats`] and [`Obs`] children are folded
 //!    in shard-id order, so the combined result is a pure function of
@@ -42,7 +40,7 @@
 //! shard-count-invariant).
 
 use crate::client::JobArrival;
-use crate::engine::{run_grid_observed, GridConfig};
+use crate::engine::{run_view, ArrivalView, GridConfig};
 use crate::faults::FaultPlan;
 use crate::shard::{ShardBy, ShardMap};
 use crate::stats::GridStats;
@@ -50,7 +48,6 @@ use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::PolicyFactory;
 use fbc_obs::Obs;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Configuration of the sharded decision service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,11 +61,6 @@ pub struct ConcurrentConfig {
     pub workers: usize,
     /// Routing function for the admission front-end.
     pub shard_by: ShardBy,
-    /// Bound of the admission queue between producer and front-end; a
-    /// full queue blocks submission (backpressure, never loss).
-    pub queue_capacity: usize,
-    /// Jobs pulled from the admission queue per routing batch.
-    pub batch: usize,
 }
 
 impl Default for ConcurrentConfig {
@@ -78,8 +70,6 @@ impl Default for ConcurrentConfig {
             shards: 1,
             workers: 1,
             shard_by: ShardBy::default(),
-            queue_capacity: 1024,
-            batch: 64,
         }
     }
 }
@@ -113,6 +103,9 @@ impl ConcurrentStats {
     /// Merges `per_shard` in shard-id order into `overall`.
     pub(crate) fn merge(per_shard: Vec<GridStats>, routed: Vec<u64>) -> Self {
         let mut overall = GridStats::default();
+        overall
+            .responses
+            .reserve(per_shard.iter().map(|s| s.responses.len() as usize).sum());
         for stats in &per_shard {
             overall.merge_shard(stats);
         }
@@ -156,46 +149,34 @@ impl ConcurrentSrm {
         &self.map
     }
 
-    /// Admits every arrival through the bounded queue and returns the
-    /// per-shard sub-traces plus the routed count per shard.
-    ///
-    /// Runs the producer on a scoped thread so the bounded channel
-    /// exercises real backpressure; the routing itself is a pure function
-    /// of arrival order, so the result does not depend on thread timing.
-    fn admit(&self, arrivals: &[JobArrival]) -> (Vec<Vec<JobArrival>>, Vec<u64>) {
-        let shards = self.config.shards;
-        let mut routed_jobs: Vec<Vec<JobArrival>> = vec![Vec::new(); shards];
-        let mut routed: Vec<u64> = vec![0; shards];
-        let batch = self.config.batch.max(1);
-        let (tx, rx) = mpsc::sync_channel::<JobArrival>(self.config.queue_capacity.max(1));
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for a in arrivals {
-                    // A full queue blocks here until the router catches up.
-                    if tx.send(a.clone()).is_err() {
-                        return; // router gone: nothing left to admit to
-                    }
-                }
-            });
-            // Drain in batches until the producer hangs up. `recv` blocks,
-            // so every submitted job is routed before admission finishes.
-            let mut pending = Vec::with_capacity(batch);
-            while let Ok(first) = rx.recv() {
-                pending.push(first);
-                while pending.len() < batch {
-                    match rx.try_recv() {
-                        Ok(a) => pending.push(a),
-                        Err(_) => break,
-                    }
-                }
-                for a in pending.drain(..) {
-                    let s = self.map.shard_of(&a.bundle);
-                    routed[s] += 1;
-                    routed_jobs[s].push(a);
-                }
-            }
-        });
-        (routed_jobs, routed)
+    /// Routes every arrival in one pass. Returns the arrival indices
+    /// grouped by shard, in arrival order within each shard, and the
+    /// offsets of each shard's group: shard `s` owns
+    /// `picks[offsets[s]..offsets[s + 1]]`.
+    fn admit(&self, arrivals: &[JobArrival]) -> (Vec<u32>, Vec<usize>) {
+        assert!(
+            u32::try_from(arrivals.len()).is_ok(),
+            "at most {} arrivals",
+            u32::MAX
+        );
+        let shard: Vec<u32> = arrivals
+            .iter()
+            .map(|a| self.map.shard_of(&a.bundle) as u32)
+            .collect();
+        let mut offsets = vec![0usize; self.config.shards + 1];
+        for &s in &shard {
+            offsets[s as usize + 1] += 1;
+        }
+        for s in 1..offsets.len() {
+            offsets[s] += offsets[s - 1];
+        }
+        let mut next = offsets.clone();
+        let mut picks = vec![0u32; arrivals.len()];
+        for (i, &s) in (0u32..).zip(&shard) {
+            picks[next[s as usize]] = i;
+            next[s as usize] += 1;
+        }
+        (picks, offsets)
     }
 
     /// Runs the sharded service over `arrivals` (sorted by arrival time,
@@ -225,7 +206,7 @@ impl ConcurrentSrm {
     ) -> ConcurrentStats {
         let shards = self.config.shards;
         let workers = self.config.workers.clamp(1, shards);
-        let (routed_jobs, routed) = self.admit(arrivals);
+        let (picks, offsets) = self.admit(arrivals);
 
         // Every shard simulates with its share of the cache; shards = 1
         // degenerates to the full capacity and the exact sequential run.
@@ -238,53 +219,46 @@ impl ConcurrentSrm {
         };
 
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, GridStats, Obs)>();
+        let mut results: Vec<Option<(GridStats, Obs)>> = vec![None; shards];
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let routed_jobs = &routed_jobs;
-                let shard_grid = &shard_grid;
-                scope.spawn(move || {
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let s = next.fetch_add(1, Ordering::Relaxed);
+                            if s >= shards {
+                                return done;
+                            }
+                            let jobs =
+                                ArrivalView::picked(arrivals, &picks[offsets[s]..offsets[s + 1]]);
+                            let mut policy = factory.build_policy();
+                            let child = obs.child();
+                            let stats =
+                                run_view(policy.as_mut(), catalog, jobs, &shard_grid, plan, &child);
+                            done.push((s, stats, child));
                         }
-                        let mut policy = factory.build_policy();
-                        let child = obs.child();
-                        let stats = run_grid_observed(
-                            policy.as_mut(),
-                            catalog,
-                            &routed_jobs[s],
-                            shard_grid,
-                            plan,
-                            &child,
-                        );
-                        if tx.send((s, stats, child)).is_err() {
-                            break; // receiver gone: run aborted
-                        }
-                    }
-                });
+                    })
+                })
+                .collect();
+            for handle in handles {
+                let done = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (s, stats, child) in done {
+                    results[s] = Some((stats, child));
+                }
             }
-            drop(tx);
         });
 
-        let mut per_shard: Vec<Option<GridStats>> = vec![None; shards];
-        let mut children: Vec<Option<Obs>> = vec![None; shards];
-        while let Ok((s, stats, child)) = rx.recv() {
-            per_shard[s] = Some(stats);
-            children[s] = Some(child);
-        }
-        let per_shard: Vec<GridStats> = per_shard
-            .into_iter()
-            .map(|s| s.expect("every shard reports exactly once"))
-            .collect();
-
         // Deterministic merge, in shard-id order.
-        for child in children.into_iter().flatten() {
+        let mut per_shard = Vec::with_capacity(shards);
+        for result in results {
+            let (stats, child) = result.expect("every shard reports exactly once");
             obs.merge_from(&child);
+            per_shard.push(stats);
         }
+        let routed = offsets.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
         ConcurrentStats::merge(per_shard, routed)
     }
 }
@@ -365,18 +339,31 @@ mod tests {
         }
     }
 
+    /// More shards than jobs: most shards get an empty index view, and
+    /// still every job is routed once and decided once.
     #[test]
-    fn tiny_admission_queue_cannot_lock_out_jobs() {
-        let (catalog, arrivals) = workload(200, 10);
-        let mut cfg = config(2, 8_000_000);
-        cfg.queue_capacity = 1; // maximal backpressure
-        cfg.batch = 1;
-        let stats = run_concurrent_grid(&factory(), &catalog, &arrivals, &cfg, None);
-        assert_eq!(stats.routed.iter().sum::<u64>(), 200);
-        assert_eq!(
-            stats.overall.completed + stats.overall.rejected + stats.overall.failed,
-            200
-        );
+    fn more_shards_than_jobs_cannot_lock_out_jobs() {
+        let (catalog, arrivals) = workload(5, 10);
+        for workers in [1, 2] {
+            let cfg = ConcurrentConfig {
+                workers,
+                ..config(8, 8_000_000)
+            };
+            let stats = run_concurrent_grid(&factory(), &catalog, &arrivals, &cfg, None);
+            assert_eq!(stats.routed.len(), 8);
+            assert_eq!(stats.routed.iter().sum::<u64>(), 5);
+            assert!(stats.routed.contains(&0), "some shard must be empty");
+            assert_eq!(
+                stats.overall.completed + stats.overall.rejected + stats.overall.failed,
+                5
+            );
+            for (s, shard) in stats.per_shard.iter().enumerate() {
+                assert_eq!(
+                    shard.completed + shard.rejected + shard.failed,
+                    stats.routed[s]
+                );
+            }
+        }
     }
 
     #[test]

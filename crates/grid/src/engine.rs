@@ -75,6 +75,50 @@ pub struct RunOptions<'a> {
     pub obs: Option<&'a Obs>,
 }
 
+/// The jobs of one run, read in place: the caller's arrivals, or the ones
+/// a shard was routed, named by their indices. Job `i` of the run is the
+/// view's `i`-th arrival, so obs `job` fields number a shard's jobs from 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArrivalView<'a> {
+    arrivals: &'a [JobArrival],
+    /// Indices into `arrivals`, ascending; `None` is every arrival.
+    picks: Option<&'a [u32]>,
+}
+
+impl<'a> ArrivalView<'a> {
+    /// Every arrival, in order.
+    pub(crate) fn all(arrivals: &'a [JobArrival]) -> Self {
+        Self {
+            arrivals,
+            picks: None,
+        }
+    }
+
+    /// The arrivals at `picks`, in that order.
+    pub(crate) fn picked(arrivals: &'a [JobArrival], picks: &'a [u32]) -> Self {
+        Self {
+            arrivals,
+            picks: Some(picks),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.picks.map_or(self.arrivals.len(), <[u32]>::len)
+    }
+
+    /// Job `i` of the run.
+    fn get(&self, i: u32) -> &'a JobArrival {
+        match self.picks {
+            None => &self.arrivals[i as usize],
+            Some(picks) => &self.arrivals[picks[i as usize] as usize],
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = &'a JobArrival> {
+        (0..self.len() as u32).map(move |i| self.get(i))
+    }
+}
+
 /// An engine event. `Arrival` carries the job's index in the arrivals;
 /// every other event carries the service slot of a job in service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,7 +246,7 @@ impl Storage<'_> {
 struct Grid<'a> {
     config: &'a GridConfig,
     catalog: &'a FileCatalog,
-    arrivals: &'a [JobArrival],
+    arrivals: ArrivalView<'a>,
     obs: &'a Obs,
     events: EventQueue<Event>,
     storage: Storage<'a>,
@@ -309,7 +353,7 @@ impl<'a> Grid<'a> {
         now: SimTime,
     ) {
         if !outcome.streamed {
-            pin_bundle(&mut node.cache, &self.arrivals[i as usize].bundle);
+            pin_bundle(&mut node.cache, &self.arrivals.get(i).bundle);
         }
         node.in_service += 1;
         let job = JobState {
@@ -344,7 +388,7 @@ impl<'a> Grid<'a> {
             let Some(&i) = node.queue.front() else { break };
             let mut outcome =
                 node.policy
-                    .handle(&arrivals[i as usize].bundle, &mut node.cache, self.catalog);
+                    .handle(&arrivals.get(i).bundle, &mut node.cache, self.catalog);
             debug_assert!(node.cache.check_invariants());
             node.stats.cache.record(&outcome);
             if !outcome.serviced {
@@ -378,7 +422,7 @@ impl<'a> Grid<'a> {
         let job = &self.jobs[slot as usize];
         let node = &mut nodes[job.node as usize];
         if !job.streamed {
-            unpin_bundle(&mut node.cache, &self.arrivals[job.job as usize].bundle);
+            unpin_bundle(&mut node.cache, &self.arrivals.get(job.job).bundle);
         }
         node.in_service -= 1;
         self.free.push(slot);
@@ -421,15 +465,11 @@ struct Simulated {
 fn simulate(
     policies: &mut [&mut dyn CachePolicy],
     catalog: &FileCatalog,
-    arrivals: &[JobArrival],
+    arrivals: ArrivalView,
     config: &GridConfig,
     opts: RunOptions,
 ) -> Simulated {
     assert!(!policies.is_empty(), "need at least one SRM node");
-    assert!(
-        arrivals.windows(2).all(|w| w[0].at <= w[1].at),
-        "arrivals must be sorted by arrival time"
-    );
     assert!(
         policies.len() <= usize::from(u16::MAX),
         "at most {} SRM nodes",
@@ -439,6 +479,13 @@ fn simulate(
         u32::try_from(arrivals.len()).is_ok(),
         "at most {} arrivals",
         u32::MAX
+    );
+    assert!(
+        arrivals
+            .iter()
+            .zip(arrivals.iter().skip(1))
+            .all(|(a, b)| a.at <= b.at),
+        "arrivals must be sorted by arrival time"
     );
     let disabled = Obs::disabled();
     let obs = opts.obs.unwrap_or(&disabled);
@@ -458,6 +505,10 @@ fn simulate(
             }
         })
         .collect();
+    // One node completes at most every job: size its samples up front.
+    if let [node] = nodes.as_mut_slice() {
+        node.stats.responses.reserve(arrivals.len());
+    }
 
     let storage = match opts.placement {
         None => Storage::Mss(MassStorage::new(config.mss)),
@@ -485,9 +536,8 @@ fn simulate(
     let mut rr_next = 0usize;
     let mut last_completion = SimTime::ZERO;
     // Arrivals stream past the heap, which holds only in-flight events.
-    let mut pending = (0u32..)
-        .zip(arrivals)
-        .map(|(i, a)| (a.at, Event::Arrival(i)))
+    let mut pending = (0..arrivals.len() as u32)
+        .map(|i| (arrivals.get(i).at, Event::Arrival(i)))
         .peekable();
 
     while let Some((now, event)) = grid.events.pop_merged(&mut pending) {
@@ -499,7 +549,7 @@ fn simulate(
                     obs.incr("grid.arrivals");
                     obs.event("arrival", &[("job", Field::u(u64::from(i)))]);
                 }
-                let bundle = &arrivals[i as usize].bundle;
+                let bundle = &arrivals.get(i).bundle;
                 let n = route(opts.dispatch, &nodes, bundle, &mut rr_next);
                 routed[n] += 1;
                 nodes[n].queue.push_back(i);
@@ -561,7 +611,7 @@ fn simulate(
             Event::ProcessDone(slot) => {
                 let i = grid.jobs[slot as usize].job;
                 let n = grid.release(&mut nodes, slot);
-                let response = now.since(arrivals[i as usize].at);
+                let response = now.since(arrivals.get(i).at);
                 let stats = &mut nodes[n].stats;
                 stats.completed += 1;
                 stats.responses.record(response);
@@ -638,6 +688,26 @@ pub fn run_grid_observed(
     plan: Option<&FaultPlan>,
     obs: &Obs,
 ) -> GridStats {
+    run_view(
+        policy,
+        catalog,
+        ArrivalView::all(arrivals),
+        config,
+        plan,
+        obs,
+    )
+}
+
+/// [`run_grid_observed`] over the jobs of `arrivals`: the one-node run
+/// every shard of [`crate::concurrent`] makes over its routed arrivals.
+pub(crate) fn run_view(
+    policy: &mut dyn CachePolicy,
+    catalog: &FileCatalog,
+    arrivals: ArrivalView,
+    config: &GridConfig,
+    plan: Option<&FaultPlan>,
+    obs: &Obs,
+) -> GridStats {
     let opts = RunOptions {
         plan,
         obs: Some(obs),
@@ -664,7 +734,7 @@ pub fn run_grid_nodes(
     config: &GridConfig,
     opts: RunOptions,
 ) -> ConcurrentStats {
-    let run = simulate(policies, catalog, arrivals, config, opts);
+    let run = simulate(policies, catalog, ArrivalView::all(arrivals), config, opts);
     ConcurrentStats::merge(run.per_node, run.routed)
 }
 
@@ -740,7 +810,13 @@ mod tests {
             plan: Some(&plan),
             ..RunOptions::default()
         };
-        let run = simulate(&mut [&mut policy], &catalog, &arrivals, &cfg, opts);
+        let run = simulate(
+            &mut [&mut policy],
+            &catalog,
+            ArrivalView::all(&arrivals),
+            &cfg,
+            opts,
+        );
         let stats = &run.per_node[0];
         assert!(stats.fetch_retries > 0, "the plan must force retries");
         assert_eq!(stats.completed + stats.failed + stats.rejected, 10_000);
@@ -762,7 +838,7 @@ mod tests {
         let run = simulate(
             &mut [&mut p0, &mut p1, &mut p2],
             &catalog,
-            &arrivals,
+            ArrivalView::all(&arrivals),
             &cfg,
             opts,
         );

@@ -36,6 +36,11 @@ impl ResponseStats {
         self.samples.push(rt);
     }
 
+    /// Makes room for `additional` more samples.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.samples.reserve_exact(additional);
+    }
+
     /// Number of recorded response times.
     pub fn len(&self) -> u64 {
         self.samples.len() as u64

@@ -5,8 +5,10 @@
 //! to `run_grid_observed` — same `GridStats`, same rendered `GridReport`,
 //! same JSONL observability trace — for every policy in the roster and
 //! under fault injection. With several shards the result must be a pure
-//! function of `(trace, config)`: independent of the worker count and
-//! stable across repeated runs.
+//! function of `(trace, config)`: independent of the worker count,
+//! stable across repeated runs, and equal to copying each shard's
+//! arrivals out and running the engine on each copy alone (the routing
+//! oracle).
 
 use file_bundle_cache::grid::client::schedule_arrivals;
 use file_bundle_cache::grid::JobArrival;
@@ -174,24 +176,112 @@ fn sharded_result_is_independent_of_worker_count() {
     assert_eq!(base_trace, again.1);
 }
 
+/// The routing oracle: what the service must compute, built from public
+/// API only. Copy each shard's arrivals out by `ShardMap::shard_of`, run
+/// the sequential engine on each copy over an equal slice of the cache,
+/// and fold stats and traces in shard order.
+fn routed_by_copy(
+    factory: &dyn PolicyFactory,
+    catalog: &FileCatalog,
+    arrivals: &[JobArrival],
+    config: &ConcurrentConfig,
+    plan: Option<&FaultPlan>,
+    obs: &Obs,
+) -> ConcurrentStats {
+    let map = ShardMap::new(config.shards, config.shard_by);
+    let mut shard_grid = config.grid;
+    shard_grid.srm.cache_size /= config.shards as u64;
+    let mut expected = ConcurrentStats::default();
+    for s in 0..config.shards {
+        let mine: Vec<JobArrival> = arrivals
+            .iter()
+            .filter(|a| map.shard_of(&a.bundle) == s)
+            .cloned()
+            .collect();
+        let child = obs.child();
+        let mut policy = factory.build_policy();
+        let stats = run_grid_observed(policy.as_mut(), catalog, &mine, &shard_grid, plan, &child);
+        obs.merge_from(&child);
+        expected.overall.merge_shard(&stats);
+        expected.per_shard.push(stats);
+        expected.routed.push(mine.len() as u64);
+    }
+    expected
+}
+
+/// Shards read the caller's arrivals through index views; the result
+/// must equal copying each shard's arrivals out and running them alone.
 #[test]
-fn full_admission_queue_cannot_lock_out_requests() {
-    let (catalog, arrivals) = workload(53, 500);
+fn sharded_run_matches_the_routing_oracle() {
+    let (catalog, arrivals) = workload(61, 240);
+    let plan = FaultPlan::preset("flaky-wan").expect("known preset");
+    let factory = || -> SendPolicy { PolicyKind::Landlord.build_send() };
+    for shard_by in [ShardBy::File, ShardBy::Bundle] {
+        for shards in [2, 3, 5] {
+            let config = ConcurrentConfig {
+                workers: 2,
+                shard_by,
+                ..ConcurrentConfig::sharded(grid_config(GIB / 2), shards)
+            };
+            let expected_obs = Obs::enabled();
+            let expected = routed_by_copy(
+                &factory,
+                &catalog,
+                &arrivals,
+                &config,
+                Some(&plan),
+                &expected_obs,
+            );
+            let obs = Obs::enabled();
+            let got = run_concurrent_grid_observed(
+                &factory,
+                &catalog,
+                &arrivals,
+                &config,
+                Some(&plan),
+                &obs,
+            );
+            let at = format!("{shards} shards by {}", shard_by.label());
+            assert_eq!(expected.routed, got.routed, "{at}: routed counts diverged");
+            assert_eq!(
+                expected.per_shard, got.per_shard,
+                "{at}: shard stats diverged"
+            );
+            assert_eq!(expected.overall, got.overall, "{at}: merged stats diverged");
+            assert_eq!(expected_obs.jsonl(), obs.jsonl(), "{at}: trace diverged");
+        }
+    }
+}
+
+/// More shards than jobs: most shards read an empty index view, and
+/// still every job is routed once and every routed job is decided.
+#[test]
+fn more_shards_than_jobs_cannot_lock_out_requests() {
+    let (catalog, arrivals) = workload(53, 5);
     let factory = || -> SendPolicy { PolicyKind::Lru.build_send() };
-    let cfg = ConcurrentConfig {
-        queue_capacity: 1, // every send blocks until the router drains
-        batch: 1,
-        ..ConcurrentConfig::sharded(grid_config(GIB / 2), 3)
-    };
-    let stats = run_concurrent_grid(&factory, &catalog, &arrivals, &cfg, None);
-    assert_eq!(
-        stats.routed.iter().sum::<u64>(),
-        500,
-        "jobs lost at admission"
-    );
-    assert_eq!(
-        stats.overall.completed + stats.overall.rejected + stats.overall.failed,
-        500,
-        "admitted jobs must all be decided"
-    );
+    for workers in [1, 2] {
+        let cfg = ConcurrentConfig {
+            workers,
+            ..ConcurrentConfig::sharded(grid_config(GIB / 2), 8)
+        };
+        let stats = run_concurrent_grid(&factory, &catalog, &arrivals, &cfg, None);
+        assert_eq!(
+            stats.routed.iter().sum::<u64>(),
+            5,
+            "jobs lost at admission"
+        );
+        assert!(stats.routed.contains(&0), "some shard must be empty");
+        assert_eq!(
+            stats.overall.completed + stats.overall.rejected + stats.overall.failed,
+            5,
+            "admitted jobs must all be decided"
+        );
+        for (s, shard) in stats.per_shard.iter().enumerate() {
+            assert_eq!(
+                shard.completed + shard.rejected + shard.failed,
+                stats.routed[s],
+                "shard {s}: routed jobs must all be decided"
+            );
+        }
+    }
 }
