@@ -78,7 +78,7 @@ impl<P: CachePolicy> AdmissionGate<P> {
             serviced: true,
             ..RequestOutcome::default()
         };
-        if cache.supports(bundle) {
+        if cache.contains_all(bundle) {
             outcome.hit = true;
             return outcome;
         }
@@ -163,7 +163,7 @@ mod tests {
         gate.handle(&b(&[0, 1]), &mut cache, &catalog);
         let out = gate.handle(&b(&[0, 1]), &mut cache, &catalog);
         assert!(out.serviced);
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
         assert_eq!(gate.occurrences(&b(&[0, 1])), 2);
         // Third occurrence is now a hit.
         let out = gate.handle(&b(&[0, 1]), &mut cache, &catalog);
@@ -183,7 +183,7 @@ mod tests {
             gate.handle(&b(&[i]), &mut cache, &catalog);
         }
         // The hot pair survived the scan.
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
         // Unwrapped LRU would have evicted it.
         let mut plain = Lru::new();
         let mut cache2 = CacheState::new(2);
@@ -192,7 +192,7 @@ mod tests {
         for i in 10..30u32 {
             plain.handle(&b(&[i]), &mut cache2, &catalog);
         }
-        assert!(!cache2.supports(&b(&[0, 1])));
+        assert!(!cache2.contains_all(&b(&[0, 1])));
     }
 
     #[test]
@@ -208,7 +208,7 @@ mod tests {
         let out = gate.handle(&b(&[2]), &mut cache, &catalog);
         assert!(out.serviced && out.streamed);
         assert!(!cache.contains(FileId(2)));
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
     }
 
     #[test]

@@ -452,7 +452,7 @@ mod tests {
             let out = arc.handle(&bundle, &mut cache, &catalog);
             assert!(cache.check_invariants());
             if out.serviced {
-                assert!(cache.supports(&bundle));
+                assert!(cache.contains_all(&bundle));
             }
             // Metadata consistency: resident sets agree.
             for (f, _) in cache.iter() {

@@ -196,7 +196,7 @@ mod tests {
                 assert!(cache.check_invariants(), "{:?} broke invariants", kind);
                 if out.serviced {
                     assert!(
-                        cache.supports(bundle),
+                        cache.contains_all(bundle),
                         "{:?} claimed service without residency",
                         kind
                     );

@@ -319,7 +319,7 @@ mod tests {
         for i in 10..30u32 {
             p.handle(&b(&[i]), &mut cache, &catalog);
         }
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
     }
 
     #[test]

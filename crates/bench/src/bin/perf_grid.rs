@@ -270,7 +270,7 @@ fn membership_kernel(n: usize, passes: usize) -> (Paired, f64, f64) {
             || {
                 let (cache, hits, victim) = &mut $side;
                 for b in &probes {
-                    if cache.supports(b) {
+                    if cache.contains_all(b) {
                         *hits += 1;
                     } else {
                         // Make room (next resident victim on the id ring),

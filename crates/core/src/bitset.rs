@@ -1,31 +1,14 @@
 //! Word-packed bitsets over dense file-id universes.
 //!
-//! `FileId`s are catalog-assigned dense indices (see [`crate::catalog`]),
-//! so residency — "is this file in the cache?" — is a membership test
-//! over a bounded integer universe. A word-packed bitset answers it with
-//! one shift and one mask instead of a hash probe; [`DenseBitSet`] is that
-//! kernel, shared by [`crate::cache::CacheState`] (the cache's residency
-//! bits) and [`crate::index::SupportIndex`] (the decision path's mirror of
-//! the resident set), so both layers maintain the *same* representation.
-//!
-//! Ids at or above [`SPARSE_ID_FLOOR`] are treated as *sparse*: they come
-//! from sparse catalog registration (trace replay with external,
-//! non-contiguous ids) and would blow the bitset up to gigabytes.
-//! [`ResidencySet`] is the hybrid: dense bits below the floor, a hash set
-//! above it — the fallback costs a hash probe but only for ids that were
-//! never dense to begin with.
-
-use crate::types::FileId;
-use rustc_hash::FxHashSet;
-
-/// First id treated as *sparse* (not backed by dense slabs/bitsets).
-///
-/// Everything below is dense: a catalog this large would already spend
-/// `8 B × SPARSE_ID_FLOOR` on its size table, so per-id slabs and bitsets
-/// are proportional, not wasteful. Ids at or above the floor can only be
-/// minted through [`crate::catalog::FileCatalog::add_file_at`] and take
-/// the interned/hashed fallback paths.
-pub const SPARSE_ID_FLOOR: u32 = 1 << 26;
+//! `FileId`s are indices into their catalog (see [`crate::catalog`]), so
+//! residency — "is this file in the cache?" — is a membership test over a
+//! bounded integer universe. A word-packed bitset answers it with one shift
+//! and one mask instead of a hash probe; [`DenseBitSet`] is that kernel,
+//! shared by [`crate::cache::CacheState`] (the cache's residency and pin
+//! bits), the victim scan of [`crate::optfilebundle::OptFileBundle`] and
+//! the reference decision path's residency mirror, so every layer keeps
+//! the *same* representation. A set's words cover the largest index ever
+//! inserted, which is below the catalog's length.
 
 /// A growable, word-packed bitset over `u32` indices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -46,14 +29,6 @@ impl DenseBitSet {
         Self {
             words: vec![0; nbits.div_ceil(64)],
             ones: 0,
-        }
-    }
-
-    /// Ensures indices `< nbits` are in range (newly covered bits are 0).
-    pub fn grow_to(&mut self, nbits: usize) {
-        let words = nbits.div_ceil(64);
-        if words > self.words.len() {
-            self.words.resize(words, 0);
         }
     }
 
@@ -127,81 +102,6 @@ impl DenseBitSet {
     }
 }
 
-/// Hybrid membership set over [`FileId`]s: word-packed bits for dense ids
-/// (below [`SPARSE_ID_FLOOR`]), a hash set for sparse ids.
-///
-/// This is the shared resident-set representation: `CacheState` keeps the
-/// authoritative copy and `SupportIndex` mirrors it, both through this
-/// type, so a hit check is the same one-load bit test on either layer.
-#[derive(Debug, Clone, Default)]
-pub struct ResidencySet {
-    dense: DenseBitSet,
-    sparse: FxHashSet<u32>,
-}
-
-impl ResidencySet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty set pre-sized for dense ids `< nbits`.
-    pub fn with_dense_capacity(nbits: usize) -> Self {
-        Self {
-            dense: DenseBitSet::with_capacity(nbits.min(SPARSE_ID_FLOOR as usize)),
-            sparse: FxHashSet::default(),
-        }
-    }
-
-    /// Whether `file` is in the set.
-    #[inline]
-    pub fn contains(&self, file: FileId) -> bool {
-        if file.0 < SPARSE_ID_FLOOR {
-            self.dense.contains(file.0)
-        } else {
-            self.sparse.contains(&file.0)
-        }
-    }
-
-    /// Inserts `file`; returns whether it was absent.
-    #[inline]
-    pub fn insert(&mut self, file: FileId) -> bool {
-        if file.0 < SPARSE_ID_FLOOR {
-            self.dense.insert(file.0)
-        } else {
-            self.sparse.insert(file.0)
-        }
-    }
-
-    /// Removes `file`; returns whether it was present.
-    #[inline]
-    pub fn remove(&mut self, file: FileId) -> bool {
-        if file.0 < SPARSE_ID_FLOOR {
-            self.dense.remove(file.0)
-        } else {
-            self.sparse.remove(&file.0)
-        }
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.dense.len() + self.sparse.len()
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clears the set, keeping allocations.
-    pub fn clear(&mut self) {
-        self.dense.clear();
-        self.sparse.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,29 +166,5 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.contains(200));
         assert!(s.insert(200));
-    }
-
-    #[test]
-    fn residency_set_routes_dense_and_sparse() {
-        let mut r = ResidencySet::new();
-        let dense = FileId(42);
-        let sparse = FileId(SPARSE_ID_FLOOR + 17);
-        assert!(r.insert(dense));
-        assert!(r.insert(sparse));
-        assert!(!r.insert(sparse), "sparse double insert detected");
-        assert!(r.contains(dense) && r.contains(sparse));
-        assert_eq!(r.len(), 2);
-        assert!(r.remove(sparse));
-        assert!(!r.contains(sparse));
-        r.clear();
-        assert!(r.is_empty() && !r.contains(dense));
-    }
-
-    #[test]
-    fn residency_set_handles_max_id() {
-        let mut r = ResidencySet::new();
-        assert!(r.insert(FileId(u32::MAX)));
-        assert!(r.contains(FileId(u32::MAX)));
-        assert!(r.remove(FileId(u32::MAX)));
     }
 }

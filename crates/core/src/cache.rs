@@ -9,17 +9,15 @@
 //!
 //! # Representation (DESIGN.md §15)
 //!
-//! Residency is *dense and hash-free*: file ids are catalog-assigned dense
-//! indices, so membership is a word-packed [`DenseBitSet`] bit test and the
+//! Residency is *dense and hash-free*: a file id is an index into its
+//! catalog, so membership is a word-packed [`DenseBitSet`] bit test and the
 //! per-file record (size, pin count) lives in a slab indexed directly by the
 //! raw id. Every hot probe — `contains`, `contains_all`, `missing_bytes`,
 //! `insert`, `evict`, `pin` — is O(1) arithmetic with no hashing and no
-//! per-operation allocation. Ids at or above
-//! [`crate::bitset::SPARSE_ID_FLOOR`] (minted only by
-//! sparse catalog registration, e.g. trace replay with external ids) take a
-//! compact interning fallback: a hash map assigns them slots in a side
-//! table, so huge non-contiguous ids cost a hash probe instead of a
-//! gigabyte slab. Pinned files are kept as a sorted `Vec` (for O(pinned)
+//! per-operation allocation. The slab and bitsets only grow on a successful
+//! `insert`, which sizes the file through the catalog first, so an id the
+//! catalog never registered fails with [`FbcError::UnknownFile`] and grows
+//! nothing. Pinned files are kept as a sorted `Vec` (for O(pinned)
 //! enumeration in ascending order) plus a bitset (for the O(1) pin test on
 //! the eviction path) instead of the previous `BTreeSet`.
 //!
@@ -31,33 +29,29 @@
 //!
 //! Determinism contract: [`CacheState::iter`] and
 //! [`CacheState::resident_files`] remain *unspecified order* in the API, but
-//! the implementation is deterministic (ascending dense ids, then interned
-//! sparse ids in slot order) — strictly more reproducible than the
-//! SipHash-randomized order of the reference twin, which is why no committed
-//! output could ever have depended on it.
+//! the implementation is deterministic (ascending ids) — strictly more
+//! reproducible than the SipHash-randomized order of the reference twin,
+//! which is why no committed output could ever have depended on it.
 
-use crate::bitset::{DenseBitSet, SPARSE_ID_FLOOR};
+use crate::bitset::DenseBitSet;
 use crate::bundle::Bundle;
 use crate::catalog::FileCatalog;
 use crate::error::{FbcError, Result};
 use crate::types::{Bytes, FileId};
-use rustc_hash::FxHashMap;
 
 /// The set of files currently resident in the disk cache.
 #[derive(Debug, Clone, Default)]
 pub struct CacheState {
     capacity: Bytes,
     used: Bytes,
-    /// Dense slab indexed by raw file id; an entry is meaningful iff the
+    /// Slab indexed by raw file id; an entry is meaningful iff the
     /// corresponding `resident` bit is set.
     slots: Vec<Resident>,
-    /// Word-packed membership bits over dense ids.
+    /// Word-packed membership bits.
     resident: DenseBitSet,
-    /// Word-packed `pins > 0` bits over dense ids.
+    /// Word-packed `pins > 0` bits.
     pinned_bits: DenseBitSet,
-    /// Interning fallback for sparse ids (`>= SPARSE_ID_FLOOR`).
-    sparse: SparseTable,
-    /// All pinned files (dense and sparse), sorted ascending.
+    /// All pinned files, sorted ascending.
     pinned: Vec<FileId>,
 }
 
@@ -67,89 +61,10 @@ struct Resident {
     pins: u32,
 }
 
-/// Interning table for sparse file ids: a hash map assigns each id a slot
-/// in a compact side slab, with freed slots reused. Iteration order is slot
-/// order — deterministic for a given operation sequence.
-#[derive(Debug, Clone, Default)]
-struct SparseTable {
-    index: FxHashMap<u32, u32>,
-    /// Slot → raw id; meaningful only while `occupied[slot]`.
-    ids: Vec<u32>,
-    slots: Vec<Resident>,
-    occupied: Vec<bool>,
-    free: Vec<u32>,
-}
-
-impl SparseTable {
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    #[inline]
-    fn contains(&self, raw: u32) -> bool {
-        self.index.contains_key(&raw)
-    }
-
-    #[inline]
-    fn get(&self, raw: u32) -> Option<&Resident> {
-        self.index.get(&raw).map(|&s| &self.slots[s as usize])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, raw: u32) -> Option<&mut Resident> {
-        self.index.get(&raw).map(|&s| &mut self.slots[s as usize])
-    }
-
-    fn insert(&mut self, raw: u32, r: Resident) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.ids[s as usize] = raw;
-                self.slots[s as usize] = r;
-                self.occupied[s as usize] = true;
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.ids.push(raw);
-                self.slots.push(r);
-                self.occupied.push(true);
-                s
-            }
-        };
-        self.index.insert(raw, slot);
-    }
-
-    fn remove(&mut self, raw: u32) -> Option<Resident> {
-        let slot = self.index.remove(&raw)?;
-        let r = self.slots[slot as usize];
-        self.occupied[slot as usize] = false;
-        self.free.push(slot);
-        Some(r)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (FileId, Bytes)> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.slots)
-            .zip(&self.occupied)
-            .filter(|&(_, &occ)| occ)
-            .map(|((&id, r), _)| (FileId(id), r.size))
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.ids.clear();
-        self.slots.clear();
-        self.occupied.clear();
-        self.free.clear();
-    }
-}
-
 impl CacheState {
-    /// Creates an empty cache of the given capacity. The dense slab grows
-    /// lazily with the largest inserted id; use
-    /// [`with_catalog`](Self::with_catalog) to pre-size it and keep the
-    /// first fill allocation-free.
+    /// Creates an empty cache of the given capacity. The slab grows lazily
+    /// with the largest inserted id; use [`with_catalog`](Self::with_catalog)
+    /// to pre-size it and keep the first fill allocation-free.
     pub fn new(capacity: Bytes) -> Self {
         Self {
             capacity,
@@ -157,10 +72,10 @@ impl CacheState {
         }
     }
 
-    /// Creates an empty cache pre-sized for `catalog`'s dense id universe.
+    /// Creates an empty cache pre-sized for `catalog`'s ids.
     /// Behaviorally identical to [`new`](Self::new) — sizing only.
     pub fn with_catalog(capacity: Bytes, catalog: &FileCatalog) -> Self {
-        let n = catalog.dense_len().min(SPARSE_ID_FLOOR as usize);
+        let n = catalog.len();
         Self {
             capacity,
             slots: vec![Resident::default(); n],
@@ -191,7 +106,7 @@ impl CacheState {
     /// Number of resident files.
     #[inline]
     pub fn len(&self) -> usize {
-        self.resident.len() + self.sparse.len()
+        self.resident.len()
     }
 
     /// Whether no file is resident.
@@ -200,31 +115,19 @@ impl CacheState {
         self.len() == 0
     }
 
-    /// Whether `file` is resident: one bit test for dense ids, a hash
-    /// probe only for sparse ones.
+    /// Whether `file` is resident: one bit test.
     #[inline]
     pub fn contains(&self, file: FileId) -> bool {
-        if file.0 < SPARSE_ID_FLOOR {
-            self.resident.contains(file.0)
-        } else {
-            self.sparse.contains(file.0)
-        }
-    }
-
-    /// Whether every file of `bundle` is resident, tested against the
-    /// residency bitset in one pass — the batched hit-check kernel the
-    /// engines call per arrival.
-    #[inline]
-    pub fn contains_all(&self, bundle: &Bundle) -> bool {
-        bundle.iter().all(|f| self.contains(f))
+        self.resident.contains(file.0)
     }
 
     /// Whether every file of `bundle` is resident — i.e. whether the bundle
-    /// is a *request-hit* (paper §3). Alias of
-    /// [`contains_all`](Self::contains_all).
+    /// is a *request-hit* (paper §3) — tested against the residency bitset
+    /// in one pass: the batched hit-check kernel the engines call per
+    /// arrival.
     #[inline]
-    pub fn supports(&self, bundle: &Bundle) -> bool {
-        self.contains_all(bundle)
+    pub fn contains_all(&self, bundle: &Bundle) -> bool {
+        bundle.iter().all(|f| self.contains(f))
     }
 
     /// The files of `bundle` that are *not* resident.
@@ -244,9 +147,11 @@ impl CacheState {
 
     /// Inserts `file` (size taken from `catalog`).
     ///
-    /// Fails with [`FbcError::CapacityExceeded`] if the file does not fit and
-    /// with [`FbcError::DuplicateFile`] if it is already resident — policies
-    /// are expected to check both conditions, so violations indicate bugs.
+    /// Fails with [`FbcError::UnknownFile`] if the catalog does not
+    /// register `file`, with [`FbcError::CapacityExceeded`] if the file does
+    /// not fit and with [`FbcError::DuplicateFile`] if it is already
+    /// resident — policies are expected to check all three, so violations
+    /// indicate bugs.
     pub fn insert(&mut self, file: FileId, catalog: &FileCatalog) -> Result<()> {
         let size = catalog.try_size(file)?;
         if self.contains(file) {
@@ -259,16 +164,12 @@ impl CacheState {
                 requested: size,
             });
         }
-        if file.0 < SPARSE_ID_FLOOR {
-            let idx = file.index();
-            if idx >= self.slots.len() {
-                self.slots.resize(idx + 1, Resident::default());
-            }
-            self.slots[idx] = Resident { size, pins: 0 };
-            self.resident.insert(file.0);
-        } else {
-            self.sparse.insert(file.0, Resident { size, pins: 0 });
+        let idx = file.index();
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, Resident::default());
         }
+        self.slots[idx] = Resident { size, pins: 0 };
+        self.resident.insert(file.0);
         self.used += size;
         Ok(())
     }
@@ -277,50 +178,29 @@ impl CacheState {
     ///
     /// Fails if the file is not resident or is pinned.
     pub fn evict(&mut self, file: FileId) -> Result<Bytes> {
-        if file.0 < SPARSE_ID_FLOOR {
-            if !self.resident.contains(file.0) {
-                return Err(FbcError::NotResident(file));
-            }
-            if self.pinned_bits.contains(file.0) {
-                return Err(FbcError::Pinned(file));
-            }
-            let size = self.slots[file.index()].size;
-            self.resident.remove(file.0);
-            self.used -= size;
-            Ok(size)
-        } else {
-            match self.sparse.get(file.0) {
-                None => Err(FbcError::NotResident(file)),
-                Some(r) if r.pins > 0 => Err(FbcError::Pinned(file)),
-                Some(_) => {
-                    let size = self.sparse.remove(file.0).expect("present").size;
-                    self.used -= size;
-                    Ok(size)
-                }
-            }
+        if !self.contains(file) {
+            return Err(FbcError::NotResident(file));
         }
+        if self.is_pinned(file) {
+            return Err(FbcError::Pinned(file));
+        }
+        let size = self.slots[file.index()].size;
+        self.resident.remove(file.0);
+        self.used -= size;
+        Ok(size)
     }
 
     /// Pins `file` for the duration of a job's service; pinned files cannot
     /// be evicted. Pins are counted, so overlapping jobs sharing a file each
     /// hold their own pin.
     pub fn pin(&mut self, file: FileId) -> Result<()> {
-        let r = if file.0 < SPARSE_ID_FLOOR {
-            if !self.resident.contains(file.0) {
-                return Err(FbcError::NotResident(file));
-            }
-            &mut self.slots[file.index()]
-        } else {
-            match self.sparse.get_mut(file.0) {
-                None => return Err(FbcError::NotResident(file)),
-                Some(r) => r,
-            }
-        };
+        if !self.contains(file) {
+            return Err(FbcError::NotResident(file));
+        }
+        let r = &mut self.slots[file.index()];
         r.pins += 1;
         if r.pins == 1 {
-            if file.0 < SPARSE_ID_FLOOR {
-                self.pinned_bits.insert(file.0);
-            }
+            self.pinned_bits.insert(file.0);
             if let Err(i) = self.pinned.binary_search(&file) {
                 self.pinned.insert(i, file);
             }
@@ -330,22 +210,13 @@ impl CacheState {
 
     /// Releases one pin on `file`.
     pub fn unpin(&mut self, file: FileId) -> Result<()> {
-        let r = if file.0 < SPARSE_ID_FLOOR {
-            if !self.resident.contains(file.0) {
-                return Err(FbcError::NotResident(file));
-            }
-            &mut self.slots[file.index()]
-        } else {
-            match self.sparse.get_mut(file.0) {
-                None => return Err(FbcError::NotResident(file)),
-                Some(r) => r,
-            }
-        };
+        if !self.contains(file) {
+            return Err(FbcError::NotResident(file));
+        }
+        let r = &mut self.slots[file.index()];
         r.pins = r.pins.saturating_sub(1);
         if r.pins == 0 {
-            if file.0 < SPARSE_ID_FLOOR {
-                self.pinned_bits.remove(file.0);
-            }
+            self.pinned_bits.remove(file.0);
             if let Ok(i) = self.pinned.binary_search(&file) {
                 self.pinned.remove(i);
             }
@@ -353,14 +224,10 @@ impl CacheState {
         Ok(())
     }
 
-    /// Whether `file` is currently pinned: one bit test for dense ids.
+    /// Whether `file` is currently pinned: one bit test.
     #[inline]
     pub fn is_pinned(&self, file: FileId) -> bool {
-        if file.0 < SPARSE_ID_FLOOR {
-            self.pinned_bits.contains(file.0)
-        } else {
-            self.sparse.get(file.0).is_some_and(|r| r.pins > 0)
-        }
+        self.pinned_bits.contains(file.0)
     }
 
     /// Number of currently pinned files.
@@ -375,14 +242,12 @@ impl CacheState {
     }
 
     /// Iterates over resident `(FileId, size)` pairs in unspecified order.
-    /// (The implementation yields ascending dense ids followed by interned
-    /// sparse ids in slot order — deterministic, unlike the hash-ordered
-    /// reference twin; callers must not rely on either.)
+    /// (The implementation yields ascending ids — deterministic, unlike the
+    /// hash-ordered reference twin; callers must not rely on either.)
     pub fn iter(&self) -> impl Iterator<Item = (FileId, Bytes)> + '_ {
         self.resident
             .iter_ones()
             .map(|i| (FileId(i), self.slots[i as usize].size))
-            .chain(self.sparse.iter())
     }
 
     /// All resident file ids (unspecified order).
@@ -403,7 +268,6 @@ impl CacheState {
         self.used = 0;
         self.resident.clear();
         self.pinned_bits.clear();
-        self.sparse.clear();
         self.pinned.clear();
     }
 
@@ -412,16 +276,11 @@ impl CacheState {
     pub fn check_invariants(&self) -> bool {
         let sum: Bytes = self.iter().map(|(_, s)| s).sum();
         let pins_tracked = self.pinned.iter().all(|&f| {
-            self.contains(f)
-                && if f.0 < SPARSE_ID_FLOOR {
-                    self.slots[f.index()].pins > 0 && self.pinned_bits.contains(f.0)
-                } else {
-                    self.sparse.get(f.0).is_some_and(|r| r.pins > 0)
-                }
+            self.contains(f) && self.slots[f.index()].pins > 0 && self.pinned_bits.contains(f.0)
         }) && self.iter().filter(|&(f, _)| self.is_pinned(f)).count()
             == self.pinned.len()
             && self.pinned.windows(2).all(|w| w[0] < w[1])
-            && self.pinned_bits.len() <= self.pinned.len();
+            && self.pinned_bits.len() == self.pinned.len();
         sum == self.used && self.used <= self.capacity && pins_tracked
     }
 }
@@ -431,7 +290,7 @@ impl CacheState {
 /// implementation must match it bit-for-bit on every observable — results,
 /// errors, sorted enumerations — which the model-based proptest suite
 /// (`crates/core/tests/cache_model.rs`) drives with random operation
-/// sequences including the sparse-id adversary.
+/// sequences including ids the catalog never registered.
 #[cfg(any(test, feature = "reference-kernels"))]
 pub struct CacheStateReference {
     capacity: Bytes,
@@ -493,7 +352,7 @@ impl CacheStateReference {
     }
 
     /// Whether every file of `bundle` is resident.
-    pub fn supports(&self, bundle: &Bundle) -> bool {
+    pub fn contains_all(&self, bundle: &Bundle) -> bool {
         bundle.is_subset_of(|f| self.contains(f))
     }
 
@@ -698,18 +557,16 @@ mod tests {
     }
 
     #[test]
-    fn supports_and_missing() {
+    fn contains_all_and_missing() {
         let c = catalog();
         let mut cache = CacheState::new(100);
         cache.insert(FileId(0), &c).unwrap();
         cache.insert(FileId(1), &c).unwrap();
         let bundle = Bundle::from_raw([0, 1, 2]);
-        assert!(!cache.supports(&bundle));
         assert!(!cache.contains_all(&bundle));
         assert_eq!(cache.missing_of(&bundle), vec![FileId(2)]);
         assert_eq!(cache.missing_bytes(&bundle, &c), 30);
         cache.insert(FileId(2), &c).unwrap();
-        assert!(cache.supports(&bundle));
         assert!(cache.contains_all(&bundle));
         assert_eq!(cache.missing_bytes(&bundle, &c), 0);
     }
@@ -770,35 +627,17 @@ mod tests {
     }
 
     #[test]
-    fn sparse_ids_take_the_interning_fallback() {
-        let mut c = catalog();
-        let huge = FileId(SPARSE_ID_FLOOR + 1_000_000);
-        let max = FileId(u32::MAX);
-        c.add_file_at(huge, 7).unwrap();
-        c.add_file_at(max, 9).unwrap();
+    fn unregistered_max_id_grows_nothing() {
+        let c = catalog();
         let mut cache = CacheState::new(100);
-        cache.insert(huge, &c).unwrap();
-        cache.insert(max, &c).unwrap();
-        cache.insert(FileId(0), &c).unwrap();
-        assert!(cache.contains(huge) && cache.contains(max));
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.used(), 26);
-        cache.pin(huge).unwrap();
-        assert!(cache.is_pinned(huge));
-        assert_eq!(cache.evict(huge), Err(FbcError::Pinned(huge)));
-        assert_eq!(
-            cache.pinned_files().collect::<Vec<_>>(),
-            vec![huge],
-            "sparse pins enumerate in ascending order"
-        );
-        cache.unpin(huge).unwrap();
-        assert_eq!(cache.evict(huge).unwrap(), 7);
-        assert_eq!(
-            cache.resident_files_sorted(),
-            vec![FileId(0), max],
-            "sorted enumeration spans dense and sparse ids"
-        );
-        assert!(cache.check_invariants());
+        let max = FileId(u32::MAX);
+        assert_eq!(cache.insert(max, &c), Err(FbcError::UnknownFile(max)));
+        assert!(cache.slots.is_empty(), "the slab stays empty");
+        assert_eq!(cache.resident, DenseBitSet::new());
+        assert!(!cache.contains(max) && !cache.is_pinned(max));
+        assert_eq!(cache.pin(max), Err(FbcError::NotResident(max)));
+        assert_eq!(cache.evict(max), Err(FbcError::NotResident(max)));
+        assert!(cache.is_empty() && cache.check_invariants());
     }
 
     #[test]

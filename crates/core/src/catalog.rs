@@ -4,8 +4,15 @@
 //! for every logical file name, how large the file is. Both the caching
 //! algorithms (which reason about sizes) and the simulators (which account
 //! for transfer volumes) consult it.
+//!
+//! There is one id space: a catalog of `n` files names them `FileId(0)`
+//! through `FileId(n - 1)`, so every per-file table in the crate (the
+//! cache's residency slab and bitsets, the history's file slab) is indexed
+//! by the raw id. An id at or above `len()` is unknown:
+//! [`FileCatalog::try_size`] reports it as [`FbcError::UnknownFile`], and
+//! the cache asks it before any table grows. External id spaces are mapped
+//! onto this one at the trace boundary.
 
-use crate::bitset::SPARSE_ID_FLOOR;
 use crate::error::{FbcError, Result};
 use crate::types::{Bytes, FileId};
 use serde::{Deserialize, Serialize};
@@ -13,11 +20,7 @@ use serde::{Deserialize, Serialize};
 /// Registry mapping [`FileId`]s to file sizes.
 ///
 /// Ids are dense, assigned in registration order, so lookups are plain
-/// vector indexing. For trace replay with external, non-contiguous ids,
-/// [`FileCatalog::add_file_at`] additionally registers *sparse* files at
-/// explicit ids `>= SPARSE_ID_FLOOR`; those are kept in a sorted overflow
-/// list and looked up by binary search, leaving the dense fast path
-/// untouched.
+/// vector indexing.
 ///
 /// ```
 /// use fbc_core::catalog::FileCatalog;
@@ -33,8 +36,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileCatalog {
     sizes: Vec<Bytes>,
-    /// Sparse overflow: `(raw id, size)` sorted by id, ids `>= SPARSE_ID_FLOOR`.
-    sparse: Vec<(u32, Bytes)>,
 }
 
 impl FileCatalog {
@@ -47,17 +48,13 @@ impl FileCatalog {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             sizes: Vec::with_capacity(n),
-            sparse: Vec::new(),
         }
     }
 
     /// Builds a catalog directly from a list of sizes; `sizes[i]` becomes the
     /// size of `FileId(i)`.
     pub fn from_sizes(sizes: Vec<Bytes>) -> Self {
-        Self {
-            sizes,
-            sparse: Vec::new(),
-        }
+        Self { sizes }
     }
 
     /// Registers a new file of the given size and returns its id.
@@ -65,38 +62,6 @@ impl FileCatalog {
         let id = FileId(self.sizes.len() as u32);
         self.sizes.push(size);
         id
-    }
-
-    /// Registers a file at an explicit, caller-chosen id — the trace-replay
-    /// entry point for external id spaces.
-    ///
-    /// The id must either extend the dense prefix (`id == dense_len()`,
-    /// equivalent to [`add_file`](Self::add_file)) or be *sparse*
-    /// (`id >= SPARSE_ID_FLOOR`, kept in the sorted overflow list). Ids
-    /// that would leave a gap in the dense prefix are rejected with
-    /// [`FbcError::InvalidConfig`]; re-registering a known id fails with
-    /// [`FbcError::DuplicateFile`].
-    pub fn add_file_at(&mut self, file: FileId, size: Bytes) -> Result<()> {
-        if self.contains(file) {
-            return Err(FbcError::DuplicateFile(file));
-        }
-        if file.index() == self.sizes.len() && file.0 < SPARSE_ID_FLOOR {
-            self.sizes.push(size);
-            return Ok(());
-        }
-        if file.0 < SPARSE_ID_FLOOR {
-            return Err(FbcError::InvalidConfig(format!(
-                "sparse registration of {file} would leave a dense gap \
-                 (dense prefix is {}, sparse ids start at {SPARSE_ID_FLOOR})",
-                self.sizes.len()
-            )));
-        }
-        let i = self
-            .sparse
-            .binary_search_by_key(&file.0, |&(id, _)| id)
-            .unwrap_err();
-        self.sparse.insert(i, (file.0, size));
-        Ok(())
     }
 
     /// Size of `file` in bytes.
@@ -112,51 +77,36 @@ impl FileCatalog {
         }
     }
 
-    /// Fallible size lookup: dense indexing for the dense prefix, binary
-    /// search over the sparse overflow otherwise.
+    /// Fallible size lookup.
     #[inline]
     pub fn try_size(&self, file: FileId) -> Result<Bytes> {
-        if let Some(&s) = self.sizes.get(file.index()) {
-            return Ok(s);
+        match self.sizes.get(file.index()) {
+            Some(&s) => Ok(s),
+            None => Err(FbcError::UnknownFile(file)),
         }
-        self.sparse
-            .binary_search_by_key(&file.0, |&(id, _)| id)
-            .map(|i| self.sparse[i].1)
-            .map_err(|_| FbcError::UnknownFile(file))
     }
 
     /// Whether `file` is registered.
     #[inline]
     pub fn contains(&self, file: FileId) -> bool {
         file.index() < self.sizes.len()
-            || self
-                .sparse
-                .binary_search_by_key(&file.0, |&(id, _)| id)
-                .is_ok()
     }
 
-    /// Number of registered files (dense and sparse).
+    /// Number of registered files; every id below it is registered.
     #[inline]
     pub fn len(&self) -> usize {
-        self.sizes.len() + self.sparse.len()
-    }
-
-    /// Number of files in the dense id prefix (`FileId(0)..FileId(dense_len)`).
-    /// Dense per-file tables (residency slabs, bitsets) are sized by this.
-    #[inline]
-    pub fn dense_len(&self) -> usize {
         self.sizes.len()
     }
 
     /// Whether the catalog is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty() && self.sparse.is_empty()
+        self.sizes.is_empty()
     }
 
     /// Total size of all registered files.
     pub fn total_bytes(&self) -> Bytes {
-        self.sizes.iter().sum::<Bytes>() + self.sparse.iter().map(|&(_, s)| s).sum::<Bytes>()
+        self.sizes.iter().sum()
     }
 
     /// Sum of sizes over an iterator of file ids.
@@ -164,15 +114,12 @@ impl FileCatalog {
         files.into_iter().map(|f| self.size(f)).sum()
     }
 
-    /// Iterates over `(FileId, size)` pairs in ascending id order (dense
-    /// prefix first, then the sparse overflow — which is sorted and starts
-    /// above the dense prefix).
+    /// Iterates over `(FileId, size)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (FileId, Bytes)> + '_ {
         self.sizes
             .iter()
             .enumerate()
             .map(|(i, &s)| (FileId(i as u32), s))
-            .chain(self.sparse.iter().map(|&(id, s)| (FileId(id), s)))
     }
 
     /// All file ids in the catalog, ascending.
@@ -246,48 +193,5 @@ mod tests {
         let c = FileCatalog::from_sizes(vec![1, 2]);
         let pairs: Vec<_> = c.iter().collect();
         assert_eq!(pairs, vec![(FileId(0), 1), (FileId(1), 2)]);
-    }
-
-    #[test]
-    fn sparse_registration_roundtrip() {
-        let mut c = FileCatalog::from_sizes(vec![5, 10]);
-        let hi = FileId(u32::MAX);
-        let lo = FileId(SPARSE_ID_FLOOR);
-        c.add_file_at(hi, 99).unwrap();
-        c.add_file_at(lo, 42).unwrap();
-        assert!(c.contains(hi) && c.contains(lo));
-        assert_eq!(c.try_size(hi), Ok(99));
-        assert_eq!(c.size(lo), 42);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.dense_len(), 2);
-        assert_eq!(c.total_bytes(), 156);
-        let ids: Vec<FileId> = c.ids().collect();
-        assert_eq!(ids, vec![FileId(0), FileId(1), lo, hi], "ascending order");
-        // Unregistered ids on either side of the floor stay unknown.
-        assert!(!c.contains(FileId(2)));
-        assert!(!c.contains(FileId(SPARSE_ID_FLOOR + 1)));
-    }
-
-    #[test]
-    fn sparse_registration_rejects_gaps_and_duplicates() {
-        let mut c = FileCatalog::from_sizes(vec![5]);
-        // Dense-extension via the explicit-id entry point is allowed...
-        c.add_file_at(FileId(1), 7).unwrap();
-        assert_eq!(c.size(FileId(1)), 7);
-        // ...but a dense gap is not.
-        assert!(matches!(
-            c.add_file_at(FileId(5), 1),
-            Err(FbcError::InvalidConfig(_))
-        ));
-        // Duplicates are rejected in both regions.
-        assert_eq!(
-            c.add_file_at(FileId(0), 1),
-            Err(FbcError::DuplicateFile(FileId(0)))
-        );
-        c.add_file_at(FileId(SPARSE_ID_FLOOR + 9), 1).unwrap();
-        assert_eq!(
-            c.add_file_at(FileId(SPARSE_ID_FLOOR + 9), 2),
-            Err(FbcError::DuplicateFile(FileId(SPARSE_ID_FLOOR + 9)))
-        );
     }
 }

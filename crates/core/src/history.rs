@@ -17,6 +17,9 @@
 //!
 //! * the entries themselves, in first-record order;
 //! * each entry's files as dense *file ids*, in canonical bundle order;
+//! * the file id of each [`FileId`], in a slab indexed by the `FileId`
+//!   itself (an index into its catalog, see [`crate::catalog`]), with
+//!   file ids minted in first-contact order;
 //! * `d(f)` per file id;
 //! * an intrusive recency list over entry ids, most recent first.
 //!
@@ -108,8 +111,9 @@ pub struct RequestHistory {
     /// first from `head`.
     links: Vec<(u32, u32)>,
     head: u32,
-    /// `FileId` → file id, minted at a file's first contact.
-    file_of: FxHashMap<FileId, u32>,
+    /// `FileId` → file id (`NONE` for none), minted at a file's first
+    /// contact and grown to cover the largest `FileId` seen.
+    file_of: Vec<u32>,
     /// File id → `FileId`.
     file_ids: Vec<FileId>,
     /// `d(f)` by file id: number of distinct requests using each file.
@@ -140,7 +144,7 @@ impl RequestHistory {
             entry_offsets: vec![0],
             links: Vec::new(),
             head: NONE,
-            file_of: FxHashMap::default(),
+            file_of: Vec::new(),
             file_ids: Vec::new(),
             degrees: Vec::new(),
             tick: 0,
@@ -157,6 +161,8 @@ impl RequestHistory {
     /// data structure `L(R)` with all relevant information about `r_new`"),
     /// returning its entry id. One hash probe of the bundle; a first
     /// occurrence also mints its entry id and bumps `d(f)` of its files.
+    /// The bundle's files are ids of the catalog the history serves: the
+    /// file slab grows to cover the largest one.
     pub fn record(&mut self, bundle: &Bundle) -> u32 {
         self.tick += 1;
         let tick = self.tick;
@@ -214,13 +220,16 @@ impl RequestHistory {
     /// decision state interns cache insertions here, so a file resident
     /// before any recorded bundle names it keeps its id when one does.
     pub(crate) fn intern_file(&mut self, file: FileId) -> u32 {
-        let fresh = self.file_ids.len() as u32;
-        let fid = *self.file_of.entry(file).or_insert(fresh);
-        if fid == fresh {
+        let idx = file.index();
+        if idx >= self.file_of.len() {
+            self.file_of.resize(idx + 1, NONE);
+        }
+        if self.file_of[idx] == NONE {
+            self.file_of[idx] = self.file_ids.len() as u32;
             self.file_ids.push(file);
             self.degrees.push(0);
         }
-        fid
+        self.file_of[idx]
     }
 
     fn unlink(&mut self, id: u32) {
@@ -371,7 +380,10 @@ impl RequestHistory {
     /// The file id of `file`, if it has one.
     #[inline]
     pub(crate) fn file_id(&self, file: FileId) -> Option<u32> {
-        self.file_of.get(&file).copied()
+        self.file_of
+            .get(file.index())
+            .copied()
+            .filter(|&fid| fid != NONE)
     }
 
     /// File id → `FileId`.
@@ -613,6 +625,19 @@ mod tests {
 
     fn b(ids: &[u32]) -> Bundle {
         Bundle::from_raw(ids.iter().copied())
+    }
+
+    #[test]
+    fn degree_of_a_never_seen_file_is_zero_and_grows_nothing() {
+        let mut h = RequestHistory::new();
+        h.record(&b(&[1, 2]));
+        let slab = h.file_of.len();
+        for f in [FileId(0), FileId(3), FileId(1 << 20), FileId(u32::MAX)] {
+            assert_eq!(h.degree(f), 0);
+            assert_eq!(h.file_id(f), None);
+        }
+        assert_eq!(h.file_of.len(), slab, "lookups grow no slab");
+        assert_eq!(h.file_ids().len(), 2, "lookups mint no file id");
     }
 
     #[test]

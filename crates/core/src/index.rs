@@ -12,9 +12,13 @@
 //! cache (`on_record` / `on_insert` / `on_evict`); `candidates()` is then
 //! `O(Σ_{f resident} |bundles(f)|)` amortised — in the common regime where
 //! the cache holds a small fraction of all files this is far below a full
-//! scan (see `benches/history.rs`).
+//! scan.
+//!
+//! Only the reference (rebuild) decision path of `OptFileBundle` builds
+//! the index, so the module compiles only under `cfg(test)` or the
+//! `reference-kernels` feature.
 
-use crate::bitset::ResidencySet;
+use crate::bitset::DenseBitSet;
 use crate::bundle::Bundle;
 use crate::types::FileId;
 use rustc_hash::FxHashMap;
@@ -36,7 +40,7 @@ pub struct SupportIndex {
     /// Mirror of the cache's resident set, in the same word-packed
     /// representation [`crate::cache::CacheState`] uses — membership here
     /// is the same one-load bit test as the cache's own `contains`.
-    resident: ResidencySet,
+    resident: DenseBitSet,
 }
 
 impl SupportIndex {
@@ -67,7 +71,7 @@ impl SupportIndex {
         let mut count = 0;
         for f in bundle.iter() {
             self.by_file.entry(f).or_default().push(id);
-            if self.resident.contains(f) {
+            if self.resident.contains(f.0) {
                 count += 1;
             }
         }
@@ -76,7 +80,7 @@ impl SupportIndex {
 
     /// Notifies the index that `file` became resident.
     pub fn on_insert(&mut self, file: FileId) {
-        if self.resident.insert(file) {
+        if self.resident.insert(file.0) {
             if let Some(bundles) = self.by_file.get(&file) {
                 for &b in bundles {
                     self.resident_count[b as usize] += 1;
@@ -87,7 +91,7 @@ impl SupportIndex {
 
     /// Notifies the index that `file` was evicted.
     pub fn on_evict(&mut self, file: FileId) {
-        if self.resident.remove(file) {
+        if self.resident.remove(file.0) {
             if let Some(bundles) = self.by_file.get(&file) {
                 for &b in bundles {
                     self.resident_count[b as usize] -= 1;
@@ -98,7 +102,7 @@ impl SupportIndex {
 
     /// Whether the index believes `file` is resident.
     pub fn is_resident(&self, file: FileId) -> bool {
-        self.resident.contains(file)
+        self.resident.contains(file.0)
     }
 
     /// The bundle registered under dense id `id` (as returned by
@@ -120,7 +124,7 @@ impl SupportIndex {
         // non-resident files.
         let mut bonus: FxHashMap<u32, u32> = FxHashMap::default();
         for f in extra.iter() {
-            if !self.resident.contains(f) {
+            if !self.resident.contains(f.0) {
                 if let Some(bundles) = self.by_file.get(&f) {
                     for &b in bundles {
                         *bonus.entry(b).or_insert(0) += 1;

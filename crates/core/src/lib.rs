@@ -57,6 +57,7 @@ pub mod enumerate;
 pub mod error;
 pub mod exact;
 pub mod history;
+#[cfg(any(test, feature = "reference-kernels"))]
 pub mod index;
 pub mod instance;
 pub mod knapsack;

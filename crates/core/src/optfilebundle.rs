@@ -17,7 +17,7 @@
 //! * **Prefetching** (Algorithm 2 Step 3, literally): load files of selected
 //!   historical requests that are not resident.
 
-use crate::bitset::ResidencySet;
+use crate::bitset::DenseBitSet;
 use crate::bundle::Bundle;
 use crate::cache::CacheState;
 use crate::catalog::FileCatalog;
@@ -119,7 +119,7 @@ pub struct OptFileBundle {
     /// Membership bits of the decision's retained files, set for the
     /// victim scan and cleared right after it: a bit test per resident
     /// instead of a binary search over a sorted retained list.
-    retained: ResidencySet,
+    retained: DenseBitSet,
     /// Observability sink (disabled unless a driver attaches one); records
     /// per-phase spans, candidate/retained histograms and decision events.
     obs: Obs,
@@ -164,7 +164,7 @@ impl OptFileBundle {
             index: SupportIndex::new(),
             #[cfg(any(test, feature = "reference-kernels"))]
             reference: false,
-            retained: ResidencySet::default(),
+            retained: DenseBitSet::new(),
             obs: Obs::disabled(),
             obs_slots: OutcomeObsSlots::default(),
             name,
@@ -512,7 +512,7 @@ impl OptFileBundle {
             return outcome;
         }
 
-        if cache.supports(bundle) {
+        if cache.contains_all(bundle) {
             outcome.hit = true;
             self.record(bundle);
             return outcome;
@@ -547,17 +547,17 @@ impl OptFileBundle {
             let target = missing_bytes + prefetch_bytes;
             let mask = &mut self.retained;
             for &f in &retained {
-                mask.insert(f);
+                mask.insert(f.0);
             }
             // Keys are built once per victim (one degree lookup each); the
             // id makes them unique, so the unstable sort is deterministic.
             let mut victims: Vec<(u32, std::cmp::Reverse<Bytes>, FileId)> = cache
                 .iter()
-                .filter(|&(f, _)| !bundle.contains(f) && !mask.contains(f))
+                .filter(|&(f, _)| !bundle.contains(f) && !mask.contains(f.0))
                 .map(|(f, size)| (self.history.degree(f), std::cmp::Reverse(size), f))
                 .collect();
             for &f in &retained {
-                mask.remove(f);
+                mask.remove(f.0);
             }
             victims.sort_unstable();
             for (_, _, f) in victims {
@@ -779,7 +779,7 @@ mod tests {
         let out = ofb.handle(&b(&[3]), &mut cache, &catalog);
         assert!(out.serviced);
         assert_eq!(out.evicted_files, vec![FileId(2)]);
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
         assert!(cache.contains(FileId(3)));
     }
 
@@ -809,7 +809,7 @@ mod tests {
         assert_eq!(out.fetched_bytes, 10);
         assert_eq!(out.evicted_files, vec![FileId(2)]);
         assert_eq!(cache.used(), 10);
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
     }
 
     #[test]
@@ -830,7 +830,7 @@ mod tests {
             let out = ofb.handle(&Bundle::from_raw(files.clone()), &mut cache, &catalog);
             assert!(cache.check_invariants());
             if out.serviced {
-                assert!(cache.supports(&Bundle::from_raw(files)));
+                assert!(cache.contains_all(&Bundle::from_raw(files)));
             }
         }
     }
@@ -860,7 +860,7 @@ mod tests {
         let out = ofb.handle(&b(&[8]), &mut cache, &catalog);
         assert!(out.serviced);
         assert!(
-            cache.supports(&b(&[0, 1])),
+            cache.contains_all(&b(&[0, 1])),
             "prefetch should restore the popular pair; cache={:?}",
             cache.resident_files_sorted()
         );
@@ -919,7 +919,7 @@ mod tests {
         // And the real decision matches the explanation.
         let out = ofb.handle(&b(&[3]), &mut cache, &catalog);
         assert_eq!(out.evicted_files, explanation.victims);
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
     }
 
     #[test]
@@ -945,7 +945,7 @@ mod tests {
         // pair is hot and protects it.
         let out = second.handle(&b(&[3]), &mut cache, &catalog);
         assert_eq!(out.evicted_files, vec![FileId(2)]);
-        assert!(cache.supports(&b(&[0, 1])));
+        assert!(cache.contains_all(&b(&[0, 1])));
         assert!(second.history().get(&b(&[0, 1])).unwrap().count >= 6);
     }
 

@@ -367,7 +367,7 @@ mod tests {
         assert!(!out.hit && out.serviced);
         assert_eq!(out.fetched_bytes, 40);
         assert_eq!(out.fetched_files.len(), 2);
-        assert!(cache.supports(&Bundle::from_raw([0, 2])));
+        assert!(cache.contains_all(&Bundle::from_raw([0, 2])));
     }
 
     #[test]

@@ -4,26 +4,23 @@
 //! arbitrary `insert`/`evict`/`pin`/`unpin`/`clear` interleavings —
 //! same results, same error variants, same observable state after every
 //! step — for dense id universes, for pre-sized (warm-start) caches, and
-//! for a sparse-id adversary whose huge non-contiguous raw ids force the
-//! interning fallback on every path.
+//! for an unregistered-id adversary whose ops also name ids the catalog
+//! never registered, up to `u32::MAX`: both must refuse them with the same
+//! errors and report them absent.
 
-use fbc_core::bitset::SPARSE_ID_FLOOR;
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::{CacheState, CacheStateReference};
 use fbc_core::catalog::FileCatalog;
+use fbc_core::error::FbcError;
 use fbc_core::types::{Bytes, FileId};
 use proptest::prelude::*;
 
 const NUM_DENSE: u32 = 16;
 
-/// Sparse raw ids exercising both ends of the fallback region, including
-/// the extremes a bitset must never be asked to cover.
-const SPARSE_IDS: [u32; 4] = [
-    SPARSE_ID_FLOOR,
-    SPARSE_ID_FLOOR + 1_000_000,
-    u32::MAX - 1,
-    u32::MAX,
-];
+/// Ids the adversary's catalog never registers: the first id past its
+/// end, one far past it, and the extremes a slab or bitset must never be
+/// asked to cover.
+const UNREGISTERED_IDS: [u32; 4] = [NUM_DENSE - 4, 1_000_000, u32::MAX - 1, u32::MAX];
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -36,7 +33,7 @@ enum Op {
 }
 
 /// Ops over a universe of `n` abstract file slots (mapped to real ids by
-/// the harness, so the same sequences drive dense and sparse catalogs).
+/// the harness, so the same sequences drive both catalogs).
 /// The selector weights favour inserts so runs actually fill the cache.
 fn ops(n: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
@@ -92,13 +89,16 @@ fn run_model(ops: &[Op], ids: &[FileId], catalog: &FileCatalog, capacity: Bytes,
             }
             Op::Probe(slots) => {
                 let bundle = Bundle::new(slots.iter().map(|&i| ids[i as usize]));
-                prop_assert_eq!(dense.supports(&bundle), reference.supports(&bundle));
-                prop_assert_eq!(dense.contains_all(&bundle), reference.supports(&bundle));
+                prop_assert_eq!(dense.contains_all(&bundle), reference.contains_all(&bundle));
                 prop_assert_eq!(dense.missing_of(&bundle), reference.missing_of(&bundle));
-                prop_assert_eq!(
-                    dense.missing_bytes(&bundle, catalog),
-                    reference.missing_bytes(&bundle, catalog)
-                );
+                // Sizing an unregistered file panics in both; only
+                // registered bundles have a missing-byte count.
+                if bundle.iter().all(|f| catalog.contains(f)) {
+                    prop_assert_eq!(
+                        dense.missing_bytes(&bundle, catalog),
+                        reference.missing_bytes(&bundle, catalog)
+                    );
+                }
             }
         }
         // Full observable-state equality after every step.
@@ -118,6 +118,9 @@ fn run_model(ops: &[Op], ids: &[FileId], catalog: &FileCatalog, capacity: Bytes,
         for &f in ids.iter().chain([&unknown]) {
             prop_assert_eq!(dense.contains(f), reference.contains(f));
             prop_assert_eq!(dense.is_pinned(f), reference.is_pinned(f));
+            if !catalog.contains(f) {
+                prop_assert!(!dense.contains(f) && !dense.is_pinned(f));
+            }
         }
         // `iter` orders may legitimately differ (slab order vs BTreeMap
         // order); the multiset of pairs must not.
@@ -137,19 +140,16 @@ fn dense_catalog() -> (FileCatalog, Vec<FileId>) {
     (catalog, ids)
 }
 
-/// A catalog whose universe mixes the dense prefix with huge, wildly
-/// non-contiguous sparse ids — every sparse touch must take the interning
-/// fallback, never a (4-billion-bit) bitset.
-fn sparse_catalog() -> (FileCatalog, Vec<FileId>) {
-    let mut catalog =
+/// A catalog of `NUM_DENSE - 4` files and a universe that adds
+/// [`UNREGISTERED_IDS`]: every op on those must fail or read false in
+/// both implementations alike.
+fn unregistered_catalog() -> (FileCatalog, Vec<FileId>) {
+    let catalog =
         FileCatalog::from_sizes((0..(NUM_DENSE - 4) as u64).map(|i| (i % 5) + 1).collect());
-    let mut ids: Vec<FileId> = (0..NUM_DENSE - 4).map(FileId).collect();
-    for (i, raw) in SPARSE_IDS.into_iter().enumerate() {
-        catalog
-            .add_file_at(FileId(raw), (i as u64 % 5) + 1)
-            .unwrap();
-        ids.push(FileId(raw));
-    }
+    let ids = (0..NUM_DENSE - 4)
+        .chain(UNREGISTERED_IDS)
+        .map(FileId)
+        .collect();
     (catalog, ids)
 }
 
@@ -169,37 +169,39 @@ proptest! {
     }
 
     #[test]
-    fn sparse_adversary_matches_reference(ops in ops(NUM_DENSE, 48), capacity in 1u64..24) {
-        let (catalog, ids) = sparse_catalog();
+    fn unregistered_adversary_matches_reference(ops in ops(NUM_DENSE, 48), capacity in 1u64..24) {
+        let (catalog, ids) = unregistered_catalog();
         run_model(&ops, &ids, &catalog, capacity, false);
         run_model(&ops, &ids, &catalog, capacity, true);
     }
 }
 
-/// Deterministic spot check that the sparse adversary really exercises the
-/// fallback: residency at `u32::MAX` round-trips without the dense slab
-/// growing to cover it.
+/// Deterministic spot check of the adversary's extremes: with every
+/// registered file resident and pinned, each unregistered id is refused
+/// as unknown on insert and as not resident on evict, pin and unpin, and
+/// never reads as resident or pinned.
 #[test]
-fn sparse_extreme_ids_round_trip() {
-    let (catalog, ids) = sparse_catalog();
+fn unregistered_extreme_ids_are_refused() {
+    let (catalog, ids) = unregistered_catalog();
     let mut cache = CacheState::with_catalog(1 << 20, &catalog);
-    for &f in &ids {
+    let (registered, unregistered) = ids.split_at(catalog.len());
+    for &f in registered {
         cache.insert(f, &catalog).unwrap();
+        cache.pin(f).unwrap();
     }
-    assert_eq!(cache.len(), ids.len());
-    let bundle = Bundle::new(ids.iter().copied());
-    assert!(cache.contains_all(&bundle));
-    assert_eq!(cache.missing_bytes(&bundle, &catalog), 0);
-    cache.pin(FileId(u32::MAX)).unwrap();
-    assert_eq!(
-        cache.evict(FileId(u32::MAX)),
-        Err(fbc_core::error::FbcError::Pinned(FileId(u32::MAX)))
-    );
-    cache.unpin(FileId(u32::MAX)).unwrap();
-    assert_eq!(
-        cache.evict(FileId(u32::MAX)),
-        Ok(catalog.size(FileId(u32::MAX)))
-    );
-    assert!(!cache.contains(FileId(u32::MAX)));
+    for &f in unregistered {
+        assert_eq!(cache.insert(f, &catalog), Err(FbcError::UnknownFile(f)));
+        assert_eq!(cache.evict(f), Err(FbcError::NotResident(f)));
+        assert_eq!(cache.pin(f), Err(FbcError::NotResident(f)));
+        assert_eq!(cache.unpin(f), Err(FbcError::NotResident(f)));
+        assert!(!cache.contains(f) && !cache.is_pinned(f));
+        let bundle = Bundle::new([registered[0], f]);
+        assert!(!cache.contains_all(&bundle));
+        assert_eq!(cache.missing_of(&bundle), vec![f]);
+    }
+    assert!(cache.contains_all(&Bundle::new(registered.iter().copied())));
+    assert_eq!(cache.len(), registered.len());
+    assert_eq!(cache.pinned_len(), registered.len());
+    assert_eq!(cache.used(), catalog.total_bytes());
     assert!(cache.check_invariants());
 }

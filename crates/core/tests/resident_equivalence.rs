@@ -277,7 +277,7 @@ fn cache_supported_branch(
     catalog: &FileCatalog,
     incoming: &Bundle,
 ) -> Option<(bool, bool)> {
-    if incoming.total_size(catalog) > cache.capacity() || cache.supports(incoming) {
+    if incoming.total_size(catalog) > cache.capacity() || cache.contains_all(incoming) {
         return None;
     }
     let missing: u64 = cache

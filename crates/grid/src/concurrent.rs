@@ -130,141 +130,38 @@ impl ConcurrentStats {
     }
 }
 
-/// The sharded decision service front-end.
-#[derive(Debug, Clone)]
-pub struct ConcurrentSrm {
-    config: ConcurrentConfig,
-    map: ShardMap,
+/// Routes every arrival in one pass. Returns the arrival indices grouped
+/// by shard, in arrival order within each shard, and the offsets of each
+/// shard's group: shard `s` owns `picks[offsets[s]..offsets[s + 1]]`.
+fn admit(map: &ShardMap, arrivals: &[JobArrival]) -> (Vec<u32>, Vec<usize>) {
+    assert!(
+        u32::try_from(arrivals.len()).is_ok(),
+        "at most {} arrivals",
+        u32::MAX
+    );
+    let shard: Vec<u32> = arrivals
+        .iter()
+        .map(|a| map.shard_of(&a.bundle) as u32)
+        .collect();
+    let mut offsets = vec![0usize; map.shards() + 1];
+    for &s in &shard {
+        offsets[s as usize + 1] += 1;
+    }
+    for s in 1..offsets.len() {
+        offsets[s] += offsets[s - 1];
+    }
+    let mut next = offsets.clone();
+    let mut picks = vec![0u32; arrivals.len()];
+    for (i, &s) in (0u32..).zip(&shard) {
+        picks[next[s as usize]] = i;
+        next[s as usize] += 1;
+    }
+    (picks, offsets)
 }
 
-impl ConcurrentSrm {
-    /// Builds the service (panics if `shards == 0`).
-    pub fn new(config: ConcurrentConfig) -> Self {
-        let map = ShardMap::new(config.shards, config.shard_by);
-        Self { config, map }
-    }
-
-    /// The routing function in use.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Routes every arrival in one pass. Returns the arrival indices
-    /// grouped by shard, in arrival order within each shard, and the
-    /// offsets of each shard's group: shard `s` owns
-    /// `picks[offsets[s]..offsets[s + 1]]`.
-    fn admit(&self, arrivals: &[JobArrival]) -> (Vec<u32>, Vec<usize>) {
-        assert!(
-            u32::try_from(arrivals.len()).is_ok(),
-            "at most {} arrivals",
-            u32::MAX
-        );
-        let shard: Vec<u32> = arrivals
-            .iter()
-            .map(|a| self.map.shard_of(&a.bundle) as u32)
-            .collect();
-        let mut offsets = vec![0usize; self.config.shards + 1];
-        for &s in &shard {
-            offsets[s as usize + 1] += 1;
-        }
-        for s in 1..offsets.len() {
-            offsets[s] += offsets[s - 1];
-        }
-        let mut next = offsets.clone();
-        let mut picks = vec![0u32; arrivals.len()];
-        for (i, &s) in (0u32..).zip(&shard) {
-            picks[next[s as usize]] = i;
-            next[s as usize] += 1;
-        }
-        (picks, offsets)
-    }
-
-    /// Runs the sharded service over `arrivals` (sorted by arrival time,
-    /// as for [`crate::engine::run_grid`]).
-    pub fn run(
-        &self,
-        factory: &dyn PolicyFactory,
-        catalog: &FileCatalog,
-        arrivals: &[JobArrival],
-        plan: Option<&FaultPlan>,
-    ) -> ConcurrentStats {
-        self.run_observed(factory, catalog, arrivals, plan, &Obs::disabled())
-    }
-
-    /// [`run`](Self::run) with an observability sink: every shard records
-    /// into a private child of `obs`, merged back in shard-id order after
-    /// the run ([`Obs::merge_from`]), so an enabled trace is deterministic
-    /// for any worker count and — with one shard — byte-identical to the
-    /// sequential engine's.
-    pub fn run_observed(
-        &self,
-        factory: &dyn PolicyFactory,
-        catalog: &FileCatalog,
-        arrivals: &[JobArrival],
-        plan: Option<&FaultPlan>,
-        obs: &Obs,
-    ) -> ConcurrentStats {
-        let shards = self.config.shards;
-        let workers = self.config.workers.clamp(1, shards);
-        let (picks, offsets) = self.admit(arrivals);
-
-        // Every shard simulates with its share of the cache; shards = 1
-        // degenerates to the full capacity and the exact sequential run.
-        let shard_grid = GridConfig {
-            srm: crate::srm::SrmConfig {
-                cache_size: self.config.grid.srm.cache_size / shards as u64,
-                ..self.config.grid.srm
-            },
-            ..self.config.grid
-        };
-
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<(GridStats, Obs)>> = vec![None; shards];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= shards {
-                                return done;
-                            }
-                            let jobs =
-                                ArrivalView::picked(arrivals, &picks[offsets[s]..offsets[s + 1]]);
-                            let mut policy = factory.build_policy();
-                            let child = obs.child();
-                            let stats =
-                                run_view(policy.as_mut(), catalog, jobs, &shard_grid, plan, &child);
-                            done.push((s, stats, child));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let done = handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                for (s, stats, child) in done {
-                    results[s] = Some((stats, child));
-                }
-            }
-        });
-
-        // Deterministic merge, in shard-id order.
-        let mut per_shard = Vec::with_capacity(shards);
-        for result in results {
-            let (stats, child) = result.expect("every shard reports exactly once");
-            obs.merge_from(&child);
-            per_shard.push(stats);
-        }
-        let routed = offsets.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
-        ConcurrentStats::merge(per_shard, routed)
-    }
-}
-
-/// Runs the sharded decision service — the concurrent counterpart of
-/// [`crate::engine::run_grid`].
+/// Runs the sharded decision service over `arrivals` (sorted by arrival
+/// time, as for [`crate::engine::run_grid`]) — the concurrent counterpart
+/// of `run_grid`. Panics if `config.shards == 0`.
 pub fn run_concurrent_grid(
     factory: &dyn PolicyFactory,
     catalog: &FileCatalog,
@@ -272,10 +169,14 @@ pub fn run_concurrent_grid(
     config: &ConcurrentConfig,
     plan: Option<&FaultPlan>,
 ) -> ConcurrentStats {
-    ConcurrentSrm::new(*config).run(factory, catalog, arrivals, plan)
+    run_concurrent_grid_observed(factory, catalog, arrivals, config, plan, &Obs::disabled())
 }
 
-/// [`run_concurrent_grid`] with an observability sink.
+/// [`run_concurrent_grid`] with an observability sink: every shard records
+/// into a private child of `obs`, merged back in shard-id order after the
+/// run ([`Obs::merge_from`]), so an enabled trace is deterministic for any
+/// worker count and — with one shard — byte-identical to the sequential
+/// engine's.
 pub fn run_concurrent_grid_observed(
     factory: &dyn PolicyFactory,
     catalog: &FileCatalog,
@@ -284,7 +185,63 @@ pub fn run_concurrent_grid_observed(
     plan: Option<&FaultPlan>,
     obs: &Obs,
 ) -> ConcurrentStats {
-    ConcurrentSrm::new(*config).run_observed(factory, catalog, arrivals, plan, obs)
+    let map = ShardMap::new(config.shards, config.shard_by);
+    let shards = config.shards;
+    let workers = config.workers.clamp(1, shards);
+    let (picks, offsets) = admit(&map, arrivals);
+
+    // Every shard simulates with its share of the cache; shards = 1
+    // degenerates to the full capacity and the exact sequential run.
+    let shard_grid = GridConfig {
+        srm: crate::srm::SrmConfig {
+            cache_size: config.grid.srm.cache_size / shards as u64,
+            ..config.grid.srm
+        },
+        ..config.grid
+    };
+
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<(GridStats, Obs)>> = vec![None; shards];
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let s = next.fetch_add(1, Ordering::Relaxed);
+                        if s >= shards {
+                            return done;
+                        }
+                        let jobs =
+                            ArrivalView::picked(arrivals, &picks[offsets[s]..offsets[s + 1]]);
+                        let mut policy = factory.build_policy();
+                        let child = obs.child();
+                        let stats =
+                            run_view(policy.as_mut(), catalog, jobs, &shard_grid, plan, &child);
+                        done.push((s, stats, child));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (s, stats, child) in done {
+                results[s] = Some((stats, child));
+            }
+        }
+    });
+
+    // Deterministic merge, in shard-id order.
+    let mut per_shard = Vec::with_capacity(shards);
+    for result in results {
+        let (stats, child) = result.expect("every shard reports exactly once");
+        obs.merge_from(&child);
+        per_shard.push(stats);
+    }
+    let routed = offsets.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
+    ConcurrentStats::merge(per_shard, routed)
 }
 
 #[cfg(test)]

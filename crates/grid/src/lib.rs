@@ -52,8 +52,7 @@ pub mod time;
 
 pub use client::{schedule_arrivals, ArrivalProcess, JobArrival};
 pub use concurrent::{
-    run_concurrent_grid, run_concurrent_grid_observed, ConcurrentConfig, ConcurrentSrm,
-    ConcurrentStats,
+    run_concurrent_grid, run_concurrent_grid_observed, ConcurrentConfig, ConcurrentStats,
 };
 pub use engine::{run_grid, run_grid_nodes, run_grid_observed, GridConfig, RunOptions};
 pub use faults::{DriveSelector, FaultInjector, FaultPlan, RateWindow, FOREVER};

@@ -176,7 +176,7 @@ pub fn run_trace(
             policy.handle(bundle, &mut cache, catalog)
         };
         debug_assert!(cache.check_invariants());
-        debug_assert!(!outcome.serviced || outcome.streamed || cache.supports(bundle));
+        debug_assert!(!outcome.serviced || outcome.streamed || cache.contains_all(bundle));
         if obs.is_enabled() {
             obs.event(
                 "job",

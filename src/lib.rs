@@ -59,10 +59,10 @@ pub mod prelude {
     pub use fbc_core::prelude::*;
     pub use fbc_grid::{
         run_concurrent_grid, run_concurrent_grid_observed, run_grid, run_grid_nodes,
-        run_grid_observed, run_scenario, ArrivalProcess, ConcurrentConfig, ConcurrentSrm,
-        ConcurrentStats, Dispatch, FaultPlan, GridConfig, GridReport, GridStats, LinkConfig,
-        MssConfig, Placement, ResponseStats, RetryPolicy, RunOptions, ScenarioConfig, ShardBy,
-        ShardMap, SimDuration, SimTime, SrmConfig,
+        run_grid_observed, run_scenario, ArrivalProcess, ConcurrentConfig, ConcurrentStats,
+        Dispatch, FaultPlan, GridConfig, GridReport, GridStats, LinkConfig, MssConfig, Placement,
+        ResponseStats, RetryPolicy, RunOptions, ScenarioConfig, ShardBy, ShardMap, SimDuration,
+        SimTime, SrmConfig,
     };
     pub use fbc_obs::{Field, Obs, ObsConfig};
     pub use fbc_sim::{

@@ -99,7 +99,7 @@ proptest! {
                 let out = policy.handle(bundle, &mut state, &trace.catalog);
                 prop_assert!(state.check_invariants(), "{kind:?} broke invariants");
                 if out.serviced {
-                    prop_assert!(state.supports(bundle), "{kind:?}: serviced but missing files");
+                    prop_assert!(state.contains_all(bundle), "{kind:?}: serviced but missing files");
                 } else {
                     // Only oversized bundles may go unserviced in a pin-free run.
                     prop_assert!(bundle.total_size(&trace.catalog) > cache,
