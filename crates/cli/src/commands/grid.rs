@@ -44,6 +44,8 @@ Options:
   --shard-by MODE       shard routing: 'file' (lead file) or 'bundle' [file]
   --obs                 print the observability counter table after the run
   --obs-trace FILE      write the JSONL event trace to FILE (implies --obs)
+  --profile             --obs plus wall-clock span durations (`*.wall_ns`
+                        rows); machine-dependent, not byte-reproducible
 
 With --shards 1 (the default) the run is the single-threaded engine,
 byte-identical to previous releases; --shards N splits the cache and the
@@ -72,6 +74,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "shard-by",
         "obs",
         "obs-trace",
+        "profile",
     ])?;
     let trace_path = args.require("trace")?;
     let cache = args.get_bytes_or("cache", 0)?;

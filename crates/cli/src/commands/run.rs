@@ -23,6 +23,8 @@ Options:
                         p50/p99/mean decision latency
   --obs                 print the observability counter table after the run
   --obs-trace FILE      write the JSONL event trace to FILE (implies --obs)
+  --profile             --obs plus wall-clock span durations (`*.wall_ns`
+                        rows); machine-dependent, not byte-reproducible
 ";
 
 /// Parses a queue discipline name.
@@ -48,6 +50,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "latency",
         "obs",
         "obs-trace",
+        "profile",
     ])?;
     let trace_path = args.require("trace")?;
     let cache = args.get_bytes_or("cache", 0)?;

@@ -350,7 +350,13 @@ impl OptFileBundle {
         drop(build_span);
         let select_span = obs.span("ofb.greedy_select");
         let single = match config.variant {
-            GreedyVariant::SharedCredit => resident.select_fast(history, catalog, select_capacity),
+            GreedyVariant::SharedCredit => {
+                let single = resident.select_fast(history, catalog, select_capacity);
+                let (takes, rebuilds) = resident.greedy_work();
+                obs.observe("ofb.greedy_takes", u64::from(takes));
+                obs.observe("ofb.greedy_rebuilds", u64::from(rebuilds));
+                single
+            }
             GreedyVariant::SortedOnce => {
                 resident.select_sorted(history, catalog, select_capacity, true)
             }

@@ -29,8 +29,12 @@
 //! ([`prepare_decision`](ResidentInstance::prepare_decision) → one of two
 //! lanes → [`decision_outputs`](ResidentInstance::decision_outputs)); no
 //! FBC instance is built. Shared credit re-ranks after every selection
-//! ([`select_fast`](ResidentInstance::select_fast)); PaperLiteral and
-//! SortedOnce sort once and make one admission pass
+//! ([`select_fast`](ResidentInstance::select_fast)) off one tournament tree
+//! over the candidate ranks, in every history mode: a take or a refresh
+//! replays one leaf-to-root path, and an infeasible root parks every
+//! infeasible candidate in one pass and rebuilds the tree, so rebuilds
+//! never outnumber takes by more than one. PaperLiteral and SortedOnce
+//! sort once and make one admission pass
 //! ([`select_sorted`](ResidentInstance::select_sorted)). Every float sum is
 //! taken over each candidate's files in the rebuild path's first-touch
 //! interning order, so the selection is **bit-for-bit identical** to the
@@ -50,7 +54,17 @@ use crate::optfilebundle::HistoryMode;
 use crate::select::{rv_of, GreedyVariant};
 use crate::types::{Bytes, FileId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+/// The tournament winner of two `(key, rank)` nodes: the larger key, the
+/// left (lower-rank) one on a tie.
+#[inline]
+fn winner(left: (u64, u32), right: (u64, u32)) -> (u64, u32) {
+    if right.0 > left.0 {
+        right
+    } else {
+        left
+    }
+}
 
 /// Sentinel for "no entry" in the owner and position maps.
 const NONE: u32 = u32::MAX;
@@ -182,20 +196,18 @@ pub struct ResidentInstance {
     /// Packed per-candidate kernel state — marginal, priority and value,
     /// indexed by candidate rank.
     kr_req: Vec<ReqState>,
-    /// Dense total-order images (`ord_key`) of the candidate priorities —
-    /// 0 marks taken. Prefix (Full/Window) decisions are capacity-starved
-    /// (most candidates never fit), so instead of a heap that pops every
-    /// infeasible candidate individually, each greedy round runs one
-    /// branchless feasibility-masked argmax scan over this array and
-    /// `kr_mb`. Rounds ≈ selections (a couple dozen), not ≈ candidates.
-    kr_key: Vec<u64>,
-    /// Lazy max-heap of `(key, Reverse(rank))` for CacheSupported
-    /// decisions, which take nearly every candidate (rounds ≈ candidates,
-    /// so a per-round scan would be quadratic). A refresh pushes a fresh
-    /// entry and leaves the superseded one in place.
-    kr_heap: BinaryHeap<(u64, Reverse<u32>)>,
-    /// Dense copy of `kr_req[r].mb` so the feasibility mask in the
-    /// argmax scan reads a flat `u64` lane instead of striding `ReqState`.
+    /// Tournament tree over the candidate ranks, `(key, rank)` per node,
+    /// over a power-of-two number of leaves. Leaf `r` sits at
+    /// `leaves + r` and holds the total-order image (`ord_key`) of
+    /// candidate `r`'s priority; key 0 marks a taken, parked or padding
+    /// leaf. Node `i` (from 1) holds the winner of nodes `2i` and `2i + 1`:
+    /// the larger key, the left child on a tie, so the root is the maximum
+    /// of the reference pop order `(rv desc, rank asc)`. The winner's key
+    /// sits in the node so a path replay reads no leaf. The sorted lane
+    /// sorts by the leaf keys.
+    kr_tree: Vec<(u64, u32)>,
+    /// Dense copy of `kr_req[r].mb` (padded like the leaves), read by the
+    /// root feasibility test and the bulk-park pass.
     kr_mb: Vec<u64>,
     /// Dense epoch stamps deduplicating refreshes within one greedy step.
     kr_touched: Vec<u32>,
@@ -203,6 +215,12 @@ pub struct ResidentInstance {
     kr_taken: Vec<bool>,
     /// The sorted lane's admission order: ranks by `(key desc, rank asc)`.
     kr_order: Vec<u32>,
+    /// Takes made by the last shared-credit greedy loop (0 when the
+    /// take-everything shortcut skipped it).
+    greedy_takes: u32,
+    /// Bulk parks of the last shared-credit greedy loop: O(n) tree
+    /// rebuilds after the initial build, at most `greedy_takes + 1`.
+    greedy_rebuilds: u32,
     /// Union of the selected candidates' fids, in load order.
     union_fids: Vec<u32>,
     /// Fids loaded by the current selection step.
@@ -520,10 +538,15 @@ impl ResidentInstance {
         self.kr_touched.resize(ncand, 0);
         self.kr_taken.clear();
         self.kr_taken.resize(ncand, false);
-        self.kr_key.clear();
-        self.kr_key.resize(ncand, 0);
+        // Internal nodes are written by the kernel's first build; the
+        // leaves start as `(0, r)`, padding included, and the loop below
+        // fills in the candidates' keys.
+        let leaves = ncand.next_power_of_two();
+        self.kr_tree.clear();
+        self.kr_tree.resize(leaves, (0, 0));
+        self.kr_tree.extend((0..leaves as u32).map(|r| (0, r)));
         self.kr_mb.clear();
-        self.kr_mb.resize(ncand, 0);
+        self.kr_mb.resize(leaves, 0);
 
         let (now, value_fn) = (history.total_requests(), history.value_fn());
         for r in 0..ncand {
@@ -544,7 +567,7 @@ impl ResidentInstance {
                 rv,
                 value,
             };
-            self.kr_key[r] = ord_key(rv);
+            self.kr_tree[leaves + r].0 = ord_key(rv);
             self.kr_mb[r] = bytes;
         }
     }
@@ -668,6 +691,8 @@ impl ResidentInstance {
         catalog: &FileCatalog,
         capacity: Bytes,
     ) -> Option<usize> {
+        self.greedy_takes = 0;
+        self.greedy_rebuilds = 0;
         if self.take_all {
             // Every candidate fits at once, so the greedy takes them all, and
             // a float sum of non-negative values is at least each of its
@@ -675,30 +700,19 @@ impl ResidentInstance {
             return None;
         }
         let epoch = self.epoch;
-        let ncand = self.candidates.len();
         let degrees = history.degrees();
         let (single, mut min_positive_mb, mut free_candidates) = self.fallback_scan(capacity);
 
         // A greedy round takes the feasible maximum of the reference pop
-        // order's key, `(rv desc, rank asc)`. Parking is unobservable: a
-        // parked candidate re-enters only through the adjacency refresh,
-        // which rewrites its priority and marginal wholesale, and an
-        // infeasible candidate never becomes feasible otherwise, because
-        // `remaining` only shrinks. Capacity-starved prefix decisions take
-        // a couple dozen of their candidates, so each round is one
-        // branchless feasibility-masked argmax scan. CacheSupported
-        // decisions take nearly every candidate, so a round pops a lazy
-        // max-heap instead; entries a refresh superseded are skipped.
-        let heap_rounds = !self.prefix;
-        if heap_rounds {
-            self.kr_heap.clear();
-            self.kr_heap.extend(
-                self.kr_key
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &k)| (k, Reverse(r as u32))),
-            );
-        }
+        // order's key, `(rv desc, rank asc)`, read off the tournament
+        // tree's root. When the root is infeasible, one pass parks every
+        // infeasible candidate (key 0) and rebuilds the tree, so the next
+        // root is feasible and rebuilds stay at most takes + 1. Parking is
+        // unobservable: a parked candidate re-enters only through the
+        // adjacency refresh, which rewrites its priority and marginal
+        // wholesale, and an infeasible candidate never becomes feasible
+        // otherwise, because `remaining` only shrinks.
+        self.build_tree();
         let mut remaining = capacity;
         let mut value_sum = 0.0_f64;
         let mut step: u32 = 0;
@@ -709,36 +723,32 @@ impl ResidentInstance {
             if free_candidates == 0 && remaining < min_positive_mb {
                 break;
             }
-            let r = if heap_rounds {
-                let Some((_, Reverse(r))) = self.kr_heap.pop() else {
-                    break;
-                };
-                let r = r as usize;
-                // A superseded entry never carries a higher key than its
-                // refresh, so it pops after the candidate was taken or
-                // parked and fails one of these two tests as well.
-                if self.kr_taken[r] || self.kr_mb[r] > remaining {
-                    continue; // taken or parked
+            let (mut key, mut r) = self.kr_tree[1];
+            if key != 0 && self.kr_mb[r as usize] > remaining {
+                let leaves = self.leaves();
+                for (leaf, &m) in self.kr_tree[leaves..].iter_mut().zip(&self.kr_mb) {
+                    if m > remaining {
+                        leaf.0 = 0;
+                    }
                 }
-                r
-            } else {
-                let mut best = 0_u64;
-                for (&k, &m) in self.kr_key.iter().zip(self.kr_mb.iter()) {
-                    let masked = if m <= remaining { k } else { 0 };
-                    best = best.max(masked);
-                }
-                if best == 0 {
-                    break; // no feasible candidate left — terminal drain
-                }
-                let found =
-                    (0..ncand).find(|&i| self.kr_key[i] == best && self.kr_mb[i] <= remaining);
-                found.expect("masked maximum must be attained")
-            };
+                self.build_tree();
+                self.greedy_rebuilds += 1;
+                (key, r) = self.kr_tree[1];
+            }
+            if key == 0 {
+                break; // no feasible candidate left — terminal drain
+            }
+            let r = r as usize;
+            debug_assert!(
+                self.kr_mb[r] <= remaining,
+                "the root after a park is feasible"
+            );
             if self.kr_req[r].mb == 0 {
                 free_candidates -= 1;
             }
-            self.kr_key[r] = 0;
+            self.clear_key(r);
             self.kr_taken[r] = true;
+            self.greedy_takes += 1;
             value_sum += self.kr_req[r].value;
             let e = self.candidates[r] as usize;
             self.newly_loaded.clear();
@@ -786,20 +796,65 @@ impl ResidentInstance {
                         min_positive_mb = mb;
                     }
                     let rv = rv_of(self.kr_req[r2].value, ma);
-                    let key = ord_key(rv);
-                    debug_assert!(key >= self.kr_key[r2], "refresh only raises priorities");
                     self.kr_req[r2].mb = mb;
                     self.kr_req[r2].rv = rv;
-                    self.kr_key[r2] = key;
                     self.kr_mb[r2] = mb;
-                    if heap_rounds {
-                        self.kr_heap.push((key, Reverse(r2 as u32)));
-                    }
+                    self.raise_key(r2, ord_key(rv));
                 }
             }
         }
 
         self.single_if_better(single, value_sum)
+    }
+
+    /// The work of the last [`select_fast`](Self::select_fast) call:
+    /// `(takes, rebuilds)`, both 0 when the take-everything shortcut fired.
+    pub fn greedy_work(&self) -> (u32, u32) {
+        (self.greedy_takes, self.greedy_rebuilds)
+    }
+
+    /// The number of leaves of `kr_tree`: the candidate count rounded up
+    /// to a power of two.
+    #[inline]
+    fn leaves(&self) -> usize {
+        self.kr_tree.len() / 2
+    }
+
+    /// Recomputes every internal node of `kr_tree` bottom-up from the
+    /// leaves — O(leaves).
+    fn build_tree(&mut self) {
+        for i in (1..self.leaves()).rev() {
+            self.kr_tree[i] = winner(self.kr_tree[2 * i], self.kr_tree[2 * i + 1]);
+        }
+    }
+
+    /// Clears candidate `r`'s key (a take) and replays its leaf-to-root
+    /// path — O(log n).
+    fn clear_key(&mut self, r: usize) {
+        let mut i = self.leaves() + r;
+        self.kr_tree[i].0 = 0;
+        i /= 2;
+        while i >= 1 {
+            self.kr_tree[i] = winner(self.kr_tree[2 * i], self.kr_tree[2 * i + 1]);
+            i /= 2;
+        }
+    }
+
+    /// Raises candidate `r`'s key (a refresh) and climbs only while `r`
+    /// wins: a node whose winner still beats `r` keeps it, and so does
+    /// every node above it — O(log n), usually a level or two.
+    fn raise_key(&mut self, r: usize, key: u64) {
+        let mut i = self.leaves() + r;
+        debug_assert!(key >= self.kr_tree[i].0, "refresh only raises priorities");
+        let r = r as u32;
+        while i >= 1 {
+            let (kw, w) = self.kr_tree[i];
+            if w != r && (kw > key || (kw == key && w < r)) {
+                break; // `w` still wins `(key desc, rank asc)`
+            }
+            self.kr_tree[i] = (key, r);
+            i /= 2;
+        }
     }
 
     /// Runs a single-sort greedy (plus the single-request fallback) over the
@@ -828,8 +883,8 @@ impl ResidentInstance {
         let mut order = std::mem::take(&mut self.kr_order);
         order.clear();
         order.extend(0..self.candidates.len() as u32);
-        let key = &self.kr_key;
-        order.sort_unstable_by_key(|&r| (Reverse(key[r as usize]), r));
+        let leaves = &self.kr_tree[self.leaves()..];
+        order.sort_unstable_by_key(|&r| (Reverse(leaves[r as usize].0), r));
         let mut remaining = capacity;
         let mut value_sum = 0.0_f64;
         for &r in &order {
@@ -1140,6 +1195,109 @@ mod tests {
             pair.record(&bundle);
         }
         assert!(checked > 100, "only {checked} candidates compared");
+    }
+
+    /// Runs one Full-history shared-credit decision at `capacity` and
+    /// returns the retained files in load order.
+    fn full_decision(pair: &mut Pair, catalog: &FileCatalog, capacity: Bytes) -> Vec<FileId> {
+        let Pair { history, state } = pair;
+        state.assemble_candidates(history, HistoryMode::Full, &b(&[]));
+        state.prepare_decision(history, catalog, capacity, GreedyVariant::SharedCredit);
+        assert_eq!(state.select_fast(history, catalog, capacity), None);
+        let file_ids = history.file_ids();
+        state
+            .union_fids
+            .iter()
+            .map(|&p| file_ids[p as usize])
+            .collect()
+    }
+
+    /// With every key equal, the greedy is first fit in rank order, so the
+    /// tree must break ties toward the lowest rank at every level. Each
+    /// candidate owns one private file; every third file is twice the size
+    /// and requested twice, which keeps `v / s'` equal. The capacity leaves
+    /// one and a half small files free when the first big candidate past
+    /// the middle rank comes up, so that candidate is parked and the next
+    /// small one is still taken.
+    #[test]
+    fn equal_keys_take_the_lowest_rank_first() {
+        const S: u64 = 1000;
+        for n in [1u32, 2, 3, 255, 256, 257] {
+            let big = |f: u32| f % 3 == 1;
+            let sizes: Vec<u64> = (0..n).map(|f| if big(f) { 2 * S } else { S }).collect();
+            let catalog = FileCatalog::from_sizes(sizes.clone());
+            let mut pair = Pair::default();
+            for f in 0..n {
+                pair.record(&b(&[f]));
+                if big(f) {
+                    pair.record(&b(&[f]));
+                }
+            }
+            let by_rank: Vec<u32> = pair
+                .assemble(HistoryMode::Full, &b(&[]))
+                .iter()
+                .map(|bundle| bundle.iter().next().unwrap().0)
+                .collect();
+            let parked = (by_rank.len() / 2..by_rank.len())
+                .chain(0..by_rank.len())
+                .find(|&i| big(by_rank[i]));
+            let before = parked.unwrap_or(by_rank.len());
+            let capacity = by_rank[..before]
+                .iter()
+                .map(|&f| sizes[f as usize])
+                .sum::<u64>()
+                + 3 * S / 2;
+            let mut remaining = capacity;
+            let mut expected = Vec::new();
+            for &f in &by_rank {
+                if sizes[f as usize] <= remaining {
+                    remaining -= sizes[f as usize];
+                    expected.push(FileId(f));
+                }
+            }
+            assert_eq!(
+                full_decision(&mut pair, &catalog, capacity),
+                expected,
+                "n={n}"
+            );
+            let (takes, rebuilds) = pair.state.greedy_work();
+            assert_eq!(takes as usize, expected.len(), "n={n}");
+            assert_eq!(rebuilds, u32::from(parked.is_some()), "n={n}");
+        }
+    }
+
+    /// Every bulk park leaves a feasible root, so a decision rebuilds its
+    /// tree at most once per take, plus once before the terminal drain —
+    /// whether the cache is starved (few takes, most candidates parked) or
+    /// roomy (most candidates feasible every round).
+    #[test]
+    fn rebuilds_are_bounded_by_takes() {
+        let sizes: Vec<u64> = (0..300u64).map(|i| (i * 7919) % 997 + 3).collect();
+        let total: u64 = sizes.iter().sum();
+        let catalog = FileCatalog::from_sizes(sizes);
+        let mut pair = Pair::default();
+        let mut state = 0x7EE5u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..600 {
+            let k = (next() % 5 + 1) as usize;
+            pair.record(&Bundle::from_raw(
+                (0..k).map(|_| (next() % 300) as u32).collect::<Vec<_>>(),
+            ));
+        }
+        for (capacity, min_takes) in [(total / 40, 1), (total / 2, 100)] {
+            full_decision(&mut pair, &catalog, capacity);
+            let (takes, rebuilds) = pair.state.greedy_work();
+            assert!(takes >= min_takes, "capacity {capacity}: {takes} takes");
+            assert!(
+                rebuilds <= takes + 1,
+                "capacity {capacity}: {rebuilds} rebuilds for {takes} takes"
+            );
+        }
     }
 
     #[test]
