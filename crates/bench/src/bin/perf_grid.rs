@@ -38,6 +38,14 @@
 //! paired pass by pass; hit counts and final resident sets are asserted
 //! equal, so every run is also a differential test.
 //!
+//! The trace reader every replay starts with is measured the same way:
+//! the hit stream's requests serialised once to v1 text in memory, read by
+//! the streaming `Trace::read_from` (side A) and by its reference twin
+//! `Trace::read_from_reference` (side B), paired pass by pass. Both must
+//! read back the written trace. Its row (`regime` `trace_read`) reports
+//! the streaming reader's requests/s and the paired speedup, and the
+//! section records both sides in ns/request.
+//!
 //! The full run writes `results/perf_grid.csv` (one table, with a
 //! `regime` column) and the `"perf_grid"` section of `BENCH_core.json`.
 //! The `--smoke` mode writes nothing; it runs reduced sizes and fails
@@ -45,9 +53,10 @@
 //!
 //! * the dense membership kernel is slower than the reference twin
 //!   (speedup < 1.0), or
+//! * the streaming trace reader is below 1.2× its reference twin, or
 //! * the 4-shard decision regime is below 1.5× the 1-shard run, or
 //! * a divergence check fails (1-shard vs `run_grid`, dense vs reference
-//!   kernel), or
+//!   kernel, either trace reader vs the written trace), or
 //! * either headline (1-shard hit jobs/s, 4-shard decision jobs/s) is at
 //!   or below half the committed value measured at the same smoke size
 //!   (the full run records the median of five fresh smoke-size runs).
@@ -66,6 +75,8 @@ use fbc_grid::client::{schedule_arrivals, ArrivalProcess, JobArrival};
 use fbc_grid::concurrent::{run_concurrent_grid, ConcurrentConfig, ConcurrentStats};
 use fbc_grid::engine::{run_grid, GridConfig};
 use fbc_grid::srm::SrmConfig;
+use fbc_workload::Trace;
+use std::hint::black_box;
 
 const FILE_SIZE: u64 = 1_000_000;
 
@@ -307,6 +318,41 @@ fn membership_kernel(n: usize, passes: usize) -> (Paired, f64, f64) {
     )
 }
 
+/// The trace reader: the streaming `Trace::read_from` (side A) against
+/// its reference twin `read_from_reference` (side B), paired pass by pass
+/// over the hit stream's requests serialised once to v1 text in memory.
+/// Both must read the text back to the same trace. Returns the
+/// measurement and the ns per request of each side.
+fn trace_read(s: &Stream, passes: usize) -> (Paired, f64, f64) {
+    let requests: Vec<Bundle> = s.arrivals.iter().map(|a| a.bundle.clone()).collect();
+    let trace = Trace::new(s.catalog.clone(), requests);
+    let mut text = Vec::new();
+    trace
+        .write_to(&mut text)
+        .expect("writing to memory cannot fail");
+    let read = |reader: fn(&[u8]) -> std::io::Result<Trace>| {
+        let back = reader(&text).expect("the trace reads back");
+        assert_eq!(back, trace, "a trace reader changed the trace");
+    };
+    read(|t| Trace::read_from(t));
+    read(|t| Trace::read_from_reference(t));
+    let paired = paired_ratio(
+        Plan::new(1, passes, 1),
+        || {
+            black_box(Trace::read_from(&text[..]).expect("checked above"));
+        },
+        || {
+            black_box(Trace::read_from_reference(&text[..]).expect("checked above"));
+        },
+    );
+    let per_request = |ns: f64| ns / trace.len() as f64;
+    (
+        paired,
+        per_request(paired.a.median),
+        per_request(paired.b.median),
+    )
+}
+
 /// Both regimes through the shard sweep.
 fn regimes(reduced: bool) -> Vec<Row> {
     let shard_counts: &[usize] = if reduced { &[1, 4] } else { &[1, 2, 4, 8] };
@@ -360,6 +406,19 @@ fn main() {
             Cell::num(r.byte_miss - r.base_miss, 4),
         ]);
     }
+    let (reader, reader_ns, reference_reader_ns) =
+        trace_read(&Stream::hit(reduced), if reduced { 9 } else { 15 });
+    table.push([
+        "trace_read".into(),
+        1usize.into(),
+        reader.a.n.into(),
+        Cell::num(1e9 / reader_ns, 0),
+        Cell::num(reader.a.spread(), 3),
+        Cell::num(reader.ratio.median, 2),
+        Cell::num(reader.ratio.spread(), 3),
+        "".into(),
+        "".into(),
+    ]);
     println!();
     table.print();
     let threads = hardware_threads();
@@ -384,6 +443,11 @@ fn main() {
         kernel.ratio.median
     );
     println!(
+        "trace reader (hit stream as v1 text): streaming {reader_ns:.1} ns/request vs \
+         reference {reference_reader_ns:.1} ns/request ({:.2}x paired)",
+        reader.ratio.median
+    );
+    println!(
         "\nheadline: hit regime 1-shard {:.0} jobs/s; decision regime 4-shard {:.0} jobs/s \
          ({:.2}x 1-shard)",
         hit.jobs_per_sec(),
@@ -401,6 +465,12 @@ fn main() {
             kernel.ratio.median
         );
         assert!(
+            reader.ratio.median >= 1.2,
+            "REGRESSION: streaming trace reader only {:.2}x the reference reader \
+             (acceptance floor: 1.2x)",
+            reader.ratio.median
+        );
+        assert!(
             decision.speedup.median >= 1.5,
             "REGRESSION: 4-shard decision throughput only {:.2}x single-shard \
              (acceptance floor: 1.5x)",
@@ -410,9 +480,9 @@ fn main() {
         gate_baseline("perf_grid", "headline_hit_jobs_per_sec", hit_jps);
         gate_baseline("perf_grid", "headline_decision_jobs_per_sec", decision_jps);
         println!(
-            "smoke: OK (dense kernel {:.1}x >= 1.0x, 4-shard decision {:.2}x >= 1.5x, \
-             1-shard equivalence held in both regimes)",
-            kernel.ratio.median, decision.speedup.median
+            "smoke: OK (dense kernel {:.1}x >= 1.0x, trace reader {:.2}x >= 1.2x, \
+             4-shard decision {:.2}x >= 1.5x, 1-shard equivalence held in both regimes)",
+            kernel.ratio.median, reader.ratio.median, decision.speedup.median
         );
         return;
     }
@@ -455,6 +525,16 @@ fn main() {
         .set(
             "hit_check_reference_ns_per_probe",
             Cell::num(reference_ns, 1),
+        )
+        .stat(
+            "trace_read_speedup",
+            reader.ratio.median,
+            reader.ratio.spread(),
+        )
+        .set("trace_read_ns_per_request", Cell::num(reader_ns, 1))
+        .set(
+            "trace_read_reference_ns_per_request",
+            Cell::num(reference_reader_ns, 1),
         )
         .rows("results", &table)
         .write();

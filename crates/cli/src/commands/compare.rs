@@ -2,9 +2,11 @@
 
 use crate::args::{ArgError, Args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
+use crate::CliError;
 use fbc_sim::compare_policies;
 use fbc_sim::runner::{QueueConfig, RunConfig};
 use fbc_workload::{transform, Trace};
+use std::io::Write;
 use std::num::NonZeroUsize;
 
 /// Usage text for `compare`.
@@ -25,14 +27,14 @@ Options:
 ";
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&[
         "trace", "cache", "policies", "queue", "scans", "warmup", "csv",
     ])?;
     let trace_path = args.require("trace")?;
     let cache = args.get_bytes_or("cache", 0)?;
     if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()));
+        return Err(ArgError("missing required flag --cache".into()).into());
     }
     let policies = args
         .get("policies")
@@ -51,7 +53,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let queue_len = args.get_or("queue", NonZeroUsize::MIN)?.get();
     let scans: f64 = args.get_or("scans", 0.0f64)?;
     if !(0.0..=1.0).contains(&scans) {
-        return Err(ArgError(format!("--scans must be in [0, 1], got {scans}")));
+        return Err(ArgError(format!("--scans must be in [0, 1], got {scans}")).into());
     }
     let warmup: u64 = args.get_or("warmup", 0u64)?;
 
@@ -59,7 +61,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         Trace::load(trace_path).map_err(|e| ArgError(format!("cannot read {trace_path}: {e}")))?;
     if scans > 0.0 {
         trace = transform::with_scans(&trace, scans, 0x5CA4);
-        println!("scan injection: trace grew to {} jobs", trace.len());
+        writeln!(out, "scan injection: trace grew to {} jobs", trace.len())?;
     }
     let run_cfg = RunConfig {
         warmup_jobs: warmup,
@@ -67,12 +69,12 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         ..RunConfig::new(cache)
     };
     let table = compare_policies(&trace, &run_cfg, policies).table();
-    print!("{}", table.to_ascii());
+    write!(out, "{}", table.to_ascii())?;
     if let Some(csv) = args.get("csv") {
         table
             .save_csv(csv)
             .map_err(|e| ArgError(format!("cannot write {csv}: {e}")))?;
-        println!("CSV written to {csv}");
+        writeln!(out, "CSV written to {csv}")?;
     }
     Ok(())
 }
@@ -109,7 +111,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         let csv = std::fs::read_to_string(&csv_path).unwrap();
         assert!(csv.contains("LRU"));
         assert!(csv.contains("FIFO"));
@@ -140,7 +142,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
         std::fs::remove_file(&trace_path).ok();
     }
 
@@ -166,8 +168,8 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        let err = run(&args).unwrap_err();
-        assert!(err.0.contains("--queue"), "{}", err.0);
+        let err = run(&args, &mut std::io::sink()).unwrap_err().to_string();
+        assert!(err.contains("--queue"), "{}", err);
         std::fs::remove_file(&trace_path).ok();
     }
 }

@@ -1,8 +1,10 @@
 //! `fbcache generate` — generate a synthetic workload and write its trace.
 
 use crate::args::{ArgError, Args};
+use crate::CliError;
 use fbc_core::types::GIB;
 use fbc_workload::{Popularity, Workload, WorkloadConfig};
+use std::io::Write;
 
 /// Usage text for `generate`.
 pub const USAGE: &str = "\
@@ -62,7 +64,7 @@ pub fn config_from_args(args: &Args) -> Result<WorkloadConfig, ArgError> {
 }
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&[
         "output",
         "cache-size",
@@ -77,23 +79,25 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let output = args.require("output")?.to_string();
     let config = config_from_args(args)?;
     let workload = Workload::generate(config);
-    println!(
+    writeln!(
+        out,
         "generated: {} files, {} distinct requests, {} jobs, mean request {}",
         workload.catalog.len(),
         workload.pool.len(),
         workload.jobs.len(),
         fbc_core::types::format_bytes(workload.mean_request_bytes() as u64),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cache of {} holds ~{:.1} average requests",
         fbc_core::types::format_bytes(config.cache_size),
         workload.requests_per_cache()
-    );
+    )?;
     let trace = workload.into_trace();
     trace
         .save(&output)
         .map_err(|e| ArgError(format!("cannot write {output}: {e}")))?;
-    println!("trace written to {output}");
+    writeln!(out, "trace written to {output}")?;
     Ok(())
 }
 
@@ -146,7 +150,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         let trace = fbc_workload::Trace::load(&path).unwrap();
         assert_eq!(trace.len(), 20);
         std::fs::remove_file(&path).ok();

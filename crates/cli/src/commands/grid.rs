@@ -4,6 +4,7 @@
 use crate::args::{ArgError, Args};
 use crate::obs::{emit, obs_from_args};
 use crate::policies::{policy_by_name, policy_kind_by_name, POLICY_NAMES};
+use crate::CliError;
 use fbc_core::policy::SendPolicy;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
 use fbc_grid::concurrent::{run_concurrent_grid_observed, ConcurrentConfig};
@@ -15,6 +16,7 @@ use fbc_grid::shard::ShardBy;
 use fbc_grid::srm::{RetryPolicy, SrmConfig};
 use fbc_grid::time::SimDuration;
 use fbc_workload::Trace;
+use std::io::Write;
 
 /// Usage text for `grid`.
 pub const USAGE: &str = "\
@@ -53,7 +55,7 @@ request stream over N independent shard engines (see DESIGN.md §12).
 ";
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&[
         "trace",
         "cache",
@@ -79,7 +81,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let trace_path = args.require("trace")?;
     let cache = args.get_bytes_or("cache", 0)?;
     if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()));
+        return Err(ArgError("missing required flag --cache".into()).into());
     }
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     let mut policy = policy_by_name(policy_name).ok_or_else(|| {
@@ -167,12 +169,13 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             &obs,
         );
         let routed: Vec<String> = cstats.routed.iter().map(|n| n.to_string()).collect();
-        println!(
+        writeln!(
+            out,
             "shards:            {shards} ({} routing, {} workers)",
             shard_by.label(),
             workers.clamp(1, shards)
-        );
-        println!("routed:            [{}]", routed.join(", "));
+        )?;
+        writeln!(out, "routed:            [{}]", routed.join(", "))?;
         cstats.overall
     } else {
         run_grid_observed(
@@ -185,23 +188,39 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         )
     };
 
-    println!("policy:            {}", policy.name());
-    println!("completed:         {}", stats.completed);
-    println!("failed:            {}", stats.failed);
-    println!("rejected:          {}", stats.rejected);
-    println!("availability:      {:.4}", stats.availability());
-    println!("byte miss ratio:   {:.4}", stats.cache.byte_miss_ratio());
-    println!("fetch attempts:    {}", stats.fetch_attempts);
-    println!("fetch retries:     {}", stats.fetch_retries);
-    println!("fetch timeouts:    {}", stats.fetch_timeouts);
-    println!("transient errors:  {}", stats.transient_fetch_errors);
-    println!("mean response:     {}", stats.mean_response());
-    println!("p50 response:      {}", stats.percentile_response(0.50));
-    println!("p95 response:      {}", stats.percentile_response(0.95));
-    println!("p99 response:      {}", stats.percentile_response(0.99));
-    println!("makespan:          {}", stats.makespan);
-    println!("throughput:        {:.3} jobs/s", stats.throughput());
-    emit(&obs, args)?;
+    writeln!(out, "policy:            {}", policy.name())?;
+    writeln!(out, "completed:         {}", stats.completed)?;
+    writeln!(out, "failed:            {}", stats.failed)?;
+    writeln!(out, "rejected:          {}", stats.rejected)?;
+    writeln!(out, "availability:      {:.4}", stats.availability())?;
+    writeln!(
+        out,
+        "byte miss ratio:   {:.4}",
+        stats.cache.byte_miss_ratio()
+    )?;
+    writeln!(out, "fetch attempts:    {}", stats.fetch_attempts)?;
+    writeln!(out, "fetch retries:     {}", stats.fetch_retries)?;
+    writeln!(out, "fetch timeouts:    {}", stats.fetch_timeouts)?;
+    writeln!(out, "transient errors:  {}", stats.transient_fetch_errors)?;
+    writeln!(out, "mean response:     {}", stats.mean_response())?;
+    writeln!(
+        out,
+        "p50 response:      {}",
+        stats.percentile_response(0.50)
+    )?;
+    writeln!(
+        out,
+        "p95 response:      {}",
+        stats.percentile_response(0.95)
+    )?;
+    writeln!(
+        out,
+        "p99 response:      {}",
+        stats.percentile_response(0.99)
+    )?;
+    writeln!(out, "makespan:          {}", stats.makespan)?;
+    writeln!(out, "throughput:        {:.3} jobs/s", stats.throughput())?;
+    emit(&obs, args, out)?;
     Ok(())
 }
 
@@ -239,7 +258,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -271,11 +290,11 @@ mod tests {
             &out_s,
         ];
         let args = Args::parse(argv.iter().map(|s| s.to_string())).unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         let first = std::fs::read_to_string(&out).unwrap();
         assert!(first.contains("\"ev\":\"arrival\""));
         assert!(first.contains("\"ev\":\"fetch\""));
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         assert_eq!(first, std::fs::read_to_string(&out).unwrap());
         std::fs::remove_file(&out).ok();
         std::fs::remove_file(&path).ok();
@@ -302,12 +321,24 @@ mod tests {
         ];
         let with =
             |extra: &[&str]| Args::parse(base.iter().chain(extra).map(|s| s.to_string())).unwrap();
-        run(&with(&["--shards", "4", "--workers", "2"])).unwrap();
-        run(&with(&["--shards", "2", "--shard-by", "bundle"])).unwrap();
+        run(
+            &with(&["--shards", "4", "--workers", "2"]),
+            &mut std::io::sink(),
+        )
+        .unwrap();
+        run(
+            &with(&["--shards", "2", "--shard-by", "bundle"]),
+            &mut std::io::sink(),
+        )
+        .unwrap();
         // shards=1 still goes through the concurrent front-end cleanly.
-        run(&with(&["--shards", "1"])).unwrap();
-        assert!(run(&with(&["--shards", "0"])).is_err());
-        assert!(run(&with(&["--shards", "2", "--shard-by", "nope"])).is_err());
+        run(&with(&["--shards", "1"]), &mut std::io::sink()).unwrap();
+        assert!(run(&with(&["--shards", "0"]), &mut std::io::sink()).is_err());
+        assert!(run(
+            &with(&["--shards", "2", "--shard-by", "nope"]),
+            &mut std::io::sink()
+        )
+        .is_err());
         // Values an engine would assert on, or silently misread, are
         // rejected at the flag.
         for bad in [
@@ -325,8 +356,10 @@ mod tests {
             ["--link-ms", "inf"],
             ["--mount-secs", "inf"],
         ] {
-            let err = run(&with(&bad)).unwrap_err();
-            assert!(err.0.contains(&bad[0][2..]), "{bad:?}: {}", err.0);
+            let err = run(&with(&bad), &mut std::io::sink())
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&bad[0][2..]), "{bad:?}: {}", err);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -351,27 +384,30 @@ mod tests {
         let with =
             |extra: &[&str]| Args::parse(base.iter().chain(extra).map(|s| s.to_string())).unwrap();
         // A blackout with a tiny retry budget still terminates.
-        run(&with(&[
-            "--faults",
-            "preset:blackout",
-            "--max-retries",
-            "1",
-        ]))
+        run(
+            &with(&["--faults", "preset:blackout", "--max-retries", "1"]),
+            &mut std::io::sink(),
+        )
         .unwrap();
         // Inline clause spec with a timeout.
-        run(&with(&[
-            "--faults",
-            "drive=*,0,2;seed=3",
-            "--fetch-timeout-secs",
-            "1",
-        ]))
+        run(
+            &with(&[
+                "--faults",
+                "drive=*,0,2;seed=3",
+                "--fetch-timeout-secs",
+                "1",
+            ]),
+            &mut std::io::sink(),
+        )
         .unwrap();
         // Garbage specs are rejected with a helpful error.
-        assert!(run(&with(&["--faults", "nonsense"])).is_err());
-        assert!(run(&with(&["--faults", "preset:unknown"])).is_err());
+        assert!(run(&with(&["--faults", "nonsense"]), &mut std::io::sink()).is_err());
+        assert!(run(&with(&["--faults", "preset:unknown"]), &mut std::io::sink()).is_err());
         // An out-of-range drive index is a clean error, not a panic.
-        let err = run(&with(&["--faults", "drive=9,0,10"])).unwrap_err();
-        assert!(err.0.contains("drive 9"), "unhelpful error: {}", err.0);
+        let err = run(&with(&["--faults", "drive=9,0,10"]), &mut std::io::sink())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("drive 9"), "unhelpful error: {}", err);
         std::fs::remove_file(&path).ok();
     }
 }

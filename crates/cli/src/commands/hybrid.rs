@@ -3,9 +3,11 @@
 
 use crate::args::{ArgError, Args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
+use crate::CliError;
 use fbc_sim::hybrid::run_hybrid;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::Trace;
+use std::io::Write;
 
 /// Usage text for `hybrid`.
 pub const USAGE: &str = "\
@@ -23,17 +25,17 @@ Options:
 ";
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&["trace", "cache", "policy", "steps", "seed"])?;
     let trace_path = args.require("trace")?;
     let cache = args.get_bytes_or("cache", 0)?;
     if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()));
+        return Err(ArgError("missing required flag --cache".into()).into());
     }
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     let steps: usize = args.get_or("steps", 5usize)?;
     if steps < 2 {
-        return Err(ArgError("--steps must be at least 2".into()));
+        return Err(ArgError("--steps must be at least 2".into()).into());
     }
     let seed: u64 = args.get_or("seed", 7u64)?;
 
@@ -64,7 +66,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             m.single_jobs.jobs.to_string(),
         ]);
     }
-    print!("{}", table.to_ascii());
+    write!(out, "{}", table.to_ascii())?;
     Ok(())
 }
 
@@ -98,7 +100,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -110,6 +112,6 @@ mod tests {
                 .map(|s| s.to_string()),
         )
         .unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
     }
 }

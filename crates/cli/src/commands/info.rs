@@ -3,8 +3,10 @@
 //! implies.
 
 use crate::args::{ArgError, Args};
+use crate::CliError;
 use fbc_workload::stats::analyze;
 use fbc_workload::Trace;
+use std::io::Write;
 
 /// Usage text for `info`.
 pub const USAGE: &str = "\
@@ -16,7 +18,7 @@ approximation bound the maximum degree implies.
 ";
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&["trace"])?;
     let trace_path = args.require("trace")?;
     let trace =
@@ -24,49 +26,58 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let stats = analyze(&trace);
 
     let fb = fbc_core::types::format_bytes;
-    println!("trace:                {trace_path}");
-    println!("files in catalog:     {}", trace.catalog.len());
-    println!("files referenced:     {}", stats.distinct_files);
-    println!("trace footprint:      {}", fb(stats.footprint_bytes));
-    println!(
+    writeln!(out, "trace:                {trace_path}")?;
+    writeln!(out, "files in catalog:     {}", trace.catalog.len())?;
+    writeln!(out, "files referenced:     {}", stats.distinct_files)?;
+    writeln!(out, "trace footprint:      {}", fb(stats.footprint_bytes))?;
+    writeln!(
+        out,
         "mean file size:       {}",
         fb(trace.catalog.mean_size() as u64)
-    );
+    )?;
 
-    println!("jobs:                 {}", stats.jobs);
-    println!("distinct requests:    {}", stats.distinct_requests);
-    println!("mean recurrence:      {:.2}", stats.mean_recurrence);
-    println!("cold requests:        {}", stats.cold_requests);
-    println!("mean bundle size:     {:.2} files", stats.mean_bundle_files);
-    println!(
+    writeln!(out, "jobs:                 {}", stats.jobs)?;
+    writeln!(out, "distinct requests:    {}", stats.distinct_requests)?;
+    writeln!(out, "mean recurrence:      {:.2}", stats.mean_recurrence)?;
+    writeln!(out, "cold requests:        {}", stats.cold_requests)?;
+    writeln!(
+        out,
+        "mean bundle size:     {:.2} files",
+        stats.mean_bundle_files
+    )?;
+    writeln!(
+        out,
         "mean bundle bytes:    {}",
         fb(stats.mean_bundle_bytes as u64)
-    );
-    println!("max bundle bytes:     {}", fb(stats.max_bundle_bytes));
-    println!(
+    )?;
+    writeln!(out, "max bundle bytes:     {}", fb(stats.max_bundle_bytes))?;
+    writeln!(
+        out,
         "total requested:      {}",
         fb(trace.total_requested_bytes())
-    );
+    )?;
 
-    println!("max file degree d:    {}", stats.max_file_degree);
-    println!("mean file degree:     {:.2}", stats.mean_file_degree);
-    println!(
+    writeln!(out, "max file degree d:    {}", stats.max_file_degree)?;
+    writeln!(out, "mean file degree:     {:.2}", stats.mean_file_degree)?;
+    writeln!(
+        out,
         "greedy guarantee:     {:.4}  (½(1−e^(−1/d)), Theorem 4.1)",
         fbc_core::bounds::greedy_bound(stats.max_file_degree)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "enumerated guarantee: {:.4}  (1−e^(−1/d))",
         fbc_core::bounds::enumerated_bound(stats.max_file_degree)
-    );
+    )?;
 
-    println!("reuse-gap histogram (jobs between recurrences):");
+    writeln!(out, "reuse-gap histogram (jobs between recurrences):")?;
     for &(bound, count) in &stats.reuse_distance_buckets {
         let label = if bound == usize::MAX {
             "   >256".to_string()
         } else {
             format!("{bound:>7}")
         };
-        println!("  <= {label}: {count}");
+        writeln!(out, "  <= {label}: {count}")?;
     }
     Ok(())
 }
@@ -96,14 +107,14 @@ mod tests {
                 .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_trace_flag_errors() {
         let args = Args::parse(std::iter::empty()).unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
     }
 
     #[test]
@@ -114,6 +125,6 @@ mod tests {
                 .map(|s| s.to_string()),
         )
         .unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::args::{ArgError, Args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
+use crate::CliError;
 use fbc_core::policy::CachePolicy;
 use fbc_grid::client::{schedule_arrivals, ArrivalProcess};
 use fbc_grid::engine::{run_grid_nodes, GridConfig, RunOptions};
@@ -10,6 +11,7 @@ use fbc_grid::multi::Dispatch;
 use fbc_grid::srm::SrmConfig;
 use fbc_sim::report::{f2, f4, Table};
 use fbc_workload::Trace;
+use std::io::Write;
 
 /// Usage text for `multi`.
 pub const USAGE: &str = "\
@@ -29,12 +31,12 @@ Options:
 ";
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&["trace", "cache", "nodes", "policy", "rate", "arrival-seed"])?;
     let trace_path = args.require("trace")?;
     let cache = args.get_bytes_or("cache", 0)?;
     if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()));
+        return Err(ArgError("missing required flag --cache".into()).into());
     }
     let nodes = args.get_count_or("nodes", 4)?;
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
@@ -42,7 +44,8 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError(format!(
             "unknown policy '{policy_name}' (one of: {})",
             POLICY_NAMES.join(", ")
-        )));
+        ))
+        .into());
     }
     let rate = args.get_positive_or("rate", 4.0)?;
     let seed: u64 = args.get_or("arrival-seed", 1u64)?;
@@ -92,7 +95,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             f2(stats.routing_imbalance()),
         ]);
     }
-    print!("{}", table.to_ascii());
+    write!(out, "{}", table.to_ascii())?;
     Ok(())
 }
 
@@ -128,7 +131,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -140,7 +143,7 @@ mod tests {
                 .map(|s| s.to_string()),
         )
         .unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
         // A rate the arrival process would assert on is a flag error.
         for rate in ["0", "nan"] {
             let args = Args::parse(
@@ -149,8 +152,8 @@ mod tests {
                     .map(|s| s.to_string()),
             )
             .unwrap();
-            let err = run(&args).unwrap_err();
-            assert!(err.0.contains("--rate"), "{rate}: {}", err.0);
+            let err = run(&args, &mut std::io::sink()).unwrap_err().to_string();
+            assert!(err.contains("--rate"), "{rate}: {}", err);
         }
     }
 }

@@ -3,8 +3,10 @@
 use crate::args::{ArgError, Args};
 use crate::obs::{emit, obs_from_args};
 use crate::policies::{policy_by_name, POLICY_NAMES};
+use crate::CliError;
 use fbc_sim::runner::{run_trace, Discipline, QueueConfig, RunConfig};
 use fbc_workload::Trace;
+use std::io::Write;
 use std::num::NonZeroUsize;
 
 /// Usage text for `run`.
@@ -40,7 +42,7 @@ pub fn parse_discipline(s: &str) -> Result<Discipline, ArgError> {
 }
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&[
         "trace",
         "cache",
@@ -55,7 +57,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let trace_path = args.require("trace")?;
     let cache = args.get_bytes_or("cache", 0)?;
     if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()));
+        return Err(ArgError("missing required flag --cache".into()).into());
     }
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     let mut policy = policy_by_name(policy_name).ok_or_else(|| {
@@ -80,40 +82,49 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let obs = obs_from_args(args);
     let metrics = run_trace(policy.as_mut(), &trace, &run_cfg, &obs);
 
-    println!("policy:              {}", policy.name());
-    println!("jobs:                {}", metrics.jobs);
-    println!("serviced:            {}", metrics.serviced);
-    println!("request hits:        {}", metrics.hits);
-    println!("request-hit ratio:   {:.4}", metrics.request_hit_ratio());
-    println!("byte miss ratio:     {:.4}", metrics.byte_miss_ratio());
-    println!("byte hit ratio:      {:.4}", metrics.byte_hit_ratio());
-    println!(
+    writeln!(out, "policy:              {}", policy.name())?;
+    writeln!(out, "jobs:                {}", metrics.jobs)?;
+    writeln!(out, "serviced:            {}", metrics.serviced)?;
+    writeln!(out, "request hits:        {}", metrics.hits)?;
+    writeln!(
+        out,
+        "request-hit ratio:   {:.4}",
+        metrics.request_hit_ratio()
+    )?;
+    writeln!(out, "byte miss ratio:     {:.4}", metrics.byte_miss_ratio())?;
+    writeln!(out, "byte hit ratio:      {:.4}", metrics.byte_hit_ratio())?;
+    writeln!(
+        out,
         "bytes requested:     {}",
         fbc_core::types::format_bytes(metrics.requested_bytes)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "bytes fetched:       {}",
         fbc_core::types::format_bytes(metrics.fetched_bytes)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "bytes evicted:       {}",
         fbc_core::types::format_bytes(metrics.evicted_bytes)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "volume per request:  {}",
         fbc_core::types::format_bytes(metrics.bytes_moved_per_request() as u64)
-    );
+    )?;
     if !metrics.decision_latency.is_empty() {
         let l = &metrics.decision_latency;
-        println!(
+        writeln!(
+            out,
             "decision latency:    p50 {:.1}µs  p99 {:.1}µs  mean {:.1}µs  ({} samples)",
             l.p50() as f64 / 1e3,
             l.p99() as f64 / 1e3,
             l.mean() / 1e3,
             l.len()
-        );
+        )?;
     }
-    emit(&obs, args)?;
+    emit(&obs, args, out)?;
     Ok(())
 }
 
@@ -166,7 +177,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -185,7 +196,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
@@ -205,12 +216,12 @@ mod tests {
             &out_s,
         ];
         let args = Args::parse(argv.iter().map(|s| s.to_string())).unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         let first = std::fs::read_to_string(&out).unwrap();
         assert!(first.lines().count() >= 3, "one event per job at least");
         assert!(first.contains("\"ev\":\"job\""));
         // Same invocation, byte-identical trace.
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         assert_eq!(first, std::fs::read_to_string(&out).unwrap());
         std::fs::remove_file(&out).ok();
         std::fs::remove_file(&path).ok();
@@ -225,7 +236,7 @@ mod tests {
                 .map(|s| s.to_string()),
         )
         .unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -245,7 +256,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -268,7 +279,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        let err = run(&args).unwrap_err().0;
+        let err = run(&args, &mut std::io::sink()).unwrap_err().to_string();
         std::fs::remove_file(&path).ok();
         assert!(err.contains("unknown policy 'landlord-size'"), "{err}");
         for name in POLICY_NAMES {
@@ -292,8 +303,8 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        let err = run(&args).unwrap_err();
-        assert!(err.0.contains("--queue"), "{}", err.0);
+        let err = run(&args, &mut std::io::sink()).unwrap_err().to_string();
+        assert!(err.contains("--queue"), "{}", err);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -2,6 +2,7 @@
 //! bitmap-index or the federated mix) instead of the §5.1 synthetic model.
 
 use crate::args::{ArgError, Args};
+use crate::CliError;
 use fbc_core::bundle::Bundle;
 use fbc_core::catalog::FileCatalog;
 use fbc_workload::scenarios::{
@@ -11,6 +12,7 @@ use fbc_workload::scenarios::{
 use fbc_workload::{PopularitySampler, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 
 /// Usage text for `scenario`.
 pub const USAGE: &str = "\
@@ -54,7 +56,7 @@ pub fn build_pool(kind: &str) -> Result<(FileCatalog, Vec<Bundle>), ArgError> {
 }
 
 /// Runs the subcommand.
-pub fn run(args: &Args) -> Result<(), ArgError> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&["kind", "output", "jobs", "popularity", "seed"])?;
     let kind = args.require("kind")?;
     let output = args.require("output")?.to_string();
@@ -65,25 +67,26 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 
     let (catalog, pool) = build_pool(kind)?;
     if pool.is_empty() {
-        return Err(ArgError("scenario produced an empty pool".into()));
+        return Err(ArgError("scenario produced an empty pool".into()).into());
     }
     let sampler = PopularitySampler::new(popularity, pool.len());
     let mut rng = StdRng::seed_from_u64(seed);
     let requests: Vec<Bundle> = (0..jobs)
         .map(|_| pool[sampler.sample(&mut rng)].clone())
         .collect();
-    println!(
+    writeln!(
+        out,
         "{kind} scenario: {} files ({}), {} distinct requests, {jobs} jobs ({})",
         catalog.len(),
         fbc_core::types::format_bytes(catalog.total_bytes()),
         pool.len(),
         popularity.label(),
-    );
+    )?;
     let trace = Trace::new(catalog, requests);
     trace
         .save(&output)
         .map_err(|e| ArgError(format!("cannot write {output}: {e}")))?;
-    println!("trace written to {output}");
+    writeln!(out, "trace written to {output}")?;
     Ok(())
 }
 
@@ -120,7 +123,7 @@ mod tests {
             .map(|s| s.to_string()),
         )
         .unwrap();
-        run(&args).unwrap();
+        run(&args, &mut std::io::sink()).unwrap();
         let trace = Trace::load(&path).unwrap();
         assert_eq!(trace.len(), 40);
         std::fs::remove_file(&path).ok();
@@ -129,8 +132,8 @@ mod tests {
     #[test]
     fn missing_required_flags_error() {
         let args = Args::parse(["--kind", "henp"].iter().map(|s| s.to_string())).unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
         let args = Args::parse(std::iter::empty()).unwrap();
-        assert!(run(&args).is_err());
+        assert!(run(&args, &mut std::io::sink()).is_err());
     }
 }

@@ -31,6 +31,7 @@ pub mod obs;
 pub mod policies;
 
 use args::{ArgError, Args};
+use std::io::{self, Write};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -50,36 +51,76 @@ Commands:
   help       show this message (or 'fbcache help <COMMAND>')
 ";
 
-/// Dispatches a full argument vector (without the program name).
-/// Returns an exit code.
+/// Why a command stopped early.
+#[derive(Debug)]
+pub enum CliError {
+    /// Bad flags or unusable input: printed, exit code 1.
+    Arg(ArgError),
+    /// Writing the command's output failed.
+    Output(io::Error),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Arg(e) => e.fmt(f),
+            CliError::Output(e) => write!(f, "cannot write output: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
+        CliError::Arg(e)
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Output(e)
+    }
+}
+
+/// Dispatches a full argument vector (without the program name), with
+/// command output on a locked stdout. Returns an exit code.
 pub fn dispatch(argv: &[String]) -> i32 {
+    dispatch_to(argv, &mut io::stdout().lock())
+}
+
+/// [`dispatch`] with command output written to `out`. An output closed
+/// early (`BrokenPipe`, as in `fbcache info --trace T | head -1`) ends the
+/// command quietly with exit code 0; any other write error is reported
+/// with exit code 1.
+pub fn dispatch_to(argv: &[String], out: &mut dyn Write) -> i32 {
     let Some(command) = argv.first() else {
         eprint!("{USAGE}");
         return 2;
     };
     let rest = argv[1..].to_vec();
-    let result: Result<(), ArgError> = match command.as_str() {
-        "generate" => parse_and(&rest, commands::generate::run),
-        "scenario" => parse_and(&rest, commands::scenario::run),
-        "run" => parse_and(&rest, commands::run::run),
-        "compare" => parse_and(&rest, commands::compare::run),
-        "grid" => parse_and(&rest, commands::grid::run),
-        "multi" => parse_and(&rest, commands::multi::run),
-        "hybrid" => parse_and(&rest, commands::hybrid::run),
-        "info" => parse_and(&rest, commands::info::run),
+    let result: Result<(), CliError> = match command.as_str() {
+        "generate" => parse_and(&rest, out, commands::generate::run),
+        "scenario" => parse_and(&rest, out, commands::scenario::run),
+        "run" => parse_and(&rest, out, commands::run::run),
+        "compare" => parse_and(&rest, out, commands::compare::run),
+        "grid" => parse_and(&rest, out, commands::grid::run),
+        "multi" => parse_and(&rest, out, commands::multi::run),
+        "hybrid" => parse_and(&rest, out, commands::hybrid::run),
+        "info" => parse_and(&rest, out, commands::info::run),
         "help" | "--help" | "-h" => {
-            match rest.first().map(String::as_str) {
-                Some("generate") => print!("{}", commands::generate::USAGE),
-                Some("scenario") => print!("{}", commands::scenario::USAGE),
-                Some("run") => print!("{}", commands::run::USAGE),
-                Some("compare") => print!("{}", commands::compare::USAGE),
-                Some("grid") => print!("{}", commands::grid::USAGE),
-                Some("multi") => print!("{}", commands::multi::USAGE),
-                Some("hybrid") => print!("{}", commands::hybrid::USAGE),
-                Some("info") => print!("{}", commands::info::USAGE),
-                _ => print!("{USAGE}"),
-            }
-            return 0;
+            let usage = match rest.first().map(String::as_str) {
+                Some("generate") => commands::generate::USAGE,
+                Some("scenario") => commands::scenario::USAGE,
+                Some("run") => commands::run::USAGE,
+                Some("compare") => commands::compare::USAGE,
+                Some("grid") => commands::grid::USAGE,
+                Some("multi") => commands::multi::USAGE,
+                Some("hybrid") => commands::hybrid::USAGE,
+                Some("info") => commands::info::USAGE,
+                _ => USAGE,
+            };
+            out.write_all(usage.as_bytes()).map_err(CliError::from)
         }
         other => {
             eprintln!("unknown command '{other}'\n");
@@ -87,8 +128,9 @@ pub fn dispatch(argv: &[String]) -> i32 {
             return 2;
         }
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(CliError::from)) {
         Ok(()) => 0,
+        Err(CliError::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => 0,
         Err(e) => {
             eprintln!("error: {e}");
             1
@@ -96,14 +138,16 @@ pub fn dispatch(argv: &[String]) -> i32 {
     }
 }
 
-fn parse_and(rest: &[String], f: fn(&Args) -> Result<(), ArgError>) -> Result<(), ArgError> {
+type Command = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+fn parse_and(rest: &[String], out: &mut dyn Write, f: Command) -> Result<(), CliError> {
     let args = Args::parse(rest.iter().cloned())?;
     if args.has("help") {
         // Let the caller print command usage via `help <cmd>` instead;
         // here we simply succeed after printing nothing surprising.
-        return Err(ArgError("use 'fbcache help <COMMAND>' for usage".into()));
+        return Err(ArgError("use 'fbcache help <COMMAND>' for usage".into()).into());
     }
-    f(&args)
+    f(&args, out)
 }
 
 #[cfg(test)]
@@ -135,6 +179,38 @@ mod tests {
     fn command_errors_are_exit_code_one() {
         // `run` without --trace.
         assert_eq!(dispatch(&argv(&["run", "--cache", "1GiB"])), 1);
+    }
+
+    /// Output whose reader has gone away (or failed) with `kind`.
+    struct Closed(io::ErrorKind);
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn closed_output_ends_the_command_quietly() {
+        let trace = std::env::temp_dir().join("fbc_cli_closed_output.trace");
+        let trace_s = trace.to_str().unwrap();
+        let generate = argv(&["generate", "--output", trace_s, "--jobs", "20"]);
+        assert_eq!(dispatch_to(&generate, &mut io::sink()), 0);
+        let pipe = io::ErrorKind::BrokenPipe;
+        for command in [
+            argv(&["info", "--trace", trace_s]),
+            argv(&["help"]),
+            generate,
+        ] {
+            assert_eq!(dispatch_to(&command, &mut Closed(pipe)), 0, "{command:?}");
+            let other = io::ErrorKind::Other;
+            assert_eq!(dispatch_to(&command, &mut Closed(other)), 1, "{command:?}");
+        }
+        std::fs::remove_file(&trace).ok();
     }
 
     #[test]

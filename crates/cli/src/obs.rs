@@ -10,7 +10,9 @@
 //! on span events), which are machine-dependent and void that contract.
 
 use crate::args::{ArgError, Args};
+use crate::CliError;
 use fbc_obs::{Obs, ObsConfig};
+use std::io::Write;
 
 /// Builds the run's sink: enabled iff `--obs`, `--obs-trace` or
 /// `--profile` was given, recording wall-clock spans iff `--profile` was.
@@ -27,23 +29,25 @@ pub fn obs_from_args(args: &Args) -> Obs {
     }
 }
 
-/// Writes the trace file and prints the counter table as the flags ask.
-/// A disabled handle is a no-op, so callers invoke this unconditionally.
-pub fn emit(obs: &Obs, args: &Args) -> Result<(), ArgError> {
+/// Writes the trace file and prints the counter table to `out` as the
+/// flags ask. A disabled handle is a no-op, so callers invoke this
+/// unconditionally.
+pub fn emit(obs: &Obs, args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if !obs.is_enabled() {
         return Ok(());
     }
     if let Some(path) = args.get("obs-trace") {
         std::fs::write(path, obs.jsonl())
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        println!(
+        writeln!(
+            out,
             "trace:             {path} ({} events, {} dropped)",
             obs.events_recorded(),
             obs.events_dropped()
-        );
+        )?;
     }
-    println!();
-    print!("{}", obs.render_table());
+    writeln!(out)?;
+    write!(out, "{}", obs.render_table())?;
     Ok(())
 }
 
@@ -59,7 +63,7 @@ mod tests {
     fn no_flags_means_disabled() {
         let obs = obs_from_args(&parse(&[]));
         assert!(!obs.is_enabled());
-        emit(&obs, &parse(&[])).unwrap();
+        emit(&obs, &parse(&[]), &mut std::io::sink()).unwrap();
     }
 
     #[test]
@@ -120,7 +124,7 @@ mod tests {
         let obs = obs_from_args(&args);
         obs.set_now(1);
         obs.event("e", &[]);
-        emit(&obs, &args).unwrap();
+        emit(&obs, &args, &mut std::io::sink()).unwrap();
         let written = std::fs::read_to_string(&path).unwrap();
         assert_eq!(written, "{\"t\":1,\"ev\":\"e\"}\n");
         std::fs::remove_file(&path).ok();
@@ -130,6 +134,6 @@ mod tests {
     fn unwritable_trace_path_is_a_clean_error() {
         let args = parse(&["--obs-trace", "/nonexistent-dir/x.jsonl"]);
         let obs = obs_from_args(&args);
-        assert!(emit(&obs, &args).is_err());
+        assert!(emit(&obs, &args, &mut std::io::sink()).is_err());
     }
 }

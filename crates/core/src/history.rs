@@ -30,6 +30,7 @@
 
 use crate::bundle::Bundle;
 use crate::catalog::FileCatalog;
+use crate::lines::DataLines;
 use crate::types::FileId;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -481,30 +482,10 @@ impl RequestHistory {
     /// the header's, a first occurrence after the last, or two entries
     /// sharing a first or a last occurrence.
     pub fn read_from<R: std::io::Read>(r: R, catalog: &FileCatalog) -> std::io::Result<Self> {
-        use std::io::BufRead as _;
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut lines = std::io::BufReader::new(r).lines();
-        let mut next_line = move || -> std::io::Result<String> {
-            loop {
-                match lines.next() {
-                    None => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "truncated history",
-                        ))
-                    }
-                    Some(line) => {
-                        let line = line?;
-                        let t = line.trim();
-                        if !t.is_empty() && !t.starts_with('#') {
-                            return Ok(t.to_string());
-                        }
-                    }
-                }
-            }
-        };
+        let mut lines = DataLines::new(r, "truncated history");
 
-        let vf_line = next_line()?;
+        let vf_line = lines.next_line()?.as_str();
         let value_fn = if vf_line == "value_fn count" {
             ValueFn::Count
         } else if let Some(hl) = vf_line.strip_prefix("value_fn decay ") {
@@ -517,12 +498,16 @@ impl RequestHistory {
         } else {
             return Err(bad("expected 'value_fn ...'"));
         };
-        let tick: u64 = next_line()?
+        let tick: u64 = lines
+            .next_line()?
+            .as_str()
             .strip_prefix("tick ")
             .ok_or_else(|| bad("expected 'tick <n>'"))?
             .parse()
             .map_err(|_| bad("bad tick"))?;
-        let n: usize = next_line()?
+        let n: usize = lines
+            .next_line()?
+            .as_str()
             .strip_prefix("entries ")
             .ok_or_else(|| bad("expected 'entries <n>'"))?
             .parse()
@@ -530,8 +515,7 @@ impl RequestHistory {
 
         let mut entries = Vec::new();
         for _ in 0..n {
-            let line = next_line()?;
-            let mut tok = line.split_whitespace();
+            let mut tok = lines.next_line()?.as_str().split_whitespace();
             let mut take = |name: &str| tok.next().ok_or_else(|| bad(&format!("missing {name}")));
             let count: u64 = take("count")?.parse().map_err(|_| bad("bad count"))?;
             let value_acc: f64 = take("value_acc")?.parse().map_err(|_| bad("bad value"))?;

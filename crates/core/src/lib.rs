@@ -61,6 +61,7 @@ pub mod history;
 pub mod index;
 pub mod instance;
 pub mod knapsack;
+pub mod lines;
 pub mod offline;
 pub mod optfilebundle;
 pub mod policy;

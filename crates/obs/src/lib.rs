@@ -200,13 +200,14 @@ impl Obs {
         if !self.is_enabled() {
             return Span { state: None };
         }
-        let wall = self.lock().is_some_and(|g| g.wall_clock).then(Instant::now);
+        let wall_clock = self.lock().is_some_and(|g| g.wall_clock);
+        let obs = self.clone();
+        let name = name.to_string();
+        // The clock starts last and stops first (in `drop`), so a
+        // `wall_ns` sample holds none of the span's own bookkeeping.
+        let wall = wall_clock.then(Instant::now);
         Span {
-            state: Some(SpanState {
-                obs: self.clone(),
-                name: name.to_string(),
-                wall,
-            }),
+            state: Some(SpanState { obs, name, wall }),
         }
     }
 
@@ -403,14 +404,16 @@ impl Drop for Span {
         let Some(state) = self.state.take() else {
             return;
         };
+        let wall_ns = state
+            .wall
+            .map(|start| start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         let Some(mut g) = state.obs.lock() else {
             return;
         };
         let t = g.now;
         g.registry.add(&format!("{}.calls", state.name), 1);
         let mut fields = vec![("name", Field::s(state.name.clone()))];
-        if let Some(start) = state.wall {
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if let Some(ns) = wall_ns {
             g.registry.observe(&format!("{}.wall_ns", state.name), ns);
             fields.push(("wall_ns", Field::u(ns)));
         }

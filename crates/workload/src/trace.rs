@@ -18,8 +18,11 @@
 
 use fbc_core::bundle::{Bundle, BundleInterner};
 use fbc_core::catalog::FileCatalog;
+use fbc_core::lines::DataLines;
 use fbc_core::types::FileId;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
+#[cfg(any(test, feature = "reference-kernels"))]
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 /// Cap on the capacity reserved from a header count. Header counts are
@@ -71,8 +74,14 @@ impl Trace {
         }
         writeln!(w, "requests {}", self.requests.len())?;
         for r in &self.requests {
-            let ids: Vec<String> = r.iter().map(|f| f.0.to_string()).collect();
-            writeln!(w, "{}", ids.join(" "))?;
+            let mut ids = r.iter();
+            if let Some(first) = ids.next() {
+                write!(w, "{}", first.0)?;
+            }
+            for f in ids {
+                write!(w, " {}", f.0)?;
+            }
+            writeln!(w)?;
         }
         w.flush()
     }
@@ -80,9 +89,62 @@ impl Trace {
     /// Reads a trace in the v1 text format.
     ///
     /// Requests with the same file set share one [`Bundle`]: memory grows
-    /// with the distinct bundles, not with the trace length.
+    /// with the distinct bundles, not with the trace length. The input is
+    /// streamed through [`DataLines`], with no allocation per line; it
+    /// accepts and rejects exactly what `read_from_reference` (the
+    /// `reference-kernels` twin) does, with the same error kinds and
+    /// messages.
     pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
-        let mut lines = DataLines::new(r);
+        let mut lines = DataLines::new(r, "truncated trace");
+        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+
+        let n_files: usize = lines
+            .next_line()?
+            .strip_prefix("files ")
+            .ok_or_else(|| bad("expected 'files <n>'"))?
+            .parse_uint()
+            .ok_or_else(|| bad("bad file count"))?;
+        let mut catalog = FileCatalog::with_capacity(n_files.min(MAX_PREALLOC));
+        for _ in 0..n_files {
+            let size: u64 = lines
+                .next_line()?
+                .parse_uint()
+                .ok_or_else(|| bad("bad file size"))?;
+            catalog.add_file(size);
+        }
+        let n_requests: usize = lines
+            .next_line()?
+            .strip_prefix("requests ")
+            .ok_or_else(|| bad("expected 'requests <n>'"))?
+            .parse_uint()
+            .ok_or_else(|| bad("bad request count"))?;
+        let mut requests = Vec::with_capacity(n_requests.min(MAX_PREALLOC));
+        let mut interner = BundleInterner::new();
+        let mut ids = Vec::new();
+        for _ in 0..n_requests {
+            ids.clear();
+            for id in lines.next_line()?.uints::<u32>() {
+                let id = id.ok_or_else(|| bad("bad file id"))?;
+                if id as usize >= catalog.len() {
+                    return Err(bad("request references unknown file"));
+                }
+                ids.push(FileId(id));
+            }
+            if ids.is_empty() {
+                return Err(bad("empty request"));
+            }
+            requests.push(interner.intern(&mut ids));
+        }
+        Ok(Self { catalog, requests })
+    }
+
+    /// The reference twin of [`Trace::read_from`]: a `read_line` into a
+    /// UTF-8 `String` per line, then `trim`, `split_whitespace` and
+    /// `str::parse`. Differential tests hold `read_from` to it, errors
+    /// included.
+    #[cfg(any(test, feature = "reference-kernels"))]
+    pub fn read_from_reference<R: Read>(r: R) -> io::Result<Self> {
+        let mut lines = StringLines::new(r);
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
 
         let n_files: usize = lines
@@ -133,14 +195,17 @@ impl Trace {
     }
 }
 
-/// The data lines of a trace, read through one reused buffer: trimmed,
-/// with blank and `#` comment lines skipped.
-struct DataLines<R> {
+/// The data lines of a trace, read through one reused `String`: trimmed,
+/// with blank and `#` comment lines skipped. The line source of
+/// [`Trace::read_from_reference`].
+#[cfg(any(test, feature = "reference-kernels"))]
+struct StringLines<R> {
     reader: BufReader<R>,
     buf: String,
 }
 
-impl<R: Read> DataLines<R> {
+#[cfg(any(test, feature = "reference-kernels"))]
+impl<R: Read> StringLines<R> {
     fn new(r: R) -> Self {
         Self {
             reader: BufReader::new(r),
@@ -258,6 +323,63 @@ mod tests {
     #[test]
     fn huge_request_count_fails_cleanly() {
         assert_truncated("files 1\n5\nrequests 99999999999999\n0\n");
+    }
+
+    /// Both readers' results on `text`, errors as kind and message.
+    fn both(text: &[u8]) -> [Result<Trace, (io::ErrorKind, String)>; 2] {
+        [Trace::read_from(text), Trace::read_from_reference(text)]
+            .map(|r| r.map_err(|e| (e.kind(), e.to_string())))
+    }
+
+    #[test]
+    fn comment_longer_than_the_read_buffer_is_skipped() {
+        let comment = format!("# {}\n", "x".repeat(200_000));
+        let text = format!("{comment}files 1\n{comment}5\nrequests 1\n{comment}0\n");
+        let [new, reference] = both(text.as_bytes());
+        assert_eq!(new, reference);
+        assert_eq!(new.unwrap().requests, [Bundle::from_raw([0])]);
+    }
+
+    #[test]
+    fn request_of_fifty_thousand_ids() {
+        let ids: Vec<String> = (0..50_000u32).rev().map(|i| i.to_string()).collect();
+        let sizes = "1\n".repeat(50_000);
+        let text = format!("files 50000\n{sizes}requests 1\n{}\n", ids.join(" "));
+        let [new, reference] = both(text.as_bytes());
+        assert_eq!(new, reference);
+        assert_eq!(new.unwrap().requests[0], Bundle::from_raw(0..50_000));
+    }
+
+    #[test]
+    fn last_line_without_newline() {
+        let text = b"files 2\n5\n6\nrequests 2\n0\n1 0";
+        let [new, reference] = both(text);
+        assert_eq!(new, reference);
+        assert_eq!(new.unwrap().requests[1], Bundle::from_raw([0, 1]));
+        let [new, reference] = both(b"files 2\n5\n6\nrequests 2\n0\n1 x");
+        assert_eq!(new, reference);
+        assert_eq!(new.unwrap_err().1, "bad file id");
+    }
+
+    #[test]
+    fn write_to_matches_the_joined_rendering() {
+        let t = Trace::new(
+            FileCatalog::from_sizes(vec![10, 20, 30]),
+            vec![
+                Bundle::from_raw([2, 0, 1]),
+                Bundle::from_raw([]),
+                Bundle::from_raw([1]),
+            ],
+        );
+        let mut written = Vec::new();
+        t.write_to(&mut written).unwrap();
+        let mut want = String::from("# fbc-trace v1\nfiles 3\n10\n20\n30\nrequests 3\n");
+        for r in &t.requests {
+            let ids: Vec<String> = r.iter().map(|f| f.0.to_string()).collect();
+            want.push_str(&ids.join(" "));
+            want.push('\n');
+        }
+        assert_eq!(String::from_utf8(written).unwrap(), want);
     }
 
     #[test]

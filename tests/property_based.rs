@@ -297,16 +297,160 @@ proptest! {
         }
     }
 
-    /// Hostile trace files: edits and prefixes of a valid trace load or
-    /// fail with an error, never a panic.
+    /// The streaming trace reader accepts and rejects exactly what its
+    /// reference twin (a `String` per line, `trim`, `split_whitespace`,
+    /// `str::parse`) does, with equal error kinds and messages: on v1
+    /// text rendered with random whitespace, `+` signs, comments, blank
+    /// lines and non-ASCII separators, and on hostile edits and prefixes
+    /// of it. Every input is also read one byte per `read`, so that every
+    /// line crosses a refill of the reader's buffer.
     #[test]
-    fn trace_mutations_never_panic((_, edits, cut) in hostile(1)) {
-        let catalog = FileCatalog::from_sizes(vec![5, 9, 2, 7]);
-        let requests = [[0, 1], [2, 3], [1, 3]].map(Bundle::from_raw).to_vec();
-        let mut valid = Vec::new();
-        Trace::new(catalog, requests).write_to(&mut valid).unwrap();
-        for input in hostile_variants(&valid, &edits, cut) {
-            let _ = Trace::read_from(&input[..]);
+    fn trace_reader_matches_reference(
+        (trace, _) in trace_and_cache(),
+        noise in proptest::collection::vec(any::<u8>(), 1..=64),
+        (_, edits, cut) in hostile(1),
+    ) {
+        let (text, valid) = noisy_trace_text(&trace, &noise);
+        if valid {
+            let read = Trace::read_from(&text[..]);
+            prop_assert!(read.as_ref().is_ok_and(|t| *t == trace),
+                "{:?}: {:?}", String::from_utf8_lossy(&text), read.err());
+        }
+        for input in hostile_variants(&text, &edits, cut).iter().chain([&text]) {
+            let want = outcome(Trace::read_from_reference(&input[..]));
+            prop_assert_eq!(outcome(Trace::read_from(&input[..])), want.clone(),
+                "{:?}", String::from_utf8_lossy(input));
+            prop_assert_eq!(outcome(Trace::read_from(OneByteReads(input))), want,
+                "{:?} (one byte per read)", String::from_utf8_lossy(input));
         }
     }
+}
+
+/// A reader's result with the error reduced to what the contract pins:
+/// its kind and message.
+fn outcome(
+    read: std::io::Result<Trace>,
+) -> std::result::Result<Trace, (std::io::ErrorKind, String)> {
+    read.map_err(|e| (e.kind(), e.to_string()))
+}
+
+/// A reader that hands out one byte per `read`.
+struct OneByteReads<'a>(&'a [u8]);
+
+impl std::io::Read for OneByteReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match (self.0.split_first(), buf.first_mut()) {
+            (Some((&b, rest)), Some(slot)) => {
+                *slot = b;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// Whitespace the text formats must treat as separators: the ASCII
+/// `White_Space` bytes (`\x0B` included) and non-ASCII ones.
+const SEPARATORS: &[&str] = &[
+    " ", "\t", "\x0B", "\x0C", "\r", "  ", " \t", "\u{A0}", "\u{85}", "\u{2003}", "\u{3000}",
+];
+
+/// Lines the formats skip.
+const SKIPPED: &[&str] = &[
+    "",
+    "   ",
+    "\t\x0B",
+    "#",
+    "# comment",
+    "#\u{E9}t\u{E9}",
+    "\u{A0}",
+    "  # x",
+];
+
+/// Layout choices, drawn in turn from a cycled byte string.
+struct Noise<'a> {
+    draws: std::iter::Cycle<std::slice::Iter<'a, u8>>,
+    /// Whether a header keyword got a separator other than one space,
+    /// which the format rejects.
+    broke_a_header: bool,
+}
+
+impl Noise<'_> {
+    fn draw(&mut self) -> u8 {
+        *self.draws.next().expect("noise is not empty")
+    }
+
+    fn separator(&mut self) -> &'static str {
+        SEPARATORS[self.draw() as usize % SEPARATORS.len()]
+    }
+
+    /// Appends one line: skipped lines first, then leading whitespace, an
+    /// optional header keyword, `values` and a line ending.
+    fn line(&mut self, out: &mut String, keyword: Option<&str>, values: &[u64]) {
+        for _ in 0..self.draw() % 3 {
+            out.push_str(SKIPPED[self.draw() as usize % SKIPPED.len()]);
+            out.push('\n');
+        }
+        if self.draw().is_multiple_of(3) {
+            out.push_str(self.separator());
+        }
+        if let Some(keyword) = keyword {
+            out.push_str(keyword);
+            let separator = if self.draw().is_multiple_of(7) {
+                self.separator()
+            } else {
+                " "
+            };
+            self.broke_a_header |= separator != " ";
+            out.push_str(separator);
+        }
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push_str(self.separator());
+            }
+            match self.draw() % 4 {
+                0 => out.push('+'),
+                1 => out.push('0'),
+                _ => {}
+            }
+            out.push_str(&v.to_string());
+        }
+        match self.draw() % 5 {
+            0 => out.push_str("\r\n"),
+            1 => {
+                out.push_str(self.separator());
+                out.push('\n');
+            }
+            _ => out.push('\n'),
+        }
+    }
+}
+
+/// `trace` in the v1 format, with each choice of layout drawn from
+/// `noise`: line endings (`\n`, `\r\n`, trailing whitespace), leading
+/// whitespace, separators between ids and after header keywords, `+`
+/// signs and leading zeros on numbers, skipped lines between data lines,
+/// and a last line without `\n`. Also returns whether the text is still
+/// a valid trace: a header keyword followed by anything but one space is
+/// not.
+fn noisy_trace_text(trace: &Trace, noise: &[u8]) -> (Vec<u8>, bool) {
+    let mut noise = Noise {
+        draws: noise.iter().cycle(),
+        broke_a_header: false,
+    };
+    let mut out = String::from("# fbc-trace v1\n");
+    noise.line(&mut out, Some("files"), &[trace.catalog.len() as u64]);
+    for (_, size) in trace.catalog.iter() {
+        noise.line(&mut out, None, &[size]);
+    }
+    noise.line(&mut out, Some("requests"), &[trace.len() as u64]);
+    for r in &trace.requests {
+        let ids: Vec<u64> = r.iter().map(|f| u64::from(f.0)).collect();
+        noise.line(&mut out, None, &ids);
+    }
+    if noise.draw().is_multiple_of(2) {
+        out.truncate(out.trim_end_matches(['\n', '\r']).len());
+    }
+    (out.into_bytes(), !noise.broke_a_header)
 }
