@@ -109,11 +109,6 @@ impl FileCatalog {
         self.sizes.iter().sum()
     }
 
-    /// Sum of sizes over an iterator of file ids.
-    pub fn total_size_of<I: IntoIterator<Item = FileId>>(&self, files: I) -> Bytes {
-        files.into_iter().map(|f| self.size(f)).sum()
-    }
-
     /// Iterates over `(FileId, size)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (FileId, Bytes)> + '_ {
         self.sizes
@@ -176,7 +171,6 @@ mod tests {
         let c = FileCatalog::from_sizes(vec![2, 4, 6]);
         assert_eq!(c.total_bytes(), 12);
         assert!((c.mean_size() - 4.0).abs() < f64::EPSILON);
-        assert_eq!(c.total_size_of([FileId(0), FileId(2)]), 8);
     }
 
     #[test]

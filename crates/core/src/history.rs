@@ -34,7 +34,6 @@ use crate::lines::DataLines;
 use crate::types::FileId;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 /// Sentinel for "no entry" in the recency list.
@@ -160,33 +159,38 @@ impl RequestHistory {
 
     /// Records one occurrence of `bundle` (the paper's Step 4: "update the
     /// data structure `L(R)` with all relevant information about `r_new`"),
-    /// returning its entry id. One hash probe of the bundle; a first
-    /// occurrence also mints its entry id and bumps `d(f)` of its files.
+    /// returning its entry id. One hash probe of the bundle's files; a
+    /// first occurrence also inserts a clone of the bundle, mints its entry
+    /// id and bumps `d(f)` of its files.
     /// The bundle's files are ids of the catalog the history serves: the
     /// file slab grows to cover the largest one.
     pub fn record(&mut self, bundle: &Bundle) -> u32 {
         self.tick += 1;
         let tick = self.tick;
-        let fresh = self.entries.len() as u32;
-        let id = match self.ids.entry(bundle.clone()) {
-            Entry::Occupied(o) => *o.get(),
-            Entry::Vacant(v) => *v.insert(fresh),
+        // Probe by slice: a repeat (every hit) touches no refcount.
+        let id = match self.ids.get(bundle.files()) {
+            Some(&id) => {
+                self.unlink(id);
+                id
+            }
+            None => {
+                let fresh = self.entries.len() as u32;
+                self.ids.insert(bundle.clone(), fresh);
+                // A zeroed seed entry: the shared update below brings it to
+                // the exact state a fresh entry had before (count 1,
+                // value_acc 1.0).
+                self.push_entry(HistoryEntry {
+                    bundle: bundle.clone(),
+                    count: 0,
+                    value_acc: 0.0,
+                    value_tick: tick,
+                    last_seen: tick,
+                    first_seen: tick,
+                    priority: 1.0,
+                });
+                fresh
+            }
         };
-        if id == fresh {
-            // A zeroed seed entry: the shared update below brings it to the
-            // exact state a fresh entry had before (count 1, value_acc 1.0).
-            self.push_entry(HistoryEntry {
-                bundle: bundle.clone(),
-                count: 0,
-                value_acc: 0.0,
-                value_tick: tick,
-                last_seen: tick,
-                first_seen: tick,
-                priority: 1.0,
-            });
-        } else {
-            self.unlink(id);
-        }
         let value_fn = self.value_fn;
         let e = &mut self.entries[id as usize];
         // Bring the decayed accumulator current before adding 1.
@@ -253,7 +257,8 @@ impl RequestHistory {
         self.head = id;
     }
 
-    /// Sets the priority multiplier of a known request.
+    /// Sets the priority multiplier of a known request (tests only: outside
+    /// them, priorities come from warm-start files).
     ///
     /// # Panics
     ///
@@ -261,7 +266,8 @@ impl RequestHistory {
     /// are `base · priority`, and the selection kernels need them finite
     /// and non-negative, with zero as `+0.0` so every kernel orders it
     /// alike.
-    pub fn set_priority(&mut self, bundle: &Bundle, priority: f64) -> bool {
+    #[cfg(test)]
+    fn set_priority(&mut self, bundle: &Bundle, priority: f64) -> bool {
         assert!(
             is_non_negative(priority),
             "priority must be finite and non-negative, got {priority}"

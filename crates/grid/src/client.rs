@@ -91,6 +91,13 @@ mod tests {
     }
 
     #[test]
+    fn job_arrival_stays_16_bytes() {
+        // A caller's arrival list holds one per job: a time and a thin
+        // bundle handle.
+        assert_eq!(std::mem::size_of::<JobArrival>(), 16);
+    }
+
+    #[test]
     fn batch_arrivals_all_at_zero() {
         let arr = schedule_arrivals(&jobs(5), ArrivalProcess::Batch);
         assert_eq!(arr.len(), 5);

@@ -58,14 +58,6 @@ impl Placement {
     pub fn replicas_of(&self, file: FileId) -> &[u32] {
         &self.sites_of[file.index()]
     }
-
-    /// Mean replica count (diagnostics).
-    pub fn mean_copies(&self) -> f64 {
-        if self.sites_of.is_empty() {
-            return 0.0;
-        }
-        self.sites_of.iter().map(|s| s.len() as f64).sum::<f64>() / self.sites_of.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -125,10 +117,9 @@ mod tests {
     fn placements_validate() {
         let full = Placement::full(10, 3);
         assert_eq!(full.replicas_of(FileId(5)), &[0, 1, 2]);
-        assert_eq!(full.mean_copies(), 3.0);
         let partial = Placement::random(10, 4, 2, 7);
-        assert_eq!(partial.mean_copies(), 2.0);
         for f in 0..10u32 {
+            assert_eq!(full.replicas_of(FileId(f)).len(), 3);
             let r = partial.replicas_of(FileId(f));
             assert_eq!(r.len(), 2);
             assert!(r.windows(2).all(|w| w[0] < w[1]));

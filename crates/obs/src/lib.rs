@@ -269,17 +269,6 @@ impl Obs {
         self.lock().map_or(String::new(), |g| g.events.to_jsonl())
     }
 
-    /// Writes the JSONL trace to `w`.
-    pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(self.jsonl().as_bytes())
-    }
-
-    /// Runs `f` against the registry snapshot (no-op returning `None`
-    /// when disabled). For read access beyond the convenience getters.
-    pub fn with_registry<R>(&self, f: impl FnOnce(&Registry) -> R) -> Option<R> {
-        self.lock().map(|g| f(&g.registry))
-    }
-
     /// Clears all metrics and events, keeping the handle enabled.
     pub fn clear(&self) {
         if let Some(mut g) = self.lock() {
@@ -443,7 +432,6 @@ mod tests {
         assert_eq!(obs.events_recorded(), 0);
         assert_eq!(obs.jsonl(), "");
         assert_eq!(obs.render_table(), "");
-        assert_eq!(obs.with_registry(|r| r.is_empty()), None);
     }
 
     #[test]

@@ -66,7 +66,8 @@ impl PolicyComparison {
     }
 
     /// Metrics of a policy by name.
-    pub fn metrics_of(&self, name: &str) -> Option<&Metrics> {
+    #[cfg(test)]
+    fn metrics_of(&self, name: &str) -> Option<&Metrics> {
         self.rows.iter().find(|(n, _)| n == name).map(|(_, m)| m)
     }
 }

@@ -79,6 +79,8 @@ pub fn run_hybrid(
     let mut cache = CacheState::with_catalog(cache_size, catalog);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = HybridMetrics::default();
+    // One singleton bundle per file, built on its first file-at-a-time use.
+    let mut singles: Vec<Option<Bundle>> = Vec::new();
 
     for bundle in &trace.requests {
         let model = if rng.gen::<f64>() < single_fraction {
@@ -95,8 +97,11 @@ pub fn run_hybrid(
                     ..Default::default()
                 };
                 for f in bundle.iter() {
-                    let single = Bundle::new([f]);
-                    let o = policy.handle(&single, &mut cache, catalog);
+                    if f.index() >= singles.len() {
+                        singles.resize(f.index() + 1, None);
+                    }
+                    let single = singles[f.index()].get_or_insert_with(|| Bundle::new([f]));
+                    let o = policy.handle(single, &mut cache, catalog);
                     agg.hit &= o.hit;
                     agg.serviced &= o.serviced;
                     agg.requested_bytes += o.requested_bytes;

@@ -274,20 +274,6 @@ impl Metrics {
         }
         self.decision_latency.merge(&other.decision_latency);
     }
-
-    /// Folds per-shard accumulators into one, in slice order.
-    ///
-    /// This is [`merge`](Self::merge) applied left to right over
-    /// `shards` — a deterministic fold: shard drivers that collect worker
-    /// results out of order must sort by shard index before calling, and
-    /// the merged series/totals are then independent of worker scheduling.
-    pub fn merge_shards(shards: &[Metrics]) -> Metrics {
-        let mut total = Metrics::new();
-        for shard in shards {
-            total.merge(shard);
-        }
-        total
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -477,29 +463,6 @@ mod tests {
         b.decision_latency.record(7);
         a.merge(&b);
         assert_eq!(a.decision_latency.samples, vec![5, 7]);
-    }
-
-    #[test]
-    fn merge_shards_is_an_ordered_fold() {
-        let mut shards = Vec::new();
-        for i in 0..3u64 {
-            let mut m = Metrics::new();
-            m.record(&outcome(i % 2 == 0, 100 * (i + 1), 40 * (i + 1)));
-            shards.push(m);
-        }
-        let total = Metrics::merge_shards(&shards);
-        assert_eq!(total.jobs, 3);
-        assert_eq!(total.hits, 2);
-        assert_eq!(total.requested_bytes, 600);
-        assert_eq!(total.fetched_bytes, 240);
-        // Same fold done by hand, in the same order.
-        let mut manual = Metrics::new();
-        for s in &shards {
-            manual.merge(s);
-        }
-        assert_eq!(total, manual);
-        // Identity on the empty slice.
-        assert_eq!(Metrics::merge_shards(&[]), Metrics::new());
     }
 
     #[test]

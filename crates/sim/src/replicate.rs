@@ -54,12 +54,6 @@ impl Replicated {
             1.96 * self.std_dev / (self.n as f64).sqrt()
         }
     }
-
-    /// Whether this metric is lower than `other` with non-overlapping 95%
-    /// intervals — a cheap significance check for policy comparisons.
-    pub fn significantly_below(&self, other: &Replicated) -> bool {
-        self.mean + self.ci95_half_width() < other.mean - other.ci95_half_width()
-    }
 }
 
 /// Runs `experiment(seed)` for each seed in parallel and summarises the
@@ -100,16 +94,6 @@ mod tests {
         let r = Replicated::from_samples(&[5.0]);
         assert_eq!(r.std_dev, 0.0);
         assert_eq!(r.ci95_half_width(), 0.0);
-    }
-
-    #[test]
-    fn significance_requires_separation() {
-        let low = Replicated::from_samples(&[1.0, 1.1, 0.9, 1.0]);
-        let high = Replicated::from_samples(&[2.0, 2.1, 1.9, 2.0]);
-        assert!(low.significantly_below(&high));
-        assert!(!high.significantly_below(&low));
-        let overlapping = Replicated::from_samples(&[1.0, 2.0, 1.5, 1.2]);
-        assert!(!overlapping.significantly_below(&high) || overlapping.mean < high.mean);
     }
 
     #[test]
