@@ -13,7 +13,7 @@
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
+use fbc_core::policy::{CachePolicy, RequestOutcome};
 use fbc_obs::Obs;
 use std::collections::HashMap;
 
@@ -23,11 +23,6 @@ pub struct AdmissionGate<P> {
     inner: P,
     min_occurrences: u64,
     counts: HashMap<Bundle, u64>,
-    /// Observability sink for bypassed (streamed) requests; admitted
-    /// requests are recorded by the wrapped policy itself.
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
     name: String,
 }
 
@@ -42,8 +37,6 @@ impl<P: CachePolicy> AdmissionGate<P> {
             inner,
             min_occurrences,
             counts: HashMap::new(),
-            obs: Obs::disabled(),
-            obs_slots: OutcomeObsSlots::default(),
             name,
         }
     }
@@ -115,14 +108,11 @@ impl<P: CachePolicy> CachePolicy for AdmissionGate<P> {
         if count >= self.min_occurrences {
             self.inner.handle(bundle, cache, catalog)
         } else {
-            let outcome = self.bypass(bundle, cache, catalog);
-            outcome.record_obs(&self.obs, &mut self.obs_slots);
-            outcome
+            self.bypass(bundle, cache, catalog)
         }
     }
 
     fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs.clone();
         self.inner.attach_obs(obs);
     }
 

@@ -20,9 +20,8 @@
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
+use fbc_core::policy::{service_with_evictor, CachePolicy, RequestOutcome};
 use fbc_core::types::{Bytes, FileId};
-use fbc_obs::Obs;
 use std::collections::HashMap;
 
 use crate::util::OrderedList;
@@ -54,10 +53,6 @@ pub struct Arc {
     p: Bytes,
     /// Ghost capacity (matches the cache size; set lazily on first use).
     ghost_capacity: Bytes,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
 }
 
 impl Arc {
@@ -69,6 +64,25 @@ impl Arc {
     /// Current adaptation target `p` in bytes (diagnostics).
     pub fn adaptation_target(&self) -> Bytes {
         self.p
+    }
+
+    /// Puts the residents ARC does not track (it was reset while the cache
+    /// stayed warm) at T1's least-recently-used end, in ascending id order.
+    fn adopt(&mut self, cache: &CacheState) {
+        let mut adopted: Vec<(FileId, Bytes)> = cache
+            .iter()
+            .filter(|(f, _)| !self.resident.contains_key(f))
+            .collect();
+        adopted.sort_unstable();
+        let rest = std::mem::take(&mut self.t1);
+        for (f, size) in adopted {
+            self.t1.push_back(f, ());
+            self.t1_bytes += size;
+            self.resident.insert(f, List::T1);
+        }
+        for (f, _) in rest.iter() {
+            self.t1.push_back(f, ());
+        }
     }
 
     /// Registers an access to `f` (resident or not), performing ARC's
@@ -125,6 +139,9 @@ impl CachePolicy for Arc {
         cache: &mut CacheState,
         catalog: &FileCatalog,
     ) -> RequestOutcome {
+        if self.resident.len() != cache.len() {
+            self.adopt(cache);
+        }
         // Destructure so the evictor closure can borrow the lists and
         // counters disjointly (the reference needed a RefCell dance here).
         let Self {
@@ -138,8 +155,6 @@ impl CachePolicy for Arc {
             t1_bytes,
             p,
             ghost_capacity,
-            obs: _,
-            obs_slots: _,
         } = self;
         let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
             // LRU of T1 if |T1| > p, else LRU of T2; fall through to the
@@ -189,20 +204,11 @@ impl CachePolicy for Arc {
                 self.touch(f, catalog.size(f), capacity);
             }
         }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
         outcome
     }
 
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     fn reset(&mut self) {
-        // Keep the attached observability sink across the state wipe.
-        *self = Arc {
-            obs: self.obs.clone(),
-            ..Arc::default()
-        };
+        *self = Arc::default();
     }
 }
 
@@ -233,6 +239,19 @@ impl ArcReference {
     /// Current adaptation target `p` in bytes (diagnostics).
     pub fn adaptation_target(&self) -> Bytes {
         self.p
+    }
+
+    fn adopt(&mut self, cache: &CacheState) {
+        let mut adopted: Vec<FileId> = cache
+            .iter()
+            .map(|(f, _)| f)
+            .filter(|f| !self.resident.contains_key(f))
+            .collect();
+        adopted.sort_unstable();
+        for &f in adopted.iter().rev() {
+            self.t1.push_front(f);
+            self.resident.insert(f, List::T1);
+        }
     }
 
     fn remove_from_list(deque: &mut std::collections::VecDeque<FileId>, f: FileId) {
@@ -351,6 +370,9 @@ impl CachePolicy for ArcReference {
         cache: &mut CacheState,
         catalog: &FileCatalog,
     ) -> RequestOutcome {
+        if self.resident.len() != cache.len() {
+            self.adopt(cache);
+        }
         let this = std::cell::RefCell::new(&mut *self);
         let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
             let mut borrow = this.borrow_mut();
@@ -461,6 +483,28 @@ mod tests {
             assert_eq!(arc.resident.len(), cache.len());
             assert_eq!(arc.t1.len() + arc.t2.len(), cache.len());
         }
+    }
+
+    /// After a reset against a warm cache the residents ARC lost track of
+    /// are T1's oldest, lowest id first, and both twins agree.
+    #[test]
+    fn warm_reset_adopts_residents_into_t1() {
+        let (catalog, mut cache, mut arc) = setup(3, 6);
+        let mut cache_ref = CacheState::new(3);
+        let mut reference = ArcReference::new();
+        for i in [2u32, 0, 1] {
+            arc.handle(&b(&[i]), &mut cache, &catalog);
+            reference.handle(&b(&[i]), &mut cache_ref, &catalog);
+        }
+        arc.reset();
+        reference.reset();
+        for (i, want) in [(3u32, 0u32), (4, 1)] {
+            let out = arc.handle(&b(&[i]), &mut cache, &catalog);
+            assert!(out.serviced);
+            assert_eq!(out.evicted_files, vec![FileId(want)]);
+            assert_eq!(out, reference.handle(&b(&[i]), &mut cache_ref, &catalog));
+        }
+        assert_eq!(arc.resident.len(), cache.len());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! every heap key exact.
 
 use fbc_core::bundle::Bundle;
+use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::RequestOutcome;
 use fbc_core::types::{Bytes, FileId};
@@ -68,6 +69,7 @@ impl KeyedPolicy for BeladyKeys {
         &mut self,
         bundle: &Bundle,
         _outcome: &RequestOutcome,
+        _cache: &CacheState,
         _catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     ) {

@@ -7,6 +7,7 @@
 //! front is always the minimum `(admission tick, FileId)`.
 
 use fbc_core::bundle::Bundle;
+use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::RequestOutcome;
 use fbc_core::types::{Bytes, FileId};
@@ -38,6 +39,7 @@ impl KeyedPolicy for FifoKeys {
         &mut self,
         _bundle: &Bundle,
         outcome: &RequestOutcome,
+        _cache: &CacheState,
         _catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     ) {

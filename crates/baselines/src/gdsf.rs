@@ -17,6 +17,7 @@
 //! round until every resident has a stored H again.
 
 use fbc_core::bundle::Bundle;
+use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::RequestOutcome;
 use fbc_core::types::{Bytes, FileId};
@@ -70,6 +71,7 @@ impl KeyedPolicy for GdsfKeys {
         &mut self,
         bundle: &Bundle,
         outcome: &RequestOutcome,
+        _cache: &CacheState,
         catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     ) {

@@ -22,7 +22,7 @@
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
+use fbc_core::policy::{service_with_evictor, CachePolicy, RequestOutcome};
 use fbc_core::types::FileId;
 use fbc_obs::Obs;
 use rustc_hash::FxHashMap;
@@ -50,8 +50,6 @@ pub struct Landlord {
     /// Observability sink (disabled unless a driver attaches one); counts
     /// rent rounds, broke-list evictions and credit refreshes.
     obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
 }
 
 impl Landlord {
@@ -61,7 +59,6 @@ impl Landlord {
             credits: FxHashMap::default(),
             broke: Vec::new(),
             obs: Obs::disabled(),
-            obs_slots: OutcomeObsSlots::default(),
         }
     }
 
@@ -188,7 +185,6 @@ impl CachePolicy for Landlord {
             self.credits.remove(f);
             broke_remove(&mut self.broke, *f);
         }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
         outcome
     }
 

@@ -10,6 +10,7 @@
 //! count — `O(log n)` per eviction instead of a full scan's `O(n log n)`.
 
 use fbc_core::bundle::Bundle;
+use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::RequestOutcome;
 use fbc_core::types::{Bytes, FileId};
@@ -39,6 +40,7 @@ impl KeyedPolicy for LfuKeys {
         &mut self,
         bundle: &Bundle,
         outcome: &RequestOutcome,
+        _cache: &CacheState,
         _catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     ) {

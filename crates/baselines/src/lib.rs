@@ -149,7 +149,7 @@ impl PolicyKind {
             PolicyKind::Fifo => Some(Box::new(ScanOracle::new(Fifo::new()))),
             PolicyKind::Random => Some(Box::new(random::RandomEvictReference::new(0xF1BC))),
             PolicyKind::LargestFirst => Some(Box::new(ScanOracle::new(LargestFirst::new()))),
-            PolicyKind::Slru => Some(Box::new(slru::SlruReference::new())),
+            PolicyKind::Slru => Some(Box::new(ScanOracle::new(Slru::new()))),
             PolicyKind::BundleMarking => Some(Box::new(Marking::with_order(ScanLeastRecent))),
             PolicyKind::BundleMarkingRand => {
                 Some(Box::new(Marking::with_order(ScanDraw::new(0xF1BC))))

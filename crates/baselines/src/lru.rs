@@ -11,6 +11,7 @@
 //! O(skipped + 1) instead of a full scan's O(n log n).
 
 use fbc_core::bundle::Bundle;
+use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::RequestOutcome;
 use fbc_core::types::{Bytes, FileId};
@@ -44,6 +45,7 @@ impl KeyedPolicy for LruKeys {
         &mut self,
         bundle: &Bundle,
         outcome: &RequestOutcome,
+        _cache: &CacheState,
         _catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     ) {

@@ -11,6 +11,7 @@
 //! file's reference history.
 
 use fbc_core::bundle::Bundle;
+use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::RequestOutcome;
 use fbc_core::types::{Bytes, FileId};
@@ -66,6 +67,7 @@ impl KeyedPolicy for LruKKeys {
         &mut self,
         bundle: &Bundle,
         outcome: &RequestOutcome,
+        _cache: &CacheState,
         _catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     ) {

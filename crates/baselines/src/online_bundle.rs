@@ -67,7 +67,7 @@
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
+use fbc_core::policy::{service_with_evictor, CachePolicy, RequestOutcome};
 use fbc_core::types::{Bytes, FileId};
 use fbc_obs::Obs;
 use rand::rngs::StdRng;
@@ -211,8 +211,6 @@ pub struct Marking<O> {
     /// Reusable `(last_use, id)` scratch for phase resets and resyncs.
     unmarked: Vec<(u64, FileId)>,
     obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
 }
 
 impl<O: UnmarkedOrder> Marking<O> {
@@ -223,7 +221,6 @@ impl<O: UnmarkedOrder> Marking<O> {
             order,
             unmarked: Vec::new(),
             obs: Obs::disabled(),
-            obs_slots: OutcomeObsSlots::default(),
         }
     }
 
@@ -310,7 +307,6 @@ impl<O: UnmarkedOrder> CachePolicy for Marking<O> {
                 self.order.remove(f);
             }
         }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
         outcome
     }
 

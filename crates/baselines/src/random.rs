@@ -10,9 +10,8 @@
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
+use fbc_core::policy::{service_with_evictor, CachePolicy, RequestOutcome};
 use fbc_core::types::FileId;
-use fbc_obs::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,10 +27,6 @@ pub struct RandomEvict {
     /// Reusable exclusion scratch (in-flight bundle ∩ residents, plus
     /// pinned files), kept sorted ascending.
     excl: Vec<FileId>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
 }
 
 impl RandomEvict {
@@ -42,8 +37,6 @@ impl RandomEvict {
             rng: StdRng::seed_from_u64(seed),
             arena: SortedArena::new(),
             excl: Vec::new(),
-            obs: Obs::disabled(),
-            obs_slots: OutcomeObsSlots::default(),
         }
     }
 }
@@ -99,12 +92,7 @@ impl CachePolicy for RandomEvict {
         for &f in &outcome.fetched_files {
             self.arena.insert(f);
         }
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
         outcome
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     fn reset(&mut self) {

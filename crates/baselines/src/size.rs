@@ -7,6 +7,7 @@
 //! sizes never change, so the index only tracks admissions and evictions.
 
 use fbc_core::bundle::Bundle;
+use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::policy::RequestOutcome;
 use fbc_core::types::{Bytes, FileId};
@@ -34,6 +35,7 @@ impl KeyedPolicy for SizeKeys {
         &mut self,
         _bundle: &Bundle,
         outcome: &RequestOutcome,
+        _cache: &CacheState,
         _catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     ) {

@@ -12,8 +12,8 @@
 //!   pushes a fresh stamped entry; stale entries are discarded when popped.
 //! * [`OrderedList`] — an intrusive doubly-linked list over a slab with an
 //!   FxHash position map, for pure recency/insertion orders (LRU, FIFO,
-//!   ARC's T1/T2/ghost lists) where `O(1)` remove-by-id replaces the old
-//!   `iter().position` scans.
+//!   ARC's T1/T2/ghost lists, SLRU's protected segment) where `O(1)`
+//!   remove-by-id replaces the old `iter().position` scans.
 //! * [`SortedArena`] — a sorted resident arena that lets `Random` replay
 //!   the reference policy's exact seeded draw without materialising the
 //!   candidate list.
@@ -24,22 +24,21 @@
 //! `O((skipped + 1) · log n)` instead of `O(n log n)`.
 //!
 //! **Keyed policies.** A policy whose victim is "the evictable resident
-//! minimising a key" (LRU, FIFO, LFU, SIZE, LRU-K, Belady-MIN, GDSF) states
-//! its key and bookkeeping once, as a [`KeyedPolicy`]. [`Indexed`] is its
-//! one `handle`: it picks victims from a [`VictimIndex`] and re-keys every
-//! file the bookkeeping names from [`KeyedPolicy::victim_key`], so the
-//! index cannot drift from the key. [`ScanOracle`] (behind the
-//! `reference-kernels` feature) runs the same bookkeeping but picks victims
-//! with the old full-scan selector, [`choose_victim_min_by_reference`],
-//! retained verbatim; the root-level `tests/evictor_equivalence.rs`
-//! differential suite pins the two equal.
+//! minimising a key" (LRU, FIFO, LFU, SIZE, LRU-K, Belady-MIN, GDSF,
+//! SLRU) states its key and bookkeeping once, as a [`KeyedPolicy`].
+//! [`Indexed`] is its one `handle`: it picks victims from a
+//! [`VictimIndex`] and re-keys every file the bookkeeping names from
+//! [`KeyedPolicy::victim_key`], so the index cannot drift from the key.
+//! [`ScanOracle`] (behind the `reference-kernels` feature) runs the same
+//! bookkeeping but picks victims with the old full-scan selector,
+//! [`choose_victim_min_by_reference`], retained verbatim; the root-level
+//! `tests/evictor_equivalence.rs` differential suite pins the two equal.
 
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{service_with_evictor, CachePolicy, OutcomeObsSlots, RequestOutcome};
+use fbc_core::policy::{service_with_evictor, CachePolicy, RequestOutcome};
 use fbc_core::types::{Bytes, FileId};
-use fbc_obs::Obs;
 use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -231,23 +230,6 @@ impl<K: Ord + Copy> LazyHeap<K> {
         }
         self.skipped.clear();
         victim
-    }
-
-    /// Pops the minimum-key live file regardless of pins or in-flight
-    /// bundles (used for SLRU's protected→probation demotion, where the
-    /// caller guarantees every live file is resident). Returns the file and
-    /// its key, un-tracking it.
-    pub fn pop_min(&mut self) -> Option<(FileId, K)> {
-        while let Some(Reverse((key, file, stamp))) = self.heap.pop() {
-            match self.live.get(&file) {
-                Some(&(live_stamp, _)) if live_stamp == stamp => {
-                    self.live.remove(&file);
-                    return Some((file, key));
-                }
-                _ => {}
-            }
-        }
-        None
     }
 }
 
@@ -661,12 +643,15 @@ pub trait KeyedPolicy {
         false
     }
 
-    /// Updates the metadata after a request was handled and appends to
-    /// `touched` every file whose key changed (in ascending id order).
+    /// Updates the metadata after a request was handled on `cache` and
+    /// appends to `touched` every file whose key changed. An
+    /// [`OrderedList`] index needs them in ascending `(key, id)` order; a
+    /// [`LazyHeap`] takes them in any order.
     fn update(
         &mut self,
         bundle: &Bundle,
         outcome: &RequestOutcome,
+        cache: &CacheState,
         catalog: &FileCatalog,
         touched: &mut Vec<FileId>,
     );
@@ -699,10 +684,6 @@ pub struct Indexed<P: KeyedPolicy> {
     rebuild_each_round: bool,
     /// Reusable scratch for the files [`KeyedPolicy::update`] names.
     touched: Vec<FileId>,
-    /// Observability sink (disabled unless a driver attaches one).
-    obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
 }
 
 impl<P: KeyedPolicy + Default> Default for Indexed<P> {
@@ -719,8 +700,6 @@ impl<P: KeyedPolicy> Indexed<P> {
             index: P::Index::default(),
             rebuild_each_round: false,
             touched: Vec::new(),
-            obs: Obs::disabled(),
-            obs_slots: OutcomeObsSlots::default(),
         }
     }
 
@@ -746,8 +725,6 @@ impl<P: KeyedPolicy> CachePolicy for Indexed<P> {
             index,
             rebuild_each_round,
             touched,
-            obs,
-            obs_slots,
         } = self;
         let outcome = service_with_evictor(bundle, cache, catalog, |cache| {
             if *rebuild_each_round || index.len() != cache.len() {
@@ -761,24 +738,19 @@ impl<P: KeyedPolicy> CachePolicy for Indexed<P> {
             index.choose(cache, bundle)
         });
         touched.clear();
-        policy.update(bundle, &outcome, catalog, touched);
+        policy.update(bundle, &outcome, cache, catalog, touched);
         for &f in touched.iter() {
             if cache.contains(f) {
                 index.rekey(f, policy.victim_key(f, catalog.size(f)));
             }
         }
         policy.finish();
-        outcome.record_obs(obs, obs_slots);
         outcome
     }
 
     fn prepare_from(&mut self, trace: &mut dyn Iterator<Item = &Bundle>) {
         self.policy.prepare_from(trace);
         self.index.clear();
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     fn reset(&mut self) {
@@ -829,7 +801,7 @@ impl<P: KeyedPolicy> CachePolicy for ScanOracle<P> {
         });
         self.touched.clear();
         self.policy
-            .update(bundle, &outcome, catalog, &mut self.touched);
+            .update(bundle, &outcome, cache, catalog, &mut self.touched);
         self.policy.finish();
         outcome
     }
@@ -1067,10 +1039,11 @@ mod tests {
             &mut self,
             bundle: &Bundle,
             outcome: &RequestOutcome,
+            cache: &CacheState,
             catalog: &FileCatalog,
             touched: &mut Vec<FileId>,
         ) {
-            self.0.update(bundle, outcome, catalog, touched);
+            self.0.update(bundle, outcome, cache, catalog, touched);
             touched.pop();
         }
 

@@ -55,7 +55,7 @@ use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::instance::FbcInstance;
 use fbc_core::optfilebundle::{HistoryMode, OfbConfig, OptFileBundle};
-use fbc_core::policy::{CachePolicy, RequestOutcome};
+use fbc_core::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
 use fbc_core::select::{opt_cache_select, GreedyVariant, SelectOptions};
 use fbc_obs::Obs;
 use std::hint::black_box;
@@ -369,15 +369,21 @@ fn main() {
             ])
         })
         .collect();
+    // Each side flushes `policy.*` after `handle` as a driver does: the
+    // plain side into a disabled sink, the others into the attached one.
     let run = |obs: Option<&Obs>| {
         let mut policy = OptFileBundle::new();
+        let sink = obs.cloned().unwrap_or_else(Obs::disabled);
         if let Some(o) = obs {
             o.clear();
             policy.attach_obs(o.clone());
         }
+        let mut obs_slots = OutcomeObsSlots::default();
         let mut cache = CacheState::new(obs_files as u64);
         for b in &trace {
-            black_box(policy.handle(b, &mut cache, &catalog));
+            let outcome = policy.handle(b, &mut cache, &catalog);
+            outcome.record_obs(&sink, &mut obs_slots);
+            black_box(outcome);
         }
     };
     let obs_plan = Plan::new(1, 25, 1);

@@ -49,7 +49,7 @@ use fbc_bench::{banner, quick_mode};
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::CachePolicy;
+use fbc_core::policy::{CachePolicy, OutcomeObsSlots};
 use fbc_core::types::{Bytes, FileId};
 use fbc_obs::Obs;
 
@@ -87,9 +87,13 @@ impl Workload {
     }
 }
 
-/// One policy on its own warmed cache, stepping through the churn.
+/// One policy on its own warmed cache, stepping through the churn. Like a
+/// driver, it flushes each outcome's `policy.*` counters into the sink
+/// the policy was attached to.
 struct Churner<'w> {
     policy: Box<dyn CachePolicy>,
+    obs: Obs,
+    obs_slots: OutcomeObsSlots,
     cache: CacheState,
     w: &'w Workload,
     /// Evicted files per processed churn request, in order.
@@ -97,16 +101,22 @@ struct Churner<'w> {
 }
 
 impl<'w> Churner<'w> {
-    /// Prepares the policy on the full trace and replays the warm phase.
-    fn new(mut policy: Box<dyn CachePolicy>, w: &'w Workload) -> Self {
+    /// Attaches `obs`, prepares the policy on the full trace and replays
+    /// the warm phase.
+    fn new(mut policy: Box<dyn CachePolicy>, w: &'w Workload, obs: Obs) -> Self {
+        policy.attach_obs(obs.clone());
         let full: Vec<Bundle> = w.warm.iter().chain(&w.churn).cloned().collect();
         policy.prepare(&full);
         let mut cache = CacheState::new(w.n as Bytes);
+        let mut obs_slots = OutcomeObsSlots::default();
         for b in &w.warm {
-            policy.handle(b, &mut cache, &w.catalog);
+            let outcome = policy.handle(b, &mut cache, &w.catalog);
+            outcome.record_obs(&obs, &mut obs_slots);
         }
         Self {
             policy,
+            obs,
+            obs_slots,
             cache,
             w,
             evicted: Vec::with_capacity(w.churn.len()),
@@ -118,6 +128,7 @@ impl<'w> Churner<'w> {
         let start = self.evicted.len();
         for b in &self.w.churn[start..(start + CHUNK).min(self.w.churn.len())] {
             let outcome = self.policy.handle(b, &mut self.cache, &self.w.catalog);
+            outcome.record_obs(&self.obs, &mut self.obs_slots);
             self.evicted.push(outcome.evicted_files);
         }
     }
@@ -132,17 +143,22 @@ impl<'w> Churner<'w> {
     }
 }
 
-/// Runs `a` and `b` through the churn in lockstep within `budget_ns`,
-/// asserts they evicted the same files request by request, and returns
-/// the measurement with side B's evictions/sec.
+/// Runs `a` (unobserved) and `b` (observed by `b_obs`) through the churn
+/// in lockstep within `budget_ns`, asserts they evicted the same files
+/// request by request, and returns the measurement with side B's
+/// evictions/sec.
 fn lockstep(
     a: Box<dyn CachePolicy>,
     b: Box<dyn CachePolicy>,
+    b_obs: Obs,
     w: &Workload,
     budget_ns: f64,
     what: &str,
 ) -> (Paired, f64) {
-    let (mut a, mut b) = (Churner::new(a, w), Churner::new(b, w));
+    let (mut a, mut b) = (
+        Churner::new(a, w, Obs::disabled()),
+        Churner::new(b, w, b_obs),
+    );
     let plan = Plan {
         budget_ns,
         ..Plan::new(0, (w.churn.len() / CHUNK).max(1), 1)
@@ -181,11 +197,18 @@ fn sweep(sizes: &[usize], budget_ns: f64) -> Vec<Row> {
                 continue;
             };
             let name = kind.build().name().to_string();
-            let (p, reference_eps) = lockstep(kind.build(), reference, &w, budget_ns, &name);
+            let (p, reference_eps) = lockstep(
+                kind.build(),
+                reference,
+                Obs::disabled(),
+                &w,
+                budget_ns,
+                &name,
+            );
             // The indexed rate is measured alone: interleaved with the
             // scan twin, the indexed side loses its cache locality, which
             // the paired speedup absorbs but a throughput must not.
-            let mut alone = Churner::new(kind.build(), &w);
+            let mut alone = Churner::new(kind.build(), &w, Obs::disabled());
             let (chunks, ()) = repeat(0, (w.churn.len() / CHUNK).max(1), || alone.step());
             rows.push(Row {
                 n,
@@ -283,11 +306,10 @@ fn main() {
     // differential too.
     let w = Workload::new(largest);
     let overhead = |obs: Obs| {
-        let mut observed = PolicyKind::Lru.build();
-        observed.attach_obs(obs);
         lockstep(
             PolicyKind::Lru.build(),
-            observed,
+            PolicyKind::Lru.build(),
+            obs,
             &w,
             f64::INFINITY,
             "observed LRU",

@@ -172,7 +172,8 @@ impl Args {
 
 /// Parses a byte size: a plain integer, or an integer/decimal with a
 /// `KiB`/`MiB`/`GiB`/`TiB`/`KB`/`MB`/`GB`/`TB`/`B` suffix
-/// (decimal suffixes are treated as their binary counterparts).
+/// (decimal suffixes are treated as their binary counterparts). A size
+/// that does not fit in a `u64` is an error.
 pub fn parse_bytes(s: &str) -> Result<Bytes, ArgError> {
     let s = s.trim();
     let (number, unit): (&str, Bytes) =
@@ -190,13 +191,23 @@ pub fn parse_bytes(s: &str) -> Result<Bytes, ArgError> {
             (s, 1)
         };
     let number = number.trim();
+    let too_large = || ArgError(format!("byte size '{s}' does not fit in 64 bits"));
+    // Integers stay exact; only a decimal goes through `f64`.
+    if let Ok(n) = number.parse::<Bytes>() {
+        return n.checked_mul(unit).ok_or_else(too_large);
+    }
     let value: f64 = number
         .parse()
         .map_err(|_| ArgError(format!("invalid byte size '{s}'")))?;
     if !(value.is_finite() && value >= 0.0) {
         return Err(ArgError(format!("invalid byte size '{s}'")));
     }
-    Ok((value * unit as f64).round() as Bytes)
+    let bytes = (value * unit as f64).round();
+    // `u64::MAX as f64` rounds up to 2^64, the first value that overflows.
+    if bytes >= Bytes::MAX as f64 {
+        return Err(too_large());
+    }
+    Ok(bytes as Bytes)
 }
 
 #[cfg(test)]
@@ -266,6 +277,84 @@ mod tests {
         assert_eq!(parse_bytes("512B").unwrap(), 512);
         assert!(parse_bytes("abc").is_err());
         assert!(parse_bytes("-5MiB").is_err());
+    }
+
+    #[test]
+    fn byte_sizes_beyond_u64_are_rejected() {
+        assert_eq!(parse_bytes("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(parse_bytes("16777215TiB").unwrap(), 16_777_215 * TIB);
+        assert_eq!(parse_bytes("9007199254740993").unwrap(), (1 << 53) + 1);
+        for s in [
+            "18446744073709551616",
+            "16777216TiB",
+            "1e30TiB",
+            "1e20",
+            "17179869184GiB",
+            "16777216.0TiB",
+        ] {
+            let err = parse_bytes(s).expect_err(s);
+            assert!(err.0.contains("does not fit"), "{s}: {err}");
+        }
+        let a = parse(&["--cache", "1e30TiB"]);
+        assert!(a.get_bytes_or("cache", 1).is_err());
+    }
+
+    /// Fragments the random tokens are glued from: flag syntax, digits,
+    /// unit suffixes, separators and values at the edge of `u64`/`f64`.
+    const FRAGMENTS: [&str; 26] = [
+        "--",
+        "-",
+        "=",
+        ":",
+        "cache",
+        "bundle",
+        "n",
+        "0",
+        "1",
+        "7",
+        "42",
+        ".",
+        "e",
+        "308",
+        "18446744073709551616",
+        "TiB",
+        "GiB",
+        "KB",
+        "B",
+        "nan",
+        "inf",
+        " ",
+        "+",
+        "é",
+        "\u{0}",
+        "x",
+    ];
+
+    proptest::proptest! {
+        /// `Args::parse` and the checked getters return errors on hostile
+        /// tokens, never panic, and an accepted value satisfies its getter's
+        /// contract.
+        #[test]
+        fn getters_never_panic_on_random_tokens(
+            tokens in proptest::collection::vec(
+                proptest::collection::vec(0..FRAGMENTS.len(), 0..6),
+                0..6,
+            )
+        ) {
+            let raw = tokens
+                .iter()
+                .map(|t| t.iter().map(|&i| FRAGMENTS[i]).collect::<String>());
+            let Ok(a) = Args::parse(raw) else { return };
+            for key in ["cache", "bundle", "n"] {
+                let _ = a.get_bytes_or(key, 1);
+                if let Ok((lo, hi)) = a.get_range_or(key, (1, 1)) {
+                    assert!(1 <= lo && lo <= hi);
+                }
+                if let Ok(n) = a.get_count_or(key, 1) {
+                    assert!(n >= 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::history::{RequestHistory, ValueFn};
 use crate::index::SupportIndex;
 #[cfg(any(test, feature = "reference-kernels"))]
 use crate::instance::FbcInstance;
-use crate::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
+use crate::policy::{CachePolicy, RequestOutcome};
 use crate::resident::ResidentInstance;
 use crate::select::GreedyVariant;
 #[cfg(any(test, feature = "reference-kernels"))]
@@ -123,8 +123,6 @@ pub struct OptFileBundle {
     /// Observability sink (disabled unless a driver attaches one); records
     /// per-phase spans, candidate/retained histograms and decision events.
     obs: Obs,
-    /// Memoized counter slots for the per-request obs flush.
-    obs_slots: OutcomeObsSlots,
     name: String,
 }
 
@@ -166,7 +164,6 @@ impl OptFileBundle {
             reference: false,
             retained: DenseBitSet::new(),
             obs: Obs::disabled(),
-            obs_slots: OutcomeObsSlots::default(),
             name,
         }
     }
@@ -494,12 +491,13 @@ impl Default for OptFileBundle {
     }
 }
 
-impl OptFileBundle {
-    /// The full Algorithm 2 servicing pipeline for one arrival, minus the
-    /// per-request observability flush (`RequestOutcome::record_obs`), which
-    /// the callers — `handle` and `decide_retained_batch` — perform so the
-    /// flush strategy can differ without touching the decision logic.
-    fn handle_inner(
+impl CachePolicy for OptFileBundle {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The full Algorithm 2 servicing pipeline for one arrival.
+    fn handle(
         &mut self,
         bundle: &Bundle,
         cache: &mut CacheState,
@@ -653,68 +651,6 @@ impl OptFileBundle {
         // Step 4: update L(R).
         self.record(bundle);
         outcome
-    }
-
-    /// Batched multi-request admission: service `bundles` in arrival order,
-    /// appending one outcome per bundle to `out`.
-    ///
-    /// Determinism contract: the result — cache contents, every outcome
-    /// field, and the observability trace — is bit-identical to calling
-    /// `handle` once per bundle, **by construction**: each arrival observes
-    /// exactly the cache and history state left by its predecessor, and the
-    /// per-request counter flush happens in the same order. What a batch
-    /// amortizes is the per-call overhead around the pipeline: one virtual
-    /// dispatch and one obs-enabled check for the whole run instead of one
-    /// per arrival, with the decision scratch staying hot across the run.
-    pub fn decide_retained_batch(
-        &mut self,
-        bundles: &[&Bundle],
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-        out: &mut Vec<RequestOutcome>,
-    ) {
-        out.reserve(bundles.len());
-        if self.obs.is_enabled() {
-            for bundle in bundles {
-                let outcome = self.handle_inner(bundle, cache, catalog);
-                // Flushed per request, in order: the JSONL trace interleaves
-                // decision/admit/evict events with each request's counters,
-                // so deferring flushes across arrivals would reorder it.
-                outcome.record_obs(&self.obs, &mut self.obs_slots);
-                out.push(outcome);
-            }
-        } else {
-            for bundle in bundles {
-                out.push(self.handle_inner(bundle, cache, catalog));
-            }
-        }
-    }
-}
-
-impl CachePolicy for OptFileBundle {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn handle(
-        &mut self,
-        bundle: &Bundle,
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-    ) -> RequestOutcome {
-        let outcome = self.handle_inner(bundle, cache, catalog);
-        outcome.record_obs(&self.obs, &mut self.obs_slots);
-        outcome
-    }
-
-    fn handle_batch(
-        &mut self,
-        bundles: &[&Bundle],
-        cache: &mut CacheState,
-        catalog: &FileCatalog,
-        out: &mut Vec<RequestOutcome>,
-    ) {
-        self.decide_retained_batch(bundles, cache, catalog, out);
     }
 
     fn attach_obs(&mut self, obs: Obs) {

@@ -40,11 +40,11 @@ pub struct RequestOutcome {
 }
 
 /// Memoized [`CounterSlot`]s for the fixed `policy.*` counter roster
-/// [`RequestOutcome::record_obs`] flushes. Each policy holds one (a plain
-/// [`Default`] field next to its `Obs` handle) so the steady-state flush
-/// bumps counters without hashing their names; the slots re-resolve
-/// automatically — via the registry epoch check — after `Obs::clear` or
-/// when a different sink is attached.
+/// [`RequestOutcome::record_obs`] flushes. Each driver that attaches a
+/// sink holds one, so the steady-state flush bumps counters without
+/// hashing their names; the slots re-resolve automatically — via the
+/// registry epoch check — after `Obs::clear` or when a different sink is
+/// passed.
 #[derive(Debug, Clone, Default)]
 pub struct OutcomeObsSlots {
     requests: CounterSlot,
@@ -58,19 +58,22 @@ pub struct OutcomeObsSlots {
 }
 
 impl RequestOutcome {
-    /// Folds this outcome into a policy's observability registry: the
-    /// `policy.*` counters shared by every implementation, plus `admit`
-    /// and `evict` events when files actually moved. One branch and
-    /// nothing else when `obs` is disabled — policies call this
-    /// unconditionally at the end of `handle`.
+    /// Folds this outcome into an observability registry: the `policy.*`
+    /// counters every policy shares, plus `admit` and `evict` events when
+    /// files actually moved. One branch and nothing else when `obs` is
+    /// disabled.
+    ///
+    /// Policies state only their own algorithm; the drivers that attach a
+    /// sink (`fbc_sim::run_trace` and the grid engine) call this right
+    /// after each [`CachePolicy::handle`], so the flush follows the
+    /// policy's own events for the request. A caller that drives `handle`
+    /// itself and wants the same trace calls it the same way.
     ///
     /// The whole flush — up to six counters and two events — runs inside
     /// one [`Obs::batch`] session, so an attached sink costs one lock
     /// acquisition per request instead of one per recording, and every
     /// counter bumps through the caller's [`OutcomeObsSlots`] memo
-    /// instead of a string-keyed map probe. Recording order is unchanged,
-    /// keeping JSONL traces and registry dumps byte-identical to the
-    /// per-call flush this replaces.
+    /// instead of a string-keyed map probe.
     pub fn record_obs(&self, obs: &Obs, slots: &mut OutcomeObsSlots) {
         obs.batch(|b| {
             b.incr_cached(&mut slots.requests, "policy.requests");
@@ -149,9 +152,9 @@ pub trait CachePolicy {
     /// bit-identical to calling [`handle`](CachePolicy::handle) once per
     /// bundle — each arrival sees the cache state its predecessor left.
     /// The default does exactly that. Policies override it to amortise
-    /// per-call overhead (dispatch, observability checks, scratch warm-up)
-    /// across the run, never to change outcomes; a driver with a backlog
-    /// may call this instead of looping `handle` itself.
+    /// per-call overhead (dispatch, scratch warm-up) across the run, never
+    /// to change outcomes; a driver with a backlog may call this instead
+    /// of looping `handle` itself.
     fn handle_batch(
         &mut self,
         bundles: &[&Bundle],
@@ -184,10 +187,13 @@ pub trait CachePolicy {
     fn prepare_from(&mut self, _trace: &mut dyn Iterator<Item = &Bundle>) {}
 
     /// Observability hook: hands the policy a shared [`Obs`] handle to
-    /// record its admit/evict accounting (and any policy-specific
-    /// signals) into. The default keeps the policy unobserved; drivers
-    /// call this once before a run when tracing is on. Attaching a
-    /// disabled handle is equivalent to never attaching.
+    /// record its own signals (counters, spans, decision events) into.
+    /// The shared `policy.*` accounting is not the policy's job: drivers
+    /// flush it per request with [`RequestOutcome::record_obs`]. The
+    /// default ignores the handle, which suits a policy with nothing of
+    /// its own to record; drivers call this once before a run when
+    /// tracing is on. Attaching a disabled handle is equivalent to never
+    /// attaching.
     fn attach_obs(&mut self, _obs: Obs) {}
 
     /// Clears internal state so the policy can be reused for another run.

@@ -41,7 +41,7 @@ use crate::time::SimTime;
 use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
-use fbc_core::policy::{CachePolicy, RequestOutcome};
+use fbc_core::policy::{CachePolicy, OutcomeObsSlots, RequestOutcome};
 use fbc_core::types::FileId;
 use fbc_obs::{Field, Obs};
 use std::collections::VecDeque;
@@ -248,6 +248,8 @@ struct Grid<'a> {
     catalog: &'a FileCatalog,
     arrivals: ArrivalView<'a>,
     obs: &'a Obs,
+    /// Memoized slots for the `policy.*` flush after each `handle`.
+    obs_slots: OutcomeObsSlots,
     events: EventQueue<Event>,
     storage: Storage<'a>,
     link: Link,
@@ -389,6 +391,7 @@ impl<'a> Grid<'a> {
             let mut outcome =
                 node.policy
                     .handle(&arrivals.get(i).bundle, &mut node.cache, self.catalog);
+            outcome.record_obs(self.obs, &mut self.obs_slots);
             debug_assert!(node.cache.check_invariants());
             node.stats.cache.record(&outcome);
             if !outcome.serviced {
@@ -525,6 +528,7 @@ fn simulate(
         catalog,
         arrivals,
         obs,
+        obs_slots: OutcomeObsSlots::default(),
         events: EventQueue::new(),
         storage,
         link: Link::new(config.link),
@@ -675,10 +679,12 @@ pub fn run_grid(
 /// determinism contract in [`crate::faults`].
 ///
 /// With an enabled `obs` the engine attaches a clone to the policy,
-/// stamps the virtual clock with **simulated microseconds** at every
-/// event-loop step, and traces the whole fetch lifecycle — `fetch`,
-/// `fetch_timeout`, `transient_fault`, `fetch_stranded`, `retry` — plus
-/// job arrival/completion/failure/rejection, under `grid.*` counters.
+/// flushes each outcome's `policy.*` counters and admit/evict events
+/// right after the policy handles it, stamps the virtual clock with
+/// **simulated microseconds** at every event-loop step, and traces the
+/// whole fetch lifecycle — `fetch`, `fetch_timeout`, `transient_fault`,
+/// `fetch_stranded`, `retry` — plus job arrival/completion/failure/
+/// rejection, under `grid.*` counters.
 /// A disabled `obs` never changes the result.
 pub fn run_grid_observed(
     policy: &mut dyn CachePolicy,

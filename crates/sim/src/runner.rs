@@ -19,7 +19,7 @@ use fbc_core::bundle::Bundle;
 use fbc_core::cache::CacheState;
 use fbc_core::catalog::FileCatalog;
 use fbc_core::history::RequestHistory;
-use fbc_core::policy::CachePolicy;
+use fbc_core::policy::{CachePolicy, OutcomeObsSlots};
 use fbc_core::types::Bytes;
 use fbc_obs::{Field, Obs};
 use fbc_workload::trace::Trace;
@@ -129,13 +129,15 @@ impl RunConfig {
 /// reset — callers reuse or reset policies explicitly.
 ///
 /// When `obs` is enabled the driver attaches a clone to the policy (so
-/// the policy's own `policy.*` counters and admit/evict events land in
-/// the same trace), stamps the virtual clock with the *service* index (the
-/// order jobs leave the queue) before each `handle` call, appends one
-/// `job {i, arrived, hit, serviced, used}` event per job, and ends with
-/// the `queue.batches` counter and the `sim.cache_used` /
-/// `sim.cache_capacity` gauges. A disabled `obs` leaves the policy
-/// untouched; observation never changes the metrics.
+/// the policy's own signals land in the same trace), stamps the virtual
+/// clock with the *service* index (the order jobs leave the queue) before
+/// each `handle` call, flushes each outcome's `policy.*` counters and
+/// admit/evict events
+/// ([`RequestOutcome::record_obs`](fbc_core::policy::RequestOutcome::record_obs))
+/// right after it, appends one `job {i, arrived, hit, serviced, used}`
+/// event per job, and ends with the `queue.batches` counter and the
+/// `sim.cache_used` / `sim.cache_capacity` gauges. A disabled `obs`
+/// leaves the policy untouched; observation never changes the metrics.
 ///
 /// # Panics
 ///
@@ -159,6 +161,7 @@ pub fn run_trace(
         None => Metrics::new(),
     };
     let order = drain_order(cfg.queue, &trace.requests, catalog);
+    let mut obs_slots = OutcomeObsSlots::default();
     for i in 0..trace.len() {
         let arrived = order.as_ref().map_or(i, |o| o[i]);
         let bundle = &trace.requests[arrived];
@@ -175,6 +178,7 @@ pub fn run_trace(
         } else {
             policy.handle(bundle, &mut cache, catalog)
         };
+        outcome.record_obs(obs, &mut obs_slots);
         debug_assert!(cache.check_invariants());
         debug_assert!(!outcome.serviced || outcome.streamed || cache.contains_all(bundle));
         if obs.is_enabled() {
@@ -598,6 +602,7 @@ mod tests {
             None => Metrics::new(),
         };
         let mut ranking_history = RequestHistory::new();
+        let mut obs_slots = OutcomeObsSlots::default();
         let mut processed: u64 = 0;
         let mut pending: Vec<(u64, Bundle)> = Vec::with_capacity(queue.queue_len);
         let mut input = trace
@@ -642,6 +647,7 @@ mod tests {
                 let (arrived, bundle) = pending.remove(idx);
                 obs.set_now(processed);
                 let outcome = policy.handle(&bundle, &mut cache, catalog);
+                outcome.record_obs(obs, &mut obs_slots);
                 debug_assert!(cache.check_invariants());
                 if obs.is_enabled() {
                     obs.event(

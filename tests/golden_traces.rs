@@ -33,7 +33,6 @@ fn workload() -> Trace {
         files_per_request: (1, 4),
         popularity: Popularity::zipf(),
         seed: 2004,
-        ..WorkloadConfig::default()
     })
     .into_trace()
 }

@@ -201,3 +201,42 @@ fn ratio_reporting_handles_zero_denominators() {
     let online = misses(PolicyKind::BundleMarking, &[], &catalog, 2);
     assert_eq!(competitive_ratio(online as f64, 0.0), 1.0);
 }
+
+/// Misses per phase of `policy` on the round-robin phase workload that
+/// `perf_online` reports: k = 50 unit files, ℓ = 5, 8 phases × 200 queries.
+fn round_robin_misses_per_phase(mut policy: impl CachePolicy) -> Vec<u64> {
+    let (k, l, phases, qpp) = (50u32, 5u32, 8u32, 200usize);
+    let trace = fbc_workload::adversary::round_robin_phases(k, l, phases, qpp);
+    let catalog = unit_catalog((phases * k) as usize);
+    let mut cache = CacheState::new(k as u64);
+    trace
+        .chunks(qpp)
+        .map(|phase| {
+            phase
+                .iter()
+                .map(|b| u64::from(!policy.handle(b, &mut cache, &catalog).hit))
+                .sum()
+        })
+        .collect()
+}
+
+/// OptFileBundle's stale-history lock-in, pinned. With the paper's
+/// occurrence count, the ten bundles of a finished phase stay resident
+/// with count 20 each; a cache-supported decision keeps them as
+/// candidates and they outrank every bundle of the new phase, so each
+/// miss evicts the new bundle's files and OFB misses every query after
+/// the first phase. A decayed count ages the old bundles out and adapts.
+#[test]
+fn ofb_round_robin_lock_in_is_pinned() {
+    let count = round_robin_misses_per_phase(OptFileBundle::new());
+    let mut locked = vec![200; 8];
+    locked[0] = 10;
+    assert_eq!(count, locked, "Count/CacheSupported");
+    let decay = round_robin_misses_per_phase(OptFileBundle::with_config(OfbConfig {
+        value_fn: ValueFn::Decay { half_life: 10.0 },
+        ..OfbConfig::default()
+    }));
+    let mut adapting = vec![19; 8];
+    adapting[0] = 10;
+    assert_eq!(decay, adapting, "Decay(half-life 10)");
+}

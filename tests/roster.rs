@@ -187,3 +187,23 @@ proptest! {
         }
     }
 }
+
+/// A policy reset while its cache stays warm must still serve a feasible
+/// request: fill a 3-slot cache with 3 singletons, reset, and ask for a
+/// fourth file. The residents the policy no longer knows are evictable.
+#[test]
+fn every_policy_serves_after_a_warm_reset() {
+    let catalog = FileCatalog::from_sizes(vec![1; 4]);
+    for kind in PolicyKind::ONLINE {
+        let mut policy = kind.build();
+        let mut cache = CacheState::new(3);
+        for f in 0..3u32 {
+            policy.handle(&Bundle::from_raw([f]), &mut cache, &catalog);
+        }
+        policy.reset();
+        let out = policy.handle(&Bundle::from_raw([3]), &mut cache, &catalog);
+        assert!(out.serviced, "{kind:?} refused a feasible request");
+        assert_eq!(out.evicted_files.len(), 1, "{kind:?}");
+        assert!(cache.contains(FileId(3)) && cache.check_invariants());
+    }
+}
