@@ -38,13 +38,19 @@
 //! paired pass by pass; hit counts and final resident sets are asserted
 //! equal, so every run is also a differential test.
 //!
-//! The trace reader every replay starts with is measured the same way:
-//! the hit stream's requests serialised once to v1 text in memory, read by
-//! the streaming `Trace::read_from` (side A) and by its reference twin
-//! `Trace::read_from_reference` (side B), paired pass by pass. Both must
-//! read back the written trace. Its row (`regime` `trace_read`) reports
-//! the streaming reader's requests/s and the paired speedup, and the
-//! section records both sides in ns/request.
+//! The trace reader every replay starts with is measured the same way, on
+//! two texts serialised once to v1 in memory: the hit stream's requests
+//! (a few hundred distinct lines, most of them hits in the reader's line
+//! memo) and as many requests with every line distinct (the memo's worst
+//! case, until its stop rule turns it off). Each is read by the streaming
+//! `Trace::read_from` (side A) and by its reference twin
+//! `Trace::read_from_reference` (side B), paired pass by pass, and both
+//! must read back the written trace. Their rows (`regime` `trace_read`
+//! and `trace_read_distinct`) report the streaming reader's requests/s
+//! and the paired speedup, and the section records both sides in
+//! ns/request. Only the hit stream's speedup has a floor: with every line
+//! distinct, interning a new bundle per line dominates both readers, and
+//! their ratio sits near 1.
 //!
 //! The full run writes `results/perf_grid.csv` (one table, with a
 //! `regime` column) and the `"perf_grid"` section of `BENCH_core.json`.
@@ -53,7 +59,8 @@
 //!
 //! * the dense membership kernel is slower than the reference twin
 //!   (speedup < 1.0), or
-//! * the streaming trace reader is below 1.2× its reference twin, or
+//! * the streaming trace reader is below 1.2× its reference twin on the
+//!   hit stream, or
 //! * the 4-shard decision regime is below 1.5× the 1-shard run, or
 //! * a divergence check fails (1-shard vs `run_grid`, dense vs reference
 //!   kernel, either trace reader vs the written trace), or
@@ -320,19 +327,17 @@ fn membership_kernel(n: usize, passes: usize) -> (Paired, f64, f64) {
 
 /// The trace reader: the streaming `Trace::read_from` (side A) against
 /// its reference twin `read_from_reference` (side B), paired pass by pass
-/// over the hit stream's requests serialised once to v1 text in memory.
-/// Both must read the text back to the same trace. Returns the
-/// measurement and the ns per request of each side.
-fn trace_read(s: &Stream, passes: usize) -> (Paired, f64, f64) {
-    let requests: Vec<Bundle> = s.arrivals.iter().map(|a| a.bundle.clone()).collect();
-    let trace = Trace::new(s.catalog.clone(), requests);
+/// over `trace` serialised once to v1 text in memory. Both must read the
+/// text back to the same trace. Returns the measurement and the ns per
+/// request of each side.
+fn trace_read(trace: &Trace, passes: usize) -> (Paired, f64, f64) {
     let mut text = Vec::new();
     trace
         .write_to(&mut text)
         .expect("writing to memory cannot fail");
     let read = |reader: fn(&[u8]) -> std::io::Result<Trace>| {
         let back = reader(&text).expect("the trace reads back");
-        assert_eq!(back, trace, "a trace reader changed the trace");
+        assert_eq!(back, *trace, "a trace reader changed the trace");
     };
     read(|t| Trace::read_from(t));
     read(|t| Trace::read_from_reference(t));
@@ -351,6 +356,24 @@ fn trace_read(s: &Stream, passes: usize) -> (Paired, f64, f64) {
         per_request(paired.a.median),
         per_request(paired.b.median),
     )
+}
+
+/// The hit stream's requests as a trace: a few hundred distinct lines,
+/// each repeated, so most lines hit the reader's line memo.
+fn hit_trace(reduced: bool) -> Trace {
+    let s = Stream::hit(reduced);
+    let requests = s.arrivals.iter().map(|a| a.bundle.clone()).collect();
+    Trace::new(s.catalog, requests)
+}
+
+/// `jobs` requests, every line distinct: the line memo's worst case,
+/// where it only adds lookups until its stop rule turns it off.
+fn distinct_trace(jobs: usize) -> Trace {
+    let jobs = u32::try_from(jobs).expect("at most u32::MAX jobs");
+    let requests = (0..jobs)
+        .map(|k| Bundle::from_raw([k % 1_000, 1_000 + k / 1_000 % 1_000, 2_000 + k / 1_000_000]))
+        .collect();
+    Trace::new(FileCatalog::from_sizes(vec![FILE_SIZE; 3_000]), requests)
 }
 
 /// Both regimes through the shard sweep.
@@ -406,19 +429,27 @@ fn main() {
             Cell::num(r.byte_miss - r.base_miss, 4),
         ]);
     }
-    let (reader, reader_ns, reference_reader_ns) =
-        trace_read(&Stream::hit(reduced), if reduced { 9 } else { 15 });
-    table.push([
-        "trace_read".into(),
-        1usize.into(),
-        reader.a.n.into(),
-        Cell::num(1e9 / reader_ns, 0),
-        Cell::num(reader.a.spread(), 3),
-        Cell::num(reader.ratio.median, 2),
-        Cell::num(reader.ratio.spread(), 3),
-        "".into(),
-        "".into(),
-    ]);
+    let passes = if reduced { 9 } else { 15 };
+    let hits = hit_trace(reduced);
+    let (reader, reader_ns, reference_reader_ns) = trace_read(&hits, passes);
+    let (distinct, distinct_ns, reference_distinct_ns) =
+        trace_read(&distinct_trace(hits.len()), passes);
+    for (regime, r, ns) in [
+        ("trace_read", &reader, reader_ns),
+        ("trace_read_distinct", &distinct, distinct_ns),
+    ] {
+        table.push([
+            regime.into(),
+            1usize.into(),
+            r.a.n.into(),
+            Cell::num(1e9 / ns, 0),
+            Cell::num(r.a.spread(), 3),
+            Cell::num(r.ratio.median, 2),
+            Cell::num(r.ratio.spread(), 3),
+            "".into(),
+            "".into(),
+        ]);
+    }
     println!();
     table.print();
     let threads = hardware_threads();
@@ -446,6 +477,11 @@ fn main() {
         "trace reader (hit stream as v1 text): streaming {reader_ns:.1} ns/request vs \
          reference {reference_reader_ns:.1} ns/request ({:.2}x paired)",
         reader.ratio.median
+    );
+    println!(
+        "trace reader (every line distinct): streaming {distinct_ns:.1} ns/request vs \
+         reference {reference_distinct_ns:.1} ns/request ({:.2}x paired, no floor)",
+        distinct.ratio.median
     );
     println!(
         "\nheadline: hit regime 1-shard {:.0} jobs/s; decision regime 4-shard {:.0} jobs/s \
@@ -535,6 +571,19 @@ fn main() {
         .set(
             "trace_read_reference_ns_per_request",
             Cell::num(reference_reader_ns, 1),
+        )
+        .stat(
+            "trace_read_distinct_speedup",
+            distinct.ratio.median,
+            distinct.ratio.spread(),
+        )
+        .set(
+            "trace_read_distinct_ns_per_request",
+            Cell::num(distinct_ns, 1),
+        )
+        .set(
+            "trace_read_distinct_reference_ns_per_request",
+            Cell::num(reference_distinct_ns, 1),
         )
         .rows("results", &table)
         .write();

@@ -126,6 +126,15 @@ impl Args {
         }
     }
 
+    /// Required byte-size flag that must be positive (a cache capacity).
+    pub fn require_positive_bytes(&self, key: &str) -> Result<Bytes, ArgError> {
+        match self.get_bytes_or(key, 0)? {
+            0 if self.get(key).is_some() => Err(ArgError(format!("--{key} must be positive"))),
+            0 => Err(ArgError(format!("missing required flag --{key}"))),
+            n => Ok(n),
+        }
+    }
+
     /// `MIN:MAX` inclusive usize range flag with a default.
     pub fn get_range_or(
         &self,
@@ -277,6 +286,21 @@ mod tests {
         assert_eq!(parse_bytes("512B").unwrap(), 512);
         assert!(parse_bytes("abc").is_err());
         assert!(parse_bytes("-5MiB").is_err());
+    }
+
+    #[test]
+    fn a_zero_capacity_is_not_a_missing_one() {
+        let err = |argv: &[&str]| parse(argv).require_positive_bytes("cache").unwrap_err().0;
+        assert_eq!(err(&[]), "missing required flag --cache");
+        assert_eq!(err(&["--cache", "0"]), "--cache must be positive");
+        assert_eq!(err(&["--cache", "0GiB"]), "--cache must be positive");
+        assert!(err(&["--cache", "x"]).starts_with("--cache: "));
+        assert_eq!(
+            parse(&["--cache", "2KiB"])
+                .require_positive_bytes("cache")
+                .unwrap(),
+            2048
+        );
     }
 
     #[test]

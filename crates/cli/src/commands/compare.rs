@@ -32,10 +32,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "trace", "cache", "policies", "queue", "scans", "warmup", "csv",
     ])?;
     let trace_path = args.require("trace")?;
-    let cache = args.get_bytes_or("cache", 0)?;
-    if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()).into());
-    }
+    let cache = args.require_positive_bytes("cache")?;
     let policies = args
         .get("policies")
         .unwrap_or("optfilebundle,landlord,lru,arc,gdsf,belady")

@@ -42,7 +42,8 @@ Options:
   --max-retries N       fetch retries before a job fails [5]
   --fetch-timeout-secs S  abandon a fetch attempt after S seconds [none]
   --shards N            split the SRM into N decision shards [1]
-  --workers M           worker threads executing shards [= shards]
+  --workers M           worker threads executing shards
+                        [min(shards, hardware threads)]
   --shard-by MODE       shard routing: 'file' (lead file) or 'bundle' [file]
   --obs                 print the observability counter table after the run
   --obs-trace FILE      write the JSONL event trace to FILE (implies --obs)
@@ -53,6 +54,12 @@ With --shards 1 (the default) the run is the single-threaded engine,
 byte-identical to previous releases; --shards N splits the cache and the
 request stream over N independent shard engines (see DESIGN.md §12).
 ";
+
+/// `--workers` when it is not given: one per shard, but no more than the
+/// machine's `parallelism` hardware threads.
+fn default_workers(shards: usize, parallelism: usize) -> usize {
+    shards.min(parallelism)
+}
 
 /// Runs the subcommand.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -79,10 +86,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "profile",
     ])?;
     let trace_path = args.require("trace")?;
-    let cache = args.get_bytes_or("cache", 0)?;
-    if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()).into());
-    }
+    let cache = args.require_positive_bytes("cache")?;
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     let mut policy = policy_by_name(policy_name).ok_or_else(|| {
         ArgError(format!(
@@ -133,7 +137,8 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let shards = args.get_count_or("shards", 1)?;
-    let workers: usize = args.get_or("workers", shards)?;
+    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    let workers = args.get_count_or("workers", default_workers(shards, parallelism))?;
     let shard_by = match args.get("shard-by") {
         Some(s) => ShardBy::parse(s).ok_or_else(|| {
             ArgError(format!("bad --shard-by value '{s}' (one of: file, bundle)"))
@@ -173,7 +178,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             out,
             "shards:            {shards} ({} routing, {} workers)",
             shard_by.label(),
-            workers.clamp(1, shards)
+            workers.min(shards)
         )?;
         writeln!(out, "routed:            [{}]", routed.join(", "))?;
         cstats.overall
@@ -229,6 +234,14 @@ mod tests {
     use super::*;
     use fbc_core::bundle::Bundle;
     use fbc_core::catalog::FileCatalog;
+
+    #[test]
+    fn workers_default_to_at_most_the_hardware_threads() {
+        assert_eq!(default_workers(70_000, 2), 2);
+        assert_eq!(default_workers(4, 2), 2);
+        assert_eq!(default_workers(3, 8), 3);
+        assert_eq!(default_workers(1, 1), 1);
+    }
 
     #[test]
     fn grid_command_end_to_end() {
@@ -334,6 +347,7 @@ mod tests {
         // shards=1 still goes through the concurrent front-end cleanly.
         run(&with(&["--shards", "1"]), &mut std::io::sink()).unwrap();
         assert!(run(&with(&["--shards", "0"]), &mut std::io::sink()).is_err());
+        assert!(run(&with(&["--workers", "0"]), &mut std::io::sink()).is_err());
         assert!(run(
             &with(&["--shards", "2", "--shard-by", "nope"]),
             &mut std::io::sink()

@@ -28,10 +28,7 @@ Options:
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&["trace", "cache", "policy", "steps", "seed"])?;
     let trace_path = args.require("trace")?;
-    let cache = args.get_bytes_or("cache", 0)?;
-    if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()).into());
-    }
+    let cache = args.require_positive_bytes("cache")?;
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     let steps: usize = args.get_or("steps", 5usize)?;
     if steps < 2 {

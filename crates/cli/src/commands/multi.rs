@@ -34,10 +34,7 @@ Options:
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&["trace", "cache", "nodes", "policy", "rate", "arrival-seed"])?;
     let trace_path = args.require("trace")?;
-    let cache = args.get_bytes_or("cache", 0)?;
-    if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()).into());
-    }
+    let cache = args.require_positive_bytes("cache")?;
     let nodes = args.get_count_or("nodes", 4)?;
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     if policy_by_name(policy_name).is_none() {

@@ -55,10 +55,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "profile",
     ])?;
     let trace_path = args.require("trace")?;
-    let cache = args.get_bytes_or("cache", 0)?;
-    if cache == 0 {
-        return Err(ArgError("missing required flag --cache".into()).into());
-    }
+    let cache = args.require_positive_bytes("cache")?;
     let policy_name = args.get("policy").unwrap_or("optfilebundle");
     let mut policy = policy_by_name(policy_name).ok_or_else(|| {
         ArgError(format!(

@@ -26,6 +26,12 @@
 //! followed by `trim`, `split_whitespace` and `parse` does, errors
 //! included. `fbc_workload`'s `Trace::read_from_reference` is that reader,
 //! and a differential test pins the trace reader to it.
+//!
+//! A reader that sees the same line many times can take the line before
+//! trimming ([`DataLines::next_raw_line`]) and look its raw bytes up in a
+//! [`LineMemo`] first, classifying and parsing ([`RawLine::data`]) only on
+//! a miss. Equal raw bytes classify and parse alike, so a memo hit stands
+//! for exactly what the parse would have produced.
 
 use std::io::{self, BufRead, BufReader, Read};
 use std::str::FromStr;
@@ -202,6 +208,19 @@ struct Span {
     ascii: bool,
 }
 
+impl Span {
+    /// The data line this span marks in `raw`.
+    #[inline]
+    fn line(self, raw: &[u8]) -> DataLine<'_> {
+        let line = &raw[self.start..self.end];
+        if self.ascii {
+            DataLine::Ascii(line)
+        } else {
+            DataLine::Text(std::str::from_utf8(line).expect("validated by classify"))
+        }
+    }
+}
+
 /// The span of `raw`'s data line, or `None` for a blank or comment line.
 /// `ascii` says whether every byte of `raw` is below `0x80`.
 #[inline]
@@ -214,6 +233,28 @@ fn classify(raw: &[u8], ascii: bool) -> io::Result<Option<Span>> {
         (start, start + text[start..].trim_end().len())
     };
     Ok((start < end && raw[start] != b'#').then_some(Span { start, end, ascii }))
+}
+
+/// A line as [`DataLines`] found it, before trimming: every byte up to and
+/// including its `\n` (the last line of a stream may lack it).
+#[derive(Debug, Clone, Copy)]
+pub struct RawLine<'a> {
+    bytes: &'a [u8],
+    ascii: bool,
+}
+
+impl<'a> RawLine<'a> {
+    /// The line's bytes, untrimmed.
+    pub fn bytes(self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The line's data line, or `None` for a blank or comment line. A line
+    /// that is not UTF-8 fails as [`DataLines::next_line`] would.
+    #[inline]
+    pub fn data(self) -> io::Result<Option<DataLine<'a>>> {
+        Ok(classify(self.bytes, self.ascii)?.map(|span| span.line(self.bytes)))
+    }
 }
 
 /// The data lines of a text stream; see the [module docs](self).
@@ -248,11 +289,16 @@ impl<R: Read> DataLines<R> {
                 break (source, span);
             }
         };
-        let line = &self.raw(source)[span.start..span.end];
-        Ok(if span.ascii {
-            DataLine::Ascii(line)
-        } else {
-            DataLine::Text(std::str::from_utf8(line).expect("validated by classify"))
+        Ok(span.line(self.raw(source)))
+    }
+
+    /// The next line, blank and comment lines included, untrimmed.
+    #[inline]
+    pub fn next_raw_line(&mut self) -> io::Result<RawLine<'_>> {
+        let (source, ascii) = self.next_raw()?;
+        Ok(RawLine {
+            bytes: self.raw(source),
+            ascii,
         })
     }
 
@@ -304,6 +350,150 @@ impl<R: Read> DataLines<R> {
             }
         }
     }
+}
+
+/// A memo key: a raw line of at most [`LineMemo::KEY_BYTES`] bytes,
+/// zero-padded, with its length in the last byte, read as little-endian
+/// words. Lines that differ in length or in any byte have different keys.
+type Key = [u64; 4];
+
+/// Remembers what each short raw line parsed to, so a reader that sees a
+/// line again can skip classifying and parsing it. Its memory and the work
+/// it adds per line are bounded by constants:
+///
+/// * **Inline keys.** A line of up to [`Self::KEY_BYTES`] bytes is its own
+///   key, held in the slot; a longer line is never looked up.
+/// * **Fixed capacity.** At most [`Self::MAX_SLOTS`] slots, sized from the
+///   number of lines the section holds. A lookup hashes the key and
+///   compares it in full, never by hash alone, with at most
+///   [`Self::PROBES`] consecutive slots; a new line takes the first empty
+///   one, or is not recorded when they are all taken.
+/// * **A stop rule.** Lookups are tallied in windows of [`Self::WINDOW`];
+///   a window with fewer than a quarter hits frees the slots and turns the
+///   memo off for good. A stream without repeats therefore pays for one
+///   window of lookups, not one per line.
+///
+/// Only values the parse produced are recorded: a line that parses to
+/// nothing (blank, comment) or fails is parsed again when it recurs. The
+/// memo is sound for a parse that is a function of the raw bytes alone,
+/// as a trace's request lines are while their catalog is fixed.
+pub struct LineMemo<V> {
+    slots: Box<[(Key, Option<V>)]>,
+    /// `64 − log2(slots.len())`: a hash's top bits pick its first slot.
+    shift: u32,
+    /// Lookups and hits in the current window.
+    lookups: u32,
+    hits: u32,
+}
+
+impl<V: Clone> LineMemo<V> {
+    /// The longest raw line recorded, newline included.
+    pub const KEY_BYTES: usize = 31;
+    /// The most slots a memo holds.
+    pub const MAX_SLOTS: usize = 1 << 15;
+    /// Slots a lookup examines.
+    pub const PROBES: usize = 4;
+    /// Lookups per stop-rule window.
+    pub const WINDOW: u32 = 1 << 16;
+
+    /// A memo for a section of `lines` lines: twice that many slots, to a
+    /// power of two within `PROBES..=MAX_SLOTS`.
+    pub fn for_lines(lines: usize) -> Self {
+        let len = lines
+            .min(Self::MAX_SLOTS / 2)
+            .saturating_mul(2)
+            .max(Self::PROBES)
+            .next_power_of_two();
+        Self {
+            slots: (0..len).map(|_| (Key::default(), None)).collect(),
+            shift: 64 - len.trailing_zeros(),
+            lookups: 0,
+            hits: 0,
+        }
+    }
+
+    /// The value recorded for `raw`, or else `parse()`'s, which is recorded
+    /// when it is `Some` and a slot is free. `raw` must parse to the same
+    /// value every time it recurs.
+    #[inline]
+    pub fn get_or_insert_with<E>(
+        &mut self,
+        raw: &[u8],
+        parse: impl FnOnce() -> Result<Option<V>, E>,
+    ) -> Result<Option<V>, E> {
+        if self.slots.is_empty() || raw.len() > Self::KEY_BYTES {
+            return parse();
+        }
+        let key = key_of(raw);
+        let mask = self.slots.len() - 1;
+        let first = (hash(&key) >> self.shift) as usize;
+        let mut free = None;
+        for i in (first..first + Self::PROBES).map(|i| i & mask) {
+            match &self.slots[i] {
+                (k, Some(value)) if *k == key => {
+                    let value = value.clone();
+                    self.tally(true);
+                    return Ok(Some(value));
+                }
+                (_, Some(_)) => {}
+                (_, None) => {
+                    free = Some(i);
+                    break;
+                }
+            }
+        }
+        let value = parse()?;
+        if let (Some(i), Some(v)) = (free, &value) {
+            self.slots[i] = (key, Some(v.clone()));
+        }
+        self.tally(false);
+        Ok(value)
+    }
+
+    /// Counts one lookup and applies the stop rule at the end of a window.
+    #[inline]
+    fn tally(&mut self, hit: bool) {
+        self.hits += u32::from(hit);
+        self.lookups += 1;
+        if self.lookups == Self::WINDOW {
+            if self.hits < Self::WINDOW / 4 {
+                self.slots = Box::default();
+            }
+            self.lookups = 0;
+            self.hits = 0;
+        }
+    }
+}
+
+/// The key of a raw line of at most [`LineMemo::KEY_BYTES`] bytes.
+#[inline]
+fn key_of(raw: &[u8]) -> Key {
+    let word = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().expect("8 bytes"));
+    let len = raw.len();
+    let mut key = Key::default();
+    if len >= 8 {
+        for (i, k) in key.iter_mut().enumerate().take(len / 8) {
+            *k = word(8 * i);
+        }
+        // The last partial word, read as the line's last eight bytes.
+        if !len.is_multiple_of(8) {
+            key[len / 8] = word(len - 8) >> (64 - 8 * (len % 8));
+        }
+    } else {
+        key[0] = raw.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+    }
+    key[3] |= (len as u64) << 56;
+    key
+}
+
+/// A key's hash: two independent multiplications, so their latencies
+/// overlap. The top bits pick the slot.
+#[inline]
+fn hash(key: &Key) -> u64 {
+    const K0: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    const K1: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
+    (key[0] ^ key[2].rotate_left(32)).wrapping_mul(K0)
+        ^ (key[1] ^ key[3].rotate_left(32)).wrapping_mul(K1)
 }
 
 #[cfg(test)]
@@ -422,5 +612,150 @@ mod tests {
             got.push(line.as_str().to_string());
         }
         assert_eq!(got, ["12 34", "56", "78"]);
+    }
+
+    /// A memo over `u32` values that counts its parses.
+    fn lookup(memo: &mut LineMemo<u32>, raw: &[u8], value: u32, parses: &mut u32) -> Option<u32> {
+        memo.get_or_insert_with(raw, || -> Result<_, ()> {
+            *parses += 1;
+            Ok(Some(value))
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn memo_compares_keys_in_full() {
+        // Flipping the same bit of word 0 and of word 2 rotated by 32 keeps
+        // the hash: two distinct request lines with one hash.
+        let a = b"1000 1001 1002 1003 1004\n";
+        let mut b = *a;
+        b[0] ^= 1;
+        b[20] ^= 1;
+        assert_eq!(&b, b"0000 1001 1002 1003 0004\n");
+        assert_eq!(hash(&key_of(a)), hash(&key_of(&b)));
+        // Equal bytes up to the length, and a trailing NUL: lengths differ.
+        let (short, nul) = (&b"12 3"[..], &b"12 3\0"[..]);
+        let mut memo = LineMemo::for_lines(4);
+        let mut parses = 0;
+        for _ in 0..2 {
+            for (raw, value) in [(&a[..], 1), (&b[..], 2), (short, 3), (nul, 4)] {
+                assert_eq!(lookup(&mut memo, raw, value, &mut parses), Some(value));
+            }
+        }
+        assert_eq!(parses, 4);
+    }
+
+    #[test]
+    fn memo_keys_every_length_up_to_its_width() {
+        let line: Vec<u8> = (0..=LineMemo::<u32>::KEY_BYTES as u8 + 1)
+            .map(|i| b'a' + i)
+            .collect();
+        let keys: Vec<Key> = (0..line.len()).map(|n| key_of(&line[..n])).collect();
+        for (n, key) in keys.iter().enumerate().take(LineMemo::<u32>::KEY_BYTES + 1) {
+            assert_eq!(usize::from(key[3].to_le_bytes()[7]), n);
+            assert_eq!(keys.iter().filter(|k| *k == key).count(), 1, "{n}");
+        }
+        // Only lines within the width are recorded.
+        let mut memo = LineMemo::for_lines(8);
+        let mut parses = 0;
+        for _ in 0..3 {
+            lookup(
+                &mut memo,
+                &line[..LineMemo::<u32>::KEY_BYTES],
+                1,
+                &mut parses,
+            );
+            lookup(
+                &mut memo,
+                &line[..=LineMemo::<u32>::KEY_BYTES],
+                2,
+                &mut parses,
+            );
+        }
+        assert_eq!(parses, 1 + 3);
+    }
+
+    #[test]
+    fn memo_records_only_values_and_holds_what_it_has_room_for() {
+        let mut memo = LineMemo::<u32>::for_lines(2);
+        assert_eq!(memo.slots.len(), LineMemo::<u32>::PROBES);
+        let mut parses = 0;
+        let skipped = |parses: &mut u32| -> Result<Option<u32>, ()> {
+            *parses += 1;
+            Ok(None)
+        };
+        for _ in 0..2 {
+            assert_eq!(
+                memo.get_or_insert_with(b"#\n", || skipped(&mut parses)),
+                Ok(None)
+            );
+            assert_eq!(
+                memo.get_or_insert_with(b"x\n", || Err::<Option<u32>, ()>(())),
+                Err(())
+            );
+        }
+        assert_eq!(parses, 2);
+        // Eight lines into four slots: every lookup is right, some parse again.
+        for _ in 0..3 {
+            for i in 0..8u8 {
+                assert_eq!(
+                    lookup(&mut memo, &[b'0' + i, b'\n'], u32::from(i), &mut parses),
+                    Some(u32::from(i))
+                );
+            }
+        }
+        assert!((2 + 8..2 + 24).contains(&parses), "{parses}");
+        assert_eq!(
+            LineMemo::<u32>::for_lines(usize::MAX).slots.len(),
+            LineMemo::<u32>::MAX_SLOTS
+        );
+    }
+
+    #[test]
+    fn memo_stops_after_a_window_without_repeats() {
+        let window = LineMemo::<u32>::WINDOW;
+        let mut memo = LineMemo::for_lines(usize::MAX);
+        let mut parses = 0;
+        // A quarter of a window in hits keeps the memo on: the first
+        // lookup of 0 misses, the next quarter hit.
+        for i in 0..window {
+            let n = if i <= window / 4 { 0 } else { i };
+            lookup(&mut memo, n.to_string().as_bytes(), n, &mut parses);
+        }
+        assert!(!memo.slots.is_empty());
+        // One hit short of it turns the memo off for good.
+        for i in 0..window {
+            let n = if i < window / 4 - 1 { 0 } else { window + i };
+            lookup(&mut memo, n.to_string().as_bytes(), n, &mut parses);
+        }
+        assert!(memo.slots.is_empty());
+        parses = 0;
+        for _ in 0..3 {
+            assert_eq!(lookup(&mut memo, b"0", 0, &mut parses), Some(0));
+        }
+        assert_eq!(parses, 3);
+    }
+
+    #[test]
+    fn raw_lines_classify_like_data_lines() {
+        let text = b"# c\n  \n 1 2 \r\n\xC2\xA03\n4";
+        let mut raw = DataLines::new(&text[..], "eof");
+        let mut got = Vec::new();
+        while let Ok(line) = raw.next_raw_line() {
+            let data = line.data().unwrap().map(|l| l.as_str().to_string());
+            got.push((line.bytes().to_vec(), data));
+        }
+        let want: Vec<(&[u8], Option<&str>)> = vec![
+            (b"# c\n", None),
+            (b"  \n", None),
+            (b" 1 2 \r\n", Some("1 2")),
+            (b"\xC2\xA03\n", Some("3")),
+            (b"4", Some("4")),
+        ];
+        let want: Vec<_> = want
+            .into_iter()
+            .map(|(b, d)| (b.to_vec(), d.map(String::from)))
+            .collect();
+        assert_eq!(got, want);
     }
 }

@@ -57,7 +57,9 @@ pub struct ConcurrentConfig {
     pub grid: GridConfig,
     /// Number of independent decision shards (≥ 1).
     pub shards: usize,
-    /// Worker threads executing shards (clamped to `1..=shards`).
+    /// Worker threads executing shards (clamped to `1..=shards`). Fewer
+    /// run when the system refuses a thread, and the calling thread runs
+    /// the shards when it refuses all of them.
     pub workers: usize,
     /// Routing function for the admission front-end.
     pub shard_by: ShardBy,
@@ -201,37 +203,27 @@ pub fn run_concurrent_grid_observed(
     };
 
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<(GridStats, Obs)>> = vec![None; shards];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            return done;
-                        }
-                        let jobs =
-                            ArrivalView::picked(arrivals, &picks[offsets[s]..offsets[s + 1]]);
-                        let mut policy = factory.build_policy();
-                        let child = obs.child();
-                        let stats =
-                            run_view(policy.as_mut(), catalog, jobs, &shard_grid, plan, &child);
-                        done.push((s, stats, child));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            let done = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (s, stats, child) in done {
-                results[s] = Some((stats, child));
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let s = next.fetch_add(1, Ordering::Relaxed);
+            if s >= shards {
+                return done;
             }
+            let jobs = ArrivalView::picked(arrivals, &picks[offsets[s]..offsets[s + 1]]);
+            let mut policy = factory.build_policy();
+            let child = obs.child();
+            let stats = run_view(policy.as_mut(), catalog, jobs, &shard_grid, plan, &child);
+            done.push((s, stats, child));
         }
-    });
+    };
+    let mut results: Vec<Option<(GridStats, Obs)>> = vec![None; shards];
+    for (s, stats, child) in on_workers(workers, std::thread::Builder::new, work)
+        .into_iter()
+        .flatten()
+    {
+        results[s] = Some((stats, child));
+    }
 
     // Deterministic merge, in shard-id order.
     let mut per_shard = Vec::with_capacity(shards);
@@ -244,12 +236,53 @@ pub fn run_concurrent_grid_observed(
     ConcurrentStats::merge(per_shard, routed)
 }
 
+/// Runs `work` on up to `workers` scoped threads, each made by `thread`,
+/// and returns what each returned. Spawning stops at the first thread the
+/// system refuses, and the threads already started carry the work; if none
+/// started, `work` runs on the calling thread. A panic in `work` resumes on
+/// the caller.
+fn on_workers<T: Send>(
+    workers: usize,
+    thread: impl Fn() -> std::thread::Builder,
+    work: impl Fn() -> T + Send + Copy,
+) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map_while(|_| thread().spawn_scoped(scope, work).ok())
+            .collect();
+        if handles.is_empty() {
+            return vec![work()];
+        }
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{schedule_arrivals, ArrivalProcess};
     use fbc_core::bundle::Bundle;
     use fbc_core::policy::SendPolicy;
+
+    #[test]
+    fn refused_workers_leave_the_work_to_the_caller() {
+        // No system maps a 2^60-byte stack: every spawn fails before a
+        // thread starts, and the caller runs the work once.
+        let refused = || std::thread::Builder::new().stack_size(1 << 60);
+        let caller = std::thread::current().id();
+        let ran = on_workers(3, refused, || std::thread::current().id());
+        assert_eq!(ran, [caller]);
+        let ran = on_workers(3, std::thread::Builder::new, || std::thread::current().id());
+        assert_eq!(ran.len(), 3);
+        assert!(!ran.contains(&caller));
+    }
 
     fn factory() -> impl PolicyFactory {
         || -> SendPolicy { Box::new(fbc_core::optfilebundle::OptFileBundle::new()) }

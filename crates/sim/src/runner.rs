@@ -242,7 +242,8 @@ fn drain_order(queue: QueueConfig, jobs: &[Bundle], catalog: &FileCatalog) -> Op
         }
         Discipline::HighestRelativeValue => {
             let mut history = RequestHistory::new();
-            let mut values = Vec::with_capacity(q);
+            // A batch never holds more jobs than the trace has.
+            let mut values = Vec::with_capacity(q.min(jobs.len()));
             let mut order = Vec::with_capacity(jobs.len());
             for (b, batch) in jobs.chunks(q).enumerate() {
                 values.clear();
@@ -563,6 +564,31 @@ mod tests {
     }
 
     #[test]
+    fn queue_longer_than_the_trace_equals_one_as_long() {
+        // A queue's reservations are capped at the trace length, so a queue
+        // far longer than any memory could hold runs like the whole trace.
+        let t = tiny_trace();
+        for discipline in [
+            Discipline::Fcfs,
+            Discipline::HighestRelativeValue,
+            Discipline::ShortestJobFirst,
+        ] {
+            let with = |queue_len| {
+                let cfg = queued(
+                    4,
+                    QueueConfig {
+                        queue_len,
+                        discipline,
+                    },
+                );
+                run(&mut Lru::new(), &t, &cfg)
+            };
+            assert_eq!(with(usize::MAX), with(t.len()), "{discipline:?}");
+            assert_eq!(with(4_000_000_000), with(t.len()), "{discipline:?}");
+        }
+    }
+
+    #[test]
     fn discipline_labels() {
         assert_eq!(Discipline::Fcfs.label(), "fcfs");
         assert_eq!(Discipline::HighestRelativeValue.label(), "hrv");
@@ -604,7 +630,7 @@ mod tests {
         let mut ranking_history = RequestHistory::new();
         let mut obs_slots = OutcomeObsSlots::default();
         let mut processed: u64 = 0;
-        let mut pending: Vec<(u64, Bundle)> = Vec::with_capacity(queue.queue_len);
+        let mut pending: Vec<(u64, Bundle)> = Vec::with_capacity(queue.queue_len.min(trace.len()));
         let mut input = trace
             .requests
             .iter()

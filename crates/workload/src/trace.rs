@@ -18,7 +18,7 @@
 
 use fbc_core::bundle::{Bundle, BundleInterner};
 use fbc_core::catalog::FileCatalog;
-use fbc_core::lines::DataLines;
+use fbc_core::lines::{DataLines, LineMemo};
 use fbc_core::types::FileId;
 use std::io::{self, BufWriter, Read, Write};
 #[cfg(any(test, feature = "reference-kernels"))]
@@ -90,10 +90,14 @@ impl Trace {
     ///
     /// Requests with the same file set share one [`Bundle`]: memory grows
     /// with the distinct bundles, not with the trace length. The input is
-    /// streamed through [`DataLines`], with no allocation per line; it
-    /// accepts and rejects exactly what `read_from_reference` (the
-    /// `reference-kernels` twin) does, with the same error kinds and
-    /// messages.
+    /// streamed through [`DataLines`], with no allocation per line. A
+    /// request line is parsed once per distinct raw text: a [`LineMemo`]
+    /// keyed by the line's untrimmed bytes hands a repeat the bundle its
+    /// first occurrence parsed to (the catalog is fixed by then, so equal
+    /// bytes parse alike), within the memo's constant bounds and stop
+    /// rule. The reader accepts and rejects exactly what
+    /// `read_from_reference` (the `reference-kernels` twin) does, with the
+    /// same error kinds and messages.
     pub fn read_from<R: Read>(r: R) -> io::Result<Self> {
         let mut lines = DataLines::new(r, "truncated trace");
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -120,20 +124,28 @@ impl Trace {
             .ok_or_else(|| bad("bad request count"))?;
         let mut requests = Vec::with_capacity(n_requests.min(MAX_PREALLOC));
         let mut interner = BundleInterner::new();
+        let mut memo = LineMemo::for_lines(n_requests);
         let mut ids = Vec::new();
-        for _ in 0..n_requests {
-            ids.clear();
-            for id in lines.next_line()?.uints::<u32>() {
-                let id = id.ok_or_else(|| bad("bad file id"))?;
-                if id as usize >= catalog.len() {
-                    return Err(bad("request references unknown file"));
+        while requests.len() < n_requests {
+            let raw = lines.next_raw_line()?;
+            let request = memo.get_or_insert_with(raw.bytes(), || {
+                let Some(line) = raw.data()? else {
+                    return Ok(None);
+                };
+                ids.clear();
+                for id in line.uints::<u32>() {
+                    let id = id.ok_or_else(|| bad("bad file id"))?;
+                    if id as usize >= catalog.len() {
+                        return Err(bad("request references unknown file"));
+                    }
+                    ids.push(FileId(id));
                 }
-                ids.push(FileId(id));
-            }
-            if ids.is_empty() {
-                return Err(bad("empty request"));
-            }
-            requests.push(interner.intern(&mut ids));
+                if ids.is_empty() {
+                    return Err(bad("empty request"));
+                }
+                Ok(Some(interner.intern(&mut ids)))
+            })?;
+            requests.extend(request);
         }
         Ok(Self { catalog, requests })
     }
@@ -264,6 +276,68 @@ mod tests {
         let shared = |a: &Bundle, b: &Bundle| std::ptr::eq(a.files().as_ptr(), b.files().as_ptr());
         assert!(shared(&t.requests[0], &t.requests[1]));
         assert!(!shared(&t.requests[0], &t.requests[2]));
+    }
+
+    #[test]
+    fn equal_file_sets_share_one_bundle_through_memo_hits_and_misses() {
+        // Exact repeats hit the memo; re-rendered ones (other whitespace,
+        // order, `+`, leading zeros, a long line) miss it and meet the
+        // interner.
+        let long = format!("{}0 2\n", " ".repeat(40));
+        let text = format!("files 3\n1\n2\n3\nrequests 7\n0 2\n0 2\n2 0\n+0 02\n{long}{long}0 2\n");
+        let t = Trace::read_from(text.as_bytes()).unwrap();
+        let first = t.requests[0].files().as_ptr();
+        assert!(t
+            .requests
+            .iter()
+            .all(|r| std::ptr::eq(r.files().as_ptr(), first)));
+        assert_eq!(t.requests[0], Bundle::from_raw([0, 2]));
+    }
+
+    /// `distinct` request lines `a b` over a 400-file catalog, then
+    /// `repeats` more drawn from the first 500 of them.
+    fn distinct_then_repeated(distinct: usize, repeats: usize) -> String {
+        let pairs = (0..400u32).flat_map(|a| (a + 1..400).map(move |b| format!("{a} {b}\n")));
+        let lines: Vec<String> = pairs.take(distinct).collect();
+        let mut text = format!(
+            "files 400\n{}requests {}\n",
+            "1\n".repeat(400),
+            distinct + repeats
+        );
+        text.extend(lines.iter().cloned());
+        text.extend((0..repeats).map(|i| lines[i * 7 % 500].clone()));
+        text
+    }
+
+    #[test]
+    fn more_distinct_lines_than_the_memo_holds() {
+        let text = distinct_then_repeated(LineMemo::<Bundle>::MAX_SLOTS + 1_000, 5_000);
+        let [new, reference] = both(text.as_bytes());
+        assert_eq!(new, reference);
+        assert_eq!(new.unwrap().requests[1], Bundle::from_raw([0, 2]));
+    }
+
+    #[test]
+    fn a_no_repeat_prefix_trips_the_stop_rule_before_repeats() {
+        let text = distinct_then_repeated(LineMemo::<Bundle>::WINDOW as usize + 1_000, 5_000);
+        let [new, reference] = both(text.as_bytes());
+        assert_eq!(new, reference);
+    }
+
+    #[test]
+    fn lines_with_one_memo_hash_read_as_themselves() {
+        // The two request lines hash alike in the memo (see
+        // `fbc_core::lines`' `memo_compares_keys_in_full`), so only a
+        // full key comparison tells them apart.
+        let sizes = "1\n".repeat(1_005);
+        let text = format!(
+            "files 1005\n{sizes}requests 3\n1000 1001 1002 1003 1004\n0000 1001 1002 1003 0004\n1000 1001 1002 1003 1004\n"
+        );
+        let [new, reference] = both(text.as_bytes());
+        assert_eq!(new, reference);
+        let requests = new.unwrap().requests;
+        assert_eq!(requests[1], Bundle::from_raw([0, 4, 1001, 1002, 1003]));
+        assert_eq!(requests[0], requests[2]);
     }
 
     #[test]

@@ -301,15 +301,17 @@ proptest! {
     /// reference twin (a `String` per line, `trim`, `split_whitespace`,
     /// `str::parse`) does, with equal error kinds and messages: on v1
     /// text rendered with random whitespace, `+` signs, comments, blank
-    /// lines and non-ASCII separators, and on hostile edits and prefixes
-    /// of it. Every input is also read one byte per `read`, so that every
-    /// line crosses a refill of the reader's buffer.
+    /// lines and non-ASCII separators, with requests that repeat earlier
+    /// lines byte for byte or re-rendered, and on hostile edits and
+    /// prefixes of it. Every input is also read one byte per `read`, so
+    /// that every line crosses a refill of the reader's buffer.
     #[test]
     fn trace_reader_matches_reference(
         (trace, _) in trace_and_cache(),
         noise in proptest::collection::vec(any::<u8>(), 1..=64),
         (_, edits, cut) in hostile(1),
     ) {
+        let trace = with_repeats(&trace, &noise);
         let (text, valid) = noisy_trace_text(&trace, &noise);
         if valid {
             let read = Trace::read_from(&text[..]);
@@ -427,13 +429,32 @@ impl Noise<'_> {
     }
 }
 
+/// `trace` with about half of its requests replaced by an earlier one,
+/// chosen by `noise`.
+fn with_repeats(trace: &Trace, noise: &[u8]) -> Trace {
+    let mut draws = noise.iter().rev().cycle().map(|&d| usize::from(d));
+    let mut requests: Vec<Bundle> = Vec::with_capacity(trace.len());
+    for r in &trace.requests {
+        let d = draws.next().expect("noise is not empty");
+        let r = match d % 2 {
+            1 if !requests.is_empty() => requests[d / 2 % requests.len()].clone(),
+            _ => r.clone(),
+        };
+        requests.push(r);
+    }
+    Trace::new(trace.catalog.clone(), requests)
+}
+
 /// `trace` in the v1 format, with each choice of layout drawn from
 /// `noise`: line endings (`\n`, `\r\n`, trailing whitespace), leading
 /// whitespace, separators between ids and after header keywords, `+`
 /// signs and leading zeros on numbers, skipped lines between data lines,
-/// and a last line without `\n`. Also returns whether the text is still
-/// a valid trace: a header keyword followed by anything but one space is
-/// not.
+/// and a last line without `\n`. A repeated request either repeats an
+/// earlier rendering of it byte for byte, skipped lines included, or is
+/// rendered afresh. Now and then a request line naming a file past the
+/// catalog is written twice. Also returns whether the text is still a
+/// valid trace: a header keyword followed by anything but one space is
+/// not, nor is an unknown file.
 fn noisy_trace_text(trace: &Trace, noise: &[u8]) -> (Vec<u8>, bool) {
     let mut noise = Noise {
         draws: noise.iter().cycle(),
@@ -445,12 +466,31 @@ fn noisy_trace_text(trace: &Trace, noise: &[u8]) -> (Vec<u8>, bool) {
         noise.line(&mut out, None, &[size]);
     }
     noise.line(&mut out, Some("requests"), &[trace.len() as u64]);
+    let mut rendered: Vec<(Vec<u64>, String)> = Vec::new();
+    let mut unknown_file = false;
     for r in &trace.requests {
-        let ids: Vec<u64> = r.iter().map(|f| u64::from(f.0)).collect();
-        noise.line(&mut out, None, &ids);
+        let mut ids: Vec<u64> = r.iter().map(|f| u64::from(f.0)).collect();
+        if noise.draw().is_multiple_of(29) {
+            ids.push(trace.catalog.len() as u64);
+            unknown_file = true;
+        }
+        let line = match rendered.iter().find(|(seen, _)| *seen == ids) {
+            Some((_, line)) if !noise.draw().is_multiple_of(3) => line.clone(),
+            _ => {
+                let mut line = String::new();
+                noise.line(&mut line, None, &ids);
+                rendered.push((ids, line.clone()));
+                line
+            }
+        };
+        out.push_str(&line);
+        if unknown_file {
+            out.push_str(&line);
+            break;
+        }
     }
     if noise.draw().is_multiple_of(2) {
         out.truncate(out.trim_end_matches(['\n', '\r']).len());
     }
-    (out.into_bytes(), !noise.broke_a_header)
+    (out.into_bytes(), !noise.broke_a_header && !unknown_file)
 }
